@@ -387,6 +387,56 @@ def rank1_product_derivative(h: HyperbolicInstance, indices, vectors, x,
     return total
 
 
+def subsets_up_to(n: int, size: int) -> list:
+    """Bitmasks of the subsets of range(n) with at most ``size`` elements,
+    in increasing order."""
+    return sorted(sum(1 << i for i in combo)
+                  for r in range(size + 1)
+                  for combo in itertools.combinations(range(n), r))
+
+
+def mixed_derivative_table(h: HyperbolicInstance, vectors) -> dict:
+    """a_T = (prod_{i in T} D_{v_i}) h(e) for every |T| <= d, keyed by bitmask
+    in increasing order.
+
+    For hyperbolic-rank-<=1 vectors h(xe + sum_i c_i v_i) is multilinear in
+    the c_i, so
+
+        h(xe + sum_i c_i v_i) = sum_{|T| <= d} c^T a_T x^(d - |T|)
+
+    and every a_T with |T| > d vanishes.  Each vertex value
+    h(e + sum_{i in U} v_i), |U| <= d, is taken once, and one subset Moebius
+    transform turns them into all the a_T: the inclusion-exclusion of
+    rank1_product_derivative, shared across T.  The rank condition is
+    checked exactly, so the vectors must be rational: t -> h(e + t v_i) has
+    degree <= 1 iff v_i has rank <= 1, which is tested at t = 0..d, and
+    RankTooHigh is raised when it fails.
+    """
+    for v in vectors:
+        h.check_dim(v)
+    table = {}
+    for mask in subsets_up_to(len(vectors), h.d):
+        point = list(h.e)
+        for i, v in enumerate(vectors):
+            if mask >> i & 1:
+                for idx in range(h.m):
+                    point[idx] = point[idx] + v[idx]
+        table[mask] = h.value(tuple(point))
+    base = table[0]
+    for i, v in enumerate(vectors):
+        slope = table[1 << i] - base
+        for t in range(2, h.d + 1):
+            if h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
+                raise RankTooHigh(f"vector {i} has hyperbolic rank > 1; h is not "
+                                  "multilinear along it")
+    for i in range(len(vectors)):
+        bit = 1 << i
+        for mask in table:
+            if mask & bit:
+                table[mask] = table[mask] - table[mask ^ bit]
+    return table
+
+
 def derivative_restriction(h: HyperbolicInstance, vectors, indices,
                            cache: dict | None = None) -> UniPoly:
     """(prod_{i in S} D_{v_i}) h(x e) as a univariate polynomial in x.

@@ -26,6 +26,20 @@ with A_S(x) = (prod_{i in S} D_{v_i}) h(xe) and g^(S)(x*1) =
 sum_{T in supp, T >= S} mu(T) x^(|T|-|S|).  The collapse is exact (higher
 z-powers cannot occur), so both routes can be compared coefficient-wise
 under the rational backend.
+
+The same multilinearity gives every signed node without enumerating
+completions.  With c_i = s_i - mu_i and a_T = (prod_{i in T} D_{v_i}) h(e),
+
+    h(xe + sum_i c_i v_i) = sum_{|T| <= d} c^T a_T x^(d-|T|),
+
+and the free c_i are independent with mean zero, so for a prefix s_1..s_l
+
+    p_prefix(x) = Pr[prefix] * (-1)^d * sum_{F subset free, |F| <= d}
+                  tau_F^2 P_F(x) P_F(-x),
+    P_F(x) = sum_{A subset prefix, |F|+|A| <= d} c^A a_{F u A} x^(d-|F|-|A|).
+
+KlsFamily reads its inner nodes off the table of a_T (kls_table_node_poly);
+kls_node_poly keeps the enumeration as the reference route.
 """
 
 from __future__ import annotations
@@ -53,7 +67,9 @@ from .hyperbolic import (
     derivative_restriction,
     hyperbolic_rank,
     hyperbolic_trace,
+    mixed_derivative_table,
     spectrum,
+    subsets_up_to,
 )
 from .realstable import MultiPoly
 from .scalars import FLOAT, RATIONAL, coerce
@@ -250,28 +266,39 @@ class SrInstance:
 
 def kls_leaf_poly(inst: KlsInstance, assignment) -> UniPoly:
     """h(xe + w) h(xe - w) for the centered signed sum w, without the
-    probability prefactor."""
+    probability prefactor.
+
+    h(xe - w) = (-1)^d h(-xe + w) is read off the one restriction
+    p(x) = h(xe + w) as (-1)^d p(-x).
+    """
     w = inst.centered_sum(assignment)
     plus = inst.h.restrict_line(w, inst.h.e)
-    minus = inst.h.restrict_line(tuple(-c for c in w), inst.h.e)
+    d = inst.h.d
+    minus = UniPoly.from_coeffs(
+        [c if (d + k) % 2 == 0 else -c for k, c in enumerate(plus.coeffs)], plus.backend)
     return plus * minus
 
 
-def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
-    """Conditional polynomial for a prefix assignment (the root for ())."""
-    ell = len(partial)
-    if ell > inst.n:
+def _prefix_prob(inst: KlsInstance, partial):
+    """Probability of a prefix assignment; checks its length and values."""
+    if len(partial) > inst.n:
         raise ValueError("prefix longer than the variable list")
+    prob = 1
     for s, var in zip(partial, inst.variables):
         if s not in var.support:
             raise ValueNotInSupport(f"value {s!r} not in support {var.support!r}")
-    rest = inst.variables[ell:]
+        prob = prob * var.probs[var.support.index(s)]
+    return prob
+
+
+def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
+    """Conditional polynomial for a prefix assignment (the root for ()), by
+    enumerating every completion: the reference route."""
+    prefix_prob = _prefix_prob(inst, partial)
+    rest = inst.variables[len(partial):]
     branches = _branch_count(len(v.support) for v in rest)
     if branches > MAX_BRANCHES:
         raise TooLarge(f"{branches} completions exceed the {MAX_BRANCHES} guardrail")
-    prefix_prob = 1
-    for s, var in zip(partial, inst.variables):
-        prefix_prob = prefix_prob * var.probs[var.support.index(s)]
     acc = UniPoly.zero(RATIONAL)
     for completion in itertools.product(*[v.support for v in rest]):
         weight = prefix_prob
@@ -282,17 +309,57 @@ def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     return acc
 
 
+def kls_table_node_poly(inst: KlsInstance, table: dict, partial=()) -> UniPoly:
+    """kls_node_poly(inst, partial), read off the table of
+    hyperbolic.mixed_derivative_table(inst.h, inst.vectors).
+
+    With P_F as in the module docstring, the coefficient of x^(2d-k) is
+    Pr[prefix] * sum_F tau_F^2 sum_{j+j'=k} (-1)^j' P_F[j] P_F[j'], where
+    P_F[j] is the coefficient of x^(d-j) in P_F.  The cost is linear in the
+    table; no completion is enumerated and no line restriction is taken.
+    """
+    prefix_prob = _prefix_prob(inst, partial)
+    d = inst.h.d
+    fixed = (1 << len(partial)) - 1
+    # products[U] = prod_{i in U} factor_i, which is c^A on the prefix and
+    # tau_F^2 on the free variables.  The table's masks ascend and are closed
+    # under taking subsets, so U minus its lowest bit always comes first.
+    factor = ([s - var.mean for s, var in zip(partial, inst.variables)]
+              + [var.variance for var in inst.variables[len(partial):]])
+    products = {}
+    for mask in table:
+        low = mask & -mask
+        products[mask] = products[mask ^ low] * factor[low.bit_length() - 1] if mask else 1
+    rows: dict = {}  # free subset F -> [P_F[0], ..., P_F[d]]
+    for mask, a_t in table.items():
+        free = mask & ~fixed
+        if a_t != 0 and products[free] != 0:
+            row = rows.setdefault(free, [0] * (d + 1))
+            row[mask.bit_count()] += products[mask & fixed] * a_t
+    coeffs = [0] * (2 * d + 1)
+    for free, row in rows.items():
+        terms = [(j, c) for j, c in enumerate(row) if c != 0]
+        for j, cj in terms:
+            weighted = products[free] * cj
+            for jj, cjj in terms:
+                prod = weighted * cjj
+                coeffs[2 * d - j - jj] += prod if jj % 2 == 0 else -prod
+    return UniPoly.from_coeffs([prefix_prob * c for c in coeffs], RATIONAL)
+
+
 def kls_operator_form(inst: KlsInstance) -> UniPoly:
     """The multilinear collapse of prod (1 - 1/2 d^2/dz_i^2) (h(xe+sum z_i tau_i v_i))^2.
 
     Equals kls_node_poly(inst) coefficient-wise; evaluated through the exact
-    signed subset sum rather than a symbolic multivariate expansion.
+    signed subset sum rather than a symbolic multivariate expansion.  A_S
+    vanishes for |S| > d (a product of more than d derivatives of a degree-d
+    form), so only the smaller subsets are visited.
     """
     n = inst.n
     tau2 = [var.variance for var in inst.variables]
     cache: dict = {}
     acc = UniPoly.zero(RATIONAL)
-    for mask in range(1 << n):
+    for mask in subsets_up_to(n, inst.h.d):
         subset = tuple(i for i in range(n) if mask >> i & 1)
         weight = 1
         for i in subset:
@@ -574,9 +641,29 @@ class KlsFamily:
         self.n = inst.n
         self.branch_sets = [tuple(var.support) for var in inst.variables]
         self.degree = 2 * inst.h.d
+        self._table = None
 
     def node_poly(self, prefix) -> UniPoly:
-        return kls_node_poly(self.inst, tuple(prefix))
+        """Inner nodes come from the mixed-derivative table; a full
+        assignment is a single leaf, which one restriction gives faster."""
+        prefix = tuple(prefix)
+        table = self._coefficient_table() if len(prefix) < self.n else None
+        if table is None:
+            return kls_node_poly(self.inst, prefix)
+        return kls_table_node_poly(self.inst, table, prefix)
+
+    def _coefficient_table(self) -> dict | None:
+        """The table, built on first use; None (enumerate instead) for float
+        vectors and for rank > 1 ones, which files may carry since they
+        load without validation."""
+        if self._table is None:
+            self._table = False
+            if not any(isinstance(c, float) for v in self.inst.vectors for c in v):
+                try:
+                    self._table = mixed_derivative_table(self.inst.h, self.inst.vectors)
+                except RankTooHigh:
+                    pass
+        return self._table or None
 
     def feasible(self, prefix) -> bool:
         return True

@@ -10,10 +10,11 @@ node to within deg^(1/k) whenever the spectrum is symmetric or nonnegative
 then lands on a leaf whose exact recomputed norm is certified post hoc
 against (1 + delta) times the root-node bound.
 
-Coefficients come either from the generic enumeration oracle (sum over
-completions) or, for determinant instances built from rank-1 outer
-products, from the expectation minor formula, which avoids enumerating the
-completions altogether.
+Coefficients come either from the ``enumeration`` oracle, which reads the
+family's node polynomial (for the signed family an inner node is summed
+from the mixed-derivative coefficient table, so no completion is
+enumerated; see mixedchar), or, for determinant instances built from
+rank-1 outer products, from the expectation minor formula.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ def monic_top_coeffs(poly: UniPoly, k: int) -> tuple:
 
 
 def maxcoeff_enum(family, k: int, prefix) -> tuple:
-    """Top-k monic coefficients of a node polynomial via full enumeration."""
+    """Top-k monic coefficients of the family's node polynomial.
+
+    The oracle keeps its CLI name ``enumeration``; signed-family inner nodes
+    come from the mixed-derivative table, not from enumerating completions.
+    """
     poly = family.node_poly(prefix)
     return monic_top_coeffs(poly, k)
 

@@ -93,6 +93,21 @@ def test_solve_blocked_deterministic(capsys, tmp_path):
     assert a == b
 
 
+def test_solve_beyond_the_enumeration_guardrail(capsys, tmp_path):
+    # 2^5 * 3^5 = 7,776 completions, above MAX_BRANCHES: the root node and
+    # the oracle nodes must come from the coefficient table.
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--kind", "kls-det", "--n", "10", "--mprime", "3",
+          "--variables", "mixed", "--seed", "1", "--out", str(inst_file)])
+    results = {}
+    for method in ("brute", "blocked"):
+        code, out = run(capsys, "solve", str(inst_file), "--method", method)
+        assert code == 0
+        results[method] = json.loads(out)
+        assert results[method]["certified"] <= results[method]["bound"] + 1e-9
+    assert results["blocked"]["certified"] >= results["brute"]["certified"] - 1e-12
+
+
 def test_solve_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,13 +1,22 @@
 """Node polynomials, operator-form collapses, interlacing, descent."""
 
+import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hyperdisc.errors import EmptyBranch, TooLarge, ValueNotInSupport
+from hyperdisc.errors import EmptyBranch, RankTooHigh, TooLarge, ValueNotInSupport
 from hyperdisc.graphs import complete_graph, diamond_graph
-from hyperdisc.hyperbolic import determinant, lorentz
+from hyperdisc.hyperbolic import (
+    determinant,
+    lorentz,
+    mixed_derivative_table,
+    rank1_product_derivative,
+)
+from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
 from hyperdisc.mixedchar import (
     AgFamily,
     KlsFamily,
@@ -19,13 +28,16 @@ from hyperdisc.mixedchar import (
     ag_substitution_identity,
     common_interlacing_check,
     descend_family,
+    kls_leaf_poly,
     kls_node_poly,
     kls_operator_form,
+    kls_table_node_poly,
     linear_restriction_multipoly,
     pair_expectation,
     pair_operator,
 )
 from hyperdisc.realstable import stability_test
+from hyperdisc.solver import SolverConfig, kadison_singer_search
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 
@@ -297,3 +309,84 @@ def test_family_adapters():
     assert afam.feasible((1,)) and afam.feasible((0,))
     assert not afam.feasible((1, 1))
     assert afam.leaf_norm((1, 0)) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Node polynomials from the mixed-derivative table against the enumeration.
+# ---------------------------------------------------------------------------
+
+VARIABLE_KINDS = ("rademacher", "biased", "threepoint", "mixed")
+
+
+def _generated_instances():
+    for kind in VARIABLE_KINDS:
+        n = 3 if kind == "threepoint" else 4  # 3^n leaves under the root
+        yield gen_kls_det(n, 3, 10, kind)
+        for seed in (0, 1):
+            yield gen_kls_det(n, 2, seed, kind)
+            yield gen_kls_lorentz(n, 4, seed, kind)
+
+
+def _every_prefix(inst):
+    for ell in range(inst.n + 1):
+        yield from itertools.product(*[var.support for var in inst.variables[:ell]])
+
+
+def test_table_node_poly_equals_enumeration_at_every_prefix():
+    checked = 0
+    for inst in _generated_instances():
+        table = mixed_derivative_table(inst.h, inst.vectors)
+        for prefix in _every_prefix(inst):
+            assert (kls_table_node_poly(inst, table, prefix).coeffs
+                    == kls_node_poly(inst, prefix).coeffs), prefix
+            checked += 1
+    assert checked > 700
+
+
+def test_table_entries_are_mixed_derivatives():
+    for inst in (gen_kls_det(5, 3, 2, "mixed"), gen_kls_lorentz(5, 4, 2, "mixed")):
+        table = mixed_derivative_table(inst.h, inst.vectors)
+        assert len(table) == sum(math.comb(inst.n, r) for r in range(inst.h.d + 1))
+        for mask, a_t in table.items():
+            subset = [i for i in range(inst.n) if mask >> i & 1]
+            assert a_t == rank1_product_derivative(inst.h, subset, inst.vectors, inst.h.e)
+
+
+def test_table_root_equals_operator_form():
+    for inst in _generated_instances():
+        table = mixed_derivative_table(inst.h, inst.vectors)
+        assert kls_table_node_poly(inst, table).coeffs == kls_operator_form(inst).coeffs
+
+
+def test_table_rejects_rank_two_vector():
+    h = determinant(2)
+    vectors = [h.vec_outer((Fraction(1), Fraction(1))), h.e]  # the identity has rank 2
+    with pytest.raises(RankTooHigh):
+        mixed_derivative_table(h, vectors)
+    inst = KlsInstance.build(h, vectors, [RADEMACHER] * 2, validate=False)
+    # The family keeps the enumeration for such an instance.
+    assert KlsFamily(inst).node_poly(()).coeffs == kls_node_poly(inst).coeffs
+
+
+def test_leaf_poly_reflection_equals_two_restrictions():
+    for inst in _generated_instances():
+        for assignment in itertools.islice(itertools.product(
+                *[var.support for var in inst.variables]), 6):
+            w = inst.centered_sum(assignment)
+            plus = inst.h.restrict_line(w, inst.h.e)
+            minus = inst.h.restrict_line(tuple(-c for c in w), inst.h.e)
+            assert kls_leaf_poly(inst, assignment).coeffs == (plus * minus).coeffs
+
+
+class _EnumeratedFamily(KlsFamily):
+    def node_poly(self, prefix):
+        return kls_node_poly(self.inst, tuple(prefix))
+
+
+def test_search_same_with_table_and_enumeration():
+    for inst in (gen_kls_det(6, 3, 0, "mixed"), gen_kls_det(5, 2, 3, "rademacher"),
+                 gen_kls_lorentz(5, 4, 1, "mixed")):
+        cfg = SolverConfig(delta=0.5)
+        fast = kadison_singer_search(KlsFamily(inst), cfg)
+        slow = kadison_singer_search(_EnumeratedFamily(inst), cfg)
+        assert dataclasses.replace(fast, wall_time=0.0) == dataclasses.replace(slow, wall_time=0.0)
