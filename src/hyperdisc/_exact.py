@@ -72,13 +72,5 @@ def _matmul(a: list, b: list) -> list:
     return out
 
 
-def mat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: list, c) -> list:
-    return [[c * x for x in row] for row in a]
-
-
 def outer(u: list, v: list) -> list:
     return [[ui * vj for vj in v] for ui in u]

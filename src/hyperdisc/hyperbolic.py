@@ -31,7 +31,7 @@ from ._exact import char_poly_exact, det_exact
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
 from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce, infer_backend
-from .unipoly import RootList, UniPoly, interpolate, real_roots
+from .unipoly import RootList, UniPoly, divided_differences, interpolate, real_roots
 
 RANK_TOL = 1e-8
 
@@ -265,10 +265,6 @@ class Spectrum:
 class ConeVerdict:
     status: str  # "interior" | "boundary" | "outside"
     witness: float  # smallest hyperbolic eigenvalue
-
-    @property
-    def in_closed_cone(self) -> bool:
-        return self.status in ("interior", "boundary")
 
 
 def restrict_line(h: HyperbolicInstance, base, dirv) -> UniPoly:
@@ -504,14 +500,8 @@ def multi_restrict(h: HyperbolicInstance, x, dirs) -> MultiPoly:
 def _interp_polyvalued(nodes, var: int, nvars: int, backend: str) -> MultiPoly:
     """Newton interpolation where ordinates are MultiPoly values."""
     xs = [t for t, _ in nodes]
-    table = [p for _, p in nodes]
-    n = len(nodes)
-    newton = [table[0]]
-    for level in range(1, n):
-        for i in range(n - level):
-            diff = table[i + 1] - table[i]
-            table[i] = diff.scale(coerce(1, backend) / (xs[i + level] - xs[i]))
-        newton.append(table[0])
+    newton = divided_differences(xs, [p for _, p in nodes],
+                                 lambda diff, gap: diff.scale(coerce(1, backend) / gap))
     result = MultiPoly.zero(nvars, backend)
     basis = MultiPoly.constant(nvars, 1, backend)
     tvar = MultiPoly.variable(var, nvars, backend)

@@ -9,13 +9,14 @@ triples so boundary (rank-1) vectors stay rational.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from .errors import InvalidParams
 from .graphs import Graph
 from .hyperbolic import determinant, lorentz
-from .mixedchar import MAX_BRANCHES, KlsInstance, RandomVar, SrInstance
+from .mixedchar import MAX_BRANCHES, KlsInstance, RandomVar
 
 PYTHAGOREAN_TRIPLES = (
     (3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (1, 0, 1),
@@ -43,13 +44,11 @@ def make_variable(kind: str, rng: random.Random) -> RandomVar:
 
 def _variable_list(n: int, kinds: str, rng: random.Random) -> list:
     chosen = []
-    branch = 1
     for _ in range(n):
         kind = rng.choice(VARIABLE_KINDS) if kinds == "mixed" else kinds
         var = make_variable(kind, rng)
-        if branch * len(var.support) > MAX_BRANCHES:
+        if math.prod(len(v.support) for v in chosen) * len(var.support) > MAX_BRANCHES:
             var = make_variable("rademacher", rng)
-        branch *= len(var.support)
         chosen.append(var)
     return chosen
 
@@ -93,15 +92,6 @@ def gen_kls_lorentz(n: int, m: int, seed: int, variables: str = "mixed") -> KlsI
     return KlsInstance.build(h, vecs, vars_, validate=False)
 
 
-def gen_kls(seed: int, max_n: int = 6, variables: str = "mixed") -> KlsInstance:
-    """Mixed stream of determinant and quadratic-form instances."""
-    rng = random.Random(f"kls-mix:{seed}")
-    n = rng.randint(1, max_n)
-    if rng.random() < 0.5:
-        return gen_kls_det(n, rng.randint(1, 4), seed, variables)
-    return gen_kls_lorentz(n, rng.randint(3, 5), seed, variables)
-
-
 def random_connected_graph(n_vertices: int, n_edges: int, seed: int) -> Graph:
     """Random spanning tree plus random extra edges; simple and connected."""
     if n_vertices < 2:
@@ -125,9 +115,3 @@ def random_connected_graph(n_vertices: int, n_edges: int, seed: int) -> Graph:
     while len(edges) < n_edges and candidates:
         edges.add(candidates.pop())
     return Graph(n_vertices, tuple(sorted(edges)))
-
-
-def gen_sr_ust(graph: Graph, exact: bool = False,
-               stability_trials: int = 0) -> SrInstance:
-    return SrInstance.from_graph(graph, exact=exact,
-                                 stability_trials=stability_trials)

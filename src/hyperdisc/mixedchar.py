@@ -74,7 +74,7 @@ from .hyperbolic import (
 from .realstable import MultiPoly
 from .scalars import FLOAT, RATIONAL, coerce
 from .srdist import IsotropicFamily, SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
-from .unipoly import UniPoly, is_real_rooted, max_real_root, near_real_rooted, real_roots
+from .unipoly import UniPoly, is_real_rooted, max_real_root, real_roots
 
 MAX_BRANCHES = 4096  # enumeration guardrail; exceeding raises, never approximates
 
@@ -104,10 +104,6 @@ class RandomVar:
     def rademacher() -> "RandomVar":
         return RandomVar((Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(1, 2)))
 
-    @staticmethod
-    def from_lists(support, probs) -> "RandomVar":
-        return RandomVar(tuple(support), tuple(probs))
-
     @property
     def mean(self):
         return sum(s * p for s, p in zip(self.support, self.probs))
@@ -120,13 +116,6 @@ class RandomVar:
     def central_moment(self, k: int):
         mu = self.mean
         return sum(p * (s - mu) ** k for s, p in zip(self.support, self.probs))
-
-
-def _branch_count(sizes) -> int:
-    count = 1
-    for s in sizes:
-        count *= s
-    return count
 
 
 @dataclass(frozen=True)
@@ -296,7 +285,7 @@ def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     enumerating every completion: the reference route."""
     prefix_prob = _prefix_prob(inst, partial)
     rest = inst.variables[len(partial):]
-    branches = _branch_count(len(v.support) for v in rest)
+    branches = math.prod(len(v.support) for v in rest)
     if branches > MAX_BRANCHES:
         raise TooLarge(f"{branches} completions exceed the {MAX_BRANCHES} guardrail")
     acc = UniPoly.zero(RATIONAL)

@@ -106,11 +106,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, i: int) -> int:
-        if self.is_zero:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1

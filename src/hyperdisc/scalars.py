@@ -10,7 +10,7 @@ rest.  Mixing backends coerces to float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -39,10 +39,6 @@ def coerce(value, backend: str) -> Scalar:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def coerce_vec(values: Iterable, backend: str) -> tuple:
-    return tuple(coerce(v, backend) for v in values)
-
-
 def infer_backend(values: Sequence) -> str:
     """Rational unless any value is a float."""
     for v in values:
@@ -53,18 +49,3 @@ def infer_backend(values: Sequence) -> str:
 
 def join_backend(a: str, b: str) -> str:
     return RATIONAL if (a == RATIONAL and b == RATIONAL) else FLOAT
-
-
-def as_float(value) -> float:
-    return float(value)
-
-
-def as_exact(value) -> Fraction:
-    """Exact rational image of a scalar (floats convert losslessly)."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
-def is_rational_like(value) -> bool:
-    return isinstance(value, (int, Fraction))

@@ -27,10 +27,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from ._exact import char_poly_exact
 from .errors import (
     CertificationFailed,
+    InvalidParams,
     KTooLarge,
     NotDeterminantInstance,
     OddK,
@@ -87,11 +87,7 @@ def max_root_estimate(deg: int, k: int, coeffs) -> float:
         raise ValueError(f"need an even k with 2 <= k <= degree, got k={k} deg={deg}")
     if len(coeffs) < k:
         raise ValueError("need the top k coefficients")
-    if all(isinstance(c, float) for c in coeffs[:k]):
-        pk = float(_kernels.power_sum_from_top_coeffs(
-            np.asarray(coeffs[:k], dtype=float), k))
-    else:
-        pk = float(elem_to_power(k, vieta_elems(coeffs[:k])))
+    pk = float(elem_to_power(k, vieta_elems(coeffs[:k])))
     return max(pk, 0.0) ** (1.0 / k)
 
 
@@ -213,22 +209,27 @@ class SolverConfig:
     seed: int = 0
     oracle: str = "enumeration"  # or "det_minor"
 
+    def __post_init__(self):
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise InvalidParams(f"delta must be finite and > 0, got {self.delta}")
+        if self.block is not None and self.block < 1:
+            raise InvalidParams(f"block must be >= 1, got {self.block}")
+        if self.k is not None and (self.k < 2 or self.k % 2):
+            raise InvalidParams(f"k must be even and >= 2, got {self.k}")
+
     def resolve(self, n: int, degree: int) -> tuple:
         """Concrete (M, k) for an n-variable family of given degree.
 
         Defaults: M = ceil(sqrt(n)); k = ceil(2 M ln(degree) / delta)
-        rounded up to even, then clamped to the largest even k <= degree
-        (the power-sum index cannot exceed the degree).
+        rounded up to even.  Either k is then clamped to the largest even
+        k <= degree (the power-sum index cannot exceed the degree).
         """
         m_block = self.block if self.block is not None else max(1, math.ceil(math.sqrt(n)))
-        if m_block < 1:
-            raise ValueError("block size must be >= 1")
         if self.k is not None:
             k = self.k
         else:
             k = math.ceil(2 * m_block * math.log(max(degree, 2)) / self.delta)
-        if k % 2 == 1:
-            k += 1
+            k += k % 2
         if degree < 2:
             return m_block, 1  # linear nodes: the top coefficient is the root
         k = max(2, min(k, degree - (degree % 2)))
@@ -355,10 +356,7 @@ def brute_force(inst, kind: str) -> tuple:
     the first assignment in lexicographic support order.
     """
     if kind == "kls":
-        sizes = [len(var.support) for var in inst.variables]
-        count = 1
-        for s in sizes:
-            count *= s
+        count = math.prod(len(var.support) for var in inst.variables)
         if count > MAX_BRUTE_BRANCHES:
             raise TooLarge(f"{count} assignments exceed {MAX_BRUTE_BRANCHES}")
         vecs = np.array([[float(c) for c in v] for v in inst.vectors])

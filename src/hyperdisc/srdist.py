@@ -94,9 +94,6 @@ class SRDistribution:
                 return p
         return Fraction(0)
 
-    def support_sets(self) -> list:
-        return [frozenset(s) for s, _ in self.support]
-
 
 def uniform_spanning_tree(graph: Graph, stability_trials: int = 32) -> SRDistribution:
     """Uniform distribution over all spanning trees, by enumeration.

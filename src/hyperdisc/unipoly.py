@@ -6,17 +6,21 @@ eigenvalues with Newton polish and falls back to exact Sturm bisection when
 the residual test disagrees; real-rootedness verdicts are always certified
 by an exact Sturm count (any binary64 coefficient vector is a rational
 vector, so the exact route is available on both backends).
+
+The float lane's one residual-monotone Newton polish (``_newton_polish``)
+and the one Newton divided-difference loop (``divided_differences``, shared
+with the multivariate interpolation in hyperbolic) live here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DuplicateNode, NotRealRooted, ZeroPolynomial
 from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce, infer_backend, join_backend
 
@@ -177,22 +181,6 @@ def _normalize_sign_free(c: list) -> list:
     return [x / lead for x in c]
 
 
-def _poly_rem(a: list, b: list) -> list:
-    """Remainder of a by b over Fractions."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and _strip(r):
-        if not r:
-            break
-        shift = len(r) - 1 - db
-        q = r[-1] / lb
-        for i in range(len(b)):
-            r[shift + i] -= q * b[i]
-        r.pop()
-        _strip(r)
-    return r
-
-
 def _poly_divmod(a: list, b: list) -> tuple:
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
     r = list(a)
@@ -213,7 +201,7 @@ def _poly_divmod(a: list, b: list) -> tuple:
 def _poly_gcd(a: list, b: list) -> list:
     a, b = _strip(list(a)), _strip(list(b))
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
         b = _normalize_sign_free(_strip(b))
     if not a:
         return []
@@ -270,7 +258,7 @@ def square_free_part(c: list) -> list:
 def _sturm_chain(c: list) -> list:
     chain = [list(c), _deriv(c)]
     while len(chain[-1]) > 1:
-        r = _poly_rem(chain[-2], chain[-1])
+        r = _poly_divmod(chain[-2], chain[-1])[1]
         r = _normalize_sign_free(_strip(r))
         if not r:
             break
@@ -357,6 +345,46 @@ def _isolate_roots(c: list) -> list:
     return done
 
 
+def _horner_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate one polynomial (ascending coefficients) at many points."""
+    acc = np.zeros_like(xs)
+    for c in coeffs[::-1]:
+        acc = acc * xs + c
+    return acc
+
+
+def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray,
+                   roots: np.ndarray, iters: int) -> np.ndarray:
+    """Polish approximate real roots with residual-monotone Newton steps.
+
+    A step is only kept when it strictly decreases |p|; this keeps the
+    polish harmless at near-multiple roots where the raw Newton step blows
+    up (p' ~ 0 between a tight conjugate pair).
+    """
+    r = np.array(roots, dtype=float, copy=True)
+    pr = _horner_many(coeffs, r)
+    for _ in range(iters):
+        dp = _horner_many(dcoeffs, r)
+        step = np.zeros_like(r)
+        safe = dp != 0
+        step[safe] = pr[safe] / dp[safe]
+        step[~np.isfinite(step) | (np.abs(step) > 1.0 + np.abs(r))] = 0.0
+        active = step != 0
+        if not np.any(active):
+            break
+        for _ in range(8):
+            trial = r - step
+            pt = _horner_many(coeffs, trial)
+            better = (np.abs(pt) < np.abs(pr)) & active
+            r[better] = trial[better]
+            pr[better] = pt[better]
+            active &= ~better
+            step[active] *= 0.5
+            if not np.any(active):
+                break
+    return r
+
+
 def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
     """Sign bisection to ~1e-6 width, then float Newton from the midpoint.
 
@@ -402,7 +430,7 @@ def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
             b = mid
     cf = np.array([float(x) for x in c])
     dcf = np.array([float(x) for x in _deriv(c)]) if len(c) > 1 else np.zeros(1)
-    r = _kernels.newton_polish(cf, dcf, np.array([float((a + b) / 2)]), _NEWTON_POLISH_ITERS)
+    r = _newton_polish(cf, dcf, np.array([float((a + b) / 2)]), _NEWTON_POLISH_ITERS)
     r0 = float(r[0])
     if float(a) - 1e-9 <= r0 <= float(b) + 1e-9:
         return r0
@@ -463,8 +491,8 @@ def real_roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootList:
     if np.all(np.abs(roots.imag) <= imag_gate * np.maximum(1.0, np.abs(roots))):
         cand = np.sort(roots.real)[::-1]
         dc = np.array([float(x) for x in _deriv(list(cred))]) if len(cred) > 1 else np.zeros(1)
-        cand = _kernels.newton_polish(cred, dc, cand, _NEWTON_POLISH_ITERS)
-        resid = np.abs(_kernels.horner_many(cred, cand))
+        cand = _newton_polish(cred, dc, cand, _NEWTON_POLISH_ITERS)
+        resid = np.abs(_horner_many(cred, cand))
         budget = tol * scale * np.maximum(1.0, np.abs(cand)) ** (deg - nzero)
         if np.all(resid <= budget):
             return tuple(sorted(list(cand) + list(zeros), reverse=True))
@@ -493,19 +521,23 @@ def is_real_rooted(p: UniPoly, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(np.abs(roots.imag) <= tol * np.maximum(1.0, np.abs(roots))))
 
 
-def near_real_rooted(coeffs_ascending: np.ndarray, tol: float = 1e-7) -> bool:
-    """Fast uncertified predicate for the float lane (companion roots only)."""
-    c = np.asarray(coeffs_ascending, dtype=float)
-    while c.size and c[-1] == 0.0:
-        c = c[:-1]
-    if c.size <= 1:
-        return c.size == 1
-    roots = _companion_roots(c)
-    return bool(np.all(np.abs(roots.imag) <= tol * np.maximum(1.0, np.abs(roots))))
-
-
 def max_real_root(p: UniPoly, tol: float = DEFAULT_TOL) -> float:
     return real_roots(p, tol)[0]
+
+
+def divided_differences(xs: Sequence, ys: Sequence, div=operator.truediv) -> list:
+    """Newton-form coefficients f[x_0], f[x_0, x_1], ... of the points (xs, ys).
+
+    Generic over the ordinate type: ``div(diff, gap)`` divides a difference
+    of ordinates by a gap of abscissae (plain division for scalars).
+    """
+    table = list(ys)
+    out = [table[0]]
+    for level in range(1, len(table)):
+        for i in range(len(table) - level):
+            table[i] = div(table[i + 1] - table[i], xs[i + level] - xs[i])
+        out.append(table[0])
+    return out
 
 
 def interpolate(nodes: Sequence, backend: str | None = None) -> UniPoly:
@@ -521,16 +553,9 @@ def interpolate(nodes: Sequence, backend: str | None = None) -> UniPoly:
         backend = infer_backend([v for pair in pts for v in pair])
     xs = [coerce(x, backend) for x, _ in pts]
     ys = [coerce(y, backend) for _, y in pts]
-    n = len(pts)
-    table = list(ys)
-    coeffs_newton = [table[0]]
-    for level in range(1, n):
-        for i in range(n - level):
-            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-        coeffs_newton.append(table[0])
     poly = UniPoly.zero(backend)
     basis = UniPoly.constant(1, backend)
-    for i, c in enumerate(coeffs_newton):
+    for i, c in enumerate(divided_differences(xs, ys)):
         poly = poly + basis.scale(c)
         basis = basis * UniPoly.from_coeffs([-xs[i], 1], backend)
     if poly.is_zero:

@@ -108,6 +108,34 @@ def test_solve_beyond_the_enumeration_guardrail(capsys, tmp_path):
     assert results["blocked"]["certified"] >= results["brute"]["certified"] - 1e-12
 
 
+def test_verify_beyond_the_enumeration_guardrail(capsys, tmp_path):
+    # 7,776 completions: the operator identity is checked against the
+    # table root, not against an enumeration that stops at MAX_BRANCHES.
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--kind", "kls-det", "--n", "10", "--mprime", "3",
+          "--variables", "mixed", "--seed", "1", "--out", str(inst_file)])
+    code, out = run(capsys, "verify", str(inst_file))
+    assert code == 0
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["kls_operator_identity"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    ("--delta", "0"), ("--delta", "nan"), ("--delta", "-1"),
+    ("--block", "0"), ("--k", "3"),
+])
+def test_solve_rejects_bad_solver_params(capsys, tmp_path, flags):
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--kind", "kls-det", "--n", "3", "--mprime", "2",
+          "--variables", "rademacher", "--seed", "5", "--out", str(inst_file)])
+    capsys.readouterr()
+    code = main(["solve", str(inst_file), "--method", "blocked", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_solve_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -107,6 +107,19 @@ def test_max_root_estimate_bracket_invariant():
             assert lam1 - 1e-7 <= est <= deg ** (1 / k) * lam1 + 1e-7
 
 
+def test_max_root_estimate_float_equals_fraction_route():
+    # Small dyadic coefficients keep every step of the float recurrence
+    # exact, so the float lane must reproduce the Fraction route bit for bit.
+    rng = random.Random(89)
+    for _ in range(200):
+        k = rng.choice((2, 4, 6))
+        deg = k + rng.randint(0, 3)
+        exact = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+                      for _ in range(k))
+        floats = tuple(float(c) for c in exact)
+        assert max_root_estimate(deg, k, floats) == max_root_estimate(deg, k, exact)
+
+
 def test_maxcoeff_enum_toy():
     fam = KlsFamily(_scalar_instance(1))
     assert maxcoeff_enum(fam, 2, ()) == (Fraction(0), Fraction(-1))

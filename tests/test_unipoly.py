@@ -3,17 +3,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
 from hyperdisc.scalars import FLOAT, RATIONAL
 from hyperdisc.unipoly import (
     UniPoly,
+    _newton_polish,
     eval_poly,
     interpolate,
     is_real_rooted,
     max_real_root,
-    near_real_rooted,
     real_roots,
     square_free_decomposition,
     sturm_count_all_real,
@@ -176,10 +177,12 @@ def test_max_real_root():
     assert max_real_root(X2_3X_2) == pytest.approx(2.0)
 
 
-def test_near_real_rooted_fast_path():
-    p = UniPoly.from_roots([0.5, -1.5, 2.5], backend=FLOAT)
-    assert near_real_rooted(p.float_coeffs())
-    assert not near_real_rooted(UniPoly.from_coeffs([1.0, 0.0, 1.0]).float_coeffs())
+def test_newton_polish_improves_roots():
+    coeffs = np.array([2.0, -3.0, 1.0])  # (x-1)(x-2)
+    dcoeffs = np.array([-3.0, 2.0])
+    rough = np.array([0.9, 2.2])
+    polished = _newton_polish(coeffs, dcoeffs, rough, 20)
+    assert np.allclose(sorted(polished), [1.0, 2.0], atol=1e-12)
 
 
 def test_compose_xsquare():
