@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ChainViolated, InsufficientMargin, NotAboveRoots
 from .hyperbolic import DirectionalDerivative, spectrum
@@ -38,7 +36,7 @@ from .mixedchar import (
     ag_node_poly,
     kls_operator_form,
 )
-from .unipoly import UniPoly, max_real_root
+from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
 

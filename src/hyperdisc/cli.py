@@ -102,11 +102,9 @@ def cmd_solve(args) -> int:
         }
         _write(dumps(result), args.out)
         return EXIT_OK
-    cfg = SolverConfig(delta=args.delta, block=args.block, k=args.k,
-                       seed=args.seed, oracle=args.oracle)
+    cfg = SolverConfig(delta=args.delta, block=args.block, k=args.k, seed=args.seed)
     try:
-        result = kadison_singer_search(family, cfg,
-                                       inst=inst if kind == "kls" else None)
+        result = kadison_singer_search(family, cfg)
     except CertificationFailed as exc:
         _write(dumps({"error": "certification_failed",
                       "certified": exc.certified, "bound": exc.bound}), args.out)
@@ -252,9 +250,7 @@ def cmd_bench(args) -> int:
         _, brute_val = brute_force(inst, kind)
         t_brute = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = kadison_singer_search(
-            family, SolverConfig(delta=args.delta, seed=seed),
-            inst=inst if kind == "kls" else None)
+        result = kadison_singer_search(family, SolverConfig(delta=args.delta, seed=seed))
         t_blocked = time.perf_counter() - t0
         if args.trials > 0:
             baseline = random_baseline(inst, kind, args.trials, seed)
@@ -310,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--delta", type=float, default=0.5)
     p_solve.add_argument("--block", type=int, default=None)
     p_solve.add_argument("--k", type=int, default=None)
-    p_solve.add_argument("--oracle", default="enumeration",
-                         choices=["enumeration", "det_minor"])
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
@@ -344,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage and "error:" already
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except (HyperdiscError, OSError, json.JSONDecodeError) as exc:

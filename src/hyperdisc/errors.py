@@ -80,14 +80,6 @@ class ChainViolated(HyperdiscError):
         super().__init__(f"bound chain precondition violated at {step!r}" + (f": {detail}" if detail else ""))
 
 
-class NotDeterminantInstance(HyperdiscError):
-    """The minor-formula coefficient oracle needs a determinant instance."""
-
-
-class KTooLarge(HyperdiscError):
-    """Requested coefficient count exceeds the desk-scale oracle cap."""
-
-
 class OddK(HyperdiscError):
     """Largest-root estimation requires an even power-sum index."""
 

@@ -30,7 +30,7 @@ import numpy as np
 from ._exact import char_poly_exact, det_exact
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
-from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce, infer_backend
+from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce
 from .unipoly import RootList, UniPoly, divided_differences, interpolate, real_roots
 
 RANK_TOL = 1e-8

@@ -72,8 +72,8 @@ from .hyperbolic import (
     subsets_up_to,
 )
 from .realstable import MultiPoly
-from .scalars import FLOAT, RATIONAL, coerce
-from .srdist import IsotropicFamily, SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
+from .scalars import RATIONAL, coerce
+from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
 from .unipoly import UniPoly, is_real_rooted, max_real_root, real_roots
 
 MAX_BRANCHES = 4096  # enumeration guardrail; exceeding raises, never approximates
@@ -113,10 +113,6 @@ class RandomVar:
         mu = self.mean
         return sum(p * (s - mu) * (s - mu) for s, p in zip(self.support, self.probs))
 
-    def central_moment(self, k: int):
-        mu = self.mean
-        return sum(p * (s - mu) ** k for s, p in zip(self.support, self.probs))
-
 
 @dataclass(frozen=True)
 class KlsInstance:
@@ -128,7 +124,7 @@ class KlsInstance:
     traces: tuple  # exact hyperbolic traces of the vectors
     sigma2: float  # ||sum tau_i^2 tr[v_i] v_i||_h
     sigma: float
-    generators: tuple | None = None  # u_i with v_i = vec(u_i u_i^T), if known
+    generators: tuple | None = None  # u_i with v_i = vec(u_i u_i^T); file data, unread by the search
 
     @staticmethod
     def build(h: HyperbolicInstance, vectors, variables, validate: bool = True,
@@ -165,14 +161,10 @@ class KlsInstance:
         return len(self.vectors)
 
     def scaled(self, factor) -> "KlsInstance":
-        """Instance with every vector multiplied by factor > 0 (revalidation skipped)."""
+        """Instance with every vector multiplied by factor > 0 (revalidation
+        skipped).  The result carries no generators."""
         vecs = tuple(tuple(factor * c for c in v) for v in self.vectors)
-        gens = None
-        if self.generators is not None:
-            root = math.sqrt(float(factor))
-            gens = tuple(tuple(root * float(c) for c in u) for u in self.generators)
-        return KlsInstance.build(self.h, vecs, self.variables, validate=False,
-                                 generators=gens)
+        return KlsInstance.build(self.h, vecs, self.variables, validate=False)
 
     def centered_sum(self, assignment) -> tuple:
         w = [coerce(0, RATIONAL)] * self.h.m

@@ -134,7 +134,17 @@ def instance_to_json(inst, kind: str, backend: str, generator: dict | None = Non
 
 
 def instance_from_json(obj: dict):
-    """Returns (instance, kind).  Raises InvalidParams on schema mismatch."""
+    """Returns (instance, kind).  Raises InvalidParams on a schema mismatch
+    or a malformed file."""
+    try:
+        return _instance_from_json(obj)
+    except KeyError as exc:
+        raise InvalidParams(f"malformed instance file: missing key {exc}") from exc
+    except (TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidParams(f"malformed instance file: {type(exc).__name__}: {exc}") from exc
+
+
+def _instance_from_json(obj: dict):
     if obj.get("schema") != SCHEMA_VERSION:
         raise InvalidParams(f"unsupported schema {obj.get('schema')!r}")
     kind = obj["kind"]

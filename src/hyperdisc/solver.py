@@ -10,11 +10,9 @@ node to within deg^(1/k) whenever the spectrum is symmetric or nonnegative
 then lands on a leaf whose exact recomputed norm is certified post hoc
 against (1 + delta) times the root-node bound.
 
-Coefficients come either from the ``enumeration`` oracle, which reads the
-family's node polynomial (for the signed family an inner node is summed
-from the mixed-derivative coefficient table, so no completion is
-enumerated; see mixedchar), or, for determinant instances built from
-rank-1 outer products, from the expectation minor formula.
+Coefficients come from the family's node polynomial; for the signed
+family an inner node is summed from the mixed-derivative coefficient
+table, so no completion is enumerated (see mixedchar).
 """
 
 from __future__ import annotations
@@ -27,23 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
+# hdbench/test_bench_trace.py::test_tracer_restores_every_binding reads this binding.
 from ._exact import char_poly_exact
-from .errors import (
-    CertificationFailed,
-    InvalidParams,
-    KTooLarge,
-    NotDeterminantInstance,
-    OddK,
-    OracleFailure,
-    TooLarge,
-)
-from .mixedchar import AgFamily, KlsFamily, KlsInstance, SrInstance
+from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .hyperbolic import spectrum
-from .scalars import RATIONAL
-from .unipoly import UniPoly, max_real_root
+from .unipoly import UniPoly
 
 MAX_BRUTE_BRANCHES = 1 << 16
-MAX_MINOR_ORDER = 4  # sigma_j enumeration cap for the determinant oracle
 
 
 def vieta_elems(coeffs) -> tuple:
@@ -105,96 +93,11 @@ def monic_top_coeffs(poly: UniPoly, k: int) -> tuple:
 def maxcoeff_enum(family, k: int, prefix) -> tuple:
     """Top-k monic coefficients of the family's node polynomial.
 
-    The oracle keeps its CLI name ``enumeration``; signed-family inner nodes
-    come from the mixed-derivative table, not from enumerating completions.
+    Signed-family inner nodes come from the mixed-derivative table, not from
+    enumerating completions.
     """
     poly = family.node_poly(prefix)
     return monic_top_coeffs(poly, k)
-
-
-def maxcoeff_det(inst: KlsInstance, k: int, ell: int, values) -> tuple:
-    """Top-k coefficients of a determinant node polynomial by the minor formula.
-
-    For h = det and v_i = vec(u_i u_i^T), the node polynomial is
-    E[det(x^2 I - M^2)] with M = sum c~_i u_i u_i^T over centered
-    coefficients; its x^(2(m'-j)) coefficient is (-1)^j E[sigma_j(M^2)],
-    and sigma_j(M^2) expands multilinearly over ordered index pairs:
-
-        sigma_j(M^2) = sum_{|S|=j, S subset [n]x[n]}
-                       prod_{(a,b) in S} c~_a c~_b <u_a, u_b>
-                       * sigma_j(sum_{(a,b) in S} u_a u_b^T).
-
-    Expectations factor over the independent coordinates using central
-    moments, so no completion is ever enumerated.  Odd coefficients vanish.
-    """
-    h = inst.h
-    if getattr(h, "kind", None) != "determinant" or inst.generators is None:
-        raise NotDeterminantInstance(
-            "the minor-formula oracle needs a determinant instance with "
-            "recorded rank-1 generators")
-    mprime = h.mprime
-    deg = 2 * mprime
-    if (k + 1) // 2 > MAX_MINOR_ORDER:
-        raise KTooLarge(f"minor order {(k + 1) // 2} exceeds cap {MAX_MINOR_ORDER}")
-    n = inst.n
-    us = [tuple(Fraction(c) for c in u) for u in inst.generators]
-    gram = [[sum(ua * ub for ua, ub in zip(us[a], us[b])) for b in range(n)]
-            for a in range(n)]
-    fixed = {}
-    for i, s in enumerate(values[:ell]):
-        fixed[i] = Fraction(s) - inst.variables[i].mean
-    moments = [
-        [inst.variables[i].central_moment(p) for p in range(2 * ((k + 1) // 2) * 2 + 1)]
-        for i in range(n)
-    ]
-
-    def expected_product(counts: dict) -> Fraction:
-        out = Fraction(1)
-        for i, cnt in counts.items():
-            if i in fixed:
-                out *= fixed[i] ** cnt
-            else:
-                out *= Fraction(moments[i][cnt])
-            if out == 0:
-                return out
-        return out
-
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    totals = {}
-    for j in range(1, min(k // 2, mprime) + 1):
-        total = Fraction(0)
-        for subset in itertools.combinations(pairs, j):
-            counts: dict = {}
-            gfac = Fraction(1)
-            for a, b in subset:
-                counts[a] = counts.get(a, 0) + 1
-                counts[b] = counts.get(b, 0) + 1
-                gfac *= gram[a][b]
-            if gfac == 0:
-                continue
-            exp = expected_product(counts)
-            if exp == 0:
-                continue
-            mat = [[Fraction(0)] * mprime for _ in range(mprime)]
-            for a, b in subset:
-                ua, ub = us[a], us[b]
-                for r in range(mprime):
-                    if ua[r] == 0:
-                        continue
-                    for c in range(mprime):
-                        mat[r][c] += ua[r] * ub[c]
-            asc = char_poly_exact(mat)
-            sigma_j = ((-1) ** j) * asc[mprime - j]
-            total += exp * gfac * sigma_j
-        totals[j] = total
-    out = []
-    for idx in range(1, k + 1):
-        if idx % 2 == 1:
-            out.append(Fraction(0))
-        else:
-            j = idx // 2
-            out.append(((-1) ** j) * totals.get(j, Fraction(0)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +110,6 @@ class SolverConfig:
     block: int | None = None
     k: int | None = None
     seed: int = 0
-    oracle: str = "enumeration"  # or "det_minor"
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
@@ -261,8 +163,7 @@ class SearchResult:
         }
 
 
-def kadison_singer_search(family, cfg: SolverConfig,
-                          inst: KlsInstance | None = None) -> SearchResult:
+def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
     """Blocked greedy minimization of the largest-root estimate.
 
     Walks ceil(n/M) rounds; each round brute-forces all value tuples for the
@@ -277,19 +178,6 @@ def kadison_singer_search(family, cfg: SolverConfig,
     degree = family.degree
     m_block, k = cfg.resolve(n, degree)
 
-    if cfg.oracle == "enumeration":
-        def oracle(prefix):
-            return maxcoeff_enum(family, k, prefix)
-    elif cfg.oracle == "det_minor":
-        if inst is None or family.kind != "kls":
-            raise NotDeterminantInstance(
-                "the det_minor oracle needs the originating determinant instance")
-
-        def oracle(prefix):
-            return maxcoeff_det(inst, k, len(prefix), prefix)
-    else:
-        raise ValueError(f"unknown oracle {cfg.oracle!r}")
-
     assignment: tuple = ()
     oracle_calls = 0
     last_estimate = math.inf
@@ -301,13 +189,13 @@ def kadison_singer_search(family, cfg: SolverConfig,
             if not family.feasible(prefix):
                 continue
             try:
-                coeffs = oracle(prefix)
+                coeffs = maxcoeff_enum(family, k, prefix)
                 oracle_calls += 1
                 if degree >= 2:
                     est = max_root_estimate(degree, k, coeffs)
                 else:
                     est = -float(coeffs[0])  # monic linear node: root is -c1
-            except (OddK, KTooLarge, NotDeterminantInstance, TooLarge):
+            except (OddK, TooLarge):
                 raise
             except Exception as exc:  # pragma: no cover - defensive
                 raise OracleFailure(f"oracle failed on prefix {prefix!r}: {exc}") from exc

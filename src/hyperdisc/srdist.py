@@ -24,11 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DisconnectedGraph, TooLarge
+from .errors import DisconnectedGraph
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
 from .realstable import MultiPoly, StabilityVerdict, stability_test
-from .scalars import RATIONAL
 
 
 @dataclass(frozen=True)

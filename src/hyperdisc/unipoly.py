@@ -372,6 +372,7 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray,
         active = step != 0
         if not np.any(active):
             break
+        tried = active.copy()
         for _ in range(8):
             trial = r - step
             pt = _horner_many(coeffs, trial)
@@ -382,6 +383,10 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray,
             step[active] *= 0.5
             if not np.any(active):
                 break
+        # Steps and trials depend only on each root's own r and p(r): if no
+        # root moved, every later pass would repeat these failing trials.
+        if np.array_equal(active, tried):
+            break
     return r
 
 

@@ -143,6 +143,46 @@ def test_solve_malformed_file(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "FILE", "--oracle", "enumeration"),
+    ("solve", "FILE", "--method", "nope"),
+    ("gen", "--kind", "nope"),
+])
+def test_usage_errors_exit_1(capsys, tmp_path, argv):
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--kind", "kls-det", "--n", "2", "--mprime", "1",
+          "--seed", "0", "--out", str(inst_file)])
+    capsys.readouterr()
+    code = main([str(inst_file) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--oracle" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("blob", [
+    {"schema": "hyperdisc-instance/1", "kind": "kls"},
+    {"schema": "hyperdisc-instance/1", "kind": "kls",
+     "payload": {"h": {"kind": "determinant", "mprime": 1},
+                 "variables": [{"support": ["1/1", "-1/1"],
+                                "probs": ["1/2", "1/2"]}]}},
+    [],
+])
+def test_malformed_instance_file_exits_1(capsys, tmp_path, command, blob):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    code = main([command, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_identities_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "identities")
     assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperdisc.errors import NotDeterminantInstance, OddK, TooLarge
+from hyperdisc.errors import OddK, TooLarge
 from hyperdisc.graphs import complete_graph
 from hyperdisc.hyperbolic import determinant
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
@@ -17,7 +17,6 @@ from hyperdisc.solver import (
     elem_to_power,
     kadison_singer_search,
     max_root_estimate,
-    maxcoeff_det,
     maxcoeff_enum,
     monic_top_coeffs,
     random_baseline,
@@ -130,51 +129,6 @@ def test_maxcoeff_enum_leaf():
     assert maxcoeff_enum(fam, 2, (Fraction(1),)) == (Fraction(0), Fraction(-1))
 
 
-def test_maxcoeff_det_single_vector():
-    inst = gen_kls_det(1, 1, seed=5, variables="rademacher")
-    assert inst.generators is not None
-    fam = KlsFamily(inst)
-    assert maxcoeff_det(inst, 2, 0, ()) == maxcoeff_enum(fam, 2, ())
-
-
-def test_maxcoeff_det_fixed_prefix():
-    h = determinant(1)
-    inst = KlsInstance.build(h, [h.vec_outer((Fraction(1),))], [RADEMACHER],
-                             generators=[(Fraction(1),)])
-    got = maxcoeff_det(inst, 2, 1, (Fraction(1),))
-    assert got == (Fraction(0), Fraction(-1))
-
-
-def test_maxcoeff_det_two_rademacher():
-    h = determinant(1)
-    gens = [(Fraction(1),), (Fraction(1),)]
-    inst = KlsInstance.build(h, [h.vec_outer(u) for u in gens],
-                             [RADEMACHER, RADEMACHER], generators=gens)
-    # E[x^2 - (xi1 + xi2)^2] = x^2 - 2.
-    assert maxcoeff_det(inst, 2, 0, ()) == (Fraction(0), Fraction(-2))
-
-
-def test_maxcoeff_det_requires_generators():
-    inst = gen_kls_lorentz(2, 3, seed=1)
-    with pytest.raises(NotDeterminantInstance):
-        maxcoeff_det(inst, 2, 0, ())
-
-
-def test_maxcoeff_det_matches_enum_random():
-    rng = random.Random(89)
-    for trial in range(10):
-        n = rng.randint(1, 4)
-        mprime = rng.randint(1, 3)
-        inst = gen_kls_det(n, mprime, seed=trial, variables="mixed")
-        fam = KlsFamily(inst)
-        kmax = min(2 * mprime, 5)
-        for ell in {0, 1, n} & set(range(n + 1)):
-            prefix = tuple(var.support[0] for var in inst.variables[:ell])
-            for k in range(1, kmax + 1):
-                assert maxcoeff_det(inst, k, ell, prefix) == \
-                    maxcoeff_enum(fam, k, prefix)
-
-
 def test_search_single_variable():
     inst = _scalar_instance(1)
     result = kadison_singer_search(KlsFamily(inst), SolverConfig(delta=0.5))
@@ -192,15 +146,12 @@ def test_search_matches_brute_on_toys():
     assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
 
 
-def test_search_det_instance_all_oracles():
+def test_search_det_instance():
     inst = gen_kls_det(4, 2, seed=11, variables="rademacher")
-    fam = KlsFamily(inst)
-    for oracle in ("enumeration", "det_minor"):
-        result = kadison_singer_search(
-            fam, SolverConfig(delta=0.5, oracle=oracle), inst=inst)
-        assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
-        assert result.certified <= 4 * (1 + 0.5) * inst.sigma + 1e-9
-        assert result.oracle_calls > 0
+    result = kadison_singer_search(KlsFamily(inst), SolverConfig(delta=0.5))
+    assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
+    assert result.certified <= 4 * (1 + 0.5) * inst.sigma + 1e-9
+    assert result.oracle_calls > 0
 
 
 def test_search_point_mass_subset_family():

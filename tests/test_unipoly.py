@@ -185,6 +185,24 @@ def test_newton_polish_improves_roots():
     assert np.allclose(sorted(polished), [1.0, 2.0], atol=1e-12)
 
 
+def test_newton_polish_stops_when_no_root_moves(monkeypatch):
+    # Once a pass keeps no step, later passes would repeat the same trials.
+    from hyperdisc import unipoly
+
+    calls = []
+    horner = unipoly._horner_many
+
+    def counting(coeffs, xs):
+        calls.append(len(xs))
+        return horner(coeffs, xs)
+
+    monkeypatch.setattr(unipoly, "_horner_many", counting)
+    expect = [0.5, -1.5, 2.5, 3.25, -0.75, 1.1]
+    roots = real_roots(UniPoly.from_roots(expect))
+    assert np.allclose(roots, sorted(expect, reverse=True), atol=1e-9)
+    assert len(calls) <= 20
+
+
 def test_compose_xsquare():
     p = UniPoly.from_coeffs([Fraction(-1), Fraction(1)])  # x - 1
     assert p.compose_xsquare().coeffs == (Fraction(-1), Fraction(0), Fraction(1))
