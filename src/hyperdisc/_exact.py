@@ -70,7 +70,3 @@ def _matmul(a: list, b: list) -> list:
             for j in range(n):
                 row[j] += x * bk[j]
     return out
-
-
-def outer(u: list, v: list) -> list:
-    return [[ui * vj for vj in v] for ui in u]

@@ -17,9 +17,10 @@ theorems:
   characteristic polynomial has no root above 4 eps + 2 eps^2.
 
 Phi is evaluated analytically from directional derivatives (never by
-differentiating an expanded multivariate polynomial); the explicit
-z-polynomial representation is only materialized for the operator-update
-regression test, where (1 - 1/2 d^2/dz_i^2) must be applied literally.
+differentiating an expanded multivariate polynomial).  The explicit
+polynomial P in (x, z) is only materialized, as a realstable.MultiPoly
+(kls_square_zpoly), for the operator-update regression test, where
+(1 - 1/2 d^2/dz_i^2) must be applied literally (realstable.one_minus_c_d2).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .mixedchar import (
     SrInstance,
     ag_node_poly,
     kls_operator_form,
+    linear_restriction_multipoly,
 )
+from .realstable import MultiPoly
 from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
@@ -345,79 +348,17 @@ def _verify_ag_chain(inst: SrInstance) -> ChainReport:
 
 
 # ---------------------------------------------------------------------------
-# Explicit z-polynomial route, used to regression-test the operator update.
+# Explicit polynomial route, used to regression-test the operator update.
 # ---------------------------------------------------------------------------
 
-class ZPoly:
-    """Polynomial in z with UniPoly-in-x coefficients (per-variable degree <= 2)."""
+def kls_square_zpoly(inst: KlsInstance) -> MultiPoly:
+    """(h(xe + sum z_i tau_i v_i))^2 as a MultiPoly in (x, z_1..z_n).
 
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = {e: p for e, p in terms.items() if not p.is_zero}
-
-    def d1(self, i: int) -> "ZPoly":
-        out = {}
-        for e, p in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            key = tuple(ne)
-            scaled = p.scale(e[i])
-            out[key] = out[key] + scaled if key in out else scaled
-        return ZPoly(self.n, out)
-
-    def d2(self, i: int) -> "ZPoly":
-        return self.d1(i).d1(i)
-
-    def sub(self, other: "ZPoly") -> "ZPoly":
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            out[e] = out[e] - p if e in out else -p
-        return ZPoly(self.n, out)
-
-    def scale(self, c) -> "ZPoly":
-        return ZPoly(self.n, {e: p.scale(c) for e, p in self.terms.items()})
-
-    def eval(self, x: float, z) -> float:
-        total = 0.0
-        for e, p in self.terms.items():
-            val = float(p(x))
-            for zi, ei in zip(z, e):
-                if ei:
-                    val *= zi ** ei
-            total += val
-        return total
-
-    def operator_update(self, i: int) -> "ZPoly":
-        """(1 - 1/2 d^2/dz_i^2) applied literally."""
-        return self.sub(self.d2(i).scale(0.5))
-
-    def phi(self, i: int, pt: BarrierPoint) -> float:
-        return self.d1(i).eval(pt.x, pt.z) / self.eval(pt.x, pt.z)
-
-
-def kls_square_zpoly(inst: KlsInstance) -> ZPoly:
-    """(h(xe + sum z_i tau_i v_i))^2 in the multilinear representation.
-
-    Folds tau into the vectors, expands h as sum_U z^U A_U(x), and squares.
+    Variable 0 is x and variable i + 1 is z_i, so the operator update is
+    one_minus_c_d2(p, i + 1, 1/2) and Phi^i at pt is
+    p.partial(i + 1).eval(v) / p.eval(v) with v = (pt.x,) + pt.z.
     """
-    from .hyperbolic import derivative_restriction
-
     taus = _taus(inst)
     scaled = [tuple(t * float(c) for c in v) for t, v in zip(taus, inst.vectors)]
-    n = inst.n
-    cache: dict = {}
-    components = {}
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        a_u = derivative_restriction(inst.h, scaled, subset, cache).to_float()
-        if not a_u.is_zero:
-            components[mask] = a_u
-    terms: dict = {}
-    for m1, p1 in components.items():
-        for m2, p2 in components.items():
-            exps = tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(n))
-            prod = p1 * p2
-            terms[exps] = terms[exps] + prod if exps in terms else prod
-    return ZPoly(n, terms)
+    p = linear_restriction_multipoly(inst.h, scaled)
+    return p * p

@@ -72,7 +72,7 @@ def cmd_gen(args) -> int:
         blob = instance_to_json(inst, "kls", RATIONAL, generator=meta)
     elif args.kind == "sr-ust":
         graph = _resolve_graph(args.graph)
-        inst = SrInstance.from_graph(graph, stability_trials=0)
+        inst = SrInstance.from_graph(graph)
         meta.update({"graph": args.graph, "eps1": inst.eps1, "eps2": inst.eps2})
         blob = instance_to_json(inst, "sr", FLOAT, generator=meta, graph=graph)
     else:
@@ -118,8 +118,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_identities(seed: int) -> list:
-    from fractions import Fraction
-
     checks = []
     for i in range(3):
         inst = gen_kls_det(3, 2, seed * 101 + i, "mixed")
@@ -127,7 +125,7 @@ def _suite_identities(seed: int) -> list:
         checks.append({"name": f"kls_operator_identity[{i}]", "passed": bool(exact),
                        "margin": 0.0})
     for name in ("k3", "diamond"):
-        inst = SrInstance.from_graph(named_graph(name), exact=True, stability_trials=0)
+        inst = SrInstance.from_graph(named_graph(name), exact=True)
         lhs, rhs = ag_substitution_identity(inst)
         checks.append({"name": f"sr_substitution_identity[{name}]",
                        "passed": bool(lhs.coeffs == rhs.coeffs), "margin": 0.0})
@@ -141,7 +139,7 @@ def _suite_marginals(seed: int) -> list:
 
     checks = []
     for name in ("k3", "diamond"):
-        mu = uniform_spanning_tree(named_graph(name), stability_trials=0)
+        mu = uniform_spanning_tree(named_graph(name))
         ok = True
         for k in range(mu.n + 1):
             for mask in range(1 << k):
@@ -164,7 +162,7 @@ def _suite_barrier(seed: int) -> list:
         checks.append({"name": f"kls_bound_chain[{i}]", "passed": report.passed,
                        "margin": worst})
     for name in ("k3", "k4"):
-        inst = SrInstance.from_graph(named_graph(name), stability_trials=0)
+        inst = SrInstance.from_graph(named_graph(name))
         report = verify_bound_chain(inst, "ag")
         worst = min(s.margin for s in report.steps)
         checks.append({"name": f"sr_bound_chain[{name}]", "passed": report.passed,
@@ -240,7 +238,7 @@ def cmd_bench(args) -> int:
             scale_param = inst.sigma
         elif args.kind == "sr-ust":
             graph = random_connected_graph(args.n, min(args.n + 1, args.n * (args.n - 1) // 2), seed)
-            inst = SrInstance.from_graph(graph, stability_trials=0)
+            inst = SrInstance.from_graph(graph)
             kind = "ag"
             scale_param = inst.eps1 + inst.eps2
         else:

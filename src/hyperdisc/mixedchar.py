@@ -44,6 +44,7 @@ kls_node_poly keeps the enumeration as the reference route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -116,14 +117,15 @@ class RandomVar:
 
 @dataclass(frozen=True)
 class KlsInstance:
-    """Signed-discrepancy instance: hyperbolic h, rank-1 cone vectors, variables."""
+    """Signed-discrepancy instance: hyperbolic h, rank-1 cone vectors, variables.
+
+    The traces and sigma are computed on first use: the search never reads
+    them, and each costs an exact characteristic polynomial per vector.
+    """
 
     h: HyperbolicInstance
     vectors: tuple
     variables: tuple
-    traces: tuple  # exact hyperbolic traces of the vectors
-    sigma2: float  # ||sum tau_i^2 tr[v_i] v_i||_h
-    sigma: float
     generators: tuple | None = None  # u_i with v_i = vec(u_i u_i^T); file data, unread by the search
 
     @staticmethod
@@ -141,20 +143,30 @@ class KlsInstance:
                     raise ValueError(f"vector {i} lies outside the closed cone")
                 if hyperbolic_rank(h, v) > 1:
                     raise RankTooHigh(f"vector {i} has hyperbolic rank > 1")
-        traces = tuple(hyperbolic_trace(h, v) for v in vectors)
-        mix = [coerce(0, RATIONAL)] * h.m
-        float_mix = any(isinstance(c, float) for v in vectors for c in v)
-        if float_mix:
-            mix = [0.0] * h.m
-        for v, var, tr in zip(vectors, variables, traces):
+        if generators is not None:
+            generators = tuple(tuple(u) for u in generators)
+        return KlsInstance(h, vectors, variables, generators)
+
+    @functools.cached_property
+    def traces(self) -> tuple:
+        """Exact hyperbolic traces of the vectors."""
+        return tuple(hyperbolic_trace(self.h, v) for v in self.vectors)
+
+    @functools.cached_property
+    def sigma2(self) -> float:
+        """||sum tau_i^2 tr[v_i] v_i||_h."""
+        h = self.h
+        float_mix = any(isinstance(c, float) for v in self.vectors for c in v)
+        mix = [0.0 if float_mix else coerce(0, RATIONAL)] * h.m
+        for v, var, tr in zip(self.vectors, self.variables, self.traces):
             weight = var.variance * tr
             for idx in range(h.m):
                 mix[idx] = mix[idx] + weight * v[idx]
-        sigma2 = spectrum(h, tuple(mix)).norm
-        if generators is not None:
-            generators = tuple(tuple(u) for u in generators)
-        return KlsInstance(h, vectors, variables, traces, float(sigma2),
-                           math.sqrt(max(sigma2, 0.0)), generators)
+        return float(spectrum(h, tuple(mix)).norm)
+
+    @functools.cached_property
+    def sigma(self) -> float:
+        return math.sqrt(max(self.sigma2, 0.0))
 
     @property
     def n(self) -> int:
@@ -210,15 +222,14 @@ class SrInstance:
         return SrInstance(h, mu, vectors, eps1, eps2)
 
     @staticmethod
-    def from_graph(graph: Graph, exact: bool = False,
-                   stability_trials: int = 32) -> "SrInstance":
+    def from_graph(graph: Graph, exact: bool = False) -> "SrInstance":
         """Uniform spanning trees paired with effective-resistance vectors.
 
         With ``exact=True`` the (float) basis is lifted to exact rationals
         before the outer products, so each vector is exactly rank-1 and the
         operator identities hold coefficient-wise over Fractions.
         """
-        mu = uniform_spanning_tree(graph, stability_trials=stability_trials)
+        mu = uniform_spanning_tree(graph)
         fam = effective_resistance_family(graph)
         if not exact:
             return SrInstance.build(fam.h, mu, fam.vectors, validate=False)

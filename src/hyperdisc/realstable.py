@@ -1,4 +1,12 @@
-"""Sparse multivariate polynomials and randomized real-stability testing.
+"""The one multivariate polynomial type, and randomized real-stability testing.
+
+MultiPoly is a sparse map from exponent vectors to coefficients.  Every
+multivariate object in the package is one: the generating polynomial of an
+SR distribution (srdist), h(xe + sum z_i v_i) and its square in the barrier
+argument (mixedchar, barrier), and the exact multi-restrictions in
+hyperbolic.  Operators such as (1 - c d^2/dz_i^2) act on it directly
+(``one_minus_c_d2``, ``partial``), and values are taken with ``eval`` at
+the point of interest rather than by expanding a shifted copy.
 
 A polynomial is real stable when it has no zeros with every coordinate in
 the open upper half plane; equivalently, every univariate restriction
@@ -18,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DisconnectedGraph, IndexOutOfRange, TooLarge, ZeroPolynomial
+from .errors import IndexOutOfRange, TooLarge, ZeroPolynomial
 from .graphs import Graph
 from .scalars import FLOAT, RATIONAL, coerce, join_backend
 from .unipoly import UniPoly, is_real_rooted
@@ -98,9 +106,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def total_degree(self) -> int:
         if self.is_zero:
             return -1
@@ -135,23 +140,6 @@ class MultiPoly:
             key = tuple(ne)
             out[key] = out.get(key, 0) + v
         return MultiPoly(self.nvars, out, self.backend)
-
-    def shift_vars(self, offsets) -> "MultiPoly":
-        """p(x_1 + o_1, ..., x_n + o_n), expanded exactly."""
-        result = MultiPoly.zero(self.nvars, self.backend)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.nvars, c, self.backend)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                base = MultiPoly(self.nvars, {
-                    tuple(0 if j != i else 1 for j in range(self.nvars)): 1,
-                    (0,) * self.nvars: offsets[i],
-                }, self.backend)
-                for _ in range(k):
-                    term = term * base
-            result = result + term
-        return result
 
     def eval(self, point):
         acc = coerce(0, self.backend)
@@ -225,30 +213,10 @@ def stability_test(p: MultiPoly, trials: int = 1000, seed: int = 0) -> Stability
     return StabilityVerdict(True, trials)
 
 
-def product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def restrict(p: MultiPoly, i: int, a) -> MultiPoly:
-    return p.substitute(i, a)
-
-
 def one_minus_c_d2(p: MultiPoly, i: int, c) -> MultiPoly:
     if c < 0:
         raise ValueError("the (1 - c d^2) operator requires c >= 0")
     return p - p.partial(i).partial(i).scale(c)
-
-
-def closure_ops(p: MultiPoly, which: str, q: MultiPoly | None = None,
-                i: int | None = None, a=None, c=None) -> MultiPoly:
-    """Dispatch for the stability-preserving operations."""
-    if which == "product":
-        return product(p, q)
-    if which == "restrict":
-        return restrict(p, i, a)
-    if which == "one_minus_c_d2":
-        return one_minus_c_d2(p, i, c)
-    raise ValueError(f"unknown closure operation {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +360,3 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def fixture(kind: str, graph: Graph | None = None, n: int | None = None,
-            k: int | None = None) -> MultiPoly:
-    """Named fixture polynomials used across the test suite."""
-    if kind == "spanning_tree":
-        if not graph.is_connected():
-            raise DisconnectedGraph("spanning-tree polynomial needs a connected graph")
-        return spanning_tree_polynomial(graph)
-    if kind == "matching":
-        return vertex_matching_polynomial(graph)
-    if kind == "vamos":
-        return vamos_polynomial()
-    if kind == "elem_sym":
-        return elementary_symmetric(n, k)
-    if kind == "multivariate_matching":
-        return multivariate_matching_polynomial(graph)
-    raise ValueError(f"unknown fixture kind {kind!r}")

@@ -8,9 +8,10 @@ derivative formula on the generating polynomial,
     Pr[T cap [k] = S] = x^(|S|-d) * prod_{i in S} d/dz_i
                         prod_{i in [k]\\S} (1 - x d/dz_i) g(x 1 + z) | z=0,
 
-whose value is independent of the dummy scalar x != 0; both the formula and
-a direct support-sum oracle are provided so they can be checked against
-each other exactly.
+whose value is independent of the dummy scalar x != 0.  Derivatives commute
+with the shift, so the operators are applied to g and the result is read at
+x 1.  Both the formula and a direct support-sum oracle are provided so they
+can be checked against each other exactly.
 
 The uniform spanning-tree distribution (enumerated, with a matrix-tree
 cross-check) and the effective-resistance vector family it pairs with are
@@ -19,7 +20,7 @@ built here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DisconnectedGraph
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
-from .realstable import MultiPoly, StabilityVerdict, stability_test
+from .realstable import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,15 @@ class SRDistribution:
     n: int
     support: tuple  # ((sorted element tuple, probability), ...)
     d_mu: int
-    stability: StabilityVerdict | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_support(n: int, items, check_stability_trials: int = 0,
-                     seed: int = 0) -> "SRDistribution":
+    def from_support(n: int, items) -> "SRDistribution":
         """Build and validate a homogeneous distribution.
 
         ``items`` is an iterable of (elements, probability).  Probabilities
         must be positive and sum to one (exactly for rationals, 1e-12 for
-        floats).  A stability verdict is recorded, never enforced: exact SR
-        verification is out of reach for sampled lines.
+        floats).  Real stability is not checked: ``realstable.stability_test``
+        on ``generating_polynomial()`` gives seeded evidence when wanted.
         """
         norm = []
         sizes = set()
@@ -70,12 +69,7 @@ class SRDistribution:
         elif total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         norm.sort(key=lambda item: item[0])
-        dist = SRDistribution(n, tuple(norm), sizes.pop())
-        if check_stability_trials:
-            verdict = stability_test(dist.generating_polynomial(),
-                                     trials=check_stability_trials, seed=seed)
-            dist = SRDistribution(dist.n, dist.support, dist.d_mu, verdict)
-        return dist
+        return SRDistribution(n, tuple(norm), sizes.pop())
 
     def generating_polynomial(self) -> MultiPoly:
         terms = {}
@@ -94,12 +88,12 @@ class SRDistribution:
         return Fraction(0)
 
 
-def uniform_spanning_tree(graph: Graph, stability_trials: int = 32) -> SRDistribution:
+def uniform_spanning_tree(graph: Graph) -> SRDistribution:
     """Uniform distribution over all spanning trees, by enumeration.
 
     The tree count is cross-checked against the matrix-tree determinant;
     ground-set elements are edge indices.  Spanning-tree distributions are
-    homogeneous SR, and the recorded verdict smoke-checks that.
+    homogeneous SR.
     """
     trees = graph.spanning_trees()  # raises DisconnectedGraph / TooLarge
     count = graph.spanning_tree_count_matrix_tree()
@@ -109,10 +103,7 @@ def uniform_spanning_tree(graph: Graph, stability_trials: int = 32) -> SRDistrib
             f"determinant says {count}"
         )
     prob = Fraction(1, len(trees))
-    return SRDistribution.from_support(
-        graph.n_edges, [(tree, prob) for tree in trees],
-        check_stability_trials=stability_trials,
-    )
+    return SRDistribution.from_support(graph.n_edges, [(tree, prob) for tree in trees])
 
 
 def _observed_set(k) -> frozenset:
@@ -143,7 +134,9 @@ def marginal_via_enum(mu: SRDistribution, s, k):
 def marginal_via_formula(mu: SRDistribution, s, k, x0):
     """Pr[T cap K = S] via derivatives of the generating polynomial.
 
-    Evaluated symbolically and exactly for rational x0 != 0; the result is
+    The z-derivatives of g(x0 1 + z) at z = 0 are the derivatives of g at
+    x0 1, so the operators act on g itself and the result is evaluated at
+    x0 1; nothing is expanded.  Exact for rational x0 != 0, and
     x0-independent, which callers are encouraged to test.
     """
     if x0 == 0:
@@ -152,13 +145,12 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
     target = set(int(i) for i in s)
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
-    g = mu.generating_polynomial()
-    p = g.shift_vars((x0,) * mu.n)  # g(x0*1 + z)
+    p = mu.generating_polynomial()
     for i in target:
         p = p.partial(i)
     for i in sorted(observed - target):
         p = p - p.partial(i).scale(x0)
-    value = p.eval((0,) * mu.n)
+    value = p.eval((x0,) * mu.n)
     return x0 ** (len(target) - mu.d_mu) * value
 
 

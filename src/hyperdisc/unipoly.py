@@ -148,13 +148,6 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r}, {self.backend!r})"
 
 
-def eval_poly(p: UniPoly, t):
-    """Horner-scheme value of p at t (0 for the zero polynomial)."""
-    if p.is_zero:
-        return coerce(0, p.backend)
-    return p(t)
-
-
 # ---------------------------------------------------------------------------
 # Exact machinery over Fractions (dense ascending coefficient lists).
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hyperdisc.barrier import (
 from hyperdisc.graphs import complete_graph, diamond_graph
 from hyperdisc.hyperbolic import determinant, lorentz
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
+from hyperdisc.realstable import one_minus_c_d2
 from hyperdisc.srdist import SRDistribution
 
 D1 = determinant(1)
@@ -152,7 +153,7 @@ def test_verify_bound_chain_ag_toy():
 
 def test_verify_bound_chain_ag_spanning_trees():
     for graph in (complete_graph(3), diamond_graph()):
-        inst = SrInstance.from_graph(graph, stability_trials=0)
+        inst = SrInstance.from_graph(graph)
         report = verify_bound_chain(inst, "ag")
         assert report.passed
 
@@ -173,6 +174,12 @@ def test_report_json_shape():
     assert all({"step", "quantity", "bound", "margin", "passed"} <= set(s) for s in blob["steps"])
 
 
+def _zphi(p, i, pt):
+    """Phi^i of an explicit polynomial in (x, z_1..z_n) at pt."""
+    at = (pt.x,) + pt.z
+    return p.partial(i + 1).eval(at) / p.eval(at)
+
+
 def test_operator_update_shifts_barrier():
     # Phi^j of (1 - 1/2 d^2/dz_i^2) P at pt + delta_i 1_i stays below
     # Phi^j of P at pt, whenever the update condition holds there.
@@ -186,20 +193,20 @@ def test_operator_update_shifts_barrier():
             continue
         inst = inst.scaled(1.0 / inst.sigma)
         pt = construction_point(inst, "kls")
-        zp = kls_square_zpoly(inst)
+        zp = kls_square_zpoly(inst)  # variable 0 is x, variable i + 1 is z_i
         taus = [math.sqrt(float(v.variance)) for v in inst.variables]
         for i in range(inst.n):
             delta_i = pt.t * taus[i] * float(inst.traces[i])
             if delta_i <= 1e-12:
                 continue
-            phi_i = zp.phi(i, pt)
+            phi_i = _zphi(zp, i, pt)
             if phi_i / delta_i + phi_i * phi_i / 2 > 1:
                 continue  # update condition fails; lemma silent
-            updated = zp.operator_update(i)
+            updated = one_minus_c_d2(zp, i + 1, Fraction(1, 2))
             shifted = pt.shift(i, delta_i)
             for j in range(inst.n):
-                before = zp.phi(j, pt)
-                after = updated.phi(j, shifted)
+                before = _zphi(zp, j, pt)
+                after = _zphi(updated, j, shifted)
                 assert after <= before + 1e-8
 
 
@@ -208,4 +215,4 @@ def test_zpoly_matches_direct_value():
     zp = kls_square_zpoly(inst)
     pt = BarrierPoint(3.0, (-0.5, -0.25), 1.0)
     direct = polynomial_value(inst, "kls", pt)
-    assert zp.eval(pt.x, pt.z) == pytest.approx(direct)
+    assert zp.eval((pt.x,) + pt.z) == pytest.approx(direct)

@@ -28,6 +28,23 @@ def test_gen_kls_det(capsys, tmp_path):
     assert inst.n == 3
 
 
+def test_loading_a_kls_file_computes_no_char_poly(capsys, monkeypatch):
+    # Traces and sigma are computed on first use, not on every load.
+    from hyperdisc import hyperbolic
+
+    _, out = run(capsys, "gen", "--kind", "kls-det", "--n", "4", "--mprime", "3",
+                 "--seed", "2")
+    blob = json.loads(out)
+    calls = []
+    real = hyperbolic.char_poly_exact
+    monkeypatch.setattr(hyperbolic, "char_poly_exact",
+                        lambda rows: calls.append(1) or real(rows))
+    inst, _ = instance_from_json(blob)
+    assert calls == []
+    assert inst.sigma == blob["generator"]["sigma"]
+    assert len(calls) == inst.n + 1
+
+
 def test_gen_invalid_params(capsys):
     code, _ = run(capsys, "gen", "--kind", "kls-det", "--n", "0")
     assert code == 1

@@ -176,7 +176,7 @@ def test_ag_substitution_identity_toy():
 
 def test_ag_substitution_identity_spanning_trees():
     for graph in (complete_graph(3), diamond_graph()):
-        inst = SrInstance.from_graph(graph, exact=True, stability_trials=0)
+        inst = SrInstance.from_graph(graph, exact=True)
         lhs, rhs = ag_substitution_identity(inst)
         assert lhs.coeffs == rhs.coeffs
 

@@ -9,9 +9,8 @@ from hyperdisc.errors import IndexOutOfRange, ZeroPolynomial
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph, path_graph
 from hyperdisc.realstable import (
     MultiPoly,
-    closure_ops,
     elementary_symmetric,
-    fixture,
+    multivariate_matching_polynomial,
     one_minus_c_d2,
     psd_mixture_determinant,
     spanning_tree_polynomial,
@@ -61,14 +60,14 @@ def test_closure_one_minus_c_d2():
 
 def test_closure_restrict():
     p = MultiPoly(2, {(1, 1): 1, (0, 1): 1})  # x1 x2 + x2
-    out = closure_ops(p, "restrict", i=0, a=2)
+    out = p.substitute(0, 2)
     assert out.terms == {(0, 1): 3}
 
 
 def test_closure_product():
     p = MultiPoly(2, {(1, 0): 1, (0, 0): 1})
     q = MultiPoly(2, {(0, 1): 1, (0, 0): 1})
-    out = closure_ops(p, "product", q=q)
+    out = p * q
     assert out.terms == {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
 
 
@@ -109,7 +108,7 @@ def test_matrix_tree_agrees_with_enumeration():
 
 def test_vamos_monomial_count():
     p = vamos_polynomial()
-    assert p.n_terms() == 203  # C(10,4) - 7 excluded bases
+    assert len(p.terms) == 203  # C(10,4) - 7 excluded bases
 
 
 def test_matching_polynomial_k4():
@@ -125,10 +124,10 @@ def test_matching_polynomial_k4():
 
 def test_fixtures_pass_stability():
     cases = [
-        fixture("spanning_tree", graph=complete_graph(3)),
-        fixture("spanning_tree", graph=diamond_graph()),
-        fixture("elem_sym", n=4, k=2),
-        fixture("matching", graph=complete_graph(4)),
+        spanning_tree_polynomial(complete_graph(3)),
+        spanning_tree_polynomial(diamond_graph()),
+        elementary_symmetric(4, 2),
+        vertex_matching_polynomial(complete_graph(4)),
     ]
     for p in cases:
         assert stability_test(p, trials=150, seed=7).passed
@@ -139,16 +138,16 @@ def test_vamos_stability_smoke():
 
 
 def test_closure_preserves_stability_on_fixtures():
-    p = fixture("spanning_tree", graph=complete_graph(3))
-    q = fixture("elem_sym", n=3, k=1)
+    p = spanning_tree_polynomial(complete_graph(3))
+    q = elementary_symmetric(3, 1)
     assert stability_test(p * q, trials=100, seed=5).passed
     assert stability_test(p.substitute(0, 2), trials=100, seed=5).passed
     assert stability_test(one_minus_c_d2(p, 1, Fraction(1, 2)), trials=100, seed=5).passed
 
 
 def test_degree_bookkeeping():
-    p = fixture("spanning_tree", graph=complete_graph(3))
-    q = fixture("elem_sym", n=3, k=2)
+    p = spanning_tree_polynomial(complete_graph(3))
+    q = elementary_symmetric(3, 2)
     assert (p * q).total_degree() == p.total_degree() + q.total_degree()
     r = one_minus_c_d2(p * q, 0, Fraction(1, 2))
     assert r.total_degree() <= (p * q).total_degree()
@@ -169,14 +168,7 @@ def test_psd_mixture_determinant_stability():
 def test_multivariate_matching_is_not_real_stable():
     # Single-edge graph gives x1 x2 - w^2, a Lorentz form; the all-ones line
     # collapses it to the zero polynomial, an exact refutation.
-    p = fixture("multivariate_matching", graph=path_graph(2))
+    p = multivariate_matching_polynomial(path_graph(2))
     assert p.terms == {(1, 1, 0): 1, (0, 0, 2): -1}
     verdict = stability_test(p, trials=300, seed=2)
     assert not verdict.passed
-
-
-def test_shift_vars_and_eval():
-    p = MultiPoly(2, {(1, 1): 1})  # x y
-    shifted = p.shift_vars((1, 2))  # (x+1)(y+2)
-    assert shifted.terms == {(1, 1): 1, (1, 0): 2, (0, 1): 1, (0, 0): 2}
-    assert shifted.eval((Fraction(1), Fraction(1))) == 6

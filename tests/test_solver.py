@@ -162,7 +162,7 @@ def test_search_point_mass_subset_family():
 
 
 def test_search_spanning_tree_family():
-    inst = SrInstance.from_graph(complete_graph(3), stability_trials=0)
+    inst = SrInstance.from_graph(complete_graph(3))
     result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.5))
     _, best = brute_force(inst, "ag")
     assert result.certified >= best - 1e-9
@@ -177,7 +177,7 @@ def test_brute_force_cancellation():
 
 
 def test_brute_force_spanning_trees():
-    inst = SrInstance.from_graph(complete_graph(3), stability_trials=0)
+    inst = SrInstance.from_graph(complete_graph(3))
     assignment, value = brute_force(inst, "ag")
     assert sum(assignment) == 2  # a spanning tree of K3 has two edges
     norms = []
@@ -228,7 +228,7 @@ def test_desk_scale_subset_bound():
     # Subset theorem at desk scale on a few small graphs.
     for seed in range(3):
         graph = random_connected_graph(4, 5, seed)
-        inst = SrInstance.from_graph(graph, stability_trials=0)
+        inst = SrInstance.from_graph(graph)
         _, best = brute_force(inst, "ag")
         eps = inst.eps1 + inst.eps2
         assert best <= 4 * eps + 2 * eps * eps + 1e-9

@@ -1,13 +1,17 @@
 """SR distributions: spanning trees, the marginal formula, resistance vectors."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdisc.errors import DisconnectedGraph
 from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
 from hyperdisc.hyperbolic import hyperbolic_trace, spectrum
+from hyperdisc.realstable import stability_test
 from hyperdisc.srdist import (
     SRDistribution,
     condition_element,
@@ -27,7 +31,7 @@ def test_ust_k3():
     assert len(mu.support) == 3
     assert all(p == Fraction(1, 3) for _, p in mu.support)
     assert mu.d_mu == 2
-    assert mu.stability is not None and mu.stability.passed
+    assert stability_test(mu.generating_polynomial(), trials=32).passed
 
 
 def test_ust_diamond_matches_fixture_monomials():
@@ -88,6 +92,30 @@ def test_marginal_formula_matches_enum_everywhere():
                     assert marginal_via_formula(mu, s, k, x0) == expect
 
 
+@st.composite
+def _homogeneous_case(draw):
+    """A homogeneous distribution on n <= 6, an observed set K, S within K, x0."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, n))
+    sets = list(itertools.combinations(range(n), d))
+    chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets), unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(chosen), max_size=len(chosen)))
+    total = sum(weights)
+    mu = SRDistribution.from_support(
+        n, [(elems, Fraction(w, total)) for elems, w in zip(chosen, weights)])
+    observed = draw(st.sets(st.integers(0, n - 1)))
+    s = draw(st.sets(st.sampled_from(sorted(observed)))) if observed else set()
+    x0 = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
+    return mu, s, observed, x0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_homogeneous_case())
+def test_marginal_formula_equals_enum_property(case):
+    mu, s, observed, x0 = case
+    assert marginal_via_formula(mu, s, observed, x0) == marginal_via_enum(mu, s, observed)
+
+
 def test_marginals_sum_to_one():
     mu = uniform_spanning_tree(diamond_graph())
     for k in range(mu.n + 1):
@@ -98,8 +126,8 @@ def test_marginals_sum_to_one():
 
 def test_marginal_formula_on_products_and_conditionings():
     rng = random.Random(31)
-    base1 = uniform_spanning_tree(K3, stability_trials=0)
-    base2 = uniform_spanning_tree(path_graph(3), stability_trials=0)
+    base1 = uniform_spanning_tree(K3)
+    base2 = uniform_spanning_tree(path_graph(3))
     for trial in range(8):
         mu = product_distribution(base1, base2)
         if rng.random() < 0.5:

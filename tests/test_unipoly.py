@@ -11,7 +11,6 @@ from hyperdisc.scalars import FLOAT, RATIONAL
 from hyperdisc.unipoly import (
     UniPoly,
     _newton_polish,
-    eval_poly,
     interpolate,
     is_real_rooted,
     max_real_root,
@@ -24,15 +23,15 @@ X2_3X_2 = UniPoly.from_coeffs([2, -3, 1])  # (x-1)(x-2)
 
 
 def test_eval_constant_term():
-    assert eval_poly(X2_3X_2, 0) == 2
+    assert X2_3X_2(0) == 2
 
 
 def test_eval_at_root():
-    assert eval_poly(X2_3X_2, 1) == 0
+    assert X2_3X_2(1) == 0
 
 
 def test_eval_zero_polynomial():
-    assert eval_poly(UniPoly.zero(), 7) == 0
+    assert UniPoly.zero()(7) == 0
 
 
 def test_real_roots_quadratic():
