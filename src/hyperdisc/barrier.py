@@ -29,8 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ChainViolated, InsufficientMargin, NotAboveRoots
-from .hyperbolic import DirectionalDerivative, spectrum
+from .errors import ChainViolated, NotAboveRoots
+from .hyperbolic import spectrum
 from .mixedchar import (
     KlsInstance,
     SrInstance,
@@ -185,6 +185,12 @@ def above_roots(inst, kind: str, pt: BarrierPoint, probes: int = 24,
                              failures, probes + 1)
 
 
+def _directional_derivative(h, x, v):
+    """(D_v h)(x): the degree-1 coefficient of the restriction t -> h(x + t v)."""
+    coeffs = h.restrict_line(x, v).coeffs
+    return coeffs[1] if len(coeffs) > 1 else 0
+
+
 def phi(inst, kind: str, i: int, pt: BarrierPoint, check: bool = True) -> float:
     """Barrier function Phi^i at pt, from directional derivatives.
 
@@ -197,43 +203,13 @@ def phi(inst, kind: str, i: int, pt: BarrierPoint, check: bool = True) -> float:
         taus = _taus(inst)
         w = _kls_point_vector(inst, pt)
         direction = tuple(taus[i] * float(c) for c in inst.vectors[i])
-        dv = DirectionalDerivative(inst.h, direction)
-        return 2.0 * float(dv.at(w)) / float(inst.h.value(w))
+        dv = _directional_derivative(inst.h, w, direction)
+        return 2.0 * float(dv) / float(inst.h.value(w))
     w = _ag_point_vector(inst, pt)
-    dv = DirectionalDerivative(inst.h, tuple(float(c) for c in inst.vectors[i]))
-    hterm = float(dv.at(w)) / float(inst.h.value(w))
+    dv = _directional_derivative(inst.h, w, tuple(float(c) for c in inst.vectors[i]))
+    hterm = float(dv) / float(inst.h.value(w))
     gval, gparts = _ag_gen_value_and_partials(inst, pt)
     return hterm + gparts[i] / gval
-
-
-@dataclass(frozen=True)
-class SignCheckVerdict:
-    ok: bool
-    values: tuple  # (phi at -h, phi at 0, phi at +h)
-    first_difference: float
-    second_difference: float
-
-
-def phi_sign_checks(inst, kind: str, i: int, j: int, pt: BarrierPoint,
-                    h_step: float) -> SignCheckVerdict:
-    """Alternating-sign finite differences of Phi^i along z_j.
-
-    Orders k = 0, 1, 2 of (-1)^k d^k Phi must be nonnegative up to
-    tol = 1e-6 |Phi| + 1e-10; the stencil needs the above-roots region to
-    extend 3 h_step below the point.
-    """
-    low = pt.shift(j, -3 * h_step)
-    if not above_roots(inst, kind, low, probes=8):
-        raise InsufficientMargin(
-            f"stencil of width {h_step} leaves the above-roots region")
-    minus = phi(inst, kind, i, pt.shift(j, -h_step), check=False)
-    center = phi(inst, kind, i, pt, check=False)
-    plus = phi(inst, kind, i, pt.shift(j, h_step), check=False)
-    tol = 1e-6 * abs(center) + 1e-10
-    first = (plus - minus) / (2 * h_step)
-    second = (plus - 2 * center + minus) / (h_step * h_step)
-    ok = (center >= -tol) and (-first >= -tol) and (second >= -tol)
-    return SignCheckVerdict(ok, (minus, center, plus), first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -51,24 +51,8 @@ class EmptyBranch(HyperdiscError):
     """No support set extends the given partial assignment."""
 
 
-class DegreeMismatch(HyperdiscError):
-    """Polynomials in a common-interlacing check differ in degree."""
-
-
-class NoAdmissibleChild(HyperdiscError):
-    """Family descent found no child within root tolerance.
-
-    Signals a numerical tolerance set too tight or a non-interlacing family;
-    raised rather than silently patched.
-    """
-
-
 class NotAboveRoots(HyperdiscError):
     """Barrier evaluation point is not above the roots of the polynomial."""
-
-
-class InsufficientMargin(HyperdiscError):
-    """Finite-difference stencil would leave the above-roots region."""
 
 
 class ChainViolated(HyperdiscError):

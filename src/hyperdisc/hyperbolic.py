@@ -31,7 +31,7 @@ from ._exact import char_poly_exact, det_exact
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
 from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce
-from .unipoly import RootList, UniPoly, divided_differences, interpolate, real_roots
+from .unipoly import RootList, UniPoly, interpolate, real_roots
 
 RANK_TOL = 1e-8
 
@@ -241,14 +241,6 @@ def lorentz(m: int) -> LorentzInstance:
     return LorentzInstance(m)
 
 
-def elem_sym(n: int, k: int) -> ElemSymInstance:
-    return ElemSymInstance(n, k)
-
-
-def real_stable_custom(poly: MultiPoly, e) -> RealStableInstance:
-    return RealStableInstance(poly, e)
-
-
 # ---------------------------------------------------------------------------
 # Spectral calculus.
 # ---------------------------------------------------------------------------
@@ -265,10 +257,6 @@ class Spectrum:
 class ConeVerdict:
     status: str  # "interior" | "boundary" | "outside"
     witness: float  # smallest hyperbolic eigenvalue
-
-
-def restrict_line(h: HyperbolicInstance, base, dirv) -> UniPoly:
-    return h.restrict_line(tuple(base), tuple(dirv))
 
 
 def char_restriction(h: HyperbolicInstance, x) -> UniPoly:
@@ -293,10 +281,6 @@ def spectrum(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> Spectrum:
     gate = RANK_TOL * max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else RANK_TOL
     rank = sum(1 for lam in eigs if abs(lam) > gate)
     return Spectrum(tuple(eigs), float(norm), trace, rank)
-
-
-def hyperbolic_norm(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> float:
-    return spectrum(h, x, tol).norm
 
 
 def hyperbolic_trace(h: HyperbolicInstance, v):
@@ -324,33 +308,6 @@ def cone_membership(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> ConeV
     else:
         status = "outside"
     return ConeVerdict(status, float(lam_min))
-
-
-class DirectionalDerivative:
-    """The functional x -> (D_v h)(x), evaluated via exact line restrictions.
-
-    (D_v h)(x) is the t-derivative at 0 of h(x + t v), i.e. the degree-1
-    coefficient of the restriction, so every evaluation is exact under the
-    rational backend.
-    """
-
-    def __init__(self, h: HyperbolicInstance, v):
-        h.check_dim(v, "direction")
-        self.h = h
-        self.v = tuple(v)
-
-    def at(self, x):
-        self.h.check_dim(x)
-        rest = self.h.restrict_line(tuple(x), self.v)
-        if rest.degree < 1:
-            return coerce(0, rest.backend)
-        return rest.coeffs[1]
-
-    __call__ = at
-
-
-def directional_derivative(h: HyperbolicInstance, v) -> DirectionalDerivative:
-    return DirectionalDerivative(h, v)
 
 
 def rank1_product_derivative(h: HyperbolicInstance, indices, vectors, x,
@@ -460,63 +417,3 @@ def derivative_restriction(h: HyperbolicInstance, vectors, indices,
             rest = restriction_for(combo)
             total = total + (rest if (len(s) - r) % 2 == 0 else -rest)
     return total
-
-
-def trace_via_derivative(h: HyperbolicInstance, v, alpha):
-    """alpha * D_v h(alpha e) / h(alpha e); equals the hyperbolic trace of v."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    h.check_dim(v)
-    point = tuple(alpha * c for c in h.e)
-    num = DirectionalDerivative(h, v).at(point)
-    den = h.value(point)
-    return alpha * num / den
-
-
-def multi_restrict(h: HyperbolicInstance, x, dirs) -> MultiPoly:
-    """Exact polynomial (t_1..t_k) -> h(x + sum_j t_j dirs[j]).
-
-    Tensor-product Newton interpolation on the integer grid {0..d}^k; the
-    independent route for checking iterated directional derivatives.
-    """
-    k = len(dirs)
-    backend = RATIONAL
-    if _is_float_vec(x) or any(_is_float_vec(d) for d in dirs):
-        backend = FLOAT
-
-    def build(point, remaining) -> MultiPoly:
-        j = k - remaining
-        if remaining == 0:
-            return MultiPoly.constant(k, h.value(tuple(point)), backend)
-        nodes = []
-        for t in range(h.d + 1):
-            shifted = [p + t * w for p, w in zip(point, dirs[j])]
-            nodes.append((coerce(t, backend), build(shifted, remaining - 1)))
-        return _interp_polyvalued(nodes, j, k, backend)
-
-    return build(list(x), k)
-
-
-def _interp_polyvalued(nodes, var: int, nvars: int, backend: str) -> MultiPoly:
-    """Newton interpolation where ordinates are MultiPoly values."""
-    xs = [t for t, _ in nodes]
-    newton = divided_differences(xs, [p for _, p in nodes],
-                                 lambda diff, gap: diff.scale(coerce(1, backend) / gap))
-    result = MultiPoly.zero(nvars, backend)
-    basis = MultiPoly.constant(nvars, 1, backend)
-    tvar = MultiPoly.variable(var, nvars, backend)
-    for i, coeff_poly in enumerate(newton):
-        result = result + coeff_poly * basis
-        basis = basis * (tvar - MultiPoly.constant(nvars, xs[i], backend))
-    return result
-
-
-def iterated_directional_derivative(h: HyperbolicInstance, dirs, x):
-    """D_{v_1} D_{v_2} ... D_{v_k} h(x) via the multilinear monomial of the
-    exact multi-restriction (the oracle route, independent of
-    inclusion-exclusion)."""
-    k = len(dirs)
-    if k == 0:
-        return h.value(tuple(x))
-    poly = multi_restrict(h, x, dirs)
-    return poly.terms.get((1,) * k, coerce(0, poly.backend))

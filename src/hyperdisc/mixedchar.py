@@ -47,20 +47,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import (
-    DegreeMismatch,
-    EmptyBranch,
-    NoAdmissibleChild,
-    RankTooHigh,
-    TooLarge,
-    ValueNotInSupport,
-)
+from .errors import EmptyBranch, RankTooHigh, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
     HyperbolicInstance,
@@ -75,7 +65,7 @@ from .hyperbolic import (
 from .realstable import MultiPoly
 from .scalars import RATIONAL, coerce
 from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
-from .unipoly import UniPoly, is_real_rooted, max_real_root, real_roots
+from .unipoly import UniPoly, max_real_root, real_roots
 
 MAX_BRANCHES = 4096  # enumeration guardrail; exceeding raises, never approximates
 
@@ -447,175 +437,6 @@ def linear_restriction_multipoly(h: HyperbolicInstance, vectors) -> MultiPoly:
                 exps[i + 1] = 1
             out = out + MultiPoly.monomial(tuple(exps), coeff)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Pairwise expectation identity (single-variable sanity route).
-# ---------------------------------------------------------------------------
-
-def pair_expectation(inst_h: HyperbolicInstance, v, var: RandomVar, x1, x2):
-    """E[h(x1 - (xi-mu) v) h(x2 + (xi-mu) v)], by support enumeration."""
-    mu = var.mean
-    total = None
-    for s, p in zip(var.support, var.probs):
-        c = s - mu
-        a = inst_h.value(tuple(b - c * w for b, w in zip(x1, v)))
-        b = inst_h.value(tuple(b + c * w for b, w in zip(x2, v)))
-        term = p * a * b
-        total = term if total is None else total + term
-    return total
-
-
-def pair_operator(inst_h: HyperbolicInstance, v, variance, x1, x2):
-    """(1 - 1/2 d^2/dt^2)|_0 h(x1 + t tau v) h(x2 + t tau v) with tau^2 given.
-
-    Only even powers of tau survive, so the value is polynomial in the
-    variance and stays exact for rational inputs.
-    """
-    a = inst_h.restrict_line(tuple(x1), tuple(v))
-    b = inst_h.restrict_line(tuple(x2), tuple(v))
-    prod = a * b
-
-    def coeff(p: UniPoly, k: int):
-        return p.coeffs[k] if k <= p.degree else 0
-
-    # c2 of t -> prod(tau t) is tau^2 * c2(prod).
-    return coeff(prod, 0) - variance * coeff(prod, 2)
-
-
-# ---------------------------------------------------------------------------
-# Common interlacing and family descent.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterlacingVerdict:
-    ok: bool
-    checked: int
-    witness_weights: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _batch_near_real_rooted(rows: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Row-wise companion-eigenvalue real-rootedness for equal-degree polys."""
-    count, width = rows.shape
-    deg = width - 1
-    if deg == 0:
-        return np.ones(count, dtype=bool)
-    monic = rows / rows[:, -1:]
-    comp = np.zeros((count, deg, deg))
-    if deg > 1:
-        idx = np.arange(deg - 1)
-        comp[:, idx + 1, idx] = 1.0
-    comp[:, :, -1] = -monic[:, :-1]
-    eigs = np.linalg.eigvals(comp)
-    return np.all(np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs)), axis=1)
-
-
-def common_interlacing_check(polys, samples: int = 64, seed: int = 0,
-                             tol: float = 1e-7) -> InterlacingVerdict:
-    """Convex-combination real-rootedness probe for a common interlacing.
-
-    Polynomials of one degree with positive leading coefficients have a
-    common interlacing iff every convex combination is real-rooted; this
-    checks all vertices, all pairwise midpoints and ``samples`` random
-    weight vectors.  Rational inputs are certified exactly; float inputs go
-    through the batched companion predicate.
-    """
-    polys = list(polys)
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    deg = polys[0].degree
-    for p in polys:
-        if p.degree != deg:
-            raise DegreeMismatch("polynomials differ in degree")
-        if not p.leading > 0:
-            raise ValueError("leading coefficients must be positive")
-    k = len(polys)
-    rng = random.Random(f"interlace:{seed}")
-    weight_sets = []
-    for i in range(k):
-        w = [Fraction(0)] * k
-        w[i] = Fraction(1)
-        weight_sets.append(w)
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = [Fraction(0)] * k
-            w[i] = w[j] = Fraction(1, 2)
-            weight_sets.append(w)
-    for _ in range(samples):
-        raw = [rng.randint(0, 16) for _ in range(k)]
-        if sum(raw) == 0:
-            raw[rng.randrange(k)] = 1
-        total = sum(raw)
-        weight_sets.append([Fraction(r, total) for r in raw])
-
-    exact = all(p.backend == RATIONAL for p in polys)
-    if exact:
-        for weights in weight_sets:
-            combo = UniPoly.zero(RATIONAL)
-            for w, p in zip(weights, polys):
-                if w:
-                    combo = combo + p.scale(w)
-            if not is_real_rooted(combo):
-                return InterlacingVerdict(False, len(weight_sets), tuple(weights))
-        return InterlacingVerdict(True, len(weight_sets))
-
-    coeff_rows = np.array([p.float_coeffs() for p in polys])
-    wmat = np.array([[float(w) for w in ws] for ws in weight_sets])
-    combos = wmat @ coeff_rows
-    verdicts = _batch_near_real_rooted(combos, tol)
-    if bool(np.all(verdicts)):
-        return InterlacingVerdict(True, len(weight_sets))
-    bad = int(np.argmin(verdicts))
-    return InterlacingVerdict(False, len(weight_sets), tuple(weight_sets[bad]))
-
-
-def _node_children(inst, kind: str, prefix):
-    if kind == "kls":
-        values = inst.variables[len(prefix)].support
-        return [(v, kls_node_poly(inst, tuple(prefix) + (v,))) for v in values]
-    children = []
-    for v in (0, 1):
-        try:
-            children.append((v, ag_node_poly(inst, tuple(prefix) + (v,))))
-        except EmptyBranch:
-            continue
-    return children
-
-
-def descend_family(inst, kind: str, tol: float = 1e-8):
-    """Greedy exact descent to a leaf whose top root is bounded by the root's.
-
-    At each node some child's largest root does not exceed the parent's
-    (that is the interlacing guarantee); ties are broken toward the smaller
-    root and then the lexicographically smaller branch value.  Raises
-    NoAdmissibleChild instead of patching tolerances.
-    """
-    if kind not in ("kls", "ag"):
-        raise ValueError("kind must be 'kls' or 'ag'")
-    n = inst.n
-    prefix: tuple = ()
-    node = kls_node_poly(inst) if kind == "kls" else ag_node_poly(inst)
-    current_max = max_real_root(node)
-    for _ in range(n):
-        children = _node_children(inst, kind, prefix)
-        admissible = []
-        for value, poly in children:
-            top = max_real_root(poly)
-            if top <= current_max + tol * max(1.0, abs(current_max)):
-                admissible.append((top, value, poly))
-        if not admissible:
-            raise NoAdmissibleChild(
-                f"no child of prefix {prefix!r} stays under root bound {current_max!r}"
-            )
-        admissible.sort(key=lambda item: (item[0], item[1]))
-        top, value, poly = admissible[0]
-        prefix = prefix + (value,)
-        current_max = min(current_max, top)
-        node = poly
-    return prefix, node
 
 
 # ---------------------------------------------------------------------------

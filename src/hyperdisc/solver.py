@@ -282,11 +282,6 @@ class BaselineSummary:
     maximum: float
     mean: float
 
-    def to_json(self) -> dict:
-        return {"trials": self.trials, "seed": self.seed, "min": self.minimum,
-                "q25": self.q25, "median": self.median, "q75": self.q75,
-                "max": self.maximum, "mean": self.mean}
-
 
 def random_baseline(inst, kind: str, trials: int, seed: int = 0) -> BaselineSummary:
     """I.i.d. random assignments: the matrix-Chernoff-style comparison point."""

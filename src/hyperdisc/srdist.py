@@ -43,8 +43,7 @@ class SRDistribution:
 
         ``items`` is an iterable of (elements, probability).  Probabilities
         must be positive and sum to one (exactly for rationals, 1e-12 for
-        floats).  Real stability is not checked: ``realstable.stability_test``
-        on ``generating_polynomial()`` gives seeded evidence when wanted.
+        floats).  Real stability is assumed, not checked.
         """
         norm = []
         sizes = set()
@@ -79,13 +78,6 @@ class SRDistribution:
                 exps[e] = 1
             terms[tuple(exps)] = terms.get(tuple(exps), 0) + prob
         return MultiPoly(self.n, terms)
-
-    def probability(self, elems) -> Fraction:
-        key = tuple(sorted(elems))
-        for s, p in self.support:
-            if s == key:
-                return p
-        return Fraction(0)
 
 
 def uniform_spanning_tree(graph: Graph) -> SRDistribution:
@@ -136,11 +128,14 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
 
     The z-derivatives of g(x0 1 + z) at z = 0 are the derivatives of g at
     x0 1, so the operators act on g itself and the result is evaluated at
-    x0 1; nothing is expanded.  Exact for rational x0 != 0, and
-    x0-independent, which callers are encouraged to test.
+    x0 1; nothing is expanded.  Exact for rational x0 != 0 (an int is
+    taken as a Fraction, so x0 ** -k stays exact), and x0-independent,
+    which callers are encouraged to test.
     """
     if x0 == 0:
         raise ValueError("the dummy scalar must be nonzero")
+    if not isinstance(x0, float):
+        x0 = Fraction(x0)
     observed = _observed_set(k)
     target = set(int(i) for i in s)
     if not target <= observed:
@@ -162,26 +157,6 @@ def max_marginal(mu: SRDistribution):
         if prob > best:
             best = prob
     return best
-
-
-# -- closure constructions used to build test distributions -----------------
-
-def condition_element(mu: SRDistribution, i: int, present: bool) -> SRDistribution:
-    """Condition on i in T (or i not in T) and renormalize; SR is preserved."""
-    kept = [(elems, p) for elems, p in mu.support if (i in elems) == present]
-    if not kept:
-        raise ValueError("conditioning event has probability zero")
-    total = sum(p for _, p in kept)
-    return SRDistribution.from_support(mu.n, [(e, p / total) for e, p in kept])
-
-
-def product_distribution(mu1: SRDistribution, mu2: SRDistribution) -> SRDistribution:
-    """Independent union on a disjoint ground set; SR and homogeneity persist."""
-    items = []
-    for e1, p1 in mu1.support:
-        for e2, p2 in mu2.support:
-            items.append((tuple(e1) + tuple(x + mu1.n for x in e2), p1 * p2))
-    return SRDistribution.from_support(mu1.n + mu2.n, items)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ by an exact Sturm count (any binary64 coefficient vector is a rational
 vector, so the exact route is available on both backends).
 
 The float lane's one residual-monotone Newton polish (``_newton_polish``)
-and the one Newton divided-difference loop (``divided_differences``, shared
-with the multivariate interpolation in hyperbolic) live here.
+and the one Newton divided-difference loop (``divided_differences``) live
+here.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,11 +53,6 @@ class UniPoly:
     @staticmethod
     def constant(c, backend: str | None = None) -> "UniPoly":
         return UniPoly.from_coeffs([c], backend)
-
-    @staticmethod
-    def identity(backend: str = RATIONAL) -> "UniPoly":
-        """The polynomial x."""
-        return UniPoly.from_coeffs([0, 1], backend)
 
     @staticmethod
     def from_roots(roots: Sequence, backend: str = FLOAT, lead=1) -> "UniPoly":
@@ -116,11 +110,6 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         return UniPoly.from_coeffs([c * x for x in self.coeffs], None if isinstance(c, float) else self.backend)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.backend
-        )
-
     def compose_xsquare(self) -> "UniPoly":
         """p(x^2): coefficients spread onto even degrees."""
         out = [coerce(0, self.backend)] * (2 * len(self.coeffs))
@@ -139,10 +128,6 @@ class UniPoly:
 
     def float_coeffs(self) -> np.ndarray:
         return np.array([float(c) for c in self.coeffs], dtype=float)
-
-    def monic(self) -> "UniPoly":
-        lc = self.leading
-        return UniPoly.from_coeffs([c / lc for c in self.coeffs], self.backend)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UniPoly({list(self.coeffs)!r}, {self.backend!r})"
@@ -523,17 +508,13 @@ def max_real_root(p: UniPoly, tol: float = DEFAULT_TOL) -> float:
     return real_roots(p, tol)[0]
 
 
-def divided_differences(xs: Sequence, ys: Sequence, div=operator.truediv) -> list:
-    """Newton-form coefficients f[x_0], f[x_0, x_1], ... of the points (xs, ys).
-
-    Generic over the ordinate type: ``div(diff, gap)`` divides a difference
-    of ordinates by a gap of abscissae (plain division for scalars).
-    """
+def divided_differences(xs: Sequence, ys: Sequence) -> list:
+    """Newton-form coefficients f[x_0], f[x_0, x_1], ... of the points (xs, ys)."""
     table = list(ys)
     out = [table[0]]
     for level in range(1, len(table)):
         for i in range(len(table) - level):
-            table[i] = div(table[i + 1] - table[i], xs[i + level] - xs[i])
+            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
         out.append(table[0])
     return out
 

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hyperdisc.errors import ChainViolated, InsufficientMargin, NotAboveRoots
+from hyperdisc.errors import ChainViolated, NotAboveRoots
 from hyperdisc.barrier import (
     BarrierPoint,
     above_roots,
     construction_point,
     kls_square_zpoly,
     phi,
-    phi_sign_checks,
     polynomial_value,
     verify_bound_chain,
 )
@@ -102,22 +101,34 @@ def test_phi_matches_log_derivative():
     del rng
 
 
+def _phi_differences(inst, i, j, pt, step):
+    """Phi^i at pt and its central first and second differences along z_j."""
+    minus, center, plus = (phi(inst, "kls", i, pt.shift(j, dz)) for dz in (-step, 0.0, step))
+    return center, (plus - minus) / (2 * step), (plus - 2 * center + minus) / step ** 2
+
+
 def test_phi_sign_checks_scalar():
+    # Phi = 2/(4+z) along z_0: value 1, slope -1/2, curvature 1/2 at z = -2.
     inst = _scalar_instance()
     pt = construction_point(inst, "kls")
-    verdict = phi_sign_checks(inst, "kls", 0, 0, pt, h_step=1e-3)
-    assert verdict.ok
-    # Closed form 2/(4+z): value 1, slope -1/2, curvature 1/4 at z = -2.
-    assert verdict.values[1] == pytest.approx(1.0)
-    assert verdict.first_difference == pytest.approx(-0.5, rel=1e-4)
-    assert verdict.second_difference == pytest.approx(0.5, rel=1e-3)
-
-
-def test_phi_sign_checks_insufficient_margin():
-    inst = _scalar_instance()
+    value, first, second = _phi_differences(inst, 0, 0, pt, 1e-3)
+    assert value == pytest.approx(1.0)
+    assert first == pytest.approx(-0.5, rel=1e-4)
+    assert second == pytest.approx(0.5, rel=1e-3)
+    # Above the roots every Phi^i is nonnegative, nonincreasing and convex
+    # along every z_j.
+    h = determinant(2)
+    inst = KlsInstance.build(
+        h,
+        [h.vec_outer((Fraction(1), Fraction(0))), h.vec_outer((Fraction(1), Fraction(1)))],
+        [RADEMACHER, RADEMACHER])
+    inst = inst.scaled(1.0 / inst.sigma)
     pt = construction_point(inst, "kls")
-    with pytest.raises(InsufficientMargin):
-        phi_sign_checks(inst, "kls", 0, 0, pt, h_step=1.0)
+    for i in range(inst.n):
+        for j in range(inst.n):
+            value, first, second = _phi_differences(inst, i, j, pt, 1e-3)
+            tol = 1e-6 * abs(value) + 1e-10
+            assert value >= -tol and first <= tol and second >= -tol
 
 
 def test_verify_bound_chain_scalar_kls():

@@ -221,6 +221,35 @@ def test_verify_instance_file(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def test_elem_sym_and_custom_kinds(capsys, tmp_path):
+    # Only hand-written files reach these kinds: e_2 in three variables, once
+    # as elem_sym and once as the custom polynomial z1 z2 + z1 z3 + z2 z3.
+    half = "1/2"
+    payload = {"vectors": [[half, 0, 0], [0, half, 0], [0, 0, half], [half, 0, 0]],
+               "variables": [{"support": [1, -1], "probs": [half, half]}] * 4}
+    hs = {"elem_sym": {"kind": "elem_sym", "n": 3, "k": 2},
+          "custom": {"kind": "custom", "nvars": 3, "e": [1, 1, 1],
+                     "poly": {"nvars": 3, "terms": [[[1, 1, 0], 1], [[1, 0, 1], 1],
+                                                    [[0, 1, 1], 1]]}}}
+    outputs = {}
+    for name, h in hs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"schema": "hyperdisc-instance/1", "kind": "kls",
+                                    "backend": "rational", "payload": {**payload, "h": h}}))
+        outputs[name] = []
+        for argv in (("solve", str(path), "--method", "blocked"),
+                     ("solve", str(path), "--method", "brute"),
+                     ("verify", str(path))):
+            code, out = run(capsys, *argv)
+            assert code == 0, (name, argv)
+            outputs[name].append(out)
+    assert outputs["elem_sym"] == outputs["custom"]
+    blocked = json.loads(outputs["elem_sym"][0])
+    assert blocked["certified"] <= blocked["bound"]
+    # The best leaf, w = (0, 1/2, -1/2), has norm 1/(2 sqrt 3) under e_2.
+    assert blocked["certified"] == pytest.approx(1 / (2 * 3 ** 0.5))
+
+
 def test_verify_without_arguments_errors(capsys):
     code, _ = run(capsys, "verify")
     assert code == 1

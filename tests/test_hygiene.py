@@ -1,9 +1,16 @@
-"""Static checks over src/hyperdisc: no unused import, no unreferenced def.
+"""Static checks over src/hyperdisc: no unused import, no unreferenced def,
+and no def that only tests reach unless it is a reference route.
 
 A top-level def counts as referenced when its own module names it, or when
 any file under src/, tests/ or hdbench/ imports it by name or reads it as an
 attribute.  Local variables elsewhere that happen to share its name do not
 count.
+
+A top-level def is reached when the program can get to it without the
+tests: from module-level code in src/ (the CLI's entry point among it), from
+hdbench/, or from the body of a def that is itself reached.  Names are
+matched without their module, so a shared name can only make a def look
+reached, never unreached.
 """
 
 import ast
@@ -14,6 +21,15 @@ PACKAGE = ROOT / "src" / "hyperdisc"
 
 # Imports kept only because hdbench reads these module bindings.
 KEPT_IMPORTS = {("solver", "char_poly_exact"), ("mixedchar", "real_roots")}
+
+# The only defs allowed in src/ that no command reaches: each is the slow
+# reference a test compares the named shipping route against.
+REFERENCE_ROUTES = {
+    "hyperbolic.rank1_product_derivative": "hyperbolic.mixed_derivative_table",
+    "barrier.kls_square_zpoly": "barrier.polynomial_value and barrier.phi (the operator update)",
+    "mixedchar.linear_restriction_multipoly": "barrier.polynomial_value, via kls_square_zpoly",
+    "realstable.one_minus_c_d2": "the operator update that barrier's update_condition step bounds",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -73,3 +89,45 @@ def test_every_top_level_def_is_referenced():
                     and node.name not in used | named_here):
                 unreferenced.append(f"{path.stem}.{node.name}")
     assert unreferenced == []
+
+
+def _read_names(node: ast.AST) -> set:
+    """Names a piece of code reads: bare names, attributes and imported names."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | _imported_or_attribute(node)
+
+
+def _unreached_defs() -> set:
+    bodies = {}  # def name -> names its body reads, over every module defining it
+    owners = {}  # def name -> "module.name" entries
+    roots = set()
+    for path in _modules():
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, set()).update(_read_names(node))
+                owners.setdefault(node.name, set()).add(f"{path.stem}.{node.name}")
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _read_names(node)
+    for path in (ROOT / "hdbench").rglob("*.py"):
+        tree = _parse(path)
+        # The tracer binds what it wraps by attribute name, given as a string.
+        roots |= _read_names(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                                      and isinstance(n.value, str) and n.value.isidentifier()}
+    reached = set()
+    todo = [name for name in roots if name in bodies]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for n in bodies[name] if n in bodies and n not in reached)
+    return {q for name, qs in owners.items() if name not in reached for q in qs}
+
+
+def test_only_reference_routes_are_unreached():
+    unreached = _unreached_defs()
+    assert sorted(unreached - set(REFERENCE_ROUTES)) == []
+    # Each allowed def is still unreached and still compared against by a test.
+    assert sorted(set(REFERENCE_ROUTES) - unreached) == []
+    tested = set()
+    for path in (ROOT / "tests").glob("test_*.py"):
+        tested |= _imported_or_attribute(_parse(path))
+    assert sorted(q for q in REFERENCE_ROUTES if q.split(".")[1] not in tested) == []

@@ -26,20 +26,16 @@ from hyperdisc.mixedchar import (
     ag_node_poly,
     ag_operator_form,
     ag_substitution_identity,
-    common_interlacing_check,
-    descend_family,
     kls_leaf_poly,
     kls_node_poly,
     kls_operator_form,
     kls_table_node_poly,
     linear_restriction_multipoly,
-    pair_expectation,
-    pair_operator,
 )
-from hyperdisc.realstable import stability_test
 from hyperdisc.solver import SolverConfig, kadison_singer_search
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
+from stability_oracle import stability_test
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -181,19 +177,6 @@ def test_ag_substitution_identity_spanning_trees():
         assert lhs.coeffs == rhs.coeffs
 
 
-def test_pair_expectation_identity():
-    rng = random.Random(43)
-    h = determinant(2)
-    for _ in range(6):
-        u = tuple(Fraction(rng.randint(-2, 2)) for _ in range(2))
-        v = h.vec_outer(u)
-        var = RandomVar((Fraction(-1), Fraction(0), Fraction(2)),
-                        (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
-        x1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(h.m))
-        x2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(h.m))
-        assert pair_expectation(h, v, var, x1, x2) == pair_operator(h, v, var.variance, x1, x2)
-
-
 def test_linear_restriction_is_real_stable():
     rng = random.Random(47)
     h = determinant(2)
@@ -204,31 +187,48 @@ def test_linear_restriction_is_real_stable():
     del rng
 
 
+def _has_common_interlacing(polys, samples: int = 16, seed: int = 0) -> bool:
+    """Polynomials of one degree with positive leading coefficients have a
+    common interlacing iff every convex combination is real-rooted.  Checks
+    the vertices, the pairwise midpoints and ``samples`` seeded weight
+    vectors, each combination exactly."""
+    assert len({p.degree for p in polys}) == 1 and all(p.leading > 0 for p in polys)
+    k = len(polys)
+    rng = random.Random(seed)
+    weights = [[Fraction(int(t == i)) for t in range(k)] for i in range(k)]
+    weights += [[Fraction(int(t in pair), 2) for t in range(k)]
+                for pair in itertools.combinations(range(k), 2)]
+    for _ in range(samples):
+        raw = [rng.randint(1, 16) for _ in range(k)]
+        weights.append([Fraction(r, sum(raw)) for r in raw])
+    return all(is_real_rooted(sum((p.scale(w) for w, p in zip(ws, polys)), UniPoly.zero()))
+               for ws in weights)
+
+
 def test_common_interlacing_pass():
     f1 = UniPoly.from_roots([1, 3], backend="rational")
     f2 = UniPoly.from_roots([2, 4], backend="rational")
-    assert common_interlacing_check([f1, f2], samples=32, seed=0).ok
+    assert _has_common_interlacing([f1, f2], samples=32)
 
 
 def test_common_interlacing_identical():
     f = UniPoly.from_roots([1, 2], backend="rational")
-    assert common_interlacing_check([f, f], samples=8, seed=0).ok
+    assert _has_common_interlacing([f, f], samples=8)
 
 
 def test_common_interlacing_refuted():
     f1 = UniPoly.from_coeffs([Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
     f2 = UniPoly.from_roots([0, 5], backend="rational")
-    verdict = common_interlacing_check([f1, f2], samples=16, seed=0)
-    assert not verdict.ok
-    assert verdict.witness_weights is not None
+    assert not _has_common_interlacing([f1, f2], samples=16)
 
 
 def test_common_interlacing_float_lane():
+    # Binary64 coefficients are rationals too, so the check stays exact.
     f1 = UniPoly.from_roots([1.0, 3.0], backend="float")
     f2 = UniPoly.from_roots([2.0, 4.0], backend="float")
-    assert common_interlacing_check([f1, f2], samples=32, seed=1).ok
+    assert _has_common_interlacing([f1, f2], samples=32, seed=1)
     bad = UniPoly.from_coeffs([1.0, 0.0, 1.0])
-    assert not common_interlacing_check([bad, f2], samples=16, seed=1).ok
+    assert not _has_common_interlacing([bad, f2], samples=16, seed=1)
 
 
 def test_children_sum_to_parent():
@@ -240,26 +240,41 @@ def test_children_sum_to_parent():
     assert total.coeffs == parent.coeffs
 
 
+def _descend(fam):
+    """Walks from the root to a leaf, each time into the child with the
+    smallest largest root, and checks that this root never exceeds the
+    parent's: the interlacing-family existence argument.  Returns the leaf's
+    assignment and largest root."""
+    prefix = ()
+    top = fam.root_max_root()
+    for values in fam.branch_sets:
+        child_top, value = min((max_real_root(fam.node_poly(prefix + (v,))), v)
+                               for v in values if fam.feasible(prefix + (v,)))
+        assert child_top <= top + 1e-8 * max(1.0, abs(top))
+        prefix, top = prefix + (value,), child_top
+    return prefix, top
+
+
 def test_descend_family_symmetric_toy():
     inst = _scalar_instance(1)
-    assignment, leaf = descend_family(inst, "kls")
+    assignment, top = _descend(KlsFamily(inst))
     assert assignment in ((Fraction(1),), (Fraction(-1),))
-    assert max_real_root(leaf) == pytest.approx(1.0)
+    assert top == pytest.approx(1.0)
 
 
 def test_descend_family_cancelling_pair():
     inst = _scalar_instance(2)
-    assignment, leaf = descend_family(inst, "kls")
+    assignment, top = _descend(KlsFamily(inst))
     # Root polynomial x^2 - 2 has top root sqrt(2); the cancelling leaf wins.
     vals = sorted(assignment)
     assert vals == [Fraction(-1), Fraction(1)]
-    assert max_real_root(leaf) == pytest.approx(0.0, abs=1e-9)
+    assert top == pytest.approx(0.0, abs=1e-9)
 
 
 def test_descend_family_point_mass():
     mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)], validate=False)
-    assignment, leaf = descend_family(inst, "ag")
+    assignment, _ = _descend(AgFamily(inst))
     assert assignment == (1, 0)
 
 
@@ -268,8 +283,8 @@ def test_descend_family_soundness_random():
     for _ in range(4):
         inst = _det_instance(rng, 2, rng.randint(2, 4))
         root_top = max_real_root(kls_node_poly(inst))
-        _, leaf = descend_family(inst, "kls")
-        assert max_real_root(leaf) <= root_top + 1e-8 * max(1.0, abs(root_top))
+        _, top = _descend(KlsFamily(inst))
+        assert top <= root_top + 1e-8 * max(1.0, abs(root_top))
 
 
 def test_real_rootedness_at_every_node():
@@ -292,7 +307,7 @@ def test_interlacing_at_internal_nodes():
             continue
         kids = [kls_node_poly(inst, prefix + (s,))
                 for s in inst.variables[len(prefix)].support]
-        assert common_interlacing_check(kids, samples=16, seed=5).ok
+        assert _has_common_interlacing(kids, samples=16, seed=5)
         stack.extend(prefix + (s,) for s in inst.variables[len(prefix)].support)
 
 

@@ -1,5 +1,6 @@
-"""Multivariate container, stability refutation, closure ops, fixtures."""
+"""Multivariate container, closure ops, and the stability oracle's own checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,18 +8,22 @@ import pytest
 
 from hyperdisc.errors import IndexOutOfRange, ZeroPolynomial
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph, path_graph
-from hyperdisc.realstable import (
-    MultiPoly,
-    elementary_symmetric,
-    multivariate_matching_polynomial,
-    one_minus_c_d2,
-    psd_mixture_determinant,
-    spanning_tree_polynomial,
-    stability_test,
-    vamos_polynomial,
-    vertex_matching_polynomial,
-)
+from hyperdisc.hyperbolic import determinant
+from hyperdisc.mixedchar import linear_restriction_multipoly
+from hyperdisc.realstable import MultiPoly, one_minus_c_d2
+from hyperdisc.srdist import uniform_spanning_tree
 from hyperdisc.unipoly import is_real_rooted
+from stability_oracle import stability_test
+
+
+def _spanning_tree_polynomial(graph) -> MultiPoly:
+    """Generating polynomial of the uniform spanning-tree distribution."""
+    return uniform_spanning_tree(graph).generating_polynomial()
+
+
+def _elementary_symmetric(n: int, k: int) -> MultiPoly:
+    return MultiPoly(n, {tuple(int(i in c) for i in range(n)): 1
+                         for c in itertools.combinations(range(n), k)})
 
 
 def test_stability_product_of_variables():
@@ -82,19 +87,20 @@ def test_partial_index_out_of_range():
 
 
 def test_spanning_tree_polynomial_k3():
-    p = spanning_tree_polynomial(complete_graph(3))
-    assert p.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    p = _spanning_tree_polynomial(complete_graph(3))
+    third = Fraction(1, 3)
+    assert p.terms == {(1, 1, 0): third, (1, 0, 1): third, (0, 1, 1): third}
 
 
 def test_spanning_tree_polynomial_diamond_exact_monomials():
     # 4-vertex 5-edge graph with edges 1=ab 2=ac 3=bd 4=cd 5=bc.
-    p = spanning_tree_polynomial(diamond_graph())
+    p = _spanning_tree_polynomial(diamond_graph())
     expect = {
         (0, 1, 1, 1, 0), (1, 0, 1, 1, 0), (1, 1, 0, 1, 0), (1, 1, 1, 0, 0),
         (0, 1, 1, 0, 1), (1, 0, 0, 1, 1), (0, 1, 0, 1, 1), (1, 0, 1, 0, 1),
     }
     assert set(p.terms) == expect
-    assert all(c == 1 for c in p.terms.values())
+    assert all(c == Fraction(1, 8) for c in p.terms.values())
     assert diamond_graph().spanning_tree_count_matrix_tree() == 8
 
 
@@ -106,69 +112,48 @@ def test_matrix_tree_agrees_with_enumeration():
     del rng
 
 
-def test_vamos_monomial_count():
-    p = vamos_polynomial()
-    assert len(p.terms) == 203  # C(10,4) - 7 excluded bases
-
-
-def test_matching_polynomial_k4():
-    p = vertex_matching_polynomial(complete_graph(4))
-    # Constant +1 from the empty matching, six -x_u x_v terms, three perfect
-    # matchings with sign (+1)^2.
-    assert p.terms[(0, 0, 0, 0)] == 1
-    assert p.terms[(1, 1, 1, 1)] == 3
-    pair_terms = [e for e in p.terms if sum(e) == 2]
-    assert len(pair_terms) == 6
-    assert all(p.terms[e] == -1 for e in pair_terms)
-
-
 def test_fixtures_pass_stability():
     cases = [
-        spanning_tree_polynomial(complete_graph(3)),
-        spanning_tree_polynomial(diamond_graph()),
-        elementary_symmetric(4, 2),
-        vertex_matching_polynomial(complete_graph(4)),
+        _spanning_tree_polynomial(complete_graph(3)),
+        _spanning_tree_polynomial(diamond_graph()),
+        _elementary_symmetric(4, 2),
     ]
     for p in cases:
         assert stability_test(p, trials=150, seed=7).passed
 
 
-def test_vamos_stability_smoke():
-    assert stability_test(vamos_polynomial(), trials=40, seed=11).passed
-
-
 def test_closure_preserves_stability_on_fixtures():
-    p = spanning_tree_polynomial(complete_graph(3))
-    q = elementary_symmetric(3, 1)
+    p = _spanning_tree_polynomial(complete_graph(3))
+    q = _elementary_symmetric(3, 1)
     assert stability_test(p * q, trials=100, seed=5).passed
     assert stability_test(p.substitute(0, 2), trials=100, seed=5).passed
     assert stability_test(one_minus_c_d2(p, 1, Fraction(1, 2)), trials=100, seed=5).passed
 
 
 def test_degree_bookkeeping():
-    p = spanning_tree_polynomial(complete_graph(3))
-    q = elementary_symmetric(3, 2)
+    p = _spanning_tree_polynomial(complete_graph(3))
+    q = _elementary_symmetric(3, 2)
     assert (p * q).total_degree() == p.total_degree() + q.total_degree()
     r = one_minus_c_d2(p * q, 0, Fraction(1, 2))
     assert r.total_degree() <= (p * q).total_degree()
 
 
 def test_psd_mixture_determinant_stability():
+    # det(x I + sum_i z_i u_i u_i^T), a determinant of a PSD mixture, is real
+    # stable; linear_restriction_multipoly builds it from the rank-1 vectors.
     rng = random.Random(12)
-    mats = []
-    for _ in range(3):
-        b = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-        a = [[sum(b[r][k] * b[c][k] for k in range(3)) for c in range(3)] for r in range(3)]
-        mats.append(a)  # B B^T is PSD
-    p = psd_mixture_determinant(mats)
+    h = determinant(3)
+    vectors = [h.vec_outer(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)))
+               for _ in range(3)]
+    p = linear_restriction_multipoly(h, vectors)
     assert not p.is_zero
     assert stability_test(p, trials=120, seed=13).passed
 
 
 def test_multivariate_matching_is_not_real_stable():
-    # Single-edge graph gives x1 x2 - w^2, a Lorentz form; the all-ones line
-    # collapses it to the zero polynomial, an exact refutation.
-    p = multivariate_matching_polynomial(path_graph(2))
-    assert p.terms == {(1, 1, 0): 1, (0, 0, 2): -1}
+    # The multivariate matching polynomial of a single edge, x1 x2 - w^2, is a
+    # Lorentz form; the all-ones line collapses it to the zero polynomial, an
+    # exact refutation.
+    p = MultiPoly(3, {(1, 1, 0): 1, (0, 0, 2): -1})
     verdict = stability_test(p, trials=300, seed=2)
     assert not verdict.passed

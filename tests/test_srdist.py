@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from hyperdisc.errors import DisconnectedGraph
 from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
 from hyperdisc.hyperbolic import hyperbolic_trace, spectrum
-from hyperdisc.realstable import stability_test
 from hyperdisc.srdist import (
     SRDistribution,
-    condition_element,
     effective_resistance_family,
     marginal_via_enum,
     marginal_via_formula,
     max_marginal,
-    product_distribution,
     uniform_spanning_tree,
 )
+from stability_oracle import stability_test
 
 K3 = complete_graph(3)
 
@@ -37,11 +35,10 @@ def test_ust_k3():
 def test_ust_diamond_matches_fixture_monomials():
     mu = uniform_spanning_tree(diamond_graph())
     assert len(mu.support) == 8
-    from hyperdisc.realstable import spanning_tree_polynomial
-    poly = spanning_tree_polynomial(diamond_graph())
-    got = {frozenset(elems) for elems, _ in mu.support}
-    expect = {frozenset(i for i, e in enumerate(exps) if e) for exps in poly.terms}
-    assert got == expect
+    # Edge indices 0=ab 1=ac 2=bd 3=cd 4=bc.
+    expect = {(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2),
+              (1, 2, 4), (0, 3, 4), (1, 3, 4), (0, 2, 4)}
+    assert {elems for elems, _ in mu.support} == expect
 
 
 def test_ust_path_is_point_mass():
@@ -72,6 +69,15 @@ def test_marginal_formula_k3():
     mu = uniform_spanning_tree(K3)
     assert marginal_via_formula(mu, {0}, 1, Fraction(1)) == Fraction(2, 3)
     assert marginal_via_formula(mu, set(), 0, Fraction(2)) == 1
+
+
+def test_marginal_formula_int_x0_is_exact():
+    mu = uniform_spanning_tree(K3)
+    for x0 in (3, 1, -2):
+        got = marginal_via_formula(mu, {0}, {0}, x0)
+        assert isinstance(got, Fraction) and got == Fraction(2, 3)
+    for s in (set(), {0}, {1}, {0, 1}):
+        assert marginal_via_formula(mu, s, 2, 2) == marginal_via_enum(mu, s, 2)
 
 
 def test_marginal_formula_diamond_edge5():
@@ -125,16 +131,23 @@ def test_marginals_sum_to_one():
 
 
 def test_marginal_formula_on_products_and_conditionings():
+    # Independent unions on disjoint ground sets and conditionings on one
+    # element keep a distribution homogeneous SR.
     rng = random.Random(31)
     base1 = uniform_spanning_tree(K3)
     base2 = uniform_spanning_tree(path_graph(3))
+    product = SRDistribution.from_support(base1.n + base2.n, [
+        (e1 + tuple(x + base1.n for x in e2), p1 * p2)
+        for e1, p1 in base1.support for e2, p2 in base2.support])
     for trial in range(8):
-        mu = product_distribution(base1, base2)
+        mu = product
         if rng.random() < 0.5:
             i = rng.randrange(mu.n)
             present = rng.random() < 0.5
-            if any((i in elems) == present for elems, _ in mu.support):
-                mu = condition_element(mu, i, present)
+            kept = [(elems, p) for elems, p in mu.support if (i in elems) == present]
+            if kept:
+                total = sum(p for _, p in kept)
+                mu = SRDistribution.from_support(mu.n, [(e, p / total) for e, p in kept])
         k = rng.randint(0, min(mu.n, 4))
         for mask in range(1 << k):
             s = {i for i in range(k) if mask >> i & 1}
