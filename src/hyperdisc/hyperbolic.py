@@ -126,6 +126,22 @@ class DeterminantInstance(HyperbolicInstance):
             return UniPoly.from_coeffs(char_poly_exact(neg), RATIONAL)
         return self._interp_restrict(base, dirv)
 
+    def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
+        """Ascending coefficients of t -> h(base + t e), one row per float
+        base in the stack: bit for bit what restrict_line gives one base at a
+        time, from one stacked eigvalsh and np.poly's convolution unrolled
+        over the stack."""
+        count, d = len(bases), self.d
+        mats = np.empty((count, d, d))
+        for idx, (i, j) in enumerate(self._pairs):
+            mats[:, i, j] = mats[:, j, i] = bases[:, idx]
+        eigs = np.linalg.eigvalsh(mats)
+        desc = np.zeros((count, d + 1))  # np.poly(-eigs), row by row
+        desc[:, 0] = 1.0
+        for k in range(d):
+            desc[:, 1:k + 2] = desc[:, 1:k + 2] + desc[:, :k + 1] * eigs[:, k:k + 1]
+        return desc[:, ::-1]
+
     def params(self) -> dict:
         return {"kind": self.kind, "mprime": self.mprime}
 

@@ -40,6 +40,12 @@ and the free c_i are independent with mean zero, so for a prefix s_1..s_l
 
 KlsFamily reads its inner nodes off the table of a_T (kls_table_node_poly);
 kls_node_poly keeps the enumeration as the reference route.
+
+Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
+one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
+per support set, each computed once.  A prefix's node is the sum of the
+rows whose set agrees with it, added in support order from 0, which is the
+order the per-set sum takes, so both give the same floats.
 """
 
 from __future__ import annotations
@@ -50,9 +56,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import EmptyBranch, RankTooHigh, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
+    DeterminantInstance,
     HyperbolicInstance,
     cone_membership,
     derivative_restriction,
@@ -63,11 +72,12 @@ from .hyperbolic import (
     subsets_up_to,
 )
 from .realstable import MultiPoly
-from .scalars import RATIONAL, coerce
+from .scalars import FLOAT, RATIONAL, coerce
 from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
 from .unipoly import UniPoly, max_real_root, real_roots
 
 MAX_BRANCHES = 4096  # enumeration guardrail; exceeding raises, never approximates
+LEAF_CHUNK = 256  # support sets per batched leaf pass; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -177,15 +187,37 @@ class KlsInstance:
         return tuple(w)
 
 
+@dataclass(frozen=True, eq=False)
+class LeafTable:
+    """The leaves of the subset family, one row per support set, in support
+    order.
+
+    members[r, i] says whether element i is in set r.  rows[r] holds the
+    ascending coefficients of mu(S) * h(xe - sum_{i in S} v_i): a float64
+    array for float determinant instances, a tuple of UniPoly otherwise.
+    """
+
+    members: np.ndarray
+    rows: object
+
+    def agreeing(self, partial) -> np.ndarray:
+        """Which support sets agree with a 0/1 membership prefix."""
+        bits = np.asarray(partial, dtype=bool)
+        return (self.members[:, :len(bits)] == bits).all(axis=1)
+
+
 @dataclass(frozen=True)
 class SrInstance:
-    """Subset-selection instance: SR distribution plus isotropic rank-1 vectors."""
+    """Subset-selection instance: SR distribution plus isotropic rank-1 vectors.
+
+    eps1, eps2 and the leaf table are computed on first use, so loading a
+    file computes no marginal and no restriction; the search reads only the
+    table.
+    """
 
     h: HyperbolicInstance
     mu: SRDistribution
     vectors: tuple
-    eps1: float
-    eps2: float
 
     @staticmethod
     def build(h: HyperbolicInstance, mu: SRDistribution, vectors,
@@ -207,9 +239,53 @@ class SrInstance:
             err = max(abs(t - float(e)) for t, e in zip(total, h.e))
             if err > 1e-8:
                 raise ValueError(f"vectors sum to e only within {err:.2e}")
-        eps1 = float(max_marginal(mu))
-        eps2 = max(float(hyperbolic_trace(h, v)) for v in vectors)
-        return SrInstance(h, mu, vectors, eps1, eps2)
+        return SrInstance(h, mu, vectors)
+
+    @functools.cached_property
+    def eps1(self) -> float:
+        """Largest single-element marginal."""
+        return float(max_marginal(self.mu))
+
+    @functools.cached_property
+    def eps2(self) -> float:
+        """Largest hyperbolic trace of a vector."""
+        return max(float(hyperbolic_trace(self.h, v)) for v in self.vectors)
+
+    @functools.cached_property
+    def leaf_table(self) -> LeafTable:
+        """Batched for float determinant instances, the files gen --kind
+        sr-ust writes; one restriction per support set otherwise."""
+        support = self.mu.support
+        members = np.zeros((len(support), self.n), dtype=bool)
+        for r, (elems, _) in enumerate(support):
+            members[r, list(elems)] = True
+        if (isinstance(self.h, DeterminantInstance) and self.mu.d_mu > 0
+                and all(isinstance(c, float) for v in self.vectors for c in v)):
+            return LeafTable(members, self._determinant_leaf_rows())
+        rows = tuple(self.h.restrict_line(tuple(-c for c in self.subset_sum(elems)),
+                                          self.h.e).scale(prob)
+                     for elems, prob in support)
+        return LeafTable(members, rows)
+
+    def _determinant_leaf_rows(self) -> np.ndarray:
+        """The float determinant leaf rows in batches of LEAF_CHUNK sets.
+
+        Each set's vectors are summed in element order from 0.0 and every
+        row is scaled by float(mu(S)), as subset_sum, restrict_line and
+        UniPoly.scale do one set at a time, so the rows are the same floats.
+        """
+        vecs = np.array(self.vectors)
+        elems = np.array([e for e, _ in self.mu.support], dtype=np.intp)
+        probs = np.array([float(p) for _, p in self.mu.support])
+        rows = np.empty((len(elems), self.h.d + 1))
+        for lo in range(0, len(elems), LEAF_CHUNK):
+            chunk = elems[lo:lo + LEAF_CHUNK]
+            w = np.zeros((len(chunk), self.h.m))
+            for col in chunk.T:
+                w = w + vecs[col]
+            rows[lo:lo + len(chunk)] = (probs[lo:lo + len(chunk), None]
+                                        * self.h.restrict_e_rows(-w))
+        return rows
 
     @staticmethod
     def from_graph(graph: Graph, exact: bool = False) -> "SrInstance":
@@ -357,20 +433,21 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
 
 
 def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
-    """Conditional polynomial for a 0/1 membership prefix (root for ())."""
-    ell = len(partial)
-    acc = UniPoly.zero(RATIONAL)
-    found = False
-    for elems, prob in inst.mu.support:
-        chosen = set(elems)
-        if any((i in chosen) != bool(partial[i]) for i in range(ell)):
-            continue
-        found = True
-        w = inst.subset_sum(elems)
-        rest = inst.h.restrict_line(tuple(-c for c in w), inst.h.e)
-        acc = acc + rest.scale(prob)
-    if not found:
+    """Conditional polynomial for a 0/1 membership prefix (root for ()): the
+    leaf-table rows of the agreeing support sets, added in support order
+    from 0."""
+    table = inst.leaf_table
+    hits = table.agreeing(partial)
+    if not hits.any():
         raise EmptyBranch(f"no support set extends prefix {partial!r}")
+    if isinstance(table.rows, np.ndarray):
+        # cumsum adds row by row; + 0.0 gives the 0.0 that a sum started at 0
+        # leaves where cumsum keeps a -0.0.
+        total = np.cumsum(table.rows[hits], axis=0)[-1] + 0.0
+        return UniPoly.from_coeffs(total.tolist(), FLOAT)
+    acc = UniPoly.zero(RATIONAL)
+    for row in itertools.compress(table.rows, hits):
+        acc = acc + row
     return acc
 
 
@@ -504,12 +581,7 @@ class AgFamily:
         return ag_node_poly(self.inst, tuple(prefix))
 
     def feasible(self, prefix) -> bool:
-        ell = len(prefix)
-        for elems, _ in self.inst.mu.support:
-            chosen = set(elems)
-            if all((i in chosen) == bool(prefix[i]) for i in range(ell)):
-                return True
-        return False
+        return bool(self.inst.leaf_table.agreeing(prefix).any())
 
     def root_max_root(self) -> float:
         return max_real_root(self.node_poly(()))

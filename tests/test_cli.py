@@ -5,8 +5,9 @@ import json
 import pytest
 
 from hyperdisc.cli import main
-from hyperdisc.serialize import instance_from_json
-from hyperdisc.mixedchar import kls_node_poly, kls_operator_form
+from hyperdisc.serialize import dumps, instance_from_json
+from hyperdisc.mixedchar import AgFamily, kls_node_poly, kls_operator_form
+from hyperdisc.solver import brute_force
 
 
 def run(capsys, *argv) -> tuple:
@@ -43,6 +44,59 @@ def test_loading_a_kls_file_computes_no_char_poly(capsys, monkeypatch):
     assert calls == []
     assert inst.sigma == blob["generator"]["sigma"]
     assert len(calls) == inst.n + 1
+
+
+def test_loading_an_sr_file_computes_no_marginal(capsys, monkeypatch):
+    # eps1, eps2 and the leaf table are computed on first use, not on every load.
+    from hyperdisc import mixedchar
+    from hyperdisc.hyperbolic import DeterminantInstance
+
+    _, out = run(capsys, "gen", "--kind", "sr-ust", "--graph", "k4")
+    blob = json.loads(out)
+    calls = []
+    marginal = mixedchar.max_marginal
+    restrict = DeterminantInstance.restrict_line
+    monkeypatch.setattr(mixedchar, "max_marginal",
+                        lambda mu: calls.append("marginal") or marginal(mu))
+    monkeypatch.setattr(DeterminantInstance, "restrict_line",
+                        lambda h, base, dirv: calls.append("restrict") or restrict(h, base, dirv))
+    inst, _ = instance_from_json(blob)
+    assert calls == []
+    assert (inst.eps1, inst.eps2) == (blob["generator"]["eps1"], blob["generator"]["eps2"])
+    assert calls == ["marginal"] + ["restrict"] * inst.n
+
+
+# The float node sums are order-sensitive in their last bits; these outputs
+# pin the order (support order, from 0) without running the benchmark.
+SR_BLOCKED_STDOUT = {
+    "k4": {"assignment": [0, 1, 1, 0, 1, 0], "bound": 1.3502760634161082,
+           "certified": 0.8535533905932738, "estimate": 1.0, "oracle_calls": 9, "seed": 0},
+    "diamond": {"assignment": [0, 1, 0, 1, 1], "bound": 1.5000000000000004,
+                "certified": 0.9999999999999994, "estimate": 1.1456439237389595,
+                "oracle_calls": 7, "seed": 0},
+}
+# (brute assignment, brute norm, root-node largest root): what solve --method
+# brute prints as assignment, certified and bound.
+SR_BRUTE_VALUES = {
+    "k4": ((1, 0, 1, 1, 0, 0), 0.8535533905932735, 0.9001840422774054),
+    "diamond": ((0, 1, 1, 0, 1), 0.9999999999999996, 1.0000000000000002),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(SR_BLOCKED_STDOUT))
+def test_sr_solve_outputs_are_pinned(capsys, tmp_path, graph):
+    path = tmp_path / "sr.json"
+    assert main(["gen", "--kind", "sr-ust", "--graph", graph, "--out", str(path)]) == 0
+    code, out = run(capsys, "solve", str(path), "--method", "blocked")
+    assert code == 0
+    assert out == dumps(SR_BLOCKED_STDOUT[graph])
+    # solve --method brute hands brute_force the file kind "sr", which it
+    # rejects (ROADMAP item 1); the values it would print are pinned instead.
+    with pytest.raises(ValueError, match="kind must be"):
+        main(["solve", str(path), "--method", "brute"])
+    inst, _ = instance_from_json(json.loads(path.read_text()))
+    assignment, value = brute_force(inst, "ag")
+    assert (assignment, value, AgFamily(inst).root_max_root()) == SR_BRUTE_VALUES[graph]
 
 
 def test_gen_invalid_params(capsys):

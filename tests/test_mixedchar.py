@@ -1,22 +1,26 @@
 """Node polynomials, operator-form collapses, interlacing, descent."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperdisc.errors import EmptyBranch, RankTooHigh, TooLarge, ValueNotInSupport
-from hyperdisc.graphs import complete_graph, diamond_graph
+from hyperdisc.errors import EmptyBranch, HyperdiscError, RankTooHigh, TooLarge, ValueNotInSupport
+from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import (
     determinant,
     lorentz,
     mixed_derivative_table,
     rank1_product_derivative,
 )
-from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
+from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import (
     AgFamily,
     KlsFamily,
@@ -405,3 +409,115 @@ def test_search_same_with_table_and_enumeration():
         fast = kadison_singer_search(KlsFamily(inst), cfg)
         slow = kadison_singer_search(_EnumeratedFamily(inst), cfg)
         assert dataclasses.replace(fast, wall_time=0.0) == dataclasses.replace(slow, wall_time=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Subset family: the leaf table against one restriction per support set.
+# ---------------------------------------------------------------------------
+
+def _graph(spec: str):
+    if spec.startswith("random:"):
+        _, nv, ne, seed = spec.split(":")
+        return random_connected_graph(int(nv), int(ne), int(seed))
+    return named_graph(spec)
+
+
+def _per_set_leaves(inst) -> list:
+    """mu(S) * h(xe - sum_{i in S} v_i), one restriction per support set."""
+    return [inst.h.restrict_line(tuple(-c for c in inst.subset_sum(elems)), inst.h.e).scale(prob)
+            for elems, prob in inst.mu.support]
+
+
+def _per_set_node(inst, leaves, prefix):
+    """The leaves of the sets that agree with the prefix, added in support
+    order from 0; None when no set agrees (the set rule of feasibility)."""
+    acc, found = UniPoly.zero(), False
+    for (elems, _), leaf in zip(inst.mu.support, leaves):
+        if all((i in elems) == bool(bit) for i, bit in enumerate(prefix)):
+            acc, found = acc + leaf, True
+    return acc if found else None
+
+
+class _RecordingFamily(AgFamily):
+    """Remembers every prefix the search tests or scores."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.prefixes = []
+
+    def feasible(self, prefix):
+        self.prefixes.append(tuple(prefix))
+        return super().feasible(prefix)
+
+    def node_poly(self, prefix):
+        self.prefixes.append(tuple(prefix))
+        return super().node_poly(prefix)
+
+
+def _prefixes(inst, seed, count: int = 20) -> list:
+    """The prefixes a blocked search visits, then random ones: prefixes of a
+    support set's membership vector and arbitrary 0/1 tuples."""
+    family = _RecordingFamily(inst)
+    # Sparse graphs raise NotRealRooted at the root bound, after the search.
+    with contextlib.suppress(HyperdiscError):
+        kadison_singer_search(family, SolverConfig(delta=0.5))
+    rng = random.Random(seed)
+    out = [()] + family.prefixes
+    for _ in range(count):
+        elems = rng.choice(inst.mu.support)[0]
+        ell = rng.randrange(inst.n + 1)
+        out.append(tuple(int(i in elems) for i in range(ell)))
+        out.append(tuple(rng.randrange(2) for _ in range(rng.randrange(inst.n + 1))))
+    return list(dict.fromkeys(out))
+
+
+def _assert_table_matches_per_set_sum(inst, prefixes):
+    leaves = _per_set_leaves(inst)
+    family = AgFamily(inst)
+    for prefix in prefixes:
+        expect = _per_set_node(inst, leaves, prefix)
+        assert family.feasible(prefix) == (expect is not None), prefix
+        if expect is None:
+            with pytest.raises(EmptyBranch):
+                ag_node_poly(inst, prefix)
+            continue
+        got = ag_node_poly(inst, prefix)
+        # Float ==, so each coefficient is the same binary64 value.
+        assert (got.backend, got.coeffs) == (expect.backend, expect.coeffs), prefix
+
+
+@pytest.mark.parametrize("spec", ["c4", "k4", "k5", "diamond", "random:7:14:1",
+                                  "random:9:16:1"])
+def test_ag_node_poly_equals_the_per_set_sum(spec):
+    inst = SrInstance.from_graph(_graph(spec))
+    assert isinstance(inst.leaf_table.rows, np.ndarray)  # the batched route
+    _assert_table_matches_per_set_sum(inst, _prefixes(inst, spec))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 6), st.integers(0, 10**6))
+def test_ag_node_poly_equals_the_per_set_sum_on_generated_graphs(nv, extra, seed):
+    max_edges = nv * (nv - 1) // 2
+    graph = random_connected_graph(nv, min(nv - 1 + extra, max_edges), seed)
+    inst = SrInstance.from_graph(graph)
+    _assert_table_matches_per_set_sum(inst, _prefixes(inst, seed, count=8))
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "diamond"])
+def test_exact_ag_node_poly_equals_the_per_set_sum(name):
+    inst = SrInstance.from_graph(named_graph(name), exact=True)
+    assert not isinstance(inst.leaf_table.rows, np.ndarray)  # one restriction per set
+    prefixes = [p for ell in range(inst.n + 1) for p in itertools.product((0, 1), repeat=ell)]
+    _assert_table_matches_per_set_sum(inst, prefixes)
+    assert all(isinstance(c, Fraction) for c in ag_node_poly(inst).coeffs)
+
+
+def test_blocked_search_builds_the_leaf_table_once(monkeypatch):
+    builds = []
+    real = SrInstance._determinant_leaf_rows
+    monkeypatch.setattr(SrInstance, "_determinant_leaf_rows",
+                        lambda self: builds.append(1) or real(self))
+    inst = SrInstance.from_graph(complete_graph(5))
+    result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.5))
+    assert result.oracle_calls > 1
+    assert len(builds) == 1
