@@ -1,72 +1,83 @@
-"""Small exact linear-algebra helpers over Fraction matrices.
+"""Exact linear algebra over rational matrices, computed with Python ints.
 
-Desk-scale only (matrices up to ~8x8); numpy handles the float lane.
+Each matrix is scaled once by the lcm D of its entries' denominators; the
+elimination and the Faddeev-LeVerrier recurrence then run over ints, and
+each result is divided by its power of D once, at the end.  Entries may be
+ints or Fractions; the results are Fractions.  numpy handles the float lane.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
+def _integer_rows(rows: list) -> tuple:
+    """(D * rows as lists of ints, D) for the lcm D of the entries' denominators."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
 def det_exact(rows: list) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
+    """Determinant by Bareiss fraction-free elimination with row pivoting.
+
+    Every division in the elimination is exact (Bareiss 1968), so the
+    entries stay ints; det(rows) = det(D * rows) / D^n.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
+    a, scale = _integer_rows(rows)
+    sign, prev = 1, 1
+    for col in range(n - 1):
+        if a[col][col] == 0:
+            pivot = next((r for r in range(col + 1, n) if a[r][col] != 0), None)
+            if pivot is None:
+                return Fraction(0)
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
+            sign = -sign
+        top = a[col]
+        pivot_value = top[col]
         for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+            row = a[r]
+            lead = row[col]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * pivot_value - lead * top[c]) // prev
+        prev = pivot_value
+    det = sign * a[n - 1][n - 1] if n else 1
+    return Fraction(det, scale ** n)
 
 
 def char_poly_exact(rows: list) -> list:
     """Coefficients of det(tI - B), ascending in t, via Faddeev-LeVerrier.
 
-    Works for general (non-symmetric) square matrices; exact over Fractions.
+    Works for general (non-symmetric) square matrices.  The recurrence runs
+    on the integer matrix D * B, whose characteristic coefficients are
+    D^k c_k; they are ints, so the division of the trace by k is exact.
     """
     n = len(rows)
-    b = [[Fraction(x) for x in row] for row in rows]
-    coeffs_desc = [Fraction(1)]  # c_0 = 1, then c_1..c_n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    b, scale = _integer_rows(rows)
+    coeffs_desc = [1]  # D^k c_k for k = 0..n
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         # M_k = B (M_{k-1} + c_{k-1} I)
-        shifted = [row[:] for row in m]
         for i in range(n):
-            shifted[i][i] += coeffs_desc[-1]
-        m = _matmul(b, shifted)
-        ck = -sum(m[i][i] for i in range(n)) / k
-        coeffs_desc.append(ck)
+            m[i][i] += coeffs_desc[-1]
+        m = _matmul(b, m)
+        coeffs_desc.append(-sum(m[i][i] for i in range(n)) // k)
     # det(tI - B) = t^n + c_1 t^{n-1} + ... + c_n
-    return list(reversed(coeffs_desc))
+    return [Fraction(c, scale ** k) for k, c in reversed(list(enumerate(coeffs_desc)))]
 
 
 def _matmul(a: list, b: list) -> list:
     n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         ai = a[i]
+        row = out[i]
         for k in range(n):
             x = ai[k]
             if x == 0:
                 continue
             bk = b[k]
-            row = out[i]
             for j in range(n):
                 row[j] += x * bk[j]
     return out

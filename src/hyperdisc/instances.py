@@ -1,4 +1,4 @@
-"""Seeded builders for desk-scale problem instances.
+"""Seeded builders for problem instances.
 
 All randomness is drawn from string-seeded streams so that a (kind, seed)
 pair reproduces the same instance on any platform.  Rational data is used
@@ -54,11 +54,14 @@ def _variable_list(n: int, kinds: str, rng: random.Random) -> list:
 
 
 def gen_kls_det(n: int, mprime: int, seed: int, variables: str = "mixed") -> KlsInstance:
-    """Determinant instance from random small-integer rank-1 generators."""
+    """Determinant instance from random small-integer rank-1 generators.
+
+    Any n is accepted: the blocked search reads its nodes off the integer
+    coefficient table, whose size grows like n^mprime, not 2^n.  Brute
+    force keeps its own cap (solver.MAX_BRUTE_BRANCHES).
+    """
     if n < 1 or mprime < 1:
         raise InvalidParams("need n >= 1 and mprime >= 1")
-    if 2 ** n > MAX_BRANCHES * 4:
-        raise InvalidParams(f"n = {n} is beyond desk scale")
     rng = random.Random(f"kls-det:{seed}")
     h = determinant(mprime)
     gens = []

@@ -39,7 +39,15 @@ and the free c_i are independent with mean zero, so for a prefix s_1..s_l
     P_F(x) = sum_{A subset prefix, |F|+|A| <= d} c^A a_{F u A} x^(d-|F|-|A|).
 
 KlsFamily reads its inner nodes off the table of a_T (kls_table_node_poly);
-kls_node_poly keeps the enumeration as the reference route.
+kls_node_poly keeps the enumeration as the reference route.  The table is
+kept over ints (KlsTable).  With D the lcm of the vector entries'
+denominators, the vectors D v_i are integral and b_T = D^|T| a_T is the
+table of a_T for them.  With L chosen so that every L c_i and L^2 tau_i^2
+is an int, the coefficient of x^(d-j) in P_F is R_F[j] L^|F| / (L D)^j,
+where R_F[j] sums the ints (L c)^A b_{F u A}; each term tau_F^2 P_F P_F
+then carries (L^2 tau^2)^F over (L D)^k, so the node's coefficient of
+x^(2d-k) is Pr[prefix] N_k / (L D)^k for an int N_k.  Only these 2d+1
+quotients are Fractions.
 
 Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
 one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
@@ -53,7 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -105,11 +113,11 @@ class RandomVar:
     def rademacher() -> "RandomVar":
         return RandomVar((Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(1, 2)))
 
-    @property
+    @functools.cached_property
     def mean(self):
         return sum(s * p for s, p in zip(self.support, self.probs))
 
-    @property
+    @functools.cached_property
     def variance(self):
         mu = self.mean
         return sum(p * (s - mu) * (s - mu) for s, p in zip(self.support, self.probs))
@@ -199,11 +207,20 @@ class LeafTable:
 
     members: np.ndarray
     rows: object
+    _last: list = field(default_factory=lambda: [None, None], repr=False)
 
     def agreeing(self, partial) -> np.ndarray:
-        """Which support sets agree with a 0/1 membership prefix."""
-        bits = np.asarray(partial, dtype=bool)
-        return (self.members[:, :len(bits)] == bits).all(axis=1)
+        """Which support sets agree with a 0/1 membership prefix.
+
+        The last prefix's answer is kept: the search asks whether a prefix
+        is feasible and then for its node, and both need the same rows.
+        The returned array is shared, so callers must not modify it.
+        """
+        key = tuple(partial)
+        if self._last[0] != key:
+            bits = np.asarray(key, dtype=bool)
+            self._last[:] = [key, (self.members[:, :len(bits)] == bits).all(axis=1)]
+        return self._last[1]
 
 
 @dataclass(frozen=True)
@@ -367,42 +384,91 @@ def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     return acc
 
 
-def kls_table_node_poly(inst: KlsInstance, table: dict, partial=()) -> UniPoly:
-    """kls_node_poly(inst, partial), read off the table of
-    hyperbolic.mixed_derivative_table(inst.h, inst.vectors).
+@dataclass(frozen=True, eq=False)
+class KlsTable:
+    """The signed family's coefficient table over ints (module docstring).
+
+    entries[T] = E D^|T| a_T for every |T| <= d, keyed by bitmask in
+    increasing order; centered[i] maps each support value s of variable i
+    to L (s - mu_i), and variances[i] is L^2 tau_i^2.  E, the lcm of the
+    denominators of the table of the D v_i, is 1 unless h itself has
+    non-integer coefficients.  scale is L D, and denominator is E^2.
+    """
+
+    entries: dict
+    centered: tuple
+    variances: tuple
+    scale: int
+    denominator: int
+
+    @staticmethod
+    def build(inst: KlsInstance) -> "KlsTable":
+        """From hyperbolic.mixed_derivative_table on the integer vectors
+        D v_i; raises RankTooHigh as it does.  The vectors and the
+        variables must be exact."""
+        vec_scale = math.lcm(*(c.denominator for v in inst.vectors for c in v))
+        vectors = [tuple(c.numerator * (vec_scale // c.denominator) for c in v)
+                   for v in inst.vectors]
+        table = mixed_derivative_table(inst.h, vectors)
+        outer = math.lcm(*(b.denominator for b in table.values()))
+        entries = {mask: b.numerator * (outer // b.denominator) for mask, b in table.items()}
+        # L0 clears the centered values; L = L0 m, with m clearing every
+        # L0^2 tau_i^2, makes L^2 tau_i^2 = m^2 L0^2 tau_i^2 an int too.
+        centered = [{s: s - var.mean for s in var.support} for var in inst.variables]
+        base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
+        var_scale = base * math.lcm(*((base * base * var.variance).denominator
+                                      for var in inst.variables))
+        return KlsTable(
+            entries,
+            tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered),
+            tuple(int(var_scale * var_scale * var.variance) for var in inst.variables),
+            var_scale * vec_scale,
+            outer * outer,
+        )
+
+
+def kls_table_node_poly(inst: KlsInstance, table: KlsTable, partial=()) -> UniPoly:
+    """kls_node_poly(inst, partial), read off the integer table
+    KlsTable.build(inst).
 
     With P_F as in the module docstring, the coefficient of x^(2d-k) is
     Pr[prefix] * sum_F tau_F^2 sum_{j+j'=k} (-1)^j' P_F[j] P_F[j'], where
-    P_F[j] is the coefficient of x^(d-j) in P_F.  The cost is linear in the
+    P_F[j] is the coefficient of x^(d-j) in P_F.  The sums run over ints
+    (R_F in place of P_F, L^2 tau^2 in place of tau^2), and each of the 2d+1
+    sums is divided by its power of L D once.  The cost is linear in the
     table; no completion is enumerated and no line restriction is taken.
     """
     prefix_prob = _prefix_prob(inst, partial)
     d = inst.h.d
     fixed = (1 << len(partial)) - 1
-    # products[U] = prod_{i in U} factor_i, which is c^A on the prefix and
-    # tau_F^2 on the free variables.  The table's masks ascend and are closed
-    # under taking subsets, so U minus its lowest bit always comes first.
-    factor = ([s - var.mean for s, var in zip(partial, inst.variables)]
-              + [var.variance for var in inst.variables[len(partial):]])
+    # products[U] = prod_{i in U} factor_i, which is (L c)^A on the prefix
+    # and (L^2 tau^2)^F on the free variables.  The table's masks ascend and
+    # are closed under taking subsets, so U minus its lowest bit always
+    # comes first.
+    factor = ([cent[s] for s, cent in zip(partial, table.centered)]
+              + list(table.variances[len(partial):]))
+    entries = table.entries
     products = {}
-    for mask in table:
+    for mask in entries:
         low = mask & -mask
         products[mask] = products[mask ^ low] * factor[low.bit_length() - 1] if mask else 1
-    rows: dict = {}  # free subset F -> [P_F[0], ..., P_F[d]]
-    for mask, a_t in table.items():
+    rows: dict = {}  # free subset F -> [R_F[0], ..., R_F[d]]
+    for mask, b_t in entries.items():
         free = mask & ~fixed
-        if a_t != 0 and products[free] != 0:
+        if b_t and products[free]:
             row = rows.setdefault(free, [0] * (d + 1))
-            row[mask.bit_count()] += products[mask & fixed] * a_t
-    coeffs = [0] * (2 * d + 1)
+            row[mask.bit_count()] += products[mask & fixed] * b_t
+    sums = [0] * (2 * d + 1)  # sums[k] = N_k
     for free, row in rows.items():
-        terms = [(j, c) for j, c in enumerate(row) if c != 0]
+        terms = [(j, c) for j, c in enumerate(row) if c]
         for j, cj in terms:
             weighted = products[free] * cj
             for jj, cjj in terms:
                 prod = weighted * cjj
-                coeffs[2 * d - j - jj] += prod if jj % 2 == 0 else -prod
-    return UniPoly.from_coeffs([prefix_prob * c for c in coeffs], RATIONAL)
+                sums[j + jj] += prod if jj % 2 == 0 else -prod
+    return UniPoly.from_coeffs(
+        [prefix_prob * Fraction(sums[k], table.denominator * table.scale ** k)
+         for k in range(2 * d, -1, -1)], RATIONAL)
 
 
 def kls_operator_form(inst: KlsInstance) -> UniPoly:
@@ -537,20 +603,23 @@ class KlsFamily:
         """Inner nodes come from the mixed-derivative table; a full
         assignment is a single leaf, which one restriction gives faster."""
         prefix = tuple(prefix)
-        table = self._coefficient_table() if len(prefix) < self.n else None
+        table = self.coefficient_table() if len(prefix) < self.n else None
         if table is None:
             return kls_node_poly(self.inst, prefix)
         return kls_table_node_poly(self.inst, table, prefix)
 
-    def _coefficient_table(self) -> dict | None:
+    def coefficient_table(self) -> KlsTable | None:
         """The table, built on first use; None (enumerate instead) for float
-        vectors and for rank > 1 ones, which files may carry since they
+        data and for rank > 1 vectors, which files may carry since they
         load without validation."""
         if self._table is None:
             self._table = False
-            if not any(isinstance(c, float) for v in self.inst.vectors for c in v):
+            inst = self.inst
+            data = [c for v in inst.vectors for c in v] + [
+                x for var in inst.variables for x in var.support + var.probs]
+            if not any(isinstance(x, float) for x in data):
                 try:
-                    self._table = mixed_derivative_table(self.inst.h, self.inst.vectors)
+                    self._table = KlsTable.build(inst)
                 except RankTooHigh:
                     pass
         return self._table or None

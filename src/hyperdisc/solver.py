@@ -252,13 +252,19 @@ def brute_force(inst, kind: str) -> tuple:
         if count > MAX_BRUTE_BRANCHES:
             raise TooLarge(f"{count} assignments exceed {MAX_BRUTE_BRANCHES}")
         vecs = np.array([[float(c) for c in v] for v in inst.vectors])
-        means = [var.mean for var in inst.variables]
-        assignments = list(itertools.product(*[var.support for var in inst.variables]))
-        centered = np.array([[float(s - mu) for s, mu in zip(a, means)]
-                             for a in assignments])
+        # values[i, j] = float(s_j - mu_i) for the j-th support value of
+        # variable i; picks[a] holds assignment a's support indices, in
+        # lexicographic support order.
+        sizes = [len(var.support) for var in inst.variables]
+        values = np.zeros((inst.n, max(sizes)))
+        for i, var in enumerate(inst.variables):
+            values[i, :sizes[i]] = [float(s - var.mean) for s in var.support]
+        picks = np.indices(sizes).reshape(inst.n, -1).T
+        centered = values[np.arange(inst.n), picks]
         norms = _norms_batch(inst.h, centered @ vecs)
         best = int(np.argmin(norms))
-        return assignments[best], float(norms[best])
+        assignment = tuple(var.support[j] for var, j in zip(inst.variables, picks[best]))
+        return assignment, float(norms[best])
     if kind == "ag":
         vecs = np.array([[float(c) for c in v] for v in inst.vectors])
         rows = []

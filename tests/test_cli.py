@@ -179,6 +179,20 @@ def test_solve_beyond_the_enumeration_guardrail(capsys, tmp_path):
     assert results["blocked"]["certified"] >= results["brute"]["certified"] - 1e-12
 
 
+def test_gen_and_solve_past_brute_force_scale(capsys, tmp_path):
+    # 2^20 assignments: brute force refuses, the blocked search reads the
+    # integer coefficient table.
+    inst_file = tmp_path / "inst.json"
+    code = main(["gen", "--kind", "kls-det", "--n", "20", "--mprime", "3",
+                 "--variables", "rademacher", "--out", str(inst_file)])
+    assert code == 0
+    code, out = run(capsys, "solve", str(inst_file), "--method", "blocked")
+    assert code == 0
+    res = json.loads(out)
+    assert len(res["assignment"]) == 20
+    assert res["certified"] <= res["bound"]
+
+
 def test_verify_beyond_the_enumeration_guardrail(capsys, tmp_path):
     # 7,776 completions: the operator identity is checked against the
     # table root, not against an enumeration that stops at MAX_BRANCHES.

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hyperdisc.errors import EmptyBranch, HyperdiscError, RankTooHigh, TooLarge, ValueNotInSupport
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import (
+    RealStableInstance,
     determinant,
     lorentz,
     mixed_derivative_table,
@@ -25,6 +26,7 @@ from hyperdisc.mixedchar import (
     AgFamily,
     KlsFamily,
     KlsInstance,
+    KlsTable,
     RandomVar,
     SrInstance,
     ag_node_poly,
@@ -36,6 +38,7 @@ from hyperdisc.mixedchar import (
     kls_table_node_poly,
     linear_restriction_multipoly,
 )
+from hyperdisc.realstable import MultiPoly
 from hyperdisc.solver import SolverConfig, kadison_singer_search
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
@@ -354,7 +357,7 @@ def _every_prefix(inst):
 def test_table_node_poly_equals_enumeration_at_every_prefix():
     checked = 0
     for inst in _generated_instances():
-        table = mixed_derivative_table(inst.h, inst.vectors)
+        table = KlsTable.build(inst)
         for prefix in _every_prefix(inst):
             assert (kls_table_node_poly(inst, table, prefix).coeffs
                     == kls_node_poly(inst, prefix).coeffs), prefix
@@ -373,8 +376,8 @@ def test_table_entries_are_mixed_derivatives():
 
 def test_table_root_equals_operator_form():
     for inst in _generated_instances():
-        table = mixed_derivative_table(inst.h, inst.vectors)
-        assert kls_table_node_poly(inst, table).coeffs == kls_operator_form(inst).coeffs
+        assert (kls_table_node_poly(inst, KlsTable.build(inst)).coeffs
+                == kls_operator_form(inst).coeffs)
 
 
 def test_table_rejects_rank_two_vector():
@@ -395,6 +398,85 @@ def test_leaf_poly_reflection_equals_two_restrictions():
             plus = inst.h.restrict_line(w, inst.h.e)
             minus = inst.h.restrict_line(tuple(-c for c in w), inst.h.e)
             assert kls_leaf_poly(inst, assignment).coeffs == (plus * minus).coeffs
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _rational_variables(draw):
+    """Rademacher, biased, three-point, or a variable with rational support
+    values.  For the "spread" one, L^2 tau^2 needs more than the lcm of the
+    centered values' and the probabilities' denominators: that lcm is 4,
+    and 16 tau^2 = 1/2."""
+    kind = draw(st.sampled_from(["rademacher", "biased", "threepoint", "rational", "spread"]))
+    if kind == "rademacher":
+        return RADEMACHER
+    if kind == "spread":
+        return RandomVar((Fraction(0), Fraction(1, 4), Fraction(-1, 4)),
+                         (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    if kind == "biased":
+        p = Fraction(draw(st.integers(1, 7)), draw(st.sampled_from([8, 3, 5])))
+        p = min(p, Fraction(7, 8))
+        return RandomVar((Fraction(1), Fraction(-1)), (p, 1 - p))
+    if kind == "threepoint":
+        a, b = Fraction(draw(st.integers(1, 3)), 8), Fraction(draw(st.integers(1, 3)), 8)
+        return RandomVar((Fraction(-1), Fraction(draw(st.integers(0, 1))), Fraction(2)),
+                         (a, 1 - a - b, b))
+    values = draw(st.lists(_SMALL_FRACTIONS, min_size=2, max_size=3, unique=True))
+    probs = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)][:len(values)]
+    probs[0] += 1 - sum(probs)
+    return RandomVar(tuple(values), tuple(probs))
+
+
+@st.composite
+def _rational_kls_instances(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        h = determinant(draw(st.integers(1, 3)))
+        vectors = []
+        for _ in range(n):
+            u = draw(st.lists(_SMALL_FRACTIONS, min_size=h.mprime, max_size=h.mprime)
+                     .filter(any))
+            vectors.append(h.vec_outer(tuple(u)))
+    else:
+        h = lorentz(draw(st.integers(3, 4)))
+        vectors = []
+        for _ in range(n):
+            a, b, c = draw(st.sampled_from(_PYTHAGOREAN))
+            spots = draw(st.permutations(range(h.m - 1)))[:2]
+            scale = draw(st.builds(Fraction, st.integers(1, 3), st.integers(1, 5)))
+            vec = [Fraction(0)] * h.m
+            vec[spots[0]] = scale * a * draw(st.sampled_from([1, -1]))
+            vec[spots[1]] = scale * b * draw(st.sampled_from([1, -1]))
+            vec[-1] = scale * c
+            vectors.append(tuple(vec))
+    variables = [draw(_rational_variables()) for _ in range(n)]
+    return KlsInstance.build(h, vectors, variables)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_rational_kls_instances())
+def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
+    table = KlsTable.build(inst)
+    assert all(type(b) is int for b in table.entries.values())
+    for prefix in _every_prefix(inst):
+        got = kls_table_node_poly(inst, table, prefix).coeffs
+        assert all(type(c) is Fraction for c in got)
+        assert got == kls_node_poly(inst, prefix).coeffs, prefix
+
+
+def test_integer_table_clears_the_coefficients_of_h():
+    # h = x1 x2 / 2 takes non-integer values at integer points, so the table
+    # of the integer vectors needs its own denominator.
+    h = RealStableInstance(MultiPoly(2, {(1, 1): Fraction(1, 2)}), (Fraction(1), Fraction(1)))
+    biased = RandomVar((Fraction(1), Fraction(-1)), (Fraction(1, 3), Fraction(2, 3)))
+    inst = KlsInstance.build(h, [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(2, 3)),
+                                 (Fraction(3), Fraction(0))], [biased, RADEMACHER, biased])
+    table = KlsTable.build(inst)
+    assert table.denominator == 4
+    for prefix in _every_prefix(inst):
+        assert kls_table_node_poly(inst, table, prefix).coeffs == kls_node_poly(inst, prefix).coeffs
 
 
 class _EnumeratedFamily(KlsFamily):
