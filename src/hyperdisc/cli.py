@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -278,7 +279,11 @@ def cmd_bench(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it
+    (each call gets a fresh namespace), and building it costs about a
+    millisecond, which small solves would otherwise pay on every main."""
     parser = argparse.ArgumentParser(
         prog="hyperdisc",
         description="Hyperbolic spectral discrepancy: instances, search, verification")

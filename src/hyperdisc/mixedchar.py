@@ -46,8 +46,22 @@ table of a_T for them.  With L chosen so that every L c_i and L^2 tau_i^2
 is an int, the coefficient of x^(d-j) in P_F is R_F[j] L^|F| / (L D)^j,
 where R_F[j] sums the ints (L c)^A b_{F u A}; each term tau_F^2 P_F P_F
 then carries (L^2 tau^2)^F over (L D)^k, so the node's coefficient of
-x^(2d-k) is Pr[prefix] N_k / (L D)^k for an int N_k.  Only these 2d+1
-quotients are Fractions.
+x^(2d-k) is Pr[prefix] N_k / (L D)^k for an int N_k.
+
+R_F is computed by folding the prefix into the table (kls_fold): with C
+the coordinates folded so far and U ranging over the rest,
+
+    G[U][j] = sum_{A subset C, |U|+|A| = j} (L c)^A b_{U u A},
+
+so G is the table itself for C empty, and R_F[j] = G[F][j] once the whole
+prefix is folded.  Folding more values into G only adds them to A, so a
+prefix can be folded in pieces: the search folds each committed round once
+(KlsFamily.commit), and every oracle call of the next round folds just its
+block into that G, which spans the uncommitted coordinates alone.  The
+oracle then stays in ints: Pr[prefix] and E^2 cancel from the monic
+coefficients N_j / (N_0 (L D)^j) (KlsFamily.scaled_top_coeffs).  Only
+kls_table_node_poly, the route of the root bound, builds the 2d+1
+Fractions.
 
 Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
 one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
@@ -143,6 +157,8 @@ class KlsInstance:
         variables = tuple(variables)
         if len(vectors) != len(variables):
             raise ValueError("need one random variable per vector")
+        if not vectors:
+            raise ValueError("need at least one vector")
         for v in vectors:
             h.check_dim(v)
         if validate:
@@ -186,13 +202,52 @@ class KlsInstance:
         vecs = tuple(tuple(factor * c for c in v) for v in self.vectors)
         return KlsInstance.build(self.h, vecs, self.variables, validate=False)
 
+    @functools.cached_property
+    def integer_data(self) -> tuple | None:
+        """(D, L, vectors, centered) for exact data, None for float data.
+
+        D is the lcm of the vector entries' denominators and vectors holds
+        the int vectors D v_i; L makes every L (s - mu_i) and L^2 tau_i^2 an
+        int, and centered[i] maps each support value s to L (s - mu_i).
+        """
+        data = [c for v in self.vectors for c in v] + [
+            x for var in self.variables for x in var.support + var.probs]
+        if any(isinstance(x, float) for x in data):
+            return None
+        vec_scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
+        vectors = tuple(tuple(c.numerator * (vec_scale // c.denominator) for c in v)
+                        for v in self.vectors)
+        # L0 clears the centered values; L = L0 m, with m clearing every
+        # L0^2 tau_i^2, makes L^2 tau_i^2 = m^2 L0^2 tau_i^2 an int too.
+        centered = [{s: s - var.mean for s in var.support} for var in self.variables]
+        base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
+        var_scale = base * math.lcm(*((base * base * var.variance).denominator
+                                      for var in self.variables))
+        return (vec_scale, var_scale, vectors,
+                tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered))
+
     def centered_sum(self, assignment) -> tuple:
-        w = [coerce(0, RATIONAL)] * self.h.m
-        for v, var, s in zip(self.vectors, self.variables, assignment):
-            c = s - var.mean
-            for idx in range(self.h.m):
-                w[idx] = w[idx] + c * v[idx]
-        return tuple(w)
+        """w = sum_i (s_i - mu_i) v_i; summed over ints for exact data."""
+        data = self.integer_data
+        if data is None:
+            w = [coerce(0, RATIONAL)] * self.h.m
+            for v, var, s in zip(self.vectors, self.variables, assignment):
+                c = s - var.mean
+                for idx in range(self.h.m):
+                    w[idx] = w[idx] + c * v[idx]
+            return tuple(w)
+        vec_scale, var_scale, vectors, centered = data
+        acc = [0] * self.h.m
+        for v, cent, s in zip(vectors, centered, assignment):
+            try:
+                c = cent[s]
+            except KeyError:
+                raise ValueNotInSupport(f"value {s!r} not in support {tuple(cent)!r}") from None
+            if c:
+                for idx, x in enumerate(v):
+                    acc[idx] += c * x
+        denom = vec_scale * var_scale
+        return tuple(Fraction(x, denom) for x in acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,72 +455,129 @@ class KlsTable:
     variances: tuple
     scale: int
     denominator: int
+    d: int
 
     @staticmethod
     def build(inst: KlsInstance) -> "KlsTable":
         """From hyperbolic.mixed_derivative_table on the integer vectors
-        D v_i; raises RankTooHigh as it does.  The vectors and the
-        variables must be exact."""
-        vec_scale = math.lcm(*(c.denominator for v in inst.vectors for c in v))
-        vectors = [tuple(c.numerator * (vec_scale // c.denominator) for c in v)
-                   for v in inst.vectors]
+        D v_i of inst.integer_data; raises RankTooHigh as it does.  The
+        vectors and the variables must be exact."""
+        if inst.integer_data is None:
+            raise ValueError("the coefficient table needs exact data")
+        vec_scale, var_scale, vectors, centered = inst.integer_data
         table = mixed_derivative_table(inst.h, vectors)
         outer = math.lcm(*(b.denominator for b in table.values()))
         entries = {mask: b.numerator * (outer // b.denominator) for mask, b in table.items()}
-        # L0 clears the centered values; L = L0 m, with m clearing every
-        # L0^2 tau_i^2, makes L^2 tau_i^2 = m^2 L0^2 tau_i^2 an int too.
-        centered = [{s: s - var.mean for s in var.support} for var in inst.variables]
-        base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
-        var_scale = base * math.lcm(*((base * base * var.variance).denominator
-                                      for var in inst.variables))
         return KlsTable(
             entries,
-            tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered),
+            centered,
             tuple(int(var_scale * var_scale * var.variance) for var in inst.variables),
             var_scale * vec_scale,
             outer * outer,
+            inst.h.d,
         )
+
+    @functools.cached_property
+    def rows(self) -> dict:
+        """The table as the rows of the empty prefix: rows[T] = [b_T]."""
+        return {mask: [b] for mask, b in self.entries.items() if b}
+
+    @functools.cached_property
+    def weights(self) -> dict:
+        """weights[F] = (L^2 tau^2)^F for every mask of the table."""
+        out = {}
+        # The masks ascend and are closed under taking subsets, so F minus
+        # its lowest bit always comes first.
+        for mask in self.entries:
+            low = mask & -mask
+            out[mask] = out[mask ^ low] * self.variances[low.bit_length() - 1] if mask else 1
+        return out
+
+
+def kls_fold(table: KlsTable, rows: dict, lo: int, values) -> dict:
+    """Substitute values for the coordinates lo, lo + 1, ... of folded rows.
+
+    rows[U][t] = G[U][|U| + t], where G[U][j] sums (L c)^A b_{U u A} over
+    the A of the coordinates below lo with |U| + |A| = j, and U ranges over
+    the coordinates from lo up.  The result is the same for the coordinates
+    from lo + len(values) up, so folding a prefix in pieces equals folding it
+    at once, and the fold of the empty prefix is table.rows.
+    """
+    if lo + len(values) > len(table.centered):
+        raise ValueError("prefix longer than the variable list")
+    try:
+        factors = [cent[s] for s, cent in zip(values, table.centered[lo:])]
+    except KeyError as exc:
+        raise ValueNotInSupport(f"value {exc.args[0]!r} not in a variable's support") from None
+    prods = [1]  # prods[a] = (L c)^a over the block's bits a
+    for f in factors:
+        prods += [p * f for p in prods]
+    shifts = [a.bit_count() for a in range(len(prods))]
+    block = (len(prods) - 1) << lo
+    width = table.d + 1
+    out: dict = {}
+    for mask, row in rows.items():
+        a = (mask & block) >> lo
+        p = prods[a]
+        if p:
+            free = mask ^ (mask & block)
+            acc = out.get(free)
+            if acc is None:
+                acc = out[free] = [0] * (width - free.bit_count())
+            if len(row) == 1:  # one entry: |U| = d, or a row of the table itself
+                acc[shifts[a]] += p * row[0]
+            else:
+                for t, v in enumerate(row, shifts[a]):
+                    acc[t] += p * v
+    return out
+
+
+def kls_node_sums(table: KlsTable, rows: dict, top: int) -> list:
+    """N_0..N_top of the node whose prefix is folded into rows.
+
+    N_k = sum_F (L^2 tau^2)^F sum_{j+j'=k} (-1)^j' R_F[j] R_F[j'], with
+    R_F[j] = rows[F][j - |F|].  Each term and its mirror cancel for odd k
+    (the node is even in x), so only even k are summed, and there
+    (-1)^j' = (-1)^j.
+    """
+    sums = [0] * (top + 1)
+    weights = table.weights
+    for free, row in rows.items():
+        w = weights[free]
+        if not w:
+            continue
+        r = free.bit_count()
+        if r % 2:
+            w = -w
+        last = len(row) - 1
+        if not last:  # |F| = d: the row is b_F alone
+            if 2 * r <= top:
+                sums[2 * r] += w * row[0] * row[0]
+            continue
+        for u in range(0, min(top - 2 * r, 2 * last) + 1, 2):
+            half = u // 2
+            acc = 0
+            for t in range(max(0, u - last), half):
+                prod = row[t] * row[u - t]
+                acc += -prod if t % 2 else prod
+            mid = row[half] * row[half]
+            sums[2 * r + u] += w * (2 * acc + (-mid if half % 2 else mid))
+    return sums
 
 
 def kls_table_node_poly(inst: KlsInstance, table: KlsTable, partial=()) -> UniPoly:
     """kls_node_poly(inst, partial), read off the integer table
-    KlsTable.build(inst).
+    KlsTable.build(inst): the coefficient of x^(2d-k) is
+    Pr[prefix] N_k / (E^2 (L D)^k), with N_k from the fold of the prefix.
 
-    With P_F as in the module docstring, the coefficient of x^(2d-k) is
-    Pr[prefix] * sum_F tau_F^2 sum_{j+j'=k} (-1)^j' P_F[j] P_F[j'], where
-    P_F[j] is the coefficient of x^(d-j) in P_F.  The sums run over ints
-    (R_F in place of P_F, L^2 tau^2 in place of tau^2), and each of the 2d+1
-    sums is divided by its power of L D once.  The cost is linear in the
-    table; no completion is enumerated and no line restriction is taken.
+    The cost is linear in the table; no completion is enumerated and no
+    line restriction is taken.  This is the Fraction route (the root bound
+    and the reference); the search's oracle reads N_k directly
+    (KlsFamily.scaled_top_coeffs).
     """
     prefix_prob = _prefix_prob(inst, partial)
-    d = inst.h.d
-    fixed = (1 << len(partial)) - 1
-    # products[U] = prod_{i in U} factor_i, which is (L c)^A on the prefix
-    # and (L^2 tau^2)^F on the free variables.  The table's masks ascend and
-    # are closed under taking subsets, so U minus its lowest bit always
-    # comes first.
-    factor = ([cent[s] for s, cent in zip(partial, table.centered)]
-              + list(table.variances[len(partial):]))
-    entries = table.entries
-    products = {}
-    for mask in entries:
-        low = mask & -mask
-        products[mask] = products[mask ^ low] * factor[low.bit_length() - 1] if mask else 1
-    rows: dict = {}  # free subset F -> [R_F[0], ..., R_F[d]]
-    for mask, b_t in entries.items():
-        free = mask & ~fixed
-        if b_t and products[free]:
-            row = rows.setdefault(free, [0] * (d + 1))
-            row[mask.bit_count()] += products[mask & fixed] * b_t
-    sums = [0] * (2 * d + 1)  # sums[k] = N_k
-    for free, row in rows.items():
-        terms = [(j, c) for j, c in enumerate(row) if c]
-        for j, cj in terms:
-            weighted = products[free] * cj
-            for jj, cjj in terms:
-                prod = weighted * cjj
-                sums[j + jj] += prod if jj % 2 == 0 else -prod
+    d = table.d
+    sums = kls_node_sums(table, kls_fold(table, table.rows, 0, tuple(partial)), 2 * d)
     return UniPoly.from_coeffs(
         [prefix_prob * Fraction(sums[k], table.denominator * table.scale ** k)
          for k in range(2 * d, -1, -1)], RATIONAL)
@@ -598,15 +710,51 @@ class KlsFamily:
         self.branch_sets = [tuple(var.support) for var in inst.variables]
         self.degree = 2 * inst.h.d
         self._table = None
+        self._committed = None  # (prefix, its fold), set by commit
 
     def node_poly(self, prefix) -> UniPoly:
         """Inner nodes come from the mixed-derivative table; a full
-        assignment is a single leaf, which one restriction gives faster."""
+        assignment is a single leaf, which kls_node_poly restricts once.
+        The oracle scores leaves this way too: the kls-search trace
+        coverage in hdbench/test_bench_trace.py counts on those calls."""
         prefix = tuple(prefix)
         table = self.coefficient_table() if len(prefix) < self.n else None
         if table is None:
             return kls_node_poly(self.inst, prefix)
         return kls_table_node_poly(self.inst, table, prefix)
+
+    def commit(self, assignment) -> None:
+        """Fold a committed prefix into the table once, so that the oracle
+        walks only the uncommitted coordinates on its extensions."""
+        table = self.coefficient_table()
+        if table is not None:
+            assignment = tuple(assignment)
+            done, rows = self._base(table, assignment)
+            self._committed = (assignment, kls_fold(table, rows, len(done), assignment[len(done):]))
+
+    def _base(self, table: KlsTable, prefix: tuple) -> tuple:
+        """The committed prefix and its fold if prefix extends it, else the
+        empty prefix and the table."""
+        if self._committed and prefix[:len(self._committed[0])] == self._committed[0]:
+            return self._committed
+        return (), table.rows
+
+    def scaled_top_coeffs(self, prefix, k: int):
+        """Top-k monic coefficients of an inner node as ints (C, q) with
+        c_j = C_j / q^j, or None where node_poly is the route.
+
+        With N_j from kls_node_sums and s = L D, c_j = N_j / (N_0 s^j):
+        Pr[prefix] and E^2 cancel, and N_0 = b_0^2 > 0.  So q = N_0 s and
+        C_j = N_j N_0^(j-1).
+        """
+        prefix = tuple(prefix)
+        table = self.coefficient_table() if len(prefix) < self.n else None
+        if table is None:
+            return None
+        done, rows = self._base(table, prefix)
+        sums = kls_node_sums(table, kls_fold(table, rows, len(done), prefix[len(done):]), k)
+        lead = sums[0]
+        return tuple(sums[j] * lead ** (j - 1) for j in range(1, k + 1)), lead * table.scale
 
     def coefficient_table(self) -> KlsTable | None:
         """The table, built on first use; None (enumerate instead) for float
@@ -614,12 +762,9 @@ class KlsFamily:
         load without validation."""
         if self._table is None:
             self._table = False
-            inst = self.inst
-            data = [c for v in inst.vectors for c in v] + [
-                x for var in inst.variables for x in var.support + var.probs]
-            if not any(isinstance(x, float) for x in data):
+            if self.inst.integer_data is not None:
                 try:
-                    self._table = KlsTable.build(inst)
+                    self._table = KlsTable.build(self.inst)
                 except RankTooHigh:
                     pass
         return self._table or None
@@ -648,6 +793,13 @@ class AgFamily:
 
     def node_poly(self, prefix) -> UniPoly:
         return ag_node_poly(self.inst, tuple(prefix))
+
+    def commit(self, assignment) -> None:
+        """Nothing to fold: every node is a sum of leaf-table rows."""
+
+    def scaled_top_coeffs(self, prefix, k: int):
+        """None: the oracle reads node_poly, the sum of leaf-table rows."""
+        return None
 
     def feasible(self, prefix) -> bool:
         return bool(self.inst.leaf_table.agreeing(prefix).any())

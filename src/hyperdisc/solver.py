@@ -15,6 +15,15 @@ read it off a per-instance table (see mixedchar): a signed inner node is
 summed from the mixed-derivative coefficient table, so no completion is
 enumerated, and a subset node from the leaf table, so no leaf is restricted
 twice.
+
+Exact coefficients stay ints.  The oracle answers (C, q) with monic
+coefficients c_j = C_j / q^j; then e_j = E_j / q^j with E_j = (-1)^j C_j,
+and because p_j has weight j in the e_i, Newton's recurrence run on the
+E_j gives P_k = p_k q^k.  One division P_k / q^k, which rounds correctly,
+turns it into the same float the Fraction route gives.  Signed inner nodes
+come as ints straight off the folded table, with the committed rounds
+folded in once per round (KlsFamily.commit); other exact nodes are scaled
+to ints by the lcm of their denominators, and float nodes keep q = 1.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import numpy as np
 from ._exact import char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .hyperbolic import spectrum
+from .scalars import RATIONAL
 from .unipoly import UniPoly
 
 MAX_BRUTE_BRANCHES = 1 << 16
@@ -65,11 +75,15 @@ def elem_to_power(k: int, elems):
     return p[k]
 
 
-def max_root_estimate(deg: int, k: int, coeffs) -> float:
-    """(p_k)^(1/k) from the top-k monic coefficients.
+def max_root_estimate(deg: int, k: int, coeffs, scale=1) -> float:
+    """(p_k)^(1/k) from the top-k monic coefficients c_j = coeffs[j-1] / scale^j.
 
     Even k keeps p_k = sum lambda_i^k nonnegative for every real spectrum,
     giving lambda_1 <= estimate <= deg^(1/k) max|lambda_i| unconditionally.
+    Newton's recurrence is homogeneous (p_j has weight j in the e_i), so on
+    the scaled coefficients it gives P_k = p_k scale^k, and the one division
+    P_k / scale^k rounds p_k correctly: ints give the float of the exact
+    Fraction route.
     """
     if k % 2 != 0:
         raise OddK("largest-root estimation needs an even power-sum index")
@@ -77,7 +91,7 @@ def max_root_estimate(deg: int, k: int, coeffs) -> float:
         raise ValueError(f"need an even k with 2 <= k <= degree, got k={k} deg={deg}")
     if len(coeffs) < k:
         raise ValueError("need the top k coefficients")
-    pk = float(elem_to_power(k, vieta_elems(coeffs[:k])))
+    pk = float(elem_to_power(k, vieta_elems(coeffs[:k])) / scale ** k)
     return max(pk, 0.0) ** (1.0 / k)
 
 
@@ -92,16 +106,35 @@ def monic_top_coeffs(poly: UniPoly, k: int) -> tuple:
     return tuple(out)
 
 
-def maxcoeff_enum(family, k: int, prefix) -> tuple:
-    """Top-k monic coefficients of the family's node polynomial.
+def integer_top_coeffs(poly: UniPoly, k: int) -> tuple:
+    """monic_top_coeffs of an exact polynomial as ints (C, q) with
+    c_j = C_j / q^j: with a_i the top coefficients times the lcm of their
+    denominators, q = a_0 and C_j = a_j a_0^(j-1)."""
+    deg = poly.degree
+    top = [poly.coeffs[deg - j] if deg - j >= 0 else 0 for j in range(k + 1)]
+    common = math.lcm(*(c.denominator for c in top))
+    ints = [c.numerator * (common // c.denominator) for c in top]
+    lead = ints[0]
+    return tuple(ints[j] * lead ** (j - 1) for j in range(1, k + 1)), lead
 
-    Both families read the node off a table built once per instance:
-    signed inner nodes off the mixed-derivative table, not by enumerating
-    completions; subset nodes off the leaf table, not by restricting each
-    support set again.
+
+def maxcoeff_enum(family, k: int, prefix) -> tuple:
+    """Top-k monic coefficients of the family's node polynomial, as
+    (coeffs, scale) with c_j = coeffs[j-1] / scale^j.
+
+    Signed inner nodes come as ints off the folded coefficient table
+    (KlsFamily.scaled_top_coeffs), so no Fraction is built.  Every other
+    node is read off node_poly: subset nodes off the leaf table, signed
+    leaves and float data by restriction.  Exact ones are then scaled to
+    ints as well; float ones keep scale 1.
     """
+    scaled = family.scaled_top_coeffs(prefix, k)
+    if scaled is not None:
+        return scaled
     poly = family.node_poly(prefix)
-    return monic_top_coeffs(poly, k)
+    if poly.backend == RATIONAL:
+        return integer_top_coeffs(poly, k)
+    return monic_top_coeffs(poly, k), 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +226,12 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
             if not family.feasible(prefix):
                 continue
             try:
-                coeffs = maxcoeff_enum(family, k, prefix)
+                coeffs, scale = maxcoeff_enum(family, k, prefix)
                 oracle_calls += 1
                 if degree >= 2:
-                    est = max_root_estimate(degree, k, coeffs)
+                    est = max_root_estimate(degree, k, coeffs, scale)
                 else:
-                    est = -float(coeffs[0])  # monic linear node: root is -c1
+                    est = -float(coeffs[0] / scale)  # monic linear node: root is -c1
             except (OddK, TooLarge):
                 raise
             except Exception as exc:  # pragma: no cover - defensive
@@ -209,6 +242,8 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
             raise OracleFailure(f"no feasible tuple for block [{lo}, {hi})")
         last_estimate = best[0]
         assignment = assignment + best[1]
+        if hi < n:
+            family.commit(assignment)
 
     root_max = family.root_max_root()
     certified = family.leaf_norm(assignment)

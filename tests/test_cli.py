@@ -268,6 +268,45 @@ def test_malformed_instance_file_exits_1(capsys, tmp_path, command, blob):
     assert captured.err.startswith("error: ")
 
 
+def test_empty_kls_file_exits_1_at_load(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"schema": "hyperdisc-instance/1", "kind": "kls",
+                                 "backend": "rational",
+                                 "payload": {"h": {"kind": "determinant", "mprime": 1},
+                                             "vectors": [], "variables": []}}))
+    for argv in (("solve", str(empty), "--method", "brute"),
+                 ("solve", str(empty), "--method", "blocked"),
+                 ("verify", str(empty))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "at least one vector" in captured.err
+
+
+def test_main_calls_in_sequence_share_no_state(capsys, tmp_path):
+    # The parser is built once per process; flags, defaults and usage errors
+    # of one call must not reach the next.
+    inst_file = tmp_path / "inst.json"
+    gen = ["gen", "--kind", "kls-det", "--n", "4", "--mprime", "3",
+           "--variables", "rademacher", "--seed", "3"]
+    _, generated = run(capsys, *gen)
+    assert main([*gen, "--out", str(inst_file)]) == 0
+    assert inst_file.read_text() == generated
+    _, plain = run(capsys, "solve", str(inst_file))
+    code, with_k = run(capsys, "solve", str(inst_file), "--k", "4", "--block", "1")
+    assert code == 0 and with_k != plain  # degree 6: the computed k is 6
+    assert main(["solve", str(inst_file), "--method", "nope"]) == 1
+    assert "error:" in capsys.readouterr().err
+    code, verified = run(capsys, "verify", str(inst_file))
+    assert code == 0 and json.loads(verified)["passed"] is True
+    _, other = run(capsys, "gen", "--kind", "kls-lorentz", "--n", "3", "--seed", "1")
+    assert other != generated
+    assert run(capsys, "solve", str(inst_file)) == (0, plain)
+    assert run(capsys, *gen) == (0, generated)
+    assert run(capsys, "solve", str(inst_file), "--k", "4", "--block", "1") == (0, with_k)
+
+
 def test_verify_identities_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "identities")
     assert code == 0

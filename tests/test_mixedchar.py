@@ -32,14 +32,17 @@ from hyperdisc.mixedchar import (
     ag_node_poly,
     ag_operator_form,
     ag_substitution_identity,
+    kls_fold,
     kls_leaf_poly,
     kls_node_poly,
+    kls_node_sums,
     kls_operator_form,
     kls_table_node_poly,
     linear_restriction_multipoly,
 )
 from hyperdisc.realstable import MultiPoly
-from hyperdisc.solver import SolverConfig, kadison_singer_search
+from hyperdisc.serialize import instance_from_json
+from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate, monic_top_coeffs
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from stability_oracle import stability_test
@@ -480,8 +483,13 @@ def test_integer_table_clears_the_coefficients_of_h():
 
 
 class _EnumeratedFamily(KlsFamily):
+    """Every node, and so every oracle answer, by enumerating completions."""
+
     def node_poly(self, prefix):
         return kls_node_poly(self.inst, tuple(prefix))
+
+    def scaled_top_coeffs(self, prefix, k):
+        return None
 
 
 def test_search_same_with_table_and_enumeration():
@@ -491,6 +499,173 @@ def test_search_same_with_table_and_enumeration():
         fast = kadison_singer_search(KlsFamily(inst), cfg)
         slow = kadison_singer_search(_EnumeratedFamily(inst), cfg)
         assert dataclasses.replace(fast, wall_time=0.0) == dataclasses.replace(slow, wall_time=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The fold of committed rounds and the integer oracle, against the Fraction
+# routes.
+# ---------------------------------------------------------------------------
+
+def _e2_instances():
+    """The elem_sym and custom spellings of e_2 in three variables that
+    tests/test_cli.py solves from hand-written files."""
+    half = "1/2"
+    payload = {"vectors": [[half, 0, 0], [0, half, 0], [0, 0, half], [half, 0, 0]],
+               "variables": [{"support": [1, -1], "probs": [half, half]}] * 4}
+    terms = [[[1, 1, 0], 1], [[1, 0, 1], 1], [[0, 1, 1], 1]]
+    for h in ({"kind": "elem_sym", "n": 3, "k": 2},
+              {"kind": "custom", "nvars": 3, "e": [1, 1, 1],
+               "poly": {"nvars": 3, "terms": terms}}):
+        yield instance_from_json({"schema": "hyperdisc-instance/1", "kind": "kls",
+                                  "backend": "rational", "payload": {**payload, "h": h}})[0]
+
+
+def _fold_instances():
+    yield from _generated_instances()
+    yield from _e2_instances()
+
+
+def _unfolded_numerators(inst, table, partial) -> list:
+    """N_0..N_2d by the unfolded loop over the whole table: every entry is
+    split into its prefix and free parts on each call."""
+    d = inst.h.d
+    fixed = (1 << len(partial)) - 1
+    factor = ([cent[s] for s, cent in zip(partial, table.centered)]
+              + list(table.variances[len(partial):]))
+    products = {}
+    for mask in table.entries:
+        low = mask & -mask
+        products[mask] = products[mask ^ low] * factor[low.bit_length() - 1] if mask else 1
+    rows: dict = {}
+    for mask, b_t in table.entries.items():
+        free = mask & ~fixed
+        row = rows.setdefault(free, [0] * (d + 1))
+        row[mask.bit_count()] += products[mask & fixed] * b_t
+    sums = [0] * (2 * d + 1)
+    for free, row in rows.items():
+        for j, cj in enumerate(row):
+            for jj, cjj in enumerate(row):
+                prod = products[free] * cj * cjj
+                sums[j + jj] += prod if jj % 2 == 0 else -prod
+    return sums
+
+
+def _enumerated_numerators(inst, table, partial) -> list:
+    """N_k read back from the enumeration: the coefficient of x^(2d-k) in
+    kls_node_poly is Pr[prefix] N_k / (E^2 (L D)^k)."""
+    coeffs = kls_node_poly(inst, partial).coeffs
+    prob = math.prod(var.probs[var.support.index(s)] for s, var in zip(partial, inst.variables))
+    out = []
+    for k in range(2 * inst.h.d + 1):
+        n_k = coeffs[2 * inst.h.d - k] * table.denominator * table.scale ** k / prob
+        assert n_k.denominator == 1
+        out.append(int(n_k))
+    return out
+
+
+def _folded_sums(table, partial, split) -> list:
+    """N_0..N_2d with the first split values committed, then the rest as a
+    block; the commit itself is folded in two pieces."""
+    head = split // 2
+    committed = kls_fold(table, kls_fold(table, table.rows, 0, partial[:head]), head,
+                         partial[head:split])
+    return kls_node_sums(table, kls_fold(table, committed, split, partial[split:]), 2 * table.d)
+
+
+def test_folded_sums_equal_the_unfolded_and_enumerated_numerators_at_every_split():
+    checked = 0
+    for inst in _fold_instances():
+        table = KlsTable.build(inst)
+        for prefix in _every_prefix(inst):
+            expect = _unfolded_numerators(inst, table, prefix)
+            assert expect == _enumerated_numerators(inst, table, prefix)
+            for split in range(len(prefix) + 1):
+                assert _folded_sums(table, prefix, split) == expect, (prefix, split)
+                checked += 1
+    assert checked > 2000
+
+
+def test_folded_sums_equal_the_unfolded_numerators_past_the_guardrail():
+    # 2^5 3^5 completions: no enumeration, but the unfolded loop still runs.
+    inst = gen_kls_det(10, 3, 1, "mixed")
+    table = KlsTable.build(inst)
+    rng = random.Random(5)
+    for _ in range(12):
+        prefix = tuple(rng.choice(var.support) for var in inst.variables[:rng.randint(0, 10)])
+        split = rng.randint(0, len(prefix))
+        assert _folded_sums(table, prefix, split) == _unfolded_numerators(inst, table, prefix)
+
+
+class _RecordingKlsFamily(KlsFamily):
+    """Keeps every integer oracle answer with the prefix it scored."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.answers = []
+
+    def scaled_top_coeffs(self, prefix, k):
+        scaled = super().scaled_top_coeffs(prefix, k)
+        if scaled is not None:
+            self.answers.append((tuple(prefix), k, scaled))
+        return scaled
+
+
+def _assert_integer_oracle_matches_fractions(inst, blocks=(1, 2, 3)) -> int:
+    """Searches inst at several block sizes; every integer answer must give
+    the monic coefficients of kls_node_poly exactly, and the estimate under
+    float ==.  Returns the number of answers checked."""
+    checked = 0
+    for block in blocks:
+        family = _RecordingKlsFamily(inst)
+        cfg = SolverConfig(delta=0.5, block=block)
+        result = kadison_singer_search(family, cfg)
+        slow = kadison_singer_search(_EnumeratedFamily(inst), cfg)
+        assert dataclasses.replace(result, wall_time=0.0) == dataclasses.replace(slow, wall_time=0.0)
+        for prefix, k, (coeffs, scale) in family.answers:
+            assert all(type(c) is int for c in coeffs) and type(scale) is int and scale > 0
+            exact = monic_top_coeffs(kls_node_poly(inst, prefix), k)
+            assert tuple(Fraction(c, scale ** j) for j, c in enumerate(coeffs, 1)) == exact
+            assert (max_root_estimate(family.degree, k, coeffs, scale)
+                    == max_root_estimate(family.degree, k, exact)), prefix
+            checked += 1
+    return checked
+
+
+def test_integer_estimate_equals_the_fraction_route_at_every_visited_prefix():
+    checked = sum(_assert_integer_oracle_matches_fractions(inst) for inst in _fold_instances())
+    assert checked > 300
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_rational_kls_instances())
+def test_integer_estimate_equals_the_fraction_route_on_generated_instances(inst):
+    _assert_integer_oracle_matches_fractions(inst, blocks=(1, 2))
+
+
+def test_centered_sum_over_ints_equals_the_fraction_sum():
+    for inst in _fold_instances():
+        for assignment in itertools.islice(itertools.product(
+                *[var.support for var in inst.variables]), 20):
+            expect = [Fraction(0)] * inst.h.m
+            for v, var, s in zip(inst.vectors, inst.variables, assignment):
+                for idx in range(inst.h.m):
+                    expect[idx] += (s - var.mean) * v[idx]
+            assert inst.centered_sum(assignment) == tuple(expect)
+
+
+def test_commit_that_does_not_extend_the_last_one_refolds():
+    inst = gen_kls_det(5, 2, 1, "mixed")
+    family = KlsFamily(inst)
+    first = tuple(var.support[0] for var in inst.variables)
+    other = tuple(var.support[-1] for var in inst.variables)
+    family.commit(first[:3])
+    for prefix in (first[:4], other[:2], other[:4], ()):
+        fresh = KlsFamily(inst).scaled_top_coeffs(prefix, 4)
+        assert family.scaled_top_coeffs(prefix, 4) == fresh
+    family.commit(other[:2])
+    assert family.scaled_top_coeffs(first[:4], 4) == KlsFamily(inst).scaled_top_coeffs(first[:4], 4)
+    with pytest.raises(ValueNotInSupport):
+        family.scaled_top_coeffs(other[:2] + (Fraction(7),), 4)
 
 
 # ---------------------------------------------------------------------------

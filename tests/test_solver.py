@@ -15,6 +15,7 @@ from hyperdisc.solver import (
     SolverConfig,
     brute_force,
     elem_to_power,
+    integer_top_coeffs,
     kadison_singer_search,
     max_root_estimate,
     maxcoeff_enum,
@@ -119,14 +120,38 @@ def test_max_root_estimate_float_equals_fraction_route():
         assert max_root_estimate(deg, k, floats) == max_root_estimate(deg, k, exact)
 
 
+def _monic(scaled):
+    """The monic coefficients c_j = C_j / q^j of an oracle answer (C, q)."""
+    coeffs, scale = scaled
+    return tuple(Fraction(c) / Fraction(scale) ** j for j, c in enumerate(coeffs, start=1))
+
+
+def test_integer_top_coeffs_equal_the_monic_coefficients():
+    rng = random.Random(97)
+    for _ in range(300):
+        deg = rng.randint(1, 8)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg)]
+        coeffs.append(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 7)))
+        poly = UniPoly.from_coeffs(coeffs, backend="rational")
+        k = rng.randint(1, deg + 2)
+        ints, scale = integer_top_coeffs(poly, k)
+        assert all(type(c) is int for c in ints) and type(scale) is int
+        monic = monic_top_coeffs(poly, k)
+        assert _monic((ints, scale)) == monic
+        if k % 2 == 0 and k <= deg:
+            assert max_root_estimate(deg, k, ints, scale) == max_root_estimate(deg, k, monic)
+
+
 def test_maxcoeff_enum_toy():
     fam = KlsFamily(_scalar_instance(1))
-    assert maxcoeff_enum(fam, 2, ()) == (Fraction(0), Fraction(-1))
+    coeffs, scale = maxcoeff_enum(fam, 2, ())
+    assert all(type(c) is int for c in coeffs) and type(scale) is int and scale > 0
+    assert _monic((coeffs, scale)) == (Fraction(0), Fraction(-1))
 
 
 def test_maxcoeff_enum_leaf():
     fam = KlsFamily(_scalar_instance(1))
-    assert maxcoeff_enum(fam, 2, (Fraction(1),)) == (Fraction(0), Fraction(-1))
+    assert _monic(maxcoeff_enum(fam, 2, (Fraction(1),))) == (Fraction(0), Fraction(-1))
 
 
 def test_search_single_variable():
