@@ -328,9 +328,9 @@ class SrInstance:
         """Batched for float determinant instances, the files gen --kind
         sr-ust writes; one restriction per support set otherwise."""
         support = self.mu.support
-        members = np.zeros((len(support), self.n), dtype=bool)
-        for r, (elems, _) in enumerate(support):
-            members[r, list(elems)] = True
+        sets = self.mu.sets
+        members = np.zeros((len(sets), self.n), dtype=bool)
+        members[np.arange(len(sets))[:, None], sets] = True
         if (isinstance(self.h, DeterminantInstance) and self.mu.d_mu > 0
                 and all(isinstance(c, float) for v in self.vectors for c in v)):
             return LeafTable(members, self._determinant_leaf_rows())
@@ -347,7 +347,7 @@ class SrInstance:
         UniPoly.scale do one set at a time, so the rows are the same floats.
         """
         vecs = np.array(self.vectors)
-        elems = np.array([e for e, _ in self.mu.support], dtype=np.intp)
+        elems = self.mu.sets
         probs = np.array([float(p) for _, p in self.mu.support])
         rows = np.empty((len(elems), self.h.d + 1))
         for lo in range(0, len(elems), LEAF_CHUNK):

@@ -3,7 +3,10 @@
 Scalars under the rational backend are emitted as exact "p/q" strings so a
 parse/emit round trip is lossless; binary64 values rely on Python's
 shortest round-trip float formatting.  Emission sorts keys and uses fixed
-separators so identical inputs produce byte-identical files.
+separators so identical inputs produce byte-identical files.  A subset
+distribution's "set" lists must hold JSON ints; they are read into one int
+array (SRDistribution.sets) and any other entry, a bool included, is
+rejected.
 """
 
 from __future__ import annotations
@@ -101,8 +104,11 @@ def distribution_to_json(mu: SRDistribution) -> dict:
 
 
 def distribution_from_json(obj: dict) -> SRDistribution:
-    items = [(tuple(entry["set"]), scalar_from_json(entry["prob"], RATIONAL))
-             for entry in obj["support"]]
+    """Each distinct "prob" value is parsed once (a spanning-tree file has
+    one); the "set" lists go to SRDistribution.from_support as they are."""
+    entries = obj["support"]
+    probs = {p: scalar_from_json(p, RATIONAL) for p in {entry["prob"] for entry in entries}}
+    items = [(entry["set"], probs[entry["prob"]]) for entry in entries]
     return SRDistribution.from_support(int(obj["n"]), items)
 
 

@@ -20,8 +20,10 @@ built here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -33,42 +35,61 @@ from .realstable import MultiPoly
 
 @dataclass(frozen=True)
 class SRDistribution:
+    """``support`` holds (sorted element tuple, probability) pairs, ordered
+    by element tuple; ``sets`` holds the same tuples as one read-only (N, d)
+    int array, row r for support[r], and takes no part in equality."""
+
     n: int
-    support: tuple  # ((sorted element tuple, probability), ...)
+    support: tuple
     d_mu: int
+    sets: np.ndarray = field(compare=False, repr=False)
 
     @staticmethod
     def from_support(n: int, items) -> "SRDistribution":
         """Build and validate a homogeneous distribution.
 
-        ``items`` is an iterable of (elements, probability).  Probabilities
-        must be positive and sum to one (exactly for rationals, 1e-12 for
-        floats).  Real stability is assumed, not checked.
+        ``items`` is an iterable of (elements, probability); elements must
+        be ints.  Probabilities must be positive and sum to one (exactly for
+        rationals, 1e-12 for floats).  Real stability is assumed, not
+        checked.
         """
-        norm = []
-        sizes = set()
-        for elems, prob in items:
-            elems = tuple(sorted(int(e) for e in elems))
-            if any(not (0 <= e < n) for e in elems):
-                raise ValueError("support element out of range")
-            if len(set(elems)) != len(elems):
-                raise ValueError("support sets cannot repeat elements")
-            if not prob > 0:
-                raise ValueError("probabilities must be positive")
-            sizes.add(len(elems))
-            norm.append((elems, prob))
-        if not norm:
+        items = list(items)
+        if not items:
             raise ValueError("empty support")
+        sets, probs = zip(*items)
+        flat = list(chain.from_iterable(sets))
+        if not set(map(type, flat)) <= {int}:
+            raise ValueError("support elements must be ints")
+        try:
+            elems = np.array(flat, dtype=np.intp)
+        except OverflowError:
+            raise ValueError("support element out of range") from None
+        if elems.size and (elems.min() < 0 or elems.max() >= n):
+            raise ValueError("support element out of range")
+        sizes = set(map(len, sets))
         if len(sizes) != 1:
             raise ValueError("distribution is not homogeneous")
-        total = sum(p for _, p in norm)
-        if isinstance(total, float):
+        d_mu = sizes.pop()
+        rows = np.sort(elems.reshape(len(sets), d_mu), axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise ValueError("support sets cannot repeat elements")
+        if any(issubclass(t, float) for t in set(map(type, probs))):
+            if not all(p > 0 for p in probs):
+                raise ValueError("probabilities must be positive")
+            total = sum(probs)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"probabilities sum to {total}, not 1")
-        elif total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        norm.sort(key=lambda item: item[0])
-        return SRDistribution(n, tuple(norm), sizes.pop())
+        else:
+            weights, denom = _integer_weights(probs)
+            if min(weights) <= 0:
+                raise ValueError("probabilities must be positive")
+            if sum(weights) != denom:
+                raise ValueError(f"probabilities sum to {Fraction(sum(weights), denom)}, not 1")
+        order = np.lexsort(rows.T[::-1]) if d_mu else np.arange(len(rows))
+        rows = rows[order]
+        rows.setflags(write=False)
+        support = tuple(zip(map(tuple, rows.tolist()), map(probs.__getitem__, order.tolist())))
+        return SRDistribution(n, support, d_mu, rows)
 
     def generating_polynomial(self) -> MultiPoly:
         terms = {}
@@ -149,14 +170,27 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
     return x0 ** (len(target) - mu.d_mu) * value
 
 
-def max_marginal(mu: SRDistribution):
-    """Largest single-element inclusion probability."""
-    best = Fraction(0)
-    for i in range(mu.n):
-        prob = sum((p for elems, p in mu.support if i in elems), Fraction(0))
-        if prob > best:
-            best = prob
-    return best
+def _integer_weights(probs) -> tuple:
+    """Ints w_r and one denominator q with p_r = w_r / q, q the lcm of the
+    probabilities' denominators (exact for ints, Fractions and floats)."""
+    ratios = [p.as_integer_ratio() for p in probs]
+    denom = math.lcm(*{q for _, q in ratios})
+    return [w * (denom // q) for w, q in ratios], denom
+
+
+def max_marginal(mu: SRDistribution) -> Fraction:
+    """Largest single-element inclusion probability, exactly.
+
+    Rows are grouped by their integer weight and one bincount counts each
+    group's elements, so Python ints are multiplied once per group.
+    """
+    weights, denom = _integer_weights(p for _, p in mu.support)
+    groups = {}
+    index = np.array([groups.setdefault(w, len(groups)) for w in weights], dtype=np.intp)
+    counts = np.bincount((index[:, None] * mu.n + mu.sets).ravel(),
+                         minlength=len(groups) * mu.n).reshape(len(groups), mu.n)
+    totals = np.array(list(groups), dtype=object) @ counts
+    return Fraction(int(max(totals, default=0)), denom)
 
 
 # ---------------------------------------------------------------------------

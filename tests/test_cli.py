@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from hyperdisc.cli import main
-from hyperdisc.serialize import dumps, instance_from_json
+from hyperdisc.cli import _resolve_graph, main
+from hyperdisc.graphs import Graph
+from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.mixedchar import AgFamily, kls_node_poly, kls_operator_form
 from hyperdisc.solver import brute_force
+from hyperdisc.srdist import uniform_spanning_tree
 
 
 def run(capsys, *argv) -> tuple:
@@ -125,7 +127,6 @@ def test_roundtrip_lossless(capsys, tmp_path):
     main(["gen", "--kind", "kls-det", "--n", "3", "--seed", "9", "--out", str(out)])
     blob = json.loads(out.read_text())
     inst, _ = instance_from_json(blob)
-    from hyperdisc.serialize import instance_to_json
     again = instance_to_json(inst, "kls", "rational", generator=blob["generator"])
     assert again["payload"] == blob["payload"]
     # Loaded instance supports the exact identity (rational round trip).
@@ -282,6 +283,42 @@ def test_empty_kls_file_exits_1_at_load(capsys, tmp_path):
         assert code == 1, argv
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "at least one vector" in captured.err
+
+
+@pytest.mark.parametrize("entry", [1.7, True], ids=["float", "bool"])
+def test_non_int_set_entry_exits_1_at_load(capsys, tmp_path, entry):
+    _, out = run(capsys, "gen", "--kind", "sr-ust", "--graph", "c4")
+    blob = json.loads(out)
+    blob["payload"]["distribution"]["support"][0]["set"][1] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    for argv in (("solve", str(bad)), ("solve", str(bad), "--method", "brute"),
+                 ("verify", str(bad))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be ints" in captured.err
+
+
+# The sr-search deck's fixed graphs: named, the sparse ones that fail, and
+# dense random graphs at graph seed 1.
+SR_SEARCH_GRAPHS = ("c4", "k4", "k5", "diamond", "c5", "random:6:7:0", "random:6:7:1",
+                    "random:7:9:0", "random:8:10:0", "random:9:16:0", "random:6:12:1",
+                    "random:7:14:1", "random:8:16:1", "random:9:16:1")
+
+
+@pytest.mark.parametrize("spec", SR_SEARCH_GRAPHS)
+def test_sr_roundtrip_lossless(capsys, spec):
+    _, out = run(capsys, "gen", "--kind", "sr-ust", "--graph", spec)
+    blob = json.loads(out)
+    inst, kind = instance_from_json(blob)
+    assert kind == "sr"
+    assert inst.mu == uniform_spanning_tree(_resolve_graph(spec))
+    meta = {"seed": 0, "kind": "sr-ust", "graph": spec, "eps1": inst.eps1, "eps2": inst.eps2}
+    again = instance_to_json(inst, kind, blob["backend"], generator=meta,
+                             graph=Graph.from_json(blob["payload"]["graph"]))
+    assert dumps(again) == out
 
 
 def test_main_calls_in_sequence_share_no_state(capsys, tmp_path):

@@ -1,0 +1,262 @@
+"""The array route of subset distributions against the per-set reference.
+
+SRDistribution.from_support validates and orders the support in one numpy
+pass; max_marginal sums integer weights per element; the leaf table fills its
+membership matrix from SRDistribution.sets.  Each is tied here to the
+straightforward one-set-at-a-time computation it replaced.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
+from hyperdisc.hyperbolic import DeterminantInstance
+from hyperdisc.instances import random_connected_graph
+from hyperdisc.mixedchar import SrInstance
+from hyperdisc.srdist import SRDistribution, max_marginal, uniform_spanning_tree
+
+
+def reference_from_support(n, items):
+    """The per-set validation and ordering; returns (support, d_mu)."""
+    norm = []
+    sizes = set()
+    for elems, prob in items:
+        elems = tuple(sorted(int(e) for e in elems))
+        if any(not (0 <= e < n) for e in elems):
+            raise ValueError("support element out of range")
+        if len(set(elems)) != len(elems):
+            raise ValueError("support sets cannot repeat elements")
+        if not prob > 0:
+            raise ValueError("probabilities must be positive")
+        sizes.add(len(elems))
+        norm.append((elems, prob))
+    if not norm:
+        raise ValueError("empty support")
+    if len(sizes) != 1:
+        raise ValueError("distribution is not homogeneous")
+    total = sum(p for _, p in norm)
+    if isinstance(total, float):
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+    elif total != 1:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    norm.sort(key=lambda item: item[0])
+    return tuple(norm), sizes.pop()
+
+
+def reference_max_marginal(mu):
+    return max((sum((Fraction(p) for elems, p in mu.support if i in elems), Fraction(0))
+                for i in range(mu.n)), default=Fraction(0))
+
+
+def reference_members(mu):
+    members = np.zeros((len(mu.support), mu.n), dtype=bool)
+    for r, (elems, _) in enumerate(mu.support):
+        members[r, list(elems)] = True
+    return members
+
+
+def assert_same_as_reference(n, items):
+    support, d_mu = reference_from_support(n, items)
+    mu = SRDistribution.from_support(n, items)
+    assert mu.support == support and mu.d_mu == d_mu
+    for (elems, prob), (ref_elems, ref_prob) in zip(mu.support, support):
+        assert type(elems) is tuple and all(type(e) is int for e in elems)
+        assert type(prob) is type(ref_prob)
+    assert mu.sets.shape == (len(support), d_mu)
+    assert mu.sets.tolist() == [list(elems) for elems, _ in support]
+    assert max_marginal(mu) == reference_max_marginal(mu)
+    assert type(max_marginal(mu)) is Fraction
+    return mu
+
+
+def assert_same_error(n, items):
+    with pytest.raises(ValueError) as ref:
+        reference_from_support(n, items)
+    with pytest.raises(ValueError) as got:
+        SRDistribution.from_support(n, items)
+    assert str(got.value) == str(ref.value)
+
+
+def random_support(rng, n, d, size, floats=False):
+    """size sets of d elements of range(n), duplicates allowed, elements in
+    random order, as lists or tuples; probabilities sum to one."""
+    combos = list(itertools.combinations(range(n), d))
+    sets = []
+    for _ in range(size):
+        elems = list(rng.choice(combos))
+        rng.shuffle(elems)
+        sets.append(elems if rng.random() < 0.5 else tuple(elems))
+    weights = [rng.randint(1, 9) for _ in sets]
+    total = sum(weights)
+    if floats:
+        probs = [w / total for w in weights]
+        probs[-1] = 1.0 - sum(probs[:-1])
+    else:
+        probs = [Fraction(w, total) for w in weights]
+    return list(zip(sets, probs))
+
+
+def test_from_support_matches_reference_on_seeded_supports():
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        d = rng.randint(0, n)
+        items = random_support(rng, n, d, rng.randint(1, 12), floats=trial % 4 == 3)
+        assert_same_as_reference(n, items)
+
+
+def test_from_support_matches_reference_on_special_supports():
+    third = Fraction(1, 3)
+    cases = [
+        (3, [((), Fraction(1))]),                                  # the empty set
+        (2, [((), Fraction(1, 2)), ((), Fraction(1, 2))]),         # twice
+        (4, [((2, 1), third), ((1, 2), third), ((0, 3), third)]),  # a duplicate set
+        (3, [((2,), 0.25), ((0,), 0.5), ((1,), 0.25)]),            # float probabilities
+        (3, [((2,), Fraction(1, 2)), ((0,), 0.5)]),                # a mixture
+        (2, [((1,), 0.5), ((0,), 0.5 + 1e-13)]),                   # within 1e-12
+        (2, [((1,), 1)]),                                          # an int probability
+        (5, [((4, 0), Fraction(1))]),
+    ]
+    for n, items in cases:
+        assert_same_as_reference(n, items)
+    assert_same_error(2, [((1,), 0.5), ((0,), 0.5 + 1e-9)])
+
+
+@st.composite
+def _supports(draw):
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(0, n))
+    combos = list(itertools.combinations(range(n), d))
+    sets = draw(st.lists(st.sampled_from(combos), min_size=1, max_size=10))
+    sets = [draw(st.permutations(elems)) for elems in sets]
+    weights = draw(st.lists(st.integers(1, 50), min_size=len(sets), max_size=len(sets)))
+    total = sum(weights)
+    if draw(st.booleans()):
+        probs = [Fraction(w, total) for w in weights]
+    else:
+        probs = [w / total for w in weights]
+    return n, list(zip(sets, probs))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_supports())
+def test_from_support_matches_reference_property(case):
+    n, items = case
+    if any(isinstance(p, float) for _, p in items):
+        try:
+            reference_from_support(n, items)
+        except ValueError:
+            assert_same_error(n, items)  # a float sum off by more than 1e-12
+            return
+    assert_same_as_reference(n, items)
+
+
+def _single_faults(rng, n, items):
+    """(name, items) pairs, each with one fault injected into a valid support."""
+    sets = [list(elems) for elems, _ in items]
+    probs = [p for _, p in items]
+    d = len(sets[0])
+    r = rng.randrange(len(items))
+
+    def with_set(elems):
+        return [(elems if i == r else s, p) for i, (s, p) in enumerate(zip(sets, probs))]
+
+    def with_probs(new):
+        return list(zip(sets, new))
+
+    faults = [("empty", [])]
+    if d >= 1:
+        elems = list(sets[r])
+        elems[rng.randrange(d)] = rng.choice((n, n + 3, -1))
+        faults.append(("out of range", with_set(elems)))
+    if d >= 1 and len(items) >= 2:
+        faults.append(("not homogeneous", with_set(sets[r][1:])))
+    if d >= 2:
+        elems = list(sets[r])
+        elems[1] = elems[0]
+        faults.append(("repeat", with_set(elems)))
+    if d < n and len(items) >= 2:
+        extra = rng.choice(sorted(set(range(n)) - set(sets[r])))
+        faults.append(("not homogeneous", with_set(sets[r] + [extra])))
+    if len(items) >= 2:
+        j = (r + 1) % len(items)
+        for bad in (0, -probs[j]):
+            new = list(probs)
+            new[r] = probs[r] + probs[j] - bad
+            new[j] = bad
+            faults.append(("non-positive", with_probs(new)))
+    new = list(probs)
+    new[r] = probs[r] * 2
+    faults.append(("sum", with_probs(new)))
+    return faults
+
+
+def test_from_support_raises_the_reference_message_on_single_faults():
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(200):
+        n = rng.randint(1, 7)
+        d = rng.randint(0, n)
+        items = random_support(rng, n, d, rng.randint(1, 8), floats=trial % 3 == 2)
+        for name, bad in _single_faults(rng, n, items):
+            assert_same_error(n, bad)
+            seen.add(name)
+    assert seen == {"empty", "out of range", "repeat", "non-positive", "sum", "not homogeneous"}
+
+
+@pytest.mark.parametrize("elems", [(0, 1.0), (0, 1.7), (0, True), (False, 1), ("0", 1), (0, None)])
+def test_from_support_rejects_non_int_elements(elems):
+    with pytest.raises(ValueError, match="support elements must be ints"):
+        SRDistribution.from_support(3, [(elems, Fraction(1))])
+
+
+def test_from_support_rejects_elements_beyond_int64():
+    with pytest.raises(ValueError, match="out of range"):
+        SRDistribution.from_support(3, [((0, 2 ** 70), Fraction(1))])
+
+
+def test_sets_take_no_part_in_equality():
+    a = SRDistribution.from_support(3, [((0, 1), Fraction(1))])
+    b = SRDistribution.from_support(3, [([1, 0], Fraction(1))])
+    assert a == b and hash(a) == hash(b)
+    assert "sets" not in repr(a)
+    assert not a.sets.flags.writeable
+
+
+def test_max_marginal_matches_per_element_sum_on_spanning_trees():
+    graphs = [complete_graph(4), diamond_graph(), named_graph("c5"),
+              random_connected_graph(7, 10, 2), random_connected_graph(8, 12, 1)]
+    for graph in graphs:
+        mu = uniform_spanning_tree(graph)
+        assert max_marginal(mu) == reference_max_marginal(mu)
+
+
+def test_max_marginal_sums_big_weights_exactly():
+    # Denominators whose lcm overflows int64: the per-element sums stay exact.
+    p = [Fraction(1, 2 ** 70 + 1), Fraction(1, 3 ** 45)]
+    items = [((0, 1), p[0]), ((1, 2), p[1]), ((0, 2), 1 - p[0] - p[1])]
+    mu = assert_same_as_reference(3, items)
+    assert max_marginal(mu) == 1 - p[1]
+
+
+def test_leaf_table_members_match_per_set_loop():
+    cases = [SrInstance.from_graph(complete_graph(4)), SrInstance.from_graph(diamond_graph()),
+             SrInstance.from_graph(random_connected_graph(7, 10, 1))]
+    rng = random.Random(3)
+    h = DeterminantInstance(1)
+    for trial in range(12):
+        n = rng.randint(1, 6)
+        mu = SRDistribution.from_support(n, random_support(rng, n, rng.randint(0, n), 6))
+        cases.append(SrInstance.build(h, mu, [(rng.random(),) for _ in range(n)],
+                                      validate=False))
+    for inst in cases:
+        members = inst.leaf_table.members
+        assert members.dtype == bool
+        assert np.array_equal(members, reference_members(inst.mu))
