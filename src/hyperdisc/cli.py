@@ -176,13 +176,11 @@ def _verify_file(path: str) -> list:
         inst, kind = instance_from_json(json.load(fh))
     checks = []
     if kind == "kls":
-        exact = all(not isinstance(c, float) for v in inst.vectors for c in v)
-        if exact:
-            # The table route gives the root of any size; tests tie it to
-            # the enumerating kls_node_poly.
-            same = KlsFamily(inst).node_poly(()).coeffs == kls_operator_form(inst).coeffs
-            checks.append({"name": "kls_operator_identity", "passed": bool(same),
-                           "margin": 0.0})
+        # The table route gives the root of any size; tests tie it to the
+        # enumerating kls_node_poly.
+        same = KlsFamily(inst).node_poly(()).coeffs == kls_operator_form(inst).coeffs
+        checks.append({"name": "kls_operator_identity", "passed": bool(same),
+                       "margin": 0.0})
         report = verify_bound_chain(inst, "kls")
         checks.append({"name": "kls_bound_chain", "passed": report.passed,
                        "margin": min(s.margin for s in report.steps)})

@@ -307,10 +307,8 @@ def hyperbolic_trace(h: HyperbolicInstance, v):
     return -rest.coeffs[-2] / rest.coeffs[-1]
 
 
-def hyperbolic_rank(h: HyperbolicInstance, x, tol: float = RANK_TOL) -> int:
-    sp = spectrum(h, x)
-    gate = tol * max(1.0, sp.norm)
-    return sum(1 for lam in sp.eigenvalues if abs(lam) > gate)
+def hyperbolic_rank(h: HyperbolicInstance, x) -> int:
+    return spectrum(h, x).rank
 
 
 def cone_membership(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> ConeVerdict:

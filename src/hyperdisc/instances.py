@@ -72,7 +72,7 @@ def gen_kls_det(n: int, mprime: int, seed: int, variables: str = "mixed") -> Kls
         gens.append(tuple(u))
     vecs = [h.vec_outer(u) for u in gens]
     vars_ = _variable_list(n, variables, rng)
-    return KlsInstance.build(h, vecs, vars_, validate=False, generators=gens)
+    return KlsInstance.build(h, vecs, vars_, generators=gens)
 
 
 def gen_kls_lorentz(n: int, m: int, seed: int, variables: str = "mixed") -> KlsInstance:
@@ -92,7 +92,7 @@ def gen_kls_lorentz(n: int, m: int, seed: int, variables: str = "mixed") -> KlsI
         denom = rng.randint(1, 4)
         vecs.append(tuple(x / denom for x in vec))
     vars_ = _variable_list(n, variables, rng)
-    return KlsInstance.build(h, vecs, vars_, validate=False)
+    return KlsInstance.build(h, vecs, vars_)
 
 
 def random_connected_graph(n_vertices: int, n_edges: int, seed: int) -> Graph:

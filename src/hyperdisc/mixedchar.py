@@ -38,15 +38,18 @@ and the free c_i are independent with mean zero, so for a prefix s_1..s_l
                   tau_F^2 P_F(x) P_F(-x),
     P_F(x) = sum_{A subset prefix, |F|+|A| <= d} c^A a_{F u A} x^(d-|F|-|A|).
 
-KlsFamily reads its inner nodes off the table of a_T (kls_table_node_poly);
-kls_node_poly keeps the enumeration as the reference route.  The table is
-kept over ints (KlsTable).  With D the lcm of the vector entries'
-denominators, the vectors D v_i are integral and b_T = D^|T| a_T is the
-table of a_T for them.  With L chosen so that every L c_i and L^2 tau_i^2
-is an int, the coefficient of x^(d-j) in P_F is R_F[j] L^|F| / (L D)^j,
-where R_F[j] sums the ints (L c)^A b_{F u A}; each term tau_F^2 P_F P_F
-then carries (L^2 tau^2)^F over (L D)^k, so the node's coefficient of
-x^(2d-k) is Pr[prefix] N_k / (L D)^k for an int N_k.
+The signed family has one lane, over exact rationals, and its data is
+checked once, where a file is loaded: building the table of a_T
+(KlsInstance.coefficient_table) tests exactly that every v_i has rank <= 1
+and lies in the closed cone.  KlsFamily reads its inner nodes off that
+table (kls_table_node_poly); kls_node_poly keeps the enumeration as the
+reference route.  The table is kept over ints (KlsTable).  With D the lcm
+of the vector entries' denominators, the vectors D v_i are integral and
+b_T = D^|T| a_T is the table of a_T for them.  With L chosen so that every
+L c_i and L^2 tau_i^2 is an int, the coefficient of x^(d-j) in P_F is
+R_F[j] L^|F| / (L D)^j, where R_F[j] sums the ints (L c)^A b_{F u A}; each
+term tau_F^2 P_F P_F then carries (L^2 tau^2)^F over (L D)^k, so the
+node's coefficient of x^(2d-k) is Pr[prefix] N_k / (L D)^k for an int N_k.
 
 R_F is computed by folding the prefix into the table (kls_fold): with C
 the coordinates folded so far and U ranging over the rest,
@@ -80,7 +83,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyBranch, RankTooHigh, TooLarge, ValueNotInSupport
+from .errors import EmptyBranch, InvalidParams, RankTooHigh, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
     DeterminantInstance,
@@ -141,6 +144,9 @@ class RandomVar:
 class KlsInstance:
     """Signed-discrepancy instance: hyperbolic h, rank-1 cone vectors, variables.
 
+    The signed lane is exact: files load their data as rationals, and
+    loading builds the coefficient table, which checks the rank and the
+    cone exactly (KlsTable.build); build itself checks only the shapes.
     The traces and sigma are computed on first use: the search never reads
     them, and each costs an exact characteristic polynomial per vector.
     """
@@ -151,8 +157,7 @@ class KlsInstance:
     generators: tuple | None = None  # u_i with v_i = vec(u_i u_i^T); file data, unread by the search
 
     @staticmethod
-    def build(h: HyperbolicInstance, vectors, variables, validate: bool = True,
-              generators=None) -> "KlsInstance":
+    def build(h: HyperbolicInstance, vectors, variables, generators=None) -> "KlsInstance":
         vectors = tuple(tuple(v) for v in vectors)
         variables = tuple(variables)
         if len(vectors) != len(variables):
@@ -161,12 +166,6 @@ class KlsInstance:
             raise ValueError("need at least one vector")
         for v in vectors:
             h.check_dim(v)
-        if validate:
-            for i, v in enumerate(vectors):
-                if cone_membership(h, v, tol=1e-7).status == "outside":
-                    raise ValueError(f"vector {i} lies outside the closed cone")
-                if hyperbolic_rank(h, v) > 1:
-                    raise RankTooHigh(f"vector {i} has hyperbolic rank > 1")
         if generators is not None:
             generators = tuple(tuple(u) for u in generators)
         return KlsInstance(h, vectors, variables, generators)
@@ -197,23 +196,26 @@ class KlsInstance:
         return len(self.vectors)
 
     def scaled(self, factor) -> "KlsInstance":
-        """Instance with every vector multiplied by factor > 0 (revalidation
-        skipped).  The result carries no generators."""
+        """Instance with every vector multiplied by factor > 0.  The result
+        carries no generators."""
         vecs = tuple(tuple(factor * c for c in v) for v in self.vectors)
-        return KlsInstance.build(self.h, vecs, self.variables, validate=False)
+        return KlsInstance.build(self.h, vecs, self.variables)
 
     @functools.cached_property
-    def integer_data(self) -> tuple | None:
-        """(D, L, vectors, centered) for exact data, None for float data.
+    def coefficient_table(self) -> "KlsTable":
+        """The integer coefficient table (KlsTable.build), built on first
+        use; raises RankTooHigh or InvalidParams for a vector of rank > 1 or
+        outside the closed cone."""
+        return KlsTable.build(self)
+
+    @functools.cached_property
+    def integer_data(self) -> tuple:
+        """(D, L, vectors, centered) for the exact vectors and variables.
 
         D is the lcm of the vector entries' denominators and vectors holds
         the int vectors D v_i; L makes every L (s - mu_i) and L^2 tau_i^2 an
         int, and centered[i] maps each support value s to L (s - mu_i).
         """
-        data = [c for v in self.vectors for c in v] + [
-            x for var in self.variables for x in var.support + var.probs]
-        if any(isinstance(x, float) for x in data):
-            return None
         vec_scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
         vectors = tuple(tuple(c.numerator * (vec_scale // c.denominator) for c in v)
                         for v in self.vectors)
@@ -227,16 +229,8 @@ class KlsInstance:
                 tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered))
 
     def centered_sum(self, assignment) -> tuple:
-        """w = sum_i (s_i - mu_i) v_i; summed over ints for exact data."""
-        data = self.integer_data
-        if data is None:
-            w = [coerce(0, RATIONAL)] * self.h.m
-            for v, var, s in zip(self.vectors, self.variables, assignment):
-                c = s - var.mean
-                for idx in range(self.h.m):
-                    w[idx] = w[idx] + c * v[idx]
-            return tuple(w)
-        vec_scale, var_scale, vectors, centered = data
+        """w = sum_i (s_i - mu_i) v_i, summed over ints."""
+        vec_scale, var_scale, vectors, centered = self.integer_data
         acc = [0] * self.h.m
         for v, cent, s in zip(vectors, centered, assignment):
             try:
@@ -460,12 +454,18 @@ class KlsTable:
     @staticmethod
     def build(inst: KlsInstance) -> "KlsTable":
         """From hyperbolic.mixed_derivative_table on the integer vectors
-        D v_i of inst.integer_data; raises RankTooHigh as it does.  The
-        vectors and the variables must be exact."""
-        if inst.integer_data is None:
-            raise ValueError("the coefficient table needs exact data")
+        D v_i of inst.integer_data; raises RankTooHigh as it does.
+
+        It also tests the cone exactly.  A vector v of rank <= 1 has one
+        eigenvalue that may be nonzero, D_v h(e) / h(e), and h(e) > 0, so v
+        lies in the closed cone iff its entry a_{i} = D_v h(e) is >= 0;
+        InvalidParams is raised for the first vector that fails.
+        """
         vec_scale, var_scale, vectors, centered = inst.integer_data
         table = mixed_derivative_table(inst.h, vectors)
+        for i in range(inst.n):
+            if table[1 << i] < 0:
+                raise InvalidParams(f"vector {i} lies outside the closed cone")
         outer = math.lcm(*(b.denominator for b in table.values()))
         entries = {mask: b.numerator * (outer // b.denominator) for mask, b in table.items()}
         return KlsTable(
@@ -565,10 +565,10 @@ def kls_node_sums(table: KlsTable, rows: dict, top: int) -> list:
     return sums
 
 
-def kls_table_node_poly(inst: KlsInstance, table: KlsTable, partial=()) -> UniPoly:
-    """kls_node_poly(inst, partial), read off the integer table
-    KlsTable.build(inst): the coefficient of x^(2d-k) is
-    Pr[prefix] N_k / (E^2 (L D)^k), with N_k from the fold of the prefix.
+def kls_table_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
+    """kls_node_poly(inst, partial), read off inst.coefficient_table: the
+    coefficient of x^(2d-k) is Pr[prefix] N_k / (E^2 (L D)^k), with N_k from
+    the fold of the prefix.
 
     The cost is linear in the table; no completion is enumerated and no
     line restriction is taken.  This is the Fraction route (the root bound
@@ -576,6 +576,7 @@ def kls_table_node_poly(inst: KlsInstance, table: KlsTable, partial=()) -> UniPo
     (KlsFamily.scaled_top_coeffs).
     """
     prefix_prob = _prefix_prob(inst, partial)
+    table = inst.coefficient_table
     d = table.d
     sums = kls_node_sums(table, kls_fold(table, table.rows, 0, tuple(partial)), 2 * d)
     return UniPoly.from_coeffs(
@@ -702,72 +703,56 @@ class KlsFamily:
     """Search-facing view of the signed family: branch sets, node
     polynomials, exact leaf norms."""
 
-    kind = "kls"
-
     def __init__(self, inst: KlsInstance):
         self.inst = inst
         self.n = inst.n
         self.branch_sets = [tuple(var.support) for var in inst.variables]
         self.degree = 2 * inst.h.d
-        self._table = None
         self._committed = None  # (prefix, its fold), set by commit
 
     def node_poly(self, prefix) -> UniPoly:
-        """Inner nodes come from the mixed-derivative table; a full
+        """The one exact route: inner nodes come from the instance's
+        coefficient table, built and checked when the file is loaded; a full
         assignment is a single leaf, which kls_node_poly restricts once.
         The oracle scores leaves this way too: the kls-search trace
         coverage in hdbench/test_bench_trace.py counts on those calls."""
         prefix = tuple(prefix)
-        table = self.coefficient_table() if len(prefix) < self.n else None
-        if table is None:
+        if len(prefix) == self.n:
             return kls_node_poly(self.inst, prefix)
-        return kls_table_node_poly(self.inst, table, prefix)
+        return kls_table_node_poly(self.inst, prefix)
 
     def commit(self, assignment) -> None:
         """Fold a committed prefix into the table once, so that the oracle
         walks only the uncommitted coordinates on its extensions."""
-        table = self.coefficient_table()
-        if table is not None:
-            assignment = tuple(assignment)
-            done, rows = self._base(table, assignment)
-            self._committed = (assignment, kls_fold(table, rows, len(done), assignment[len(done):]))
+        assignment = tuple(assignment)
+        done, rows = self._base(assignment)
+        self._committed = (assignment, kls_fold(self.inst.coefficient_table, rows, len(done),
+                                                assignment[len(done):]))
 
-    def _base(self, table: KlsTable, prefix: tuple) -> tuple:
+    def _base(self, prefix: tuple) -> tuple:
         """The committed prefix and its fold if prefix extends it, else the
         empty prefix and the table."""
         if self._committed and prefix[:len(self._committed[0])] == self._committed[0]:
             return self._committed
-        return (), table.rows
+        return (), self.inst.coefficient_table.rows
 
     def scaled_top_coeffs(self, prefix, k: int):
         """Top-k monic coefficients of an inner node as ints (C, q) with
-        c_j = C_j / q^j, or None where node_poly is the route.
+        c_j = C_j / q^j; None for a full assignment, whose leaf node_poly
+        restricts.
 
         With N_j from kls_node_sums and s = L D, c_j = N_j / (N_0 s^j):
         Pr[prefix] and E^2 cancel, and N_0 = b_0^2 > 0.  So q = N_0 s and
         C_j = N_j N_0^(j-1).
         """
         prefix = tuple(prefix)
-        table = self.coefficient_table() if len(prefix) < self.n else None
-        if table is None:
+        if len(prefix) == self.n:
             return None
-        done, rows = self._base(table, prefix)
+        table = self.inst.coefficient_table
+        done, rows = self._base(prefix)
         sums = kls_node_sums(table, kls_fold(table, rows, len(done), prefix[len(done):]), k)
         lead = sums[0]
         return tuple(sums[j] * lead ** (j - 1) for j in range(1, k + 1)), lead * table.scale
-
-    def coefficient_table(self) -> KlsTable | None:
-        """The table, built on first use; None (enumerate instead) for float
-        data and for rank > 1 vectors, which files may carry since they
-        load without validation."""
-        if self._table is None:
-            self._table = False
-            if self.inst.integer_data is not None:
-                try:
-                    self._table = KlsTable.build(self.inst)
-                except RankTooHigh:
-                    pass
-        return self._table or None
 
     def feasible(self, prefix) -> bool:
         return True
@@ -782,8 +767,6 @@ class KlsFamily:
 
 class AgFamily:
     """Search-facing view of the subset family (0/1 branch values)."""
-
-    kind = "ag"
 
     def __init__(self, inst: SrInstance):
         self.inst = inst

@@ -3,10 +3,17 @@
 Scalars under the rational backend are emitted as exact "p/q" strings so a
 parse/emit round trip is lossless; binary64 values rely on Python's
 shortest round-trip float formatting.  Emission sorts keys and uses fixed
-separators so identical inputs produce byte-identical files.  A subset
-distribution's "set" lists must hold JSON ints; they are read into one int
-array (SRDistribution.sets) and any other entry, a bool included, is
-rejected.
+separators so identical inputs produce byte-identical files.
+
+The signed (kls) lane is exact and is checked here, once.  A kls file is
+read as exact rationals whatever its "backend" says, which loses nothing,
+since every binary64 value is a rational.  Loading then builds the
+coefficient table (KlsInstance.coefficient_table), which checks every
+vector's rank and cone membership exactly, so a bad vector fails at load.
+
+A subset distribution's "set" lists must hold JSON ints; they are read into
+one int array (SRDistribution.sets) and any other entry, a bool included,
+is rejected.
 """
 
 from __future__ import annotations
@@ -156,17 +163,18 @@ def _instance_from_json(obj: dict):
     kind = obj["kind"]
     backend = obj.get("backend", RATIONAL)
     payload = obj["payload"]
-    h = h_from_json(payload["h"], backend)
     if kind == "kls":
-        vectors = [vec_from_json(v, backend) for v in payload["vectors"]]
+        h = h_from_json(payload["h"], RATIONAL)
+        vectors = [vec_from_json(v, RATIONAL) for v in payload["vectors"]]
         variables = [variable_from_json(v, RATIONAL) for v in payload["variables"]]
         generators = None
         if "generators" in payload:
-            generators = [vec_from_json(u, backend) for u in payload["generators"]]
-        inst = KlsInstance.build(h, vectors, variables, validate=False,
-                                 generators=generators)
+            generators = [vec_from_json(u, RATIONAL) for u in payload["generators"]]
+        inst = KlsInstance.build(h, vectors, variables, generators=generators)
+        inst.coefficient_table  # the exact rank and cone checks
         return inst, kind
     if kind == "sr":
+        h = h_from_json(payload["h"], backend)
         mu = distribution_from_json(payload["distribution"])
         vectors = [vec_from_json(v, backend) for v in payload["vectors"]]
         inst = SrInstance.build(h, mu, vectors, validate=False)

@@ -125,8 +125,8 @@ def maxcoeff_enum(family, k: int, prefix) -> tuple:
     Signed inner nodes come as ints off the folded coefficient table
     (KlsFamily.scaled_top_coeffs), so no Fraction is built.  Every other
     node is read off node_poly: subset nodes off the leaf table, signed
-    leaves and float data by restriction.  Exact ones are then scaled to
-    ints as well; float ones keep scale 1.
+    leaves by restriction.  Exact ones are then scaled to ints as well;
+    float ones keep scale 1.
     """
     scaled = family.scaled_top_coeffs(prefix, k)
     if scaled is not None:

@@ -1,6 +1,7 @@
 """CLI surface: generation, solving, verification, bench, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -122,15 +123,19 @@ def test_gen_deterministic(capsys):
     assert first != third
 
 
-def test_roundtrip_lossless(capsys, tmp_path):
-    out = tmp_path / "inst.json"
-    main(["gen", "--kind", "kls-det", "--n", "3", "--seed", "9", "--out", str(out)])
-    blob = json.loads(out.read_text())
-    inst, _ = instance_from_json(blob)
-    again = instance_to_json(inst, "kls", "rational", generator=blob["generator"])
-    assert again["payload"] == blob["payload"]
-    # Loaded instance supports the exact identity (rational round trip).
-    assert kls_node_poly(inst).coeffs == kls_operator_form(inst).coeffs
+def test_roundtrip_lossless(capsys):
+    # gen, load and emit again gives the generated bytes, for both kls kinds
+    # and every variable kind.
+    for gen in (("kls-det", "--n", "3", "--mprime", "2"), ("kls-det", "--n", "4", "--mprime", "3"),
+                ("kls-lorentz", "--n", "4", "--m", "4")):
+        for variables in ("rademacher", "biased", "threepoint", "mixed"):
+            _, out = run(capsys, "gen", "--kind", *gen, "--variables", variables, "--seed", "9")
+            blob = json.loads(out)
+            inst, kind = instance_from_json(blob)
+            again = instance_to_json(inst, kind, blob["backend"], generator=blob["generator"])
+            assert dumps(again) == out, (gen, variables)
+            # Loaded instance supports the exact identity (rational round trip).
+            assert kls_node_poly(inst).coeffs == kls_operator_form(inst).coeffs
 
 
 def test_solve_brute_toy(capsys, tmp_path):
@@ -283,6 +288,75 @@ def test_empty_kls_file_exits_1_at_load(capsys, tmp_path):
         assert code == 1, argv
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "at least one vector" in captured.err
+
+
+def _kls_det_file(capsys) -> dict:
+    _, out = run(capsys, "gen", "--kind", "kls-det", "--n", "3", "--mprime", "2")
+    return json.loads(out)
+
+
+def _negated_first_vector(capsys) -> dict:
+    blob = _kls_det_file(capsys)
+    vectors = blob["payload"]["vectors"]
+    vectors[0] = [str(-Fraction(c)) for c in vectors[0]]
+    return blob
+
+
+def _scalar_signs(capsys) -> dict:
+    half = "1/2"
+    return {"schema": "hyperdisc-instance/1", "kind": "kls", "backend": "rational",
+            "payload": {"h": {"kind": "determinant", "mprime": 1},
+                        "vectors": [[-1], [1]],
+                        "variables": [{"support": [1, -1], "probs": [half, half]}] * 2}}
+
+
+def _identity_first_vector(capsys) -> dict:
+    blob = _kls_det_file(capsys)
+    blob["payload"]["vectors"][0] = [1, 0, 1]  # vec(I): rank 2
+    return blob
+
+
+@pytest.mark.parametrize("make, message", [
+    (_negated_first_vector, "vector 0 lies outside the closed cone"),
+    (_scalar_signs, "vector 0 lies outside the closed cone"),
+    (_identity_first_vector, "vector 0 has hyperbolic rank > 1"),
+], ids=["negated", "scalar-signs", "rank-two"])
+def test_kls_vector_off_the_cone_or_of_rank_two_exits_1_at_load(capsys, tmp_path, make, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make(capsys)))
+    for argv in (("solve", str(bad), "--method", "blocked"),
+                 ("solve", str(bad), "--method", "brute"),
+                 ("verify", str(bad))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_float_backend_kls_file_gives_the_same_outputs(capsys, tmp_path):
+    # The copy holds the same rationals, as JSON numbers under "backend":
+    # "float"; a kls file is read exactly whatever its backend.
+    blob = _kls_det_file(capsys)
+    copy = json.loads(json.dumps(blob))
+    copy["backend"] = "float"
+    for key in ("vectors", "generators"):
+        copy["payload"][key] = [[float(Fraction(c)) for c in v] for v in blob["payload"][key]]
+    assert all(Fraction(x) == Fraction(c) for v, w in zip(copy["payload"]["vectors"],
+                                                          blob["payload"]["vectors"])
+               for x, c in zip(v, w))
+    outputs = []
+    for name, obj in (("rational", blob), ("float", copy)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        outputs.append([run(capsys, *argv) for argv in (
+            ("solve", str(path), "--method", "blocked"),
+            ("solve", str(path), "--method", "brute"),
+            ("verify", str(path)))])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _ in outputs[0]] == [0, 0, 0]
+    checks = json.loads(outputs[1][2][1])["checks"]
+    assert [c["name"] for c in checks] == ["kls_operator_identity", "kls_bound_chain"]
 
 
 @pytest.mark.parametrize("entry", [1.7, True], ids=["float", "bool"])

@@ -12,10 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc.errors import EmptyBranch, HyperdiscError, RankTooHigh, TooLarge, ValueNotInSupport
+from hyperdisc.errors import (
+    EmptyBranch,
+    HyperdiscError,
+    InvalidParams,
+    RankTooHigh,
+    TooLarge,
+    ValueNotInSupport,
+)
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import (
     RealStableInstance,
+    cone_membership,
     determinant,
     lorentz,
     mixed_derivative_table,
@@ -26,7 +34,6 @@ from hyperdisc.mixedchar import (
     AgFamily,
     KlsFamily,
     KlsInstance,
-    KlsTable,
     RandomVar,
     SrInstance,
     ag_node_poly,
@@ -360,9 +367,8 @@ def _every_prefix(inst):
 def test_table_node_poly_equals_enumeration_at_every_prefix():
     checked = 0
     for inst in _generated_instances():
-        table = KlsTable.build(inst)
         for prefix in _every_prefix(inst):
-            assert (kls_table_node_poly(inst, table, prefix).coeffs
+            assert (kls_table_node_poly(inst, prefix).coeffs
                     == kls_node_poly(inst, prefix).coeffs), prefix
             checked += 1
     assert checked > 700
@@ -379,7 +385,7 @@ def test_table_entries_are_mixed_derivatives():
 
 def test_table_root_equals_operator_form():
     for inst in _generated_instances():
-        assert (kls_table_node_poly(inst, KlsTable.build(inst)).coeffs
+        assert (kls_table_node_poly(inst).coeffs
                 == kls_operator_form(inst).coeffs)
 
 
@@ -388,9 +394,12 @@ def test_table_rejects_rank_two_vector():
     vectors = [h.vec_outer((Fraction(1), Fraction(1))), h.e]  # the identity has rank 2
     with pytest.raises(RankTooHigh):
         mixed_derivative_table(h, vectors)
-    inst = KlsInstance.build(h, vectors, [RADEMACHER] * 2, validate=False)
-    # The family keeps the enumeration for such an instance.
-    assert KlsFamily(inst).node_poly(()).coeffs == kls_node_poly(inst).coeffs
+    inst = KlsInstance.build(h, vectors, [RADEMACHER] * 2)
+    # The family has no enumerating fallback: its nodes need the table.
+    with pytest.raises(RankTooHigh):
+        KlsFamily(inst).node_poly(())
+    with pytest.raises(RankTooHigh):
+        KlsFamily(inst).scaled_top_coeffs((), 2)
 
 
 def test_leaf_poly_reflection_equals_two_restrictions():
@@ -458,13 +467,50 @@ def _rational_kls_instances(draw):
     return KlsInstance.build(h, vectors, variables)
 
 
+@st.composite
+def _signed_rank_one_vectors(draw):
+    """h and one to three rank-1 vectors, each of them or its negative: a
+    determinant vec(u u^T), or a lorentz boundary vector."""
+    if draw(st.booleans()):
+        h = determinant(draw(st.integers(1, 3)))
+        cone = st.lists(_SMALL_FRACTIONS, min_size=h.mprime, max_size=h.mprime).filter(
+            any).map(lambda u: h.vec_outer(tuple(u)))
+    else:
+        h = lorentz(draw(st.integers(3, 4)))
+
+        def boundary(triple, spots, scale):
+            vec = [Fraction(0)] * h.m
+            vec[spots[0]], vec[spots[1]], vec[-1] = (scale * c for c in triple)
+            return tuple(vec)
+
+        cone = st.builds(boundary, st.sampled_from(_PYTHAGOREAN),
+                         st.permutations(range(h.m - 1)),
+                         st.builds(Fraction, st.integers(1, 3), st.integers(1, 5)))
+    signed = st.tuples(cone, st.sampled_from([1, -1])).map(
+        lambda pair: tuple(pair[1] * c for c in pair[0]))
+    return h, draw(st.lists(signed, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_signed_rank_one_vectors())
+def test_exact_cone_verdict_agrees_with_cone_membership(case):
+    h, vectors = case
+    outside = [i for i, v in enumerate(vectors) if cone_membership(h, v).status == "outside"]
+    inst = KlsInstance.build(h, vectors, [RADEMACHER] * len(vectors))
+    if not outside:
+        assert inst.coefficient_table.entries[0] > 0
+        return
+    with pytest.raises(InvalidParams, match=f"vector {outside[0]} lies outside the closed cone"):
+        inst.coefficient_table
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(_rational_kls_instances())
 def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
-    table = KlsTable.build(inst)
+    table = inst.coefficient_table
     assert all(type(b) is int for b in table.entries.values())
     for prefix in _every_prefix(inst):
-        got = kls_table_node_poly(inst, table, prefix).coeffs
+        got = kls_table_node_poly(inst, prefix).coeffs
         assert all(type(c) is Fraction for c in got)
         assert got == kls_node_poly(inst, prefix).coeffs, prefix
 
@@ -476,10 +522,10 @@ def test_integer_table_clears_the_coefficients_of_h():
     biased = RandomVar((Fraction(1), Fraction(-1)), (Fraction(1, 3), Fraction(2, 3)))
     inst = KlsInstance.build(h, [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(2, 3)),
                                  (Fraction(3), Fraction(0))], [biased, RADEMACHER, biased])
-    table = KlsTable.build(inst)
+    table = inst.coefficient_table
     assert table.denominator == 4
     for prefix in _every_prefix(inst):
-        assert kls_table_node_poly(inst, table, prefix).coeffs == kls_node_poly(inst, prefix).coeffs
+        assert kls_table_node_poly(inst, prefix).coeffs == kls_node_poly(inst, prefix).coeffs
 
 
 class _EnumeratedFamily(KlsFamily):
@@ -575,7 +621,7 @@ def _folded_sums(table, partial, split) -> list:
 def test_folded_sums_equal_the_unfolded_and_enumerated_numerators_at_every_split():
     checked = 0
     for inst in _fold_instances():
-        table = KlsTable.build(inst)
+        table = inst.coefficient_table
         for prefix in _every_prefix(inst):
             expect = _unfolded_numerators(inst, table, prefix)
             assert expect == _enumerated_numerators(inst, table, prefix)
@@ -588,7 +634,7 @@ def test_folded_sums_equal_the_unfolded_and_enumerated_numerators_at_every_split
 def test_folded_sums_equal_the_unfolded_numerators_past_the_guardrail():
     # 2^5 3^5 completions: no enumeration, but the unfolded loop still runs.
     inst = gen_kls_det(10, 3, 1, "mixed")
-    table = KlsTable.build(inst)
+    table = inst.coefficient_table
     rng = random.Random(5)
     for _ in range(12):
         prefix = tuple(rng.choice(var.support) for var in inst.variables[:rng.randint(0, 10)])

@@ -48,11 +48,10 @@ def cases():
 
 
 def measure(inst) -> dict:
-    family = KlsFamily(inst)
     start = time.perf_counter()
-    table = family.coefficient_table()
+    table = inst.coefficient_table
     built = time.perf_counter()
-    result = kadison_singer_search(family, SolverConfig(delta=DELTA))
+    result = kadison_singer_search(KlsFamily(inst), SolverConfig(delta=DELTA))
     searched = time.perf_counter()
     row = {"table_entries": len(table.entries), "table_s": built - start,
            "search_s": searched - built, "blocked_s": searched - start,
