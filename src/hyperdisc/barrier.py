@@ -39,6 +39,7 @@ from .mixedchar import (
     linear_restriction_multipoly,
 )
 from .realstable import MultiPoly
+from .scalars import CHAIN_STEP_TOL, POINT_MATCH_TOL, SIGMA_ONE_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
 from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
@@ -154,7 +155,7 @@ def above_roots(inst, kind: str, pt: BarrierPoint, probes: int = 24,
     if kind == "kls":
         taus = _taus(inst)
         delta = [pt.t * tau * float(tr) for tau, tr in zip(taus, inst.traces)]
-        if all(abs(z + d) <= 1e-12 * max(1.0, abs(d)) for z, d in zip(pt.z, delta)):
+        if all(abs(z + d) <= POINT_MATCH_TOL * max(1.0, abs(d)) for z, d in zip(pt.z, delta)):
             mix = [0.0] * inst.h.m
             for var, tr, v in zip(inst.variables, inst.traces, inst.vectors):
                 weight = float(var.variance) * float(tr)
@@ -163,7 +164,7 @@ def above_roots(inst, kind: str, pt: BarrierPoint, probes: int = 24,
             lam1 = spectrum(inst.h, tuple(mix)).eigenvalues[0]
             structured = pt.x - pt.t * lam1
     else:
-        if all(abs(z + pt.t) <= 1e-12 * max(1.0, pt.t) for z in pt.z):
+        if all(abs(z + pt.t) <= POINT_MATCH_TOL * max(1.0, pt.t) for z in pt.z):
             structured = pt.x - pt.t
     if structured is not None and structured <= 0:
         return AboveRootsVerdict(False, float(structured), 0, 0)
@@ -247,7 +248,7 @@ class ChainReport:
         return out
 
 
-def _step(name: str, quantity: float, bound: float, tol: float = 1e-8) -> ChainStep:
+def _step(name: str, quantity: float, bound: float, tol: float) -> ChainStep:
     margin = bound - quantity
     return ChainStep(name, float(quantity), float(bound), float(margin),
                      quantity <= bound + tol)
@@ -270,14 +271,14 @@ def verify_bound_chain(inst, kind: str) -> ChainReport:
 def _verify_kls_chain(inst: KlsInstance) -> ChainReport:
     if not inst.sigma > 0:
         raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
-    if abs(inst.sigma - 1.0) > 1e-9:
+    if abs(inst.sigma - 1.0) > SIGMA_ONE_TOL:
         inst = inst.scaled(1.0 / inst.sigma)
     steps = []
     mix_norm = inst.sigma2
-    if mix_norm > 1.0 + 1e-6:
+    if mix_norm > 1.0 + VARIANCE_MIX_TOL:
         raise ChainViolated("variance_mix_below_direction",
                             f"||sum tau^2 tr v||_h = {mix_norm}")
-    steps.append(_step("variance_mix_norm", mix_norm, 1.0, tol=1e-6))
+    steps.append(_step("variance_mix_norm", mix_norm, 1.0, VARIANCE_MIX_TOL))
     pt = construction_point(inst, "kls")
     verdict = above_roots(inst, "kls", pt, probes=16)
     steps.append(ChainStep("above_roots", float(verdict.probe_failures), 0.0,
@@ -290,13 +291,13 @@ def _verify_kls_chain(inst: KlsInstance) -> ChainReport:
             continue  # variable contributes no operator update
         value = phi(inst, "kls", i, pt, check=False)
         bound = 2 * taus[i] * float(inst.traces[i]) / alpha_minus_t
-        steps.append(_step(f"phi_bound[{i}]", value, bound))
-        steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, tol=0.0))
+        steps.append(_step(f"phi_bound[{i}]", value, bound, CHAIN_STEP_TOL))
+        steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, SQRT2_STEP_TOL))
         steps.append(_step(f"update_condition[{i}]",
-                           value / delta_i + value * value / 2, 1.0))
+                           value / delta_i + value * value / 2, 1.0, CHAIN_STEP_TOL))
     collapsed = kls_operator_form(inst).to_float()
     top = max_real_root(collapsed)
-    steps.append(_step("collapsed_max_root", top, 4.0))
+    steps.append(_step("collapsed_max_root", top, 4.0, CHAIN_STEP_TOL))
     return ChainReport("kls", tuple(steps), all(s.passed for s in steps),
                        sigma=inst.sigma)
 
@@ -313,13 +314,13 @@ def _verify_ag_chain(inst: SrInstance) -> ChainReport:
     alpha_minus_t = pt.x - pt.t
     for i in range(inst.n):
         value = phi(inst, "ag", i, pt, check=False)
-        steps.append(_step(f"phi_bound[{i}]", value, eps / alpha_minus_t))
-        steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, tol=0.0))
+        steps.append(_step(f"phi_bound[{i}]", value, eps / alpha_minus_t, CHAIN_STEP_TOL))
+        steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, SQRT2_STEP_TOL))
         steps.append(_step(f"update_condition[{i}]",
-                           value / pt.t + value * value / 2, 1.0))
+                           value / pt.t + value * value / 2, 1.0, CHAIN_STEP_TOL))
     mixed = ag_node_poly(inst).to_float()
     top = max_real_root(mixed)
-    steps.append(_step("mixed_char_max_root", top, 4 * eps + 2 * eps * eps))
+    steps.append(_step("mixed_char_max_root", top, 4 * eps + 2 * eps * eps, CHAIN_STEP_TOL))
     return ChainReport("ag", tuple(steps), all(s.passed for s in steps), eps=eps)
 
 

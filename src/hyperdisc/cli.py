@@ -42,13 +42,16 @@ def _write(text: str, out: str | None):
 
 
 def _resolve_graph(spec: str) -> Graph:
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return Graph.from_json(json.load(fh))
-    if spec.startswith("random:"):
-        _, nv, ne, seed = spec.split(":")
-        return random_connected_graph(int(nv), int(ne), int(seed))
-    return named_graph(spec)
+    try:
+        if spec.startswith("@"):
+            with open(spec[1:]) as fh:
+                return Graph.from_json(json.load(fh))
+        if spec.startswith("random:"):
+            _, nv, ne, seed = spec.split(":")
+            return random_connected_graph(int(nv), int(ne), int(seed))
+        return named_graph(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams(f"bad --graph {spec!r}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

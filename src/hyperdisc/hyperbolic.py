@@ -30,10 +30,8 @@ import numpy as np
 from ._exact import char_poly_exact, det_exact
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
-from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce
+from .scalars import CONE_TOL, FLOAT, RANK_ZERO_TOL, RATIONAL, coerce
 from .unipoly import RootList, UniPoly, interpolate, real_roots
-
-RANK_TOL = 1e-8
 
 
 def _is_float_vec(x) -> bool:
@@ -281,10 +279,10 @@ def char_restriction(h: HyperbolicInstance, x) -> UniPoly:
     return h.restrict_line(tuple(-v for v in x), h.e)
 
 
-def spectrum(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> Spectrum:
+def spectrum(h: HyperbolicInstance, x) -> Spectrum:
     rest = char_restriction(h, x)
     try:
-        eigs = real_roots(rest, tol)
+        eigs = real_roots(rest)
     except NotRealRooted as exc:
         raise NotRealRooted(
             f"h(te - x) is not real-rooted for {h!r}; the instance is not "
@@ -294,7 +292,7 @@ def spectrum(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> Spectrum:
     # extracted floats.
     trace = float(-rest.coeffs[-2] / rest.coeffs[-1]) if rest.degree >= 1 else 0.0
     norm = max(eigs[0], -eigs[-1]) if eigs else 0.0
-    gate = RANK_TOL * max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else RANK_TOL
+    gate = RANK_ZERO_TOL * max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else RANK_ZERO_TOL
     rank = sum(1 for lam in eigs if abs(lam) > gate)
     return Spectrum(tuple(eigs), float(norm), trace, rank)
 
@@ -307,14 +305,11 @@ def hyperbolic_trace(h: HyperbolicInstance, v):
     return -rest.coeffs[-2] / rest.coeffs[-1]
 
 
-def hyperbolic_rank(h: HyperbolicInstance, x) -> int:
-    return spectrum(h, x).rank
-
-
-def cone_membership(h: HyperbolicInstance, x, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    sp = spectrum(h, x, tol)
+def cone_membership(h: HyperbolicInstance, x) -> ConeVerdict:
+    """Float closed-cone verdict: the reference for KlsTable.build's exact cone test."""
+    sp = spectrum(h, x)
     lam_min = sp.eigenvalues[-1] if sp.eigenvalues else 0.0
-    gate = tol * max(1.0, abs(sp.eigenvalues[0]) if sp.eigenvalues else 1.0, abs(lam_min))
+    gate = CONE_TOL * max(1.0, abs(sp.eigenvalues[0]) if sp.eigenvalues else 1.0, abs(lam_min))
     if lam_min > gate:
         status = "interior"
     elif lam_min >= -gate:
@@ -336,7 +331,7 @@ def rank1_product_derivative(h: HyperbolicInstance, indices, vectors, x,
     s = list(indices)
     if verify:
         for i in s:
-            if hyperbolic_rank(h, vectors[i]) > 1:
+            if spectrum(h, vectors[i]).rank > 1:
                 raise RankTooHigh(
                     f"vector {i} has hyperbolic rank > 1; the multilinear "
                     "inclusion-exclusion identity does not apply"

@@ -83,21 +83,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyBranch, InvalidParams, RankTooHigh, TooLarge, ValueNotInSupport
+from .errors import EmptyBranch, InvalidParams, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
     DeterminantInstance,
     HyperbolicInstance,
-    cone_membership,
     derivative_restriction,
-    hyperbolic_rank,
     hyperbolic_trace,
     mixed_derivative_table,
     spectrum,
     subsets_up_to,
 )
 from .realstable import MultiPoly
-from .scalars import FLOAT, RATIONAL, coerce
+from .scalars import FLOAT, PROB_SUM_TOL, RATIONAL, coerce
 from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
 from .unipoly import UniPoly, max_real_root, real_roots
 
@@ -117,13 +115,12 @@ class RandomVar:
             raise ValueError("support and probability lengths differ")
         if not self.support:
             raise ValueError("empty support")
+        if len(set(self.support)) != len(self.support):
+            raise ValueError("support values must be distinct")
         if any(not p > 0 for p in self.probs):
             raise ValueError("probabilities must be positive")
         total = sum(self.probs)
-        if isinstance(total, float):
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"probabilities sum to {total}")
-        elif total != 1:
+        if abs(total - 1) > (PROB_SUM_TOL if isinstance(total, float) else 0):
             raise ValueError(f"probabilities sum to {total}")
 
     @staticmethod
@@ -278,7 +275,7 @@ class SrInstance:
 
     eps1, eps2 and the leaf table are computed on first use, so loading a
     file computes no marginal and no restriction; the search reads only the
-    table.
+    table.  build checks only the shapes, not the vectors' rank, cone or sum.
     """
 
     h: HyperbolicInstance
@@ -286,25 +283,12 @@ class SrInstance:
     vectors: tuple
 
     @staticmethod
-    def build(h: HyperbolicInstance, mu: SRDistribution, vectors,
-              validate: bool = True) -> "SrInstance":
+    def build(h: HyperbolicInstance, mu: SRDistribution, vectors) -> "SrInstance":
         vectors = tuple(tuple(v) for v in vectors)
         if len(vectors) != mu.n:
             raise ValueError("need one vector per ground-set element")
         for v in vectors:
             h.check_dim(v)
-        if validate:
-            total = [0.0] * h.m
-            for i, v in enumerate(vectors):
-                if cone_membership(h, v, tol=1e-7).status == "outside":
-                    raise ValueError(f"vector {i} lies outside the closed cone")
-                if hyperbolic_rank(h, v) > 1:
-                    raise RankTooHigh(f"vector {i} has hyperbolic rank > 1")
-                for idx in range(h.m):
-                    total[idx] += float(v[idx])
-            err = max(abs(t - float(e)) for t, e in zip(total, h.e))
-            if err > 1e-8:
-                raise ValueError(f"vectors sum to e only within {err:.2e}")
         return SrInstance(h, mu, vectors)
 
     @functools.cached_property
@@ -364,13 +348,13 @@ class SrInstance:
         mu = uniform_spanning_tree(graph)
         fam = effective_resistance_family(graph)
         if not exact:
-            return SrInstance.build(fam.h, mu, fam.vectors, validate=False)
+            return SrInstance.build(fam.h, mu, fam.vectors)
         rows = [[Fraction(x) for x in row] for row in fam.basis]
         vectors = []
         for u, v in graph.edges:
             w = [row[u] - row[v] for row in rows]
             vectors.append(fam.h.vec_outer(tuple(w)))
-        return SrInstance.build(fam.h, mu, tuple(vectors), validate=False)
+        return SrInstance.build(fam.h, mu, tuple(vectors))
 
     @property
     def n(self) -> int:

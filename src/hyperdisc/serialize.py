@@ -9,7 +9,8 @@ The signed (kls) lane is exact and is checked here, once.  A kls file is
 read as exact rationals whatever its "backend" says, which loses nothing,
 since every binary64 value is a rational.  Loading then builds the
 coefficient table (KlsInstance.coefficient_table), which checks every
-vector's rank and cone membership exactly, so a bad vector fails at load.
+vector's rank and cone membership exactly, so a bad vector fails at load;
+so do generators u_i that are not one per vector with v_i = vec(u_i u_i^T).
 
 A subset distribution's "set" lists must hold JSON ints; they are read into
 one int array (SRDistribution.sets) and any other entry, a bool included,
@@ -172,13 +173,17 @@ def _instance_from_json(obj: dict):
             generators = [vec_from_json(u, RATIONAL) for u in payload["generators"]]
         inst = KlsInstance.build(h, vectors, variables, generators=generators)
         inst.coefficient_table  # the exact rank and cone checks
+        if generators is not None and not (
+                isinstance(h, DeterminantInstance) and len(generators) == len(vectors)
+                and all(len(u) == h.mprime and h.vec_outer(u) == v
+                        for u, v in zip(generators, inst.vectors))):
+            raise InvalidParams("generators must be one u_i per vector with v_i = vec(u_i u_i^T)")
         return inst, kind
     if kind == "sr":
         h = h_from_json(payload["h"], backend)
         mu = distribution_from_json(payload["distribution"])
         vectors = [vec_from_json(v, backend) for v in payload["vectors"]]
-        inst = SrInstance.build(h, mu, vectors, validate=False)
-        return inst, kind
+        return SrInstance.build(h, mu, vectors), kind
     raise InvalidParams(f"unknown instance kind {kind!r}")
 
 

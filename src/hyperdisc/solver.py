@@ -40,7 +40,7 @@ import numpy as np
 from ._exact import char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .hyperbolic import spectrum
-from .scalars import RATIONAL
+from .scalars import CERTIFY_SLACK_TOL, RATIONAL
 from .unipoly import UniPoly
 
 MAX_BRUTE_BRANCHES = 1 << 16
@@ -249,7 +249,7 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
     certified = family.leaf_norm(assignment)
     bound = (1.0 + cfg.delta) * root_max
     elapsed = time.perf_counter() - start
-    if certified > bound + 1e-9 * max(1.0, abs(bound)):
+    if certified > bound + CERTIFY_SLACK_TOL * max(1.0, abs(bound)):
         raise CertificationFailed(certified, bound)
     return SearchResult(assignment, float(last_estimate), float(certified),
                         float(root_max), float(bound), oracle_calls, cfg.seed,

@@ -31,6 +31,7 @@ from .errors import DisconnectedGraph
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
 from .realstable import MultiPoly
+from .scalars import ISOTROPY_TOL, LAPLACIAN_ZERO_TOL, PROB_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class SRDistribution:
 
         ``items`` is an iterable of (elements, probability); elements must
         be ints.  Probabilities must be positive and sum to one (exactly for
-        rationals, 1e-12 for floats).  Real stability is assumed, not
+        rationals, within PROB_SUM_TOL for floats).  Real stability is assumed, not
         checked.
         """
         items = list(items)
@@ -77,7 +78,7 @@ class SRDistribution:
             if not all(p > 0 for p in probs):
                 raise ValueError("probabilities must be positive")
             total = sum(probs)
-            if abs(total - 1.0) > 1e-12:
+            if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"probabilities sum to {total}, not 1")
         else:
             weights, denom = _integer_weights(probs)
@@ -223,7 +224,7 @@ def effective_resistance_family(graph: Graph) -> IsotropicFamily:
     nv = graph.n_vertices
     lap = np.array(graph.laplacian(), dtype=float)
     evals, evecs = np.linalg.eigh(lap)
-    if nv > 1 and evals[1] <= 1e-10:
+    if nv > 1 and evals[1] <= LAPLACIAN_ZERO_TOL:
         raise DisconnectedGraph("Laplacian has a repeated zero eigenvalue")
     # B = diag(lambda^{-1/2}) Q^T on the complement of the all-ones vector.
     q = evecs[:, 1:]
@@ -241,7 +242,7 @@ def effective_resistance_family(graph: Graph) -> IsotropicFamily:
     total = np.zeros(h.m)
     for vec in vectors:
         total += np.array(vec, dtype=float)
-    if np.max(np.abs(total - np.array(h.e, dtype=float))) > 1e-9:
+    if np.max(np.abs(total - np.array(h.e, dtype=float))) > ISOTROPY_TOL:
         raise AssertionError("effective-resistance vectors do not sum to vec(I)")
     return IsotropicFamily(h, tuple(vectors), max(resistances),
                            tuple(tuple(float(x) for x in row) for row in b))

@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateNode, NotRealRooted, ZeroPolynomial
-from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, coerce, infer_backend, join_backend
+from .scalars import (BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, FLOAT, RATIONAL, REAL_ROOTED_IMAG_TOL,
+                      ROOT_IMAG_TOL, ROOT_RESIDUAL_TOL, coerce, infer_backend, join_backend)
 
 # Multiplicity-expanded real roots, non-increasing order.
 RootList = tuple
@@ -164,8 +165,6 @@ def _poly_divmod(a: list, b: list) -> tuple:
     r = list(a)
     db, lb = len(b) - 1, b[-1]
     while len(r) - 1 >= db and _strip(r):
-        if not r:
-            break
         shift = len(r) - 1 - db
         c = r[-1] / lb
         q[shift] = c
@@ -255,22 +254,25 @@ def _variations(signs: list) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
+def _value_at(c: list, t: Fraction) -> Fraction:
+    """c(t) by Horner's rule over Fractions."""
+    acc = Fraction(0)
+    for x in reversed(c):
+        acc = acc * t + x
+    return acc
+
+
 def _variations_at(chain: list, t: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * t + c
-        signs.append(_sign(acc))
-    return _variations(signs)
+    return _variations([_sign(_value_at(poly, t)) for poly in chain])
 
 
-def sturm_count_all_real(c: list) -> int:
-    """Number of distinct real roots of a square-free exact polynomial."""
+def sturm_count_all_real(c: list, chain: list | None = None) -> int:
+    """Number of distinct real roots of a square-free exact polynomial c."""
     c = _strip([Fraction(x) for x in c])
     if len(c) <= 1:
         return 0
-    chain = _sturm_chain(c)
+    if chain is None:
+        chain = _sturm_chain(c)
     at_plus = [_sign(p[-1]) for p in chain]
     at_minus = [_sign(p[-1]) * (-1 if (len(p) - 1) % 2 else 1) for p in chain]
     return _variations(at_minus) - _variations(at_plus)
@@ -281,13 +283,12 @@ def _cauchy_bound(c: list) -> Fraction:
     return 1 + max(abs(x) for x in c[:-1]) / lead if len(c) > 1 else Fraction(1)
 
 
-def _isolate_roots(c: list) -> list:
+def _isolate_roots(c: list, chain: list) -> list:
     """Disjoint intervals (a, b] each holding one root of square-free c.
 
     Exact rational midpoints hit by chance are returned as degenerate
     intervals (r, r].
     """
-    chain = _sturm_chain(c)
     bound = _cauchy_bound(c)
     total = _variations_at(chain, -bound) - _variations_at(chain, bound)
     work = [(-bound, bound, total)]
@@ -300,10 +301,7 @@ def _isolate_roots(c: list) -> list:
             done.append((a, b))
             continue
         mid = (a + b) / 2
-        val = Fraction(0)
-        for x in reversed(c):
-            val = val * mid + x
-        if val == 0:
+        if _value_at(c, mid) == 0:
             done.append((mid, mid))
             # Shrink the flanks until they capture the cnt-1 remaining roots.
             eps = (b - a) / (4 * cnt)
@@ -369,7 +367,7 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray,
 
 
 def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
-    """Sign bisection to ~1e-6 width, then float Newton from the midpoint.
+    """Sign bisection to BISECT_WIDTH_TOL width, then float Newton from the midpoint.
 
     The interval (a, b] holds exactly one (simple) root; ``a`` itself may be
     a root of a sibling interval, in which case the bracket is first walked
@@ -377,20 +375,13 @@ def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
     """
     if a == b:
         return float(a)
-
-    def val(t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for x in reversed(c):
-            acc = acc * t + x
-        return acc
-
-    if val(b) == 0:
+    if _value_at(c, b) == 0:
         return float(b)
-    fa = val(a)
+    fa = _value_at(c, a)
     guard = 0
     while fa == 0 and guard < 80:
         m = (a + b) / 2
-        fm = val(m)
+        fm = _value_at(c, m)
         if fm == 0:
             return float(m)
         if _variations_at(chain, a) - _variations_at(chain, m) == 0:
@@ -401,10 +392,10 @@ def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
     if fa == 0:
         return float((a + b) / 2)
     for _ in range(30):
-        if float(b - a) <= 1e-6 * max(1.0, abs(float(a)), abs(float(b))):
+        if float(b - a) <= BISECT_WIDTH_TOL * max(1.0, abs(float(a)), abs(float(b))):
             break
         mid = (a + b) / 2
-        fm = val(mid)
+        fm = _value_at(c, mid)
         if fm == 0:
             return float(mid)
         if (_sign(fm) == _sign(fa)):
@@ -415,7 +406,7 @@ def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
     dcf = np.array([float(x) for x in _deriv(c)]) if len(c) > 1 else np.zeros(1)
     r = _newton_polish(cf, dcf, np.array([float((a + b) / 2)]), _NEWTON_POLISH_ITERS)
     r0 = float(r[0])
-    if float(a) - 1e-9 <= r0 <= float(b) + 1e-9:
+    if float(a) - BRACKET_SLACK_TOL <= r0 <= float(b) + BRACKET_SLACK_TOL:
         return r0
     return float((a + b) / 2)
 
@@ -426,13 +417,13 @@ def _exact_real_roots(p: UniPoly) -> tuple:
     roots = []
     for factor, mult in square_free_decomposition(coeffs):
         deg = len(factor) - 1
-        cnt = sturm_count_all_real(factor)
+        chain = _sturm_chain(factor)
+        cnt = sturm_count_all_real(factor, chain)
         if cnt < deg:
             raise NotRealRooted(
                 f"exact Sturm count {cnt} < factor degree {deg}; polynomial is not real-rooted"
             )
-        chain = _sturm_chain(factor)
-        for a, b in _isolate_roots(factor):
+        for a, b in _isolate_roots(factor, chain):
             r = _refine_root(factor, a, b, chain)
             roots.extend([r] * mult)
     return tuple(sorted(roots, reverse=True))
@@ -446,11 +437,12 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return np.roots(c[::-1])
 
 
-def real_roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootList:
+def real_roots(p: UniPoly) -> RootList:
     """All real roots of p with multiplicity, sorted non-increasing.
 
-    Primary path: companion-matrix eigenvalues with Newton polish, accepted
-    when every root r satisfies |p(r)| <= tol * max|c| * max(1, |r|)^deg.
+    Primary path: companion-matrix eigenvalues with Newton polish, tried
+    when every |Im r| <= ROOT_IMAG_TOL * max(1, |r|) and accepted when every
+    root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * max|c| * max(1, |r|)^deg.
     On disagreement the exact Sturm route takes over and raises
     :class:`NotRealRooted` when the certified count falls short.
     """
@@ -470,27 +462,26 @@ def real_roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootList:
     cred = c[nzero:]
     scale = np.max(np.abs(cred))
     roots = _companion_roots(cred)
-    imag_gate = max(tol, 1e-7)
-    if np.all(np.abs(roots.imag) <= imag_gate * np.maximum(1.0, np.abs(roots))):
+    if np.all(np.abs(roots.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))):
         cand = np.sort(roots.real)[::-1]
         dc = np.array([float(x) for x in _deriv(list(cred))]) if len(cred) > 1 else np.zeros(1)
         cand = _newton_polish(cred, dc, cand, _NEWTON_POLISH_ITERS)
         resid = np.abs(_horner_many(cred, cand))
-        budget = tol * scale * np.maximum(1.0, np.abs(cand)) ** (deg - nzero)
+        budget = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(cand)) ** (deg - nzero)
         if np.all(resid <= budget):
             return tuple(sorted(list(cand) + list(zeros), reverse=True))
     reduced = UniPoly.from_coeffs(list(p.coeffs)[nzero:], p.backend)
     return tuple(sorted(list(_exact_real_roots(reduced)) + list(zeros), reverse=True))
 
 
-def is_real_rooted(p: UniPoly, tol: float = DEFAULT_TOL) -> bool:
+def is_real_rooted(p: UniPoly) -> bool:
     """Certified real-rootedness via an exact Sturm count.
 
     The count runs on the square-free part (multiplicities cannot hide
-    complex pairs there).  Under the rational backend the verdict is exact
-    and ``tol`` is unused; under binary64 a failing exact verdict is
-    retried against companion eigenvalues so that roots whose imaginary
-    part is rounding noise still count as real.
+    complex pairs there).  Under the rational backend the verdict is exact;
+    under binary64 a failing exact verdict is retried against companion
+    eigenvalues, so that roots whose imaginary part is within
+    REAL_ROOTED_IMAG_TOL, rounding noise, still count as real.
     """
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no real-rootedness verdict")
@@ -501,11 +492,11 @@ def is_real_rooted(p: UniPoly, tol: float = DEFAULT_TOL) -> bool:
     if ok or p.backend == RATIONAL:
         return ok
     roots = _companion_roots(p.float_coeffs())
-    return bool(np.all(np.abs(roots.imag) <= tol * np.maximum(1.0, np.abs(roots))))
+    return bool(np.all(np.abs(roots.imag) <= REAL_ROOTED_IMAG_TOL * np.maximum(1.0, np.abs(roots))))
 
 
-def max_real_root(p: UniPoly, tol: float = DEFAULT_TOL) -> float:
-    return real_roots(p, tol)[0]
+def max_real_root(p: UniPoly) -> float:
+    return real_roots(p)[0]
 
 
 def divided_differences(xs: Sequence, ys: Sequence) -> list:

@@ -107,6 +107,23 @@ def test_gen_invalid_params(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec", [
+    "foo", "random:6:x:0", "random:6",
+    {"vertices": 3, "edges": [[0, 1], [1, 1]]},
+    {"vertices": 3},
+], ids=["unknown-name", "non-int-random", "short-random", "self-loop-file", "no-edges-file"])
+def test_bad_graph_spec_exits_1(capsys, tmp_path, spec):
+    if isinstance(spec, dict):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(spec))
+        spec = f"@{path}"
+    code = main(["gen", "--kind", "sr-ust", "--graph", spec])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_gen_sr_ust_embeds_eps(capsys):
     code, out = run(capsys, "gen", "--kind", "sr-ust", "--graph", "k3")
     assert code == 0
@@ -357,6 +374,35 @@ def test_float_backend_kls_file_gives_the_same_outputs(capsys, tmp_path):
     assert [code for code, _ in outputs[0]] == [0, 0, 0]
     checks = json.loads(outputs[1][2][1])["checks"]
     assert [c["name"] for c in checks] == ["kls_operator_identity", "kls_bound_chain"]
+
+
+def _one_wrong_generator(capsys) -> dict:
+    blob = _kls_det_file(capsys)
+    blob["payload"]["generators"] = [["7/1", "7/1"]]
+    return blob
+
+
+def _repeated_support_value(capsys) -> dict:
+    blob = _kls_det_file(capsys)
+    blob["payload"]["variables"][0] = {"support": ["1/1", "1/1"], "probs": ["1/2", "1/2"]}
+    return blob
+
+
+@pytest.mark.parametrize("make, message", [
+    (_one_wrong_generator, "generators must be one u_i per vector"),
+    (_repeated_support_value, "support values must be distinct"),
+], ids=["wrong-generators", "repeated-support-value"])
+def test_inconsistent_kls_file_exits_1_at_load(capsys, tmp_path, make, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make(capsys)))
+    for argv in (("solve", str(bad), "--method", "blocked"),
+                 ("solve", str(bad), "--method", "brute"),
+                 ("verify", str(bad))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 @pytest.mark.parametrize("entry", [1.7, True], ids=["float", "bool"])

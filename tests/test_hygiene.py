@@ -1,5 +1,6 @@
 """Static checks over src/hyperdisc: no unused import, no unreferenced def,
-and no def that only tests reach unless it is a reference route.
+no def that only tests reach unless it is a reference route, and no float
+tolerance outside the table in scalars.py.
 
 A top-level def counts as referenced when its own module names it, or when
 any file under src/, tests/ or hdbench/ imports it by name or reads it as an
@@ -29,7 +30,12 @@ REFERENCE_ROUTES = {
     "barrier.kls_square_zpoly": "barrier.polynomial_value and barrier.phi (the operator update)",
     "mixedchar.linear_restriction_multipoly": "barrier.polynomial_value, via kls_square_zpoly",
     "realstable.one_minus_c_d2": "the operator update that barrier's update_condition step bounds",
+    "hyperbolic.cone_membership": "mixedchar.KlsTable.build's exact cone test",
+    "hyperbolic.ConeVerdict": "mixedchar.KlsTable.build's exact cone test, via cone_membership",
 }
+
+# A float literal this small is a tolerance; it belongs in the scalars.py table.
+TOLERANCE_CEILING = 1e-4
 
 
 def _parse(path: Path) -> ast.Module:
@@ -131,3 +137,33 @@ def test_only_reference_routes_are_unreached():
     for path in (ROOT / "tests").glob("test_*.py"):
         tested |= _imported_or_attribute(_parse(path))
     assert sorted(q for q in REFERENCE_ROUTES if q.split(".")[1] not in tested) == []
+
+
+def _tolerance_table() -> set:
+    """Names bound at the top of scalars.py to a float literal."""
+    return {target.id for node in _parse(PACKAGE / "scalars.py").body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, float)
+            for target in node.targets}
+
+
+def test_no_tolerance_literal_outside_the_table():
+    found = []
+    for path in _modules():
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0 < abs(node.value) < TOLERANCE_CEILING):
+                found.append(f"{path.stem}:{node.lineno}: {node.value!r}")
+    assert found == []
+
+
+def test_every_tolerance_is_read_elsewhere():
+    table = _tolerance_table()
+    assert table
+    read = set()
+    for path in _modules():
+        if path.name != "scalars.py":
+            read |= _read_names(_parse(path))
+    assert sorted(table - read) == []

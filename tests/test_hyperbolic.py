@@ -8,12 +8,12 @@ import pytest
 from hyperdisc._exact import det_exact
 from hyperdisc.errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from hyperdisc.hyperbolic import (
+    ConeVerdict,
     ElemSymInstance,
     RealStableInstance,
     cone_membership,
     derivative_restriction,
     determinant,
-    hyperbolic_rank,
     hyperbolic_trace,
     lorentz,
     rank1_product_derivative,
@@ -88,6 +88,7 @@ def test_cone_membership():
     assert cone_membership(L3, L3.e).status == "interior"
     assert cone_membership(L3, (3, 4, 5)).status == "boundary"
     verdict = cone_membership(L3, (3, 4, 1))
+    assert isinstance(verdict, ConeVerdict)
     assert verdict.status == "outside"
     assert verdict.witness == pytest.approx(-4.0)
 
@@ -260,7 +261,7 @@ def test_majorized_by_direction_stays_in_cone():
             shrink = top * rng.uniform(1.0, 2.0)
             u = tuple(c / shrink for c in x)
             e_minus_u = tuple(a - b for a, b in zip(h.e, u))
-            assert cone_membership(h, e_minus_u, tol=1e-7).status != "outside"
+            assert cone_membership(h, e_minus_u).status != "outside"
 
 
 def test_custom_instance_from_spanning_tree_polynomial():
@@ -271,7 +272,7 @@ def test_custom_instance_from_spanning_tree_polynomial():
     assert sp.eigenvalues == pytest.approx((1.0, 1.0))
     # Rank-1 boundary direction: an edge indicator has a single nonzero
     # eigenvalue for this quadratic.
-    assert hyperbolic_rank(h, (1, 0, 0)) == 1
+    assert spectrum(h, (1, 0, 0)).rank == 1
 
 
 def test_custom_instance_rejects_inhomogeneous():

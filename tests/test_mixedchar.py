@@ -163,7 +163,7 @@ def test_ag_node_poly_toy():
 
 def test_ag_node_poly_empty_branch():
     mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
-    inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)], validate=False)
+    inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     with pytest.raises(EmptyBranch):
         ag_node_poly(inst, (0,))
 
@@ -176,7 +176,7 @@ def test_ag_operator_form_toy():
 
 def test_ag_operator_form_point_mass_on_empty():
     mu = SRDistribution.from_support(1, [((), Fraction(1))])
-    inst = SrInstance.build(D1, mu, [(Fraction(1),)], validate=False)
+    inst = SrInstance.build(D1, mu, [(Fraction(1),)])
     assert ag_operator_form(inst).coeffs == (Fraction(0), Fraction(1))  # h(xe) = x
 
 
@@ -290,7 +290,7 @@ def test_descend_family_cancelling_pair():
 
 def test_descend_family_point_mass():
     mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
-    inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)], validate=False)
+    inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     assignment, _ = _descend(AgFamily(inst))
     assert assignment == (1, 0)
 

@@ -181,7 +181,7 @@ def test_search_det_instance():
 
 def test_search_point_mass_subset_family():
     mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
-    inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)], validate=False)
+    inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.25))
     assert result.assignment == (1, 0)
 

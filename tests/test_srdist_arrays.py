@@ -254,8 +254,7 @@ def test_leaf_table_members_match_per_set_loop():
     for trial in range(12):
         n = rng.randint(1, 6)
         mu = SRDistribution.from_support(n, random_support(rng, n, rng.randint(0, n), 6))
-        cases.append(SrInstance.build(h, mu, [(rng.random(),) for _ in range(n)],
-                                      validate=False))
+        cases.append(SrInstance.build(h, mu, [(rng.random(),) for _ in range(n)]))
     for inst in cases:
         members = inst.leaf_table.members
         assert members.dtype == bool

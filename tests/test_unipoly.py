@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyperdisc import unipoly
 from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
 from hyperdisc.scalars import FLOAT, RATIONAL
 from hyperdisc.unipoly import (
@@ -186,8 +187,6 @@ def test_newton_polish_improves_roots():
 
 def test_newton_polish_stops_when_no_root_moves(monkeypatch):
     # Once a pass keeps no step, later passes would repeat the same trials.
-    from hyperdisc import unipoly
-
     calls = []
     horner = unipoly._horner_many
 
@@ -207,11 +206,24 @@ def test_compose_xsquare():
     assert p.compose_xsquare().coeffs == (Fraction(-1), Fraction(0), Fraction(1))
 
 
-def test_clustered_roots_fallback():
-    # Exact rational poly with a tight cluster: (x-1)(x-1-1/2^20)(x+3)
+def test_clustered_roots_pass_the_companion_route(monkeypatch):
+    # Exact rational poly with a tight cluster: (x-1)(x-1-1/2^20)(x+3).
+    # The polished companion roots pass the residual gate; Sturm is not needed.
+    monkeypatch.setattr(unipoly, "_exact_real_roots", lambda p: pytest.fail("Sturm route taken"))
     eps = Fraction(1, 2 ** 20)
     p = UniPoly.from_roots([Fraction(1), 1 + eps, Fraction(-3)], backend=RATIONAL)
-    roots = real_roots(p, tol=1e-12)
+    roots = real_roots(p)
     assert len(roots) == 3
     assert roots[2] == pytest.approx(-3.0, abs=1e-9)
     assert abs(roots[0] - roots[1]) == pytest.approx(float(eps), rel=0.2)
+
+
+def test_exact_route_builds_one_sturm_chain_per_factor(monkeypatch):
+    # (x-1)^2 (x+2)(x-3): square-free factors (x+2)(x-3) and x-1.
+    chains = []
+    build = unipoly._sturm_chain
+    monkeypatch.setattr(unipoly, "_sturm_chain", lambda c: chains.append(c) or build(c))
+    p = UniPoly.from_roots([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)], backend=RATIONAL)
+    roots = unipoly._exact_real_roots(p)
+    assert len(chains) == 2
+    assert roots == pytest.approx((3.0, 1.0, 1.0, -2.0))
