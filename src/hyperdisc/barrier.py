@@ -16,6 +16,14 @@ theorems:
   eps / (alpha - t), the same two conditions hold, and the mixed
   characteristic polynomial has no root above 4 eps + 2 eps^2.
 
+The instance's type alone picks the setting (a KlsInstance is signed,
+anything else is a subset instance).  Both share the point w = x e +
+sum z_i tau_i v_i, with tau_i = 1 for subset elements, and one step loop
+over (delta_i, Phi^i bound).  The above_roots step records the failures of
+seeded positivity probes of P above the point as its quantity and the
+structured margin (alpha - t lambda_1 of the variance mix for signed,
+alpha - t for subset instances) as its margin.
+
 Phi is evaluated analytically from directional derivatives (never by
 differentiating an expanded multivariate polynomial).  The explicit
 polynomial P in (x, z) is only materialized, as a realstable.MultiPoly
@@ -29,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ChainViolated, NotAboveRoots
+from .errors import ChainViolated
 from .hyperbolic import spectrum
 from .mixedchar import (
     KlsInstance,
@@ -39,10 +47,11 @@ from .mixedchar import (
     linear_restriction_multipoly,
 )
 from .realstable import MultiPoly
-from .scalars import CHAIN_STEP_TOL, POINT_MATCH_TOL, SIGMA_ONE_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
+from .scalars import CHAIN_STEP_TOL, SIGMA_ONE_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
 from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
+ABOVE_ROOTS_PROBES = 16  # seeded offsets above_roots probes, besides the point itself
 
 
 @dataclass(frozen=True)
@@ -59,39 +68,31 @@ class BarrierPoint:
         return BarrierPoint(self.x, tuple(z), self.t)
 
 
-def _taus(inst: KlsInstance) -> list:
-    return [math.sqrt(float(var.variance)) for var in inst.variables]
+def _taus(inst) -> list:
+    """tau_i = sqrt(Var x_i) for a signed instance, 1.0 for every subset element."""
+    if isinstance(inst, KlsInstance):
+        return [math.sqrt(float(var.variance)) for var in inst.variables]
+    return [1.0] * inst.n
 
 
-def construction_point(inst, kind: str) -> BarrierPoint:
+def construction_point(inst) -> BarrierPoint:
     """The canonical above-roots point each chain is evaluated at."""
-    if kind == "kls":
+    if isinstance(inst, KlsInstance):
         t = 2.0
-        taus = _taus(inst)
-        delta = [t * tau * float(tr) for tau, tr in zip(taus, inst.traces)]
+        delta = [t * tau * float(tr) for tau, tr in zip(_taus(inst), inst.traces)]
         return BarrierPoint(4.0, tuple(-d for d in delta), t)
-    if kind == "ag":
-        eps = inst.eps1 + inst.eps2
-        alpha = math.sqrt(4 * eps + 2 * eps * eps)
-        t = alpha / 2
-        return BarrierPoint(alpha, (-t,) * inst.n, t)
-    raise ValueError("kind must be 'kls' or 'ag'")
+    eps = inst.eps1 + inst.eps2
+    alpha = math.sqrt(4 * eps + 2 * eps * eps)
+    t = alpha / 2
+    return BarrierPoint(alpha, (-t,) * inst.n, t)
 
 
-def _kls_point_vector(inst: KlsInstance, pt: BarrierPoint) -> tuple:
-    taus = _taus(inst)
+def _point_vector(inst, pt: BarrierPoint) -> tuple:
+    """w = x e + sum_i z_i tau_i v_i."""
     w = [pt.x * float(c) for c in inst.h.e]
-    for z, tau, v in zip(pt.z, taus, inst.vectors):
+    for z, tau, v in zip(pt.z, _taus(inst), inst.vectors):
         for idx in range(inst.h.m):
             w[idx] += z * tau * float(v[idx])
-    return tuple(w)
-
-
-def _ag_point_vector(inst: SrInstance, pt: BarrierPoint) -> tuple:
-    w = [pt.x * float(c) for c in inst.h.e]
-    for z, v in zip(pt.z, inst.vectors):
-        for idx in range(inst.h.m):
-            w[idx] += z * float(v[idx])
     return tuple(w)
 
 
@@ -114,76 +115,42 @@ def _ag_gen_value_and_partials(inst: SrInstance, pt: BarrierPoint):
     return value, partials
 
 
-def polynomial_value(inst, kind: str, pt: BarrierPoint) -> float:
-    """P at (x, z): squared restriction for kls, restriction times g for ag."""
-    if kind == "kls":
-        hval = float(inst.h.value(_kls_point_vector(inst, pt)))
+def polynomial_value(inst, pt: BarrierPoint) -> float:
+    """P at (x, z): the squared restriction for a signed instance, the
+    restriction times g for a subset instance."""
+    hval = float(inst.h.value(_point_vector(inst, pt)))
+    if isinstance(inst, KlsInstance):
         return hval * hval
-    hval = float(inst.h.value(_ag_point_vector(inst, pt)))
     gval, _ = _ag_gen_value_and_partials(inst, pt)
     return hval * gval
 
 
-def _probe_value(inst, kind: str, pt: BarrierPoint) -> float:
-    """Signed probe: the square in the kls P hides sign crossings, so the
+def _probe_value(inst, pt: BarrierPoint) -> float:
+    """Signed probe: the square in the signed P hides sign crossings, so the
     positivity probes look at the underlying restriction factor instead."""
-    if kind == "kls":
-        return float(inst.h.value(_kls_point_vector(inst, pt)))
-    return polynomial_value(inst, kind, pt)
+    if isinstance(inst, KlsInstance):
+        return float(inst.h.value(_point_vector(inst, pt)))
+    return polynomial_value(inst, pt)
 
 
-@dataclass(frozen=True)
-class AboveRootsVerdict:
-    above: bool
-    structured_margin: float | None
-    probe_failures: int
-    probes: int
+def above_roots(inst, pt: BarrierPoint) -> int:
+    """Positivity probes of P at pt + r over nonnegative offsets r.
 
-    def __bool__(self) -> bool:
-        return self.above
-
-
-def above_roots(inst, kind: str, pt: BarrierPoint, probes: int = 24,
-                seed: int = 0) -> AboveRootsVerdict:
-    """Check that pt lies above all roots of P.
-
-    Uses the structured criterion at canonical points (alpha - t lambda_1 of
-    the variance mix > 0 for kls; alpha > t for ag) plus seeded positivity
-    probes P(pt + r) > 0 over nonnegative offsets r.
+    Probes pt itself and ABOVE_ROOTS_PROBES seeded offsets, and returns how
+    many of them are not positive; 0 is evidence that pt lies above all
+    roots of P, anything else refutes it.
     """
-    structured: float | None = None
-    if kind == "kls":
-        taus = _taus(inst)
-        delta = [pt.t * tau * float(tr) for tau, tr in zip(taus, inst.traces)]
-        if all(abs(z + d) <= POINT_MATCH_TOL * max(1.0, abs(d)) for z, d in zip(pt.z, delta)):
-            mix = [0.0] * inst.h.m
-            for var, tr, v in zip(inst.variables, inst.traces, inst.vectors):
-                weight = float(var.variance) * float(tr)
-                for idx in range(inst.h.m):
-                    mix[idx] += weight * float(v[idx])
-            lam1 = spectrum(inst.h, tuple(mix)).eigenvalues[0]
-            structured = pt.x - pt.t * lam1
-    else:
-        if all(abs(z + pt.t) <= POINT_MATCH_TOL * max(1.0, pt.t) for z in pt.z):
-            structured = pt.x - pt.t
-    if structured is not None and structured <= 0:
-        return AboveRootsVerdict(False, float(structured), 0, 0)
-
     span = max(1.0, abs(pt.x))
     failures = 0
-    for trial in range(probes + 1):
-        if trial == 0:
-            offset = BarrierPoint(pt.x, pt.z, pt.t)
-        else:
-            rng = random.Random(f"above:{seed}:{trial}")
+    for trial in range(ABOVE_ROOTS_PROBES + 1):
+        probe = pt
+        if trial:
+            rng = random.Random(f"above:0:{trial}")
             z = tuple(zc + rng.uniform(0, span) for zc in pt.z)
-            offset = BarrierPoint(pt.x + rng.uniform(0, span), z, pt.t)
-        if not _probe_value(inst, kind, offset) > 0:
+            probe = BarrierPoint(pt.x + rng.uniform(0, span), z, pt.t)
+        if not _probe_value(inst, probe) > 0:
             failures += 1
-    above = failures == 0 and (structured is None or structured > 0)
-    return AboveRootsVerdict(bool(above),
-                             None if structured is None else float(structured),
-                             failures, probes + 1)
+    return failures
 
 
 def _directional_derivative(h, x, v):
@@ -192,25 +159,22 @@ def _directional_derivative(h, x, v):
     return coeffs[1] if len(coeffs) > 1 else 0
 
 
-def phi(inst, kind: str, i: int, pt: BarrierPoint, check: bool = True) -> float:
+def phi(inst, i: int, pt: BarrierPoint) -> float:
     """Barrier function Phi^i at pt, from directional derivatives.
 
-    kls: 2 D_{tau_i v_i} h(w) / h(w) at w = x e + sum z_j tau_j v_j;
-    ag:  D_{v_i} h(w) / h(w) + (d_i g / g)(x 1 + z).
+    signed: 2 D_{tau_i v_i} h(w) / h(w);
+    subset: D_{v_i} h(w) / h(w) + (d_i g / g)(x 1 + z);
+    at w = x e + sum z_j tau_j v_j.  Phi is meaningful only above the roots
+    of P (see above_roots); it is not checked here.
     """
-    if check and not above_roots(inst, kind, pt, probes=8):
-        raise NotAboveRoots(f"point {pt!r} is not above the roots")
-    if kind == "kls":
-        taus = _taus(inst)
-        w = _kls_point_vector(inst, pt)
-        direction = tuple(taus[i] * float(c) for c in inst.vectors[i])
-        dv = _directional_derivative(inst.h, w, direction)
-        return 2.0 * float(dv) / float(inst.h.value(w))
-    w = _ag_point_vector(inst, pt)
-    dv = _directional_derivative(inst.h, w, tuple(float(c) for c in inst.vectors[i]))
-    hterm = float(dv) / float(inst.h.value(w))
+    w = _point_vector(inst, pt)
+    direction = tuple(_taus(inst)[i] * float(c) for c in inst.vectors[i])
+    dv = float(_directional_derivative(inst.h, w, direction))
+    hval = float(inst.h.value(w))
+    if isinstance(inst, KlsInstance):
+        return 2.0 * dv / hval
     gval, gparts = _ag_gen_value_and_partials(inst, pt)
-    return hterm + gparts[i] / gval
+    return dv / hval + gparts[i] / gval
 
 
 # ---------------------------------------------------------------------------
@@ -251,75 +215,67 @@ class ChainReport:
 def _step(name: str, quantity: float, bound: float, tol: float) -> ChainStep:
     margin = bound - quantity
     return ChainStep(name, float(quantity), float(bound), float(margin),
-                     quantity <= bound + tol)
+                     bool(quantity <= bound + tol))
 
 
-def verify_bound_chain(inst, kind: str) -> ChainReport:
+def _variance_mix_top(inst: KlsInstance) -> float:
+    """lambda_1 of sum_i Var(x_i) tr[v_i] v_i, in binary64."""
+    mix = [0.0] * inst.h.m
+    for var, tr, v in zip(inst.variables, inst.traces, inst.vectors):
+        weight = float(var.variance) * float(tr)
+        for idx in range(inst.h.m):
+            mix[idx] += weight * float(v[idx])
+    return spectrum(inst.h, tuple(mix)).eigenvalues[0]
+
+
+def verify_bound_chain(inst) -> ChainReport:
     """Numerically verify the barrier chain (a)-(c) for an instance.
 
     Precondition violations (degenerate sigma or eps, variance mix not below
     the direction) raise ChainViolated; genuine inequality failures land in
     the report with passed=False.
     """
-    if kind == "kls":
-        return _verify_kls_chain(inst)
-    if kind == "ag":
-        return _verify_ag_chain(inst)
-    raise ValueError("kind must be 'kls' or 'ag'")
-
-
-def _verify_kls_chain(inst: KlsInstance) -> ChainReport:
-    if not inst.sigma > 0:
-        raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
-    if abs(inst.sigma - 1.0) > SIGMA_ONE_TOL:
-        inst = inst.scaled(1.0 / inst.sigma)
+    signed = isinstance(inst, KlsInstance)
     steps = []
-    mix_norm = inst.sigma2
-    if mix_norm > 1.0 + VARIANCE_MIX_TOL:
-        raise ChainViolated("variance_mix_below_direction",
-                            f"||sum tau^2 tr v||_h = {mix_norm}")
-    steps.append(_step("variance_mix_norm", mix_norm, 1.0, VARIANCE_MIX_TOL))
-    pt = construction_point(inst, "kls")
-    verdict = above_roots(inst, "kls", pt, probes=16)
-    steps.append(ChainStep("above_roots", float(verdict.probe_failures), 0.0,
-                           float(verdict.structured_margin or 0.0), bool(verdict)))
-    taus = _taus(inst)
-    alpha_minus_t = pt.x - pt.t
-    for i in range(inst.n):
-        delta_i = pt.t * taus[i] * float(inst.traces[i])
+    if signed:
+        if not inst.sigma > 0:
+            raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
+        if abs(inst.sigma - 1.0) > SIGMA_ONE_TOL:
+            inst = inst.scaled(1.0 / inst.sigma)
+        mix_norm = inst.sigma2
+        if mix_norm > 1.0 + VARIANCE_MIX_TOL:
+            raise ChainViolated("variance_mix_below_direction",
+                                f"||sum tau^2 tr v||_h = {mix_norm}")
+        steps.append(_step("variance_mix_norm", mix_norm, 1.0, VARIANCE_MIX_TOL))
+        pt = construction_point(inst)
+        margin = pt.x - pt.t * _variance_mix_top(inst)
+        bounds = [2 * tau * float(tr) / (pt.x - pt.t) for tau, tr in zip(_taus(inst), inst.traces)]
+    else:
+        eps = inst.eps1 + inst.eps2
+        if not eps > 0:
+            raise ChainViolated("eps_positive", "eps1 + eps2 must be positive")
+        pt = construction_point(inst)
+        margin = pt.x - pt.t
+        bounds = [eps / (pt.x - pt.t)] * inst.n
+    failures = above_roots(inst, pt)
+    steps.append(ChainStep("above_roots", float(failures), 0.0, float(margin),
+                           bool(failures == 0 and margin > 0)))
+    # The point sits at z_i = -delta_i, delta_i being the shift the operator
+    # update (1 - 1/2 d^2/dz_i^2) moves z_i by.
+    for i, (z_i, bound) in enumerate(zip(pt.z, bounds)):
+        delta_i = -z_i
         if delta_i <= 0:
             continue  # variable contributes no operator update
-        value = phi(inst, "kls", i, pt, check=False)
-        bound = 2 * taus[i] * float(inst.traces[i]) / alpha_minus_t
+        value = phi(inst, i, pt)
         steps.append(_step(f"phi_bound[{i}]", value, bound, CHAIN_STEP_TOL))
         steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, SQRT2_STEP_TOL))
         steps.append(_step(f"update_condition[{i}]",
                            value / delta_i + value * value / 2, 1.0, CHAIN_STEP_TOL))
-    collapsed = kls_operator_form(inst).to_float()
-    top = max_real_root(collapsed)
-    steps.append(_step("collapsed_max_root", top, 4.0, CHAIN_STEP_TOL))
-    return ChainReport("kls", tuple(steps), all(s.passed for s in steps),
-                       sigma=inst.sigma)
-
-
-def _verify_ag_chain(inst: SrInstance) -> ChainReport:
-    eps = inst.eps1 + inst.eps2
-    if not eps > 0:
-        raise ChainViolated("eps_positive", "eps1 + eps2 must be positive")
-    steps = []
-    pt = construction_point(inst, "ag")
-    verdict = above_roots(inst, "ag", pt, probes=16)
-    steps.append(ChainStep("above_roots", float(verdict.probe_failures), 0.0,
-                           float(verdict.structured_margin or 0.0), bool(verdict)))
-    alpha_minus_t = pt.x - pt.t
-    for i in range(inst.n):
-        value = phi(inst, "ag", i, pt, check=False)
-        steps.append(_step(f"phi_bound[{i}]", value, eps / alpha_minus_t, CHAIN_STEP_TOL))
-        steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, SQRT2_STEP_TOL))
-        steps.append(_step(f"update_condition[{i}]",
-                           value / pt.t + value * value / 2, 1.0, CHAIN_STEP_TOL))
-    mixed = ag_node_poly(inst).to_float()
-    top = max_real_root(mixed)
+    if signed:
+        top = max_real_root(kls_operator_form(inst).to_float())
+        steps.append(_step("collapsed_max_root", top, 4.0, CHAIN_STEP_TOL))
+        return ChainReport("kls", tuple(steps), all(s.passed for s in steps), sigma=inst.sigma)
+    top = max_real_root(ag_node_poly(inst).to_float())
     steps.append(_step("mixed_char_max_root", top, 4 * eps + 2 * eps * eps, CHAIN_STEP_TOL))
     return ChainReport("ag", tuple(steps), all(s.passed for s in steps), eps=eps)
 

@@ -61,26 +61,20 @@ def _resolve_graph(spec: str) -> Graph:
 def cmd_gen(args) -> int:
     meta = {"seed": args.seed, "kind": args.kind}
     if args.kind == "kls-det":
-        if args.n < 1 or args.mprime < 1:
-            raise InvalidParams("kls-det needs --n >= 1 and --mprime >= 1")
         inst = gen_kls_det(args.n, args.mprime, args.seed, args.variables)
         meta.update({"n": args.n, "mprime": args.mprime,
                      "variables": args.variables, "sigma": inst.sigma})
         blob = instance_to_json(inst, "kls", RATIONAL, generator=meta)
     elif args.kind == "kls-lorentz":
-        if args.n < 1 or args.m < 3:
-            raise InvalidParams("kls-lorentz needs --n >= 1 and --m >= 3")
         inst = gen_kls_lorentz(args.n, args.m, args.seed, args.variables)
         meta.update({"n": args.n, "m": args.m, "variables": args.variables,
                      "sigma": inst.sigma})
         blob = instance_to_json(inst, "kls", RATIONAL, generator=meta)
-    elif args.kind == "sr-ust":
+    else:  # sr-ust
         graph = _resolve_graph(args.graph)
         inst = SrInstance.from_graph(graph)
         meta.update({"graph": args.graph, "eps1": inst.eps1, "eps2": inst.eps2})
         blob = instance_to_json(inst, "sr", FLOAT, generator=meta, graph=graph)
-    else:
-        raise InvalidParams(f"unknown kind {args.kind!r}")
     _write(dumps(blob), args.out)
     return EXIT_OK
 
@@ -157,20 +151,18 @@ def _suite_marginals(seed: int) -> list:
     return checks
 
 
+def _chain_check(name: str, inst) -> dict:
+    """One verify check from the barrier chain: passed, and the worst margin."""
+    report = verify_bound_chain(inst)
+    return {"name": name, "passed": report.passed,
+            "margin": min(s.margin for s in report.steps)}
+
+
 def _suite_barrier(seed: int) -> list:
-    checks = []
-    for i in range(3):
-        inst = gen_kls_det(3, 2, seed * 77 + i, "rademacher")
-        report = verify_bound_chain(inst, "kls")
-        worst = min(s.margin for s in report.steps)
-        checks.append({"name": f"kls_bound_chain[{i}]", "passed": report.passed,
-                       "margin": worst})
-    for name in ("k3", "k4"):
-        inst = SrInstance.from_graph(named_graph(name))
-        report = verify_bound_chain(inst, "ag")
-        worst = min(s.margin for s in report.steps)
-        checks.append({"name": f"sr_bound_chain[{name}]", "passed": report.passed,
-                       "margin": worst})
+    checks = [_chain_check(f"kls_bound_chain[{i}]", gen_kls_det(3, 2, seed * 77 + i, "rademacher"))
+              for i in range(3)]
+    checks += [_chain_check(f"sr_bound_chain[{name}]", SrInstance.from_graph(named_graph(name)))
+               for name in ("k3", "k4")]
     return checks
 
 
@@ -184,13 +176,7 @@ def _verify_file(path: str) -> list:
         same = KlsFamily(inst).node_poly(()).coeffs == kls_operator_form(inst).coeffs
         checks.append({"name": "kls_operator_identity", "passed": bool(same),
                        "margin": 0.0})
-        report = verify_bound_chain(inst, "kls")
-        checks.append({"name": "kls_bound_chain", "passed": report.passed,
-                       "margin": min(s.margin for s in report.steps)})
-    else:
-        report = verify_bound_chain(inst, "ag")
-        checks.append({"name": "sr_bound_chain", "passed": report.passed,
-                       "margin": min(s.margin for s in report.steps)})
+    checks.append(_chain_check(f"{kind}_bound_chain", inst))
     return checks
 
 
@@ -207,8 +193,6 @@ def cmd_verify(args) -> int:
             "barrier": [_suite_barrier],
             "all": [_suite_identities, _suite_marginals, _suite_barrier],
         }
-        if args.suite not in suites:
-            raise InvalidParams(f"unknown suite {args.suite!r}")
         for fn in suites[args.suite]:
             checks.extend(fn(args.seed))
     blob = {"checks": checks, "passed": all(c["passed"] for c in checks)}
@@ -238,13 +222,11 @@ def cmd_bench(args) -> int:
             inst = gen_kls_lorentz(args.n, args.m, seed, args.variables)
             kind = "kls"
             scale_param = inst.sigma
-        elif args.kind == "sr-ust":
+        else:  # sr-ust
             graph = random_connected_graph(args.n, min(args.n + 1, args.n * (args.n - 1) // 2), seed)
             inst = SrInstance.from_graph(graph)
             kind = "ag"
             scale_param = inst.eps1 + inst.eps2
-        else:
-            raise InvalidParams(f"unknown bench kind {args.kind!r}")
         family = KlsFamily(inst) if kind == "kls" else AgFamily(inst)
         t0 = time.perf_counter()
         _, brute_val = brute_force(inst, kind)
@@ -253,7 +235,7 @@ def cmd_bench(args) -> int:
         result = kadison_singer_search(family, SolverConfig(delta=args.delta, seed=seed))
         t_blocked = time.perf_counter() - t0
         if args.trials > 0:
-            baseline = random_baseline(inst, kind, args.trials, seed)
+            baseline = random_baseline(inst, args.trials, seed)
             base_min, base_med, base_max = baseline.minimum, baseline.median, baseline.maximum
         else:
             base_min = base_med = base_max = ""

@@ -51,10 +51,6 @@ class EmptyBranch(HyperdiscError):
     """No support set extends the given partial assignment."""
 
 
-class NotAboveRoots(HyperdiscError):
-    """Barrier evaluation point is not above the roots of the polynomial."""
-
-
 class ChainViolated(HyperdiscError):
     """A bound-chain precondition fails for the given instance."""
 

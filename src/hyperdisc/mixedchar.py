@@ -95,7 +95,7 @@ from .hyperbolic import (
     subsets_up_to,
 )
 from .realstable import MultiPoly
-from .scalars import FLOAT, PROB_SUM_TOL, RATIONAL, coerce
+from .scalars import FLOAT, RATIONAL, coerce
 from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
 from .unipoly import UniPoly, max_real_root, real_roots
 
@@ -119,8 +119,8 @@ class RandomVar:
             raise ValueError("support values must be distinct")
         if any(not p > 0 for p in self.probs):
             raise ValueError("probabilities must be positive")
-        total = sum(self.probs)
-        if abs(total - 1) > (PROB_SUM_TOL if isinstance(total, float) else 0):
+        total = sum(map(Fraction, self.probs))  # a binary64 value is the rational it is
+        if total != 1:
             raise ValueError(f"probabilities sum to {total}")
 
     @staticmethod

@@ -16,7 +16,7 @@ suite carries a seeded refutation search for it.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange
-from .scalars import FLOAT, RATIONAL, coerce, join_backend
+from .scalars import RATIONAL, coerce, join_backend
 from .unipoly import UniPoly
 
 
@@ -76,10 +76,7 @@ class MultiPoly:
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    # -- calculus / substitution --------------------------------------------
+    # -- calculus -----------------------------------------------------------
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -103,20 +100,6 @@ class MultiPoly:
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[i]
-        return MultiPoly(self.nvars, out, self.backend)
-
-    def substitute(self, i: int, value) -> "MultiPoly":
-        """Set variable i to a scalar; the variable slot stays (exponent 0)."""
-        if not (0 <= i < self.nvars):
-            raise IndexOutOfRange(f"variable {i} out of range")
-        value = coerce(value, self.backend if not isinstance(value, float) else FLOAT)
-        out = {}
-        for e, c in self.terms.items():
-            v = c * value ** e[i]
-            ne = list(e)
-            ne[i] = 0
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + v
         return MultiPoly(self.nvars, out, self.backend)
 
     def eval(self, point):

@@ -40,6 +40,7 @@ import numpy as np
 from ._exact import char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .hyperbolic import spectrum
+from .mixedchar import KlsInstance
 from .scalars import CERTIFY_SLACK_TOL, RATIONAL
 from .unipoly import UniPoly
 
@@ -325,19 +326,18 @@ class BaselineSummary:
     maximum: float
 
 
-def random_baseline(inst, kind: str, trials: int, seed: int = 0) -> BaselineSummary:
+def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
     """I.i.d. random assignments: the matrix-Chernoff-style comparison point."""
     import random as _random
 
-    values = []
-    if kind == "kls":
-        vecs = np.array([[float(c) for c in v] for v in inst.vectors])
+    vecs = np.array([[float(c) for c in v] for v in inst.vectors])
+    rows = np.zeros((trials, inst.n))
+    if isinstance(inst, KlsInstance):
         means = [float(var.mean) for var in inst.variables]
         cum = []
         for var in inst.variables:
             probs = [float(p) for p in var.probs]
             cum.append(np.cumsum(probs))
-        rows = np.zeros((trials, inst.n))
         for t in range(trials):
             rng = _random.Random(f"baseline:{seed}:{t}")
             for i, var in enumerate(inst.variables):
@@ -345,19 +345,13 @@ def random_baseline(inst, kind: str, trials: int, seed: int = 0) -> BaselineSumm
                 j = int(np.searchsorted(cum[i], u))
                 j = min(j, len(var.support) - 1)
                 rows[t, i] = float(var.support[j]) - means[i]
-        values = _norms_batch(inst.h, rows @ vecs)
-    elif kind == "ag":
-        vecs = np.array([[float(c) for c in v] for v in inst.vectors])
+    else:
         probs = np.cumsum([float(p) for _, p in inst.mu.support])
-        rows = np.zeros((trials, inst.n))
         for t in range(trials):
             rng = _random.Random(f"baseline:{seed}:{t}")
             j = int(np.searchsorted(probs, rng.random()))
             j = min(j, len(inst.mu.support) - 1)
             for e in inst.mu.support[j][0]:
                 rows[t, e] = 1.0
-        values = _norms_batch(inst.h, rows @ vecs)
-    else:
-        raise ValueError("kind must be 'kls' or 'ag'")
-    arr = np.sort(np.asarray(values))
+    arr = np.sort(_norms_batch(inst.h, rows @ vecs))
     return BaselineSummary(float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1]))

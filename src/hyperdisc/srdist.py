@@ -31,7 +31,7 @@ from .errors import DisconnectedGraph
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
 from .realstable import MultiPoly
-from .scalars import ISOTROPY_TOL, LAPLACIAN_ZERO_TOL, PROB_SUM_TOL
+from .scalars import ISOTROPY_TOL, LAPLACIAN_ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class SRDistribution:
         """Build and validate a homogeneous distribution.
 
         ``items`` is an iterable of (elements, probability); elements must
-        be ints.  Probabilities must be positive and sum to one (exactly for
-        rationals, within PROB_SUM_TOL for floats).  Real stability is assumed, not
-        checked.
+        be ints.  Probabilities must be positive and sum to exactly one, a
+        binary64 probability counting as the rational it is.  Real stability
+        is assumed, not checked.
         """
         items = list(items)
         if not items:
@@ -74,18 +74,11 @@ class SRDistribution:
         rows = np.sort(elems.reshape(len(sets), d_mu), axis=1)
         if (rows[:, 1:] == rows[:, :-1]).any():
             raise ValueError("support sets cannot repeat elements")
-        if any(issubclass(t, float) for t in set(map(type, probs))):
-            if not all(p > 0 for p in probs):
-                raise ValueError("probabilities must be positive")
-            total = sum(probs)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        else:
-            weights, denom = _integer_weights(probs)
-            if min(weights) <= 0:
-                raise ValueError("probabilities must be positive")
-            if sum(weights) != denom:
-                raise ValueError(f"probabilities sum to {Fraction(sum(weights), denom)}, not 1")
+        weights, denom = _integer_weights(probs)
+        if min(weights) <= 0:
+            raise ValueError("probabilities must be positive")
+        if sum(weights) != denom:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), denom)}, not 1")
         order = np.lexsort(rows.T[::-1]) if d_mu else np.arange(len(rows))
         rows = rows[order]
         rows.setflags(write=False)

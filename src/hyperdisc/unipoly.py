@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateNode, NotRealRooted, ZeroPolynomial
-from .scalars import (BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, FLOAT, RATIONAL, REAL_ROOTED_IMAG_TOL,
-                      ROOT_IMAG_TOL, ROOT_RESIDUAL_TOL, coerce, infer_backend, join_backend)
+from .scalars import (BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, FLOAT, RATIONAL, ROOT_IMAG_TOL,
+                      ROOT_RESIDUAL_TOL, coerce, infer_backend, join_backend)
 
 # Multiplicity-expanded real roots, non-increasing order.
 RootList = tuple
@@ -222,16 +222,6 @@ def square_free_decomposition(c: list) -> list:
     return out
 
 
-def square_free_part(c: list) -> list:
-    c = _strip([Fraction(x) for x in c])
-    if len(c) <= 1:
-        return c
-    g = _poly_gcd(c, _deriv(c))
-    if len(g) == 1:
-        return c
-    return _exact_div(c, g)
-
-
 def _sturm_chain(c: list) -> list:
     chain = [list(c), _deriv(c)]
     while len(chain[-1]) > 1:
@@ -266,13 +256,9 @@ def _variations_at(chain: list, t: Fraction) -> int:
     return _variations([_sign(_value_at(poly, t)) for poly in chain])
 
 
-def sturm_count_all_real(c: list, chain: list | None = None) -> int:
-    """Number of distinct real roots of a square-free exact polynomial c."""
-    c = _strip([Fraction(x) for x in c])
-    if len(c) <= 1:
-        return 0
-    if chain is None:
-        chain = _sturm_chain(c)
+def sturm_count_all_real(chain: list) -> int:
+    """Number of distinct real roots of the square-free exact polynomial whose
+    Sturm chain (_sturm_chain) is given."""
     at_plus = [_sign(p[-1]) for p in chain]
     at_minus = [_sign(p[-1]) * (-1 if (len(p) - 1) % 2 else 1) for p in chain]
     return _variations(at_minus) - _variations(at_plus)
@@ -411,18 +397,27 @@ def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
     return float((a + b) / 2)
 
 
-def _exact_real_roots(p: UniPoly) -> tuple:
-    """All real roots with multiplicity via Yun + Sturm; certifies the count."""
-    coeffs = _exact_coeffs(p)
-    roots = []
-    for factor, mult in square_free_decomposition(coeffs):
+def _certified_factors(p: UniPoly) -> list:
+    """[(factor, multiplicity, Sturm chain)] of p's exact coefficients by Yun's
+    algorithm; raises NotRealRooted unless the Sturm count of every factor
+    reaches its degree."""
+    out = []
+    for factor, mult in square_free_decomposition(_exact_coeffs(p)):
         deg = len(factor) - 1
         chain = _sturm_chain(factor)
-        cnt = sturm_count_all_real(factor, chain)
+        cnt = sturm_count_all_real(chain)
         if cnt < deg:
             raise NotRealRooted(
                 f"exact Sturm count {cnt} < factor degree {deg}; polynomial is not real-rooted"
             )
+        out.append((factor, mult, chain))
+    return out
+
+
+def _exact_real_roots(p: UniPoly) -> tuple:
+    """All real roots with multiplicity via Yun + Sturm; certifies the count."""
+    roots = []
+    for factor, mult, chain in _certified_factors(p):
         for a, b in _isolate_roots(factor, chain):
             r = _refine_root(factor, a, b, chain)
             roots.extend([r] * mult)
@@ -432,10 +427,6 @@ def _exact_real_roots(p: UniPoly) -> tuple:
 # ---------------------------------------------------------------------------
 # Public root operations.
 # ---------------------------------------------------------------------------
-
-def _companion_roots(c: np.ndarray) -> np.ndarray:
-    return np.roots(c[::-1])
-
 
 def real_roots(p: UniPoly) -> RootList:
     """All real roots of p with multiplicity, sorted non-increasing.
@@ -461,7 +452,7 @@ def real_roots(p: UniPoly) -> RootList:
         return zeros
     cred = c[nzero:]
     scale = np.max(np.abs(cred))
-    roots = _companion_roots(cred)
+    roots = np.roots(cred[::-1])  # companion-matrix eigenvalues
     if np.all(np.abs(roots.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))):
         cand = np.sort(roots.real)[::-1]
         dc = np.array([float(x) for x in _deriv(list(cred))]) if len(cred) > 1 else np.zeros(1)
@@ -475,24 +466,16 @@ def real_roots(p: UniPoly) -> RootList:
 
 
 def is_real_rooted(p: UniPoly) -> bool:
-    """Certified real-rootedness via an exact Sturm count.
-
-    The count runs on the square-free part (multiplicities cannot hide
-    complex pairs there).  Under the rational backend the verdict is exact;
-    under binary64 a failing exact verdict is retried against companion
-    eigenvalues, so that roots whose imaginary part is within
-    REAL_ROOTED_IMAG_TOL, rounding noise, still count as real.
-    """
+    """Certified real-rootedness: the exact Sturm count of every Yun factor
+    reaches its degree.  Binary64 coefficients are taken as the rationals
+    they are, so the verdict is exact on either backend."""
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no real-rootedness verdict")
-    if p.degree == 0:
-        return True
-    sf = square_free_part(_exact_coeffs(p))
-    ok = sturm_count_all_real(sf) == len(sf) - 1
-    if ok or p.backend == RATIONAL:
-        return ok
-    roots = _companion_roots(p.float_coeffs())
-    return bool(np.all(np.abs(roots.imag) <= REAL_ROOTED_IMAG_TOL * np.maximum(1.0, np.abs(roots))))
+    try:
+        _certified_factors(p)
+    except NotRealRooted:
+        return False
+    return True
 
 
 def max_real_root(p: UniPoly) -> float:

@@ -1,12 +1,14 @@
 """Barrier functions, above-roots checks, and the certificate chain."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hyperdisc.errors import ChainViolated, NotAboveRoots
+from hyperdisc.errors import ChainViolated
 from hyperdisc.barrier import (
     BarrierPoint,
     above_roots,
@@ -16,8 +18,9 @@ from hyperdisc.barrier import (
     polynomial_value,
     verify_bound_chain,
 )
-from hyperdisc.graphs import complete_graph, diamond_graph
+from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import determinant, lorentz
+from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
 from hyperdisc.realstable import one_minus_c_d2
 from hyperdisc.srdist import SRDistribution
@@ -39,15 +42,15 @@ def test_phi_scalar_closed_form():
     # For h(x) = x, n=1, tau=1, tr=1: Phi^1(alpha, z) = 2 / (alpha + z).
     inst = _scalar_instance()
     pt = BarrierPoint(4.0, (-2.0,), 2.0)
-    assert phi(inst, "kls", 0, pt) == pytest.approx(2.0 / (4.0 - 2.0))
+    assert phi(inst, 0, pt) == pytest.approx(2.0 / (4.0 - 2.0))
 
 
 def test_phi_ag_toy():
     # Phi^1 = (1/2)/(alpha - t) + (1/2)/(alpha - t) for the half-half toy.
     inst = _toy_sr_instance()
-    pt = construction_point(inst, "ag")
+    pt = construction_point(inst)
     expect = 0.5 / (pt.x - pt.t) + 0.5 / (pt.x - pt.t)
-    assert phi(inst, "ag", 0, pt) == pytest.approx(expect)
+    assert phi(inst, 0, pt) == pytest.approx(expect)
 
 
 def test_phi_zero_vector_contributes_nothing():
@@ -56,30 +59,30 @@ def test_phi_zero_vector_contributes_nothing():
         h,
         [h.vec_outer((Fraction(1), Fraction(0))), (Fraction(0),) * h.m],
         [RADEMACHER, RADEMACHER])
-    pt = construction_point(inst, "kls")
-    assert phi(inst, "kls", 1, pt) == pytest.approx(0.0)
+    pt = construction_point(inst)
+    assert phi(inst, 1, pt) == pytest.approx(0.0)
 
 
 def test_phi_requires_above_roots():
+    # Phi means nothing below the roots; the probes flag such a point.
     inst = _scalar_instance()
     below = BarrierPoint(0.0, (-4.0,), 2.0)
-    with pytest.raises(NotAboveRoots):
-        phi(inst, "kls", 0, below)
+    assert above_roots(inst, below) > 0
 
 
 def test_above_roots_structured_margin():
     inst = _scalar_instance()  # ||tau^2 tr v||_h = 1
-    pt = construction_point(inst, "kls")
-    verdict = above_roots(inst, "kls", pt)
-    assert verdict.above
-    assert verdict.structured_margin == pytest.approx(4.0 - 2.0 * 1.0)
+    pt = construction_point(inst)
+    assert above_roots(inst, pt) == 0
+    step = next(s for s in verify_bound_chain(inst).steps if s.step == "above_roots")
+    assert step.passed and step.quantity == 0.0
+    assert step.margin == pytest.approx(4.0 - 2.0 * 1.0)
 
 
 def test_above_roots_rejects_boundary():
     inst = _toy_sr_instance()
     pt = BarrierPoint(2.0, (-2.0, -2.0), 2.0)  # alpha = t
-    verdict = above_roots(inst, "ag", pt)
-    assert not verdict.above
+    assert above_roots(inst, pt) > 0
 
 
 def test_phi_matches_log_derivative():
@@ -90,12 +93,12 @@ def test_phi_matches_log_derivative():
         h,
         [h.vec_outer((Fraction(1), Fraction(0))), h.vec_outer((Fraction(1), Fraction(1)))],
         [RADEMACHER, RADEMACHER])
-    pt = construction_point(inst, "kls")
+    pt = construction_point(inst)
     eps = 1e-6
     for i in range(inst.n):
-        analytic = phi(inst, "kls", i, pt, check=False)
-        up = math.log(polynomial_value(inst, "kls", pt.shift(i, eps)))
-        down = math.log(polynomial_value(inst, "kls", pt.shift(i, -eps)))
+        analytic = phi(inst, i, pt)
+        up = math.log(polynomial_value(inst, pt.shift(i, eps)))
+        down = math.log(polynomial_value(inst, pt.shift(i, -eps)))
         numeric = (up - down) / (2 * eps)
         assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-8)
     del rng
@@ -103,14 +106,14 @@ def test_phi_matches_log_derivative():
 
 def _phi_differences(inst, i, j, pt, step):
     """Phi^i at pt and its central first and second differences along z_j."""
-    minus, center, plus = (phi(inst, "kls", i, pt.shift(j, dz)) for dz in (-step, 0.0, step))
+    minus, center, plus = (phi(inst, i, pt.shift(j, dz)) for dz in (-step, 0.0, step))
     return center, (plus - minus) / (2 * step), (plus - 2 * center + minus) / step ** 2
 
 
 def test_phi_sign_checks_scalar():
     # Phi = 2/(4+z) along z_0: value 1, slope -1/2, curvature 1/2 at z = -2.
     inst = _scalar_instance()
-    pt = construction_point(inst, "kls")
+    pt = construction_point(inst)
     value, first, second = _phi_differences(inst, 0, 0, pt, 1e-3)
     assert value == pytest.approx(1.0)
     assert first == pytest.approx(-0.5, rel=1e-4)
@@ -123,7 +126,7 @@ def test_phi_sign_checks_scalar():
         [h.vec_outer((Fraction(1), Fraction(0))), h.vec_outer((Fraction(1), Fraction(1)))],
         [RADEMACHER, RADEMACHER])
     inst = inst.scaled(1.0 / inst.sigma)
-    pt = construction_point(inst, "kls")
+    pt = construction_point(inst)
     for i in range(inst.n):
         for j in range(inst.n):
             value, first, second = _phi_differences(inst, i, j, pt, 1e-3)
@@ -132,7 +135,7 @@ def test_phi_sign_checks_scalar():
 
 
 def test_verify_bound_chain_scalar_kls():
-    report = verify_bound_chain(_scalar_instance(), "kls")
+    report = verify_bound_chain(_scalar_instance())
     assert report.passed
     names = [s.step for s in report.steps]
     assert "collapsed_max_root" in names
@@ -148,13 +151,13 @@ def test_verify_bound_chain_normalizes_sigma():
         [h.vec_outer((Fraction(2), Fraction(0))), h.vec_outer((Fraction(1), Fraction(2)))],
         [RADEMACHER, RADEMACHER])
     assert inst.sigma != pytest.approx(1.0)
-    report = verify_bound_chain(inst, "kls")
+    report = verify_bound_chain(inst)
     assert report.passed
     assert report.sigma == pytest.approx(1.0)
 
 
 def test_verify_bound_chain_ag_toy():
-    report = verify_bound_chain(_toy_sr_instance(), "ag")
+    report = verify_bound_chain(_toy_sr_instance())
     assert report.passed
     eps = 0.5 + 0.5
     final = report.steps[-1]
@@ -165,7 +168,7 @@ def test_verify_bound_chain_ag_toy():
 def test_verify_bound_chain_ag_spanning_trees():
     for graph in (complete_graph(3), diamond_graph()):
         inst = SrInstance.from_graph(graph)
-        report = verify_bound_chain(inst, "ag")
+        report = verify_bound_chain(inst)
         assert report.passed
 
 
@@ -174,15 +177,76 @@ def test_verify_bound_chain_degenerate_sigma():
         D1, [(Fraction(1),)],
         [RandomVar((Fraction(1),), (Fraction(1),))])  # variance 0
     with pytest.raises(ChainViolated):
-        verify_bound_chain(inst, "kls")
+        verify_bound_chain(inst)
 
 
 def test_report_json_shape():
-    report = verify_bound_chain(_scalar_instance(), "kls")
+    report = verify_bound_chain(_scalar_instance())
     blob = report.to_json()
     assert blob["kind"] == "kls"
     assert blob["passed"] is True
     assert all({"step", "quantity", "bound", "margin", "passed"} <= set(s) for s in blob["steps"])
+    # Every field is a JSON type, numpy scalars included, in both settings.
+    for inst in (_scalar_instance(), gen_kls_det(4, 3, 0, "mixed"),
+                 SrInstance.from_graph(named_graph("k4"))):
+        report = verify_bound_chain(inst)
+        assert all(type(s.passed) is bool for s in report.steps)
+        assert json.loads(json.dumps(report.to_json())) == report.to_json()
+
+
+def _chain_cases():
+    for seed in range(5):
+        for n, mprime in ((3, 2), (4, 3), (6, 3)):
+            yield f"kls-det:{n}:{mprime}:{seed}", gen_kls_det(n, mprime, seed, "mixed")
+        for n, m in ((3, 3), (5, 4)):
+            yield f"kls-lorentz:{n}:{m}:{seed}", gen_kls_lorentz(n, m, seed, "mixed")
+    for name in ("k3", "k4", "diamond"):
+        yield f"sr:{name}", SrInstance.from_graph(named_graph(name))
+
+
+# sha256 of [[step, quantity, bound, margin, passed], ...] per instance, as
+# the chain computed them before the signed and subset chains shared one step
+# loop; every float is compared bit for bit through its repr.
+CHAIN_DIGESTS = {
+    "kls-det:3:2:0": "0605bc4b6f781abe90f0b7e2dc6eba9b0210cd2f1cfd7752f296b7b03667ca7d",
+    "kls-det:4:3:0": "cba329400ed47a9f1823836d8561c0927ddff26721991838f0a6a5764550c7b4",
+    "kls-det:6:3:0": "903cf516a67afc3b86ebd74cbf6f1ee202cfd5427f328c22ab0c9793fe08e470",
+    "kls-lorentz:3:3:0": "fce54f64f6a455d2f3c221f5c53640cf0d8d8e6ce7f7f2f51a8f16e8fcb4f983",
+    "kls-lorentz:5:4:0": "aab04445edff3229beec1e480fee3e6e9287b97485524ff831b4f0db07b59611",
+    "kls-det:3:2:1": "ccb2ea71cd66c8aa8ffe3e669fa9eff4e4fa1fb870d90dfb8fe58d01e2f70552",
+    "kls-det:4:3:1": "45f3319a786a02cb112d0917392f33a306e61a98b4fbd8a065016b0bd38d189f",
+    "kls-det:6:3:1": "ec2b56c129de69b98f7a75afa69f51a43a3aa65dbcb4b34824392d5404460817",
+    "kls-lorentz:3:3:1": "ca0c7babdcc2aae912ffe2448b6e77fa7ecb6408451fecd32a2a3bded4a93797",
+    "kls-lorentz:5:4:1": "74a43c2fc82597b5374d6f97984622af6e4ba97832718b9f7e130891a2fff5e5",
+    "kls-det:3:2:2": "e714f98a52071be23dc73bfe50e6f0e3c26811f312666181745fda99f22c99e0",
+    "kls-det:4:3:2": "a2a74f6d513520a2ab15975cb7a9ed460fd92aed0aa373ce5663ae33d80ad89a",
+    "kls-det:6:3:2": "035f536c1d50812c2c0e2ead3020172e81630f5536f542ab4b179d100a8b21df",
+    "kls-lorentz:3:3:2": "5437192c2e900f99bb81b0d431046f2818b1e707452960c2a05c9d60bd24b7f5",
+    "kls-lorentz:5:4:2": "40f577daa8449c155aa5a55b0ba7a50a8c34f5a5ab6310b890efc1323154eaae",
+    "kls-det:3:2:3": "5810b2db272c84a198706c28d970301c2dc8a2ada14a4dbe2b2ee2d5245fb122",
+    "kls-det:4:3:3": "50ef1fbfe8ba289bfa5a90583ba119e197610827c9c2b5935b174d0012dbc024",
+    "kls-det:6:3:3": "1c263e84dea1dc8e99c2ba16bf06c4e45195794f02f20b1bc2a156947149501d",
+    "kls-lorentz:3:3:3": "d79d4ab878fb04aa882ba56b0aa08a8cef48e2451f1e5f21e0fc1c2266735be6",
+    "kls-lorentz:5:4:3": "5d740230df3ae3456a30f020a98f81ec1436616925fccb3ccfc7b9c3cfa3a5fa",
+    "kls-det:3:2:4": "054c7d4fbf8fe8fcc114dcbb51be35f5f65497d4b375c14c3ca92034cd7b41ce",
+    "kls-det:4:3:4": "274ec2b4bd92a03b9c38c1346525aab33654c51f93efe34f5ca7ccb177fa9c8c",
+    "kls-det:6:3:4": "913075885d0be079449640370de13ee0f42d1ccc9a3b165221caada5b83fe2a4",
+    "kls-lorentz:3:3:4": "ed870ad0884eb2debd8087cde38822d6a838ce0fef5bfb021270830a7eb2c545",
+    "kls-lorentz:5:4:4": "5c9316b326cc5797ba8a79d6290c27362cdcf4b8d1b6b2a0c27864a5fab6082e",
+    "sr:k3": "25a4c5ba0ecce10f81b7c5f7f7ad17e27650291430aa7973e8a4ed74479f1696",
+    "sr:k4": "c0dda6157b290a3d4008c2ec9b0df435626b1ab9dc74febc129722ca2bfdf6e0",
+    "sr:diamond": "4928c29efe70cb39750cfd80f47123b329956b4fecd1cb25871be49f851ba481",
+}
+
+
+def test_chain_steps_are_pinned():
+    seen = {}
+    for label, inst in _chain_cases():
+        rows = [[s.step, s.quantity, s.bound, s.margin, s.passed]
+                for s in verify_bound_chain(inst).steps]
+        seen[label] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert seen[label] == CHAIN_DIGESTS[label], (label, rows)
+    assert seen.keys() == CHAIN_DIGESTS.keys()
 
 
 def _zphi(p, i, pt):
@@ -203,7 +267,7 @@ def test_operator_update_shifts_barrier():
         if inst.sigma <= 0:
             continue
         inst = inst.scaled(1.0 / inst.sigma)
-        pt = construction_point(inst, "kls")
+        pt = construction_point(inst)
         zp = kls_square_zpoly(inst)  # variable 0 is x, variable i + 1 is z_i
         taus = [math.sqrt(float(v.variance)) for v in inst.variables]
         for i in range(inst.n):
@@ -225,5 +289,5 @@ def test_zpoly_matches_direct_value():
     inst = _scalar_instance(2)
     zp = kls_square_zpoly(inst)
     pt = BarrierPoint(3.0, (-0.5, -0.25), 1.0)
-    direct = polynomial_value(inst, "kls", pt)
+    direct = polynomial_value(inst, pt)
     assert zp.eval((pt.x,) + pt.z) == pytest.approx(direct)

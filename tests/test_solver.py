@@ -221,8 +221,8 @@ def test_brute_force_guardrail():
 
 def test_random_baseline_deterministic():
     inst = _scalar_instance(2)
-    a = random_baseline(inst, "kls", trials=200, seed=3)
-    b = random_baseline(inst, "kls", trials=200, seed=3)
+    a = random_baseline(inst, trials=200, seed=3)
+    b = random_baseline(inst, trials=200, seed=3)
     assert a == b
     assert a.minimum == pytest.approx(0.0, abs=1e-12)
     assert a.maximum == pytest.approx(2.0)
@@ -231,7 +231,7 @@ def test_random_baseline_deterministic():
 def test_random_baseline_constant_variables():
     inst = KlsInstance.build(
         D1, [(Fraction(1),)], [RandomVar((Fraction(2),), (Fraction(1),))])
-    summary = random_baseline(inst, "kls", trials=50, seed=1)
+    summary = random_baseline(inst, trials=50, seed=1)
     assert summary.minimum == summary.maximum == pytest.approx(0.0)
 
 

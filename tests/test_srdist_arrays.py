@@ -40,11 +40,8 @@ def reference_from_support(n, items):
         raise ValueError("empty support")
     if len(sizes) != 1:
         raise ValueError("distribution is not homogeneous")
-    total = sum(p for _, p in norm)
-    if isinstance(total, float):
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-    elif total != 1:
+    total = sum(Fraction(p) for _, p in norm)  # a float counts as the rational it is
+    if total != 1:
         raise ValueError(f"probabilities sum to {total}, not 1")
     norm.sort(key=lambda item: item[0])
     return tuple(norm), sizes.pop()
@@ -86,7 +83,8 @@ def assert_same_error(n, items):
 
 def random_support(rng, n, d, size, floats=False):
     """size sets of d elements of range(n), duplicates allowed, elements in
-    random order, as lists or tuples; probabilities sum to one."""
+    random order, as lists or tuples; probabilities sum to exactly one (as
+    floats, they are dyadic, so each is exact in binary64)."""
     combos = list(itertools.combinations(range(n), d))
     sets = []
     for _ in range(size):
@@ -96,8 +94,9 @@ def random_support(rng, n, d, size, floats=False):
     weights = [rng.randint(1, 9) for _ in sets]
     total = sum(weights)
     if floats:
+        total = 1 << (total - 1).bit_length()
+        weights[-1] += total - sum(weights)
         probs = [w / total for w in weights]
-        probs[-1] = 1.0 - sum(probs[:-1])
     else:
         probs = [Fraction(w, total) for w in weights]
     return list(zip(sets, probs))
@@ -120,13 +119,13 @@ def test_from_support_matches_reference_on_special_supports():
         (4, [((2, 1), third), ((1, 2), third), ((0, 3), third)]),  # a duplicate set
         (3, [((2,), 0.25), ((0,), 0.5), ((1,), 0.25)]),            # float probabilities
         (3, [((2,), Fraction(1, 2)), ((0,), 0.5)]),                # a mixture
-        (2, [((1,), 0.5), ((0,), 0.5 + 1e-13)]),                   # within 1e-12
         (2, [((1,), 1)]),                                          # an int probability
         (5, [((4, 0), Fraction(1))]),
     ]
     for n, items in cases:
         assert_same_as_reference(n, items)
-    assert_same_error(2, [((1,), 0.5), ((0,), 0.5 + 1e-9)])
+    assert_same_error(2, [((1,), 0.5), ((0,), 0.5 + 1e-13)])  # no float slack
+    assert_same_error(3, [((0,), 0.1), ((1,), 0.2), ((2,), 0.7)])   # sums to 1.0 in floats only
 
 
 @st.composite
@@ -153,7 +152,7 @@ def test_from_support_matches_reference_property(case):
         try:
             reference_from_support(n, items)
         except ValueError:
-            assert_same_error(n, items)  # a float sum off by more than 1e-12
+            assert_same_error(n, items)  # a float sum that is not exactly 1
             return
     assert_same_as_reference(n, items)
 

@@ -73,6 +73,13 @@ def test_is_real_rooted_examples():
     assert is_real_rooted(UniPoly.from_coeffs([1, 2, 2])) is False  # 2t^2+2t+1
 
 
+def test_is_real_rooted_is_exact_on_floats():
+    # t^2 + 2^-80 has the complex pair +-2^-40 i: the binary64 coefficients
+    # are exact rationals, so no float tolerance may call the pair real.
+    assert is_real_rooted(UniPoly.from_coeffs([2.0 ** -80, 0.0, 1.0])) is False
+    assert is_real_rooted(UniPoly.from_coeffs([-(2.0 ** -80), 0.0, 1.0])) is True
+
+
 def test_is_real_rooted_zero_raises():
     with pytest.raises(ZeroPolynomial):
         is_real_rooted(UniPoly.zero())
@@ -115,8 +122,9 @@ def test_square_free_decomposition():
 
 
 def test_sturm_count():
-    assert sturm_count_all_real([Fraction(-2), Fraction(0), Fraction(1)]) == 2  # x^2-2
-    assert sturm_count_all_real([Fraction(1), Fraction(0), Fraction(1)]) == 0  # x^2+1
+    chain = unipoly._sturm_chain
+    assert sturm_count_all_real(chain([Fraction(-2), Fraction(0), Fraction(1)])) == 2  # x^2-2
+    assert sturm_count_all_real(chain([Fraction(1), Fraction(0), Fraction(1)])) == 0  # x^2+1
 
 
 def test_roundtrip_interpolation_rational():
