@@ -43,7 +43,7 @@ from .mixedchar import (
     KlsInstance,
     SrInstance,
     ag_node_poly,
-    kls_operator_form,
+    kls_table_node_poly,
     linear_restriction_multipoly,
 )
 from .realstable import MultiPoly
@@ -102,12 +102,13 @@ def _ag_gen_value_and_partials(inst: SrInstance, pt: BarrierPoint):
     value = 0.0
     partials = [0.0] * inst.n
     for elems, prob in inst.mu.support:
-        prod = float(prob)
+        weight = float(prob)
+        prod = weight
         for e in elems:
             prod *= shifted[e]
         value += prod
         for e in elems:
-            rest = float(prob)
+            rest = weight
             for other in elems:
                 if other != e:
                     rest *= shifted[other]
@@ -240,8 +241,11 @@ def verify_bound_chain(inst) -> ChainReport:
     if signed:
         if not inst.sigma > 0:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
+        root = kls_table_node_poly(inst)
+        root_scale = 1.0
         if abs(inst.sigma - 1.0) > SIGMA_ONE_TOL:
-            inst = inst.scaled(1.0 / inst.sigma)
+            root_scale = 1.0 / inst.sigma
+            inst = inst.scaled(root_scale)
         mix_norm = inst.sigma2
         if mix_norm > 1.0 + VARIANCE_MIX_TOL:
             raise ChainViolated("variance_mix_below_direction",
@@ -272,7 +276,7 @@ def verify_bound_chain(inst) -> ChainReport:
         steps.append(_step(f"update_condition[{i}]",
                            value / delta_i + value * value / 2, 1.0, CHAIN_STEP_TOL))
     if signed:
-        top = max_real_root(kls_operator_form(inst).to_float())
+        top = max_real_root(root.to_float()) * root_scale
         steps.append(_step("collapsed_max_root", top, 4.0, CHAIN_STEP_TOL))
         return ChainReport("kls", tuple(steps), all(s.passed for s in steps), sigma=inst.sigma)
     top = max_real_root(ag_node_poly(inst).to_float())

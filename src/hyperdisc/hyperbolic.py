@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import char_poly_exact, det_exact
+from ._exact import _integer_rows, char_poly_exact, det_exact
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
 from .scalars import CONE_TOL, FLOAT, RANK_ZERO_TOL, RATIONAL, coerce
@@ -357,6 +357,36 @@ def subsets_up_to(n: int, size: int) -> list:
                   for combo in itertools.combinations(range(n), r))
 
 
+def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
+    """(rows, E) with rows[T] = E sum_{U subset T} (-1)^(|T|-|U|) vertex(w_U)
+    for every |T| <= d, keyed by bitmask in increasing order, where
+    w_U = sum_{i in U} v_i.
+
+    vertex maps each w_U to a list of rationals, all of one length; it is
+    called once per U.  E is the lcm of their denominators, so the rows are
+    lists of ints, and one in-place subset Moebius transform over those ints
+    turns every vertex row into every alternating sum, entry by entry.
+    """
+    masks = subsets_up_to(len(vectors), h.d)
+    values = []
+    for mask in masks:
+        point = [0] * h.m
+        for i, v in enumerate(vectors):
+            if mask >> i & 1:
+                for idx in range(h.m):
+                    point[idx] += v[idx]
+        values.append(vertex(tuple(point)))
+    ints, scale = _integer_rows(values)
+    rows = dict(zip(masks, ints))
+    for i in range(len(vectors)):
+        bit = 1 << i
+        for mask, row in rows.items():
+            if mask & bit:
+                for k, c in enumerate(rows[mask ^ bit]):
+                    row[k] -= c
+    return rows, scale
+
+
 def mixed_derivative_table(h: HyperbolicInstance, vectors) -> dict:
     """a_T = (prod_{i in T} D_{v_i}) h(e) for every |T| <= d, keyed by bitmask
     in increasing order.
@@ -366,9 +396,8 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> dict:
 
         h(xe + sum_i c_i v_i) = sum_{|T| <= d} c^T a_T x^(d - |T|)
 
-    and every a_T with |T| > d vanishes.  Each vertex value
-    h(e + sum_{i in U} v_i), |U| <= d, is taken once, and one subset Moebius
-    transform turns them into all the a_T: the inclusion-exclusion of
+    and every a_T with |T| > d vanishes.  The a_T are subset_moebius of the
+    vertex values h(e + w_U): the inclusion-exclusion of
     rank1_product_derivative, shared across T.  The rank condition is
     checked exactly, so the vectors must be rational: t -> h(e + t v_i) has
     degree <= 1 iff v_i has rank <= 1, which is tested at t = 0..d, and
@@ -376,26 +405,16 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> dict:
     """
     for v in vectors:
         h.check_dim(v)
-    table = {}
-    for mask in subsets_up_to(len(vectors), h.d):
-        point = list(h.e)
-        for i, v in enumerate(vectors):
-            if mask >> i & 1:
-                for idx in range(h.m):
-                    point[idx] = point[idx] + v[idx]
-        table[mask] = h.value(tuple(point))
+    rows, scale = subset_moebius(
+        h, vectors, lambda w: [h.value(tuple(a + b for a, b in zip(h.e, w)))])
+    table = {mask: Fraction(row[0], scale) for mask, row in rows.items()}
     base = table[0]
     for i, v in enumerate(vectors):
-        slope = table[1 << i] - base
+        slope = table[1 << i]
         for t in range(2, h.d + 1):
             if h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
                 raise RankTooHigh(f"vector {i} has hyperbolic rank > 1; h is not "
                                   "multilinear along it")
-    for i in range(len(vectors)):
-        bit = 1 << i
-        for mask in table:
-            if mask & bit:
-                table[mask] = table[mask] - table[mask ^ bit]
     return table
 
 

@@ -92,7 +92,7 @@ from .hyperbolic import (
     hyperbolic_trace,
     mixed_derivative_table,
     spectrum,
-    subsets_up_to,
+    subset_moebius,
 )
 from .realstable import MultiPoly
 from .scalars import FLOAT, RATIONAL, coerce
@@ -207,11 +207,13 @@ class KlsInstance:
 
     @functools.cached_property
     def integer_data(self) -> tuple:
-        """(D, L, vectors, centered) for the exact vectors and variables.
+        """(D, L, vectors, centered, variances) for the exact vectors and
+        variables.
 
         D is the lcm of the vector entries' denominators and vectors holds
         the int vectors D v_i; L makes every L (s - mu_i) and L^2 tau_i^2 an
-        int, and centered[i] maps each support value s to L (s - mu_i).
+        int, centered[i] maps each support value s to L (s - mu_i), and
+        variances[i] is L^2 tau_i^2.
         """
         vec_scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
         vectors = tuple(tuple(c.numerator * (vec_scale // c.denominator) for c in v)
@@ -223,11 +225,12 @@ class KlsInstance:
         var_scale = base * math.lcm(*((base * base * var.variance).denominator
                                       for var in self.variables))
         return (vec_scale, var_scale, vectors,
-                tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered))
+                tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered),
+                tuple(int(var_scale * var_scale * var.variance) for var in self.variables))
 
     def centered_sum(self, assignment) -> tuple:
         """w = sum_i (s_i - mu_i) v_i, summed over ints."""
-        vec_scale, var_scale, vectors, centered = self.integer_data
+        vec_scale, var_scale, vectors, centered, _ = self.integer_data
         acc = [0] * self.h.m
         for v, cent, s in zip(vectors, centered, assignment):
             try:
@@ -445,7 +448,7 @@ class KlsTable:
         lies in the closed cone iff its entry a_{i} = D_v h(e) is >= 0;
         InvalidParams is raised for the first vector that fails.
         """
-        vec_scale, var_scale, vectors, centered = inst.integer_data
+        vec_scale, var_scale, vectors, centered, variances = inst.integer_data
         table = mixed_derivative_table(inst.h, vectors)
         for i in range(inst.n):
             if table[1 << i] < 0:
@@ -455,7 +458,7 @@ class KlsTable:
         return KlsTable(
             entries,
             centered,
-            tuple(int(var_scale * var_scale * var.variance) for var in inst.variables),
+            variances,
             var_scale * vec_scale,
             outer * outer,
             inst.h.d,
@@ -469,13 +472,17 @@ class KlsTable:
     @functools.cached_property
     def weights(self) -> dict:
         """weights[F] = (L^2 tau^2)^F for every mask of the table."""
-        out = {}
-        # The masks ascend and are closed under taking subsets, so F minus
-        # its lowest bit always comes first.
-        for mask in self.entries:
-            low = mask & -mask
-            out[mask] = out[mask ^ low] * self.variances[low.bit_length() - 1] if mask else 1
-        return out
+        return _subset_products(self.entries, self.variances)
+
+
+def _subset_products(masks, factors) -> dict:
+    """{F: prod_{i in F} factors[i]} for masks that ascend and are closed
+    under taking subsets, so that F minus its lowest bit always comes first."""
+    out = {}
+    for mask in masks:
+        low = mask & -mask
+        out[mask] = out[mask ^ low] * factors[low.bit_length() - 1] if mask else 1
+    return out
 
 
 def kls_fold(table: KlsTable, rows: dict, lo: int, values) -> dict:
@@ -572,27 +579,39 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     """The multilinear collapse of prod (1 - 1/2 d^2/dz_i^2) (h(xe+sum z_i tau_i v_i))^2.
 
     Equals kls_node_poly(inst) coefficient-wise; evaluated through the exact
-    signed subset sum rather than a symbolic multivariate expansion.  A_S
-    vanishes for |S| > d (a product of more than d derivatives of a degree-d
-    form), so only the smaller subsets are visited.
+    signed subset sum sum_S (-1)^|S| tau_S^2 A_S^2 rather than a symbolic
+    multivariate expansion, over ints.  The restriction route: with D, L and
+    the int vectors D v_i of inst.integer_data, subset_moebius turns the
+    restrictions x -> h(xe + sum_{i in U} D v_i), |U| <= d, into
+    A'_S = E D^|S| A_S as int coefficient lists (A_S vanishes for |S| > d, a
+    product of more than d derivatives of a degree-d form).  Then
+
+        collapse = sum_S (-1)^|S| (L^2 tau^2)^S (L D)^(2(d-|S|)) A'_S^2
+                   / (E^2 (L D)^(2d)),
+
+    with one division per coefficient, at the end.  It reads neither the
+    coefficient table nor its check, so it stays an independent route to
+    the root polynomial (kls_table_node_poly).
     """
-    n = inst.n
-    tau2 = [var.variance for var in inst.variables]
-    cache: dict = {}
-    acc = UniPoly.zero(RATIONAL)
-    for mask in subsets_up_to(n, inst.h.d):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        weight = 1
-        for i in subset:
-            weight = weight * tau2[i]
-        if weight == 0:
+    vec_scale, var_scale, vectors, _, variances = inst.integer_data
+    h, d = inst.h, inst.h.d
+    rows, outer = subset_moebius(h, vectors, lambda w: list(h.restrict_line(w, h.e).coeffs))
+    step = (var_scale * vec_scale) ** 2
+    total = [0] * (2 * d + 1)
+    for mask, weight in _subset_products(rows, variances).items():
+        row = rows[mask]
+        if not weight or not any(row):
             continue
-        a_s = derivative_restriction(inst.h, inst.vectors, subset, cache)
-        if a_s.is_zero:
-            continue
-        term = (a_s * a_s).scale(weight)
-        acc = acc + (term if len(subset) % 2 == 0 else -term)
-    return acc
+        r = mask.bit_count()
+        weight *= step ** (d - r)
+        if r % 2:
+            weight = -weight
+        for j, a in enumerate(row):
+            if a:
+                for k, b in enumerate(row, j):
+                    total[k] += weight * a * b
+    denom = outer * outer * step ** d
+    return UniPoly.from_coeffs([Fraction(c, denom) for c in total], RATIONAL)
 
 
 def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:

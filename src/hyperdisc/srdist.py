@@ -20,6 +20,7 @@ built here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,6 +87,11 @@ class SRDistribution:
         return SRDistribution(n, support, d_mu, rows)
 
     def generating_polynomial(self) -> MultiPoly:
+        """g(z) = sum_S mu(S) z^S, built once per distribution."""
+        return self._generating_polynomial
+
+    @functools.cached_property
+    def _generating_polynomial(self) -> MultiPoly:
         terms = {}
         for elems, prob in self.support:
             exps = [0] * self.n
