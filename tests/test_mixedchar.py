@@ -515,6 +515,30 @@ def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
         assert got == kls_node_poly(inst, prefix).coeffs, prefix
 
 
+@st.composite
+def _signed_route_instances(draw):
+    """A _rational_kls_instances draw on det m' = 2-3 or lorentz, with some
+    vectors replaced by the zero vector (so A_S = 0 for every S holding one)
+    and some variables by a point mass (so tau_S = 0)."""
+    inst = draw(_rational_kls_instances().filter(lambda inst: inst.h.d >= 2))
+    zero = tuple(Fraction(0) for _ in range(inst.h.m))
+    vectors = [zero if draw(st.integers(0, 3)) == 0 else v for v in inst.vectors]
+    variables = [RandomVar((draw(_SMALL_FRACTIONS),), (Fraction(1),))
+                 if draw(st.integers(0, 3)) == 0 else var for var in inst.variables]
+    return KlsInstance.build(inst.h, vectors, variables)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_signed_route_instances())
+def test_three_signed_routes_agree_on_generated_instances(inst):
+    # The integer restriction route, the enumeration and the table give the
+    # same root polynomial, coefficient by coefficient, as Fractions.
+    got = kls_operator_form(inst).coeffs
+    assert all(type(c) is Fraction for c in got)
+    assert got == kls_node_poly(inst).coeffs
+    assert got == kls_table_node_poly(inst).coeffs
+
+
 def test_integer_table_clears_the_coefficients_of_h():
     # h = x1 x2 / 2 takes non-integer values at integer points, so the table
     # of the integer vectors needs its own denominator.
