@@ -9,7 +9,7 @@ theorems:
   with alpha = 2t = 4 and delta_i = t tau_i tr[v_i], each Phi^i is bounded
   by 2 tau_i tr[v_i] / (alpha - t), the two operator-update conditions
   Phi < sqrt(2) and (1/delta_i) Phi + Phi^2/2 <= 1 hold, and the collapsed
-  univariate polynomial has no root above 4;
+  univariate polynomial has no root above 4 (see below);
 
 * subset instances with eps = eps1 + eps2: at (alpha, -t 1) with
   alpha = 2t = sqrt(4 eps + 2 eps^2), each Phi^i is bounded by
@@ -23,6 +23,16 @@ over (delta_i, Phi^i bound).  The above_roots step records the failures of
 seeded positivity probes of P above the point as its quantity and the
 structured margin (alpha - t lambda_1 of the variance mix for signed,
 alpha - t for subset instances) as its margin.
+
+The signed instance is normalized by scaling every vector by c = 1/sigma,
+but its collapsed polynomial is never rebuilt.  Scaling the vectors by c
+scales each A_S(x) = (prod_{i in S} D_{v_i}) h(xe) = a_S x^(d-|S|) by
+c^|S|, so the collapse sum_S (-1)^|S| tau_S^2 A_S^2 becomes
+P_c(x) = c^(2d) P_1(x/c), and its largest root is exactly c times that of
+P_1.  The chain therefore takes the largest root of the unscaled instance's
+exact root polynomial (mixedchar.kls_table_node_poly, read off the
+coefficient table that loading builds) and multiplies it by 1/sigma once;
+Phi, the probes and the variance mix are evaluated on the scaled instance.
 
 Phi is evaluated analytically from directional derivatives (never by
 differentiating an expanded multivariate polynomial).  The explicit
@@ -234,7 +244,9 @@ def verify_bound_chain(inst) -> ChainReport:
 
     Precondition violations (degenerate sigma or eps, variance mix not below
     the direction) raise ChainViolated; genuine inequality failures land in
-    the report with passed=False.
+    the report with passed=False.  A signed instance must hold exact
+    (rational) vectors, as every loaded file does: its collapsed root is read
+    off its coefficient table.
     """
     signed = isinstance(inst, KlsInstance)
     steps = []

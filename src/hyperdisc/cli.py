@@ -171,8 +171,10 @@ def _verify_file(path: str) -> list:
         inst, kind = instance_from_json(json.load(fh))
     checks = []
     if kind == "kls":
-        # The table route gives the root of any size; tests tie it to the
-        # enumerating kls_node_poly.
+        # Two independent exact routes to the root polynomial: the table,
+        # which gives the root at any size (tests tie it to the enumerating
+        # kls_node_poly), and the integer restriction route of the operator
+        # form.  The chain below reads its collapsed root off the same table.
         same = KlsFamily(inst).node_poly(()).coeffs == kls_operator_form(inst).coeffs
         checks.append({"name": "kls_operator_identity", "passed": bool(same),
                        "margin": 0.0})

@@ -25,7 +25,12 @@ signed subset sum:
 with A_S(x) = (prod_{i in S} D_{v_i}) h(xe) and g^(S)(x*1) =
 sum_{T in supp, T >= S} mu(T) x^(|T|-|S|).  The collapse is exact (higher
 z-powers cannot occur), so both routes can be compared coefficient-wise
-under the rational backend.
+under the rational backend.  The signed collapse (kls_operator_form) is
+summed over ints: one restriction of h along e per subset of at most d of
+the integer vectors D v_i below, one subset Moebius transform
+(hyperbolic.subset_moebius, which the coefficient table is built with too)
+and one division at the end.  It never reads the table, so it checks the
+table's root polynomial by an independent route.
 
 The same multilinearity gives every signed node without enumerating
 completions.  With c_i = s_i - mu_i and a_T = (prod_{i in T} D_{v_i}) h(e),
