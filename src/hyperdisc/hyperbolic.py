@@ -368,15 +368,14 @@ def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
     turns every vertex row into every alternating sum, entry by entry.
     """
     masks = subsets_up_to(len(vectors), h.d)
-    values = []
-    for mask in masks:
-        point = [0] * h.m
-        for i, v in enumerate(vectors):
-            if mask >> i & 1:
-                for idx in range(h.m):
-                    point[idx] += v[idx]
-        values.append(vertex(tuple(point)))
-    ints, scale = _integer_rows(values)
+    # The masks ascend and are closed under taking subsets, so w_U minus its
+    # lowest vector always comes first.
+    points = {0: (0,) * h.m}
+    for mask in masks[1:]:
+        low = mask & -mask
+        points[mask] = tuple(a + b for a, b in zip(points[mask ^ low],
+                                                    vectors[low.bit_length() - 1]))
+    ints, scale = _integer_rows([vertex(points[mask]) for mask in masks])
     rows = dict(zip(masks, ints))
     for i in range(len(vectors)):
         bit = 1 << i
@@ -387,16 +386,16 @@ def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
     return rows, scale
 
 
-def mixed_derivative_table(h: HyperbolicInstance, vectors) -> dict:
-    """a_T = (prod_{i in T} D_{v_i}) h(e) for every |T| <= d, keyed by bitmask
-    in increasing order.
+def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
+    """(table, E) with table[T] = E a_T, an int, for every |T| <= d, keyed by
+    bitmask in increasing order, where a_T = (prod_{i in T} D_{v_i}) h(e).
 
     For hyperbolic-rank-<=1 vectors h(xe + sum_i c_i v_i) is multilinear in
     the c_i, so
 
         h(xe + sum_i c_i v_i) = sum_{|T| <= d} c^T a_T x^(d - |T|)
 
-    and every a_T with |T| > d vanishes.  The a_T are subset_moebius of the
+    and every a_T with |T| > d vanishes.  The E a_T are subset_moebius of the
     vertex values h(e + w_U): the inclusion-exclusion of
     rank1_product_derivative, shared across T.  The rank condition is
     checked exactly, so the vectors must be rational: t -> h(e + t v_i) has
@@ -407,15 +406,15 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> dict:
         h.check_dim(v)
     rows, scale = subset_moebius(
         h, vectors, lambda w: [h.value(tuple(a + b for a, b in zip(h.e, w)))])
-    table = {mask: Fraction(row[0], scale) for mask, row in rows.items()}
+    table = {mask: row[0] for mask, row in rows.items()}
     base = table[0]
     for i, v in enumerate(vectors):
         slope = table[1 << i]
         for t in range(2, h.d + 1):
-            if h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
+            if scale * h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
                 raise RankTooHigh(f"vector {i} has hyperbolic rank > 1; h is not "
                                   "multilinear along it")
-    return table
+    return table, scale
 
 
 def derivative_restriction(h: HyperbolicInstance, vectors, indices,

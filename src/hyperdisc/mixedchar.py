@@ -454,12 +454,10 @@ class KlsTable:
         InvalidParams is raised for the first vector that fails.
         """
         vec_scale, var_scale, vectors, centered, variances = inst.integer_data
-        table = mixed_derivative_table(inst.h, vectors)
+        entries, outer = mixed_derivative_table(inst.h, vectors)
         for i in range(inst.n):
-            if table[1 << i] < 0:
+            if entries[1 << i] < 0:
                 raise InvalidParams(f"vector {i} lies outside the closed cone")
-        outer = math.lcm(*(b.denominator for b in table.values()))
-        entries = {mask: b.numerator * (outer // b.denominator) for mask, b in table.items()}
         return KlsTable(
             entries,
             centered,

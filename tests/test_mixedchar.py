@@ -376,11 +376,13 @@ def test_table_node_poly_equals_enumeration_at_every_prefix():
 
 def test_table_entries_are_mixed_derivatives():
     for inst in (gen_kls_det(5, 3, 2, "mixed"), gen_kls_lorentz(5, 4, 2, "mixed")):
-        table = mixed_derivative_table(inst.h, inst.vectors)
+        table, scale = mixed_derivative_table(inst.h, inst.vectors)
         assert len(table) == sum(math.comb(inst.n, r) for r in range(inst.h.d + 1))
-        for mask, a_t in table.items():
+        for mask, b_t in table.items():
             subset = [i for i in range(inst.n) if mask >> i & 1]
-            assert a_t == rank1_product_derivative(inst.h, subset, inst.vectors, inst.h.e)
+            assert type(b_t) is int
+            assert (Fraction(b_t, scale)
+                    == rank1_product_derivative(inst.h, subset, inst.vectors, inst.h.e))
 
 
 def test_table_root_equals_operator_form():
