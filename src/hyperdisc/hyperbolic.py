@@ -21,6 +21,7 @@ rational backend exact and the conditioning predictable.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,6 +358,17 @@ def subsets_up_to(n: int, size: int) -> list:
                   for combo in itertools.combinations(range(n), r))
 
 
+def subset_accumulate(masks, items, combine, empty) -> dict:
+    """{U: items of U folded into empty by combine, highest element first}
+    for masks that ascend and are closed under taking subsets, so that U
+    minus its lowest element always comes first."""
+    out = {}
+    for mask in masks:
+        low = mask & -mask
+        out[mask] = combine(out[mask ^ low], items[low.bit_length() - 1]) if mask else empty
+    return out
+
+
 def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
     """(rows, E) with rows[T] = E sum_{U subset T} (-1)^(|T|-|U|) vertex(w_U)
     for every |T| <= d, keyed by bitmask in increasing order, where
@@ -368,13 +380,8 @@ def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
     turns every vertex row into every alternating sum, entry by entry.
     """
     masks = subsets_up_to(len(vectors), h.d)
-    # The masks ascend and are closed under taking subsets, so w_U minus its
-    # lowest vector always comes first.
-    points = {0: (0,) * h.m}
-    for mask in masks[1:]:
-        low = mask & -mask
-        points[mask] = tuple(a + b for a, b in zip(points[mask ^ low],
-                                                    vectors[low.bit_length() - 1]))
+    points = subset_accumulate(masks, vectors, lambda w, v: tuple(map(operator.add, w, v)),
+                               (0,) * h.m)
     ints, scale = _integer_rows([vertex(points[mask]) for mask in masks])
     rows = dict(zip(masks, ints))
     for i in range(len(vectors)):

@@ -83,6 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,6 +98,7 @@ from .hyperbolic import (
     hyperbolic_trace,
     mixed_derivative_table,
     spectrum,
+    subset_accumulate,
     subset_moebius,
 )
 from .realstable import MultiPoly
@@ -475,17 +477,7 @@ class KlsTable:
     @functools.cached_property
     def weights(self) -> dict:
         """weights[F] = (L^2 tau^2)^F for every mask of the table."""
-        return _subset_products(self.entries, self.variances)
-
-
-def _subset_products(masks, factors) -> dict:
-    """{F: prod_{i in F} factors[i]} for masks that ascend and are closed
-    under taking subsets, so that F minus its lowest bit always comes first."""
-    out = {}
-    for mask in masks:
-        low = mask & -mask
-        out[mask] = out[mask ^ low] * factors[low.bit_length() - 1] if mask else 1
-    return out
+        return subset_accumulate(self.entries, self.variances, operator.mul, 1)
 
 
 def kls_fold(table: KlsTable, rows: dict, lo: int, values) -> dict:
@@ -601,7 +593,7 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     rows, outer = subset_moebius(h, vectors, lambda w: list(h.restrict_line(w, h.e).coeffs))
     step = (var_scale * vec_scale) ** 2
     total = [0] * (2 * d + 1)
-    for mask, weight in _subset_products(rows, variances).items():
+    for mask, weight in subset_accumulate(rows, variances, operator.mul, 1).items():
         row = rows[mask]
         if not weight or not any(row):
             continue
