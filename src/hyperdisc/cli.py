@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 from .errors import CertificationFailed, HyperdiscError, InvalidParams
 from .graphs import Graph, named_graph
@@ -25,7 +26,7 @@ from .mixedchar import AgFamily, KlsFamily, SrInstance, kls_node_poly, kls_opera
 from .scalars import FLOAT, RATIONAL
 from .serialize import dumps, instance_from_json, instance_to_json
 from .solver import SolverConfig, brute_force, kadison_singer_search, random_baseline
-from .srdist import marginal_via_enum, marginal_via_formula
+from .srdist import marginal_via_enum, marginal_via_formula, uniform_spanning_tree
 from .barrier import verify_bound_chain
 
 EXIT_OK = 0
@@ -131,10 +132,6 @@ def _suite_identities(seed: int) -> list:
 
 
 def _suite_marginals(seed: int) -> list:
-    from fractions import Fraction
-
-    from .srdist import uniform_spanning_tree
-
     checks = []
     for name in ("k3", "diamond"):
         mu = uniform_spanning_tree(named_graph(name))

@@ -10,8 +10,12 @@ derivative formula on the generating polynomial,
 
 whose value is independent of the dummy scalar x != 0.  Derivatives commute
 with the shift, so the operators are applied to g and the result is read at
-x 1.  Both the formula and a direct support-sum oracle are provided so they
-can be checked against each other exactly.
+x 1.  The operators have constant coefficients and commute with each other,
+so they are applied in sorted order of K, and each distribution keeps every
+operator prefix it has built for a given x: a query that shares a prefix
+with an earlier one starts from the stored polynomial.  Both the formula and
+a direct support-sum oracle are provided so they can be checked against each
+other exactly.
 
 The uniform spanning-tree distribution (enumerated, with a matrix-tree
 cross-check) and the effective-resistance vector family it pairs with are
@@ -28,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DisconnectedGraph
+from .errors import DisconnectedGraph, IndexOutOfRange
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
 from .realstable import MultiPoly
@@ -100,6 +104,12 @@ class SRDistribution:
             terms[tuple(exps)] = terms.get(tuple(exps), 0) + prob
         return MultiPoly(self.n, terms)
 
+    @functools.cached_property
+    def _operator_nodes(self) -> dict:
+        """The formula's operator prefixes applied to g, keyed by
+        (x0, ((i, i in S), ...)) over a sorted prefix of K."""
+        return {}
+
 
 def uniform_spanning_tree(graph: Graph) -> SRDistribution:
     """Uniform distribution over all spanning trees, by enumeration.
@@ -119,21 +129,22 @@ def uniform_spanning_tree(graph: Graph) -> SRDistribution:
     return SRDistribution.from_support(graph.n_edges, [(tree, prob) for tree in trees])
 
 
-def _observed_set(k) -> frozenset:
+def _observed_set(k, n: int) -> frozenset:
     """An int k means the prefix [k]; any iterable is taken literally.
 
     The prefix form is the canonical statement; an arbitrary observed set is
     the same thing after relabeling, and single-element marginals read more
-    naturally that way.
+    naturally that way.  Every element must lie in range(n).
     """
-    if isinstance(k, int):
-        return frozenset(range(k))
-    return frozenset(int(i) for i in k)
+    observed = frozenset(range(k)) if isinstance(k, int) else frozenset(int(i) for i in k)
+    if observed and (min(observed) < 0 or max(observed) >= n):
+        raise IndexOutOfRange(f"observed set {sorted(observed)} is not within range({n})")
+    return observed
 
 
 def marginal_via_enum(mu: SRDistribution, s, k):
     """Pr[T cap K = S] by direct support summation (the oracle route)."""
-    observed = _observed_set(k)
+    observed = _observed_set(k, mu.n)
     target = frozenset(s)
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
@@ -149,25 +160,37 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
 
     The z-derivatives of g(x0 1 + z) at z = 0 are the derivatives of g at
     x0 1, so the operators act on g itself and the result is evaluated at
-    x0 1; nothing is expanded.  Exact for rational x0 != 0 (an int is
-    taken as a Fraction, so x0 ** -k stays exact), and x0-independent,
-    which callers are encouraged to test.
+    x0 1; nothing is expanded.  The operators are applied in sorted order
+    of K, d/dz_i for i in S and (1 - x0 d/dz_i) otherwise, and every prefix
+    is kept on ``mu``, so a query applies only the operators no earlier
+    query on ``mu`` with the same x0 has applied.  x0 is taken as a
+    Fraction (a float as the rational it is), so the result is exact; it is
+    x0-independent, which callers are encouraged to test.
     """
+    x0 = Fraction(x0)
     if x0 == 0:
         raise ValueError("the dummy scalar must be nonzero")
-    if not isinstance(x0, float):
-        x0 = Fraction(x0)
-    observed = _observed_set(k)
-    target = set(int(i) for i in s)
+    observed = _observed_set(k, mu.n)
+    target = frozenset(int(i) for i in s)
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
+    ops = tuple((i, i in target) for i in sorted(observed))
+    nodes = mu._operator_nodes
     p = mu.generating_polynomial()
-    for i in target:
-        p = p.partial(i)
-    for i in sorted(observed - target):
-        p = p - p.partial(i).scale(x0)
-    value = p.eval((x0,) * mu.n)
-    return x0 ** (len(target) - mu.d_mu) * value
+    for j, (i, in_s) in enumerate(ops, 1):
+        key = (x0, ops[:j])
+        node = nodes.get(key)
+        if node is None:
+            dp = p.partial(i)
+            node = nodes[key] = dp if in_s else p + dp.scale(-x0)
+        p = node
+    # p(x0 1) = sum_j x0^j sum_{|e| = j} c_e, times x0^(|S| - d).
+    by_degree = {}
+    for exps, c in p.terms.items():
+        deg = sum(exps)
+        by_degree[deg] = by_degree.get(deg, 0) + c
+    shift = len(target) - mu.d_mu
+    return sum((c * x0 ** (deg + shift) for deg, c in by_degree.items()), Fraction(0))
 
 
 def _integer_weights(probs) -> tuple:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc.errors import DisconnectedGraph
+from hyperdisc import cli
+from hyperdisc.errors import DisconnectedGraph, IndexOutOfRange
 from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
 from hyperdisc.hyperbolic import hyperbolic_trace, spectrum
+from hyperdisc.realstable import MultiPoly
 from hyperdisc.srdist import (
     SRDistribution,
     effective_resistance_family,
@@ -120,6 +122,74 @@ def _homogeneous_case(draw):
 def test_marginal_formula_equals_enum_property(case):
     mu, s, observed, x0 = case
     assert marginal_via_formula(mu, s, observed, x0) == marginal_via_enum(mu, s, observed)
+
+
+def test_marginal_formula_float_x0_is_the_rational_it_is():
+    mu = uniform_spanning_tree(K3)
+    for x0 in (0.5, 0.1, -3.0):
+        got = marginal_via_formula(mu, {0}, {0}, x0)
+        assert isinstance(got, Fraction) and got == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("s, k", [(set(), 10), ({-1}, {-1}), (set(), {0, 3})])
+def test_observed_set_outside_the_ground_set_raises_on_both_routes(s, k):
+    mu = uniform_spanning_tree(K3)
+    with pytest.raises(IndexOutOfRange):
+        marginal_via_enum(mu, s, k)
+    with pytest.raises(IndexOutOfRange):
+        marginal_via_formula(mu, s, k, Fraction(2))
+
+
+@st.composite
+def _query_sequence(draw):
+    """A distribution and queries whose sorted observed sets share prefixes
+    of one trunk and then diverge; x0 comes from a small pool so prefixes
+    repeat under the same x0."""
+    mu, _, _, _ = draw(_homogeneous_case())
+    trunk = sorted(draw(st.sets(st.integers(0, mu.n - 1))))
+    trunk_s = draw(st.sets(st.sampled_from(trunk))) if trunk else set()
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        cut = draw(st.integers(0, len(trunk)))
+        floor = trunk[cut - 1] + 1 if cut else 0
+        tail = draw(st.sets(st.integers(floor, mu.n - 1))) if floor < mu.n else set()
+        s = (trunk_s & set(trunk[:cut])) | (draw(st.sets(st.sampled_from(sorted(tail)))) if tail else set())
+        x0 = draw(st.sampled_from((Fraction(1), Fraction(-2), Fraction(1, 3))))
+        queries.append((s, set(trunk[:cut]) | tail, x0))
+    return mu, queries
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_query_sequence())
+def test_stored_prefixes_give_the_fresh_answer(case):
+    mu, queries = case
+    for s, observed, x0 in queries:
+        fresh = SRDistribution.from_support(mu.n, mu.support)
+        got = marginal_via_formula(mu, s, observed, x0)
+        assert got == marginal_via_formula(fresh, s, observed, x0)
+        assert got == marginal_via_enum(mu, s, observed)
+
+
+def test_suite_marginals_applies_each_operator_prefix_once(monkeypatch):
+    calls = []
+    partial = MultiPoly.partial
+    monkeypatch.setattr(MultiPoly, "partial", lambda p, i: calls.append(i) or partial(p, i))
+    assert all(check["passed"] for check in cli._suite_marginals(0))
+    first = len(calls)
+    # 76 edges of the prefix tree over k3 and diamond, for each of 4 values of x0.
+    assert first <= 304
+    # Fresh distributions start from an empty store: no process-wide cache.
+    cli._suite_marginals(0)
+    assert len(calls) == 2 * first
+
+
+def test_queried_distribution_equals_a_fresh_one():
+    mu = uniform_spanning_tree(diamond_graph())
+    for k in range(mu.n + 1):
+        marginal_via_formula(mu, set(range(0, k, 2)), k, Fraction(2))
+    fresh = uniform_spanning_tree(diamond_graph())
+    assert mu._operator_nodes and not fresh._operator_nodes
+    assert mu == fresh and hash(mu) == hash(fresh)
 
 
 def test_marginals_sum_to_one():
