@@ -134,9 +134,14 @@ def _observed_set(k, n: int) -> frozenset:
 
     The prefix form is the canonical statement; an arbitrary observed set is
     the same thing after relabeling, and single-element marginals read more
-    naturally that way.  Every element must lie in range(n).
+    naturally that way.  A prefix must have 0 <= k <= n and every element
+    of a literal set must lie in range(n).
     """
-    observed = frozenset(range(k)) if isinstance(k, int) else frozenset(int(i) for i in k)
+    if isinstance(k, int):
+        if not 0 <= k <= n:
+            raise IndexOutOfRange(f"prefix [{k}] is not within range({n})")
+        return frozenset(range(k))
+    observed = frozenset(int(i) for i in k)
     if observed and (min(observed) < 0 or max(observed) >= n):
         raise IndexOutOfRange(f"observed set {sorted(observed)} is not within range({n})")
     return observed

@@ -131,7 +131,7 @@ def test_marginal_formula_float_x0_is_the_rational_it_is():
         assert isinstance(got, Fraction) and got == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("s, k", [(set(), 10), ({-1}, {-1}), (set(), {0, 3})])
+@pytest.mark.parametrize("s, k", [(set(), 10), (set(), -1), ({-1}, {-1}), (set(), {0, 3})])
 def test_observed_set_outside_the_ground_set_raises_on_both_routes(s, k):
     mu = uniform_spanning_tree(K3)
     with pytest.raises(IndexOutOfRange):
