@@ -1,4 +1,5 @@
-"""Undirected multigraph-free graphs with labeled edges.
+"""Undirected simple graphs (no self-loops, no repeated edges) with at
+least two vertices and labeled edges.
 
 Edge labels are 1-based positions in the edge list; polynomial fixtures and
 spanning-tree distributions index their variables by these labels.
@@ -22,19 +23,21 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
+        if self.n_vertices < 2:
+            raise ValueError("a graph needs at least 2 vertices")
         for u, v in self.edges:
             if u == v:
                 raise ValueError("self-loops are not supported")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError("edge endpoint out of range")
+        if len({frozenset(e) for e in self.edges}) != len(self.edges):
+            raise ValueError("repeated edges are not supported")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
         seen = {0}
         frontier = [0]
         adj = [[] for _ in range(self.n_vertices)]
@@ -59,32 +62,34 @@ class Graph:
         return lap
 
     def spanning_trees(self) -> list:
-        """All spanning trees as sorted tuples of 0-based edge indices."""
+        """All spanning trees as sorted tuples of 0-based edge indices, in
+        lexicographic order.
+
+        A backtracking over edge indices in increasing order: each branch
+        carries a component label per vertex, skips an edge whose endpoints
+        already share a label (it would close a cycle), and stops when too
+        few edges remain to reach n_vertices - 1.  Every branch is a forest,
+        so only acyclic edge sets are visited, not all (n_vertices - 1)-subsets.
+        """
         if not self.is_connected():
             raise DisconnectedGraph("graph is not connected")
         if self.n_edges > MAX_ENUM_EDGES:
             raise TooLarge(f"spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges")
-        k = self.n_vertices - 1
+        edges, k, m = self.edges, self.n_vertices - 1, self.n_edges
         trees = []
-        for combo in itertools.combinations(range(self.n_edges), k):
-            parent = list(range(self.n_vertices))
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        def extend(chosen, comp, start):
+            leaf = len(chosen) == k - 1
+            for i in range(start, m - k + len(chosen) + 1):
+                u, v = edges[i]
+                cu, cv = comp[u], comp[v]
+                if cu != cv:
+                    if leaf:
+                        trees.append((*chosen, i))
+                    else:
+                        extend((*chosen, i), [cu if c == cv else c for c in comp], i + 1)
 
-            acyclic = True
-            for idx in combo:
-                u, v = self.edges[idx]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-            if acyclic:
-                trees.append(tuple(combo))
+        extend((), list(range(self.n_vertices)), 0)
         return trees
 
     def spanning_tree_count_matrix_tree(self) -> int:
@@ -99,7 +104,13 @@ class Graph:
 
     @staticmethod
     def from_json(obj: dict) -> "Graph":
-        return Graph(int(obj["vertices"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
+        """The vertex count and every endpoint must be JSON ints (a bool is
+        not one), the rule a subset distribution's "set" lists follow."""
+        n_vertices = obj["vertices"]
+        edges = tuple((u, v) for u, v in obj["edges"])
+        if not set(map(type, [n_vertices, *(x for e in edges for x in e)])) <= {int}:
+            raise ValueError("vertices and edge endpoints must be ints")
+        return Graph(n_vertices, edges)
 
 
 def complete_graph(n: int) -> Graph:

@@ -5,6 +5,14 @@ parse/emit round trip is lossless; binary64 values rely on Python's
 shortest round-trip float formatting.  Emission sorts keys and uses fixed
 separators so identical inputs produce byte-identical files.
 
+``dumps`` writes the layout of json.dumps(obj, sort_keys=True, indent=2,
+separators=(",", ": ")) byte for byte, but not through json.dumps: with an
+indent, CPython 3.11 falls back to its pure-Python encoder.  A container of
+scalars goes through the C encoder, one per depth, whose item separator
+carries that depth's newline and indent; a long list of dicts that share
+their str keys, each value a str or a non-empty list of ints, is one
+%-template (a spanning-tree file's support); anything else recurses.
+
 The signed (kls) lane is exact and is checked here, once.  A kls file is
 read as exact rationals whatever its "backend" says, which loses nothing,
 since every binary64 value is a rational.  Loading then builds the
@@ -19,8 +27,10 @@ is rejected.
 
 from __future__ import annotations
 
-import json
+import functools
 from fractions import Fraction
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import InvalidParams
 from .graphs import Graph
@@ -188,4 +198,92 @@ def _instance_from_json(obj: dict):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    out = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+# Types the C encoder writes as one token; subclasses take the recursive path.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# Shortest list of same-shaped dicts worth building a template for.
+_RUN_MIN = 8
+
+
+def _not_serializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _flat(level: int):
+    """The C encoder for a container whose items sit at ``level``: each
+    item separator ends in that level's indent."""
+    return c_make_encoder(None, _not_serializable, encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * level, True, False, True)
+
+
+def _write(o, level: int, out: list) -> None:
+    is_list = isinstance(o, (list, tuple))
+    if not (is_list or isinstance(o, dict)):
+        out.extend(_flat(level)(o, level))  # a scalar, or TypeError
+        return
+    opening, closing = "[]" if is_list else "{}"
+    if not o:
+        out.append(opening + closing)
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if _SCALARS.issuperset(map(type, o if is_list else o.values())):
+        text = "".join(_flat(level + 1)(o, level + 1))
+        out += (opening, inner, text[1:-1], outer, closing)
+        return
+    rows = _template_items(o, level + 1) if is_list else None
+    if rows is not None:
+        out += (opening, inner, ("," + inner).join(rows), outer, closing)
+        return
+    sep = opening + inner
+    for item in (o if is_list else sorted(o.items())):
+        out.append(sep)
+        if not is_list:
+            key, item = item
+            out += (_key(key), ": ")
+        _write(item, level + 1, out)
+        sep = "," + inner
+    out += (outer, closing)
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = "".join(_flat(0)(key, 0))
+    return encode_basestring_ascii(key)
+
+
+def _template_items(rows, level: int):
+    """The items of a list of at least _RUN_MIN dicts with one non-empty set
+    of str keys, written at ``level`` by one %-template, when each key holds
+    a str in every dict or a non-empty list of exact ints in every dict;
+    None otherwise."""
+    first = rows[0]
+    if len(rows) < _RUN_MIN or not all(
+            type(row) is dict and row.keys() == first.keys() for row in rows) \
+            or not first or not set(map(type, first)) <= {str}:
+        return None
+    at = ["\n" + "  " * (level + j) for j in range(3)]
+    fields, columns = [], []
+    for key in sorted(first):
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            slot, texts = "%s", list(map(encode_basestring_ascii, column))
+        elif kinds == {list} and all(column) \
+                and set(map(type, chain.from_iterable(column))) == {int}:
+            sep = "," + at[2]
+            slot, texts = "[" + at[2] + "%s" + at[1] + "]", [sep.join(map(str, v)) for v in column]
+        else:
+            return None
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + slot)
+        columns.append(texts)
+    template = "{" + at[1] + ("," + at[1]).join(fields) + at[0] + "}"
+    return [template % texts for texts in zip(*columns)]

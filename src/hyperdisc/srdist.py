@@ -17,9 +17,9 @@ with an earlier one starts from the stored polynomial.  Both the formula and
 a direct support-sum oracle are provided so they can be checked against each
 other exactly.
 
-The uniform spanning-tree distribution (enumerated, with a matrix-tree
-cross-check) and the effective-resistance vector family it pairs with are
-built here as well.
+The uniform spanning-tree distribution (enumerated by a backtracking over
+forests, Graph.spanning_trees, with a matrix-tree cross-check) and the
+effective-resistance vector family it pairs with are built here as well.
 """
 
 from __future__ import annotations

@@ -111,7 +111,14 @@ def test_gen_invalid_params(capsys):
     "foo", "random:6:x:0", "random:6",
     {"vertices": 3, "edges": [[0, 1], [1, 1]]},
     {"vertices": 3},
-], ids=["unknown-name", "non-int-random", "short-random", "self-loop-file", "no-edges-file"])
+    {"vertices": 1, "edges": []},
+    {"vertices": -1, "edges": []},
+    {"vertices": 3, "edges": [[0, 1], [1, 2.7]]},
+    {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 1]]},
+    {"vertices": 3, "edges": [[0, 1], [1, 2], [1, 0]]},
+], ids=["unknown-name", "non-int-random", "short-random", "self-loop-file", "no-edges-file",
+        "one-vertex-file", "negative-vertices-file", "fractional-endpoint-file",
+        "repeated-edge-file", "reversed-repeated-edge-file"])
 def test_bad_graph_spec_exits_1(capsys, tmp_path, spec):
     if isinstance(spec, dict):
         path = tmp_path / "graph.json"
