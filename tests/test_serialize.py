@@ -84,9 +84,14 @@ def test_runs_of_same_shaped_dicts_match_json_dumps(rows, depth):
     assert dumps(obj) == reference_dumps(obj)
 
 
-def test_nested_empty_containers_and_special_floats():
-    obj = {"a": [[], {}, ()], "b": {"c": {}}, "f": [math.nan, math.inf, -math.inf, -0.0],
-           "i": [1, True, False, 2**100], "s": ['",[]{}', "é "]}
+@pytest.mark.parametrize("obj", [
+    {"a": [[], {}, ()], "b": {"c": {}}, "f": [math.nan, math.inf, -math.inf, -0.0],
+     "i": [1, True, False, 2**100], "s": ['",[]{}', "é "],
+     "r": [{} for _ in range(2 * _RUN_MIN)], "t": [{"k": []}] * (2 * _RUN_MIN),
+     "%": [{"%s": "%d", "100%": [1, 2]}] * (2 * _RUN_MIN)},
+    {1: [[1]], 2: {}}, {1.5: [[]], -0.0: [{}]}, {None: [[None]]}, {True: [[]], False: [0, [1]]},
+], ids=["empty-and-special", "int-keys", "float-keys", "none-key", "bool-keys"])
+def test_fixed_trees_match_json_dumps(obj):
     assert dumps(obj) == reference_dumps(obj)
 
 
