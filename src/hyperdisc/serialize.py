@@ -241,10 +241,9 @@ def _write(o, level: int, out: list) -> None:
         out += (opening, inner, ("," + inner).join(rows), outer, closing)
         return
     sep = opening + inner
-    for item in (o if is_list else sorted(o.items())):
+    for key, item in (enumerate(o) if is_list else sorted(o.items())):
         out.append(sep)
         if not is_list:
-            key, item = item
             out += (_key(key), ": ")
         _write(item, level + 1, out)
         sep = "," + inner
