@@ -23,7 +23,6 @@ from .errors import CertificationFailed, HyperdiscError, InvalidParams
 from .graphs import Graph, named_graph
 from .instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from .mixedchar import AgFamily, KlsFamily, SrInstance, kls_node_poly, kls_operator_form, ag_substitution_identity
-from .scalars import FLOAT, RATIONAL
 from .serialize import dumps, instance_from_json, instance_to_json
 from .solver import SolverConfig, brute_force, kadison_singer_search, random_baseline
 from .srdist import marginal_via_enum, marginal_via_formula, uniform_spanning_tree
@@ -65,17 +64,17 @@ def cmd_gen(args) -> int:
         inst = gen_kls_det(args.n, args.mprime, args.seed, args.variables)
         meta.update({"n": args.n, "mprime": args.mprime,
                      "variables": args.variables, "sigma": inst.sigma})
-        blob = instance_to_json(inst, "kls", RATIONAL, generator=meta)
+        blob = instance_to_json(inst, generator=meta)
     elif args.kind == "kls-lorentz":
         inst = gen_kls_lorentz(args.n, args.m, args.seed, args.variables)
         meta.update({"n": args.n, "m": args.m, "variables": args.variables,
                      "sigma": inst.sigma})
-        blob = instance_to_json(inst, "kls", RATIONAL, generator=meta)
+        blob = instance_to_json(inst, generator=meta)
     else:  # sr-ust
         graph = _resolve_graph(args.graph)
         inst = SrInstance.from_graph(graph)
         meta.update({"graph": args.graph, "eps1": inst.eps1, "eps2": inst.eps2})
-        blob = instance_to_json(inst, "sr", FLOAT, generator=meta, graph=graph)
+        blob = instance_to_json(inst, generator=meta, graph=graph)
     _write(dumps(blob), args.out)
     return EXIT_OK
 

@@ -14,8 +14,9 @@ rank.  Four instance kinds are supported:
   hyperbolic).
 
 Restrictions along lines are exact: closed forms where available,
-otherwise interpolation through the integer nodes 0..d, which keeps the
-rational backend exact and the conditioning predictable.
+otherwise interpolation through the integer nodes 0..d, which keeps exact
+(Fraction) input exact and the conditioning predictable; float input gives
+float coefficients.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from ._exact import _integer_rows, char_poly_exact, det_exact
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
-from .scalars import CONE_TOL, FLOAT, RANK_ZERO_TOL, RATIONAL, coerce
+from .scalars import CONE_TOL, RANK_ZERO_TOL
 from .unipoly import RootList, UniPoly, interpolate, real_roots
 
 
@@ -55,13 +56,8 @@ class HyperbolicInstance:
         raise NotImplementedError
 
     def _interp_restrict(self, base, dirv) -> UniPoly:
-        float_lane = _is_float_vec(base) or _is_float_vec(dirv)
-        backend = FLOAT if float_lane else RATIONAL
-        nodes = []
-        for t in range(self.d + 1):
-            point = tuple(b + t * w for b, w in zip(base, dirv))
-            nodes.append((coerce(t, backend), coerce(self.value(point), backend)))
-        return interpolate(nodes, backend=backend)
+        return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
+                            for t in range(self.d + 1)])
 
     def check_dim(self, x, name: str = "vector"):
         if len(x) != self.m:
@@ -120,9 +116,9 @@ class DeterminantInstance(HyperbolicInstance):
             if _is_float_vec(base):
                 eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
                 coeffs_desc = np.poly(-eigs)  # det(tI + A)
-                return UniPoly.from_coeffs(list(coeffs_desc[::-1]), FLOAT)
+                return UniPoly.from_coeffs(list(coeffs_desc[::-1]))
             neg = [[-x for x in row] for row in a]
-            return UniPoly.from_coeffs(char_poly_exact(neg), RATIONAL)
+            return UniPoly.from_coeffs(char_poly_exact(neg))
         return self._interp_restrict(base, dirv)
 
     def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
@@ -165,9 +161,7 @@ class LorentzInstance(HyperbolicInstance):
         self.check_dim(dirv, "direction")
         c2 = dirv[-1] * dirv[-1] - sum(w * w for w in dirv[:-1])
         c1 = 2 * (base[-1] * dirv[-1] - sum(b * w for b, w in zip(base[:-1], dirv[:-1])))
-        c0 = self.value(base)
-        backend = FLOAT if (_is_float_vec(base) or _is_float_vec(dirv)) else RATIONAL
-        return UniPoly.from_coeffs([c0, c1, c2], backend)
+        return UniPoly.from_coeffs([self.value(base), c1, c2])
 
     def params(self) -> dict:
         return {"kind": self.kind, "m": self.m}
@@ -302,7 +296,7 @@ def hyperbolic_trace(h: HyperbolicInstance, v):
     """Exact trace: sum of the roots of h(te - v) via the coefficient ratio."""
     rest = char_restriction(h, v)
     if rest.degree < 1:
-        return coerce(0, rest.backend)
+        return Fraction(0)
     return -rest.coeffs[-2] / rest.coeffs[-1]
 
 
@@ -445,7 +439,7 @@ def derivative_restriction(h: HyperbolicInstance, vectors, indices,
             cache[combo] = rest
         return rest
 
-    total = UniPoly.zero(RATIONAL)
+    total = UniPoly.zero()
     for r in range(len(s) + 1):
         for combo in itertools.combinations(s, r):
             rest = restriction_for(combo)

@@ -25,7 +25,7 @@ signed subset sum:
 with A_S(x) = (prod_{i in S} D_{v_i}) h(xe) and g^(S)(x*1) =
 sum_{T in supp, T >= S} mu(T) x^(|T|-|S|).  The collapse is exact (higher
 z-powers cannot occur), so both routes can be compared coefficient-wise
-under the rational backend.  The signed collapse (kls_operator_form) is
+over Fractions.  The signed collapse (kls_operator_form) is
 summed over ints: one restriction of h along e per subset of at most d of
 the integer vectors D v_i below, one subset Moebius transform
 (hyperbolic.subset_moebius, which the coefficient table is built with too)
@@ -102,7 +102,6 @@ from .hyperbolic import (
     subset_moebius,
 )
 from .realstable import MultiPoly
-from .scalars import FLOAT, RATIONAL, coerce
 from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
 from .unipoly import UniPoly, max_real_root, real_roots
 
@@ -183,8 +182,7 @@ class KlsInstance:
     def sigma2(self) -> float:
         """||sum tau_i^2 tr[v_i] v_i||_h."""
         h = self.h
-        float_mix = any(isinstance(c, float) for v in self.vectors for c in v)
-        mix = [0.0 if float_mix else coerce(0, RATIONAL)] * h.m
+        mix = [Fraction(0)] * h.m
         for v, var, tr in zip(self.vectors, self.variables, self.traces):
             weight = var.variance * tr
             for idx in range(h.m):
@@ -371,7 +369,7 @@ class SrInstance:
         return self.mu.n
 
     def subset_sum(self, elements) -> tuple:
-        w = [coerce(0, RATIONAL)] * self.h.m
+        w = [Fraction(0)] * self.h.m
         for i in elements:
             for idx in range(self.h.m):
                 w[idx] = w[idx] + self.vectors[i][idx]
@@ -393,7 +391,7 @@ def kls_leaf_poly(inst: KlsInstance, assignment) -> UniPoly:
     plus = inst.h.restrict_line(w, inst.h.e)
     d = inst.h.d
     minus = UniPoly.from_coeffs(
-        [c if (d + k) % 2 == 0 else -c for k, c in enumerate(plus.coeffs)], plus.backend)
+        [c if (d + k) % 2 == 0 else -c for k, c in enumerate(plus.coeffs)])
     return plus * minus
 
 
@@ -417,7 +415,7 @@ def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     branches = math.prod(len(v.support) for v in rest)
     if branches > MAX_BRANCHES:
         raise TooLarge(f"{branches} completions exceed the {MAX_BRANCHES} guardrail")
-    acc = UniPoly.zero(RATIONAL)
+    acc = UniPoly.zero()
     for completion in itertools.product(*[v.support for v in rest]):
         weight = prefix_prob
         for t, var in zip(completion, rest):
@@ -567,7 +565,7 @@ def kls_table_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     sums = kls_node_sums(table, kls_fold(table, table.rows, 0, tuple(partial)), 2 * d)
     return UniPoly.from_coeffs(
         [prefix_prob * Fraction(sums[k], table.denominator * table.scale ** k)
-         for k in range(2 * d, -1, -1)], RATIONAL)
+         for k in range(2 * d, -1, -1)])
 
 
 def kls_operator_form(inst: KlsInstance) -> UniPoly:
@@ -606,7 +604,7 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
                 for k, b in enumerate(row, j):
                     total[k] += weight * a * b
     denom = outer * outer * step ** d
-    return UniPoly.from_coeffs([Fraction(c, denom) for c in total], RATIONAL)
+    return UniPoly.from_coeffs([Fraction(c, denom) for c in total])
 
 
 def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
@@ -621,8 +619,8 @@ def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
         # cumsum adds row by row; + 0.0 gives the 0.0 that a sum started at 0
         # leaves where cumsum keeps a -0.0.
         total = np.cumsum(table.rows[hits], axis=0)[-1] + 0.0
-        return UniPoly.from_coeffs(total.tolist(), FLOAT)
-    acc = UniPoly.zero(RATIONAL)
+        return UniPoly.from_coeffs(total.tolist())
+    acc = UniPoly.zero()
     for row in itertools.compress(table.rows, hits):
         acc = acc + row
     return acc
@@ -640,7 +638,7 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
         for r in range(len(items) + 1):
             subsets.update(itertools.combinations(items, r))
     cache: dict = {}
-    acc = UniPoly.zero(RATIONAL)
+    acc = UniPoly.zero()
     for subset in sorted(subsets, key=lambda s: (len(s), s)):
         sset = frozenset(subset)
         gcoeffs = {}
@@ -650,8 +648,7 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
                 gcoeffs[k] = gcoeffs.get(k, 0) + prob
         if not gcoeffs:
             continue
-        g_s = UniPoly.from_coeffs(
-            [gcoeffs.get(k, 0) for k in range(max(gcoeffs) + 1)], RATIONAL)
+        g_s = UniPoly.from_coeffs([gcoeffs.get(k, 0) for k in range(max(gcoeffs) + 1)])
         a_s = derivative_restriction(inst.h, inst.vectors, subset, cache)
         if a_s.is_zero:
             continue
@@ -674,7 +671,8 @@ def linear_restriction_multipoly(h: HyperbolicInstance, vectors) -> MultiPoly:
     """h(xe + sum_i z_i v_i) as a polynomial in (x, z_1..z_n).
 
     Requires every v_i to have hyperbolic rank <= 1 so that the multilinear
-    expansion sum_U z^U A_U(x) is complete.
+    expansion sum_U z^U A_U(x) is complete.  The coefficients are Fractions,
+    each float A_U coefficient taken as the rational it is.
     """
     n = len(vectors)
     cache: dict = {}
@@ -689,7 +687,7 @@ def linear_restriction_multipoly(h: HyperbolicInstance, vectors) -> MultiPoly:
             exps[0] = power
             for i in subset:
                 exps[i + 1] = 1
-            out = out + MultiPoly.monomial(tuple(exps), coeff)
+            out = out + MultiPoly.monomial(tuple(exps), Fraction(coeff))
     return out
 
 

@@ -16,34 +16,30 @@ suite carries a seeded refutation search for it.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange
-from .scalars import RATIONAL, coerce, join_backend
-from .unipoly import UniPoly
+from .unipoly import UniPoly, as_one_type
 
 
 class MultiPoly:
-    """Map from exponent vectors to coefficients; zero terms are dropped."""
+    """Map from exponent vectors to coefficients; zero terms are dropped.
 
-    __slots__ = ("nvars", "terms", "backend")
+    As in UniPoly, the coefficients are all floats if any is given as a
+    float and all Fractions otherwise."""
 
-    def __init__(self, nvars: int, terms: dict, backend: str = RATIONAL):
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
-        self.backend = backend
-        clean = {}
-        for exps, c in terms.items():
-            c = coerce(c, backend)
-            if c == 0:
-                continue
-            clean[tuple(exps)] = c
-        self.terms = clean
+        self.terms = {tuple(exps): c
+                      for exps, c in zip(terms, as_one_type(list(terms.values()))) if c != 0}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(nvars: int, backend: str = RATIONAL) -> "MultiPoly":
-        return MultiPoly(nvars, {}, backend)
+    def zero(nvars: int) -> "MultiPoly":
+        return MultiPoly(nvars, {})
 
     @staticmethod
-    def monomial(exps, c=1, backend: str = RATIONAL) -> "MultiPoly":
-        return MultiPoly(len(exps), {tuple(exps): c}, backend)
+    def monomial(exps, c=1) -> "MultiPoly":
+        return MultiPoly(len(exps), {tuple(exps): c})
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "MultiPoly"):
@@ -55,7 +51,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out, join_backend(self.backend, other.backend))
+        return MultiPoly(self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + other.scale(-1)
@@ -67,10 +63,10 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out, join_backend(self.backend, other.backend))
+        return MultiPoly(self.nvars, out)
 
     def scale(self, c) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()}, self.backend)
+        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
@@ -100,10 +96,10 @@ class MultiPoly:
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[i]
-        return MultiPoly(self.nvars, out, self.backend)
+        return MultiPoly(self.nvars, out)
 
     def eval(self, point):
-        acc = coerce(0, self.backend)
+        acc = 0
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
@@ -114,14 +110,13 @@ class MultiPoly:
 
     def restrict_line(self, a, b) -> UniPoly:
         """Univariate restriction t -> p(a t + b)."""
-        backend = self.backend
-        acc = UniPoly.zero(backend)
+        acc = UniPoly.zero()
         for e, c in self.terms.items():
-            term = UniPoly.constant(c, backend)
+            term = UniPoly.constant(c)
             for i, k in enumerate(e):
                 if k == 0:
                     continue
-                lin = UniPoly.from_coeffs([b[i], a[i]], backend)
+                lin = UniPoly.from_coeffs([b[i], a[i]])
                 for _ in range(k):
                     term = term * lin
             acc = acc + term

@@ -1,10 +1,4 @@
-"""Scalar backends.
-
-Everything numeric runs over one of two backends: exact rationals
-(``fractions.Fraction``) for polynomial-identity assertions, and binary64
-floats elsewhere.  A backend is just the string ``"rational"`` or
-``"float"``; values are coerced on entry and ordinary arithmetic does the
-rest.  Mixing backends coerces to float.
+"""The tolerance table, one named constant per float verdict.
 
 Every float verdict reads its tolerance from the table below, and no other
 module holds a tolerance literal (tests/test_hygiene.py checks both).
@@ -12,18 +6,8 @@ Change a value only together with a failing case that shows why: a verdict
 that fails on correct input is a fault to find, not a tolerance to loosen.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
-from typing import Sequence, Union
-
-Scalar = Union[Fraction, float, int]
-
-RATIONAL = "rational"
-FLOAT = "float"
-
-# The tolerance table, one entry per float verdict.  "rel" means the
-# tolerance is scaled by max(1, the magnitudes the verdict compares).
+# "rel" means the tolerance is scaled by max(1, the magnitudes the verdict
+# compares).
 ROOT_RESIDUAL_TOL = 1e-9  # real_roots: companion r kept if |p(r)| <= tol max|c| max(1, |r|)^deg
 ROOT_IMAG_TOL = 1e-7  # real_roots: companion roots tried only if every |Im r| <= tol, rel
 BISECT_WIDTH_TOL = 1e-6  # _refine_root: bisection stops at bracket width <= tol, rel
@@ -38,27 +22,3 @@ VARIANCE_MIX_TOL = 1e-6  # barrier chain: the variance mix norm may exceed 1 by 
 SQRT2_STEP_TOL = 0.0  # barrier chain: Phi^i <= sqrt(2) is checked with no slack
 SIGMA_ONE_TOL = 1e-9  # barrier chain: a kls instance with |sigma - 1| <= tol is not rescaled
 
-
-def coerce(value, backend: str) -> Scalar:
-    """Coerce ``value`` into the backend's scalar type.
-
-    Floats entering the rational backend are converted exactly (every
-    binary64 value is a rational number), so no information is invented.
-    """
-    if backend == RATIONAL:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    if backend == FLOAT:
-        return float(value)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def infer_backend(values: Sequence) -> str:
-    """Rational unless any value is a float."""
-    for v in values:
-        if isinstance(v, float):
-            return FLOAT
-    return RATIONAL
-
-
-def join_backend(a: str, b: str) -> str:
-    return RATIONAL if (a == RATIONAL and b == RATIONAL) else FLOAT

@@ -1,9 +1,13 @@
 """Instance-file JSON schema (version hyperdisc-instance/1).
 
-Scalars under the rational backend are emitted as exact "p/q" strings so a
-parse/emit round trip is lossless; binary64 values rely on Python's
-shortest round-trip float formatting.  Emission sorts keys and uses fixed
-separators so identical inputs produce byte-identical files.
+A file's "backend" names the arithmetic its values are read in: "rational"
+(the default when it is missing) or "float"; any other value is rejected.
+In memory there is no such tag: a Fraction is exact and a float is
+binary64, and instance_to_json reads the label off the instance.  Fractions
+are emitted as exact "p/q" strings so a parse/emit round trip is lossless;
+binary64 values rely on Python's shortest round-trip float formatting.
+Emission sorts keys and uses fixed separators so identical inputs produce
+byte-identical files.
 
 ``dumps`` writes the layout of json.dumps(obj, sort_keys=True, indent=2,
 separators=(",", ": ")) byte for byte, but not through json.dumps: with an
@@ -20,9 +24,11 @@ coefficient table (KlsInstance.coefficient_table), which checks every
 vector's rank and cone membership exactly, so a bad vector fails at load;
 so do generators u_i that are not one per vector with v_i = vec(u_i u_i^T).
 
-A subset distribution's "set" lists must hold JSON ints; they are read into
-one int array (SRDistribution.sets) and any other entry, a bool included,
-is rejected.
+Integer fields (the "set" lists of a subset distribution, its "n", the
+hyperbolic parameters and a custom polynomial's "nvars" and exponents) must
+be JSON ints, and a scalar may not be a JSON boolean; anything else, a bool
+in an integer field included, is rejected.  The "set" lists are read into
+one int array (SRDistribution.sets).
 """
 
 from __future__ import annotations
@@ -43,10 +49,11 @@ from .hyperbolic import (
 )
 from .mixedchar import KlsInstance, RandomVar, SrInstance
 from .realstable import MultiPoly
-from .scalars import FLOAT, RATIONAL
 from .srdist import SRDistribution
 
 SCHEMA_VERSION = "hyperdisc-instance/1"
+RATIONAL = "rational"
+FLOAT = "float"
 
 
 def scalar_to_json(x):
@@ -58,6 +65,8 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(v, backend: str):
+    if isinstance(v, bool):
+        raise ValueError(f"a scalar cannot be the boolean {v!r}")
     if isinstance(v, str):
         num, _, den = v.partition("/")
         value = Fraction(int(num), int(den) if den else 1)
@@ -85,20 +94,26 @@ def h_to_json(h: HyperbolicInstance) -> dict:
     return params
 
 
+def int_from_json(v) -> int:
+    """A JSON int; a float, a string or a bool is rejected."""
+    if type(v) is not int:
+        raise ValueError(f"expected an int, got {v!r}")
+    return v
+
+
 def h_from_json(obj: dict, backend: str) -> HyperbolicInstance:
     kind = obj["kind"]
     if kind == "determinant":
-        return DeterminantInstance(int(obj["mprime"]))
+        return DeterminantInstance(int_from_json(obj["mprime"]))
     if kind == "lorentz":
-        return LorentzInstance(int(obj["m"]))
+        return LorentzInstance(int_from_json(obj["m"]))
     if kind == "elem_sym":
-        return ElemSymInstance(int(obj["n"]), int(obj["k"]))
+        return ElemSymInstance(int_from_json(obj["n"]), int_from_json(obj["k"]))
     if kind == "custom":
         poly_obj = obj["poly"]
-        terms = {tuple(e): scalar_from_json(c, backend)
+        terms = {tuple(map(int_from_json, e)): scalar_from_json(c, backend)
                  for e, c in poly_obj["terms"]}
-        poly = MultiPoly(int(poly_obj["nvars"]), terms,
-                         RATIONAL if backend == RATIONAL else FLOAT)
+        poly = MultiPoly(int_from_json(poly_obj["nvars"]), terms)
         return RealStableInstance(poly, vec_from_json(obj["e"], backend))
     raise InvalidParams(f"unknown hyperbolic kind {kind!r}")
 
@@ -107,18 +122,23 @@ def variable_to_json(var: RandomVar) -> dict:
     return {"support": vec_to_json(var.support), "probs": vec_to_json(var.probs)}
 
 
-def variable_from_json(obj: dict, backend: str) -> RandomVar:
-    return RandomVar(vec_from_json(obj["support"], backend),
-                     vec_from_json(obj["probs"], backend))
+def variable_from_json(obj: dict) -> RandomVar:
+    return RandomVar(vec_from_json(obj["support"], RATIONAL),
+                     vec_from_json(obj["probs"], RATIONAL))
 
 
 def distribution_to_json(mu: SRDistribution) -> dict:
-    return {
-        "n": mu.n,
-        "d_mu": mu.d_mu,
-        "support": [{"set": list(elems), "prob": scalar_to_json(p)}
-                    for elems, p in mu.support],
-    }
+    """An entry whose probability is the previous entry's object reuses its
+    text: uniform_spanning_tree and distribution_from_json give every entry
+    of a spanning-tree distribution one object, which is then formatted
+    once.  Comparing by identity costs less than hashing a Fraction."""
+    support = []
+    last = text = None
+    for elems, p in mu.support:
+        if p is not last:
+            last, text = p, scalar_to_json(p)
+        support.append({"set": list(elems), "prob": text})
+    return {"n": mu.n, "d_mu": mu.d_mu, "support": support}
 
 
 def distribution_from_json(obj: dict) -> SRDistribution:
@@ -127,12 +147,15 @@ def distribution_from_json(obj: dict) -> SRDistribution:
     entries = obj["support"]
     probs = {p: scalar_from_json(p, RATIONAL) for p in {entry["prob"] for entry in entries}}
     items = [(entry["set"], probs[entry["prob"]]) for entry in entries]
-    return SRDistribution.from_support(int(obj["n"]), items)
+    return SRDistribution.from_support(int_from_json(obj["n"]), items)
 
 
-def instance_to_json(inst, kind: str, backend: str, generator: dict | None = None,
-                     graph: Graph | None = None) -> dict:
-    if kind == "kls":
+def instance_to_json(inst, generator: dict | None = None, graph: Graph | None = None) -> dict:
+    """A KlsInstance is written as kind "kls", backend "rational"; an
+    SrInstance as kind "sr", backend "float" if any vector entry is a float
+    and "rational" otherwise."""
+    if isinstance(inst, KlsInstance):
+        kind, backend = "kls", RATIONAL
         payload = {
             "h": h_to_json(inst.h),
             "vectors": [vec_to_json(v) for v in inst.vectors],
@@ -140,7 +163,9 @@ def instance_to_json(inst, kind: str, backend: str, generator: dict | None = Non
         }
         if inst.generators is not None:
             payload["generators"] = [vec_to_json(u) for u in inst.generators]
-    elif kind == "sr":
+    elif isinstance(inst, SrInstance):
+        kind = "sr"
+        backend = FLOAT if any(isinstance(c, float) for v in inst.vectors for c in v) else RATIONAL
         payload = {
             "h": h_to_json(inst.h),
             "distribution": distribution_to_json(inst.mu),
@@ -149,7 +174,7 @@ def instance_to_json(inst, kind: str, backend: str, generator: dict | None = Non
         if graph is not None:
             payload["graph"] = graph.to_json()
     else:
-        raise InvalidParams(f"unknown instance kind {kind!r}")
+        raise TypeError(f"cannot serialize a {type(inst).__name__}")
     out = {"schema": SCHEMA_VERSION, "kind": kind, "backend": backend,
            "payload": payload}
     if generator is not None:
@@ -173,11 +198,13 @@ def _instance_from_json(obj: dict):
         raise InvalidParams(f"unsupported schema {obj.get('schema')!r}")
     kind = obj["kind"]
     backend = obj.get("backend", RATIONAL)
+    if backend not in (RATIONAL, FLOAT):
+        raise InvalidParams(f"unknown backend {backend!r}")
     payload = obj["payload"]
     if kind == "kls":
         h = h_from_json(payload["h"], RATIONAL)
         vectors = [vec_from_json(v, RATIONAL) for v in payload["vectors"]]
-        variables = [variable_from_json(v, RATIONAL) for v in payload["variables"]]
+        variables = [variable_from_json(v) for v in payload["variables"]]
         generators = None
         if "generators" in payload:
             generators = [vec_from_json(u, RATIONAL) for u in payload["generators"]]

@@ -41,7 +41,7 @@ from ._exact import char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .hyperbolic import spectrum
 from .mixedchar import KlsInstance
-from .scalars import CERTIFY_SLACK_TOL, RATIONAL
+from .scalars import CERTIFY_SLACK_TOL
 from .unipoly import UniPoly
 
 MAX_BRUTE_BRANCHES = 1 << 16
@@ -133,7 +133,7 @@ def maxcoeff_enum(family, k: int, prefix) -> tuple:
     if scaled is not None:
         return scaled
     poly = family.node_poly(prefix)
-    if poly.backend == RATIONAL:
+    if isinstance(poly.leading, Fraction):
         return integer_top_coeffs(poly, k)
     return monic_top_coeffs(poly, k), 1
 

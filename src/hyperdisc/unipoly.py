@@ -1,11 +1,14 @@
 """Dense univariate polynomials with exact real-root certification.
 
-Coefficients are stored in ascending degree order over one of two scalar
-backends (exact rationals or binary64).  Root extraction runs companion
-eigenvalues with Newton polish and falls back to exact Sturm bisection when
-the residual test disagrees; real-rootedness verdicts are always certified
-by an exact Sturm count (any binary64 coefficient vector is a rational
-vector, so the exact route is available on both backends).
+Coefficients are stored in ascending degree order, all Fractions (exact)
+or all floats (binary64): a polynomial built from any float holds floats,
+and one built from ints and Fractions holds Fractions, so ordinary
+arithmetic keeps exact values exact and turns a mix into floats.  Root
+extraction runs companion eigenvalues with Newton polish and falls back to
+exact Sturm bisection when the residual test disagrees; real-rootedness
+verdicts are always certified by an exact Sturm count (any binary64
+coefficient vector is a rational vector, so the exact route is available
+for floats too).
 
 The float lane's one residual-monotone Newton polish (``_newton_polish``)
 and the one Newton divided-difference loop (``divided_differences``) live
@@ -21,8 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateNode, NotRealRooted, ZeroPolynomial
-from .scalars import (BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, FLOAT, RATIONAL, ROOT_IMAG_TOL,
-                      ROOT_RESIDUAL_TOL, coerce, infer_backend, join_backend)
+from .scalars import BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, ROOT_IMAG_TOL, ROOT_RESIDUAL_TOL
 
 # Multiplicity-expanded real roots, non-increasing order.
 RootList = tuple
@@ -30,36 +32,39 @@ RootList = tuple
 _NEWTON_POLISH_ITERS = 12
 
 
+def as_one_type(values: list) -> list:
+    """The values as floats if any is a float, else as Fractions."""
+    if any(isinstance(v, float) for v in values):
+        return [float(v) for v in values]
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+
+
 @dataclass(frozen=True)
 class UniPoly:
     """Polynomial sum(coeffs[i] * x^i); trailing zeros are stripped."""
 
     coeffs: tuple
-    backend: str
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable, backend: str | None = None) -> "UniPoly":
-        seq = list(coeffs)
-        if backend is None:
-            backend = infer_backend(seq)
-        seq = [coerce(c, backend) for c in seq]
+    def from_coeffs(coeffs: Iterable) -> "UniPoly":
+        seq = as_one_type(list(coeffs))
         while seq and seq[-1] == 0:
             seq.pop()
-        return UniPoly(tuple(seq), backend)
+        return UniPoly(tuple(seq))
 
     @staticmethod
-    def zero(backend: str = RATIONAL) -> "UniPoly":
-        return UniPoly((), backend)
+    def zero() -> "UniPoly":
+        return UniPoly(())
 
     @staticmethod
-    def constant(c, backend: str | None = None) -> "UniPoly":
-        return UniPoly.from_coeffs([c], backend)
+    def constant(c) -> "UniPoly":
+        return UniPoly.from_coeffs([c])
 
     @staticmethod
-    def from_roots(roots: Sequence, backend: str = FLOAT, lead=1) -> "UniPoly":
-        p = UniPoly.constant(lead, backend)
+    def from_roots(roots: Sequence, lead=1) -> "UniPoly":
+        p = UniPoly.constant(lead)
         for r in roots:
-            p = p * UniPoly.from_coeffs([-r, 1], backend)
+            p = p * UniPoly.from_coeffs([-r, 1])
         return p
 
     @property
@@ -77,61 +82,58 @@ class UniPoly:
         return self.coeffs[-1]
 
     def __call__(self, t):
-        t = coerce(t, self.backend) if not isinstance(t, float) else t
-        acc = coerce(0, self.backend)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        backend = join_backend(self.backend, other.backend)
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return UniPoly.from_coeffs([x + y for x, y in zip(a, b)], backend)
+        return UniPoly.from_coeffs([x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs), self.backend)
+        return UniPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        backend = join_backend(self.backend, other.backend)
         if self.is_zero or other.is_zero:
-            return UniPoly.zero(backend)
-        out = [coerce(0, backend)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return UniPoly.zero()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly.from_coeffs(out, backend)
+        return UniPoly.from_coeffs(out)
 
     def scale(self, c) -> "UniPoly":
-        return UniPoly.from_coeffs([c * x for x in self.coeffs], None if isinstance(c, float) else self.backend)
+        return UniPoly.from_coeffs([c * x for x in self.coeffs])
 
     def compose_xsquare(self) -> "UniPoly":
         """p(x^2): coefficients spread onto even degrees."""
-        out = [coerce(0, self.backend)] * (2 * len(self.coeffs))
+        out = [0] * (2 * len(self.coeffs))
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
-        return UniPoly.from_coeffs(out, self.backend)
+        return UniPoly.from_coeffs(out)
 
     def shift_degree(self, k: int) -> "UniPoly":
         """p(x) * x^k."""
         if self.is_zero:
             return self
-        return UniPoly.from_coeffs([coerce(0, self.backend)] * k + list(self.coeffs), self.backend)
+        return UniPoly.from_coeffs([0] * k + list(self.coeffs))
 
     def to_float(self) -> "UniPoly":
-        return UniPoly.from_coeffs([float(c) for c in self.coeffs], FLOAT)
+        return UniPoly.from_coeffs([float(c) for c in self.coeffs])
 
     def float_coeffs(self) -> np.ndarray:
         return np.array([float(c) for c in self.coeffs], dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UniPoly({list(self.coeffs)!r}, {self.backend!r})"
+        return f"UniPoly({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +354,20 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray,
     return r
 
 
-def _refine_root(c: list, a: Fraction, b: Fraction, chain: list) -> float:
+def _refine_root(c: list, a: Fraction, b: Fraction) -> float:
     """Sign bisection to BISECT_WIDTH_TOL width, then float Newton from the midpoint.
 
-    The interval (a, b] holds exactly one (simple) root; ``a`` itself may be
-    a root of a sibling interval, in which case the bracket is first walked
-    inward using the Sturm chain until the endpoint sign is usable.
+    The interval (a, b] holds exactly one (simple) root and c(a) != 0:
+    _isolate_roots starts at -bound, which the strict Cauchy bound keeps off
+    every root, and sets a left end only to a midpoint that is not a root
+    or to mid + eps, which its flank search keeps off every root; the loop
+    below moves ``a`` only to a point where c has the sign of c(a).
     """
     if a == b:
         return float(a)
     if _value_at(c, b) == 0:
         return float(b)
     fa = _value_at(c, a)
-    guard = 0
-    while fa == 0 and guard < 80:
-        m = (a + b) / 2
-        fm = _value_at(c, m)
-        if fm == 0:
-            return float(m)
-        if _variations_at(chain, a) - _variations_at(chain, m) == 0:
-            a, fa = m, fm
-        else:
-            b = m
-        guard += 1
-    if fa == 0:
-        return float((a + b) / 2)
     for _ in range(30):
         if float(b - a) <= BISECT_WIDTH_TOL * max(1.0, abs(float(a)), abs(float(b))):
             break
@@ -419,7 +410,7 @@ def _exact_real_roots(p: UniPoly) -> tuple:
     roots = []
     for factor, mult, chain in _certified_factors(p):
         for a, b in _isolate_roots(factor, chain):
-            r = _refine_root(factor, a, b, chain)
+            r = _refine_root(factor, a, b)
             roots.extend([r] * mult)
     return tuple(sorted(roots, reverse=True))
 
@@ -461,14 +452,14 @@ def real_roots(p: UniPoly) -> RootList:
         budget = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(cand)) ** (deg - nzero)
         if np.all(resid <= budget):
             return tuple(sorted(list(cand) + list(zeros), reverse=True))
-    reduced = UniPoly.from_coeffs(list(p.coeffs)[nzero:], p.backend)
+    reduced = UniPoly.from_coeffs(list(p.coeffs)[nzero:])
     return tuple(sorted(list(_exact_real_roots(reduced)) + list(zeros), reverse=True))
 
 
 def is_real_rooted(p: UniPoly) -> bool:
     """Certified real-rootedness: the exact Sturm count of every Yun factor
     reaches its degree.  Binary64 coefficients are taken as the rationals
-    they are, so the verdict is exact on either backend."""
+    they are, so the verdict is exact for floats too."""
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no real-rootedness verdict")
     try:
@@ -493,24 +484,20 @@ def divided_differences(xs: Sequence, ys: Sequence) -> list:
     return out
 
 
-def interpolate(nodes: Sequence, backend: str | None = None) -> UniPoly:
+def interpolate(nodes: Sequence) -> UniPoly:
     """Unique polynomial of degree < len(nodes) through the given points.
 
-    Newton divided differences; exact under the rational backend.
+    Newton divided differences, over floats if any coordinate is a float
+    and exactly over Fractions otherwise.
     """
     pts = list(nodes)
-    xs = [x for x, _ in pts]
+    values = as_one_type([x for x, _ in pts] + [y for _, y in pts])
+    xs, ys = values[:len(pts)], values[len(pts):]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
-    if backend is None:
-        backend = infer_backend([v for pair in pts for v in pair])
-    xs = [coerce(x, backend) for x, _ in pts]
-    ys = [coerce(y, backend) for _, y in pts]
-    poly = UniPoly.zero(backend)
-    basis = UniPoly.constant(1, backend)
+    poly = UniPoly.zero()
+    basis = UniPoly.constant(1)
     for i, c in enumerate(divided_differences(xs, ys)):
         poly = poly + basis.scale(c)
-        basis = basis * UniPoly.from_coeffs([-xs[i], 1], backend)
-    if poly.is_zero:
-        return UniPoly.zero(backend)
+        basis = basis * UniPoly.from_coeffs([-xs[i], 1])
     return poly

@@ -155,8 +155,8 @@ def test_roundtrip_lossless(capsys):
         for variables in ("rademacher", "biased", "threepoint", "mixed"):
             _, out = run(capsys, "gen", "--kind", *gen, "--variables", variables, "--seed", "9")
             blob = json.loads(out)
-            inst, kind = instance_from_json(blob)
-            again = instance_to_json(inst, kind, blob["backend"], generator=blob["generator"])
+            inst, _ = instance_from_json(blob)
+            again = instance_to_json(inst, generator=blob["generator"])
             assert dumps(again) == out, (gen, variables)
             # Loaded instance supports the exact identity (rational round trip).
             assert kls_node_poly(inst).coeffs == kls_operator_form(inst).coeffs
@@ -428,6 +428,54 @@ def test_non_int_set_entry_exits_1_at_load(capsys, tmp_path, entry):
         assert captured.err.startswith("error: ") and "must be ints" in captured.err
 
 
+def _base_file(capsys, base: str) -> dict:
+    if base in ("elem_sym", "custom"):
+        return _e2_file(base)
+    argv = {"kls-det": ("--kind", "kls-det", "--n", "3", "--mprime", "2"),
+            "kls-lorentz": ("--kind", "kls-lorentz", "--n", "3", "--m", "3"),
+            "sr": ("--kind", "sr-ust", "--graph", "c4")}[base]
+    return json.loads(run(capsys, "gen", *argv)[1])
+
+
+# (file, path to the field, bad value, message): an unknown backend, an
+# integer field that is not a JSON int, and a scalar that is a JSON boolean.
+BAD_FIELDS = [
+    ("kls-det", ("backend",), "banana", "unknown backend 'banana'"),
+    ("sr", ("backend",), "banana", "unknown backend 'banana'"),
+    ("kls-det", ("payload", "h", "mprime"), 2.9, "expected an int, got 2.9"),
+    ("kls-det", ("payload", "h", "mprime"), "2", "expected an int, got '2'"),
+    ("kls-det", ("payload", "h", "mprime"), True, "expected an int, got True"),
+    ("kls-lorentz", ("payload", "h", "m"), 3.0, "expected an int, got 3.0"),
+    ("elem_sym", ("payload", "h", "n"), 3.5, "expected an int, got 3.5"),
+    ("elem_sym", ("payload", "h", "k"), "2", "expected an int, got '2'"),
+    ("custom", ("payload", "h", "poly", "nvars"), 3.0, "expected an int, got 3.0"),
+    ("custom", ("payload", "h", "poly", "terms", 0, 0, 1), 1.0, "expected an int, got 1.0"),
+    ("custom", ("payload", "h", "poly", "terms", 0, 0, 0), True, "expected an int, got True"),
+    ("sr", ("payload", "distribution", "n"), 4.5, "expected an int, got 4.5"),
+    ("kls-det", ("payload", "variables", 0, "support", 0), True, "the boolean True"),
+    ("sr", ("payload", "vectors", 0, 0), False, "the boolean False"),
+]
+
+
+@pytest.mark.parametrize("base, path, value, message", BAD_FIELDS,
+                         ids=[f"{b}:{p[-1]}={v!r}" for b, p, v, _ in BAD_FIELDS])
+def test_bad_field_exits_1_at_load(capsys, tmp_path, base, path, value, message):
+    blob = _base_file(capsys, base)
+    obj = blob
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    for argv in (("solve", str(bad)), ("verify", str(bad))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+
 # The sr-search deck's fixed graphs: named, the sparse ones that fail, and
 # dense random graphs at graph seed 1.
 SR_SEARCH_GRAPHS = ("c4", "k4", "k5", "diamond", "c5", "random:6:7:0", "random:6:7:1",
@@ -443,8 +491,7 @@ def test_sr_roundtrip_lossless(capsys, spec):
     assert kind == "sr"
     assert inst.mu == uniform_spanning_tree(_resolve_graph(spec))
     meta = {"seed": 0, "kind": "sr-ust", "graph": spec, "eps1": inst.eps1, "eps2": inst.eps2}
-    again = instance_to_json(inst, kind, blob["backend"], generator=meta,
-                             graph=Graph.from_json(blob["payload"]["graph"]))
+    again = instance_to_json(inst, generator=meta, graph=Graph.from_json(blob["payload"]["graph"]))
     assert dumps(again) == out
 
 
@@ -492,21 +539,27 @@ def test_verify_instance_file(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def _e2_file(kind: str) -> dict:
+    """e_2 in three variables, as elem_sym or as the custom polynomial
+    z1 z2 + z1 z3 + z2 z3, with four vectors and Rademacher variables."""
+    half = "1/2"
+    h = {"elem_sym": {"kind": "elem_sym", "n": 3, "k": 2},
+         "custom": {"kind": "custom", "nvars": 3, "e": [1, 1, 1],
+                    "poly": {"nvars": 3, "terms": [[[1, 1, 0], 1], [[1, 0, 1], 1],
+                                                   [[0, 1, 1], 1]]}}}[kind]
+    return {"schema": "hyperdisc-instance/1", "kind": "kls", "backend": "rational",
+            "payload": {"h": h,
+                        "vectors": [[half, 0, 0], [0, half, 0], [0, 0, half], [half, 0, 0]],
+                        "variables": [{"support": [1, -1], "probs": [half, half]}] * 4}}
+
+
 def test_elem_sym_and_custom_kinds(capsys, tmp_path):
     # Only hand-written files reach these kinds: e_2 in three variables, once
     # as elem_sym and once as the custom polynomial z1 z2 + z1 z3 + z2 z3.
-    half = "1/2"
-    payload = {"vectors": [[half, 0, 0], [0, half, 0], [0, 0, half], [half, 0, 0]],
-               "variables": [{"support": [1, -1], "probs": [half, half]}] * 4}
-    hs = {"elem_sym": {"kind": "elem_sym", "n": 3, "k": 2},
-          "custom": {"kind": "custom", "nvars": 3, "e": [1, 1, 1],
-                     "poly": {"nvars": 3, "terms": [[[1, 1, 0], 1], [[1, 0, 1], 1],
-                                                    [[0, 1, 1], 1]]}}}
     outputs = {}
-    for name, h in hs.items():
+    for name in ("elem_sym", "custom"):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"schema": "hyperdisc-instance/1", "kind": "kls",
-                                    "backend": "rational", "payload": {**payload, "h": h}}))
+        path.write_text(json.dumps(_e2_file(name)))
         outputs[name] = []
         for argv in (("solve", str(path), "--method", "blocked"),
                      ("solve", str(path), "--method", "brute"),

@@ -167,3 +167,36 @@ def test_every_tolerance_is_read_elsewhere():
         if path.name != "scalars.py":
             read |= _read_names(_parse(path))
     assert sorted(table - read) == []
+
+
+def _identifiers(tree: ast.AST) -> set:
+    """Every identifier a module names: bare names, parameters, attributes,
+    defs, imports, and string constants that are identifiers (``__slots__``
+    entries, dataclass field names)."""
+    out = _read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias) and node.asname:
+            out.add(node.asname)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def test_the_backend_label_lives_in_serialize_alone():
+    # A coefficient's own type is its arithmetic (Fraction exact, float
+    # binary64); "backend" is only the instance file's field, so no field,
+    # attribute or parameter outside serialize.py carries it, and the
+    # helpers that carried it beside every value stay deleted.
+    found = []
+    for path in _modules():
+        names = _identifiers(_parse(path))
+        if path.name != "serialize.py":
+            found += [f"{path.stem}.{n}" for n in sorted(names & {"backend", "RATIONAL", "FLOAT"})]
+        found += [f"{path.stem}.{n}" for n in sorted(names & {"coerce", "infer_backend",
+                                                                "join_backend"})]
+    assert found == []

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdisc.cli import main
-from hyperdisc.serialize import _RUN_MIN, dumps
+from hyperdisc.serialize import _RUN_MIN, distribution_to_json, dumps, scalar_to_json
+from hyperdisc.srdist import SRDistribution
 
 from test_cli import SR_SEARCH_GRAPHS
 
@@ -104,3 +105,15 @@ def test_unserializable_value_raises_type_error(obj):
         reference_dumps(obj)
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+def test_distribution_to_json_formats_every_entry_by_value():
+    # Equal probabilities that are different objects, a run of one shared
+    # object and a change of value between runs: every entry gets the text
+    # of its own probability.
+    sixth = Fraction(1, 6)
+    mu = SRDistribution.from_support(4, [((0, 1), Fraction(1, 3)), ((0, 2), Fraction(1, 3)),
+                                         ((0, 3), sixth), ((1, 2), sixth)])
+    blob = distribution_to_json(mu)
+    assert [entry["prob"] for entry in blob["support"]] == ["1/3", "1/3", "1/6", "1/6"]
+    assert blob["support"] == [{"set": list(e), "prob": scalar_to_json(p)} for e, p in mu.support]

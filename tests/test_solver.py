@@ -62,7 +62,7 @@ def test_elem_to_power_matches_direct_sums():
     rng = random.Random(79)
     for _ in range(20):
         roots = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 6))]
-        poly = UniPoly.from_roots(roots, backend="rational")
+        poly = UniPoly.from_roots(roots)
         k = rng.randint(1, len(roots))
         top = monic_top_coeffs(poly, k)
         got = elem_to_power(k, vieta_elems(top))
@@ -78,7 +78,7 @@ def test_max_root_estimate_biquadratic():
 def test_max_root_estimate_equal_roots():
     c = 3
     n = 5
-    poly = UniPoly.from_roots([c] * n, backend="rational")
+    poly = UniPoly.from_roots([c] * n)
     est = max_root_estimate(n, 2, monic_top_coeffs(poly, 2))
     assert est == pytest.approx(c * math.sqrt(n))
 
@@ -100,7 +100,7 @@ def test_max_root_estimate_bracket_invariant():
         upper = sorted((rng.uniform(0.1, 4) for _ in range(half)), reverse=True)
         roots = upper + [-r for r in upper]
         deg = len(roots)
-        poly = UniPoly.from_roots(roots, backend="float")
+        poly = UniPoly.from_roots(roots)
         lam1 = max(roots)
         for k in range(2, deg + 1, 2):
             est = max_root_estimate(deg, k, monic_top_coeffs(poly, k))
@@ -132,7 +132,7 @@ def test_integer_top_coeffs_equal_the_monic_coefficients():
         deg = rng.randint(1, 8)
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg)]
         coeffs.append(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 7)))
-        poly = UniPoly.from_coeffs(coeffs, backend="rational")
+        poly = UniPoly.from_coeffs(coeffs)
         k = rng.randint(1, deg + 2)
         ints, scale = integer_top_coeffs(poly, k)
         assert all(type(c) is int for c in ints) and type(scale) is int

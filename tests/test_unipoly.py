@@ -1,14 +1,17 @@
 """Univariate polynomial layer: evaluation, roots, certification, interpolation."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdisc import unipoly
 from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
-from hyperdisc.scalars import FLOAT, RATIONAL
+from hyperdisc.hyperbolic import determinant, hyperbolic_trace, lorentz
 from hyperdisc.unipoly import (
     UniPoly,
     _newton_polish,
@@ -86,9 +89,9 @@ def test_is_real_rooted_zero_raises():
 
 
 def test_is_real_rooted_exact_on_rationals():
-    # Double root is still real-rooted; rational backend verdict is exact.
+    # Double root is still real-rooted; the verdict on Fractions is exact.
     p = UniPoly.from_coeffs([Fraction(1), Fraction(-2), Fraction(1)])
-    assert p.backend == RATIONAL
+    assert all(type(c) is Fraction for c in p.coeffs)
     assert is_real_rooted(p) is True
 
 
@@ -115,7 +118,7 @@ def test_interpolate_duplicate_abscissa():
 
 def test_square_free_decomposition():
     # (x-1)^2 (x+2)
-    p = UniPoly.from_roots([1, 1, -2], backend=RATIONAL)
+    p = UniPoly.from_roots([1, 1, -2])
     parts = square_free_decomposition(list(p.coeffs))
     mults = sorted(m for _, m in parts)
     assert mults == [1, 2]
@@ -132,9 +135,9 @@ def test_roundtrip_interpolation_rational():
     for _ in range(25):
         deg = rng.randint(1, 12)
         roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
-        p = UniPoly.from_roots(roots, backend=RATIONAL)
+        p = UniPoly.from_roots(roots)
         nodes = [(Fraction(i), p(Fraction(i))) for i in range(deg + 1)]
-        q = interpolate(nodes, backend=RATIONAL)
+        q = interpolate(nodes)
         assert q.coeffs == p.coeffs
 
 
@@ -143,10 +146,10 @@ def test_roundtrip_interpolation_float():
     for _ in range(15):
         deg = rng.randint(1, 10)
         roots = [rng.uniform(-3, 3) for _ in range(deg)]
-        p = UniPoly.from_roots(roots, backend=FLOAT)
+        p = UniPoly.from_roots(roots)
         off = deg // 2  # symmetric integer nodes keep the system well conditioned
         nodes = [(float(i - off), p(float(i - off))) for i in range(deg + 1)]
-        q = interpolate(nodes, backend=FLOAT)
+        q = interpolate(nodes)
         scale = max(abs(c) for c in p.coeffs)
         for a, b in zip(q.coeffs, p.coeffs):
             assert abs(a - b) <= 1e-10 * scale
@@ -157,8 +160,8 @@ def test_product_root_multiset_union():
     for _ in range(20):
         r1 = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)))
         r2 = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)))
-        p = UniPoly.from_roots(r1, backend=RATIONAL)
-        q = UniPoly.from_roots(r2, backend=RATIONAL)
+        p = UniPoly.from_roots(r1)
+        q = UniPoly.from_roots(r2)
         got = real_roots(p * q)
         expect = sorted(r1 + r2, reverse=True)
         # Repeated roots across the two factors are only sqrt(eps)-accurate.
@@ -170,14 +173,14 @@ def test_is_real_rooted_agrees_with_random_products():
     for _ in range(300):
         deg = rng.randint(1, 6)
         roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(deg)]
-        p = UniPoly.from_roots(roots, backend=RATIONAL)
+        p = UniPoly.from_roots(roots)
         assert is_real_rooted(p) is True
     for _ in range(100):
         # Positive-definite quadratic times a real-rooted tail.
         b = rng.randint(-5, 5)
         c = rng.randint(1, 9) + b * b  # discriminant 4b^2-4c < 0
         quad = UniPoly.from_coeffs([c, 2 * b, 1])
-        tail = UniPoly.from_roots([rng.randint(-4, 4)], backend=RATIONAL)
+        tail = UniPoly.from_roots([rng.randint(-4, 4)])
         assert is_real_rooted(quad * tail) is False
 
 
@@ -219,7 +222,7 @@ def test_clustered_roots_pass_the_companion_route(monkeypatch):
     # The polished companion roots pass the residual gate; Sturm is not needed.
     monkeypatch.setattr(unipoly, "_exact_real_roots", lambda p: pytest.fail("Sturm route taken"))
     eps = Fraction(1, 2 ** 20)
-    p = UniPoly.from_roots([Fraction(1), 1 + eps, Fraction(-3)], backend=RATIONAL)
+    p = UniPoly.from_roots([Fraction(1), 1 + eps, Fraction(-3)])
     roots = real_roots(p)
     assert len(roots) == 3
     assert roots[2] == pytest.approx(-3.0, abs=1e-9)
@@ -231,7 +234,75 @@ def test_exact_route_builds_one_sturm_chain_per_factor(monkeypatch):
     chains = []
     build = unipoly._sturm_chain
     monkeypatch.setattr(unipoly, "_sturm_chain", lambda c: chains.append(c) or build(c))
-    p = UniPoly.from_roots([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)], backend=RATIONAL)
+    p = UniPoly.from_roots([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)])
     roots = unipoly._exact_real_roots(p)
     assert len(chains) == 2
     assert roots == pytest.approx((3.0, 1.0, 1.0, -2.0))
+
+
+_EXACT = st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12))
+_FLOAT = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(exact=st.lists(_EXACT, min_size=1, max_size=6),
+       mixed=st.lists(st.one_of(_EXACT, _FLOAT), min_size=1, max_size=6)
+       .filter(lambda cs: any(isinstance(c, float) for c in cs) and any(cs)),
+       ys=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+       vec=st.lists(_EXACT, min_size=3, max_size=3))
+def test_a_coefficient_type_is_its_arithmetic(exact, mixed, ys, vec):
+    def stripped(cs):
+        cs = list(cs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    # Ints and Fractions give Fractions; any float makes every coefficient
+    # the float of its value.  The zero polynomial holds no coefficient, so
+    # it has no type: the filters keep q and r nonzero.
+    p = UniPoly.from_coeffs(exact)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == stripped(Fraction(c) for c in exact)
+    q = UniPoly.from_coeffs(mixed)
+    assert all(type(c) is float for c in q.coeffs)
+    assert [(c, math.copysign(1, c)) for c in q.coeffs] == \
+        [(float(c), math.copysign(1, float(c))) for c in stripped(mixed)]
+    # Exact with float is the float result of converting first.
+    for got, want in ((p + q, p.to_float() + q), (q + p, q + p.to_float()),
+                      (p * q, p.to_float() * q), (q * p, q * p.to_float())):
+        assert all(type(c) is float for c in got.coeffs)
+        assert got.coeffs == want.coeffs
+    # Interpolation through int nodes, and the trace of an exact vector, stay exact.
+    r = interpolate(list(enumerate(ys)))
+    assert all(type(c) is Fraction for c in r.coeffs)
+    assert [r(x) for x in range(len(ys))] == ys
+    assert type(r(len(ys))) is Fraction
+    d2, l3 = determinant(2), lorentz(3)
+    for h, trace in ((d2, Fraction(vec[0]) + vec[2]), (l3, 2 * Fraction(vec[2]))):
+        got = hyperbolic_trace(h, tuple(vec))
+        assert type(got) is Fraction and got == trace
+
+
+_DYADIC = st.builds(Fraction, st.integers(-48, 48), st.sampled_from((1, 2, 4, 8)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(_DYADIC, min_size=1, max_size=6), st.data())
+def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
+    # Dyadic roots land on bisection midpoints, and repeats exercise Yun's
+    # factors; every isolating interval (a, b] keeps its open left end off
+    # the roots, which is what lets _refine_root read the sign of c(a).
+    roots = roots + data.draw(st.lists(st.sampled_from(roots), max_size=4))
+    p = UniPoly.from_roots(roots)
+    got = unipoly._exact_real_roots(p)
+    assert got == pytest.approx(tuple(float(r) for r in sorted(roots, reverse=True)), rel=1e-12, abs=1e-12)
+    for factor, _ in square_free_decomposition(list(p.coeffs)):
+        chain = unipoly._sturm_chain(factor)
+        intervals = unipoly._isolate_roots(factor, chain)
+        assert len(intervals) == len(factor) - 1
+        for a, b in intervals:
+            if a == b:
+                assert unipoly._value_at(factor, a) == 0
+                continue
+            assert unipoly._value_at(factor, a) != 0
+            assert (unipoly._variations_at(chain, a) - unipoly._variations_at(chain, b)) == 1
