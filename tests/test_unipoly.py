@@ -295,7 +295,8 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
     roots = roots + data.draw(st.lists(st.sampled_from(roots), max_size=4))
     p = UniPoly.from_roots(roots)
     got = unipoly._exact_real_roots(p)
-    assert got == pytest.approx(tuple(float(r) for r in sorted(roots, reverse=True)), rel=1e-12, abs=1e-12)
+    expect = tuple(float(r) for r in sorted(roots, reverse=True))
+    assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
     for factor, _ in square_free_decomposition(list(p.coeffs)):
         chain = unipoly._sturm_chain(factor)
         intervals = unipoly._isolate_roots(factor, chain)
