@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,11 +185,9 @@ class SearchResult:
     bound: float
     oracle_calls: int
     seed: int
-    wall_time: float
 
     def to_json(self) -> dict:
-        """Wire format; wall time stays off the wire so outputs are
-        byte-identical across runs."""
+        """Wire format: the fields the CLI prints, root_max excepted."""
         return {
             "assignment": [f"{s.numerator}/{s.denominator}" if isinstance(s, Fraction)
                            else s for s in self.assignment],
@@ -211,7 +209,6 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
     post hoc by an exact spectral norm, which must stay within (1 + delta)
     of the root-node largest root; violations raise, never pass silently.
     """
-    start = time.perf_counter()
     n = family.n
     degree = family.degree
     m_block, k = cfg.resolve(n, degree)
@@ -249,12 +246,10 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
     root_max = family.root_max_root()
     certified = family.leaf_norm(assignment)
     bound = (1.0 + cfg.delta) * root_max
-    elapsed = time.perf_counter() - start
     if certified > bound + CERTIFY_SLACK_TOL * max(1.0, abs(bound)):
         raise CertificationFailed(certified, bound)
     return SearchResult(assignment, float(last_estimate), float(certified),
-                        float(root_max), float(bound), oracle_calls, cfg.seed,
-                        elapsed)
+                        float(root_max), float(bound), oracle_calls, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +323,6 @@ class BaselineSummary:
 
 def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
     """I.i.d. random assignments: the matrix-Chernoff-style comparison point."""
-    import random as _random
-
     vecs = np.array([[float(c) for c in v] for v in inst.vectors])
     rows = np.zeros((trials, inst.n))
     if isinstance(inst, KlsInstance):
@@ -339,7 +332,7 @@ def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
             probs = [float(p) for p in var.probs]
             cum.append(np.cumsum(probs))
         for t in range(trials):
-            rng = _random.Random(f"baseline:{seed}:{t}")
+            rng = random.Random(f"baseline:{seed}:{t}")
             for i, var in enumerate(inst.variables):
                 u = rng.random()
                 j = int(np.searchsorted(cum[i], u))
@@ -348,7 +341,7 @@ def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
     else:
         probs = np.cumsum([float(p) for _, p in inst.mu.support])
         for t in range(trials):
-            rng = _random.Random(f"baseline:{seed}:{t}")
+            rng = random.Random(f"baseline:{seed}:{t}")
             j = int(np.searchsorted(probs, rng.random()))
             j = min(j, len(inst.mu.support) - 1)
             for e in inst.mu.support[j][0]:

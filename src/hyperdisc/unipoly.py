@@ -4,15 +4,18 @@ Coefficients are stored in ascending degree order, all Fractions (exact)
 or all floats (binary64): a polynomial built from any float holds floats,
 and one built from ints and Fractions holds Fractions, so ordinary
 arithmetic keeps exact values exact and turns a mix into floats.  Root
-extraction runs companion eigenvalues with Newton polish and falls back to
-exact Sturm bisection when the residual test disagrees; real-rootedness
-verdicts are always certified by an exact Sturm count (any binary64
-coefficient vector is a rational vector, so the exact route is available
-for floats too).
+extraction takes the companion eigenvalues, polishes each root on its own,
+and falls back to exact Sturm bisection when the residual test disagrees;
+real-rootedness verdicts are always certified by an exact Sturm count (any
+binary64 coefficient vector is a rational vector, so the exact route is
+available for floats too).
 
-The float lane's one residual-monotone Newton polish (``_newton_polish``)
-and the one Newton divided-difference loop (``divided_differences``) live
-here.
+The one residual-monotone Newton polish (``_polish``) works on one root at
+a time over Python floats, with the scalar Horner rule (``_horner``) that
+the residual test reads too; the Sturm route polishes its bisection
+midpoints with it.  numpy serves only the companion eigenvalues and their
+imaginary-part test.  The one Newton divided-difference loop
+(``divided_differences``) lives here too.
 """
 
 from __future__ import annotations
@@ -128,9 +131,6 @@ class UniPoly:
 
     def to_float(self) -> "UniPoly":
         return UniPoly.from_coeffs([float(c) for c in self.coeffs])
-
-    def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs], dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UniPoly({list(self.coeffs)!r})"
@@ -309,48 +309,38 @@ def _isolate_roots(c: list, chain: list) -> list:
     return done
 
 
-def _horner_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate one polynomial (ascending coefficients) at many points."""
-    acc = np.zeros_like(xs)
-    for c in coeffs[::-1]:
-        acc = acc * xs + c
+def _horner(c: Sequence, t: float) -> float:
+    """c(t) by Horner's rule over floats (ascending coefficients)."""
+    acc = 0.0
+    for x in reversed(c):
+        acc = acc * t + x
     return acc
 
 
-def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray,
-                   roots: np.ndarray, iters: int) -> np.ndarray:
-    """Polish approximate real roots with residual-monotone Newton steps.
+def _polish(c: Sequence, dc: Sequence, r: float) -> float:
+    """Polish one approximate real root r of c (derivative dc) by Newton steps.
 
-    A step is only kept when it strictly decreases |p|; this keeps the
-    polish harmless at near-multiple roots where the raw Newton step blows
-    up (p' ~ 0 between a tight conjugate pair).
+    A step is kept only when it strictly lowers |c(r)|, and a rejected step is
+    halved up to 8 times; this keeps the polish harmless at near-multiple
+    roots where the raw Newton step blows up (c' ~ 0 between a tight
+    conjugate pair).  A pass depends only on r and c(r), so the first pass
+    that keeps no step ends the polish: every later pass would repeat it.
     """
-    r = np.array(roots, dtype=float, copy=True)
-    pr = _horner_many(coeffs, r)
-    for _ in range(iters):
-        dp = _horner_many(dcoeffs, r)
-        step = np.zeros_like(r)
-        safe = dp != 0
-        step[safe] = pr[safe] / dp[safe]
-        step[~np.isfinite(step) | (np.abs(step) > 1.0 + np.abs(r))] = 0.0
-        active = step != 0
-        if not np.any(active):
-            break
-        tried = active.copy()
+    pr = _horner(c, r)
+    for _ in range(_NEWTON_POLISH_ITERS):
+        dp = _horner(dc, r)
+        step = pr / dp if dp != 0 else 0.0
+        if not 0.0 < abs(step) <= 1.0 + abs(r):  # also false on inf and nan
+            return r
         for _ in range(8):
             trial = r - step
-            pt = _horner_many(coeffs, trial)
-            better = (np.abs(pt) < np.abs(pr)) & active
-            r[better] = trial[better]
-            pr[better] = pt[better]
-            active &= ~better
-            step[active] *= 0.5
-            if not np.any(active):
+            pt = _horner(c, trial)
+            if abs(pt) < abs(pr):
+                r, pr = trial, pt
                 break
-        # Steps and trials depend only on each root's own r and p(r): if no
-        # root moved, every later pass would repeat these failing trials.
-        if np.array_equal(active, tried):
-            break
+            step *= 0.5
+        else:
+            return r
     return r
 
 
@@ -379,12 +369,9 @@ def _refine_root(c: list, a: Fraction, b: Fraction) -> float:
             a, fa = mid, fm
         else:
             b = mid
-    cf = np.array([float(x) for x in c])
-    dcf = np.array([float(x) for x in _deriv(c)]) if len(c) > 1 else np.zeros(1)
-    r = _newton_polish(cf, dcf, np.array([float((a + b) / 2)]), _NEWTON_POLISH_ITERS)
-    r0 = float(r[0])
-    if float(a) - BRACKET_SLACK_TOL <= r0 <= float(b) + BRACKET_SLACK_TOL:
-        return r0
+    r = _polish([float(x) for x in c], [float(x) for x in _deriv(c)], float((a + b) / 2))
+    if float(a) - BRACKET_SLACK_TOL <= r <= float(b) + BRACKET_SLACK_TOL:
+        return r
     return float((a + b) / 2)
 
 
@@ -433,27 +420,24 @@ def real_roots(p: UniPoly) -> RootList:
     deg = p.degree
     if deg == 0:
         return ()
-    c = p.float_coeffs()
+    c = [float(x) for x in p.coeffs]
     # Exact zero roots come from trailing zero coefficients.
     nzero = 0
     while nzero <= deg and c[nzero] == 0.0:
         nzero += 1
-    zeros = (0.0,) * nzero
+    zeros = [0.0] * nzero
     if nzero == deg:
-        return zeros
+        return tuple(zeros)
     cred = c[nzero:]
-    scale = np.max(np.abs(cred))
     roots = np.roots(cred[::-1])  # companion-matrix eigenvalues
     if np.all(np.abs(roots.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))):
-        cand = np.sort(roots.real)[::-1]
-        dc = np.array([float(x) for x in _deriv(list(cred))]) if len(cred) > 1 else np.zeros(1)
-        cand = _newton_polish(cred, dc, cand, _NEWTON_POLISH_ITERS)
-        resid = np.abs(_horner_many(cred, cand))
-        budget = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(cand)) ** (deg - nzero)
-        if np.all(resid <= budget):
-            return tuple(sorted(list(cand) + list(zeros), reverse=True))
+        dc = _deriv(cred)
+        tol = ROOT_RESIDUAL_TOL * max(abs(x) for x in cred)
+        cand = [_polish(cred, dc, r) for r in sorted(roots.real.tolist(), reverse=True)]
+        if all(abs(_horner(cred, r)) <= tol * max(1.0, abs(r)) ** (deg - nzero) for r in cand):
+            return tuple(sorted(cand + zeros, reverse=True))
     reduced = UniPoly.from_coeffs(list(p.coeffs)[nzero:])
-    return tuple(sorted(list(_exact_real_roots(reduced)) + list(zeros), reverse=True))
+    return tuple(sorted(list(_exact_real_roots(reduced)) + zeros, reverse=True))
 
 
 def is_real_rooted(p: UniPoly) -> bool:

@@ -1,20 +1,22 @@
 """Univariate polynomial layer: evaluation, roots, certification, interpolation."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdisc import unipoly
 from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
-from hyperdisc.hyperbolic import determinant, hyperbolic_trace, lorentz
+from hyperdisc.graphs import named_graph
+from hyperdisc.hyperbolic import char_restriction, determinant, hyperbolic_trace, lorentz
+from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
+from hyperdisc.mixedchar import AgFamily, KlsFamily, SrInstance
 from hyperdisc.unipoly import (
     UniPoly,
-    _newton_polish,
     interpolate,
     is_real_rooted,
     max_real_root,
@@ -189,27 +191,112 @@ def test_max_real_root():
 
 
 def test_newton_polish_improves_roots():
-    coeffs = np.array([2.0, -3.0, 1.0])  # (x-1)(x-2)
-    dcoeffs = np.array([-3.0, 2.0])
-    rough = np.array([0.9, 2.2])
-    polished = _newton_polish(coeffs, dcoeffs, rough, 20)
-    assert np.allclose(sorted(polished), [1.0, 2.0], atol=1e-12)
+    coeffs = [2.0, -3.0, 1.0]  # (x-1)(x-2)
+    dcoeffs = [-3.0, 2.0]
+    assert unipoly._polish(coeffs, dcoeffs, 0.9) == pytest.approx(1.0, abs=1e-12)
+    assert unipoly._polish(coeffs, dcoeffs, 2.2) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_newton_polish_stops_when_no_root_moves(monkeypatch):
-    # Once a pass keeps no step, later passes would repeat the same trials.
+    # A pass depends only on the root and its residual, so the first pass
+    # that keeps no step ends that root's polish: one evaluation of p, then
+    # p' and the kept trial, then p' and eight rejected trials.  A loop that
+    # ran on would take 1 + 2 + 11 * 9 = 102 evaluations.
     calls = []
-    horner = unipoly._horner_many
+    per_root = []
+    horner, polish = unipoly._horner, unipoly._polish
 
-    def counting(coeffs, xs):
-        calls.append(len(xs))
-        return horner(coeffs, xs)
+    def counting(c, t):
+        calls.append(t)
+        return horner(c, t)
 
-    monkeypatch.setattr(unipoly, "_horner_many", counting)
+    def per_root_count(c, dc, r):
+        before = len(calls)
+        out = polish(c, dc, r)
+        per_root.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(unipoly, "_horner", counting)
+    monkeypatch.setattr(unipoly, "_polish", per_root_count)
     expect = [0.5, -1.5, 2.5, 3.25, -0.75, 1.1]
     roots = real_roots(UniPoly.from_roots(expect))
-    assert np.allclose(roots, sorted(expect, reverse=True), atol=1e-9)
-    assert len(calls) <= 20
+    assert roots == pytest.approx(sorted(expect, reverse=True), abs=1e-9)
+    assert len(per_root) == 6
+    assert max(per_root) <= 1 + 2 + 9
+    assert len(calls) == sum(per_root) + 6  # the residual gate reads each root once
+
+
+# Small coefficients and starting points, where a full Newton step often
+# overshoots and would raise |p|.
+_POLISH_COEFF = st.floats(-10, 10, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(coeffs=st.lists(_POLISH_COEFF, min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
+       r=st.floats(-4, 4, allow_nan=False),
+       huge=st.floats(1e200, 1e300), tiny=st.floats(1e-300, 1e-200),
+       roots=st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6),
+                                st.floats(-9, 9, allow_nan=False)), min_size=1, max_size=7))
+def test_polish_never_raises_the_residual(coeffs, r, huge, tiny, roots):
+    dc = [i * c for i, c in enumerate(coeffs)][1:]
+    out = unipoly._polish(coeffs, dc, r)
+    assert type(out) is float
+    assert abs(unipoly._horner(coeffs, out)) <= abs(unipoly._horner(coeffs, r))
+    # p'(0) = 0 on an even polynomial: no step, r comes back unchanged.
+    even = [c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs)]
+    assert unipoly._polish(even, [i * c for i, c in enumerate(even)][1:], 0.0) == 0.0
+    # huge + tiny x: the step huge / tiny overflows to inf, so r stays.
+    assert unipoly._polish([huge, tiny], [tiny], r) == r
+    # Both routes return Python floats, not numpy scalars.
+    for p in (UniPoly.from_roots(roots), UniPoly.from_roots(roots + roots[:1] * 3)):
+        try:
+            got = real_roots(p)
+        except NotRealRooted:  # float products of near-equal roots may round off the real line
+            continue
+        assert all(type(x) is float for x in got)
+
+
+def _root_bits_batch() -> list:
+    """Seeded polynomials of every kind whose roots the commands print."""
+    polys = []
+    for seed in range(3):
+        for variables in ("rademacher", "mixed"):
+            for inst in (gen_kls_det(6, 3, seed, variables), gen_kls_det(8, 4, seed, variables),
+                         gen_kls_lorentz(6, 4, seed, variables),
+                         gen_kls_lorentz(8, 5, seed, variables)):
+                polys.append(KlsFamily(inst).node_poly(()))
+                leaf = tuple(var.support[0] for var in inst.variables)
+                polys.append(char_restriction(inst.h, inst.centered_sum(leaf)))
+    for graph in ("k4", "k5", "diamond"):
+        polys.append(AgFamily(SrInstance.from_graph(named_graph(graph))).node_poly(()))
+    rng = random.Random(0)
+    for _ in range(40):  # float products with a cluster of two or three roots
+        centre = rng.uniform(-3, 3)
+        roots = [centre + rng.uniform(-1, 1) * 10.0 ** -rng.randint(2, 4)
+                 for _ in range(rng.randint(2, 3))]
+        polys.append(UniPoly.from_roots(roots + [rng.uniform(-5, 5)
+                                                 for _ in range(rng.randint(0, 3))]))
+    for _ in range(20):  # exact products with roots of multiplicity up to 4
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        polys.append(UniPoly.from_roots([r for r in roots for _ in range(rng.randint(1, 4))]
+                                        + [Fraction(rng.randint(-9, 9))]))
+    return polys
+
+
+# sha256 of the batch's roots as float.hex(), recorded before the polish
+# went from one numpy loop over every root to one scalar loop per root.  A
+# change that moves any root by one bit must re-pin it in its own commit.
+ROOT_BITS_SHA256 = "41f849e45b877dc85e1f978682d9eec7ea458afb9cf8755ceadb32a52697697e"
+
+
+def test_root_bits_are_pinned(monkeypatch):
+    sturm = []
+    exact = unipoly._exact_real_roots
+    monkeypatch.setattr(unipoly, "_exact_real_roots", lambda p: sturm.append(p) or exact(p))
+    polys = _root_bits_batch()
+    text = ";".join(",".join(r.hex() for r in real_roots(p)) for p in polys)
+    assert len(polys) == 111 and len(sturm) == 12  # both routes are pinned
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_BITS_SHA256
 
 
 def test_compose_xsquare():
