@@ -55,6 +55,11 @@ class HyperbolicInstance:
         """Exact univariate polynomial t -> h(base + t dirv)."""
         raise NotImplementedError
 
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """Hyperbolic norms of a stack of float vectors, one per row: each
+        row's spectrum, or a closed form where the subclass has one."""
+        return np.array([spectrum(self, tuple(row)).norm for row in rows])
+
     def _interp_restrict(self, base, dirv) -> UniPoly:
         return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
                             for t in range(self.d + 1)])
@@ -121,16 +126,24 @@ class DeterminantInstance(HyperbolicInstance):
             return UniPoly.from_coeffs(char_poly_exact(neg))
         return self._interp_restrict(base, dirv)
 
+    def _stack(self, rows: np.ndarray) -> np.ndarray:
+        """The symmetric matrices of a stack of float vectors, one per row."""
+        mats = np.empty((len(rows), self.d, self.d))
+        for idx, (i, j) in enumerate(self._pairs):
+            mats[:, i, j] = mats[:, j, i] = rows[:, idx]
+        return mats
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """Largest eigenvalue magnitudes, from one stacked eigvalsh."""
+        return np.max(np.abs(np.linalg.eigvalsh(self._stack(rows))), axis=1)
+
     def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
         """Ascending coefficients of t -> h(base + t e), one row per float
         base in the stack: bit for bit what restrict_line gives one base at a
         time, from one stacked eigvalsh and np.poly's convolution unrolled
         over the stack."""
         count, d = len(bases), self.d
-        mats = np.empty((count, d, d))
-        for idx, (i, j) in enumerate(self._pairs):
-            mats[:, i, j] = mats[:, j, i] = bases[:, idx]
-        eigs = np.linalg.eigvalsh(mats)
+        eigs = np.linalg.eigvalsh(self._stack(bases))
         desc = np.zeros((count, d + 1))  # np.poly(-eigs), row by row
         desc[:, 0] = 1.0
         for k in range(d):
@@ -162,6 +175,10 @@ class LorentzInstance(HyperbolicInstance):
         c2 = dirv[-1] * dirv[-1] - sum(w * w for w in dirv[:-1])
         c1 = 2 * (base[-1] * dirv[-1] - sum(b * w for b, w in zip(base[:-1], dirv[:-1])))
         return UniPoly.from_coeffs([self.value(base), c1, c2])
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """|x_m| + ||(x_1..x_{m-1})||, the largest eigenvalue magnitude, per row."""
+        return np.abs(rows[:, -1]) + np.sqrt(np.sum(rows[:, :-1] ** 2, axis=1))
 
     def params(self) -> dict:
         return {"kind": self.kind, "m": self.m}

@@ -89,6 +89,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import _integer_rows
 from .errors import EmptyBranch, InvalidParams, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
@@ -220,9 +221,8 @@ class KlsInstance:
         int, centered[i] maps each support value s to L (s - mu_i), and
         variances[i] is L^2 tau_i^2.
         """
-        vec_scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
-        vectors = tuple(tuple(c.numerator * (vec_scale // c.denominator) for c in v)
-                        for v in self.vectors)
+        ints, vec_scale = _integer_rows(self.vectors)
+        vectors = tuple(map(tuple, ints))
         # L0 clears the centered values; L = L0 m, with m clearing every
         # L0^2 tau_i^2, makes L^2 tau_i^2 = m^2 L0^2 tau_i^2 an int too.
         centered = [{s: s - var.mean for s in var.support} for var in self.variables]
@@ -630,6 +630,9 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
     """Signed subset collapse sum_S (-1)^|S| A_S(x) g^(S)(x 1).
 
     Only subsets of support sets contribute (g^(S) vanishes otherwise).
+    Every support set has d_mu elements (SRDistribution.from_support rejects
+    any other support), so g^(S) is the one monomial
+    (sum_{T >= S} mu(T)) x^(d_mu - |S|).
     """
     support = [(frozenset(elems), prob) for elems, prob in inst.mu.support]
     subsets = set()
@@ -641,18 +644,9 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
     acc = UniPoly.zero()
     for subset in sorted(subsets, key=lambda s: (len(s), s)):
         sset = frozenset(subset)
-        gcoeffs = {}
-        for elems, prob in support:
-            if sset <= elems:
-                k = len(elems) - len(sset)
-                gcoeffs[k] = gcoeffs.get(k, 0) + prob
-        if not gcoeffs:
-            continue
-        g_s = UniPoly.from_coeffs([gcoeffs.get(k, 0) for k in range(max(gcoeffs) + 1)])
-        a_s = derivative_restriction(inst.h, inst.vectors, subset, cache)
-        if a_s.is_zero:
-            continue
-        term = a_s * g_s
+        weight = sum(prob for elems, prob in support if sset <= elems)
+        g_s = UniPoly.from_coeffs([0] * (inst.mu.d_mu - len(subset)) + [weight])
+        term = derivative_restriction(inst.h, inst.vectors, subset, cache) * g_s
         acc = acc + (term if len(subset) % 2 == 0 else -term)
     return acc
 

@@ -26,14 +26,16 @@ so do generators u_i that are not one per vector with v_i = vec(u_i u_i^T).
 
 Integer fields (the "set" lists of a subset distribution, its "n", the
 hyperbolic parameters and a custom polynomial's "nvars" and exponents) must
-be JSON ints, and a scalar may not be a JSON boolean; anything else, a bool
-in an integer field included, is rejected.  The "set" lists are read into
-one int array (SRDistribution.sets).
+be JSON ints, and a scalar may not be a JSON boolean or a non-finite
+float (NaN, Infinity); anything else, a bool in an integer field included,
+is rejected.  The "set" lists are read into one int array
+(SRDistribution.sets).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -67,6 +69,8 @@ def scalar_to_json(x):
 def scalar_from_json(v, backend: str):
     if isinstance(v, bool):
         raise ValueError(f"a scalar cannot be the boolean {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"a scalar must be finite, got {v!r}")
     if isinstance(v, str):
         num, _, den = v.partition("/")
         value = Fraction(int(num), int(den) if den else 1)

@@ -1,9 +1,9 @@
 """Largest-root estimation and the blocked coefficient-oracle search.
 
 The search approximates the minimizing leaf of an interlacing family
-without expanding most of it.  Top-k coefficients of a node polynomial give
-the signed elementary symmetrics of its roots (Vieta), which the Newton
-recurrence turns into the k-th power sum p_k; for even k,
+without expanding most of it.  Newton's identities turn the top-k monic
+coefficients c_1..c_k of a node polynomial into the k-th power sum p_k of
+its roots; for even k,
 lambda_1 <= p_k^(1/k) <= deg^(1/k) * max|lambda|, so p_k^(1/k) scores a
 node to within deg^(1/k) whenever the spectrum is symmetric or nonnegative
 (both families here are).  Greedy block-by-block minimization of that score
@@ -17,13 +17,13 @@ enumerated, and a subset node from the leaf table, so no leaf is restricted
 twice.
 
 Exact coefficients stay ints.  The oracle answers (C, q) with monic
-coefficients c_j = C_j / q^j; then e_j = E_j / q^j with E_j = (-1)^j C_j,
-and because p_j has weight j in the e_i, Newton's recurrence run on the
-E_j gives P_k = p_k q^k.  One division P_k / q^k, which rounds correctly,
-turns it into the same float the Fraction route gives.  Signed inner nodes
-come as ints straight off the folded table, with the committed rounds
-folded in once per round (KlsFamily.commit); other exact nodes are scaled
-to ints by the lcm of their denominators, and float nodes keep q = 1.
+coefficients c_j = C_j / q^j, and because p_j has weight j in the c_i,
+Newton's recurrence run on the C_j gives P_k = p_k q^k.  One division
+P_k / q^k, which rounds correctly, turns it into the same float the
+Fraction route gives.  Signed inner nodes come as ints straight off the
+folded table, with the committed rounds folded in once per round
+(KlsFamily.commit); other exact nodes are scaled to ints by the lcm of
+their denominators, and float nodes keep q = 1.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 # hdbench/test_bench_trace.py::test_tracer_restores_every_binding reads this binding.
-from ._exact import char_poly_exact
+from ._exact import _integer_rows, char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
-from .hyperbolic import spectrum
 from .mixedchar import KlsInstance
 from .scalars import CERTIFY_SLACK_TOL
 from .unipoly import UniPoly
@@ -47,32 +46,20 @@ from .unipoly import UniPoly
 MAX_BRUTE_BRANCHES = 1 << 16
 
 
-def vieta_elems(coeffs) -> tuple:
-    """Signed elementary symmetrics e_j = (-1)^j c_j of a monic polynomial.
+def power_sum(k: int, coeffs):
+    """k-th power sum of the roots of a monic polynomial from its top
+    coefficients c_1..c_k (descending degree), by Newton's identities
 
-    ``coeffs`` are the top coefficients c_1..c_k (descending degree).
+        p_j = -(c_1 p_{j-1} + c_2 p_{j-2} + ... + c_{j-1} p_1 + j c_j),
+
+    in O(k^2) work.
     """
-    return tuple(((-1) ** j) * c for j, c in enumerate(coeffs, start=1))
-
-
-def elem_to_power(k: int, elems):
-    """k-th power sum of the roots from e_1..e_k via the Newton recurrence.
-
-    p_j = e_1 p_{j-1} - e_2 p_{j-2} + ... + (-1)^(j-1) j e_j, O(k^2) work.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(elems) < k:
-        raise ValueError("need e_1..e_k")
     p = [0] * (k + 1)
     for j in range(1, k + 1):
         acc = 0
-        sign = 1
         for i in range(1, j):
-            acc = acc + sign * elems[i - 1] * p[j - i]
-            sign = -sign
-        acc = acc + sign * j * elems[j - 1]
-        p[j] = acc
+            acc = acc + coeffs[i - 1] * p[j - i]
+        p[j] = -(acc + j * coeffs[j - 1])
     return p[k]
 
 
@@ -81,7 +68,7 @@ def max_root_estimate(deg: int, k: int, coeffs, scale=1) -> float:
 
     Even k keeps p_k = sum lambda_i^k nonnegative for every real spectrum,
     giving lambda_1 <= estimate <= deg^(1/k) max|lambda_i| unconditionally.
-    Newton's recurrence is homogeneous (p_j has weight j in the e_i), so on
+    Newton's recurrence is homogeneous (p_j has weight j in the c_i), so on
     the scaled coefficients it gives P_k = p_k scale^k, and the one division
     P_k / scale^k rounds p_k correctly: ints give the float of the exact
     Fraction route.
@@ -92,7 +79,7 @@ def max_root_estimate(deg: int, k: int, coeffs, scale=1) -> float:
         raise ValueError(f"need an even k with 2 <= k <= degree, got k={k} deg={deg}")
     if len(coeffs) < k:
         raise ValueError("need the top k coefficients")
-    pk = float(elem_to_power(k, vieta_elems(coeffs[:k])) / scale ** k)
+    pk = float(power_sum(k, coeffs) / scale ** k)
     return max(pk, 0.0) ** (1.0 / k)
 
 
@@ -112,9 +99,8 @@ def integer_top_coeffs(poly: UniPoly, k: int) -> tuple:
     c_j = C_j / q^j: with a_i the top coefficients times the lcm of their
     denominators, q = a_0 and C_j = a_j a_0^(j-1)."""
     deg = poly.degree
-    top = [poly.coeffs[deg - j] if deg - j >= 0 else 0 for j in range(k + 1)]
-    common = math.lcm(*(c.denominator for c in top))
-    ints = [c.numerator * (common // c.denominator) for c in top]
+    (ints,), _ = _integer_rows([[poly.coeffs[deg - j] if deg - j >= 0 else 0
+                                 for j in range(k + 1)]])
     lead = ints[0]
     return tuple(ints[j] * lead ** (j - 1) for j in range(1, k + 1)), lead
 
@@ -162,13 +148,16 @@ class SolverConfig:
 
         Defaults: M = ceil(sqrt(n)); k = ceil(2 M ln(degree) / delta)
         rounded up to even.  Either k is then clamped to the largest even
-        k <= degree (the power-sum index cannot exceed the degree).
+        k <= degree (the power-sum index cannot exceed the degree).  The
+        default's raw quotient is clamped to the degree before ceil, which
+        leaves k as it was and keeps a tiny delta's quotient, inf, from
+        reaching ceil.
         """
         m_block = self.block if self.block is not None else max(1, math.ceil(math.sqrt(n)))
         if self.k is not None:
             k = self.k
         else:
-            k = math.ceil(2 * m_block * math.log(max(degree, 2)) / self.delta)
+            k = math.ceil(min(2 * m_block * math.log(max(degree, 2)) / self.delta, degree))
             k += k % 2
         if degree < 2:
             return m_block, 1  # linear nodes: the top coefficient is the root
@@ -256,21 +245,6 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
 # Exact brute force and the random-coloring baseline.
 # ---------------------------------------------------------------------------
 
-def _norms_batch(h, rows: np.ndarray) -> np.ndarray:
-    """Hyperbolic norms of many vectors at once where a closed form exists."""
-    if h.kind == "determinant":
-        mats = np.zeros((rows.shape[0], h.mprime, h.mprime))
-        for idx, (i, j) in enumerate(h._pairs):
-            mats[:, i, j] = rows[:, idx]
-            mats[:, j, i] = rows[:, idx]
-        eigs = np.linalg.eigvalsh(mats)
-        return np.max(np.abs(eigs), axis=1)
-    if h.kind == "lorentz":
-        radius = np.sqrt(np.sum(rows[:, :-1] ** 2, axis=1))
-        return np.abs(rows[:, -1]) + radius
-    return np.array([spectrum(h, tuple(row)).norm for row in rows])
-
-
 def brute_force(inst, kind: str) -> tuple:
     """Exhaustive minimization of the discrepancy norm.
 
@@ -292,7 +266,7 @@ def brute_force(inst, kind: str) -> tuple:
             values[i, :sizes[i]] = [float(s - var.mean) for s in var.support]
         picks = np.indices(sizes).reshape(inst.n, -1).T
         centered = values[np.arange(inst.n), picks]
-        norms = _norms_batch(inst.h, centered @ vecs)
+        norms = inst.h.norms(centered @ vecs)
         best = int(np.argmin(norms))
         assignment = tuple(var.support[j] for var, j in zip(inst.variables, picks[best]))
         return assignment, float(norms[best])
@@ -306,7 +280,7 @@ def brute_force(inst, kind: str) -> tuple:
                 indicator[e] = 1.0
             membership.append(tuple(int(b) for b in indicator))
             rows.append(indicator @ vecs)
-        norms = _norms_batch(inst.h, np.array(rows))
+        norms = inst.h.norms(np.array(rows))
         best = int(np.argmin(norms))
         return membership[best], float(norms[best])
     raise ValueError("kind must be 'kls' or 'ag'")
@@ -346,5 +320,5 @@ def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
             j = min(j, len(inst.mu.support) - 1)
             for e in inst.mu.support[j][0]:
                 rows[t, e] = 1.0
-    arr = np.sort(_norms_batch(inst.h, rows @ vecs))
+    arr = np.sort(inst.h.norms(rows @ vecs))
     return BaselineSummary(float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1]))

@@ -90,12 +90,9 @@ class SRDistribution:
         support = tuple(zip(map(tuple, rows.tolist()), map(probs.__getitem__, order.tolist())))
         return SRDistribution(n, support, d_mu, rows)
 
+    @functools.cached_property
     def generating_polynomial(self) -> MultiPoly:
         """g(z) = sum_S mu(S) z^S, built once per distribution."""
-        return self._generating_polynomial
-
-    @functools.cached_property
-    def _generating_polynomial(self) -> MultiPoly:
         terms = {}
         for elems, prob in self.support:
             exps = [0] * self.n
@@ -181,7 +178,7 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
         raise ValueError("S must be a subset of the observed set")
     ops = tuple((i, i in target) for i in sorted(observed))
     nodes = mu._operator_nodes
-    p = mu.generating_polynomial()
+    p = mu.generating_polynomial
     for j, (i, in_s) in enumerate(ops, 1):
         key = (x0, ops[:j])
         node = nodes.get(key)
@@ -237,7 +234,6 @@ class IsotropicFamily:
 
     h: DeterminantInstance
     vectors: tuple
-    eps2: float
     basis: tuple  # rows of B, recorded for reproducibility
 
     @property
@@ -258,18 +254,15 @@ def effective_resistance_family(graph: Graph) -> IsotropicFamily:
     b = (q / np.sqrt(evals[1:])).T  # (nv-1, nv)
     h = DeterminantInstance(nv - 1)
     vectors = []
-    resistances = []
     for u, v in graph.edges:
         incid = np.zeros(nv)
         incid[u] = 1.0
         incid[v] = -1.0
         w = b @ incid
         vectors.append(h.vec_outer(tuple(float(c) for c in w)))
-        resistances.append(float(w @ w))
     total = np.zeros(h.m)
     for vec in vectors:
         total += np.array(vec, dtype=float)
     if np.max(np.abs(total - np.array(h.e, dtype=float))) > ISOTROPY_TOL:
         raise AssertionError("effective-resistance vectors do not sum to vec(I)")
-    return IsotropicFamily(h, tuple(vectors), max(resistances),
-                           tuple(tuple(float(x) for x in row) for row in b))
+    return IsotropicFamily(h, tuple(vectors), tuple(tuple(float(x) for x in row) for row in b))

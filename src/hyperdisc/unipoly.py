@@ -10,12 +10,14 @@ real-rootedness verdicts are always certified by an exact Sturm count (any
 binary64 coefficient vector is a rational vector, so the exact route is
 available for floats too).
 
-The one residual-monotone Newton polish (``_polish``) works on one root at
-a time over Python floats, with the scalar Horner rule (``_horner``) that
-the residual test reads too; the Sturm route polishes its bisection
-midpoints with it.  numpy serves only the companion eigenvalues and their
-imaginary-part test.  The one Newton divided-difference loop
-(``divided_differences``) lives here too.
+One Horner rule (``_horner``) evaluates every polynomial here, in the
+arithmetic of its coefficients: ``UniPoly.__call__``, the exact Sturm
+signs over Fractions, and the residual-monotone Newton polish
+(``_polish``) and residual test over Python floats.  The polish works on
+one root at a time; the Sturm route polishes its bisection midpoints with
+it.  numpy serves only the companion eigenvalues and their imaginary-part
+test.  The one Newton divided-difference loop (``divided_differences``)
+lives here too.
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ def as_one_type(values: list) -> list:
     if any(isinstance(v, float) for v in values):
         return [float(v) for v in values]
     return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+
+
+def _horner(c: Sequence, t):
+    """c(t) by Horner's rule (ascending coefficients), in the arithmetic of c
+    and t: exact over Fractions, binary64 over floats.  The int start gives
+    the bits of a 0.0 start and the value of a Fraction(0) start."""
+    acc = 0
+    for x in reversed(c):
+        acc = acc * t + x
+    return acc
 
 
 @dataclass(frozen=True)
@@ -85,10 +97,7 @@ class UniPoly:
         return self.coeffs[-1]
 
     def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return _horner(self.coeffs, t)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -139,10 +148,6 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 # Exact machinery over Fractions (dense ascending coefficient lists).
 # ---------------------------------------------------------------------------
-
-def _exact_coeffs(p: UniPoly) -> list:
-    return [Fraction(c) for c in p.coeffs]
-
 
 def _strip(c: list) -> list:
     while c and c[-1] == 0:
@@ -246,16 +251,8 @@ def _variations(signs: list) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
-def _value_at(c: list, t: Fraction) -> Fraction:
-    """c(t) by Horner's rule over Fractions."""
-    acc = Fraction(0)
-    for x in reversed(c):
-        acc = acc * t + x
-    return acc
-
-
 def _variations_at(chain: list, t: Fraction) -> int:
-    return _variations([_sign(_value_at(poly, t)) for poly in chain])
+    return _variations([_sign(_horner(poly, t)) for poly in chain])
 
 
 def sturm_count_all_real(chain: list) -> int:
@@ -289,7 +286,7 @@ def _isolate_roots(c: list, chain: list) -> list:
             done.append((a, b))
             continue
         mid = (a + b) / 2
-        if _value_at(c, mid) == 0:
+        if _horner(c, mid) == 0:
             done.append((mid, mid))
             # Shrink the flanks until they capture the cnt-1 remaining roots.
             eps = (b - a) / (4 * cnt)
@@ -307,14 +304,6 @@ def _isolate_roots(c: list, chain: list) -> list:
         work.append((a, mid, left))
         work.append((mid, b, cnt - left))
     return done
-
-
-def _horner(c: Sequence, t: float) -> float:
-    """c(t) by Horner's rule over floats (ascending coefficients)."""
-    acc = 0.0
-    for x in reversed(c):
-        acc = acc * t + x
-    return acc
 
 
 def _polish(c: Sequence, dc: Sequence, r: float) -> float:
@@ -355,14 +344,14 @@ def _refine_root(c: list, a: Fraction, b: Fraction) -> float:
     """
     if a == b:
         return float(a)
-    if _value_at(c, b) == 0:
+    if _horner(c, b) == 0:
         return float(b)
-    fa = _value_at(c, a)
+    fa = _horner(c, a)
     for _ in range(30):
         if float(b - a) <= BISECT_WIDTH_TOL * max(1.0, abs(float(a)), abs(float(b))):
             break
         mid = (a + b) / 2
-        fm = _value_at(c, mid)
+        fm = _horner(c, mid)
         if fm == 0:
             return float(mid)
         if (_sign(fm) == _sign(fa)):
@@ -380,7 +369,7 @@ def _certified_factors(p: UniPoly) -> list:
     algorithm; raises NotRealRooted unless the Sturm count of every factor
     reaches its degree."""
     out = []
-    for factor, mult in square_free_decomposition(_exact_coeffs(p)):
+    for factor, mult in square_free_decomposition(p.coeffs):
         deg = len(factor) - 1
         chain = _sturm_chain(factor)
         cnt = sturm_count_all_real(chain)

@@ -251,6 +251,21 @@ def test_solve_rejects_bad_solver_params(capsys, tmp_path, flags):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+def test_tiny_delta_runs_without_a_traceback(capsys, tmp_path, delta):
+    # 2 M ln(degree) / delta overflows to inf; k is the degree's even clamp.
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--kind", "kls-det", "--n", "4", "--mprime", "2",
+          "--variables", "rademacher", "--seed", "5", "--out", str(inst_file)])
+    capsys.readouterr()
+    for argv in (("solve", str(inst_file), "--delta", delta),
+                 ("bench", "--kind", "kls-det", "--count", "1", "--n", "3",
+                  "--trials", "5", "--delta", delta)):
+        code, out = run(capsys, *argv)
+        assert code in (0, 2), argv
+        json.loads(out)
+
+
 def test_solve_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -438,7 +453,8 @@ def _base_file(capsys, base: str) -> dict:
 
 
 # (file, path to the field, bad value, message): an unknown backend, an
-# integer field that is not a JSON int, and a scalar that is a JSON boolean.
+# integer field that is not a JSON int, and a scalar that is a JSON boolean
+# or a non-finite float.
 BAD_FIELDS = [
     ("kls-det", ("backend",), "banana", "unknown backend 'banana'"),
     ("sr", ("backend",), "banana", "unknown backend 'banana'"),
@@ -454,6 +470,9 @@ BAD_FIELDS = [
     ("sr", ("payload", "distribution", "n"), 4.5, "expected an int, got 4.5"),
     ("kls-det", ("payload", "variables", 0, "support", 0), True, "the boolean True"),
     ("sr", ("payload", "vectors", 0, 0), False, "the boolean False"),
+    ("sr", ("payload", "vectors", 0, 0), float("nan"), "must be finite, got nan"),
+    ("sr", ("payload", "vectors", 0, 0), float("inf"), "must be finite, got inf"),
+    ("kls-det", ("payload", "vectors", 0, 0), float("-inf"), "must be finite, got -inf"),
 ]
 
 

@@ -200,3 +200,20 @@ def test_the_backend_label_lives_in_serialize_alone():
         found += [f"{path.stem}.{n}" for n in sorted(names & {"coerce", "infer_backend",
                                                                 "join_backend"})]
     assert found == []
+
+
+def test_no_kind_comparison_outside_serialize():
+    # An instance's class is its kind: serialize.py maps a file's "kind"
+    # field to a class, and everywhere else dispatches by method or
+    # isinstance, never by comparing .kind.  args.kind, the gen and bench
+    # --kind option, names what to generate, not an instance.
+    found = []
+    for path in _modules():
+        if path.name == "serialize.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Compare):
+                found += [f"{path.stem}:{node.lineno}" for o in (node.left, *node.comparators)
+                          if isinstance(o, ast.Attribute) and o.attr == "kind"
+                          and not (isinstance(o.value, ast.Name) and o.value.id == "args")]
+    assert found == []

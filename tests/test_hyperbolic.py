@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperdisc._exact import det_exact
@@ -273,6 +274,28 @@ def test_custom_instance_from_spanning_tree_polynomial():
     # Rank-1 boundary direction: an edge indicator has a single nonzero
     # eigenvalue for this quadratic.
     assert spectrum(h, (1, 0, 0)).rank == 1
+
+
+@pytest.mark.parametrize("h", [
+    determinant(1), determinant(3), determinant(4), lorentz(2), lorentz(5),
+    ElemSymInstance(4, 2), ElemSymInstance(3, 3),
+    RealStableInstance(MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}), (1, 1, 1)),
+], ids=lambda h: f"{h.kind}-m{h.m}")
+def test_norms_agree_with_spectrum_row_by_row(h):
+    # The closed forms (det, lorentz) match each row's spectrum to rounding;
+    # the other kinds read the spectrum itself, so they are equal.
+    rng = np.random.default_rng(h.m)
+    rows = rng.uniform(-3, 3, size=(40, h.m))
+    rows[0] = 0.0
+    rows[1] = h.e
+    norms = h.norms(rows)
+    assert norms.shape == (len(rows),)
+    for row, norm in zip(rows, norms):
+        expect = spectrum(h, tuple(row)).norm
+        if h.kind in ("determinant", "lorentz"):
+            assert norm == pytest.approx(expect, rel=1e-12)
+        else:
+            assert norm == expect
 
 
 def test_custom_instance_rejects_inhomogeneous():

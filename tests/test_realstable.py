@@ -18,7 +18,7 @@ from stability_oracle import stability_test
 
 def _spanning_tree_polynomial(graph) -> MultiPoly:
     """Generating polynomial of the uniform spanning-tree distribution."""
-    return uniform_spanning_tree(graph).generating_polynomial()
+    return uniform_spanning_tree(graph).generating_polynomial
 
 
 def _elementary_symmetric(n: int, k: int) -> MultiPoly:

@@ -14,14 +14,13 @@ from hyperdisc.mixedchar import AgFamily, KlsFamily, KlsInstance, RandomVar, SrI
 from hyperdisc.solver import (
     SolverConfig,
     brute_force,
-    elem_to_power,
     integer_top_coeffs,
     kadison_singer_search,
     max_root_estimate,
     maxcoeff_enum,
     monic_top_coeffs,
+    power_sum,
     random_baseline,
-    vieta_elems,
 )
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly
@@ -34,28 +33,19 @@ def _scalar_instance(n):
     return KlsInstance.build(D1, [(Fraction(1),)] * n, [RADEMACHER] * n)
 
 
-def test_vieta_cubic():
-    assert vieta_elems((-6, 11, -6)) == (6, 11, 6)
-
-
-def test_vieta_quadratic():
-    assert vieta_elems((-3, 2)) == (3, 2)
-
-
-def test_vieta_all_zero():
-    assert vieta_elems((0, 0, 0)) == (0, 0, 0)
-
+# The elem_to_power tests name the conversion, from the elementary
+# symmetric functions (the monic coefficients, up to sign) to power sums.
 
 def test_elem_to_power_cubes():
-    assert elem_to_power(3, (6, 11, 6)) == 36  # 1^3 + 2^3 + 3^3
+    assert power_sum(3, (-6, 11, -6)) == 36  # (x-1)(x-2)(x-3): 1^3 + 2^3 + 3^3
 
 
 def test_elem_to_power_symmetric():
-    assert elem_to_power(2, (0, -5)) == 10  # roots {1,-1,2,-2}
+    assert power_sum(2, (0, -5)) == 10  # roots {1,-1,2,-2}
 
 
 def test_elem_to_power_first():
-    assert elem_to_power(1, (3,)) == 3
+    assert power_sum(1, (-3,)) == 3  # x - 3
 
 
 def test_elem_to_power_matches_direct_sums():
@@ -64,9 +54,25 @@ def test_elem_to_power_matches_direct_sums():
         roots = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 6))]
         poly = UniPoly.from_roots(roots)
         k = rng.randint(1, len(roots))
-        top = monic_top_coeffs(poly, k)
-        got = elem_to_power(k, vieta_elems(top))
-        assert got == sum(r ** k for r in roots)
+        assert power_sum(k, monic_top_coeffs(poly, k)) == sum(r ** k for r in roots)
+
+
+def test_power_sum_keeps_the_bits_of_the_signed_recurrence():
+    # Newton's recurrence on e_j = (-1)^j c_j, with its alternating signs,
+    # negates every term of the one on the c_j exactly, so the floats agree.
+    rng = random.Random(83)
+    for _ in range(500):
+        k = rng.randint(1, 10)
+        coeffs = [rng.uniform(-9, 9) for _ in range(k)]
+        elems = [(-1) ** j * c for j, c in enumerate(coeffs, start=1)]
+        p = [0.0] * (k + 1)
+        for j in range(1, k + 1):
+            acc, sign = 0.0, 1
+            for i in range(1, j):
+                acc = acc + sign * elems[i - 1] * p[j - i]
+                sign = -sign
+            p[j] = acc + sign * j * elems[j - 1]
+        assert power_sum(k, coeffs) == p[k]
 
 
 def test_max_root_estimate_biquadratic():
@@ -257,3 +263,18 @@ def test_desk_scale_subset_bound():
         _, best = brute_force(inst, "ag")
         eps = inst.eps1 + inst.eps2
         assert best <= 4 * eps + 2 * eps * eps + 1e-9
+
+
+def test_resolve_clamps_the_default_k_before_ceil():
+    # Clamping 2 M ln(degree) / delta to the degree before ceil leaves k as
+    # it was for every delta whose quotient is finite; a delta whose quotient
+    # overflows to inf gets the k of a tiny delta whose quotient does not.
+    for degree in range(10):
+        for delta in (1e-300, 1e-3, 0.1, 0.5, 1.0, 7.0, 1e3):
+            m_block, k = SolverConfig(delta=delta).resolve(16, degree)
+            raw = math.ceil(2 * m_block * math.log(max(degree, 2)) / delta)
+            raw += raw % 2
+            assert k == (1 if degree < 2 else max(2, min(raw, degree - degree % 2)))
+        for tiny in (1e-310, 5e-324):
+            assert (SolverConfig(delta=tiny).resolve(16, degree)
+                    == SolverConfig(delta=1e-300).resolve(16, degree))

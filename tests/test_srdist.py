@@ -12,6 +12,7 @@ from hyperdisc import cli
 from hyperdisc.errors import DisconnectedGraph, IndexOutOfRange
 from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
 from hyperdisc.hyperbolic import hyperbolic_trace, spectrum
+from hyperdisc.mixedchar import SrInstance
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.srdist import (
     SRDistribution,
@@ -31,7 +32,7 @@ def test_ust_k3():
     assert len(mu.support) == 3
     assert all(p == Fraction(1, 3) for _, p in mu.support)
     assert mu.d_mu == 2
-    assert stability_test(mu.generating_polynomial(), trials=32).passed
+    assert stability_test(mu.generating_polynomial, trials=32).passed
 
 
 def test_ust_diamond_matches_fixture_monomials():
@@ -249,7 +250,7 @@ def test_effective_resistance_k3():
     assert fam.n == 3
     for vec in fam.vectors:
         assert spectrum(fam.h, vec).norm == pytest.approx(2 / 3, abs=1e-9)
-    assert fam.eps2 == pytest.approx(2 / 3, abs=1e-9)
+    assert SrInstance.from_graph(K3).eps2 == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_effective_resistance_k4():
@@ -262,7 +263,7 @@ def test_effective_resistance_single_edge():
     fam = effective_resistance_family(path_graph(2))
     assert fam.n == 1
     assert fam.vectors[0] == pytest.approx((1.0,), abs=1e-9)
-    assert fam.eps2 == pytest.approx(1.0, abs=1e-9)
+    assert SrInstance.from_graph(path_graph(2)).eps2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_effective_resistance_trace_identity():

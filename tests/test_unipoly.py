@@ -390,7 +390,7 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
         assert len(intervals) == len(factor) - 1
         for a, b in intervals:
             if a == b:
-                assert unipoly._value_at(factor, a) == 0
+                assert unipoly._horner(factor, a) == 0
                 continue
-            assert unipoly._value_at(factor, a) != 0
+            assert unipoly._horner(factor, a) != 0
             assert (unipoly._variations_at(chain, a) - unipoly._variations_at(chain, b)) == 1
