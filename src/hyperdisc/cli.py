@@ -260,6 +260,15 @@ def cmd_bench(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def size(text: str) -> int:
+    """An int option that sizes an allocation or a loop; above sys.maxsize it
+    is a usage error, not an overflow or a loop that never ends."""
+    value = int(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing keeps no state in it
@@ -273,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a seeded instance file")
     p_gen.add_argument("--kind", required=True,
                        choices=["kls-det", "kls-lorentz", "sr-ust"])
-    p_gen.add_argument("--n", type=int, default=4)
-    p_gen.add_argument("--mprime", type=int, default=2)
-    p_gen.add_argument("--m", type=int, default=3)
+    p_gen.add_argument("--n", type=size, default=4)
+    p_gen.add_argument("--mprime", type=size, default=2)
+    p_gen.add_argument("--m", type=size, default=3)
     p_gen.add_argument("--graph", default="k3",
                        help="named graph, random:V:E:SEED, or @file.json")
     p_gen.add_argument("--variables", default="mixed",
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--method", default="blocked", choices=["brute", "blocked"])
     p_solve.add_argument("--delta", type=float, default=0.5)
-    p_solve.add_argument("--block", type=int, default=None)
+    p_solve.add_argument("--block", type=size, default=None)
     p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", default=None)
@@ -306,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kind", default="kls-det",
                          choices=["kls-det", "kls-lorentz", "sr-ust"])
     p_bench.add_argument("--count", type=int, default=5)
-    p_bench.add_argument("--n", type=int, default=4)
-    p_bench.add_argument("--mprime", type=int, default=2)
-    p_bench.add_argument("--m", type=int, default=3)
+    p_bench.add_argument("--n", type=size, default=4)
+    p_bench.add_argument("--mprime", type=size, default=2)
+    p_bench.add_argument("--m", type=size, default=3)
     p_bench.add_argument("--variables", default="rademacher",
                          choices=["mixed", "rademacher", "biased", "threepoint"])
     p_bench.add_argument("--delta", type=float, default=0.5)
-    p_bench.add_argument("--trials", type=int, default=200)
+    p_bench.add_argument("--trials", type=size, default=200)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--format", default="json", choices=["json", "csv"])
     p_bench.add_argument("--out", default=None)

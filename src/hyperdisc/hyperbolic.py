@@ -60,6 +60,12 @@ class HyperbolicInstance:
         row's spectrum, or a closed form where the subclass has one."""
         return np.array([spectrum(self, tuple(row)).norm for row in rows])
 
+    def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
+        """Ascending coefficients of t -> h(base + t e), one row of d + 1
+        (the top one is h(e) > 0) per base: restrict_line's, as float64 for
+        float bases and as an object array of Fractions for exact ones."""
+        return np.array([self.restrict_line(tuple(base), self.e).coeffs for base in bases])
+
     def _interp_restrict(self, base, dirv) -> UniPoly:
         return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
                             for t in range(self.d + 1)])
@@ -87,6 +93,7 @@ class DeterminantInstance(HyperbolicInstance):
         self.m = mprime * (mprime + 1) // 2
         self.d = mprime
         self._pairs = [(i, j) for i in range(mprime) for j in range(i, mprime)]
+        self._upper = tuple(np.array(self._pairs).T)  # _pairs as (rows, columns)
         e = [0] * self.m
         for idx, (i, j) in enumerate(self._pairs):
             if i == j:
@@ -117,20 +124,18 @@ class DeterminantInstance(HyperbolicInstance):
         self.check_dim(base, "base")
         self.check_dim(dirv, "direction")
         if tuple(dirv) == self.e:
-            a = self.mat(base)
-            if _is_float_vec(base):
-                eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
-                coeffs_desc = np.poly(-eigs)  # det(tI + A)
-                return UniPoly.from_coeffs(list(coeffs_desc[::-1]))
-            neg = [[-x for x in row] for row in a]
+            if _is_float_vec(base):  # the stacked route's one-row case
+                row = self.restrict_e_rows(np.array([base], dtype=float))[0]
+                return UniPoly.from_coeffs(row.tolist())
+            neg = [[-x for x in row] for row in self.mat(base)]
             return UniPoly.from_coeffs(char_poly_exact(neg))
         return self._interp_restrict(base, dirv)
 
     def _stack(self, rows: np.ndarray) -> np.ndarray:
         """The symmetric matrices of a stack of float vectors, one per row."""
         mats = np.empty((len(rows), self.d, self.d))
-        for idx, (i, j) in enumerate(self._pairs):
-            mats[:, i, j] = mats[:, j, i] = rows[:, idx]
+        i, j = self._upper
+        mats[:, i, j] = mats[:, j, i] = rows
         return mats
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
@@ -138,17 +143,18 @@ class DeterminantInstance(HyperbolicInstance):
         return np.max(np.abs(np.linalg.eigvalsh(self._stack(rows))), axis=1)
 
     def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
-        """Ascending coefficients of t -> h(base + t e), one row per float
-        base in the stack: bit for bit what restrict_line gives one base at a
-        time, from one stacked eigvalsh and np.poly's convolution unrolled
-        over the stack."""
-        count, d = len(bases), self.d
+        """det(tI + A) per base, the one float route along e (restrict_line
+        sends its float bases here): one stacked eigvalsh, then the factors
+        t + lambda_k multiplied in eigenvalue order.  Exact stacks go to the
+        default."""
+        if bases.dtype == object:
+            return super().restrict_e_rows(bases)
         eigs = np.linalg.eigvalsh(self._stack(bases))
-        desc = np.zeros((count, d + 1))  # np.poly(-eigs), row by row
-        desc[:, 0] = 1.0
-        for k in range(d):
-            desc[:, 1:k + 2] = desc[:, 1:k + 2] + desc[:, :k + 1] * eigs[:, k:k + 1]
-        return desc[:, ::-1]
+        desc = np.zeros((self.d + 1, len(bases)))  # descending coefficients, a column per base
+        desc[0] = 1.0
+        for k, lam in enumerate(eigs.T):
+            desc[1:k + 2] += desc[:k + 1] * lam
+        return desc[::-1].T
 
     def params(self) -> dict:
         return {"kind": self.kind, "mprime": self.mprime}

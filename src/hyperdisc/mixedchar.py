@@ -73,9 +73,11 @@ Fractions.
 
 Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
 one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
-per support set, each computed once.  A prefix's node is the sum of the
-rows whose set agrees with it, added in support order from 0, which is the
-order the per-set sum takes, so both give the same floats.
+per support set, each computed once by one route for every instance: the
+stacked restriction h.restrict_e_rows, on chunks of LEAF_CHUNK sets, gives
+the floats or Fractions of one restriction per set.  A prefix's node is the
+sum of the rows whose set agrees with it, added in support order from 0,
+which is the order the per-set sum takes, so both give the same values.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ from ._exact import _integer_rows
 from .errors import EmptyBranch, InvalidParams, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
-    DeterminantInstance,
     HyperbolicInstance,
     derivative_restriction,
     hyperbolic_trace,
@@ -255,12 +256,13 @@ class LeafTable:
     order.
 
     members[r, i] says whether element i is in set r.  rows[r] holds the
-    ascending coefficients of mu(S) * h(xe - sum_{i in S} v_i): a float64
-    array for float determinant instances, a tuple of UniPoly otherwise.
+    d + 1 ascending coefficients of mu(S) * h(xe - sum_{i in S} v_i): rows
+    is a float64 array for float vectors and an object array of Fractions
+    for exact ones.
     """
 
     members: np.ndarray
-    rows: object
+    rows: np.ndarray
     _last: list = field(default_factory=lambda: [None, None], repr=False)
 
     def agreeing(self, partial) -> np.ndarray:
@@ -311,39 +313,23 @@ class SrInstance:
 
     @functools.cached_property
     def leaf_table(self) -> LeafTable:
-        """Batched for float determinant instances, the files gen --kind
-        sr-ust writes; one restriction per support set otherwise."""
-        support = self.mu.support
+        """Vectors summed in element order from 0 in their own arithmetic,
+        rows scaled by mu(S) (a float for float vectors), as subset_sum,
+        restrict_line and UniPoly.scale do one set at a time."""
         sets = self.mu.sets
         members = np.zeros((len(sets), self.n), dtype=bool)
         members[np.arange(len(sets))[:, None], sets] = True
-        if (isinstance(self.h, DeterminantInstance) and self.mu.d_mu > 0
-                and all(isinstance(c, float) for v in self.vectors for c in v)):
-            return LeafTable(members, self._determinant_leaf_rows())
-        rows = tuple(self.h.restrict_line(tuple(-c for c in self.subset_sum(elems)),
-                                          self.h.e).scale(prob)
-                     for elems, prob in support)
-        return LeafTable(members, rows)
-
-    def _determinant_leaf_rows(self) -> np.ndarray:
-        """The float determinant leaf rows in batches of LEAF_CHUNK sets.
-
-        Each set's vectors are summed in element order from 0.0 and every
-        row is scaled by float(mu(S)), as subset_sum, restrict_line and
-        UniPoly.scale do one set at a time, so the rows are the same floats.
-        """
         vecs = np.array(self.vectors)
-        elems = self.mu.sets
-        probs = np.array([float(p) for _, p in self.mu.support])
-        rows = np.empty((len(elems), self.h.d + 1))
-        for lo in range(0, len(elems), LEAF_CHUNK):
-            chunk = elems[lo:lo + LEAF_CHUNK]
-            w = np.zeros((len(chunk), self.h.m))
+        vecs = vecs if vecs.dtype == np.float64 else vecs.astype(object)  # ints stay exact
+        probs = np.array([p for _, p in self.mu.support], dtype=vecs.dtype)
+        chunks = []
+        for lo in range(0, len(sets), LEAF_CHUNK):
+            chunk = sets[lo:lo + LEAF_CHUNK]
+            w = np.zeros((len(chunk), self.h.m), dtype=vecs.dtype)
             for col in chunk.T:
                 w = w + vecs[col]
-            rows[lo:lo + len(chunk)] = (probs[lo:lo + len(chunk), None]
-                                        * self.h.restrict_e_rows(-w))
-        return rows
+            chunks.append(probs[lo:lo + len(chunk), None] * self.h.restrict_e_rows(-w))
+        return LeafTable(members, np.concatenate(chunks))
 
     @staticmethod
     def from_graph(graph: Graph, exact: bool = False) -> "SrInstance":
@@ -615,15 +601,10 @@ def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
     hits = table.agreeing(partial)
     if not hits.any():
         raise EmptyBranch(f"no support set extends prefix {partial!r}")
-    if isinstance(table.rows, np.ndarray):
-        # cumsum adds row by row; + 0.0 gives the 0.0 that a sum started at 0
-        # leaves where cumsum keeps a -0.0.
-        total = np.cumsum(table.rows[hits], axis=0)[-1] + 0.0
-        return UniPoly.from_coeffs(total.tolist())
-    acc = UniPoly.zero()
-    for row in itertools.compress(table.rows, hits):
-        acc = acc + row
-    return acc
+    # cumsum adds row by row; + 0 gives the 0.0 that a sum started at 0
+    # leaves where cumsum keeps a -0.0, and leaves Fractions exact.
+    total = np.cumsum(table.rows[hits], axis=0)[-1] + 0
+    return UniPoly.from_coeffs(total.tolist())
 
 
 def ag_operator_form(inst: SrInstance) -> UniPoly:
@@ -634,17 +615,16 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
     any other support), so g^(S) is the one monomial
     (sum_{T >= S} mu(T)) x^(d_mu - |S|).
     """
-    support = [(frozenset(elems), prob) for elems, prob in inst.mu.support]
-    subsets = set()
-    for elems, _ in support:
+    weights: dict = {}  # subset -> sum of mu(T) over T >= subset, in support order from 0
+    for elems, prob in inst.mu.support:
         items = sorted(elems)
         for r in range(len(items) + 1):
-            subsets.update(itertools.combinations(items, r))
+            for subset in itertools.combinations(items, r):
+                weights[subset] = weights.get(subset, 0) + prob
     cache: dict = {}
     acc = UniPoly.zero()
-    for subset in sorted(subsets, key=lambda s: (len(s), s)):
-        sset = frozenset(subset)
-        weight = sum(prob for elems, prob in support if sset <= elems)
+    for subset in sorted(weights, key=lambda s: (len(s), s)):
+        weight = weights[subset]
         g_s = UniPoly.from_coeffs([0] * (inst.mu.d_mu - len(subset)) + [weight])
         term = derivative_restriction(inst.h, inst.vectors, subset, cache) * g_s
         acc = acc + (term if len(subset) % 2 == 0 else -term)

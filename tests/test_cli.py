@@ -1,11 +1,12 @@
 """CLI surface: generation, solving, verification, bench, determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hyperdisc.cli import _resolve_graph, main
+from hyperdisc.cli import _resolve_graph, build_parser, main
 from hyperdisc.graphs import Graph
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.mixedchar import AgFamily, kls_node_poly, kls_operator_form
@@ -287,6 +288,44 @@ def test_usage_errors_exit_1(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+HUGE = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "FILE", "--block", HUGE),  # was an OverflowError in SolverConfig.resolve
+    ("bench", "--trials", HUGE),  # was a ValueError from random_baseline's np.zeros
+    ("gen", "--kind", "kls-lorentz", "--m", HUGE),  # was an OverflowError
+    ("bench", "--kind", "kls-lorentz", "--m", HUGE),
+])
+def test_oversized_size_option_exits_1_with_one_error_line(capsys, tmp_path, argv):
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--kind", "kls-det", "--n", "2", "--mprime", "1",
+          "--seed", "0", "--out", str(inst_file)])
+    capsys.readouterr()
+    code = main([str(inst_file) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"must be at most {sys.maxsize}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "kls-det", "--mprime", "SIZE"),  # ran on, building _pairs
+    ("gen", "--kind", "kls-det", "--n", "SIZE"),
+    ("bench", "--kind", "sr-ust", "--n", "SIZE"),  # was an OverflowError
+    ("bench", "--kind", "kls-det", "--mprime", "SIZE"),
+])
+def test_oversized_sizes_are_rejected_while_parsing(capsys, argv):
+    # Parsed only, never run: run, a size near the bound would allocate or loop.
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([HUGE if a == "SIZE" else a for a in argv])
+    assert exc.value.code == 2
+    assert f"must be at most {sys.maxsize}" in capsys.readouterr().err
+    args = parser.parse_args([str(sys.maxsize) if a == "SIZE" else a for a in argv])
+    assert sys.maxsize in (args.n, args.mprime)
 
 
 def test_help_exits_0(capsys):

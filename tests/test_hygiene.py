@@ -217,3 +217,19 @@ def test_no_kind_comparison_outside_serialize():
                           if isinstance(o, ast.Attribute) and o.attr == "kind"
                           and not (isinstance(o.value, ast.Name) and o.value.id == "args")]
     assert found == []
+
+
+def test_det_t_i_plus_a_is_expanded_in_one_place():
+    # Over floats, det(tI + A) is multiplied out from the eigenvalues in
+    # DeterminantInstance.restrict_e_rows alone; numpy's poly would be a
+    # second copy of that expansion.
+    found = []
+    for path in _modules():
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Attribute) and node.attr == "poly"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.stem}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                  and any(alias.name == "poly" for alias in node.names)):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdisc._exact import det_exact
 from hyperdisc.errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from hyperdisc.hyperbolic import (
     ConeVerdict,
+    DeterminantInstance,
     ElemSymInstance,
     RealStableInstance,
     cone_membership,
@@ -296,6 +299,72 @@ def test_norms_agree_with_spectrum_row_by_row(h):
             assert norm == pytest.approx(expect, rel=1e-12)
         else:
             assert norm == expect
+
+
+# ---------------------------------------------------------------------------
+# The stacked restriction along e against one restrict_line per row.
+# ---------------------------------------------------------------------------
+
+STACK_INSTANCES = [
+    determinant(1), determinant(2), determinant(3), determinant(4), lorentz(2), lorentz(4),
+    ElemSymInstance(4, 2), ElemSymInstance(3, 3),
+    RealStableInstance(MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}), (1, 2, 1)),
+]
+
+# Signed zeros, small dyadics (repeated eigenvalues stay exact) and any float.
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]),
+                   st.floats(-4, 4, allow_subnormal=False))
+
+
+def _rank_one(h, a: float, us: list) -> list:
+    """A vector of hyperbolic rank <= 1 built from a and us."""
+    if isinstance(h, DeterminantInstance):
+        return list(h.vec_outer(us[:h.d]))
+    if h.kind == "lorentz":
+        return [a] + [0.0] * (h.m - 2) + [a]  # on the light cone
+    return [a] + [0.0] * (h.m - 1)  # one coordinate of a multilinear form
+
+
+@st.composite
+def _float_row(draw, h) -> list:
+    shape = draw(st.sampled_from(["entries", "multiple of e", "rank one", "e plus rank one"]))
+    if shape == "entries":
+        return [draw(_ENTRY) for _ in range(h.m)]
+    c = draw(_ENTRY)
+    if shape == "multiple of e":  # one eigenvalue, d times
+        return [c * x for x in h.e]
+    one = _rank_one(h, draw(_ENTRY), [draw(_ENTRY) for _ in range(h.m)])
+    if shape == "rank one":
+        return one
+    return [c * x + y for x, y in zip(h.e, one)]  # c repeated d - 1 times
+
+
+def _hex(coeffs) -> list:
+    return [float.hex(float(c)) for c in coeffs]
+
+
+@pytest.mark.parametrize("h", STACK_INSTANCES, ids=lambda h: f"{h.kind}-m{h.m}-d{h.d}")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restrict_e_rows_equals_restrict_line_row_by_row(h, data):
+    rows = data.draw(st.lists(_float_row(h), min_size=1, max_size=5))
+    # Float stack: the same binary64 values, -0.0 and 0.0 told apart.
+    got = h.restrict_e_rows(np.array(rows, dtype=float))
+    assert got.dtype == np.float64 and got.shape == (len(rows), h.d + 1)
+    for row, coeffs in zip(rows, got):
+        assert _hex(coeffs) == _hex(h.restrict_line(tuple(row), h.e).coeffs), row
+        if isinstance(h, DeterminantInstance):
+            # The expansion that restrict_line took before it read this
+            # route: np.poly of the negated eigenvalues.
+            eigs = np.linalg.eigvalsh(np.array(h.mat(row), dtype=float))
+            assert _hex(coeffs) == _hex(np.poly(-eigs)[::-1]), row
+    # Exact stack: each float as the rational it is, plus a third.
+    exact = [[Fraction(x) + Fraction(i % 2, 3) for i, x in enumerate(row)] for row in rows]
+    got = h.restrict_e_rows(np.array(exact, dtype=object))
+    assert got.dtype == object and got.shape == (len(rows), h.d + 1)
+    for row, coeffs in zip(exact, got):
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert tuple(coeffs) == h.restrict_line(tuple(row), h.e).coeffs, row
 
 
 def test_custom_instance_rejects_inhomogeneous():

@@ -835,18 +835,21 @@ def test_ag_node_poly_equals_the_per_set_sum_on_generated_graphs(nv, extra, seed
 @pytest.mark.parametrize("name", ["k3", "c4", "diamond"])
 def test_exact_ag_node_poly_equals_the_per_set_sum(name):
     inst = SrInstance.from_graph(named_graph(name), exact=True)
-    assert not isinstance(inst.leaf_table.rows, np.ndarray)  # one restriction per set
+    assert inst.leaf_table.rows.dtype == object  # Fractions, from the one leaf route
     prefixes = [p for ell in range(inst.n + 1) for p in itertools.product((0, 1), repeat=ell)]
     _assert_table_matches_per_set_sum(inst, prefixes)
     assert all(isinstance(c, Fraction) for c in ag_node_poly(inst).coeffs)
 
 
 def test_blocked_search_builds_the_leaf_table_once(monkeypatch):
+    # k5 has 125 trees, one LEAF_CHUNK, so one build is one stacked restriction.
     builds = []
-    real = SrInstance._determinant_leaf_rows
-    monkeypatch.setattr(SrInstance, "_determinant_leaf_rows",
-                        lambda self: builds.append(1) or real(self))
     inst = SrInstance.from_graph(complete_graph(5))
+    cls = type(inst.h)
+    real = cls.restrict_e_rows
+    monkeypatch.setattr(cls, "restrict_e_rows",
+                        lambda self, bases: builds.append(len(bases)) or real(self, bases))
     result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.5))
     assert result.oracle_calls > 1
-    assert len(builds) == 1
+    # The one-row calls are restrict_line's, for the spectrum of the leaf.
+    assert [n for n in builds if n > 1] == [len(inst.mu.support)]
