@@ -819,7 +819,7 @@ def _assert_table_matches_per_set_sum(inst, prefixes):
                                   "random:9:16:1"])
 def test_ag_node_poly_equals_the_per_set_sum(spec):
     inst = SrInstance.from_graph(_graph(spec))
-    assert isinstance(inst.leaf_table.rows, np.ndarray)  # the batched route
+    assert inst.leaf_table.rows.dtype == np.float64  # float vectors, float rows
     _assert_table_matches_per_set_sum(inst, _prefixes(inst, spec))
 
 
