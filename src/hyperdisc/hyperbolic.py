@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _integer_rows, char_poly_exact, det_exact
+from ._exact import _integer_rows, char_poly_exact, det_exact, principal_minors
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
 from .scalars import CONE_TOL, RANK_ZERO_TOL
@@ -436,9 +436,54 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
         slope = table[1 << i]
         for t in range(2, h.d + 1):
             if scale * h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
-                raise RankTooHigh(f"vector {i} has hyperbolic rank > 1; h is not "
-                                  "multilinear along it")
+                raise _not_multilinear(i)
     return table, scale
+
+
+def _not_multilinear(i: int) -> RankTooHigh:
+    return RankTooHigh(f"vector {i} has hyperbolic rank > 1; h is not multilinear along it")
+
+
+def gram_minor_table(h: DeterminantInstance, generators, scale: int) -> tuple:
+    """mixed_derivative_table(h, vectors) for the vectors scale vec(u u^T),
+    u in generators, from the generators' Gram matrix: (table, 1).
+
+    With U the generators as columns, h(xe + sum_i c_i scale vec(u_i u_i^T))
+    = det(xI + U diag(scale c) U^T), so by Cauchy-Binet a_T = det(M_T) for
+    M = scale U^T U, and _exact.principal_minors gives every |T| <= d at
+    once.  scale must be a multiple of the denominator of every u_i[a]^2,
+    as the lcm of the vectors' denominators is; then scale u_i[a] u_j[a] is
+    an int, since q_i q_j divides lcm(q_i^2, q_j^2), and so is M.  M is
+    positive semidefinite, so each vector has rank <= 1 and lies in the
+    closed cone by construction, and nothing is checked here.
+    """
+    ints, q = _integer_rows(generators)
+    u = np.array(ints, dtype=object).reshape(len(ints), h.mprime)
+    gram = (u @ u.T * scale) // (q * q)
+    return principal_minors(gram, h.d), 1
+
+
+def lorentz_form_table(h: LorentzInstance, vectors) -> tuple:
+    """mixed_derivative_table(h, vectors) for int vectors, from the form
+    itself: (table, 1).
+
+    h(x) = B(x, x) with B(x, y) = x_m y_m - sum_{a<m} x_a y_a, so h(e) = 1,
+    a_i = 2 B(e, v_i) = 2 v_i[m-1] and a_ij = 2 B(v_i, v_j).  t -> h(e + t v)
+    = 1 + t a_i + t^2 h(v) has degree <= 1 iff h(v) = 0, which is the exact
+    rank test; RankTooHigh is raised for the first vector that fails it,
+    as mixed_derivative_table does.
+    """
+    for v in vectors:
+        h.check_dim(v)
+    for i, v in enumerate(vectors):
+        if h.value(v):
+            raise _not_multilinear(i)
+    table = {0: 1}
+    for j, w in enumerate(vectors):  # masks with highest bit j, in increasing order
+        table[1 << j] = 2 * w[-1]
+        for i, v in enumerate(vectors[:j]):
+            table[1 << j | 1 << i] = 2 * (v[-1] * w[-1] - sum(map(operator.mul, v[:-1], w[:-1])))
+    return table, 1
 
 
 def derivative_restriction(h: HyperbolicInstance, vectors, indices,

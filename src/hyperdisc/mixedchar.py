@@ -28,9 +28,9 @@ z-powers cannot occur), so both routes can be compared coefficient-wise
 over Fractions.  The signed collapse (kls_operator_form) is
 summed over ints: one restriction of h along e per subset of at most d of
 the integer vectors D v_i below, one subset Moebius transform
-(hyperbolic.subset_moebius, which the coefficient table is built with too)
-and one division at the end.  It never reads the table, so it checks the
-table's root polynomial by an independent route.
+(hyperbolic.subset_moebius) and one division at the end.  It never reads
+the table, so it checks the table's root polynomial by an independent
+route.
 
 The same multilinearity gives every signed node without enumerating
 completions.  With c_i = s_i - mu_i and a_T = (prod_{i in T} D_{v_i}) h(e),
@@ -44,9 +44,22 @@ and the free c_i are independent with mean zero, so for a prefix s_1..s_l
     P_F(x) = sum_{A subset prefix, |F|+|A| <= d} c^A a_{F u A} x^(d-|F|-|A|).
 
 The signed family has one lane, over exact rationals, and its data is
-checked once, where a file is loaded: building the table of a_T
-(KlsInstance.coefficient_table) tests exactly that every v_i has rank <= 1
-and lies in the closed cone.  KlsFamily reads its inner nodes off that
+checked once, where a file is loaded, by building the table of a_T
+(KlsInstance.coefficient_table, KlsTable.build) from each kind's own form:
+
+* det with generators u_i that match the vectors (v_i = vec(u_i u_i^T),
+  checked exactly): a_T = det(G_T) for the Gram matrix G = U^T U
+  (Cauchy-Binet), every principal minor with |T| <= d from one batched
+  integer elimination per size.  Rank <= 1 and the cone hold by
+  construction.
+* Lorentz: a_i = 2 B(e, v_i) and a_ij = 2 B(v_i, v_j) for the form's
+  polarization B, after an exact test that h(v_i) = 0 (rank <= 1).
+* every other h (elem_sym, custom, det without matching generators):
+  hyperbolic.mixed_derivative_table, the inclusion-exclusion of the vertex
+  values h(e + w_U), which tests every rank exactly.
+
+All three give the same ints.  The cone is then tested exactly on every
+route, from the entries a_i.  KlsFamily reads its inner nodes off that
 table (kls_table_node_poly); kls_node_poly keeps the enumeration as the
 reference route.  The table is kept over ints (KlsTable).  With D the lcm
 of the vector entries' denominators, the vectors D v_i are integral and
@@ -95,16 +108,26 @@ from ._exact import _integer_rows
 from .errors import EmptyBranch, InvalidParams, TooLarge, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
+    DeterminantInstance,
     HyperbolicInstance,
+    LorentzInstance,
     derivative_restriction,
+    gram_minor_table,
     hyperbolic_trace,
+    lorentz_form_table,
     mixed_derivative_table,
     spectrum,
     subset_accumulate,
     subset_moebius,
 )
 from .realstable import MultiPoly
-from .srdist import SRDistribution, effective_resistance_family, max_marginal, uniform_spanning_tree
+from .srdist import (
+    SRDistribution,
+    effective_resistance_family,
+    max_marginal,
+    per_object,
+    uniform_spanning_tree,
+)
 from .unipoly import UniPoly, max_real_root, real_roots
 
 MAX_BRANCHES = 4096  # enumeration guardrail; exceeding raises, never approximates
@@ -150,8 +173,9 @@ class KlsInstance:
     """Signed-discrepancy instance: hyperbolic h, rank-1 cone vectors, variables.
 
     The signed lane is exact: files load their data as rationals, and
-    loading builds the coefficient table, which checks the rank and the
-    cone exactly (KlsTable.build); build itself checks only the shapes.
+    loading builds the coefficient table, where the rank and the cone are
+    checked exactly or hold by construction (KlsTable.build); build itself
+    checks only the shapes.
     The traces and sigma are computed on first use: the search never reads
     them, and each costs an exact characteristic polynomial per vector.
     """
@@ -204,6 +228,16 @@ class KlsInstance:
         carries no generators."""
         vecs = tuple(tuple(factor * c for c in v) for v in self.vectors)
         return KlsInstance.build(self.h, vecs, self.variables)
+
+    @functools.cached_property
+    def generators_match(self) -> bool:
+        """Whether generators holds one u_i per vector with v_i = vec(u_i u_i^T)
+        exactly, over a determinant h: the data of KlsTable.build's Gram
+        route, and the check a loaded file's generators must pass."""
+        h, gens = self.h, self.generators
+        return (gens is not None and isinstance(h, DeterminantInstance) and len(gens) == self.n
+                and all(len(u) == h.mprime and h.vec_outer(u) == v
+                        for u, v in zip(gens, self.vectors)))
 
     @functools.cached_property
     def coefficient_table(self) -> "KlsTable":
@@ -321,7 +355,10 @@ class SrInstance:
         members[np.arange(len(sets))[:, None], sets] = True
         vecs = np.array(self.vectors)
         vecs = vecs if vecs.dtype == np.float64 else vecs.astype(object)  # ints stay exact
-        probs = np.array([p for _, p in self.mu.support], dtype=vecs.dtype)
+        probs = [p for _, p in self.mu.support]
+        if vecs.dtype == np.float64:
+            probs = per_object(float, probs)
+        probs = np.array(probs, dtype=vecs.dtype)
         chunks = []
         for lo in range(0, len(sets), LEAF_CHUNK):
             chunk = sets[lo:lo + LEAF_CHUNK]
@@ -431,16 +468,27 @@ class KlsTable:
 
     @staticmethod
     def build(inst: KlsInstance) -> "KlsTable":
-        """From hyperbolic.mixed_derivative_table on the integer vectors
-        D v_i of inst.integer_data; raises RankTooHigh as it does.
+        """The table of the integer vectors D v_i of inst.integer_data, by
+        the route of inst's kind (module docstring): gram_minor_table for a
+        determinant whose generators match (inst.generators_match), where
+        rank <= 1 and the cone hold by construction; lorentz_form_table for
+        a Lorentz form; mixed_derivative_table otherwise.  All three give
+        the same ints, and the last two test every rank exactly and raise
+        RankTooHigh.
 
-        It also tests the cone exactly.  A vector v of rank <= 1 has one
-        eigenvalue that may be nonzero, D_v h(e) / h(e), and h(e) > 0, so v
-        lies in the closed cone iff its entry a_{i} = D_v h(e) is >= 0;
-        InvalidParams is raised for the first vector that fails.
+        Then the cone is tested exactly, on every route.  A vector v of
+        rank <= 1 has one eigenvalue that may be nonzero, D_v h(e) / h(e),
+        and h(e) > 0, so v lies in the closed cone iff its entry a_{i} =
+        D_v h(e) is >= 0; InvalidParams is raised for the first vector that
+        fails.
         """
         vec_scale, var_scale, vectors, centered, variances = inst.integer_data
-        entries, outer = mixed_derivative_table(inst.h, vectors)
+        if inst.generators_match:
+            entries, outer = gram_minor_table(inst.h, inst.generators, vec_scale)
+        elif isinstance(inst.h, LorentzInstance):
+            entries, outer = lorentz_form_table(inst.h, vectors)
+        else:
+            entries, outer = mixed_derivative_table(inst.h, vectors)
         for i in range(inst.n):
             if entries[1 << i] < 0:
                 raise InvalidParams(f"vector {i} lies outside the closed cone")

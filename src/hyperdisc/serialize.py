@@ -20,9 +20,14 @@ their str keys, each value a str or a non-empty list of ints, is one
 The signed (kls) lane is exact and is checked here, once.  A kls file is
 read as exact rationals whatever its "backend" says, which loses nothing,
 since every binary64 value is a rational.  Loading then builds the
-coefficient table (KlsInstance.coefficient_table), which checks every
-vector's rank and cone membership exactly, so a bad vector fails at load;
-so do generators u_i that are not one per vector with v_i = vec(u_i u_i^T).
+coefficient table (KlsInstance.coefficient_table), where every vector's
+rank and cone membership are checked exactly or hold by construction
+(KlsTable.build), so a bad vector fails at load; so do generators u_i that
+are not one per vector with v_i = vec(u_i u_i^T) (KlsInstance.generators_match).
+An sr file's vectors must sum to e within ISOTROPY_TOL, added as
+srdist.effective_resistance_family adds them (srdist.isotropic).  In both
+kinds, every vector's length is checked against the size h's parameters
+declare before h is built, so a huge declared size allocates nothing.
 
 Integer fields (the "set" lists of a subset distribution, its "n", the
 hyperbolic parameters and a custom polynomial's "nvars" and exponents) must
@@ -40,7 +45,7 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import InvalidParams
+from .errors import DimensionMismatch, InvalidParams
 from .graphs import Graph
 from .hyperbolic import (
     DeterminantInstance,
@@ -51,7 +56,8 @@ from .hyperbolic import (
 )
 from .mixedchar import KlsInstance, RandomVar, SrInstance
 from .realstable import MultiPoly
-from .srdist import SRDistribution
+from .scalars import ISOTROPY_TOL
+from .srdist import SRDistribution, isotropic, per_object
 
 SCHEMA_VERSION = "hyperdisc-instance/1"
 RATIONAL = "rational"
@@ -105,6 +111,24 @@ def int_from_json(v) -> int:
     return v
 
 
+def _check_declared_size(obj: dict, vectors) -> None:
+    """Raise DimensionMismatch for a vector whose length is not the one
+    h's parameters declare (determinant mprime (mprime + 1) / 2, lorentz m,
+    elem_sym n), before h_from_json builds e, which has that many entries.
+    A custom h lists e in the file, so it is checked when it is built."""
+    kind = obj["kind"]
+    if kind == "determinant":
+        mprime = int_from_json(obj["mprime"])
+        m = mprime * (mprime + 1) // 2
+    elif kind in ("lorentz", "elem_sym"):
+        m = int_from_json(obj["m" if kind == "lorentz" else "n"])
+    else:
+        return
+    for v in vectors:
+        if len(v) != m:
+            raise DimensionMismatch(f"vector has length {len(v)}, expected {m}")
+
+
 def h_from_json(obj: dict, backend: str) -> HyperbolicInstance:
     kind = obj["kind"]
     if kind == "determinant":
@@ -133,15 +157,11 @@ def variable_from_json(obj: dict) -> RandomVar:
 
 def distribution_to_json(mu: SRDistribution) -> dict:
     """An entry whose probability is the previous entry's object reuses its
-    text: uniform_spanning_tree and distribution_from_json give every entry
-    of a spanning-tree distribution one object, which is then formatted
-    once.  Comparing by identity costs less than hashing a Fraction."""
-    support = []
-    last = text = None
-    for elems, p in mu.support:
-        if p is not last:
-            last, text = p, scalar_to_json(p)
-        support.append({"set": list(elems), "prob": text})
+    text (srdist.per_object), so a spanning-tree distribution's one
+    probability is formatted once.  Comparing by identity costs less than
+    hashing a Fraction."""
+    texts = per_object(scalar_to_json, [p for _, p in mu.support])
+    support = [{"set": list(elems), "prob": text} for (elems, _), text in zip(mu.support, texts)]
     return {"n": mu.n, "d_mu": mu.d_mu, "support": support}
 
 
@@ -193,7 +213,7 @@ def instance_from_json(obj: dict):
         return _instance_from_json(obj)
     except KeyError as exc:
         raise InvalidParams(f"malformed instance file: missing key {exc}") from exc
-    except (TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidParams(f"malformed instance file: {type(exc).__name__}: {exc}") from exc
 
 
@@ -205,6 +225,8 @@ def _instance_from_json(obj: dict):
     if backend not in (RATIONAL, FLOAT):
         raise InvalidParams(f"unknown backend {backend!r}")
     payload = obj["payload"]
+    if kind in ("kls", "sr"):
+        _check_declared_size(payload["h"], payload["vectors"])
     if kind == "kls":
         h = h_from_json(payload["h"], RATIONAL)
         vectors = [vec_from_json(v, RATIONAL) for v in payload["vectors"]]
@@ -214,17 +236,17 @@ def _instance_from_json(obj: dict):
             generators = [vec_from_json(u, RATIONAL) for u in payload["generators"]]
         inst = KlsInstance.build(h, vectors, variables, generators=generators)
         inst.coefficient_table  # the exact rank and cone checks
-        if generators is not None and not (
-                isinstance(h, DeterminantInstance) and len(generators) == len(vectors)
-                and all(len(u) == h.mprime and h.vec_outer(u) == v
-                        for u, v in zip(generators, inst.vectors))):
+        if generators is not None and not inst.generators_match:
             raise InvalidParams("generators must be one u_i per vector with v_i = vec(u_i u_i^T)")
         return inst, kind
     if kind == "sr":
         h = h_from_json(payload["h"], backend)
         mu = distribution_from_json(payload["distribution"])
         vectors = [vec_from_json(v, backend) for v in payload["vectors"]]
-        return SrInstance.build(h, mu, vectors), kind
+        inst = SrInstance.build(h, mu, vectors)
+        if not isotropic(h, inst.vectors):
+            raise InvalidParams(f"the vectors do not sum to e within {ISOTROPY_TOL}")
+        return inst, kind
     raise InvalidParams(f"unknown instance kind {kind!r}")
 
 

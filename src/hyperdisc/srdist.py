@@ -195,10 +195,22 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
     return sum((c * x0 ** (deg + shift) for deg, c in by_degree.items()), Fraction(0))
 
 
+def per_object(f, items) -> list:
+    """[f(x) for x in items], calling f once per run of one object: every
+    entry of a spanning-tree distribution holds one probability object
+    (uniform_spanning_tree, serialize.distribution_from_json)."""
+    out, last, value = [], object(), None
+    for x in items:
+        if x is not last:
+            last, value = x, f(x)
+        out.append(value)
+    return out
+
+
 def _integer_weights(probs) -> tuple:
     """Ints w_r and one denominator q with p_r = w_r / q, q the lcm of the
     probabilities' denominators (exact for ints, Fractions and floats)."""
-    ratios = [p.as_integer_ratio() for p in probs]
+    ratios = per_object(lambda p: p.as_integer_ratio(), probs)
     denom = math.lcm(*{q for _, q in ratios})
     return [w * (denom // q) for w, q in ratios], denom
 
@@ -241,6 +253,15 @@ class IsotropicFamily:
         return len(self.vectors)
 
 
+def isotropic(h, vectors) -> bool:
+    """Whether the vectors, added in order in binary64, are within
+    ISOTROPY_TOL of h.e in every entry."""
+    total = np.zeros(h.m)
+    for vec in vectors:
+        total += np.array(vec, dtype=float)
+    return bool(np.max(np.abs(total - np.array(h.e, dtype=float))) <= ISOTROPY_TOL)
+
+
 def effective_resistance_family(graph: Graph) -> IsotropicFamily:
     if not graph.is_connected():
         raise DisconnectedGraph("effective resistances need a connected graph")
@@ -260,9 +281,6 @@ def effective_resistance_family(graph: Graph) -> IsotropicFamily:
         incid[v] = -1.0
         w = b @ incid
         vectors.append(h.vec_outer(tuple(float(c) for c in w)))
-    total = np.zeros(h.m)
-    for vec in vectors:
-        total += np.array(vec, dtype=float)
-    if np.max(np.abs(total - np.array(h.e, dtype=float))) > ISOTROPY_TOL:
+    if not isotropic(h, vectors):
         raise AssertionError("effective-resistance vectors do not sum to vec(I)")
     return IsotropicFamily(h, tuple(vectors), tuple(tuple(float(x) for x in row) for row in b))

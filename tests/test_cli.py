@@ -466,6 +466,42 @@ def test_inconsistent_kls_file_exits_1_at_load(capsys, tmp_path, make, message):
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+def _exits_1_with_one_error_line(capsys, path, message):
+    for argv in (("solve", str(path), "--method", "blocked"),
+                 ("solve", str(path), "--method", "brute"),
+                 ("verify", str(path))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_huge_declared_lorentz_size_exits_1_before_allocating(capsys, tmp_path):
+    # 2**63 only: where e is built before the check, a mid-sized m really allocates.
+    blob = json.loads(run(capsys, "gen", "--kind", "kls-lorentz", "--n", "3", "--m", "3")[1])
+    blob["payload"]["h"]["m"] = 2 ** 63
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    _exits_1_with_one_error_line(capsys, bad, f"vector has length 3, expected {2 ** 63}")
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ((5, 4), -1, "the vectors do not sum to e"),
+    ((0, 0), "1" + "0" * 400 + "/1", "OverflowError"),
+], ids=["not-isotropic", "past-binary64"])
+def test_sr_file_with_a_bad_vector_entry_exits_1_at_load(capsys, tmp_path, entry, value,
+                                                          message):
+    blob = json.loads(run(capsys, "gen", "--kind", "sr-ust", "--graph", "k4")[1])
+    row, col = entry
+    assert abs(blob["payload"]["vectors"][row][col]) < 1
+    blob["payload"]["vectors"][row][col] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    _exits_1_with_one_error_line(capsys, bad, message)
+
+
 @pytest.mark.parametrize("entry", [1.7, True], ids=["float", "bool"])
 def test_non_int_set_entry_exits_1_at_load(capsys, tmp_path, entry):
     _, out = run(capsys, "gen", "--kind", "sr-ust", "--graph", "c4")

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -28,11 +29,13 @@ from hyperdisc.hyperbolic import (
     mixed_derivative_table,
     rank1_product_derivative,
 )
+from hyperdisc._exact import det_exact, principal_minors
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import (
     AgFamily,
     KlsFamily,
     KlsInstance,
+    KlsTable,
     RandomVar,
     SrInstance,
     ag_node_poly,
@@ -47,7 +50,7 @@ from hyperdisc.mixedchar import (
     linear_restriction_multipoly,
 )
 from hyperdisc.realstable import MultiPoly
-from hyperdisc.serialize import instance_from_json
+from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate, monic_top_coeffs
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
@@ -401,6 +404,123 @@ def test_table_rejects_rank_two_vector():
         KlsFamily(inst).node_poly(())
     with pytest.raises(RankTooHigh):
         KlsFamily(inst).scaled_top_coeffs((), 2)
+
+
+# ---------------------------------------------------------------------------
+# The kind's own routes to the table (Gram minors for det, the bilinear form
+# for Lorentz) against the inclusion-exclusion of mixed_derivative_table.
+# ---------------------------------------------------------------------------
+
+def _assert_table_is_the_reference(inst):
+    table = KlsTable.build(inst)
+    reference, outer = mixed_derivative_table(inst.h, inst.integer_data[2])
+    assert outer == 1 and table.denominator == 1
+    assert list(table.entries.items()) == list(reference.items())
+    assert all(type(b) is int for b in table.entries.values())
+
+
+_GENERATOR_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)),
+    st.builds(lambda a, sign: Fraction(sign * a), st.integers(10 ** 5, 10 ** 6),
+              st.sampled_from([1, -1])),  # M past the int64 bound: Python ints
+)
+
+
+@st.composite
+def _gram_instances(draw):
+    """det instances with matching generators: int, rational and large
+    entries, zero generators, repeated generators (singular minors), and n
+    below d."""
+    h = determinant(draw(st.integers(1, 4)))
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        pick = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if pick == "zero":
+            u = (Fraction(0),) * h.mprime
+        elif pick == "repeat" and gens:
+            u = draw(st.sampled_from(gens))
+        else:
+            u = tuple(draw(st.lists(_GENERATOR_ENTRIES, min_size=h.mprime, max_size=h.mprime)))
+        gens.append(u)
+    vectors = [h.vec_outer(u) for u in gens]
+    return KlsInstance.build(h, vectors, [RADEMACHER] * len(gens), generators=gens)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_gram_instances())
+def test_gram_minor_table_equals_mixed_derivative_table(inst):
+    assert inst.generators_match
+    _assert_table_is_the_reference(inst)
+
+
+def test_gram_minor_table_named_cases():
+    h = determinant(3)
+    one, two = (Fraction(1), Fraction(-2), Fraction(1, 3)), (Fraction(2, 5), Fraction(0), Fraction(7))
+    big = (Fraction(10 ** 6), Fraction(-3), Fraction(10 ** 5, 7))
+    zero = (Fraction(0),) * 3
+    for gens in ([one, zero, two], [one, one, two, one], [one, two], [big, one, big, two]):
+        inst = KlsInstance.build(h, [h.vec_outer(u) for u in gens], [RADEMACHER] * len(gens),
+                                 generators=gens)
+        assert inst.generators_match
+        _assert_table_is_the_reference(inst)
+    # The last case is past the int64 bound already for the 1 x 1 minors.
+    scale = inst.integer_data[0]
+    assert 2 * (scale * sum(c * c for c in big)) ** 2 >= 2 ** 63
+
+
+def test_unmatched_generators_take_the_inclusion_exclusion_route():
+    h = determinant(2)
+    gens = [(Fraction(1), Fraction(2)), (Fraction(0), Fraction(3))]
+    vectors = [h.vec_outer(gens[0]), h.e]  # vector 1 has rank 2 and no generator of its own
+    inst = KlsInstance.build(h, vectors, [RADEMACHER] * 2, generators=gens)
+    assert not inst.generators_match
+    with pytest.raises(RankTooHigh, match="vector 1 has hyperbolic rank > 1"):
+        inst.coefficient_table
+    inst = KlsInstance.build(h, [h.vec_outer(u) for u in gens], [RADEMACHER] * 2,
+                             generators=gens[::-1])
+    assert not inst.generators_match
+    _assert_table_is_the_reference(inst)
+
+
+@pytest.mark.parametrize("kind", VARIABLE_KINDS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(3, 6), seed=st.integers(0, 10 ** 6))
+def test_lorentz_form_table_equals_mixed_derivative_table(kind, n, m, seed):
+    blob = json.loads(dumps(instance_to_json(gen_kls_lorentz(n, m, seed, kind))))
+    inst, _ = instance_from_json(blob)
+    _assert_table_is_the_reference(inst)
+
+
+def test_lorentz_form_table_checks_rank_before_the_cone():
+    h = lorentz(3)
+    null = (Fraction(3), Fraction(4), Fraction(5))
+    negated = tuple(-c for c in null)
+    timelike = (Fraction(0), Fraction(0), Fraction(1))  # h = 1: rank 2
+    for vectors, error, message in (
+            ([negated, timelike], RankTooHigh, "vector 1 has hyperbolic rank > 1"),
+            ([null, negated], InvalidParams, "vector 1 lies outside the closed cone")):
+        with pytest.raises(error, match=message):
+            KlsInstance.build(h, vectors, [RADEMACHER] * 2).coefficient_table
+    with pytest.raises(RankTooHigh, match="vector 1 has hyperbolic rank > 1"):
+        mixed_derivative_table(h, [negated, timelike])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 6),
+       st.sampled_from([3, 10 ** 7]), st.integers(0, 10 ** 6))
+def test_principal_minors_equal_exact_determinants(n, rank, size, top, seed):
+    rng = random.Random(seed)
+    w = [[rng.randint(-top, top) for _ in range(rank)] for _ in range(n)]
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in w] for x in w]  # PSD of rank <= rank
+    minors = principal_minors(gram, size)
+    masks = sorted(sum(1 << i for i in t) for r in range(min(size, n) + 1)
+                   for t in itertools.combinations(range(n), r))
+    assert list(minors) == masks
+    for mask, value in minors.items():
+        t = [i for i in range(n) if mask >> i & 1]
+        assert type(value) is int
+        assert value == det_exact([[gram[i][j] for j in t] for i in t])
 
 
 def test_leaf_poly_reflection_equals_two_restrictions():
