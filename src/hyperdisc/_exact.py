@@ -15,8 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-_INT64_LIMIT = 2 ** 63
-
 
 def _integer_rows(rows: list) -> tuple:
     """(D * rows as lists of ints, D) for the lcm D of the entries' denominators."""
@@ -94,24 +92,18 @@ def principal_minors(rows, size: int) -> dict:
     bitmask in increasing order, for a positive semidefinite int matrix A.
 
     One fraction-free (Bareiss) elimination per size k runs on the stack of
-    every k x k principal submatrix at once, without pivoting.  Each pivot
-    is a leading principal minor of its submatrix, and a PSD matrix whose
-    leading block is singular is singular itself, so a zero pivot means
-    det 0: that submatrix is zeroed and its pivot taken as 1.  Every
-    intermediate is a product of two minors of size < k, which Hadamard's
-    bound keeps below (k t^2)^k for t the largest |entry|; the stack is int64
-    when twice that fits, and Python ints otherwise.
+    every k x k principal submatrix at once, over Python ints in an object
+    array, without pivoting.  Each pivot is a leading principal minor of
+    its submatrix, and a PSD matrix whose leading block is singular is
+    singular itself, so a zero pivot means det 0: that submatrix is zeroed
+    and its pivot taken as 1.
     """
-    a = np.array(rows, dtype=object).reshape(len(rows), len(rows))
-    n = len(a)
-    top = max((abs(x) for x in a.flat), default=0)
-    bits = np.array([1 << i for i in range(n)], dtype=np.int64 if n < 63 else object)
-    masks, minors = [np.zeros(1, dtype=bits.dtype)], [1]  # the empty set: det 1
-    for k in range(1, min(size, n) + 1):
-        idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                          dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
-        wide = 2 * (k * top * top) ** k >= _INT64_LIMIT
-        sub = a.astype(object if wide else np.int64)[idx[:, :, None], idx[:, None, :]]
+    a = np.array(rows, dtype=object)
+    minors = {0: 1}  # the empty set: det 1
+    for k in range(1, min(size, len(a)) + 1):
+        sets = list(itertools.combinations(range(len(a)), k))
+        idx = np.array(sets, dtype=np.intp)
+        sub = a[idx[:, :, None], idx[:, None, :]]
         prev = 1
         for col in range(k - 1):
             pivot = sub[:, col, col].copy()
@@ -124,8 +116,5 @@ def principal_minors(rows, size: int) -> dict:
             sub[:, rest, rest] = (sub[:, rest, rest] * pivot
                                   - sub[:, rest, col:col + 1] * sub[:, col:col + 1, rest]) // prev
             prev = pivot
-        masks.append(bits[idx].sum(axis=1))
-        minors += sub[:, k - 1, k - 1].tolist()
-    masks = np.concatenate(masks)
-    order = np.argsort(masks, kind="stable")
-    return dict(zip(masks[order].tolist(), map(minors.__getitem__, order.tolist())))
+        minors.update(zip((sum(1 << i for i in t) for t in sets), sub[:, k - 1, k - 1].tolist()))
+    return dict(sorted(minors.items()))

@@ -70,6 +70,12 @@ class HyperbolicInstance:
         return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
                             for t in range(self.d + 1)])
 
+    @staticmethod
+    def size(*params) -> int:
+        """m, the length of every vector, for the constructor's parameters;
+        defined where m follows from them alone."""
+        raise NotImplementedError
+
     def check_dim(self, x, name: str = "vector"):
         if len(x) != self.m:
             raise DimensionMismatch(f"{name} has length {len(x)}, expected {self.m}")
@@ -86,11 +92,15 @@ class DeterminantInstance(HyperbolicInstance):
 
     kind = "determinant"
 
+    @staticmethod
+    def size(mprime: int) -> int:
+        return mprime * (mprime + 1) // 2
+
     def __init__(self, mprime: int):
         if mprime < 1:
             raise ValueError("mprime must be >= 1")
         self.mprime = mprime
-        self.m = mprime * (mprime + 1) // 2
+        self.m = self.size(mprime)
         self.d = mprime
         self._pairs = [(i, j) for i in range(mprime) for j in range(i, mprime)]
         self._upper = tuple(np.array(self._pairs).T)  # _pairs as (rows, columns)
@@ -165,10 +175,14 @@ class LorentzInstance(HyperbolicInstance):
 
     kind = "lorentz"
 
+    @staticmethod
+    def size(m: int) -> int:
+        return m
+
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("the quadratic form needs m >= 2")
-        self.m = m
+        self.m = self.size(m)
         self.d = 2
         self.e = tuple([0] * (m - 1) + [1])
 
@@ -195,12 +209,16 @@ class ElemSymInstance(HyperbolicInstance):
 
     kind = "elem_sym"
 
+    @staticmethod
+    def size(n: int, k: int) -> int:
+        return n
+
     def __init__(self, n: int, k: int):
         if not (1 <= k <= n):
             raise ValueError("need 1 <= k <= n")
         self.n = n
         self.k = k
-        self.m = n
+        self.m = self.size(n, k)
         self.d = k
         self.e = (1,) * n
 

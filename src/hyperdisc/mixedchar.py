@@ -183,7 +183,7 @@ class KlsInstance:
     h: HyperbolicInstance
     vectors: tuple
     variables: tuple
-    generators: tuple | None = None  # u_i with v_i = vec(u_i u_i^T); file data, unread by the search
+    generators: tuple | None = None  # u_i with v_i = vec(u_i u_i^T): the Gram route's data
 
     @staticmethod
     def build(h: HyperbolicInstance, vectors, variables, generators=None) -> "KlsInstance":
@@ -231,13 +231,15 @@ class KlsInstance:
 
     @functools.cached_property
     def generators_match(self) -> bool:
-        """Whether generators holds one u_i per vector with v_i = vec(u_i u_i^T)
-        exactly, over a determinant h: the data of KlsTable.build's Gram
-        route, and the check a loaded file's generators must pass."""
+        """Whether generators holds one u_i of ints and Fractions per vector
+        with v_i = vec(u_i u_i^T) exactly, over a determinant h: the data of
+        KlsTable.build's Gram route, and the check a loaded file's generators
+        must pass.  A float u_i does not match: its products are rounded, so
+        its exact Gram matrix need not be that of the vectors."""
         h, gens = self.h, self.generators
         return (gens is not None and isinstance(h, DeterminantInstance) and len(gens) == self.n
-                and all(len(u) == h.mprime and h.vec_outer(u) == v
-                        for u, v in zip(gens, self.vectors)))
+                and all(len(u) == h.mprime and all(isinstance(x, (int, Fraction)) for x in u)
+                        and h.vec_outer(u) == v for u, v in zip(gens, self.vectors)))
 
     @functools.cached_property
     def coefficient_table(self) -> "KlsTable":

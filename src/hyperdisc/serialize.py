@@ -111,32 +111,26 @@ def int_from_json(v) -> int:
     return v
 
 
-def _check_declared_size(obj: dict, vectors) -> None:
-    """Raise DimensionMismatch for a vector whose length is not the one
-    h's parameters declare (determinant mprime (mprime + 1) / 2, lorentz m,
-    elem_sym n), before h_from_json builds e, which has that many entries.
-    A custom h lists e in the file, so it is checked when it is built."""
-    kind = obj["kind"]
-    if kind == "determinant":
-        mprime = int_from_json(obj["mprime"])
-        m = mprime * (mprime + 1) // 2
-    elif kind in ("lorentz", "elem_sym"):
-        m = int_from_json(obj["m" if kind == "lorentz" else "n"])
-    else:
-        return
-    for v in vectors:
-        if len(v) != m:
-            raise DimensionMismatch(f"vector has length {len(v)}, expected {m}")
+_SIZED = {cls.kind: (cls, names) for cls, names in (
+    (DeterminantInstance, ("mprime",)), (LorentzInstance, ("m",)), (ElemSymInstance, ("n", "k")))}
 
 
-def h_from_json(obj: dict, backend: str) -> HyperbolicInstance:
+def h_from_json(obj: dict, backend: str, vectors=()) -> HyperbolicInstance:
+    """The hyperbolic polynomial obj describes.  Every one of vectors must
+    have the length its parameters declare (size), which is checked before
+    the class builds e, with that many entries, so a huge declared size
+    raises DimensionMismatch and allocates nothing.  A custom h lists e in
+    the file, and KlsInstance.build and SrInstance.build check the vectors
+    against it."""
     kind = obj["kind"]
-    if kind == "determinant":
-        return DeterminantInstance(int_from_json(obj["mprime"]))
-    if kind == "lorentz":
-        return LorentzInstance(int_from_json(obj["m"]))
-    if kind == "elem_sym":
-        return ElemSymInstance(int_from_json(obj["n"]), int_from_json(obj["k"]))
+    if kind in _SIZED:
+        cls, names = _SIZED[kind]
+        params = [int_from_json(obj[name]) for name in names]
+        m = cls.size(*params)
+        for v in vectors:
+            if len(v) != m:
+                raise DimensionMismatch(f"vector has length {len(v)}, expected {m}")
+        return cls(*params)
     if kind == "custom":
         poly_obj = obj["poly"]
         terms = {tuple(map(int_from_json, e)): scalar_from_json(c, backend)
@@ -225,10 +219,8 @@ def _instance_from_json(obj: dict):
     if backend not in (RATIONAL, FLOAT):
         raise InvalidParams(f"unknown backend {backend!r}")
     payload = obj["payload"]
-    if kind in ("kls", "sr"):
-        _check_declared_size(payload["h"], payload["vectors"])
     if kind == "kls":
-        h = h_from_json(payload["h"], RATIONAL)
+        h = h_from_json(payload["h"], RATIONAL, payload["vectors"])
         vectors = [vec_from_json(v, RATIONAL) for v in payload["vectors"]]
         variables = [variable_from_json(v) for v in payload["variables"]]
         generators = None
@@ -240,7 +232,7 @@ def _instance_from_json(obj: dict):
             raise InvalidParams("generators must be one u_i per vector with v_i = vec(u_i u_i^T)")
         return inst, kind
     if kind == "sr":
-        h = h_from_json(payload["h"], backend)
+        h = h_from_json(payload["h"], backend, payload["vectors"])
         mu = distribution_from_json(payload["distribution"])
         vectors = [vec_from_json(v, backend) for v in payload["vectors"]]
         inst = SrInstance.build(h, mu, vectors)

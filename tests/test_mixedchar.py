@@ -423,7 +423,7 @@ _GENERATOR_ENTRIES = st.one_of(
     st.integers(-3, 3).map(Fraction),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)),
     st.builds(lambda a, sign: Fraction(sign * a), st.integers(10 ** 5, 10 ** 6),
-              st.sampled_from([1, -1])),  # M past the int64 bound: Python ints
+              st.sampled_from([1, -1])),  # minors past 2^63
 )
 
 
@@ -464,9 +464,21 @@ def test_gram_minor_table_named_cases():
                                  generators=gens)
         assert inst.generators_match
         _assert_table_is_the_reference(inst)
-    # The last case is past the int64 bound already for the 1 x 1 minors.
-    scale = inst.integer_data[0]
-    assert 2 * (scale * sum(c * c for c in big)) ** 2 >= 2 ** 63
+    # The last case's minors pass 2^63, which no fixed-width int holds.
+    assert max(inst.coefficient_table.entries.values()) >= 2 ** 63
+
+
+def test_float_generators_take_the_inclusion_exclusion_route():
+    h = determinant(2)
+    vectors = [h.vec_outer((Fraction(1), Fraction(2))), h.vec_outer((Fraction(3), Fraction(-1)))]
+    inst = KlsInstance.build(h, vectors, [RADEMACHER] * 2, generators=[(1.0, 2.0), (3.0, -1.0)])
+    assert not inst.generators_match  # equal products, but floats have no exact Gram route
+    _assert_table_is_the_reference(inst)
+    # A rounded product: 0.1 * 0.1 in binary64 is not Fraction(0.1) ** 2.
+    h = determinant(1)
+    inst = KlsInstance.build(h, [(Fraction(0.1 * 0.1),)], [RADEMACHER], generators=[(0.1,)])
+    assert Fraction(0.1 * 0.1) != Fraction(0.1) ** 2 and not inst.generators_match
+    _assert_table_is_the_reference(inst)
 
 
 def test_unmatched_generators_take_the_inclusion_exclusion_route():
