@@ -70,12 +70,6 @@ class HyperbolicInstance:
         return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
                             for t in range(self.d + 1)])
 
-    @staticmethod
-    def size(*params) -> int:
-        """m, the length of every vector, for the constructor's parameters;
-        defined where m follows from them alone."""
-        raise NotImplementedError
-
     def check_dim(self, x, name: str = "vector"):
         if len(x) != self.m:
             raise DimensionMismatch(f"{name} has length {len(x)}, expected {self.m}")
@@ -94,6 +88,8 @@ class DeterminantInstance(HyperbolicInstance):
 
     @staticmethod
     def size(mprime: int) -> int:
+        """m for these parameters, without building anything (serialize
+        checks a file's vectors against it before building h)."""
         return mprime * (mprime + 1) // 2
 
     def __init__(self, mprime: int):
