@@ -1,6 +1,6 @@
 """Hyperbolic-polynomial spectral discrepancy toolkit.
 
-Computes hyperbolic spectra (eigenvalues, norm, trace, rank), builds
+Computes hyperbolic spectra (eigenvalues and norm) and exact traces, builds
 interlacing families and mixed characteristic polynomials, verifies the
 operator identities and barrier root bounds numerically, and runs the
 blocked coefficient-oracle search against brute-force baselines.  A value's

@@ -72,11 +72,6 @@ class BarrierPoint:
     z: tuple
     t: float
 
-    def shift(self, i: int, amount: float) -> "BarrierPoint":
-        z = list(self.z)
-        z[i] += amount
-        return BarrierPoint(self.x, tuple(z), self.t)
-
 
 def _taus(inst) -> list:
     """tau_i = sqrt(Var x_i) for a signed instance, 1.0 for every subset element."""

@@ -261,9 +261,12 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def size(text: str) -> int:
-    """An int option that sizes an allocation or a loop; above sys.maxsize it
-    is a usage error, not an overflow or a loop that never ends."""
+    """An int option that sizes an allocation or a loop; below 0 or above
+    sys.maxsize it is a usage error, not an empty run, an overflow or a loop
+    that never ends."""
     value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
     if value > sys.maxsize:
         raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}")
     return value
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="brute vs blocked vs random baseline")
     p_bench.add_argument("--kind", default="kls-det",
                          choices=["kls-det", "kls-lorentz", "sr-ust"])
-    p_bench.add_argument("--count", type=int, default=5)
+    p_bench.add_argument("--count", type=size, default=5)
     p_bench.add_argument("--n", type=size, default=4)
     p_bench.add_argument("--mprime", type=size, default=2)
     p_bench.add_argument("--m", type=size, default=3)

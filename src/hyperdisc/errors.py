@@ -40,7 +40,9 @@ class DisconnectedGraph(HyperdiscError):
 
 
 class TooLarge(HyperdiscError):
-    """Desk-scale enumeration guardrail exceeded; refusing to approximate."""
+    """Refusing to approximate: a desk-scale enumeration guardrail is
+    exceeded, or an exact value lies past the binary64 range, where rounding
+    it would give an infinity."""
 
 
 class ValueNotInSupport(HyperdiscError):

@@ -2,9 +2,10 @@
 
 A degree-d homogeneous polynomial h with h(e) > 0 is hyperbolic in
 direction e when t -> h(te - x) is real-rooted for every real x.  The d
-roots of that restriction are the hyperbolic eigenvalues of x; their sum,
-largest magnitude and nonzero count give the hyperbolic trace, norm and
-rank.  Four instance kinds are supported:
+roots of that restriction are the hyperbolic eigenvalues of x, and their
+largest magnitude is the hyperbolic norm; the trace, their sum, is read
+exactly off two coefficients (hyperbolic_trace).  Four instance kinds are
+supported:
 
 * ``determinant``: h = det on vectorized symmetric matrices, e = vec(I);
 * ``lorentz``: h = x_m^2 - x_1^2 - ... - x_{m-1}^2, e = last basis vector;
@@ -32,7 +33,7 @@ import numpy as np
 from ._exact import _integer_rows, char_poly_exact, det_exact, principal_minors
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
-from .scalars import CONE_TOL, RANK_ZERO_TOL
+from .scalars import CONE_TOL
 from .unipoly import RootList, UniPoly, interpolate, real_roots
 
 
@@ -112,9 +113,6 @@ class DeterminantInstance(HyperbolicInstance):
             a[i][j] = x[idx]
             a[j][i] = x[idx]
         return a
-
-    def vec(self, a) -> tuple:
-        return tuple(a[i][j] for (i, j) in self._pairs)
 
     def vec_outer(self, u) -> tuple:
         """vec(u u^T): a certified hyperbolic-rank-<=1 cone vector."""
@@ -295,8 +293,6 @@ def lorentz(m: int) -> LorentzInstance:
 class Spectrum:
     eigenvalues: RootList  # descending, multiplicity-expanded, length d
     norm: float
-    trace: float
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -320,13 +316,8 @@ def spectrum(h: HyperbolicInstance, x) -> Spectrum:
             f"h(te - x) is not real-rooted for {h!r}; the instance is not "
             f"hyperbolic in direction e on this input ({exc})"
         ) from exc
-    # Trace from the coefficient ratio (exact sum of roots), not from the
-    # extracted floats.
-    trace = float(-rest.coeffs[-2] / rest.coeffs[-1]) if rest.degree >= 1 else 0.0
     norm = max(eigs[0], -eigs[-1]) if eigs else 0.0
-    gate = RANK_ZERO_TOL * max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else RANK_ZERO_TOL
-    rank = sum(1 for lam in eigs if abs(lam) > gate)
-    return Spectrum(tuple(eigs), float(norm), trace, rank)
+    return Spectrum(tuple(eigs), float(norm))
 
 
 def hyperbolic_trace(h: HyperbolicInstance, v):
@@ -351,23 +342,21 @@ def cone_membership(h: HyperbolicInstance, x) -> ConeVerdict:
     return ConeVerdict(status, float(lam_min))
 
 
-def rank1_product_derivative(h: HyperbolicInstance, indices, vectors, x,
-                             verify: bool = True):
-    """(prod_{i in S} D_{v_i}) h(x) for hyperbolic-rank-1 directions.
+def rank1_product_derivative(h: HyperbolicInstance, indices, vectors, x):
+    """(prod_{i in S} D_{v_i}) h(x) for hyperbolic-rank-<=1 rational directions.
 
     Because h is multilinear along rank-1 directions, the mixed derivative
     collapses to inclusion-exclusion over vertex sums:
     sum_{U subset S} (-1)^{|S|-|U|} h(x + sum_{i in U} v_i), which is exact.
+    The rank of each v_i, i in S, is checked exactly first, as
+    mixed_derivative_table checks it.
     """
     h.check_dim(x)
     s = list(indices)
-    if verify:
-        for i in s:
-            if spectrum(h, vectors[i]).rank > 1:
-                raise RankTooHigh(
-                    f"vector {i} has hyperbolic rank > 1; the multilinear "
-                    "inclusion-exclusion identity does not apply"
-                )
+    base = h.value(h.e)
+    for i in s:
+        slope = h.value(tuple(map(operator.add, h.e, vectors[i]))) - base
+        _require_rank_one(h, i, vectors[i], base, slope)
     total = None
     for r in range(len(s) + 1):
         for combo in itertools.combinations(s, r):
@@ -445,13 +434,19 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
     rows, scale = subset_moebius(
         h, vectors, lambda w: [h.value(tuple(a + b for a, b in zip(h.e, w)))])
     table = {mask: row[0] for mask, row in rows.items()}
-    base = table[0]
     for i, v in enumerate(vectors):
-        slope = table[1 << i]
-        for t in range(2, h.d + 1):
-            if scale * h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
-                raise _not_multilinear(i)
+        _require_rank_one(h, i, v, table[0], table[1 << i], scale)
     return table, scale
+
+
+def _require_rank_one(h: HyperbolicInstance, i: int, v, base, slope, scale=1):
+    """The exact rank test: RankTooHigh unless t -> scale h(e + t v) is
+    base + t slope.  The caller passes the line through its values at t = 0
+    and 1, so checking t = 2..d as well shows that this degree-<=d
+    polynomial has degree <= 1, which holds iff v has rank <= 1."""
+    for t in range(2, h.d + 1):
+        if scale * h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
+            raise _not_multilinear(i)
 
 
 def _not_multilinear(i: int) -> RankTooHigh:
@@ -500,26 +495,23 @@ def lorentz_form_table(h: LorentzInstance, vectors) -> tuple:
     return table, 1
 
 
-def derivative_restriction(h: HyperbolicInstance, vectors, indices,
-                           cache: dict | None = None) -> UniPoly:
+def derivative_restriction(h: HyperbolicInstance, vectors, indices, cache: dict) -> UniPoly:
     """(prod_{i in S} D_{v_i}) h(x e) as a univariate polynomial in x.
 
     Inclusion-exclusion over the restrictions x -> h(x e + sum_{i in U} v_i);
-    a shared cache keyed by U avoids recomputing restrictions across subsets.
+    the cache, keyed by U and shared across calls, holds each restriction
+    once.
     """
     s = tuple(sorted(indices))
 
     def restriction_for(combo: tuple) -> UniPoly:
-        if cache is not None and combo in cache:
-            return cache[combo]
-        base = [0] * h.m
-        for i in combo:
-            for idx in range(h.m):
-                base[idx] = base[idx] + vectors[i][idx]
-        rest = h.restrict_line(tuple(base), h.e)
-        if cache is not None:
-            cache[combo] = rest
-        return rest
+        if combo not in cache:
+            base = [0] * h.m
+            for i in combo:
+                for idx in range(h.m):
+                    base[idx] = base[idx] + vectors[i][idx]
+            cache[combo] = h.restrict_line(tuple(base), h.e)
+        return cache[combo]
 
     total = UniPoly.zero()
     for r in range(len(s) + 1):

@@ -12,7 +12,6 @@ ROOT_RESIDUAL_TOL = 1e-9  # real_roots: companion r kept if |p(r)| <= tol max|c|
 ROOT_IMAG_TOL = 1e-7  # real_roots: companion roots tried only if every |Im r| <= tol, rel
 BISECT_WIDTH_TOL = 1e-6  # _refine_root: bisection stops at bracket width <= tol, rel
 BRACKET_SLACK_TOL = 1e-9  # _refine_root: the Newton root may leave its bracket by tol
-RANK_ZERO_TOL = 1e-8  # spectrum: an eigenvalue counts toward the rank if |l| > tol, rel
 CONE_TOL = 1e-9  # cone_membership: l_min > tol is interior, l_min >= -tol boundary, rel
 CERTIFY_SLACK_TOL = 1e-9  # kadison_singer_search: certified <= bound + tol, rel, passes
 LAPLACIAN_ZERO_TOL = 1e-10  # effective_resistance_family: a Laplacian eigenvalue <= tol is 0

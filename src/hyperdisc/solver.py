@@ -79,7 +79,10 @@ def max_root_estimate(deg: int, k: int, coeffs, scale=1) -> float:
         raise ValueError(f"need an even k with 2 <= k <= degree, got k={k} deg={deg}")
     if len(coeffs) < k:
         raise ValueError("need the top k coefficients")
-    pk = float(power_sum(k, coeffs) / scale ** k)
+    try:
+        pk = float(power_sum(k, coeffs) / scale ** k)
+    except OverflowError as exc:
+        raise TooLarge(f"the power sum p_{k} lies past the binary64 range") from exc
     return max(pk, 0.0) ** (1.0 / k)
 
 
@@ -170,13 +173,12 @@ class SearchResult:
     assignment: tuple
     estimate: float
     certified: float
-    root_max: float
     bound: float
     oracle_calls: int
     seed: int
 
     def to_json(self) -> dict:
-        """Wire format: the fields the CLI prints, root_max excepted."""
+        """Wire format: the fields the CLI prints."""
         return {
             "assignment": [f"{s.numerator}/{s.denominator}" if isinstance(s, Fraction)
                            else s for s in self.assignment],
@@ -238,7 +240,7 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
     if certified > bound + CERTIFY_SLACK_TOL * max(1.0, abs(bound)):
         raise CertificationFailed(certified, bound)
     return SearchResult(assignment, float(last_estimate), float(certified),
-                        float(root_max), float(bound), oracle_calls, cfg.seed)
+                        float(bound), oracle_calls, cfg.seed)
 
 
 # ---------------------------------------------------------------------------

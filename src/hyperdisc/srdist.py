@@ -248,10 +248,6 @@ class IsotropicFamily:
     vectors: tuple
     basis: tuple  # rows of B, recorded for reproducibility
 
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
 
 def isotropic(h, vectors) -> bool:
     """Whether the vectors, added in order in binary64, are within

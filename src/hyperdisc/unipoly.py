@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateNode, NotRealRooted, ZeroPolynomial
+from .errors import DuplicateNode, NotRealRooted, TooLarge, ZeroPolynomial
 from .scalars import BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, ROOT_IMAG_TOL, ROOT_RESIDUAL_TOL
 
 # Multiplicity-expanded real roots, non-increasing order.
@@ -74,13 +74,6 @@ class UniPoly:
     @staticmethod
     def constant(c) -> "UniPoly":
         return UniPoly.from_coeffs([c])
-
-    @staticmethod
-    def from_roots(roots: Sequence, lead=1) -> "UniPoly":
-        p = UniPoly.constant(lead)
-        for r in roots:
-            p = p * UniPoly.from_coeffs([-r, 1])
-        return p
 
     @property
     def degree(self) -> int:
@@ -402,14 +395,18 @@ def real_roots(p: UniPoly) -> RootList:
     when every |Im r| <= ROOT_IMAG_TOL * max(1, |r|) and accepted when every
     root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * max|c| * max(1, |r|)^deg.
     On disagreement the exact Sturm route takes over and raises
-    :class:`NotRealRooted` when the certified count falls short.
+    :class:`NotRealRooted` when the certified count falls short.  A
+    coefficient past the binary64 range raises :class:`TooLarge`.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     deg = p.degree
     if deg == 0:
         return ()
-    c = [float(x) for x in p.coeffs]
+    try:
+        c = [float(x) for x in p.coeffs]
+    except OverflowError as exc:
+        raise TooLarge("a polynomial coefficient lies past the binary64 range") from exc
     # Exact zero roots come from trailing zero coefficients.
     nzero = 0
     while nzero <= deg and c[nzero] == 0.0:

@@ -291,6 +291,7 @@ def test_usage_errors_exit_1(capsys, tmp_path, argv):
 
 
 HUGE = str(10 ** 400)
+SIZE_ERRORS = {HUGE: f"must be at most {sys.maxsize}", "-1": "must be at least 0"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,6 +299,8 @@ HUGE = str(10 ** 400)
     ("bench", "--trials", HUGE),  # was a ValueError from random_baseline's np.zeros
     ("gen", "--kind", "kls-lorentz", "--m", HUGE),  # was an OverflowError
     ("bench", "--kind", "kls-lorentz", "--m", HUGE),
+    ("bench", "--count", "-1"),  # exited 0 with no rows
+    ("bench", "--trials", "-1"),  # exited 0 and dropped the baseline
 ])
 def test_oversized_size_option_exits_1_with_one_error_line(capsys, tmp_path, argv):
     inst_file = tmp_path / "inst.json"
@@ -308,7 +311,7 @@ def test_oversized_size_option_exits_1_with_one_error_line(capsys, tmp_path, arg
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].endswith(f"must be at most {sys.maxsize}")
+    assert len(errors) == 1 and errors[0].endswith(SIZE_ERRORS[argv[-1]])
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,12 +323,14 @@ def test_oversized_size_option_exits_1_with_one_error_line(capsys, tmp_path, arg
 def test_oversized_sizes_are_rejected_while_parsing(capsys, argv):
     # Parsed only, never run: run, a size near the bound would allocate or loop.
     parser = build_parser()
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args([HUGE if a == "SIZE" else a for a in argv])
-    assert exc.value.code == 2
-    assert f"must be at most {sys.maxsize}" in capsys.readouterr().err
-    args = parser.parse_args([str(sys.maxsize) if a == "SIZE" else a for a in argv])
-    assert sys.maxsize in (args.n, args.mprime)
+    for bad, message in SIZE_ERRORS.items():
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([bad if a == "SIZE" else a for a in argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    for good in (sys.maxsize, 0):
+        args = parser.parse_args([str(good) if a == "SIZE" else a for a in argv])
+        assert good in (args.n, args.mprime)
 
 
 def test_help_exits_0(capsys):
@@ -475,7 +480,7 @@ def _exits_1_with_one_error_line(capsys, path, message):
         assert code == 1, argv
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
 
 def test_huge_declared_lorentz_size_exits_1_before_allocating(capsys, tmp_path):
@@ -485,6 +490,18 @@ def test_huge_declared_lorentz_size_exits_1_before_allocating(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(blob))
     _exits_1_with_one_error_line(capsys, bad, f"vector has length 3, expected {2 ** 63}")
+
+
+@pytest.mark.parametrize("kind", [("kls-det", "--mprime", "2"), ("kls-lorentz", "--m", "3")],
+                         ids=["det", "lorentz"])
+def test_support_value_past_binary64_squared_exits_1(capsys, tmp_path, kind):
+    # 1e300 is finite and loads as the rational it is, but the root
+    # polynomial's coefficients and the power sums grow as its square.
+    blob = json.loads(run(capsys, "gen", "--kind", *kind, "--n", "4")[1])
+    blob["payload"]["variables"][0]["support"][0] = 1e300
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    _exits_1_with_one_error_line(capsys, bad, "lies past the binary64 range")
 
 
 @pytest.mark.parametrize("entry, value, message", [
@@ -682,6 +699,11 @@ def test_bench_rows(capsys):
     for row in blob["rows"]:
         assert row["blocked"] <= row["bound"] + 1e-9
         assert row["brute"] <= row["blocked"] + 1e-9
+
+
+def test_bench_count_0_writes_no_rows(capsys):
+    code, out = run(capsys, "bench", "--count", "0")
+    assert code == 0 and json.loads(out)["rows"] == []
 
 
 def test_bench_csv_no_baseline(capsys):

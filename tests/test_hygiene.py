@@ -1,6 +1,6 @@
 """Static checks over src/hyperdisc: no unused import, no unreferenced def,
-no def that only tests reach unless it is a reference route, and no float
-tolerance outside the table in scalars.py.
+no def or class member that only tests reach unless it is a reference
+route, and no float tolerance outside the table in scalars.py.
 
 A top-level def counts as referenced when its own module names it, or when
 any file under src/, tests/ or hdbench/ imports it by name or reads it as an
@@ -12,6 +12,13 @@ tests: from module-level code in src/ (the CLI's entry point among it), from
 hdbench/, or from the body of a def that is itself reached.  Names are
 matched without their module, so a shared name can only make a def look
 reached, never unreached.
+
+A class member (a method, a property or a dataclass field) is read when
+src/ reads it as an attribute or hdbench/ names it; the members of a
+reference-route class are exempt with it.  Names are matched without their
+class, so a member whose name anything else shares passes unflagged:
+hdbench's args.trace would hide a Spectrum.trace, and every other .n
+attribute an IsotropicFamily.n.
 """
 
 import ast
@@ -137,6 +144,35 @@ def test_only_reference_routes_are_unreached():
     for path in (ROOT / "tests").glob("test_*.py"):
         tested |= _imported_or_attribute(_parse(path))
     assert sorted(q for q in REFERENCE_ROUTES if q.split(".")[1] not in tested) == []
+
+
+def _members(node: ast.ClassDef) -> list:
+    """The methods and properties a class defines, dunders aside, and its
+    fields if it is a dataclass."""
+    out = [n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+           and not (n.name.startswith("__") and n.name.endswith("__"))]
+    decorators = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                  for d in node.decorator_list}
+    if "dataclass" in decorators:
+        out += [n.target.id for n in node.body
+                if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return out
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    read = set()
+    for path in _modules():
+        read |= {n.attr for n in ast.walk(_parse(path))
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for path in (ROOT / "hdbench").rglob("*.py"):
+        read |= _identifiers(_parse(path))
+    unread = []
+    for path in _modules():
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and f"{path.stem}.{node.name}" not in REFERENCE_ROUTES:
+                unread += [f"{path.stem}.{node.name}.{name}" for name in _members(node)
+                           if name not in read]
+    assert unread == []
 
 
 def _tolerance_table() -> set:

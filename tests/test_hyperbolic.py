@@ -30,6 +30,11 @@ L3 = lorentz(3)
 D2 = determinant(2)
 
 
+def _vec(h, a) -> tuple:
+    """The vector of the symmetric matrix a: its upper triangle, row by row."""
+    return tuple(a[i][j] for i in range(h.mprime) for j in range(i, h.mprime))
+
+
 def _dv(h, v, x):
     """(D_v h)(x), read off the restriction t -> h(x + t v) as barrier.phi does."""
     coeffs = h.restrict_line(tuple(x), tuple(v)).coeffs
@@ -48,7 +53,7 @@ def test_restrict_line_lorentz():
 
 
 def test_restrict_line_determinant_diagonal():
-    base = tuple(-v for v in D2.vec([[2, 0], [0, 3]]))
+    base = tuple(-v for v in _vec(D2, [[2, 0], [0, 3]]))
     p = D2.restrict_line(base, D2.e)
     assert p.coeffs == (Fraction(6), Fraction(-5), Fraction(1))  # (t-2)(t-3)
 
@@ -68,24 +73,25 @@ def test_spectrum_lorentz():
     sp = spectrum(L3, (3, 4, 1))
     assert sp.eigenvalues == pytest.approx((6.0, -4.0))
     assert sp.norm == pytest.approx(6.0)
-    assert sp.trace == pytest.approx(2.0)
-    assert sp.rank == 2
+    assert hyperbolic_trace(L3, (3, 4, 1)) == 2 == pytest.approx(sum(sp.eigenvalues))
+    assert all(lam != pytest.approx(0.0) for lam in sp.eigenvalues)  # rank 2
 
 
 def test_spectrum_determinant_diagonal():
-    sp = spectrum(D2, D2.vec([[2, 0], [0, 3]]))
+    x = _vec(D2, [[2, 0], [0, 3]])
+    sp = spectrum(D2, x)
     assert sp.eigenvalues == pytest.approx((3.0, 2.0))
     assert sp.norm == pytest.approx(3.0)
-    assert sp.trace == pytest.approx(5.0)
-    assert sp.rank == 2
+    assert hyperbolic_trace(D2, x) == 5 == pytest.approx(sum(sp.eigenvalues))
+    assert all(lam != pytest.approx(0.0) for lam in sp.eigenvalues)  # rank 2
 
 
 def test_spectrum_at_direction_is_all_ones():
     for h in (L3, D2, ElemSymInstance(4, 3)):
         sp = spectrum(h, h.e)
         assert sp.eigenvalues == pytest.approx((1.0,) * h.d)
-        assert sp.trace == pytest.approx(float(h.d))
-        assert sp.rank == h.d
+        assert hyperbolic_trace(h, h.e) == h.d == pytest.approx(sum(sp.eigenvalues))
+        assert all(lam != pytest.approx(0.0) for lam in sp.eigenvalues)  # rank d
 
 
 def test_cone_membership():
@@ -125,14 +131,14 @@ def test_trace_via_derivative_alpha_independent():
             v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(h.m))
             vals = [_trace_via_derivative(h, v, a) for a in (1, -1, 2, -2, 3)]
             assert all(val == hyperbolic_trace(h, v) for val in vals)
-            assert float(vals[0]) == pytest.approx(spectrum(h, v).trace, abs=1e-8)
+            assert float(vals[0]) == pytest.approx(sum(spectrum(h, v).eigenvalues), abs=1e-8)
 
 
 def test_exact_trace_matches_spectrum():
     rng = random.Random(5)
     for _ in range(10):
         v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
-        assert float(hyperbolic_trace(L3, v)) == pytest.approx(spectrum(L3, v).trace)
+        assert float(hyperbolic_trace(L3, v)) == pytest.approx(sum(spectrum(L3, v).eigenvalues))
 
 
 def test_rank1_product_derivative_empty_set():
@@ -152,7 +158,7 @@ def test_rank1_product_derivative_vanishes_beyond_degree():
 
 
 def test_rank1_product_derivative_rejects_high_rank():
-    v_full = D2.vec([[1, 0], [0, 1]])  # identity has rank 2
+    v_full = _vec(D2, [[1, 0], [0, 1]])  # identity has rank 2
     with pytest.raises(RankTooHigh):
         rank1_product_derivative(D2, (0,), (v_full,), D2.e)
 
@@ -168,7 +174,7 @@ def test_inclusion_exclusion_matches_iterated_derivative():
     x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(h.m))
     for size in range(0, 4):
         idx = tuple(range(size))
-        got = rank1_product_derivative(h, idx, vs, x, verify=False)
+        got = rank1_product_derivative(h, idx, vs, x)
         bordered = [row + [us[i][r] for i in idx] for r, row in enumerate(h.mat(x))]
         bordered += [list(us[i]) + [0] * size for i in idx]
         assert got == (-1) ** size * det_exact(bordered)
@@ -185,6 +191,27 @@ def test_eigenvalue_homogeneity():
                 assert scaled == pytest.approx(tuple(c * l for l in base), abs=1e-7)
             neg = spectrum(h, tuple(-v for v in x)).eigenvalues
             assert neg == pytest.approx(tuple(sorted((-l for l in base), reverse=True)), abs=1e-7)
+
+
+HOMOGENEITY_INSTANCES = [determinant(2), determinant(3), lorentz(3), lorentz(4),
+                         ElemSymInstance(4, 2), ElemSymInstance(4, 3)]
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@pytest.mark.parametrize("h", HOMOGENEITY_INSTANCES, ids=lambda h: f"{h.kind}-m{h.m}-d{h.d}")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_spectrum_homogeneity_on_exact_input(h, data):
+    # h has degree d, so h(t e - c x) = c^d h((t/c) e - x): the eigenvalues
+    # of c x are c times those of x, in reverse order for c < 0, and the
+    # norm scales by |c|.
+    x = tuple(data.draw(st.lists(_RATIONAL, min_size=h.m, max_size=h.m)))
+    c = data.draw(_RATIONAL.filter(bool))
+    base, scaled = spectrum(h, x), spectrum(h, tuple(c * v for v in x))
+    expect = sorted((float(c) * lam for lam in base.eigenvalues), reverse=True)
+    tol = 1e-7 * max(1.0, abs(float(c)) * base.norm)
+    assert scaled.eigenvalues == pytest.approx(expect, abs=tol)
+    assert scaled.norm == pytest.approx(abs(float(c)) * base.norm, abs=tol)
 
 
 def test_norm_equals_max_root_of_symmetric_product():
@@ -209,7 +236,7 @@ def _random_interior_point(h, rng):
         b = [[rng.uniform(-1, 1) for _ in range(h.mprime)] for _ in range(h.mprime)]
         a = [[sum(b[r][k] * b[c][k] for k in range(h.mprime)) + (0.25 if r == c else 0.0)
               for c in range(h.mprime)] for r in range(h.mprime)]
-        return h.vec(a)
+        return _vec(h, a)
     raise NotImplementedError
 
 
@@ -276,7 +303,7 @@ def test_custom_instance_from_spanning_tree_polynomial():
     assert sp.eigenvalues == pytest.approx((1.0, 1.0))
     # Rank-1 boundary direction: an edge indicator has a single nonzero
     # eigenvalue for this quadratic.
-    assert spectrum(h, (1, 0, 0)).rank == 1
+    assert spectrum(h, (1, 0, 0)).eigenvalues[1:] == pytest.approx((0.0,))
 
 
 @pytest.mark.parametrize("h", [
@@ -395,6 +422,10 @@ def test_derivative_restriction_polynomial():
     # (D_v h)(x e) for h = det_2, v = vec(uu^T): derivative of det(xI + t uu^T).
     u = (1, 1)
     v = D2.vec_outer(u)
-    poly = derivative_restriction(D2, [v], (0,))
+    cache = {}
+    poly = derivative_restriction(D2, [v], (0,), cache)
     # det(xI + t uu^T) = x^2 + 2tx, so D_v h(xe) = 2x.
     assert poly.coeffs == (Fraction(0), Fraction(2))
+    # One restriction per subset U of S, kept for the next call.
+    assert sorted(cache) == [(), (0,)]
+    assert derivative_restriction(D2, [v], (0,), cache) == poly

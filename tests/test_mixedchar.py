@@ -55,6 +55,7 @@ from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estim
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from stability_oracle import stability_test
+from unipoly_helpers import from_roots
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -225,26 +226,26 @@ def _has_common_interlacing(polys, samples: int = 16, seed: int = 0) -> bool:
 
 
 def test_common_interlacing_pass():
-    f1 = UniPoly.from_roots([1, 3])
-    f2 = UniPoly.from_roots([2, 4])
+    f1 = from_roots([1, 3])
+    f2 = from_roots([2, 4])
     assert _has_common_interlacing([f1, f2], samples=32)
 
 
 def test_common_interlacing_identical():
-    f = UniPoly.from_roots([1, 2])
+    f = from_roots([1, 2])
     assert _has_common_interlacing([f, f], samples=8)
 
 
 def test_common_interlacing_refuted():
     f1 = UniPoly.from_coeffs([Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
-    f2 = UniPoly.from_roots([0, 5])
+    f2 = from_roots([0, 5])
     assert not _has_common_interlacing([f1, f2], samples=16)
 
 
 def test_common_interlacing_float_lane():
     # Binary64 coefficients are rationals too, so the check stays exact.
-    f1 = UniPoly.from_roots([1.0, 3.0])
-    f2 = UniPoly.from_roots([2.0, 4.0])
+    f1 = from_roots([1.0, 3.0])
+    f2 = from_roots([2.0, 4.0])
     assert _has_common_interlacing([f1, f2], samples=32, seed=1)
     bad = UniPoly.from_coeffs([1.0, 0.0, 1.0])
     assert not _has_common_interlacing([bad, f2], samples=16, seed=1)

@@ -24,6 +24,7 @@ from hyperdisc.solver import (
 )
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly
+from unipoly_helpers import from_roots
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -52,7 +53,7 @@ def test_elem_to_power_matches_direct_sums():
     rng = random.Random(79)
     for _ in range(20):
         roots = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 6))]
-        poly = UniPoly.from_roots(roots)
+        poly = from_roots(roots)
         k = rng.randint(1, len(roots))
         assert power_sum(k, monic_top_coeffs(poly, k)) == sum(r ** k for r in roots)
 
@@ -84,7 +85,7 @@ def test_max_root_estimate_biquadratic():
 def test_max_root_estimate_equal_roots():
     c = 3
     n = 5
-    poly = UniPoly.from_roots([c] * n)
+    poly = from_roots([c] * n)
     est = max_root_estimate(n, 2, monic_top_coeffs(poly, 2))
     assert est == pytest.approx(c * math.sqrt(n))
 
@@ -106,7 +107,7 @@ def test_max_root_estimate_bracket_invariant():
         upper = sorted((rng.uniform(0.1, 4) for _ in range(half)), reverse=True)
         roots = upper + [-r for r in upper]
         deg = len(roots)
-        poly = UniPoly.from_roots(roots)
+        poly = from_roots(roots)
         lam1 = max(roots)
         for k in range(2, deg + 1, 2):
             est = max_root_estimate(deg, k, monic_top_coeffs(poly, k))
@@ -161,11 +162,11 @@ def test_maxcoeff_enum_leaf():
 
 
 def test_search_single_variable():
-    inst = _scalar_instance(1)
-    result = kadison_singer_search(KlsFamily(inst), SolverConfig(delta=0.5))
+    fam = KlsFamily(_scalar_instance(1))
+    result = kadison_singer_search(fam, SolverConfig(delta=0.5))
     assert result.assignment in ((Fraction(1),), (Fraction(-1),))
     assert result.certified == pytest.approx(1.0)
-    assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
+    assert result.certified <= (1 + 0.5) * fam.root_max_root() + 1e-9
 
 
 def test_search_matches_brute_on_toys():
@@ -174,13 +175,14 @@ def test_search_matches_brute_on_toys():
     result = kadison_singer_search(fam, SolverConfig(delta=0.5))
     _, best = brute_force(inst, "kls")
     assert result.certified >= best - 1e-12
-    assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
+    assert result.certified <= (1 + 0.5) * fam.root_max_root() + 1e-9
 
 
 def test_search_det_instance():
     inst = gen_kls_det(4, 2, seed=11, variables="rademacher")
-    result = kadison_singer_search(KlsFamily(inst), SolverConfig(delta=0.5))
-    assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
+    fam = KlsFamily(inst)
+    result = kadison_singer_search(fam, SolverConfig(delta=0.5))
+    assert result.certified <= (1 + 0.5) * fam.root_max_root() + 1e-9
     assert result.certified <= 4 * (1 + 0.5) * inst.sigma + 1e-9
     assert result.oracle_calls > 0
 
@@ -194,10 +196,11 @@ def test_search_point_mass_subset_family():
 
 def test_search_spanning_tree_family():
     inst = SrInstance.from_graph(complete_graph(3))
-    result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.5))
+    fam = AgFamily(inst)
+    result = kadison_singer_search(fam, SolverConfig(delta=0.5))
     _, best = brute_force(inst, "ag")
     assert result.certified >= best - 1e-9
-    assert result.certified <= (1 + 0.5) * result.root_max + 1e-9
+    assert result.certified <= (1 + 0.5) * fam.root_max_root() + 1e-9
 
 
 def test_brute_force_cancellation():

@@ -247,7 +247,7 @@ def test_probabilities_must_sum_to_one():
 
 def test_effective_resistance_k3():
     fam = effective_resistance_family(K3)
-    assert fam.n == 3
+    assert len(fam.vectors) == 3
     for vec in fam.vectors:
         assert spectrum(fam.h, vec).norm == pytest.approx(2 / 3, abs=1e-9)
     assert SrInstance.from_graph(K3).eps2 == pytest.approx(2 / 3, abs=1e-9)
@@ -261,7 +261,7 @@ def test_effective_resistance_k4():
 
 def test_effective_resistance_single_edge():
     fam = effective_resistance_family(path_graph(2))
-    assert fam.n == 1
+    assert len(fam.vectors) == 1
     assert fam.vectors[0] == pytest.approx((1.0,), abs=1e-9)
     assert SrInstance.from_graph(path_graph(2)).eps2 == pytest.approx(1.0, abs=1e-9)
 
@@ -278,6 +278,8 @@ def test_effective_resistance_rank_one():
     fam = effective_resistance_family(diamond_graph())
     for vec in fam.vectors:
         sp = spectrum(fam.h, vec)
-        assert sp.rank == 1
-        # Rank-1 cone vectors: norm equals trace.
-        assert sp.norm == pytest.approx(sp.trace, abs=1e-9)
+        assert sp.eigenvalues[1:] == pytest.approx((0.0,) * (fam.h.d - 1), abs=1e-9)
+        # Rank-1 cone vectors: norm equals trace, the sum of the eigenvalues.
+        trace = float(hyperbolic_trace(fam.h, vec))
+        assert trace == pytest.approx(sum(sp.eigenvalues), abs=1e-9)
+        assert sp.norm == pytest.approx(trace, abs=1e-9)

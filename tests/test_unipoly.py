@@ -24,6 +24,7 @@ from hyperdisc.unipoly import (
     square_free_decomposition,
     sturm_count_all_real,
 )
+from unipoly_helpers import from_roots
 
 X2_3X_2 = UniPoly.from_coeffs([2, -3, 1])  # (x-1)(x-2)
 
@@ -120,7 +121,7 @@ def test_interpolate_duplicate_abscissa():
 
 def test_square_free_decomposition():
     # (x-1)^2 (x+2)
-    p = UniPoly.from_roots([1, 1, -2])
+    p = from_roots([1, 1, -2])
     parts = square_free_decomposition(list(p.coeffs))
     mults = sorted(m for _, m in parts)
     assert mults == [1, 2]
@@ -137,7 +138,7 @@ def test_roundtrip_interpolation_rational():
     for _ in range(25):
         deg = rng.randint(1, 12)
         roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
-        p = UniPoly.from_roots(roots)
+        p = from_roots(roots)
         nodes = [(Fraction(i), p(Fraction(i))) for i in range(deg + 1)]
         q = interpolate(nodes)
         assert q.coeffs == p.coeffs
@@ -148,7 +149,7 @@ def test_roundtrip_interpolation_float():
     for _ in range(15):
         deg = rng.randint(1, 10)
         roots = [rng.uniform(-3, 3) for _ in range(deg)]
-        p = UniPoly.from_roots(roots)
+        p = from_roots(roots)
         off = deg // 2  # symmetric integer nodes keep the system well conditioned
         nodes = [(float(i - off), p(float(i - off))) for i in range(deg + 1)]
         q = interpolate(nodes)
@@ -162,8 +163,8 @@ def test_product_root_multiset_union():
     for _ in range(20):
         r1 = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)))
         r2 = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)))
-        p = UniPoly.from_roots(r1)
-        q = UniPoly.from_roots(r2)
+        p = from_roots(r1)
+        q = from_roots(r2)
         got = real_roots(p * q)
         expect = sorted(r1 + r2, reverse=True)
         # Repeated roots across the two factors are only sqrt(eps)-accurate.
@@ -175,14 +176,14 @@ def test_is_real_rooted_agrees_with_random_products():
     for _ in range(300):
         deg = rng.randint(1, 6)
         roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(deg)]
-        p = UniPoly.from_roots(roots)
+        p = from_roots(roots)
         assert is_real_rooted(p) is True
     for _ in range(100):
         # Positive-definite quadratic times a real-rooted tail.
         b = rng.randint(-5, 5)
         c = rng.randint(1, 9) + b * b  # discriminant 4b^2-4c < 0
         quad = UniPoly.from_coeffs([c, 2 * b, 1])
-        tail = UniPoly.from_roots([rng.randint(-4, 4)])
+        tail = from_roots([rng.randint(-4, 4)])
         assert is_real_rooted(quad * tail) is False
 
 
@@ -219,7 +220,7 @@ def test_newton_polish_stops_when_no_root_moves(monkeypatch):
     monkeypatch.setattr(unipoly, "_horner", counting)
     monkeypatch.setattr(unipoly, "_polish", per_root_count)
     expect = [0.5, -1.5, 2.5, 3.25, -0.75, 1.1]
-    roots = real_roots(UniPoly.from_roots(expect))
+    roots = real_roots(from_roots(expect))
     assert roots == pytest.approx(sorted(expect, reverse=True), abs=1e-9)
     assert len(per_root) == 6
     assert max(per_root) <= 1 + 2 + 9
@@ -248,7 +249,7 @@ def test_polish_never_raises_the_residual(coeffs, r, huge, tiny, roots):
     # huge + tiny x: the step huge / tiny overflows to inf, so r stays.
     assert unipoly._polish([huge, tiny], [tiny], r) == r
     # Both routes return Python floats, not numpy scalars.
-    for p in (UniPoly.from_roots(roots), UniPoly.from_roots(roots + roots[:1] * 3)):
+    for p in (from_roots(roots), from_roots(roots + roots[:1] * 3)):
         try:
             got = real_roots(p)
         except NotRealRooted:  # float products of near-equal roots may round off the real line
@@ -274,11 +275,11 @@ def _root_bits_batch() -> list:
         centre = rng.uniform(-3, 3)
         roots = [centre + rng.uniform(-1, 1) * 10.0 ** -rng.randint(2, 4)
                  for _ in range(rng.randint(2, 3))]
-        polys.append(UniPoly.from_roots(roots + [rng.uniform(-5, 5)
+        polys.append(from_roots(roots + [rng.uniform(-5, 5)
                                                  for _ in range(rng.randint(0, 3))]))
     for _ in range(20):  # exact products with roots of multiplicity up to 4
         roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
-        polys.append(UniPoly.from_roots([r for r in roots for _ in range(rng.randint(1, 4))]
+        polys.append(from_roots([r for r in roots for _ in range(rng.randint(1, 4))]
                                         + [Fraction(rng.randint(-9, 9))]))
     return polys
 
@@ -309,7 +310,7 @@ def test_clustered_roots_pass_the_companion_route(monkeypatch):
     # The polished companion roots pass the residual gate; Sturm is not needed.
     monkeypatch.setattr(unipoly, "_exact_real_roots", lambda p: pytest.fail("Sturm route taken"))
     eps = Fraction(1, 2 ** 20)
-    p = UniPoly.from_roots([Fraction(1), 1 + eps, Fraction(-3)])
+    p = from_roots([Fraction(1), 1 + eps, Fraction(-3)])
     roots = real_roots(p)
     assert len(roots) == 3
     assert roots[2] == pytest.approx(-3.0, abs=1e-9)
@@ -321,7 +322,7 @@ def test_exact_route_builds_one_sturm_chain_per_factor(monkeypatch):
     chains = []
     build = unipoly._sturm_chain
     monkeypatch.setattr(unipoly, "_sturm_chain", lambda c: chains.append(c) or build(c))
-    p = UniPoly.from_roots([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)])
+    p = from_roots([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)])
     roots = unipoly._exact_real_roots(p)
     assert len(chains) == 2
     assert roots == pytest.approx((3.0, 1.0, 1.0, -2.0))
@@ -380,7 +381,7 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
     # factors; every isolating interval (a, b] keeps its open left end off
     # the roots, which is what lets _refine_root read the sign of c(a).
     roots = roots + data.draw(st.lists(st.sampled_from(roots), max_size=4))
-    p = UniPoly.from_roots(roots)
+    p = from_roots(roots)
     got = unipoly._exact_real_roots(p)
     expect = tuple(float(r) for r in sorted(roots, reverse=True))
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
