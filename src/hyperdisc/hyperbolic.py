@@ -191,8 +191,18 @@ class LorentzInstance(HyperbolicInstance):
         return UniPoly.from_coeffs([self.value(base), c1, c2])
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        """|x_m| + ||(x_1..x_{m-1})||, the largest eigenvalue magnitude, per row."""
-        return np.abs(rows[:, -1]) + np.sqrt(np.sum(rows[:, :-1] ** 2, axis=1))
+        """|x_m| + ||(x_1..x_{m-1})||, the largest eigenvalue magnitude, per row.
+
+        A row whose sum of squares overflows takes its length from hypot,
+        which scales as it goes; every other row keeps the plain sum's bits.
+        """
+        space = rows[:, :-1]
+        with np.errstate(over="ignore"):
+            length = np.sqrt(np.sum(space ** 2, axis=1))
+        big = np.isinf(length)
+        if big.any():
+            length[big] = np.hypot.reduce(space[big], axis=1, initial=0.0)
+        return np.abs(rows[:, -1]) + length
 
     def params(self) -> dict:
         return {"kind": self.kind, "m": self.m}

@@ -91,6 +91,8 @@ stacked restriction h.restrict_e_rows, on chunks of LEAF_CHUNK sets, gives
 the floats or Fractions of one restriction per set.  A prefix's node is the
 sum of the rows whose set agrees with it, added in support order from 0,
 which is the order the per-set sum takes, so both give the same values.
+Each committed prefix conditions the table (AgFamily.commit): the next
+round compares only its block's columns, on the rows that agree with it.
 """
 
 from __future__ import annotations
@@ -295,14 +297,34 @@ class LeafTable:
     d + 1 ascending coefficients of mu(S) * h(xe - sum_{i in S} v_i): rows
     is a float64 array for float vectors and an object array of Fractions
     for exact ones.
+
+    The table is conditioned on the search's committed prefix (commit), as
+    KlsFamily.commit folds the signed table: a prefix that extends it is
+    compared on the committed rows alone, and only on its columns past the
+    commit.  The answers do not depend on what was committed.
     """
 
     members: np.ndarray
     rows: np.ndarray
     _last: list = field(default_factory=lambda: [None, None], repr=False)
+    _committed: list = field(default_factory=lambda: [(), None], repr=False)
+    _codes: dict = field(default_factory=dict, repr=False)
+
+    def commit(self, prefix) -> None:
+        """Keep the rows that agree with a committed prefix."""
+        prefix = tuple(prefix)
+        self._committed[:] = [prefix, self.agreeing(prefix)]
+        self._codes.clear()
 
     def agreeing(self, partial) -> np.ndarray:
-        """Which support sets agree with a 0/1 membership prefix.
+        """Indices, in support order, of the support sets that agree with a
+        0/1 membership prefix.
+
+        A prefix that extends the committed one is compared on the committed
+        rows, any other on the whole table.  Either way its columns past
+        that base are packed into one code per row, bit i for column
+        len(base) + i, computed once per base and length and kept until the
+        next commit: a round asks for one length only.
 
         The last prefix's answer is kept: the search asks whether a prefix
         is feasible and then for its node, and both need the same rows.
@@ -310,8 +332,17 @@ class LeafTable:
         """
         key = tuple(partial)
         if self._last[0] != key:
-            bits = np.asarray(key, dtype=bool)
-            self._last[:] = [key, (self.members[:, :len(bits)] == bits).all(axis=1)]
+            done, rows = self._committed
+            if rows is None or key[:len(done)] != done:
+                done, rows = (), np.arange(len(self.members))
+            lo, bits = len(done), key[len(done):]
+            codes = self._codes.get((lo, len(bits)))
+            if codes is None:
+                weights = np.array([1 << i for i in range(len(bits))],
+                                   dtype=np.int64 if len(bits) < 64 else object)
+                codes = self._codes[lo, len(bits)] = self.members[rows, lo:lo + len(bits)] @ weights
+            target = sum(1 << i for i, bit in enumerate(bits) if bit)
+            self._last[:] = [key, rows[codes == target]]
         return self._last[1]
 
 
@@ -649,7 +680,7 @@ def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
     from 0."""
     table = inst.leaf_table
     hits = table.agreeing(partial)
-    if not hits.any():
+    if not len(hits):
         raise EmptyBranch(f"no support set extends prefix {partial!r}")
     # cumsum adds row by row; + 0 gives the 0.0 that a sum started at 0
     # leaves where cumsum keeps a -0.0, and leaves Fractions exact.
@@ -798,14 +829,17 @@ class AgFamily:
         return ag_node_poly(self.inst, tuple(prefix))
 
     def commit(self, assignment) -> None:
-        """Nothing to fold: every node is a sum of leaf-table rows."""
+        """Condition the leaf table on a committed prefix, so that the next
+        round compares only its block's columns, on the rows that agree
+        with the commit."""
+        self.inst.leaf_table.commit(assignment)
 
     def scaled_top_coeffs(self, prefix, k: int):
         """None: the oracle reads node_poly, the sum of leaf-table rows."""
         return None
 
     def feasible(self, prefix) -> bool:
-        return bool(self.inst.leaf_table.agreeing(prefix).any())
+        return len(self.inst.leaf_table.agreeing(prefix)) > 0
 
     def root_max_root(self) -> float:
         return max_real_root(self.node_poly(()))

@@ -14,7 +14,7 @@ Coefficients come from the family's node polynomial, and both families
 read it off a per-instance table (see mixedchar): a signed inner node is
 summed from the mixed-derivative coefficient table, so no completion is
 enumerated, and a subset node from the leaf table, so no leaf is restricted
-twice.
+twice; the table is conditioned on each round's commit (AgFamily.commit).
 
 Exact coefficients stay ints.  The oracle answers (C, q) with monic
 coefficients c_j = C_j / q^j, and because p_j has weight j in the c_i,

@@ -57,7 +57,8 @@ class SRDistribution:
         ``items`` is an iterable of (elements, probability); elements must
         be ints.  Probabilities must be positive and sum to exactly one, a
         binary64 probability counting as the rational it is.  Real stability
-        is assumed, not checked.
+        is assumed, not checked.  Sets are sorted, and the rows stably put in
+        lexicographic order, only when they are not already.
         """
         items = list(items)
         if not items:
@@ -76,18 +77,25 @@ class SRDistribution:
         if len(sizes) != 1:
             raise ValueError("distribution is not homogeneous")
         d_mu = sizes.pop()
-        rows = np.sort(elems.reshape(len(sets), d_mu), axis=1)
-        if (rows[:, 1:] == rows[:, :-1]).any():
-            raise ValueError("support sets cannot repeat elements")
+        rows = elems.reshape(len(sets), d_mu)
+        in_order = bool((rows[:, 1:] > rows[:, :-1]).all())
+        if not in_order:
+            rows = np.sort(rows, axis=1)
+            if (rows[:, 1:] == rows[:, :-1]).any():
+                raise ValueError("support sets cannot repeat elements")
         weights, denom = _integer_weights(probs)
         if min(weights) <= 0:
             raise ValueError("probabilities must be positive")
         if sum(weights) != denom:
             raise ValueError(f"probabilities sum to {Fraction(sum(weights), denom)}, not 1")
-        order = np.lexsort(rows.T[::-1]) if d_mu else np.arange(len(rows))
-        rows = rows[order]
+        if not _ascending(rows):
+            in_order = False
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            probs = map(probs.__getitem__, order.tolist())
         rows.setflags(write=False)
-        support = tuple(zip(map(tuple, rows.tolist()), map(probs.__getitem__, order.tolist())))
+        # Sets that arrive sorted, in order, are the support's tuples as they are.
+        support = tuple(zip(map(tuple, sets if in_order else rows.tolist()), probs))
         return SRDistribution(n, support, d_mu, rows)
 
     @functools.cached_property
@@ -106,6 +114,16 @@ class SRDistribution:
         """The formula's operator prefixes applied to g, keyed by
         (x0, ((i, i in S), ...)) over a sorted prefix of K."""
         return {}
+
+
+def _ascending(rows: np.ndarray) -> bool:
+    """Whether the rows are in lexicographic order: where two neighbours
+    first differ, the later one is larger."""
+    diff = np.diff(rows, axis=0)
+    if not diff.size:
+        return True
+    first = (diff != 0).argmax(axis=1)
+    return bool((diff[np.arange(len(diff)), first] >= 0).all())
 
 
 def uniform_spanning_tree(graph: Graph) -> SRDistribution:

@@ -328,6 +328,29 @@ def test_norms_agree_with_spectrum_row_by_row(h):
             assert norm == expect
 
 
+@pytest.mark.parametrize("h", [lorentz(2), lorentz(3), lorentz(5)], ids=["m2", "m3", "m5"])
+def test_lorentz_norms_past_the_square_root_of_binary64(h):
+    rng = np.random.default_rng(h.m)
+    rows = rng.uniform(-3, 3, size=(12, h.m))
+    big = np.zeros(len(rows), dtype=bool)
+    big[[1, 4, 7]] = True
+    rows[1, 0] = -3e300
+    rows[4, :-1] = 1e200
+    rows[7, 0], rows[7, -1] = 2e154, -1e300
+    with np.errstate(all="raise"):
+        norms = h.norms(rows)
+    # Every row whose squares stay finite keeps the plain sum's bits.
+    small = rows[~big]
+    plain = np.abs(small[:, -1]) + np.sqrt(np.sum(small[:, :-1] ** 2, axis=1))
+    assert [x.hex() for x in norms[~big]] == [x.hex() for x in plain]
+    for row, norm in zip(rows[big], norms[big]):
+        space = [Fraction(x) for x in row[:-1]]
+        scale = max(abs(x) for x in space)
+        length = float(scale) * float(sum((x / scale) ** 2 for x in space)) ** 0.5
+        assert np.isfinite(norm)
+        assert norm == pytest.approx(abs(row[-1]) + length, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # The stacked restriction along e against one restrict_line per row.
 # ---------------------------------------------------------------------------

@@ -986,3 +986,99 @@ def test_blocked_search_builds_the_leaf_table_once(monkeypatch):
     assert result.oracle_calls > 1
     # The one-row calls are restrict_line's, for the spectrum of the leaf.
     assert [n for n in builds if n > 1] == [len(inst.mu.support)]
+
+
+def _full_scan(table, prefix) -> np.ndarray:
+    """The rows whose set agrees with a prefix, by comparing every row of the
+    table on every prefix column (the route before the table was
+    conditioned on the commit)."""
+    bits = np.asarray(prefix, dtype=bool)
+    return np.flatnonzero((table.members[:, :len(bits)] == bits).all(axis=1))
+
+
+def _exact_bits(coeffs) -> list:
+    """Each coefficient by value and type: a float as its hex, a Fraction as
+    itself."""
+    return [c.hex() if isinstance(c, float) else (type(c), c) for c in coeffs]
+
+
+def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
+    """Walk the rounds of a blocked search, committing a random feasible
+    tuple each round, and check every tuple of every round, the leaf and
+    the root against the full scan; then commit a prefix that does not
+    extend the last commit and check again."""
+    table = inst.leaf_table
+    family = AgFamily(inst)
+    rng = random.Random(seed)
+
+    def check(prefix):
+        expect = _full_scan(table, prefix)
+        assert family.feasible(prefix) == (len(expect) > 0), prefix
+        assert np.array_equal(table.agreeing(prefix), expect), prefix
+        if not len(expect):
+            with pytest.raises(EmptyBranch):
+                ag_node_poly(inst, prefix)
+            return False
+        want = UniPoly.from_coeffs((np.cumsum(table.rows[expect], axis=0)[-1] + 0).tolist())
+        assert _exact_bits(ag_node_poly(inst, prefix).coeffs) == _exact_bits(want.coeffs), prefix
+        return True
+
+    def rounds(assignment):
+        for lo in range(len(assignment), inst.n, block):
+            combos = itertools.product((0, 1), repeat=min(block, inst.n - lo))
+            feasible = [combo for combo in combos if check(assignment + combo)]
+            assignment += rng.choice(feasible)
+            if len(assignment) < inst.n:
+                family.commit(assignment)
+        check(assignment)
+        return assignment
+
+    leaf = rounds(())
+    check(())
+    # A commit that does not extend the last one: a feasible prefix of
+    # another support set, which leaves the search's prefixes uncommitted.
+    others = [elems for elems, _ in inst.mu.support
+              if tuple(int(i in elems) for i in range(inst.n)) != leaf]
+    if others:
+        elems = rng.choice(others)
+        start = tuple(int(i in elems) for i in range(rng.randrange(inst.n)))
+        family.commit(start)
+        for ell in range(inst.n + 1):
+            check(leaf[:ell])
+        rounds(start)
+        check(())
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("spec", ["c4", "k4", "k5", "diamond", "random:6:8:0", "random:7:9:1",
+                                  "random:6:10:2"])
+def test_conditioned_leaf_table_equals_the_full_scan(spec, exact):
+    inst = SrInstance.from_graph(_graph(spec), exact=exact)
+    assert inst.leaf_table.rows.dtype == (object if exact else np.float64)
+    for block, seed in [(1, 0), (2, 1), (3, 2)]:
+        _assert_conditioned_route_matches_full_scan(inst, block, seed)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 7), st.integers(0, 10**6), st.integers(1, 4))
+def test_conditioned_leaf_table_equals_the_full_scan_on_generated_graphs(nv, extra, seed, block):
+    max_edges = nv * (nv - 1) // 2
+    inst = SrInstance.from_graph(random_connected_graph(nv, min(nv - 1 + extra, max_edges), seed))
+    _assert_conditioned_route_matches_full_scan(inst, block, seed)
+
+
+def test_a_round_after_a_commit_reads_only_the_committed_rows():
+    inst = SrInstance.from_graph(_graph("random:9:16:1"))
+    table = inst.leaf_table
+    commit = (1, 0, 1)
+    AgFamily(inst).commit(commit)
+    committed = _full_scan(table, commit)
+    assert 0 < len(committed) < len(table.members) // 4
+    combos = list(itertools.product((0, 1), repeat=3))
+    want = {combo: _full_scan(table, commit + combo) for combo in combos}
+    # Flip every row outside the commit: the rounds that extend it must
+    # not read them.
+    outside = np.setdiff1d(np.arange(len(table.members)), committed)
+    table.members[outside] = ~table.members[outside]
+    for combo in combos:
+        assert np.array_equal(table.agreeing(commit + combo), want[combo]), combo

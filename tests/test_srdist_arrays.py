@@ -258,3 +258,82 @@ def test_leaf_table_members_match_per_set_loop():
         members = inst.leaf_table.members
         assert members.dtype == bool
         assert np.array_equal(members, reference_members(inst.mu))
+
+
+@pytest.mark.parametrize("graph", [complete_graph(4), diamond_graph(), complete_graph(5),
+                                   random_connected_graph(7, 10, 1)],
+                         ids=["k4", "diamond", "k5", "random:7:10:1"])
+def test_from_support_gives_one_distribution_for_any_input_order(graph):
+    mu = uniform_spanning_tree(graph)
+    items = list(mu.support)
+    shuffled = random.Random(5).sample(items, len(items))
+    variants = {
+        "generated": items,
+        "shuffled rows": shuffled,
+        "reversed sets": [(elems[::-1], p) for elems, p in items],
+        "both, as lists": [(list(elems[::-1]), p) for elems, p in shuffled],
+    }
+    for name, variant in variants.items():
+        got = SRDistribution.from_support(mu.n, variant)
+        assert got.support == mu.support, name
+        assert all(type(elems) is tuple for elems, _ in got.support), name
+        assert got.sets.tolist() == mu.sets.tolist() and not got.sets.flags.writeable, name
+
+
+def test_from_support_keeps_duplicate_sets_in_input_order():
+    a, b, c = Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)
+    cases = [
+        ([((0, 1), a), ((0, 1), b), ((0, 2), c)], [((0, 1), a), ((0, 1), b), ((0, 2), c)]),
+        ([((0, 2), c), ((1, 0), b), ((0, 1), a)], [((0, 1), b), ((0, 1), a), ((0, 2), c)]),
+        ([((0, 1), b), ((0, 2), c), ((0, 1), a)], [((0, 1), b), ((0, 1), a), ((0, 2), c)]),
+    ]
+    for items, want in cases:
+        assert list(SRDistribution.from_support(3, items).support) == want
+
+
+def _set_entry(value):
+    def fault(sets, probs):
+        sets[5][1] = value
+    return fault
+
+
+def _drop_entry(sets, probs):
+    del sets[5][-1]
+
+
+def _repeat_entry(sets, probs):
+    sets[5][1] = sets[5][0]
+
+
+def _move_weight(sets, probs):
+    probs[6] += probs[5]
+    probs[5] = 0
+
+
+def _double_weight(sets, probs):
+    probs[5] *= 2
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_set_entry(True), "support elements must be ints"),
+    (_set_entry(1.0), "support elements must be ints"),
+    (_set_entry(6), "support element out of range"),
+    (_set_entry(-1), "support element out of range"),
+    (_drop_entry, "distribution is not homogeneous"),
+    (_repeat_entry, "support sets cannot repeat elements"),
+    (_move_weight, "probabilities must be positive"),
+    (_double_weight, "probabilities sum to 17/16, not 1"),
+], ids=["bool", "float", "out-of-range", "negative", "ragged", "repeat", "non-positive", "sum"])
+@pytest.mark.parametrize("order", ["generated", "shuffled"])
+def test_from_support_raises_the_same_message_in_any_order(fault, message, order):
+    # k4 has 16 spanning trees of 3 of its 6 edges, each with probability 1/16.
+    mu = uniform_spanning_tree(complete_graph(4))
+    items = list(mu.support)
+    if order == "shuffled":
+        items = random.Random(2).sample(items, len(items))
+    sets = [list(elems) for elems, _ in items]
+    probs = [p for _, p in items]
+    fault(sets, probs)
+    with pytest.raises(ValueError) as err:
+        SRDistribution.from_support(mu.n, zip(sets, probs))
+    assert str(err.value) == message
