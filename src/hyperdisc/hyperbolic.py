@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _integer_rows, char_poly_exact, det_exact, principal_minors
+from ._exact import _integer_rows, char_poly_exact, char_polys, det_exact, principal_minors
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
 from .scalars import CONE_TOL
@@ -64,8 +64,10 @@ class HyperbolicInstance:
     def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
         """Ascending coefficients of t -> h(base + t e), one row of d + 1
         (the top one is h(e) > 0) per base: restrict_line's, as float64 for
-        float bases and as an object array of Fractions for exact ones."""
-        return np.array([self.restrict_line(tuple(base), self.e).coeffs for base in bases])
+        float bases and as an object array of exact coefficients for exact
+        ones."""
+        return np.array([self.restrict_line(tuple(base), self.e).coeffs for base in bases],
+                        dtype=bases.dtype)
 
     def _interp_restrict(self, base, dirv) -> UniPoly:
         return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
@@ -147,12 +149,24 @@ class DeterminantInstance(HyperbolicInstance):
         return np.max(np.abs(np.linalg.eigvalsh(self._stack(rows))), axis=1)
 
     def restrict_e_rows(self, bases: np.ndarray) -> np.ndarray:
-        """det(tI + A) per base, the one float route along e (restrict_line
-        sends its float bases here): one stacked eigvalsh, then the factors
-        t + lambda_k multiplied in eigenvalue order.  Exact stacks go to the
-        default."""
+        """det(tI + A) per base.
+
+        Float stacks take the one float route along e (restrict_line sends
+        its float bases here): one stacked eigvalsh, then the factors
+        t + lambda_k multiplied in eigenvalue order.  Exact stacks of ints
+        and Fractions give restrict_line's Fractions from one call of
+        _exact.char_polys: the stack is scaled once by the lcm D of its
+        denominators, and the coefficient of t^(d-k) of det(tI - D(-A)) is
+        divided by D^k at the end.
+        """
         if bases.dtype == object:
-            return super().restrict_e_rows(bases)
+            ints, scale = _integer_rows(bases.tolist())
+            mats = np.empty((len(bases), self.d, self.d), dtype=object)
+            i, j = self._upper
+            mats[:, i, j] = mats[:, j, i] = -np.array(ints, dtype=object).reshape(len(bases), self.m)
+            powers = [scale ** k for k in range(self.d, -1, -1)]
+            return np.array([list(map(Fraction, row, powers)) for row in char_polys(mats).tolist()],
+                            dtype=object).reshape(len(bases), self.d + 1)
         eigs = np.linalg.eigvalsh(self._stack(bases))
         desc = np.zeros((self.d + 1, len(bases)))  # descending coefficients, a column per base
         desc[0] = 1.0
@@ -404,15 +418,17 @@ def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
     for every |T| <= d, keyed by bitmask in increasing order, where
     w_U = sum_{i in U} v_i.
 
-    vertex maps each w_U to a list of rationals, all of one length; it is
-    called once per U.  E is the lcm of their denominators, so the rows are
-    lists of ints, and one in-place subset Moebius transform over those ints
-    turns every vertex row into every alternating sum, entry by entry.
+    vertex is stacked: it is called once, on the list of every w_U in
+    increasing mask order, and returns one row of rationals per w_U, all of
+    one length (a list of lists or a 2-d object array).  E is the lcm of
+    their denominators, so the rows become lists of ints, and one in-place
+    subset Moebius transform over those ints turns every vertex row into
+    every alternating sum, entry by entry.
     """
     masks = subsets_up_to(len(vectors), h.d)
     points = subset_accumulate(masks, vectors, lambda w, v: tuple(map(operator.add, w, v)),
                                (0,) * h.m)
-    ints, scale = _integer_rows([vertex(points[mask]) for mask in masks])
+    ints, scale = _integer_rows(vertex([points[mask] for mask in masks]))
     rows = dict(zip(masks, ints))
     for i in range(len(vectors)):
         bit = 1 << i
@@ -442,7 +458,7 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
     for v in vectors:
         h.check_dim(v)
     rows, scale = subset_moebius(
-        h, vectors, lambda w: [h.value(tuple(a + b for a, b in zip(h.e, w)))])
+        h, vectors, lambda ws: [[h.value(tuple(map(operator.add, h.e, w)))] for w in ws])
     table = {mask: row[0] for mask, row in rows.items()}
     for i, v in enumerate(vectors):
         _require_rank_one(h, i, v, table[0], table[1 << i], scale)

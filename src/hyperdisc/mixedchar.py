@@ -26,8 +26,10 @@ with A_S(x) = (prod_{i in S} D_{v_i}) h(xe) and g^(S)(x*1) =
 sum_{T in supp, T >= S} mu(T) x^(|T|-|S|).  The collapse is exact (higher
 z-powers cannot occur), so both routes can be compared coefficient-wise
 over Fractions.  The signed collapse (kls_operator_form) is
-summed over ints: one restriction of h along e per subset of at most d of
-the integer vectors D v_i below, one subset Moebius transform
+summed over ints: the restrictions of h along e at the sums of every subset
+of at most d of the integer vectors D v_i below, taken in one stacked call
+(h.restrict_e_rows; for det, one batched characteristic-polynomial kernel
+over the whole stack), one subset Moebius transform
 (hyperbolic.subset_moebius) and one division at the end.  It never reads
 the table, so it checks the table's root polynomial by an independent
 route.
@@ -641,8 +643,9 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     Equals kls_node_poly(inst) coefficient-wise; evaluated through the exact
     signed subset sum sum_S (-1)^|S| tau_S^2 A_S^2 rather than a symbolic
     multivariate expansion, over ints.  The restriction route: with D, L and
-    the int vectors D v_i of inst.integer_data, subset_moebius turns the
-    restrictions x -> h(xe + sum_{i in U} D v_i), |U| <= d, into
+    the int vectors D v_i of inst.integer_data, one stacked call of
+    h.restrict_e_rows takes the restrictions x -> h(xe + sum_{i in U} D v_i)
+    for every |U| <= d at once, and subset_moebius turns them into
     A'_S = E D^|S| A_S as int coefficient lists (A_S vanishes for |S| > d, a
     product of more than d derivatives of a degree-d form).  Then
 
@@ -655,7 +658,8 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     """
     vec_scale, var_scale, vectors, _, variances = inst.integer_data
     h, d = inst.h, inst.h.d
-    rows, outer = subset_moebius(h, vectors, lambda w: list(h.restrict_line(w, h.e).coeffs))
+    rows, outer = subset_moebius(h, vectors,
+                                 lambda ws: h.restrict_e_rows(np.array(ws, dtype=object)))
     step = (var_scale * vec_scale) ** 2
     total = [0] * (2 * d + 1)
     for mask, weight in subset_accumulate(rows, variances, operator.mul, 1).items():

@@ -10,12 +10,17 @@ derivative formula on the generating polynomial,
 
 whose value is independent of the dummy scalar x != 0.  Derivatives commute
 with the shift, so the operators are applied to g and the result is read at
-x 1.  The operators have constant coefficients and commute with each other,
-so they are applied in sorted order of K, and each distribution keeps every
-operator prefix it has built for a given x: a query that shares a prefix
-with an earlier one starts from the stored polynomial.  Both the formula and
-a direct support-sum oracle are provided so they can be checked against each
-other exactly.
+x 1.  The formula runs over Python ints: g is scaled by the lcm q of the
+probabilities' denominators and kept as {bitmask of a support set: int},
+d/dz_i stays over ints, and with x = a/b the operator (1 - x d/dz_i) is
+applied as b p - a d/dz_i p, one more factor b in the denominator.  One
+Fraction is built at the end.  The operators have constant coefficients
+and commute with each other, so they are applied in sorted order of K, and
+each distribution keeps every operator prefix it has built for a given x:
+a query that shares a prefix with an earlier one starts from the stored
+polynomial.  Both the formula and a direct support-sum oracle are provided
+so they can be checked against each other exactly; both read S and a
+literal K with operator.index, so a non-integral element raises in both.
 
 The uniform spanning-tree distribution (enumerated by a backtracking over
 forests, Graph.spanning_trees, with a matrix-tree cross-check) and the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -35,7 +41,6 @@ import numpy as np
 from .errors import DisconnectedGraph, IndexOutOfRange
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
-from .realstable import MultiPoly
 from .scalars import ISOTROPY_TOL, LAPLACIAN_ZERO_TOL
 
 
@@ -99,20 +104,21 @@ class SRDistribution:
         return SRDistribution(n, support, d_mu, rows)
 
     @functools.cached_property
-    def generating_polynomial(self) -> MultiPoly:
-        """g(z) = sum_S mu(S) z^S, built once per distribution."""
+    def _scaled_generating(self) -> tuple:
+        """(terms, q): q g(z) = sum_S q mu(S) z^S as {bitmask of S: int}, q
+        the lcm of the probabilities' denominators, built once per
+        distribution."""
+        weights, denom = _integer_weights([p for _, p in self.support])
         terms = {}
-        for elems, prob in self.support:
-            exps = [0] * self.n
-            for e in elems:
-                exps[e] = 1
-            terms[tuple(exps)] = terms.get(tuple(exps), 0) + prob
-        return MultiPoly(self.n, terms)
+        for (elems, _), w in zip(self.support, weights):
+            mask = sum(1 << e for e in elems)
+            terms[mask] = terms.get(mask, 0) + w
+        return terms, denom
 
     @functools.cached_property
     def _operator_nodes(self) -> dict:
-        """The formula's operator prefixes applied to g, keyed by
-        (x0, ((i, i in S), ...)) over a sorted prefix of K."""
+        """The formula's operator prefixes applied to q g, over ints, keyed
+        by (a, b, ((i, i in S), ...)) for x0 = a/b over a sorted prefix of K."""
         return {}
 
 
@@ -156,7 +162,7 @@ def _observed_set(k, n: int) -> frozenset:
         if not 0 <= k <= n:
             raise IndexOutOfRange(f"prefix [{k}] is not within range({n})")
         return frozenset(range(k))
-    observed = frozenset(int(i) for i in k)
+    observed = frozenset(map(operator.index, k))
     if observed and (min(observed) < 0 or max(observed) >= n):
         raise IndexOutOfRange(f"observed set {sorted(observed)} is not within range({n})")
     return observed
@@ -165,7 +171,7 @@ def _observed_set(k, n: int) -> frozenset:
 def marginal_via_enum(mu: SRDistribution, s, k):
     """Pr[T cap K = S] by direct support summation (the oracle route)."""
     observed = _observed_set(k, mu.n)
-    target = frozenset(s)
+    target = frozenset(map(operator.index, s))
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
     total = Fraction(0)
@@ -180,37 +186,56 @@ def marginal_via_formula(mu: SRDistribution, s, k, x0):
 
     The z-derivatives of g(x0 1 + z) at z = 0 are the derivatives of g at
     x0 1, so the operators act on g itself and the result is evaluated at
-    x0 1; nothing is expanded.  The operators are applied in sorted order
-    of K, d/dz_i for i in S and (1 - x0 d/dz_i) otherwise, and every prefix
-    is kept on ``mu``, so a query applies only the operators no earlier
-    query on ``mu`` with the same x0 has applied.  x0 is taken as a
-    Fraction (a float as the rational it is), so the result is exact; it is
+    x0 1; nothing is expanded.  x0 is taken as a Fraction a/b, b > 0 (a
+    float as the rational it is).  The operators are applied in sorted
+    order of K to q g over ints, d/dz_i for i in S and b - a d/dz_i
+    otherwise, and every prefix is kept on ``mu``, so a query applies only
+    the operators no earlier query on ``mu`` with the same x0 has applied.
+    The value is the resulting int polynomial P read at x0 1, times
+    x0^(|S| - d), over q b^(|K| - |S|): one exact Fraction.  It is
     x0-independent, which callers are encouraged to test.
     """
     x0 = Fraction(x0)
     if x0 == 0:
         raise ValueError("the dummy scalar must be nonzero")
     observed = _observed_set(k, mu.n)
-    target = frozenset(int(i) for i in s)
+    target = frozenset(map(operator.index, s))
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
+    a, b = x0.numerator, x0.denominator
     ops = tuple((i, i in target) for i in sorted(observed))
     nodes = mu._operator_nodes
-    p = mu.generating_polynomial
+    p, denom = mu._scaled_generating
     for j, (i, in_s) in enumerate(ops, 1):
-        key = (x0, ops[:j])
+        key = (a, b, ops[:j])
         node = nodes.get(key)
         if node is None:
-            dp = p.partial(i)
-            node = nodes[key] = dp if in_s else p + dp.scale(-x0)
+            node = nodes[key] = _apply_operator(p, i, in_s, a, b)
         p = node
-    # p(x0 1) = sum_j x0^j sum_{|e| = j} c_e, times x0^(|S| - d).
+    # Every monomial left has degree deg <= d - |S| = top, so
+    # x0^(deg + |S| - d) = b^(top - deg) a^(deg - low) / a^(top - low) for
+    # the lowest degree low (none is left when |S| > d).
     by_degree = {}
-    for exps, c in p.terms.items():
-        deg = sum(exps)
+    for mask, c in p.items():
+        deg = mask.bit_count()
         by_degree[deg] = by_degree.get(deg, 0) + c
-    shift = len(target) - mu.d_mu
-    return sum((c * x0 ** (deg + shift) for deg, c in by_degree.items()), Fraction(0))
+    top = mu.d_mu - len(target)
+    low = min(by_degree, default=top)
+    num = sum(c * b ** (top - deg) * a ** (deg - low) for deg, c in by_degree.items())
+    return Fraction(num, denom * b ** (len(observed) - len(target)) * a ** (top - low))
+
+
+def _apply_operator(p: dict, i: int, in_s: bool, a: int, b: int) -> dict:
+    """d/dz_i p if in_s, else b p - a d/dz_i p, for a multilinear int
+    polynomial p given as {bitmask: coefficient}."""
+    bit = 1 << i
+    if in_s:
+        return {mask ^ bit: c for mask, c in p.items() if mask & bit}
+    out = {mask: b * c for mask, c in p.items()}
+    for mask, c in p.items():
+        if mask & bit:
+            out[mask ^ bit] = out.get(mask ^ bit, 0) - a * c
+    return out
 
 
 def per_object(f, items) -> list:

@@ -1,4 +1,5 @@
-"""det_exact and char_poly_exact against test-local references.
+"""det_exact and char_poly_exact against test-local references, and the
+stacked char_polys against char_poly_exact.
 
 The determinant is compared with the permutation expansion, and the
 characteristic polynomial with det(tI - B) taken at n+1 integer points by
@@ -8,10 +9,11 @@ other than 1, and include zero pivots and singular matrices.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperdisc._exact import char_poly_exact, det_exact
+from hyperdisc._exact import char_poly_exact, char_polys, det_exact
 
 ENTRIES = st.sampled_from([Fraction(0)] * 4 + [
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(1, 3),
@@ -94,3 +96,42 @@ def test_det_exact_pivots_past_a_zero_column_head():
     assert det_exact(rows) == _det_by_permutations(rows)
     assert det_exact([[0, 1], [0, 2]]) == 0
     assert det_exact([]) == 1
+
+
+INT_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def _int_stacks(draw):
+    """(n, matrices): no, one or several n x n int matrices, n = 1-6, each
+    drawn entrywise or zero, singular (a row the difference of two others,
+    or zero at n = 1) or rank one; entries reach past 2^63."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.sampled_from([0, 1, draw(st.integers(2, 8))]))
+    vec = st.lists(INT_ENTRIES, min_size=n, max_size=n)
+    mats = []
+    for _ in range(count):
+        shape = draw(st.sampled_from(["entries", "zero", "singular", "rank one"]))
+        if shape == "zero":
+            rows = [[0] * n for _ in range(n)]
+        elif shape == "rank one":
+            u, v = draw(vec), draw(vec)
+            rows = [[x * y for y in v] for x in u]
+        else:
+            rows = [draw(vec) for _ in range(n)]
+            if shape == "singular":
+                rows[-1] = [a - b for a, b in zip(rows[0], rows[1])] if n > 2 else [0] * n
+        mats.append(rows)
+    return n, mats
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_int_stacks())
+@example((3, [[[2 ** 64, -1, 0], [5, 2 ** 63, 7], [0, -(2 ** 70), 1]], [[0] * 3] * 3]))
+def test_char_polys_equals_char_poly_exact_row_by_row(case):
+    n, mats = case
+    got = char_polys(np.array(mats, dtype=object).reshape(len(mats), n, n))
+    assert got.shape == (len(mats), n + 1)
+    for rows, coeffs in zip(mats, got.tolist()):
+        assert all(type(c) is int for c in coeffs)
+        assert list(map(Fraction, coeffs)) == char_poly_exact(rows), rows

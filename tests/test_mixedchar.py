@@ -22,6 +22,7 @@ from hyperdisc.errors import (
 )
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import (
+    HyperbolicInstance,
     RealStableInstance,
     cone_membership,
     determinant,
@@ -671,6 +672,35 @@ def test_three_signed_routes_agree_on_generated_instances(inst):
     assert all(type(c) is Fraction for c in got)
     assert got == kls_node_poly(inst).coeffs
     assert got == kls_table_node_poly(inst).coeffs
+
+
+def _per_vertex_operator_form(inst) -> UniPoly:
+    """kls_operator_form with each vertex restricted by its own restrict_line
+    call, as the base class's restrict_e_rows does: the route before the one
+    stacked call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(inst.h), "restrict_e_rows", HyperbolicInstance.restrict_e_rows)
+        return kls_operator_form(inst)
+
+
+@pytest.mark.parametrize("kind", VARIABLE_KINDS)
+def test_stacked_operator_form_equals_the_per_vertex_route_on_generated_files(kind):
+    insts = [gen_kls_det(8, 4, 0, kind), gen_kls_det(7, 3, 1, kind), gen_kls_det(5, 2, 2, kind),
+             gen_kls_lorentz(6, 4, 0, kind), gen_kls_lorentz(5, 3, 1, kind)]
+    for inst in insts + list(_e2_instances()):
+        loaded = "coefficient_table" in vars(inst)  # loading a file builds it
+        got = kls_operator_form(inst).coeffs
+        # An independent route: the coefficient table is not built for it.
+        assert ("coefficient_table" in vars(inst)) == loaded
+        assert all(type(c) is Fraction for c in got)
+        assert got == _per_vertex_operator_form(inst).coeffs
+        assert got == kls_table_node_poly(inst).coeffs
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_signed_route_instances())
+def test_stacked_operator_form_equals_the_per_vertex_route_on_drawn_instances(inst):
+    assert kls_operator_form(inst).coeffs == _per_vertex_operator_form(inst).coeffs
 
 
 def test_integer_table_clears_the_coefficients_of_h():

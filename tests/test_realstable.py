@@ -13,12 +13,13 @@ from hyperdisc.mixedchar import linear_restriction_multipoly
 from hyperdisc.realstable import MultiPoly, one_minus_c_d2
 from hyperdisc.srdist import uniform_spanning_tree
 from hyperdisc.unipoly import is_real_rooted
+from srdist_helpers import generating_polynomial
 from stability_oracle import stability_test
 
 
 def _spanning_tree_polynomial(graph) -> MultiPoly:
     """Generating polynomial of the uniform spanning-tree distribution."""
-    return uniform_spanning_tree(graph).generating_polynomial
+    return generating_polynomial(uniform_spanning_tree(graph))
 
 
 def _elementary_symmetric(n: int, k: int) -> MultiPoly:

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc import cli
+from hyperdisc import cli, srdist
 from hyperdisc.errors import DisconnectedGraph, IndexOutOfRange
 from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
 from hyperdisc.hyperbolic import hyperbolic_trace, spectrum
 from hyperdisc.mixedchar import SrInstance
-from hyperdisc.realstable import MultiPoly
 from hyperdisc.srdist import (
     SRDistribution,
     effective_resistance_family,
@@ -22,6 +21,7 @@ from hyperdisc.srdist import (
     max_marginal,
     uniform_spanning_tree,
 )
+from srdist_helpers import generating_polynomial, marginal_via_multipoly
 from stability_oracle import stability_test
 
 K3 = complete_graph(3)
@@ -32,7 +32,7 @@ def test_ust_k3():
     assert len(mu.support) == 3
     assert all(p == Fraction(1, 3) for _, p in mu.support)
     assert mu.d_mu == 2
-    assert stability_test(mu.generating_polynomial, trials=32).passed
+    assert stability_test(generating_polynomial(mu), trials=32).passed
 
 
 def test_ust_diamond_matches_fixture_monomials():
@@ -141,6 +141,48 @@ def test_observed_set_outside_the_ground_set_raises_on_both_routes(s, k):
         marginal_via_formula(mu, s, k, Fraction(2))
 
 
+@pytest.mark.parametrize("s, k", [({1.5}, {1}), ({"1"}, {1}), ({1}, {1.5}), (set(), {"0"}),
+                                  ({Fraction(1)}, 2)])
+def test_non_integral_elements_raise_on_both_routes(s, k):
+    # Neither route truncates an element: {1.5} is not {1}.
+    mu = uniform_spanning_tree(diamond_graph())
+    with pytest.raises(TypeError):
+        marginal_via_enum(mu, s, k)
+    with pytest.raises(TypeError):
+        marginal_via_formula(mu, s, k, Fraction(2))
+
+
+@st.composite
+def _rational_case(draw):
+    """A homogeneous distribution on n <= 6 with probabilities of unrelated
+    denominators, K, S within K, and x0 negative, fractional or binary64."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, n))
+    sets = list(itertools.combinations(range(n), d))
+    chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets), unique=True))
+    probs = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 12))) for _ in chosen[1:]]
+    while sum(probs) >= 1:
+        probs = [p / 2 for p in probs]
+    mu = SRDistribution.from_support(n, list(zip(chosen, [1 - sum(probs)] + probs)))
+    observed = draw(st.sets(st.integers(0, n - 1)))
+    s = draw(st.sets(st.sampled_from(sorted(observed)))) if observed else set()
+    x0 = draw(st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).filter(bool),
+        st.sampled_from([-1, -3, 2 ** 70, -(2.0 ** -40)])))
+    return mu, s, observed, x0
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_rational_case())
+def test_integer_formula_equals_the_multipoly_formula_and_enum(case):
+    mu, s, observed, x0 = case
+    got = marginal_via_formula(mu, s, observed, x0)
+    assert type(got) is Fraction
+    assert got == marginal_via_multipoly(mu, s, observed, x0)
+    assert got == marginal_via_enum(mu, s, observed)
+
+
 @st.composite
 def _query_sequence(draw):
     """A distribution and queries whose sorted observed sets share prefixes
@@ -172,16 +214,17 @@ def test_stored_prefixes_give_the_fresh_answer(case):
 
 
 def test_suite_marginals_applies_each_operator_prefix_once(monkeypatch):
-    calls = []
-    partial = MultiPoly.partial
-    monkeypatch.setattr(MultiPoly, "partial", lambda p, i: calls.append(i) or partial(p, i))
+    builds = []
+    apply = srdist._apply_operator
+    monkeypatch.setattr(srdist, "_apply_operator",
+                        lambda p, i, in_s, a, b: builds.append(i) or apply(p, i, in_s, a, b))
     assert all(check["passed"] for check in cli._suite_marginals(0))
-    first = len(calls)
+    first = len(builds)
     # 76 edges of the prefix tree over k3 and diamond, for each of 4 values of x0.
-    assert first <= 304
+    assert 0 < first <= 304
     # Fresh distributions start from an empty store: no process-wide cache.
     cli._suite_marginals(0)
-    assert len(calls) == 2 * first
+    assert len(builds) == 2 * first
 
 
 def test_queried_distribution_equals_a_fresh_one():
