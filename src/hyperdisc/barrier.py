@@ -24,21 +24,26 @@ seeded positivity probes of P above the point as its quantity and the
 structured margin (alpha - t lambda_1 of the variance mix for signed,
 alpha - t for subset instances) as its margin.
 
-The signed instance is normalized by scaling every vector by c = 1/sigma,
-but its collapsed polynomial is never rebuilt.  Scaling the vectors by c
-scales each A_S(x) = (prod_{i in S} D_{v_i}) h(xe) = a_S x^(d-|S|) by
-c^|S|, so the collapse sum_S (-1)^|S| tau_S^2 A_S^2 becomes
-P_c(x) = c^(2d) P_1(x/c), and its largest root is exactly c times that of
-P_1.  The chain therefore takes the largest root of the unscaled instance's
-exact root polynomial (mixedchar.kls_table_node_poly, read off the
-coefficient table that loading builds) and multiplies it by 1/sigma once;
-Phi, the probes and the variance mix are evaluated on the scaled instance.
+Every signed instance is normalized by scaling every vector by
+c = 1/sigma, sigma = 1 included, but its collapsed polynomial is never
+rebuilt.  Scaling the vectors by c scales each A_S(x) = (prod_{i in S}
+D_{v_i}) h(xe) = a_S x^(d-|S|) by c^|S|, so the collapse
+sum_S (-1)^|S| tau_S^2 A_S^2 becomes P_c(x) = c^(2d) P_1(x/c), and its
+largest root is exactly c times that of P_1.  The chain therefore takes the
+largest root of the unscaled instance's exact root polynomial
+(mixedchar.kls_table_node_poly, read off the coefficient table that loading
+builds) and multiplies it by 1/sigma once; Phi, the probes and the variance
+mix are evaluated on the scaled instance, whose variance_mix spectrum gives
+both the norm step and lambda_1.
 
-Phi is evaluated analytically from directional derivatives (never by
-differentiating an expanded multivariate polynomial).  The explicit
-polynomial P in (x, z) is only materialized, as a realstable.MultiPoly
-(kls_square_zpoly), for the operator-update regression test, where
-(1 - 1/2 d^2/dz_i^2) must be applied literally (realstable.one_minus_c_d2).
+The chain evaluates its point once: phi returns every Phi^i from one w,
+one h(w), one set of tau_i and (subset) one g with its gradient, each Phi^i
+adding only its directional derivative of h; the probes read P's value
+alone.  Phi is never taken by differentiating an expanded multivariate
+polynomial.  The explicit polynomial P in (x, z) is only materialized, as a
+realstable.MultiPoly (kls_square_zpoly), for the operator-update regression
+test, where (1 - 1/2 d^2/dz_i^2) must be applied literally
+(realstable.one_minus_c_d2).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import ChainViolated
-from .hyperbolic import spectrum
 from .mixedchar import (
     KlsInstance,
     SrInstance,
@@ -57,7 +61,7 @@ from .mixedchar import (
     linear_restriction_multipoly,
 )
 from .realstable import MultiPoly
-from .scalars import CHAIN_STEP_TOL, SIGMA_ONE_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
+from .scalars import CHAIN_STEP_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
 from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
@@ -101,24 +105,12 @@ def _point_vector(inst, pt: BarrierPoint) -> tuple:
     return tuple(w)
 
 
-def _ag_gen_value_and_partials(inst: SrInstance, pt: BarrierPoint):
-    """g(x 1 + z) and its partial derivatives at the point, by support sums."""
-    shifted = [pt.x + z for z in pt.z]
+def _ag_gen_value(inst: SrInstance, shifted) -> float:
+    """g at the point shifted = x 1 + z, by a support sum."""
     value = 0.0
-    partials = [0.0] * inst.n
     for elems, prob in inst.mu.support:
-        weight = float(prob)
-        prod = weight
-        for e in elems:
-            prod *= shifted[e]
-        value += prod
-        for e in elems:
-            rest = weight
-            for other in elems:
-                if other != e:
-                    rest *= shifted[other]
-            partials[e] += rest
-    return value, partials
+        value += math.prod((shifted[e] for e in elems), start=float(prob))
+    return value
 
 
 def polynomial_value(inst, pt: BarrierPoint) -> float:
@@ -127,16 +119,7 @@ def polynomial_value(inst, pt: BarrierPoint) -> float:
     hval = float(inst.h.value(_point_vector(inst, pt)))
     if isinstance(inst, KlsInstance):
         return hval * hval
-    gval, _ = _ag_gen_value_and_partials(inst, pt)
-    return hval * gval
-
-
-def _probe_value(inst, pt: BarrierPoint) -> float:
-    """Signed probe: the square in the signed P hides sign crossings, so the
-    positivity probes look at the underlying restriction factor instead."""
-    if isinstance(inst, KlsInstance):
-        return float(inst.h.value(_point_vector(inst, pt)))
-    return polynomial_value(inst, pt)
+    return hval * _ag_gen_value(inst, [pt.x + z for z in pt.z])
 
 
 def above_roots(inst, pt: BarrierPoint) -> int:
@@ -144,7 +127,8 @@ def above_roots(inst, pt: BarrierPoint) -> int:
 
     Probes pt itself and ABOVE_ROOTS_PROBES seeded offsets, and returns how
     many of them are not positive; 0 is evidence that pt lies above all
-    roots of P, anything else refutes it.
+    roots of P, anything else refutes it.  A signed probe reads the
+    restriction h(w) itself: the square in the signed P hides sign crossings.
     """
     span = max(1.0, abs(pt.x))
     failures = 0
@@ -154,33 +138,39 @@ def above_roots(inst, pt: BarrierPoint) -> int:
             rng = random.Random(f"above:0:{trial}")
             z = tuple(zc + rng.uniform(0, span) for zc in pt.z)
             probe = BarrierPoint(pt.x + rng.uniform(0, span), z, pt.t)
-        if not _probe_value(inst, probe) > 0:
+        if isinstance(inst, KlsInstance):
+            value = float(inst.h.value(_point_vector(inst, probe)))
+        else:
+            value = polynomial_value(inst, probe)
+        if not value > 0:
             failures += 1
     return failures
 
 
-def _directional_derivative(h, x, v):
-    """(D_v h)(x): the degree-1 coefficient of the restriction t -> h(x + t v)."""
-    coeffs = h.restrict_line(x, v).coeffs
-    return coeffs[1] if len(coeffs) > 1 else 0
-
-
-def phi(inst, i: int, pt: BarrierPoint) -> float:
-    """Barrier function Phi^i at pt, from directional derivatives.
+def phi(inst, pt: BarrierPoint) -> tuple:
+    """Every Phi^i at pt, in index order, from one evaluation of the point:
 
     signed: 2 D_{tau_i v_i} h(w) / h(w);
     subset: D_{v_i} h(w) / h(w) + (d_i g / g)(x 1 + z);
-    at w = x e + sum z_j tau_j v_j.  Phi is meaningful only above the roots
+    at w = x e + sum z_j tau_j v_j, where D_u h(w) is the degree-1
+    coefficient of t -> h(w + t u).  Phi is meaningful only above the roots
     of P (see above_roots); it is not checked here.
     """
     w = _point_vector(inst, pt)
-    direction = tuple(_taus(inst)[i] * float(c) for c in inst.vectors[i])
-    dv = float(_directional_derivative(inst.h, w, direction))
     hval = float(inst.h.value(w))
+    dvs = []
+    for tau, v in zip(_taus(inst), inst.vectors):
+        coeffs = inst.h.restrict_line(w, tuple(tau * float(c) for c in v)).coeffs
+        dvs.append(float(coeffs[1] if len(coeffs) > 1 else 0))
     if isinstance(inst, KlsInstance):
-        return 2.0 * dv / hval
-    gval, gparts = _ag_gen_value_and_partials(inst, pt)
-    return dv / hval + gparts[i] / gval
+        return tuple(2.0 * dv / hval for dv in dvs)
+    shifted = [pt.x + z for z in pt.z]
+    gval = _ag_gen_value(inst, shifted)
+    grad = [0.0] * inst.n
+    for elems, prob in inst.mu.support:
+        for e in elems:
+            grad[e] += math.prod((shifted[o] for o in elems if o != e), start=float(prob))
+    return tuple(dv / hval + dg / gval for dv, dg in zip(dvs, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +214,6 @@ def _step(name: str, quantity: float, bound: float, tol: float) -> ChainStep:
                      bool(quantity <= bound + tol))
 
 
-def _variance_mix_top(inst: KlsInstance) -> float:
-    """lambda_1 of sum_i Var(x_i) tr[v_i] v_i, in binary64."""
-    mix = [0.0] * inst.h.m
-    for var, tr, v in zip(inst.variables, inst.traces, inst.vectors):
-        weight = float(var.variance) * float(tr)
-        for idx in range(inst.h.m):
-            mix[idx] += weight * float(v[idx])
-    return spectrum(inst.h, tuple(mix)).eigenvalues[0]
-
-
 def verify_bound_chain(inst) -> ChainReport:
     """Numerically verify the barrier chain (a)-(c) for an instance.
 
@@ -249,17 +229,15 @@ def verify_bound_chain(inst) -> ChainReport:
         if not inst.sigma > 0:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
         root = kls_table_node_poly(inst)
-        root_scale = 1.0
-        if abs(inst.sigma - 1.0) > SIGMA_ONE_TOL:
-            root_scale = 1.0 / inst.sigma
-            inst = inst.scaled(root_scale)
+        root_scale = 1.0 / inst.sigma
+        inst = inst.scaled(root_scale)
         mix_norm = inst.sigma2
         if mix_norm > 1.0 + VARIANCE_MIX_TOL:
             raise ChainViolated("variance_mix_below_direction",
                                 f"||sum tau^2 tr v||_h = {mix_norm}")
         steps.append(_step("variance_mix_norm", mix_norm, 1.0, VARIANCE_MIX_TOL))
         pt = construction_point(inst)
-        margin = pt.x - pt.t * _variance_mix_top(inst)
+        margin = pt.x - pt.t * inst.variance_mix.eigenvalues[0]
         bounds = [2 * tau * float(tr) / (pt.x - pt.t) for tau, tr in zip(_taus(inst), inst.traces)]
     else:
         eps = inst.eps1 + inst.eps2
@@ -273,11 +251,10 @@ def verify_bound_chain(inst) -> ChainReport:
                            bool(failures == 0 and margin > 0)))
     # The point sits at z_i = -delta_i, delta_i being the shift the operator
     # update (1 - 1/2 d^2/dz_i^2) moves z_i by.
-    for i, (z_i, bound) in enumerate(zip(pt.z, bounds)):
+    for i, (z_i, bound, value) in enumerate(zip(pt.z, bounds, phi(inst, pt))):
         delta_i = -z_i
         if delta_i <= 0:
             continue  # variable contributes no operator update
-        value = phi(inst, i, pt)
         steps.append(_step(f"phi_bound[{i}]", value, bound, CHAIN_STEP_TOL))
         steps.append(_step(f"phi_below_sqrt2[{i}]", value, SQRT2, SQRT2_STEP_TOL))
         steps.append(_step(f"update_condition[{i}]",

@@ -22,7 +22,8 @@ from fractions import Fraction
 from .errors import CertificationFailed, HyperdiscError, InvalidParams
 from .graphs import Graph, named_graph
 from .instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
-from .mixedchar import AgFamily, KlsFamily, SrInstance, kls_node_poly, kls_operator_form, ag_substitution_identity
+from .mixedchar import (AgFamily, KlsFamily, SrInstance, ag_substitution_identity, kls_node_poly,
+                        kls_operator_form, kls_table_node_poly)
 from .serialize import dumps, instance_from_json, instance_to_json
 from .solver import SolverConfig, brute_force, kadison_singer_search, random_baseline
 from .srdist import marginal_via_enum, marginal_via_formula, uniform_spanning_tree
@@ -171,7 +172,7 @@ def _verify_file(path: str) -> list:
         # which gives the root at any size (tests tie it to the enumerating
         # kls_node_poly), and the integer restriction route of the operator
         # form.  The chain below reads its collapsed root off the same table.
-        same = KlsFamily(inst).node_poly(()).coeffs == kls_operator_form(inst).coeffs
+        same = kls_table_node_poly(inst).coeffs == kls_operator_form(inst).coeffs
         checks.append({"name": "kls_operator_identity", "passed": bool(same),
                        "margin": 0.0})
     checks.append(_chain_check(f"{kind}_bound_chain", inst))

@@ -103,7 +103,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +115,7 @@ from .hyperbolic import (
     DeterminantInstance,
     HyperbolicInstance,
     LorentzInstance,
+    Spectrum,
     derivative_restriction,
     gram_minor_table,
     hyperbolic_trace,
@@ -209,15 +210,20 @@ class KlsInstance:
         return tuple(hyperbolic_trace(self.h, v) for v in self.vectors)
 
     @functools.cached_property
-    def sigma2(self) -> float:
-        """||sum tau_i^2 tr[v_i] v_i||_h."""
+    def variance_mix(self) -> Spectrum:
+        """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i."""
         h = self.h
         mix = [Fraction(0)] * h.m
         for v, var, tr in zip(self.vectors, self.variables, self.traces):
             weight = var.variance * tr
             for idx in range(h.m):
                 mix[idx] = mix[idx] + weight * v[idx]
-        return float(spectrum(h, tuple(mix)).norm)
+        return spectrum(h, tuple(mix))
+
+    @functools.cached_property
+    def sigma2(self) -> float:
+        """||sum tau_i^2 tr[v_i] v_i||_h."""
+        return float(self.variance_mix.norm)
 
     @functools.cached_property
     def sigma(self) -> float:
@@ -290,7 +296,6 @@ class KlsInstance:
         return tuple(Fraction(x, denom) for x in acc)
 
 
-@dataclass(frozen=True, eq=False)
 class LeafTable:
     """The leaves of the subset family, one row per support set, in support
     order.
@@ -306,17 +311,18 @@ class LeafTable:
     commit.  The answers do not depend on what was committed.
     """
 
-    members: np.ndarray
-    rows: np.ndarray
-    _last: list = field(default_factory=lambda: [None, None], repr=False)
-    _committed: list = field(default_factory=lambda: [(), None], repr=False)
-    _codes: dict = field(default_factory=dict, repr=False)
+    def __init__(self, members: np.ndarray, rows: np.ndarray):
+        self.members = members
+        self.rows = rows
+        self._last = (None, None)  # the last prefix asked and its rows
+        self._committed = ((), None)  # the committed prefix and its rows
+        self._codes = {}  # (base length, prefix length) -> packed codes
 
     def commit(self, prefix) -> None:
         """Keep the rows that agree with a committed prefix."""
         prefix = tuple(prefix)
-        self._committed[:] = [prefix, self.agreeing(prefix)]
-        self._codes.clear()
+        self._committed = (prefix, self.agreeing(prefix))
+        self._codes = {}
 
     def agreeing(self, partial) -> np.ndarray:
         """Indices, in support order, of the support sets that agree with a
@@ -344,7 +350,7 @@ class LeafTable:
                                    dtype=np.int64 if len(bits) < 64 else object)
                 codes = self._codes[lo, len(bits)] = self.members[rows, lo:lo + len(bits)] @ weights
             target = sum(1 << i for i, bit in enumerate(bits) if bit)
-            self._last[:] = [key, rows[codes == target]]
+            self._last = (key, rows[codes == target])
         return self._last[1]
 
 

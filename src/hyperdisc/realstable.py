@@ -1,12 +1,13 @@
 """The one multivariate polynomial type.
 
 MultiPoly is a sparse map from exponent vectors to coefficients.  Every
-multivariate object in the package is one: the generating polynomial of an
-SR distribution (srdist), the polynomial of a ``custom`` hyperbolic
-instance, and h(xe + sum z_i v_i) and its square in the barrier argument
-(mixedchar, barrier).  Operators such as (1 - c d^2/dz_i^2) act on it directly
-(``one_minus_c_d2``, ``partial``), and values are taken with ``eval`` at
-the point of interest rather than by expanding a shifted copy.
+multivariate object in the package is one: the polynomial of a ``custom``
+hyperbolic instance, and h(xe + sum z_i v_i) and its square in the barrier
+argument (mixedchar, barrier); the test suite's reference for an SR
+distribution's generating polynomial is one too (tests/srdist_helpers.py).
+Operators such as (1 - c d^2/dz_i^2) act on it directly (``one_minus_c_d2``,
+``partial``), and values are taken with ``eval`` at the point of interest
+rather than by expanding a shifted copy.
 
 Real stability (no zero with every coordinate in the open upper half
 plane) is assumed of these polynomials, not tested at run time; the test

@@ -19,5 +19,4 @@ ISOTROPY_TOL = 1e-9  # effective_resistance_family: the vectors sum to vec(I) wi
 CHAIN_STEP_TOL = 1e-8  # barrier chain: a step passes if quantity <= bound + tol
 VARIANCE_MIX_TOL = 1e-6  # barrier chain: the variance mix norm may exceed 1 by tol
 SQRT2_STEP_TOL = 0.0  # barrier chain: Phi^i <= sqrt(2) is checked with no slack
-SIGMA_ONE_TOL = 1e-9  # barrier chain: a kls instance with |sigma - 1| <= tol is not rescaled
 

@@ -4,12 +4,15 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hyperdisc import barrier
 from hyperdisc.errors import ChainViolated
 from hyperdisc.barrier import (
+    ABOVE_ROOTS_PROBES,
     BarrierPoint,
     above_roots,
     construction_point,
@@ -49,7 +52,7 @@ def test_phi_scalar_closed_form():
     # For h(x) = x, n=1, tau=1, tr=1: Phi^1(alpha, z) = 2 / (alpha + z).
     inst = _scalar_instance()
     pt = BarrierPoint(4.0, (-2.0,), 2.0)
-    assert phi(inst, 0, pt) == pytest.approx(2.0 / (4.0 - 2.0))
+    assert phi(inst, pt)[0] == pytest.approx(2.0 / (4.0 - 2.0))
 
 
 def test_phi_ag_toy():
@@ -57,7 +60,7 @@ def test_phi_ag_toy():
     inst = _toy_sr_instance()
     pt = construction_point(inst)
     expect = 0.5 / (pt.x - pt.t) + 0.5 / (pt.x - pt.t)
-    assert phi(inst, 0, pt) == pytest.approx(expect)
+    assert phi(inst, pt)[0] == pytest.approx(expect)
 
 
 def test_phi_zero_vector_contributes_nothing():
@@ -67,7 +70,7 @@ def test_phi_zero_vector_contributes_nothing():
         [h.vec_outer((Fraction(1), Fraction(0))), (Fraction(0),) * h.m],
         [RADEMACHER, RADEMACHER])
     pt = construction_point(inst)
-    assert phi(inst, 1, pt) == pytest.approx(0.0)
+    assert phi(inst, pt)[1] == pytest.approx(0.0)
 
 
 def test_phi_requires_above_roots():
@@ -103,7 +106,7 @@ def test_phi_matches_log_derivative():
     pt = construction_point(inst)
     eps = 1e-6
     for i in range(inst.n):
-        analytic = phi(inst, i, pt)
+        analytic = phi(inst, pt)[i]
         up = math.log(polynomial_value(inst, _shift(pt, i, eps)))
         down = math.log(polynomial_value(inst, _shift(pt, i, -eps)))
         numeric = (up - down) / (2 * eps)
@@ -113,7 +116,7 @@ def test_phi_matches_log_derivative():
 
 def _phi_differences(inst, i, j, pt, step):
     """Phi^i at pt and its central first and second differences along z_j."""
-    minus, center, plus = (phi(inst, i, _shift(pt, j, dz)) for dz in (-step, 0.0, step))
+    minus, center, plus = (phi(inst, _shift(pt, j, dz))[i] for dz in (-step, 0.0, step))
     return center, (plus - minus) / (2 * step), (plus - 2 * center + minus) / step ** 2
 
 
@@ -161,6 +164,18 @@ def test_verify_bound_chain_normalizes_sigma():
     report = verify_bound_chain(inst)
     assert report.passed
     assert report.sigma == pytest.approx(1.0)
+
+
+def test_verify_bound_chain_normalizes_sigma_near_one():
+    # sigma = 1 + 2e-10 is rescaled like any other sigma, so the chain runs
+    # on an instance whose sigma is 1 to within rounding.
+    c = 1 + Fraction(1, 5 * 10 ** 9)
+    inst = KlsInstance.build(D1, [(c,)], [RADEMACHER])
+    assert 1e-10 < inst.sigma - 1.0 < 1e-9
+    report = verify_bound_chain(inst)
+    assert report.passed
+    assert abs(report.sigma - 1.0) <= 4 * sys.float_info.epsilon
+    assert report.steps[-1].quantity == pytest.approx(1.0, abs=4 * sys.float_info.epsilon)
 
 
 def test_verify_bound_chain_ag_toy():
@@ -257,6 +272,64 @@ def test_chain_steps_are_pinned():
         seen[label] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert seen[label] == CHAIN_DIGESTS[label], (label, rows)
     assert seen.keys() == CHAIN_DIGESTS.keys()
+
+
+def _phi_reference(inst, i, pt):
+    """Phi^i alone: 2 D_{tau_i v_i} h(w) / h(w) for a signed instance, plus
+    d_i g / g summed over the support for a subset instance."""
+    signed = isinstance(inst, KlsInstance)
+    taus = [math.sqrt(float(var.variance)) for var in inst.variables] if signed else [1.0] * inst.n
+    w = [pt.x * float(c) for c in inst.h.e]
+    for z, tau, v in zip(pt.z, taus, inst.vectors):
+        for idx in range(inst.h.m):
+            w[idx] += z * tau * float(v[idx])
+    w = tuple(w)
+    coeffs = inst.h.restrict_line(w, tuple(taus[i] * float(c) for c in inst.vectors[i])).coeffs
+    dv = float(coeffs[1]) if len(coeffs) > 1 else 0.0
+    hval = float(inst.h.value(w))
+    if signed:
+        return 2.0 * dv / hval
+    shifted = [pt.x + z for z in pt.z]
+    gval = dg = 0.0
+    for elems, prob in inst.mu.support:
+        prod = float(prob)
+        for e in elems:
+            prod *= shifted[e]
+        gval += prod
+        if i in elems:
+            rest = float(prob)
+            for other in elems:
+                if other != i:
+                    rest *= shifted[other]
+            dg += rest
+    return dv / hval + dg / gval
+
+
+def test_phi_equals_the_per_index_reference_bit_for_bit():
+    rng = random.Random(29)
+    for label, inst in _chain_cases():
+        if isinstance(inst, KlsInstance):
+            inst = inst.scaled(1.0 / inst.sigma)  # as the chain evaluates it
+        pt = construction_point(inst)
+        shifts = [BarrierPoint(pt.x + rng.uniform(0, 2),
+                               tuple(z + rng.uniform(0, 2) for z in pt.z), pt.t) for _ in range(3)]
+        for at in [pt] + shifts:
+            got = phi(inst, at)
+            assert len(got) == inst.n, label
+            for i, value in enumerate(got):
+                assert value.hex() == _phi_reference(inst, i, at).hex(), (label, i, at)
+
+
+def test_chain_builds_its_point_once_for_every_phi(monkeypatch):
+    # Each probe builds w once, and phi builds it once for all n indices.
+    built = []
+    point_vector = barrier._point_vector
+    monkeypatch.setattr(barrier, "_point_vector",
+                        lambda inst, pt: built.append(pt) or point_vector(inst, pt))
+    for label, inst in _chain_cases():
+        built.clear()
+        verify_bound_chain(inst)
+        assert len(built) == ABOVE_ROOTS_PROBES + 2, (label, inst.n, len(built))
 
 
 def _zphi(p, i, pt):
