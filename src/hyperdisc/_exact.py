@@ -9,11 +9,12 @@ Two routes batch a stack of int matrices in numpy object arrays, one
 object matmul or elementwise step per stage over the whole stack:
 principal_minors (Bareiss over every k x k principal submatrix, ints in,
 ints out) and char_polys (Faddeev-LeVerrier, ints in, ints out; the
-caller scales the stack and divides).  char_poly_exact stays the route for
-one matrix, since the signed search restricts one leaf at a time: one
-Fraction restriction of det along e took 36/50/82 us through a stack of
-one against 23/38/69 us by char_poly_exact, at n = 2/3/4 (Python 3.11,
-one Xeon core).
+caller scales the stack and divides).  The Faddeev-LeVerrier recurrence
+over lists, char_poly_ints (ints in, ints out; char_poly_exact scales and
+divides around it), stays the route for one matrix, since the signed
+enumeration restricts one leaf at a time: one int restriction of det along
+e took 40/60/85 us through a stack of one against 15/34/73 us by
+char_poly_ints, at n = 2/3/4 (Python 3.11, one Xeon core).
 """
 
 from __future__ import annotations
@@ -63,21 +64,34 @@ def char_poly_exact(rows: list) -> list:
     """Coefficients of det(tI - B), ascending in t, via Faddeev-LeVerrier.
 
     Works for general (non-symmetric) square matrices.  The recurrence runs
-    on the integer matrix D * B, whose characteristic coefficients are
-    D^k c_k; they are ints, so the division of the trace by k is exact.
+    on the integer matrix D * B (char_poly_ints), whose characteristic
+    coefficients are D^k c_k.
     """
-    n = len(rows)
     b, scale = _integer_rows(rows)
-    coeffs_desc = [1]  # D^k c_k for k = 0..n
+    n = len(b)
+    return [Fraction(c, scale ** (n - i)) for i, c in enumerate(char_poly_ints(b))]
+
+
+def char_poly_ints(b: list) -> list:
+    """Ascending int coefficients of det(tI - B) for a square int matrix B,
+    by the fraction-free Faddeev-LeVerrier recurrence
+    M_k = B (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k: the c_k of an int
+    matrix are ints, so the division is exact.  Only the trace of M_n is
+    read, so the last step sums the products that make up its diagonal."""
+    n = len(b)
+    coeffs_desc = [1]  # c_k for k = 0..n
     m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # M_k = B (M_{k-1} + c_{k-1} I)
         for i in range(n):
             m[i][i] += coeffs_desc[-1]
-        m = _matmul(b, m)
-        coeffs_desc.append(-sum(m[i][i] for i in range(n)) // k)
+        if k < n:
+            m = _matmul(b, m)
+            trace = sum(m[i][i] for i in range(n))
+        else:
+            trace = sum(b[i][j] * m[j][i] for i in range(n) for j in range(n))
+        coeffs_desc.append(-trace // k)
     # det(tI - B) = t^n + c_1 t^{n-1} + ... + c_n
-    return [Fraction(c, scale ** k) for k, c in reversed(list(enumerate(coeffs_desc)))]
+    return coeffs_desc[::-1]
 
 
 def char_polys(stack: np.ndarray) -> np.ndarray:
@@ -85,9 +99,8 @@ def char_polys(stack: np.ndarray) -> np.ndarray:
     (N, n, n) object stack of Python ints: an (N, n + 1) object array of
     ints, row r for stack[r].
 
-    char_poly_exact's recurrence, M_k = B (M_{k-1} + c_{k-1} I) and
-    c_k = -tr(M_k) / k, run on the whole stack at once: one object matmul
-    per k.  The c_k of an int matrix are ints, so the division is exact.
+    char_poly_ints's recurrence, run on the whole stack at once: one object
+    matmul per k < n, and the diagonal of the last product alone.
     """
     count, n = len(stack), stack.shape[-1]
     diag = np.arange(n)
@@ -96,8 +109,12 @@ def char_polys(stack: np.ndarray) -> np.ndarray:
     m = np.zeros((count, n, n), dtype=object)
     for k in range(1, n + 1):
         m[:, diag, diag] += desc[:, k - 1, None]
-        m = stack @ m
-        desc[:, k] = -m[:, diag, diag].sum(axis=1) // k
+        if k < n:
+            m = stack @ m
+            trace = m[:, diag, diag].sum(axis=1)
+        else:
+            trace = (stack * m.transpose(0, 2, 1)).sum(axis=(1, 2))
+        desc[:, k] = -trace // k
     return desc[:, ::-1]
 
 

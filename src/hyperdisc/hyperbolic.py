@@ -30,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _integer_rows, char_poly_exact, char_polys, det_exact, principal_minors
+from ._exact import (_integer_rows, char_poly_exact, char_poly_ints, char_polys, det_exact,
+                     principal_minors)
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
 from .scalars import CONE_TOL
@@ -68,6 +69,13 @@ class HyperbolicInstance:
         ones."""
         return np.array([self.restrict_line(tuple(base), self.e).coeffs for base in bases],
                         dtype=bases.dtype)
+
+    def restrict_e_ints(self, bases) -> tuple:
+        """(rows, E) for a sequence of int bases: rows[r] lists the ascending
+        int coefficients of t -> E h(base_r + t e), and E is the lcm of the
+        denominators of restrict_line's coefficients, 1 where h has int
+        coefficients."""
+        return _integer_rows([self.restrict_line(tuple(base), self.e).coeffs for base in bases])
 
     def _interp_restrict(self, base, dirv) -> UniPoly:
         return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
@@ -154,18 +162,15 @@ class DeterminantInstance(HyperbolicInstance):
         Float stacks take the one float route along e (restrict_line sends
         its float bases here): one stacked eigvalsh, then the factors
         t + lambda_k multiplied in eigenvalue order.  Exact stacks of ints
-        and Fractions give restrict_line's Fractions from one call of
-        _exact.char_polys: the stack is scaled once by the lcm D of its
-        denominators, and the coefficient of t^(d-k) of det(tI - D(-A)) is
-        divided by D^k at the end.
+        and Fractions give restrict_line's Fractions from restrict_e_ints:
+        the stack is scaled once by the lcm D of its denominators, and the
+        coefficient of t^(d-k) of det(tI + DA) is divided by D^k at the end.
         """
         if bases.dtype == object:
             ints, scale = _integer_rows(bases.tolist())
-            mats = np.empty((len(bases), self.d, self.d), dtype=object)
-            i, j = self._upper
-            mats[:, i, j] = mats[:, j, i] = -np.array(ints, dtype=object).reshape(len(bases), self.m)
             powers = [scale ** k for k in range(self.d, -1, -1)]
-            return np.array([list(map(Fraction, row, powers)) for row in char_polys(mats).tolist()],
+            rows, _ = self.restrict_e_ints(ints)
+            return np.array([list(map(Fraction, row, powers)) for row in rows],
                             dtype=object).reshape(len(bases), self.d + 1)
         eigs = np.linalg.eigvalsh(self._stack(bases))
         desc = np.zeros((self.d + 1, len(bases)))  # descending coefficients, a column per base
@@ -173,6 +178,17 @@ class DeterminantInstance(HyperbolicInstance):
         for k, lam in enumerate(eigs.T):
             desc[1:k + 2] += desc[:k + 1] * lam
         return desc[::-1].T
+
+    def restrict_e_ints(self, bases) -> tuple:
+        """(rows, 1): det(tI + A) per int base, over ints.  One base (a signed
+        leaf) takes _exact.char_poly_ints's list recurrence, which is faster
+        than a stack of one; more take one stacked _exact.char_polys call."""
+        if len(bases) == 1:
+            return [char_poly_ints([[-x for x in row] for row in self.mat(bases[0])])], 1
+        mats = np.empty((len(bases), self.d, self.d), dtype=object)
+        i, j = self._upper
+        mats[:, i, j] = mats[:, j, i] = -np.array(bases, dtype=object).reshape(len(bases), self.m)
+        return char_polys(mats).tolist(), 1
 
     def params(self) -> dict:
         return {"kind": self.kind, "mprime": self.mprime}
@@ -203,6 +219,11 @@ class LorentzInstance(HyperbolicInstance):
         c2 = dirv[-1] * dirv[-1] - sum(w * w for w in dirv[:-1])
         c1 = 2 * (base[-1] * dirv[-1] - sum(b * w for b, w in zip(base[:-1], dirv[:-1])))
         return UniPoly.from_coeffs([self.value(base), c1, c2])
+
+    def restrict_e_ints(self, bases) -> tuple:
+        """(rows, 1): restrict_line's closed form along e, h(b) + 2 b_m t + t^2,
+        per int base b."""
+        return [[self.value(b), 2 * b[-1], 1] for b in bases], 1
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """|x_m| + ||(x_1..x_{m-1})||, the largest eigenvalue magnitude, per row.
@@ -419,16 +440,15 @@ def subset_moebius(h: HyperbolicInstance, vectors, vertex) -> tuple:
     w_U = sum_{i in U} v_i.
 
     vertex is stacked: it is called once, on the list of every w_U in
-    increasing mask order, and returns one row of rationals per w_U, all of
-    one length (a list of lists or a 2-d object array).  E is the lcm of
-    their denominators, so the rows become lists of ints, and one in-place
-    subset Moebius transform over those ints turns every vertex row into
-    every alternating sum, entry by entry.
+    increasing mask order, and returns (ints, E): one list of ints per w_U,
+    all of one length, that are E times its rows.  One in-place subset
+    Moebius transform over those ints turns every vertex row into every
+    alternating sum, entry by entry.
     """
     masks = subsets_up_to(len(vectors), h.d)
     points = subset_accumulate(masks, vectors, lambda w, v: tuple(map(operator.add, w, v)),
                                (0,) * h.m)
-    ints, scale = _integer_rows(vertex([points[mask] for mask in masks]))
+    ints, scale = vertex([points[mask] for mask in masks])
     rows = dict(zip(masks, ints))
     for i in range(len(vectors)):
         bit = 1 << i
@@ -457,8 +477,8 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
     """
     for v in vectors:
         h.check_dim(v)
-    rows, scale = subset_moebius(
-        h, vectors, lambda ws: [[h.value(tuple(map(operator.add, h.e, w)))] for w in ws])
+    rows, scale = subset_moebius(h, vectors, lambda ws: _integer_rows(
+        [[h.value(tuple(map(operator.add, h.e, w)))] for w in ws]))
     table = {mask: row[0] for mask, row in rows.items()}
     for i, v in enumerate(vectors):
         _require_rank_one(h, i, v, table[0], table[1 << i], scale)

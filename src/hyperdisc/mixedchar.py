@@ -28,8 +28,8 @@ z-powers cannot occur), so both routes can be compared coefficient-wise
 over Fractions.  The signed collapse (kls_operator_form) is
 summed over ints: the restrictions of h along e at the sums of every subset
 of at most d of the integer vectors D v_i below, taken in one stacked call
-(h.restrict_e_rows; for det, one batched characteristic-polynomial kernel
-over the whole stack), one subset Moebius transform
+(h.restrict_e_ints; for det, one batched characteristic-polynomial kernel
+over the whole stack, ints in and out), one subset Moebius transform
 (hyperbolic.subset_moebius) and one division at the end.  It never reads
 the table, so it checks the table's root polynomial by an independent
 route.
@@ -82,9 +82,17 @@ prefix can be folded in pieces: the search folds each committed round once
 (KlsFamily.commit), and every oracle call of the next round folds just its
 block into that G, which spans the uncommitted coordinates alone.  The
 oracle then stays in ints: Pr[prefix] and E^2 cancel from the monic
-coefficients N_j / (N_0 (L D)^j) (KlsFamily.scaled_top_coeffs).  Only
-kls_table_node_poly, the route of the root bound, builds the 2d+1
-Fractions.
+coefficients N_j / (N_0 (L D)^j) (KlsFamily.scaled_top_coeffs).
+
+A leaf is the node of a full assignment, and the enumeration
+(kls_node_poly) computes it without the table, over ints as well: the
+int sum W = L D w, one int restriction y -> E h(ye + W)
+(h.restrict_e_ints: the Faddeev-LeVerrier recurrence for det, the closed
+form for Lorentz), and N_k by kls_node_sums of that one row
+(kls_leaf_poly).  The leaves' N_k are summed with int probabilities.  Two
+routes build Fractions, 2d+1 per node and at the end: kls_table_node_poly,
+the route of the root bound, and kls_node_poly, which the search reads
+only at full assignments.
 
 Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
 one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
@@ -260,29 +268,45 @@ class KlsInstance:
 
     @functools.cached_property
     def integer_data(self) -> tuple:
-        """(D, L, vectors, centered, variances) for the exact vectors and
-        variables.
+        """(D, L, vectors, centered, variances, probs) for the exact vectors
+        and variables.
 
         D is the lcm of the vector entries' denominators and vectors holds
         the int vectors D v_i; L makes every L (s - mu_i) and L^2 tau_i^2 an
         int, centered[i] maps each support value s to L (s - mu_i), and
-        variances[i] is L^2 tau_i^2.
+        variances[i] is L^2 tau_i^2.  probs[i] maps s to q_i Pr[xi_i = s],
+        an int, for the lcm q_i of variable i's probability denominators;
+        its values sum to q_i.
+
+        Each variable is scaled to ints once: with b the lcm of its support
+        denominators, S = b s and P = q p, the centered value is
+        (q S - M) / (b q) for M = sum P S, and tau^2 = V / (b^2 q^3) for
+        V = sum P (q S - M)^2.  L0 clears every centered value; L = L0 m,
+        with m clearing every L0^2 tau_i^2, makes L^2 tau_i^2 an int too.
         """
         ints, vec_scale = _integer_rows(self.vectors)
         vectors = tuple(map(tuple, ints))
-        # L0 clears the centered values; L = L0 m, with m clearing every
-        # L0^2 tau_i^2, makes L^2 tau_i^2 = m^2 L0^2 tau_i^2 an int too.
-        centered = [{s: s - var.mean for s in var.support} for var in self.variables]
-        base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
-        var_scale = base * math.lcm(*((base * base * var.variance).denominator
-                                      for var in self.variables))
+        offsets, spreads, probs = [], [], []  # q S - M, (V, b^2 q^3), P; per variable
+        for var in self.variables:
+            (support,), b = _integer_rows([var.support])
+            (weights,), q = _integer_rows([var.probs])
+            mean = sum(map(operator.mul, support, weights))
+            centered = [q * x - mean for x in support]
+            offsets.append((centered, b * q))
+            spreads.append((sum(map(operator.mul, weights, (c * c for c in centered))),
+                            b * b * q ** 3))
+            probs.append(dict(zip(var.support, weights)))
+        base = math.lcm(*(den // math.gcd(c, den) for centered, den in offsets for c in centered))
+        var_scale = base * math.lcm(*(den // math.gcd(base * base * v, den) for v, den in spreads))
         return (vec_scale, var_scale, vectors,
-                tuple({s: int(var_scale * c) for s, c in cent.items()} for cent in centered),
-                tuple(int(var_scale * var_scale * var.variance) for var in self.variables))
+                tuple({s: var_scale * c // den for s, c in zip(var.support, centered)}
+                      for var, (centered, den) in zip(self.variables, offsets)),
+                tuple(var_scale * var_scale * v // den for v, den in spreads),
+                tuple(probs))
 
-    def centered_sum(self, assignment) -> tuple:
-        """w = sum_i (s_i - mu_i) v_i, summed over ints."""
-        vec_scale, var_scale, vectors, centered, _ = self.integer_data
+    def centered_ints(self, assignment) -> tuple:
+        """W = L D sum_i (s_i - mu_i) v_i, an int vector (integer_data)."""
+        _, _, vectors, centered, *_ = self.integer_data
         acc = [0] * self.h.m
         for v, cent, s in zip(vectors, centered, assignment):
             try:
@@ -290,10 +314,14 @@ class KlsInstance:
             except KeyError:
                 raise ValueNotInSupport(f"value {s!r} not in support {tuple(cent)!r}") from None
             if c:
-                for idx, x in enumerate(v):
-                    acc[idx] += c * x
+                acc = [a + c * x for a, x in zip(acc, v)]
+        return tuple(acc)
+
+    def centered_sum(self, assignment) -> tuple:
+        """w = sum_i (s_i - mu_i) v_i: centered_ints over L D."""
+        vec_scale, var_scale, *_ = self.integer_data
         denom = vec_scale * var_scale
-        return tuple(Fraction(x, denom) for x in acc)
+        return tuple(Fraction(x, denom) for x in self.centered_ints(assignment))
 
 
 class LeafTable:
@@ -444,49 +472,69 @@ class SrInstance:
 # Node polynomials (conditional sums over completions).
 # ---------------------------------------------------------------------------
 
-def kls_leaf_poly(inst: KlsInstance, assignment) -> UniPoly:
+def kls_leaf_poly(inst: KlsInstance, assignment) -> tuple:
     """h(xe + w) h(xe - w) for the centered signed sum w, without the
-    probability prefactor.
+    probability prefactor, as ints (N, E^2): the coefficient of x^(2d-k) is
+    N[k] / (E^2 (L D)^k).
 
-    h(xe - w) = (-1)^d h(-xe + w) is read off the one restriction
-    p(x) = h(xe + w) as (-1)^d p(-x).
+    h is homogeneous, so with W = L D w (KlsInstance.centered_ints) and R[j]
+    the coefficient of y^(d-j) in y -> E h(ye + W) (one h.restrict_e_ints),
+    P(x) = h(xe + w) has R[j] / (E (L D)^j) at x^(d-j), and h(xe - w) =
+    (-1)^d P(-x).  So N is kls_node_sums of the one row R, as for a node
+    whose fold has the empty free set alone: a full assignment's.
     """
-    w = inst.centered_sum(assignment)
-    plus = inst.h.restrict_line(w, inst.h.e)
-    d = inst.h.d
-    minus = UniPoly.from_coeffs(
-        [c if (d + k) % 2 == 0 else -c for k, c in enumerate(plus.coeffs)])
-    return plus * minus
+    (row,), outer = inst.h.restrict_e_ints([inst.centered_ints(assignment)])
+    return kls_node_sums({0: 1}, {0: row[::-1]}, 2 * inst.h.d), outer * outer
 
 
-def _prefix_prob(inst: KlsInstance, partial):
-    """Probability of a prefix assignment; checks its length and values."""
+def _prefix_weight(inst: KlsInstance, partial) -> tuple:
+    """(P, Q) with Pr[prefix] = P / Q, from the int probabilities of
+    inst.integer_data; checks the prefix's length and values."""
     if len(partial) > inst.n:
         raise ValueError("prefix longer than the variable list")
-    prob = 1
-    for s, var in zip(partial, inst.variables):
-        if s not in var.support:
-            raise ValueNotInSupport(f"value {s!r} not in support {var.support!r}")
-        prob = prob * var.probs[var.support.index(s)]
-    return prob
+    num = den = 1
+    for s, probs, var in zip(partial, inst.integer_data[5], inst.variables):
+        try:
+            num *= probs[s]
+        except KeyError:
+            raise ValueNotInSupport(f"value {s!r} not in support {var.support!r}") from None
+        den *= sum(probs.values())
+    return num, den
 
 
 def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     """Conditional polynomial for a prefix assignment (the root for ()), by
-    enumerating every completion: the reference route."""
-    prefix_prob = _prefix_prob(inst, partial)
-    rest = inst.variables[len(partial):]
-    branches = math.prod(len(v.support) for v in rest)
+    enumerating every completion: the reference route.
+
+    Each leaf comes as ints (kls_leaf_poly) and is weighted by the int
+    probabilities of its free values, so the sum runs over ints.  With P / Q
+    the prefix's probability, R the product of the free variables' q_i and
+    E^2 the common multiple of the leaves' denominators, the coefficient of
+    x^(2d-k) is P total[k] / (Q R E^2 (L D)^k), one Fraction each, built at
+    the end.
+    """
+    partial = tuple(partial)
+    num, den = _prefix_weight(inst, partial)
+    vec_scale, var_scale, *_, probs = inst.integer_data
+    free = probs[len(partial):]
+    branches = math.prod(map(len, free))
     if branches > MAX_BRANCHES:
         raise TooLarge(f"{branches} completions exceed the {MAX_BRANCHES} guardrail")
-    acc = UniPoly.zero()
-    for completion in itertools.product(*[v.support for v in rest]):
-        weight = prefix_prob
-        for t, var in zip(completion, rest):
-            weight = weight * var.probs[var.support.index(t)]
-        leaf = kls_leaf_poly(inst, tuple(partial) + completion)
-        acc = acc + leaf.scale(weight)
-    return acc
+    width = 2 * inst.h.d + 1
+    total, outer = [0] * width, 1
+    for completion in itertools.product(*free):
+        sums, leaf_outer = kls_leaf_poly(inst, partial + completion)
+        if outer % leaf_outer:  # a new E^2: bring the sum to the common multiple
+            common = math.lcm(outer, leaf_outer)
+            total = [c * (common // outer) for c in total]
+            outer = common
+        weight = math.prod(map(operator.getitem, free, completion)) * (outer // leaf_outer)
+        for k in range(0, width, 2):  # odd N[k] vanish
+            total[k] += weight * sums[k]
+    den *= outer * math.prod(sum(p.values()) for p in free)
+    scale = vec_scale * var_scale
+    return UniPoly.from_coeffs([Fraction(num * total[k], den * scale ** k)
+                                for k in range(width - 1, -1, -1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +571,7 @@ class KlsTable:
         D_v h(e) is >= 0; InvalidParams is raised for the first vector that
         fails.
         """
-        vec_scale, var_scale, vectors, centered, variances = inst.integer_data
+        vec_scale, var_scale, vectors, centered, variances, _ = inst.integer_data
         if inst.generators_match:
             entries, outer = gram_minor_table(inst.h, inst.generators, vec_scale)
         elif isinstance(inst.h, LorentzInstance):
@@ -560,10 +608,12 @@ def kls_fold(table: KlsTable, rows: dict, lo: int, values) -> dict:
     the A of the coordinates below lo with |U| + |A| = j, and U ranges over
     the coordinates from lo up.  The result is the same for the coordinates
     from lo + len(values) up, so folding a prefix in pieces equals folding it
-    at once, and the fold of the empty prefix is table.rows.
+    at once, and folding no values returns rows itself.
     """
     if lo + len(values) > len(table.centered):
         raise ValueError("prefix longer than the variable list")
+    if not values:
+        return rows
     try:
         factors = [cent[s] for s, cent in zip(values, table.centered[lo:])]
     except KeyError as exc:
@@ -591,8 +641,9 @@ def kls_fold(table: KlsTable, rows: dict, lo: int, values) -> dict:
     return out
 
 
-def kls_node_sums(table: KlsTable, rows: dict, top: int) -> list:
-    """N_0..N_top of the node whose prefix is folded into rows.
+def kls_node_sums(weights: dict, rows: dict, top: int) -> list:
+    """N_0..N_top of the node whose prefix is folded into rows, for the
+    table's weights (KlsTable.weights).
 
     N_k = sum_F (L^2 tau^2)^F sum_{j+j'=k} (-1)^j' R_F[j] R_F[j'], with
     R_F[j] = rows[F][j - |F|].  Each term and its mirror cancel for odd k
@@ -600,7 +651,6 @@ def kls_node_sums(table: KlsTable, rows: dict, top: int) -> list:
     (-1)^j' = (-1)^j.
     """
     sums = [0] * (top + 1)
-    weights = table.weights
     for free, row in rows.items():
         w = weights[free]
         if not w:
@@ -634,13 +684,13 @@ def kls_table_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
     and the reference); the search's oracle reads N_k directly
     (KlsFamily.scaled_top_coeffs).
     """
-    prefix_prob = _prefix_prob(inst, partial)
+    num, den = _prefix_weight(inst, partial)
     table = inst.coefficient_table
     d = table.d
-    sums = kls_node_sums(table, kls_fold(table, table.rows, 0, tuple(partial)), 2 * d)
-    return UniPoly.from_coeffs(
-        [prefix_prob * Fraction(sums[k], table.denominator * table.scale ** k)
-         for k in range(2 * d, -1, -1)])
+    sums = kls_node_sums(table.weights, kls_fold(table, table.rows, 0, tuple(partial)), 2 * d)
+    den *= table.denominator
+    return UniPoly.from_coeffs([Fraction(num * sums[k], den * table.scale ** k)
+                                for k in range(2 * d, -1, -1)])
 
 
 def kls_operator_form(inst: KlsInstance) -> UniPoly:
@@ -650,8 +700,8 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     signed subset sum sum_S (-1)^|S| tau_S^2 A_S^2 rather than a symbolic
     multivariate expansion, over ints.  The restriction route: with D, L and
     the int vectors D v_i of inst.integer_data, one stacked call of
-    h.restrict_e_rows takes the restrictions x -> h(xe + sum_{i in U} D v_i)
-    for every |U| <= d at once, and subset_moebius turns them into
+    h.restrict_e_ints takes the restrictions x -> E h(xe + sum_{i in U} D v_i)
+    for every |U| <= d at once, as ints, and subset_moebius turns them into
     A'_S = E D^|S| A_S as int coefficient lists (A_S vanishes for |S| > d, a
     product of more than d derivatives of a degree-d form).  Then
 
@@ -662,10 +712,9 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     coefficient table nor its check, so it stays an independent route to
     the root polynomial (kls_table_node_poly).
     """
-    vec_scale, var_scale, vectors, _, variances = inst.integer_data
+    vec_scale, var_scale, vectors, _, variances, _ = inst.integer_data
     h, d = inst.h, inst.h.d
-    rows, outer = subset_moebius(h, vectors,
-                                 lambda ws: h.restrict_e_rows(np.array(ws, dtype=object)))
+    rows, outer = subset_moebius(h, vectors, h.restrict_e_ints)
     step = (var_scale * vec_scale) ** 2
     total = [0] * (2 * d + 1)
     for mask, weight in subset_accumulate(rows, variances, operator.mul, 1).items():
@@ -774,9 +823,10 @@ class KlsFamily:
     def node_poly(self, prefix) -> UniPoly:
         """The one exact route: inner nodes come from the instance's
         coefficient table, built and checked when the file is loaded; a full
-        assignment is a single leaf, which kls_node_poly restricts once.
-        The oracle scores leaves this way too: the kls-search trace
-        coverage in hdbench/test_bench_trace.py counts on those calls."""
+        assignment is a single leaf, which kls_node_poly restricts once over
+        ints (kls_leaf_poly) and turns into 2d+1 Fractions.  The oracle
+        scores leaves this way too: the kls-search trace coverage in
+        hdbench/test_bench_trace.py counts on those calls."""
         prefix = tuple(prefix)
         if len(prefix) == self.n:
             return kls_node_poly(self.inst, prefix)
@@ -811,7 +861,8 @@ class KlsFamily:
             return None
         table = self.inst.coefficient_table
         done, rows = self._base(prefix)
-        sums = kls_node_sums(table, kls_fold(table, rows, len(done), prefix[len(done):]), k)
+        folded = kls_fold(table, rows, len(done), prefix[len(done):])
+        sums = kls_node_sums(table.weights, folded, k)
         lead = sums[0]
         return tuple(sums[j] * lead ** (j - 1) for j in range(1, k + 1)), lead * table.scale
 

@@ -22,8 +22,10 @@ Newton's recurrence run on the C_j gives P_k = p_k q^k.  One division
 P_k / q^k, which rounds correctly, turns it into the same float the
 Fraction route gives.  Signed inner nodes come as ints straight off the
 folded table, with the committed rounds folded in once per round
-(KlsFamily.commit); other exact nodes are scaled to ints by the lcm of
-their denominators, and float nodes keep q = 1.
+(KlsFamily.commit).  Signed leaves are summed over ints too
+(mixedchar.kls_leaf_poly), but reach the oracle as the 2d+1 Fractions of
+node_poly, as do exact subset nodes; integer_top_coeffs scales those back
+to ints by the lcm of their denominators.  Float nodes keep q = 1.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ def maxcoeff_enum(family, k: int, prefix) -> tuple:
     Signed inner nodes come as ints off the folded coefficient table
     (KlsFamily.scaled_top_coeffs), so no Fraction is built.  Every other
     node is read off node_poly: subset nodes off the leaf table, signed
-    leaves by restriction.  Exact ones are then scaled to ints as well;
-    float ones keep scale 1.
+    leaves by their int restriction (kls_node_poly).  Exact ones are then
+    scaled to ints as well; float ones keep scale 1.
     """
     scaled = family.scaled_top_coeffs(prefix, k)
     if scaled is not None:

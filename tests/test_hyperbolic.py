@@ -417,6 +417,25 @@ def test_restrict_e_rows_equals_restrict_line_row_by_row(h, data):
         assert tuple(coeffs) == h.restrict_line(tuple(row), h.e).coeffs, row
 
 
+_HALF_E2 = RealStableInstance(MultiPoly(3, {(1, 1, 0): Fraction(1, 2), (1, 0, 1): Fraction(1, 2),
+                                            (0, 1, 1): Fraction(1, 2)}), (1, 1, 1))
+
+
+@pytest.mark.parametrize("h", STACK_INSTANCES + [_HALF_E2],
+                         ids=[f"{h.kind}-m{h.m}-d{h.d}" for h in STACK_INSTANCES] + ["half-e2"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restrict_e_ints_equals_restrict_line_row_by_row(h, data):
+    # One row (a signed leaf) and stacks (the operator form) alike.
+    bases = data.draw(st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=h.m,
+                                        max_size=h.m).map(tuple), min_size=1, max_size=5))
+    rows, outer = h.restrict_e_ints(bases)
+    assert outer == (2 if h is _HALF_E2 else 1) and len(rows) == len(bases)
+    for base, row in zip(bases, rows):
+        assert all(type(c) is int for c in row) and len(row) == h.d + 1
+        assert tuple(Fraction(c, outer) for c in row) == h.restrict_line(base, h.e).coeffs, base
+
+
 def test_custom_instance_rejects_inhomogeneous():
     p = MultiPoly(2, {(1, 0): 1, (2, 0): 1})
     with pytest.raises(ValueError):

@@ -55,6 +55,8 @@ from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate, monic_top_coeffs
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
+from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
+                         fraction_node_poly)
 from stability_oracle import stability_test
 from unipoly_helpers import from_roots
 
@@ -537,14 +539,45 @@ def test_principal_minors_equal_exact_determinants(n, rank, size, top, seed):
         assert value == det_exact([[gram[i][j] for j in t] for i in t])
 
 
+def _int_route_instances():
+    """The generated det and Lorentz files (every variable kind), the
+    elem_sym and custom spellings of e_2, and custom files with E != 1."""
+    yield from _generated_instances()
+    yield from _e2_instances()
+    yield from _fractional_custom_instances()
+
+
 def test_leaf_poly_reflection_equals_two_restrictions():
-    for inst in _generated_instances():
+    checked = 0
+    for inst in _int_route_instances():
+        scale = inst.integer_data[0] * inst.integer_data[1]
+        top = 2 * inst.h.d
         for assignment in itertools.islice(itertools.product(
                 *[var.support for var in inst.variables]), 6):
-            w = inst.centered_sum(assignment)
-            plus = inst.h.restrict_line(w, inst.h.e)
-            minus = inst.h.restrict_line(tuple(-c for c in w), inst.h.e)
-            assert kls_leaf_poly(inst, assignment).coeffs == (plus * minus).coeffs
+            sums, denom = kls_leaf_poly(inst, assignment)
+            assert all(type(c) is int for c in sums) and type(denom) is int
+            got = tuple(Fraction(sums[k], denom * scale ** k) for k in range(top, -1, -1))
+            assert got == fraction_leaf_poly(inst, assignment).coeffs, assignment
+            checked += 1
+    assert checked > 100
+
+
+def test_node_poly_equals_the_fraction_route_at_every_prefix():
+    checked = 0
+    for inst in _int_route_instances():
+        for prefix in _every_prefix(inst):
+            got = kls_node_poly(inst, prefix).coeffs
+            assert all(type(c) is Fraction for c in got)
+            assert got == fraction_node_poly(inst, prefix).coeffs, prefix
+            checked += 1
+    assert checked > 700
+
+
+def test_leaf_denominators_of_the_fractional_custom_files():
+    # kls_node_poly sums leaves over a common multiple of their E^2.
+    for inst, expect in zip(_fractional_custom_instances(), [{4}, {1, 4}]):
+        assert {kls_leaf_poly(inst, assignment)[1] for assignment in itertools.product(
+            *[var.support for var in inst.variables])} == expect
 
 
 _SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -639,6 +672,41 @@ def test_exact_cone_verdict_agrees_with_cone_membership(case):
         inst.coefficient_table
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_rational_kls_instances())
+def test_node_poly_equals_the_fraction_route_on_generated_instances(inst):
+    for prefix in _every_prefix(inst):
+        assert kls_node_poly(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs, prefix
+
+
+def _assert_integer_data_is_the_fraction_formula(inst):
+    vec_scale, var_scale, vectors, centered, variances, probs = inst.integer_data
+    assert (var_scale, centered, variances, probs) == fraction_integer_data(inst)
+    assert all(type(x) is int for cent in centered for x in cent.values())
+    assert all(type(x) is int for x in variances)
+    assert all(type(x) is int for p in probs for x in p.values())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(_rational_variables(), min_size=1, max_size=4))
+def test_integer_data_equals_the_fraction_formula(variables):
+    inst = KlsInstance.build(D1, [(Fraction(1),)] * len(variables), variables)
+    _assert_integer_data_is_the_fraction_formula(inst)
+
+
+def test_integer_data_equals_the_fraction_formula_on_the_spread_variable():
+    spread = RandomVar((Fraction(0), Fraction(1, 4), Fraction(-1, 4)),
+                       (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    biased = RandomVar((Fraction(1), Fraction(-1)), (Fraction(1, 3), Fraction(2, 3)))
+    for variables in ([spread], [spread, RADEMACHER], [biased, spread]):
+        inst = KlsInstance.build(D1, [(Fraction(1),)] * len(variables), variables)
+        _assert_integer_data_is_the_fraction_formula(inst)
+    # The centered values' and probabilities' lcm, 4, leaves 16 tau^2 = 1/2.
+    assert KlsInstance.build(D1, [(Fraction(1),)], [spread]).integer_data[1] == 8
+    for inst in _int_route_instances():
+        _assert_integer_data_is_the_fraction_formula(inst)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(_rational_kls_instances())
 def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
@@ -676,10 +744,10 @@ def test_three_signed_routes_agree_on_generated_instances(inst):
 
 def _per_vertex_operator_form(inst) -> UniPoly:
     """kls_operator_form with each vertex restricted by its own restrict_line
-    call, as the base class's restrict_e_rows does: the route before the one
+    call, as the base class's restrict_e_ints does: the route before the one
     stacked call."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(inst.h), "restrict_e_rows", HyperbolicInstance.restrict_e_rows)
+        mp.setattr(type(inst.h), "restrict_e_ints", HyperbolicInstance.restrict_e_ints)
         return kls_operator_form(inst)
 
 
@@ -754,6 +822,28 @@ def _e2_instances():
                                   "backend": "rational", "payload": {**payload, "h": h}})[0]
 
 
+def _fractional_custom_instances():
+    """Two custom files in three variables whose h has non-integer
+    coefficients, with the denominator E of y -> E h(ye + W) at the leaves'
+    int sums W: e_2 / 2, where E = 2 at every W, and
+    x1 x2 / 2 + x1 x3 / 2 + x2 x3, where E is 2 when W_2 + W_3 is odd and 1
+    when it is even (the support 1, -2 gives both parities, even first)."""
+    half, third = "1/2", "1/3"
+    e2 = [[[1, 1, 0], half], [[1, 0, 1], half], [[0, 1, 1], half]]
+    mixed = [[[1, 1, 0], half], [[1, 0, 1], half], [[0, 1, 1], 1]]
+    biased = {"support": [1, -1], "probs": [third, "2/3"]}
+    rademacher = {"support": [1, -1], "probs": [half, half]}
+    for terms, vectors, variables in [
+            (e2, [[half, 0, 0], [0, third, 0], [0, 0, 2], [1, 0, 0]], [biased] * 4),
+            (mixed, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             [rademacher, {"support": [1, -2], "probs": ["2/3", third]}, rademacher])]:
+        payload = {"h": {"kind": "custom", "nvars": 3, "e": [1, 1, 1],
+                         "poly": {"nvars": 3, "terms": terms}},
+                   "vectors": vectors, "variables": variables}
+        yield instance_from_json({"schema": "hyperdisc-instance/1", "kind": "kls",
+                                  "backend": "rational", "payload": payload})[0]
+
+
 def _fold_instances():
     yield from _generated_instances()
     yield from _e2_instances()
@@ -803,7 +893,8 @@ def _folded_sums(table, partial, split) -> list:
     head = split // 2
     committed = kls_fold(table, kls_fold(table, table.rows, 0, partial[:head]), head,
                          partial[head:split])
-    return kls_node_sums(table, kls_fold(table, committed, split, partial[split:]), 2 * table.d)
+    return kls_node_sums(table.weights, kls_fold(table, committed, split, partial[split:]),
+                         2 * table.d)
 
 
 def test_folded_sums_equal_the_unfolded_and_enumerated_numerators_at_every_split():
@@ -880,11 +971,19 @@ def test_centered_sum_over_ints_equals_the_fraction_sum():
     for inst in _fold_instances():
         for assignment in itertools.islice(itertools.product(
                 *[var.support for var in inst.variables]), 20):
-            expect = [Fraction(0)] * inst.h.m
-            for v, var, s in zip(inst.vectors, inst.variables, assignment):
-                for idx in range(inst.h.m):
-                    expect[idx] += (s - var.mean) * v[idx]
-            assert inst.centered_sum(assignment) == tuple(expect)
+            assert inst.centered_sum(assignment) == fraction_centered_sum(inst, assignment)
+
+
+def test_folding_no_values_returns_the_rows_themselves():
+    # The root node and a commit that adds nothing copy no row.
+    inst = gen_kls_det(5, 2, 1, "mixed")
+    table = inst.coefficient_table
+    assert kls_fold(table, table.rows, 0, ()) is table.rows
+    head = tuple(var.support[0] for var in inst.variables[:3])
+    committed = kls_fold(table, table.rows, 0, head)
+    assert kls_fold(table, committed, 3, ()) is committed
+    with pytest.raises(ValueError):
+        kls_fold(table, committed, inst.n + 1, ())
 
 
 def test_commit_that_does_not_extend_the_last_one_refolds():
