@@ -32,18 +32,27 @@ sum_S (-1)^|S| tau_S^2 A_S^2 becomes P_c(x) = c^(2d) P_1(x/c), and its
 largest root is exactly c times that of P_1.  The chain therefore takes the
 largest root of the unscaled instance's exact root polynomial
 (mixedchar.kls_table_node_poly, read off the coefficient table that loading
-builds) and multiplies it by 1/sigma once; Phi, the probes and the variance
-mix are evaluated on the scaled instance, whose variance_mix spectrum gives
-both the norm step and lambda_1.
+builds) and multiplies it by 1/sigma once.  sigma itself comes from that
+table too: the exact traces are ratios of its entries, and the variance mix
+is summed over ints (KlsInstance.variance_mix).  Phi, the probes and the
+variance mix are evaluated on the scaled instance, whose float traces come
+from one stacked restriction and whose variance_mix spectrum gives both the
+norm step and lambda_1.
 
-The chain evaluates its point once: phi returns every Phi^i from one w,
-one h(w), one set of tau_i and (subset) one g with its gradient, each Phi^i
-adding only its directional derivative of h; the probes read P's value
-alone.  Phi is never taken by differentiating an expanded multivariate
-polynomial.  The explicit polynomial P in (x, z) is only materialized, as a
-realstable.MultiPoly (kls_square_zpoly), for the operator-update regression
-test, where (1 - 1/2 d^2/dz_i^2) must be applied literally
-(realstable.one_minus_c_d2).
+The chain builds each point once, in float stacks that keep the bits of
+one point at a time: the probes' w in one stack (_points), evaluated by one
+h.values call (one stacked determinant for det, columns summed for
+Lorentz), with g over every probe from the support's sets; phi's w alone,
+one h(w), one set of tau_i and (subset) one g with its gradient from the
+same sets, each Phi^i adding only its directional derivative of h, the
+degree-1 coefficient of one restriction (interpolated through h.values
+where h has no closed form).  Each stacked kernel adds in the per-point
+order: vectors in index order, set products in element order, and set
+terms in support order.  Phi is never taken by differentiating an expanded
+multivariate polynomial.  The explicit polynomial P in (x, z) is only
+materialized, as a realstable.MultiPoly (kls_square_zpoly), for the
+operator-update regression test, where (1 - 1/2 d^2/dz_i^2) must be
+applied literally (realstable.one_minus_c_d2).
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ChainViolated
 from .mixedchar import (
@@ -96,30 +107,31 @@ def construction_point(inst) -> BarrierPoint:
     return BarrierPoint(alpha, (-t,) * inst.n, t)
 
 
-def _point_vector(inst, pt: BarrierPoint) -> tuple:
-    """w = x e + sum_i z_i tau_i v_i."""
-    w = [pt.x * float(c) for c in inst.h.e]
-    for z, tau, v in zip(pt.z, _taus(inst), inst.vectors):
-        for idx in range(inst.h.m):
-            w[idx] += z * tau * float(v[idx])
-    return tuple(w)
+def _points(inst, pts) -> np.ndarray:
+    """w = x e + sum_i z_i tau_i v_i for each point, one float row per point:
+    x e first, then the vectors added in index order, each as the products
+    (z_i tau_i) v_i, so every row holds the bits of a per-point sum."""
+    x = np.array([pt.x for pt in pts])
+    z = np.array([pt.z for pt in pts]).reshape(len(pts), inst.n)
+    w = x[:, None] * np.array(inst.h.e, dtype=float)
+    for zs, tau, v in zip(z.T, _taus(inst), np.array(inst.vectors, dtype=float)):
+        w = w + (zs * tau)[:, None] * v
+    return w
 
 
-def _ag_gen_value(inst: SrInstance, shifted) -> float:
-    """g at the point shifted = x 1 + z, by a support sum."""
-    value = 0.0
-    for elems, prob in inst.mu.support:
-        value += math.prod((shifted[e] for e in elems), start=float(prob))
-    return value
+def _set_probs(inst: SrInstance) -> np.ndarray:
+    return np.array([float(prob) for _, prob in inst.mu.support])
 
 
-def polynomial_value(inst, pt: BarrierPoint) -> float:
-    """P at (x, z): the squared restriction for a signed instance, the
-    restriction times g for a subset instance."""
-    hval = float(inst.h.value(_point_vector(inst, pt)))
-    if isinstance(inst, KlsInstance):
-        return hval * hval
-    return hval * _ag_gen_value(inst, [pt.x + z for z in pt.z])
+def _gen_values(inst: SrInstance, shifted: np.ndarray) -> np.ndarray:
+    """g = sum_S mu(S) prod_{e in S} shifted[e] for each row of shifted
+    (points x 1 + z): each term multiplies mu(S) by the set's elements in
+    order, and the terms are added in support order from 0."""
+    terms = np.broadcast_to(_set_probs(inst), (len(shifted), len(inst.mu.support)))
+    for col in inst.mu.sets.T:
+        terms = terms * shifted[:, col]
+    # cumsum adds term by term; + 0 gives the 0.0 a sum started at 0 leaves.
+    return np.cumsum(terms, axis=1)[:, -1] + 0
 
 
 def above_roots(inst, pt: BarrierPoint) -> int:
@@ -129,22 +141,19 @@ def above_roots(inst, pt: BarrierPoint) -> int:
     many of them are not positive; 0 is evidence that pt lies above all
     roots of P, anything else refutes it.  A signed probe reads the
     restriction h(w) itself: the square in the signed P hides sign crossings.
+    Every probe's w is built in one stack and evaluated by one h.values.
     """
     span = max(1.0, abs(pt.x))
-    failures = 0
-    for trial in range(ABOVE_ROOTS_PROBES + 1):
-        probe = pt
-        if trial:
-            rng = random.Random(f"above:0:{trial}")
-            z = tuple(zc + rng.uniform(0, span) for zc in pt.z)
-            probe = BarrierPoint(pt.x + rng.uniform(0, span), z, pt.t)
-        if isinstance(inst, KlsInstance):
-            value = float(inst.h.value(_point_vector(inst, probe)))
-        else:
-            value = polynomial_value(inst, probe)
-        if not value > 0:
-            failures += 1
-    return failures
+    probes = [pt]
+    for trial in range(1, ABOVE_ROOTS_PROBES + 1):
+        rng = random.Random(f"above:0:{trial}")
+        z = tuple(zc + rng.uniform(0, span) for zc in pt.z)
+        probes.append(BarrierPoint(pt.x + rng.uniform(0, span), z, pt.t))
+    values = np.array(inst.h.values(_points(inst, probes)), dtype=float)
+    if not isinstance(inst, KlsInstance):
+        shifted = np.array([[probe.x + z for z in probe.z] for probe in probes])
+        values = values * _gen_values(inst, shifted)
+    return int(np.count_nonzero(~(values > 0)))
 
 
 def phi(inst, pt: BarrierPoint) -> tuple:
@@ -154,9 +163,11 @@ def phi(inst, pt: BarrierPoint) -> tuple:
     subset: D_{v_i} h(w) / h(w) + (d_i g / g)(x 1 + z);
     at w = x e + sum z_j tau_j v_j, where D_u h(w) is the degree-1
     coefficient of t -> h(w + t u).  Phi is meaningful only above the roots
-    of P (see above_roots); it is not checked here.
+    of P (see above_roots); it is not checked here.  The gradient of g takes
+    each set's term without one element at a time, mu(S) times the others
+    in order, and adds it to that element in support order.
     """
-    w = _point_vector(inst, pt)
+    w = tuple(_points(inst, [pt])[0].tolist())
     hval = float(inst.h.value(w))
     dvs = []
     for tau, v in zip(_taus(inst), inst.vectors):
@@ -164,13 +175,21 @@ def phi(inst, pt: BarrierPoint) -> tuple:
         dvs.append(float(coeffs[1] if len(coeffs) > 1 else 0))
     if isinstance(inst, KlsInstance):
         return tuple(2.0 * dv / hval for dv in dvs)
-    shifted = [pt.x + z for z in pt.z]
-    gval = _ag_gen_value(inst, shifted)
-    grad = [0.0] * inst.n
-    for elems, prob in inst.mu.support:
-        for e in elems:
-            grad[e] += math.prod((shifted[o] for o in elems if o != e), start=float(prob))
-    return tuple(dv / hval + dg / gval for dv, dg in zip(dvs, grad))
+    shifted = np.array([pt.x + z for z in pt.z])
+    gval = float(_gen_values(inst, shifted[None])[0])
+    sets = inst.mu.sets
+    cols = shifted[sets]
+    probs = _set_probs(inst)
+    terms = np.empty(sets.shape)
+    for j in range(sets.shape[1]):
+        term = probs
+        for k in range(sets.shape[1]):
+            if k != j:
+                term = term * cols[:, k]
+        terms[:, j] = term
+    grad = np.zeros(inst.n)
+    np.add.at(grad, sets, terms)  # row by row: each element's terms in support order
+    return tuple(dv / hval + dg / gval for dv, dg in zip(dvs, grad.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A degree-d homogeneous polynomial h with h(e) > 0 is hyperbolic in
 direction e when t -> h(te - x) is real-rooted for every real x.  The d
 roots of that restriction are the hyperbolic eigenvalues of x, and their
 largest magnitude is the hyperbolic norm; the trace, their sum, is read
-exactly off two coefficients (hyperbolic_trace).  Four instance kinds are
+exactly off two coefficients (hyperbolic_traces).  Four instance kinds are
 supported:
 
 * ``determinant``: h = det on vectorized symmetric matrices, e = vec(I);
@@ -42,6 +42,16 @@ def _is_float_vec(x) -> bool:
     return any(isinstance(v, float) for v in x)
 
 
+def _float_stack(points):
+    """The points as one float64 array when every coordinate is a float (a
+    float64 array passes as it is), else None."""
+    if isinstance(points, np.ndarray):
+        return points if points.dtype == np.float64 else None
+    if all(isinstance(c, float) for p in points for c in p):
+        return np.array(points, dtype=float)
+    return None
+
+
 class HyperbolicInstance:
     """Base class: subclasses provide value() and an exact line restriction."""
 
@@ -52,6 +62,13 @@ class HyperbolicInstance:
 
     def value(self, x):
         raise NotImplementedError
+
+    def values(self, points) -> list:
+        """h at each of a sequence of points (tuples, or the rows of a 2-D
+        array), in order, each as value() gives it.  Here value() is called
+        per point; a subclass evaluates a float stack in one call."""
+        rows = points.tolist() if isinstance(points, np.ndarray) else points
+        return [self.value(tuple(p)) for p in rows]
 
     def restrict_line(self, base, dirv) -> UniPoly:
         """Exact univariate polynomial t -> h(base + t dirv)."""
@@ -78,8 +95,9 @@ class HyperbolicInstance:
         return _integer_rows([self.restrict_line(tuple(base), self.e).coeffs for base in bases])
 
     def _interp_restrict(self, base, dirv) -> UniPoly:
-        return interpolate([(t, self.value(tuple(b + t * w for b, w in zip(base, dirv))))
-                            for t in range(self.d + 1)])
+        nodes = range(self.d + 1)
+        points = [tuple(b + t * w for b, w in zip(base, dirv)) for t in nodes]
+        return interpolate(list(zip(nodes, self.values(points))))
 
     def check_dim(self, x, name: str = "vector"):
         if len(x) != self.m:
@@ -133,6 +151,15 @@ class DeterminantInstance(HyperbolicInstance):
         if _is_float_vec(x):
             return float(np.linalg.det(np.array(a, dtype=float)))
         return det_exact(a)
+
+    def values(self, points) -> list:
+        """value() at each point: one stacked np.linalg.det over float
+        points, which gives each matrix the bits of its own call; any other
+        points take value() one at a time."""
+        stack = _float_stack(points)
+        if stack is None:
+            return super().values(points)
+        return np.linalg.det(self._stack(stack)).tolist()
 
     def restrict_line(self, base, dirv) -> UniPoly:
         self.check_dim(base, "base")
@@ -212,6 +239,17 @@ class LorentzInstance(HyperbolicInstance):
 
     def value(self, x):
         return x[-1] * x[-1] - sum(v * v for v in x[:-1])
+
+    def values(self, points) -> list:
+        """value() at each point; float points are summed a column at a
+        time, in value()'s order, so each keeps its bits."""
+        stack = _float_stack(points)
+        if stack is None:
+            return super().values(points)
+        space = 0
+        for col in stack[:, :-1].T:
+            space = space + col * col
+        return (stack[:, -1] * stack[:, -1] - space).tolist()
 
     def restrict_line(self, base, dirv) -> UniPoly:
         self.check_dim(base, "base")
@@ -365,12 +403,17 @@ def spectrum(h: HyperbolicInstance, x) -> Spectrum:
     return Spectrum(tuple(eigs), float(norm))
 
 
-def hyperbolic_trace(h: HyperbolicInstance, v):
-    """Exact trace: sum of the roots of h(te - v) via the coefficient ratio."""
-    rest = char_restriction(h, v)
-    if rest.degree < 1:
-        return Fraction(0)
-    return -rest.coeffs[-2] / rest.coeffs[-1]
+def hyperbolic_traces(h: HyperbolicInstance, vectors) -> tuple:
+    """The trace of each vector v, the sum of the roots of h(te - v), read
+    off the coefficient ratio -c_(d-1) / c_d of its characteristic
+    restriction; every restriction comes from one stacked call
+    (h.restrict_e_rows).  Exact vectors give exact traces, and float
+    vectors the bits that one restriction per vector would give."""
+    for v in vectors:
+        h.check_dim(v)
+    exact = not any(map(_is_float_vec, vectors))
+    rows = h.restrict_e_rows(-np.array(vectors, dtype=object if exact else float))
+    return tuple((-rows[:, -2] / rows[:, -1]).tolist())
 
 
 def cone_membership(h: HyperbolicInstance, x) -> ConeVerdict:

@@ -126,7 +126,7 @@ from .hyperbolic import (
     Spectrum,
     derivative_restriction,
     gram_minor_table,
-    hyperbolic_trace,
+    hyperbolic_traces,
     lorentz_form_table,
     mixed_derivative_table,
     spectrum,
@@ -189,8 +189,12 @@ class KlsInstance:
     loading builds the coefficient table, where the rank and the cone are
     checked exactly or hold by construction (KlsTable.build); build itself
     checks only the shapes.
-    The traces and sigma are computed on first use: the search never reads
-    them, and each costs an exact characteristic polynomial per vector.
+    The traces and sigma are computed on first use, and the search never
+    reads them.  For exact vectors both come from the coefficient table and
+    integer_data that loading has built, so sigma costs one exact
+    characteristic polynomial, the variance mix's; float vectors (an
+    instance scaled by a float) take one stacked restriction for every
+    trace.
     """
 
     h: HyperbolicInstance
@@ -213,15 +217,47 @@ class KlsInstance:
         return KlsInstance(h, vectors, variables, generators)
 
     @functools.cached_property
+    def exact(self) -> bool:
+        """Whether no vector holds a float: the table and integer_data apply."""
+        return not any(isinstance(c, float) for v in self.vectors for c in v)
+
+    @functools.cached_property
     def traces(self) -> tuple:
-        """Exact hyperbolic traces of the vectors."""
-        return tuple(hyperbolic_trace(self.h, v) for v in self.vectors)
+        """The hyperbolic traces of the vectors.
+
+        Exact vectors read theirs off the coefficient table as Fractions:
+        tr[v_i] = D_{v_i} h(e) / h(e) = a_i / a_0, and the table holds
+        E D a_i and E a_0.  Float vectors take hyperbolic_traces, one
+        stacked restriction.
+        """
+        if not self.exact:
+            return hyperbolic_traces(self.h, self.vectors)
+        entries = self.coefficient_table.entries
+        denom = self.integer_data[0] * entries[0]
+        return tuple(Fraction(entries[1 << i], denom) for i in range(self.n))
 
     @functools.cached_property
     def variance_mix(self) -> Spectrum:
-        """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i."""
+        """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i.
+
+        For exact vectors the mix is summed over ints first: with D, L, the
+        int vectors D v_i and L^2 tau_i^2 from integer_data and the table
+        entries E D a_i, sum_i (L^2 tau_i^2) (E D a_i) (D v_i) is the mix
+        times L^2 D^2 E a_0, so one division per coordinate gives the
+        mix's Fractions.  Float vectors sum it in their own arithmetic.
+        """
         h = self.h
-        mix = [Fraction(0)] * h.m
+        if self.exact:
+            vec_scale, var_scale, vectors, _, variances, _ = self.integer_data
+            entries = self.coefficient_table.entries
+            acc = [0] * h.m
+            for i, (v, weight) in enumerate(zip(vectors, variances)):
+                weight *= entries[1 << i]
+                if weight:
+                    acc = [a + weight * x for a, x in zip(acc, v)]
+            denom = (vec_scale * var_scale) ** 2 * entries[0]
+            return spectrum(h, tuple(Fraction(a, denom) for a in acc))
+        mix = [0.0] * h.m
         for v, var, tr in zip(self.vectors, self.variables, self.traces):
             weight = var.variance * tr
             for idx in range(h.m):
@@ -412,7 +448,7 @@ class SrInstance:
     @functools.cached_property
     def eps2(self) -> float:
         """Largest hyperbolic trace of a vector."""
-        return max(float(hyperbolic_trace(self.h, v)) for v in self.vectors)
+        return max(map(float, hyperbolic_traces(self.h, self.vectors)))
 
     @functools.cached_property
     def leaf_table(self) -> LeafTable:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -300,29 +301,28 @@ class BaselineSummary:
 
 
 def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
-    """I.i.d. random assignments: the matrix-Chernoff-style comparison point."""
+    """I.i.d. random assignments: the matrix-Chernoff-style comparison point.
+
+    Each draw u takes the first value whose cumulative probability (a float
+    cumsum) is >= u, clamped to the last value; every variable's centered
+    float values are computed once."""
     vecs = np.array([[float(c) for c in v] for v in inst.vectors])
     rows = np.zeros((trials, inst.n))
     if isinstance(inst, KlsInstance):
-        means = [float(var.mean) for var in inst.variables]
-        cum = []
+        draws = []
         for var in inst.variables:
-            probs = [float(p) for p in var.probs]
-            cum.append(np.cumsum(probs))
+            mean = float(var.mean)
+            draws.append((np.cumsum([float(p) for p in var.probs]).tolist(),
+                          [float(s) - mean for s in var.support]))
         for t in range(trials):
             rng = random.Random(f"baseline:{seed}:{t}")
-            for i, var in enumerate(inst.variables):
-                u = rng.random()
-                j = int(np.searchsorted(cum[i], u))
-                j = min(j, len(var.support) - 1)
-                rows[t, i] = float(var.support[j]) - means[i]
+            rows[t] = [values[min(bisect_left(cum, rng.random()), len(values) - 1)]
+                       for cum, values in draws]
     else:
-        probs = np.cumsum([float(p) for _, p in inst.mu.support])
+        cum = np.cumsum([float(p) for _, p in inst.mu.support]).tolist()
         for t in range(trials):
             rng = random.Random(f"baseline:{seed}:{t}")
-            j = int(np.searchsorted(probs, rng.random()))
-            j = min(j, len(inst.mu.support) - 1)
-            for e in inst.mu.support[j][0]:
-                rows[t, e] = 1.0
+            j = min(bisect_left(cum, rng.random()), len(cum) - 1)
+            rows[t, list(inst.mu.support[j][0])] = 1.0
     arr = np.sort(inst.h.norms(rows @ vecs))
     return BaselineSummary(float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1]))

@@ -1,6 +1,7 @@
 """Barrier functions, above-roots checks, and the certificate chain."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -18,18 +19,49 @@ from hyperdisc.barrier import (
     construction_point,
     kls_square_zpoly,
     phi,
-    polynomial_value,
     verify_bound_chain,
 )
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import determinant, lorentz
-from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
+from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
 from hyperdisc.realstable import one_minus_c_d2
 from hyperdisc.srdist import SRDistribution
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
+
+
+def _taus(inst) -> list:
+    if isinstance(inst, KlsInstance):
+        return [math.sqrt(float(var.variance)) for var in inst.variables]
+    return [1.0] * inst.n
+
+
+def _point_reference(inst, pt: BarrierPoint) -> tuple:
+    """w = x e + sum_i z_i tau_i v_i, one coordinate at a time."""
+    w = [pt.x * float(c) for c in inst.h.e]
+    for z, tau, v in zip(pt.z, _taus(inst), inst.vectors):
+        for idx in range(inst.h.m):
+            w[idx] += z * tau * float(v[idx])
+    return tuple(w)
+
+
+def _gen_reference(inst, shifted) -> float:
+    """g at shifted = x 1 + z, by a support sum."""
+    value = 0.0
+    for elems, prob in inst.mu.support:
+        value += math.prod((shifted[e] for e in elems), start=float(prob))
+    return value
+
+
+def _polynomial_value(inst, pt: BarrierPoint) -> float:
+    """P at (x, z): the squared restriction for a signed instance, the
+    restriction times g for a subset instance, one point at a time."""
+    hval = float(inst.h.value(_point_reference(inst, pt)))
+    if isinstance(inst, KlsInstance):
+        return hval * hval
+    return hval * _gen_reference(inst, [pt.x + z for z in pt.z])
 
 
 def _shift(pt: BarrierPoint, i: int, amount: float) -> BarrierPoint:
@@ -107,8 +139,8 @@ def test_phi_matches_log_derivative():
     eps = 1e-6
     for i in range(inst.n):
         analytic = phi(inst, pt)[i]
-        up = math.log(polynomial_value(inst, _shift(pt, i, eps)))
-        down = math.log(polynomial_value(inst, _shift(pt, i, -eps)))
+        up = math.log(_polynomial_value(inst, _shift(pt, i, eps)))
+        down = math.log(_polynomial_value(inst, _shift(pt, i, -eps)))
         numeric = (up - down) / (2 * eps)
         assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-8)
     del rng
@@ -278,12 +310,8 @@ def _phi_reference(inst, i, pt):
     """Phi^i alone: 2 D_{tau_i v_i} h(w) / h(w) for a signed instance, plus
     d_i g / g summed over the support for a subset instance."""
     signed = isinstance(inst, KlsInstance)
-    taus = [math.sqrt(float(var.variance)) for var in inst.variables] if signed else [1.0] * inst.n
-    w = [pt.x * float(c) for c in inst.h.e]
-    for z, tau, v in zip(pt.z, taus, inst.vectors):
-        for idx in range(inst.h.m):
-            w[idx] += z * tau * float(v[idx])
-    w = tuple(w)
+    taus = _taus(inst)
+    w = _point_reference(inst, pt)
     coeffs = inst.h.restrict_line(w, tuple(taus[i] * float(c) for c in inst.vectors[i])).coeffs
     dv = float(coeffs[1]) if len(coeffs) > 1 else 0.0
     hval = float(inst.h.value(w))
@@ -321,15 +349,80 @@ def test_phi_equals_the_per_index_reference_bit_for_bit():
 
 
 def test_chain_builds_its_point_once_for_every_phi(monkeypatch):
-    # Each probe builds w once, and phi builds it once for all n indices.
+    # One stacked build holds every probe's w, and phi builds its point once
+    # for all n indices.
     built = []
-    point_vector = barrier._point_vector
-    monkeypatch.setattr(barrier, "_point_vector",
-                        lambda inst, pt: built.append(pt) or point_vector(inst, pt))
+    points = barrier._points
+    monkeypatch.setattr(barrier, "_points",
+                        lambda inst, pts: built.append(len(pts)) or points(inst, pts))
     for label, inst in _chain_cases():
         built.clear()
         verify_bound_chain(inst)
-        assert len(built) == ABOVE_ROOTS_PROBES + 2, (label, inst.n, len(built))
+        assert built == [ABOVE_ROOTS_PROBES + 1, 1], (label, inst.n, built)
+
+
+def _probes(pt: BarrierPoint) -> list:
+    """pt and the ABOVE_ROOTS_PROBES seeded offsets above_roots draws."""
+    span = max(1.0, abs(pt.x))
+    probes = [pt]
+    for trial in range(1, ABOVE_ROOTS_PROBES + 1):
+        rng = random.Random(f"above:0:{trial}")
+        z = tuple(zc + rng.uniform(0, span) for zc in pt.z)
+        probes.append(BarrierPoint(pt.x + rng.uniform(0, span), z, pt.t))
+    return probes
+
+
+def _above_roots_reference(inst, pt: BarrierPoint) -> int:
+    """The probes' failures, one point and one h.value at a time."""
+    failures = 0
+    for probe in _probes(pt):
+        if isinstance(inst, KlsInstance):
+            value = float(inst.h.value(_point_reference(inst, probe)))
+        else:
+            value = _polynomial_value(inst, probe)
+        failures += not value > 0
+    return failures
+
+
+def _more_sr_cases():
+    for name in ("c4", "c5", "k5", "diamond"):
+        yield f"sr:{name}", SrInstance.from_graph(named_graph(name))
+    yield "sr:random:7:9:0", SrInstance.from_graph(random_connected_graph(7, 9, 0))
+    for name in ("k4", "diamond"):
+        yield f"sr-exact:{name}", SrInstance.from_graph(named_graph(name), exact=True)
+
+
+def test_above_roots_equals_the_per_probe_reference():
+    counts = []
+    for label, inst in itertools.chain(_chain_cases(), _more_sr_cases()):
+        if isinstance(inst, KlsInstance):
+            inst = inst.scaled(1.0 / inst.sigma)  # as the chain evaluates it
+        pt = construction_point(inst)
+        # The point, and points at or below the roots, where probes fail.
+        for x in (pt.x, 0.5 * pt.t, 0.0, -pt.x):
+            at = BarrierPoint(x, pt.z, pt.t)
+            probes = _probes(at)
+            stack = barrier._points(inst, probes)
+            assert [list(map(float.hex, row)) for row in stack.tolist()] == \
+                [list(map(float.hex, _point_reference(inst, probe))) for probe in probes]
+            assert [float.hex(v) for v in inst.h.values(stack)] == \
+                [float.hex(float(inst.h.value(tuple(row)))) for row in stack.tolist()]
+            count = above_roots(inst, at)
+            assert count == _above_roots_reference(inst, at), (label, x)
+            counts.append(count)
+    assert 0 in counts and max(counts) >= ABOVE_ROOTS_PROBES  # both verdicts are checked
+
+
+def test_subset_phi_equals_the_per_index_reference_on_more_graphs():
+    rng = random.Random(31)
+    for label, inst in _more_sr_cases():
+        pt = construction_point(inst)
+        shifts = [BarrierPoint(pt.x + rng.uniform(0, 2),
+                               tuple(z + rng.uniform(0, 2) for z in pt.z), pt.t) for _ in range(2)]
+        for at in [pt] + shifts:
+            got = phi(inst, at)
+            assert [v.hex() for v in got] == \
+                [_phi_reference(inst, i, at).hex() for i in range(inst.n)], label
 
 
 def _zphi(p, i, pt):
@@ -372,5 +465,5 @@ def test_zpoly_matches_direct_value():
     inst = _scalar_instance(2)
     zp = kls_square_zpoly(inst)
     pt = BarrierPoint(3.0, (-0.5, -0.25), 1.0)
-    direct = polynomial_value(inst, pt)
+    direct = _polynomial_value(inst, pt)
     assert zp.eval((pt.x,) + pt.z) == pytest.approx(direct)

@@ -34,7 +34,9 @@ def test_gen_kls_det(capsys, tmp_path):
 
 
 def test_loading_a_kls_file_computes_no_char_poly(capsys, monkeypatch):
-    # Traces and sigma are computed on first use, not on every load.
+    # Traces and sigma are computed on first use, not on every load; the
+    # traces are read off the table that loading built, so sigma costs one
+    # characteristic polynomial, the variance mix's.
     from hyperdisc import hyperbolic
 
     _, out = run(capsys, "gen", "--kind", "kls-det", "--n", "4", "--mprime", "3",
@@ -47,11 +49,12 @@ def test_loading_a_kls_file_computes_no_char_poly(capsys, monkeypatch):
     inst, _ = instance_from_json(blob)
     assert calls == []
     assert inst.sigma == blob["generator"]["sigma"]
-    assert len(calls) == inst.n + 1
+    assert len(calls) == 1
 
 
 def test_loading_an_sr_file_computes_no_marginal(capsys, monkeypatch):
-    # eps1, eps2 and the leaf table are computed on first use, not on every load.
+    # eps1, eps2 and the leaf table are computed on first use, not on every
+    # load; eps2 takes one stacked restriction of every vector.
     from hyperdisc import mixedchar
     from hyperdisc.hyperbolic import DeterminantInstance
 
@@ -60,14 +63,17 @@ def test_loading_an_sr_file_computes_no_marginal(capsys, monkeypatch):
     calls = []
     marginal = mixedchar.max_marginal
     restrict = DeterminantInstance.restrict_line
+    rows = DeterminantInstance.restrict_e_rows
     monkeypatch.setattr(mixedchar, "max_marginal",
                         lambda mu: calls.append("marginal") or marginal(mu))
     monkeypatch.setattr(DeterminantInstance, "restrict_line",
                         lambda h, base, dirv: calls.append("restrict") or restrict(h, base, dirv))
+    monkeypatch.setattr(DeterminantInstance, "restrict_e_rows",
+                        lambda h, bases: calls.append(("rows", len(bases))) or rows(h, bases))
     inst, _ = instance_from_json(blob)
     assert calls == []
     assert (inst.eps1, inst.eps2) == (blob["generator"]["eps1"], blob["generator"]["eps2"])
-    assert calls == ["marginal"] + ["restrict"] * inst.n
+    assert calls == ["marginal", ("rows", inst.n)]
 
 
 # The float node sums are order-sensitive in their last bits; these outputs

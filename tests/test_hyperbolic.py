@@ -15,10 +15,11 @@ from hyperdisc.hyperbolic import (
     DeterminantInstance,
     ElemSymInstance,
     RealStableInstance,
+    char_restriction,
     cone_membership,
     derivative_restriction,
     determinant,
-    hyperbolic_trace,
+    hyperbolic_traces,
     lorentz,
     rank1_product_derivative,
     spectrum,
@@ -73,7 +74,7 @@ def test_spectrum_lorentz():
     sp = spectrum(L3, (3, 4, 1))
     assert sp.eigenvalues == pytest.approx((6.0, -4.0))
     assert sp.norm == pytest.approx(6.0)
-    assert hyperbolic_trace(L3, (3, 4, 1)) == 2 == pytest.approx(sum(sp.eigenvalues))
+    assert hyperbolic_traces(L3, [(3, 4, 1)])[0] == 2 == pytest.approx(sum(sp.eigenvalues))
     assert all(lam != pytest.approx(0.0) for lam in sp.eigenvalues)  # rank 2
 
 
@@ -82,7 +83,7 @@ def test_spectrum_determinant_diagonal():
     sp = spectrum(D2, x)
     assert sp.eigenvalues == pytest.approx((3.0, 2.0))
     assert sp.norm == pytest.approx(3.0)
-    assert hyperbolic_trace(D2, x) == 5 == pytest.approx(sum(sp.eigenvalues))
+    assert hyperbolic_traces(D2, [x])[0] == 5 == pytest.approx(sum(sp.eigenvalues))
     assert all(lam != pytest.approx(0.0) for lam in sp.eigenvalues)  # rank 2
 
 
@@ -90,7 +91,7 @@ def test_spectrum_at_direction_is_all_ones():
     for h in (L3, D2, ElemSymInstance(4, 3)):
         sp = spectrum(h, h.e)
         assert sp.eigenvalues == pytest.approx((1.0,) * h.d)
-        assert hyperbolic_trace(h, h.e) == h.d == pytest.approx(sum(sp.eigenvalues))
+        assert hyperbolic_traces(h, [h.e])[0] == h.d == pytest.approx(sum(sp.eigenvalues))
         assert all(lam != pytest.approx(0.0) for lam in sp.eigenvalues)  # rank d
 
 
@@ -121,7 +122,7 @@ def test_directional_derivative_lorentz():
 def test_trace_via_derivative_examples():
     for h, v, alpha, trace in ((L3, L3.e, 1, 2), (D2, D2.vec_outer((1, 1)), 1, 2),
                                (L3, (3, 4, 5), 2, 10)):
-        assert _trace_via_derivative(h, v, alpha) == trace == hyperbolic_trace(h, v)
+        assert _trace_via_derivative(h, v, alpha) == trace == hyperbolic_traces(h, [v])[0]
 
 
 def test_trace_via_derivative_alpha_independent():
@@ -130,7 +131,7 @@ def test_trace_via_derivative_alpha_independent():
         for _ in range(5):
             v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(h.m))
             vals = [_trace_via_derivative(h, v, a) for a in (1, -1, 2, -2, 3)]
-            assert all(val == hyperbolic_trace(h, v) for val in vals)
+            assert all(val == hyperbolic_traces(h, [v])[0] for val in vals)
             assert float(vals[0]) == pytest.approx(sum(spectrum(h, v).eigenvalues), abs=1e-8)
 
 
@@ -138,7 +139,7 @@ def test_exact_trace_matches_spectrum():
     rng = random.Random(5)
     for _ in range(10):
         v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
-        assert float(hyperbolic_trace(L3, v)) == pytest.approx(sum(spectrum(L3, v).eigenvalues))
+        assert float(hyperbolic_traces(L3, [v])[0]) == pytest.approx(sum(spectrum(L3, v).eigenvalues))
 
 
 def test_rank1_product_derivative_empty_set():
@@ -415,6 +416,60 @@ def test_restrict_e_rows_equals_restrict_line_row_by_row(h, data):
     for row, coeffs in zip(exact, got):
         assert all(isinstance(c, Fraction) for c in coeffs)
         assert tuple(coeffs) == h.restrict_line(tuple(row), h.e).coeffs, row
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_stacked_det_and_eigvalsh_equal_one_call_per_matrix(size):
+    # values, restrict_e_rows and hyperbolic_traces keep each point's bits
+    # only because numpy's stacked det and eigvalsh give every matrix the
+    # bits of its own call; a numpy that breaks this is named here.
+    rng = np.random.default_rng(size)
+    mats = rng.standard_normal((300, size, size))
+    mats = mats + mats.transpose(0, 2, 1)
+    mats[::3] = np.round(mats[::3])  # small ints: repeated and zero eigenvalues
+    mats[1::3, 0] = mats[1::3, :, 0] = 0.0  # singular
+    dets, eigs = np.linalg.det(mats), np.linalg.eigvalsh(mats)
+    for mat, det, eig in zip(mats, dets, eigs):
+        assert float.hex(float(det)) == float.hex(float(np.linalg.det(mat)))
+        assert _hex(eig) == _hex(np.linalg.eigvalsh(mat))
+
+
+@pytest.mark.parametrize("h", STACK_INSTANCES, ids=lambda h: f"{h.kind}-m{h.m}-d{h.d}")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_values_equal_value_point_by_point(h, data):
+    rows = data.draw(st.lists(_float_row(h), min_size=1, max_size=6))
+    want = [float.hex(h.value(tuple(row))) for row in rows]
+    # A float stack, as barrier's probes pass it, and a list of float tuples,
+    # as the interpolated restriction passes it.
+    for points in (np.array(rows, dtype=float), [tuple(row) for row in rows]):
+        got = h.values(points)
+        assert all(type(v) is float for v in got)
+        assert [float.hex(v) for v in got] == want, rows
+    # Exact points, and float points with a Fraction among them, take value().
+    exact = [tuple(Fraction(x) + Fraction(i % 2, 3) for i, x in enumerate(row)) for row in rows]
+    assert h.values(exact) == [h.value(p) for p in exact]
+    assert all(type(v) is Fraction for v in h.values(exact))
+    mixed = [(Fraction(1, 3),) + tuple(row[1:]) for row in rows]
+    assert [repr(v) for v in h.values(mixed)] == [repr(h.value(p)) for p in mixed]
+
+
+@pytest.mark.parametrize("h", STACK_INSTANCES, ids=lambda h: f"{h.kind}-m{h.m}-d{h.d}")
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stacked_traces_equal_one_restriction_per_vector(h, data):
+    rows = data.draw(st.lists(_float_row(h), min_size=1, max_size=5))
+
+    def one(v):  # the coefficient ratio of one characteristic restriction
+        coeffs = char_restriction(h, v).coeffs
+        return -coeffs[-2] / coeffs[-1]
+
+    got = hyperbolic_traces(h, [tuple(row) for row in rows])
+    assert [float.hex(t) for t in got] == [float.hex(one(tuple(row))) for row in rows]
+    exact = [tuple(Fraction(x) + Fraction(i % 2, 3) for i, x in enumerate(row)) for row in rows]
+    got = hyperbolic_traces(h, exact)
+    assert all(type(t) is Fraction for t in got)
+    assert got == tuple(one(v) for v in exact)
 
 
 _HALF_E2 = RealStableInstance(MultiPoly(3, {(1, 1, 0): Fraction(1, 2), (1, 0, 1): Fraction(1, 2),

@@ -21,9 +21,12 @@ from hyperdisc.errors import (
     ValueNotInSupport,
 )
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
+from hyperdisc import mixedchar
 from hyperdisc.hyperbolic import (
+    ElemSymInstance,
     HyperbolicInstance,
     RealStableInstance,
+    char_restriction,
     cone_membership,
     determinant,
     lorentz,
@@ -1211,3 +1214,78 @@ def test_a_round_after_a_commit_reads_only_the_committed_rows():
     table.members[outside] = ~table.members[outside]
     for combo in combos:
         assert np.array_equal(table.agreeing(commit + combo), want[combo]), combo
+
+
+# ---------------------------------------------------------------------------
+# Traces and the variance mix from the table, against one restriction per
+# vector and the Fraction sum.
+# ---------------------------------------------------------------------------
+
+def _elem_sym_instances():
+    """Seeded e_k instances, k = 2..4: each vector has one nonzero
+    coordinate, so it has rank <= 1 for the multilinear e_k."""
+    rng = random.Random(43)
+    for n, k in ((4, 2), (5, 3), (6, 4)):
+        h = ElemSymInstance(n, k)
+        vectors = []
+        for _ in range(n + 1):
+            vec = [Fraction(0)] * n
+            vec[rng.randrange(n)] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            vectors.append(tuple(vec))
+        variables = [rng.choice([RADEMACHER, RandomVar((Fraction(1), Fraction(-1)),
+                                                       (Fraction(1, 4), Fraction(3, 4)))])
+                     for _ in vectors]
+        yield KlsInstance.build(h, vectors, variables)
+
+
+def _trace_reference(h, v):
+    """The coefficient ratio of one characteristic restriction of v."""
+    coeffs = char_restriction(h, v).coeffs
+    return -coeffs[-2] / coeffs[-1]
+
+
+def _mix_reference(inst, traces) -> tuple:
+    """sum tau_i^2 tr[v_i] v_i, one coordinate at a time from Fraction(0)."""
+    mix = [Fraction(0)] * inst.h.m
+    for v, var, tr in zip(inst.vectors, inst.variables, traces):
+        weight = var.variance * tr
+        for idx in range(inst.h.m):
+            mix[idx] = mix[idx] + weight * v[idx]
+    return tuple(mix)
+
+
+def test_table_traces_and_variance_mix_equal_the_restriction_route(monkeypatch):
+    handed = []
+    real = mixedchar.spectrum
+    monkeypatch.setattr(mixedchar, "spectrum", lambda h, x: handed.append(x) or real(h, x))
+    checked = 0
+    for inst in itertools.chain(_int_route_instances(), _elem_sym_instances()):
+        traces = tuple(_trace_reference(inst.h, v) for v in inst.vectors)
+        assert all(type(t) is Fraction for t in inst.traces)
+        assert inst.traces == traces
+        handed.clear()
+        mix_spectrum = inst.variance_mix
+        assert handed == [_mix_reference(inst, traces)]
+        assert all(type(c) is Fraction for c in handed[0])
+        if not inst.sigma > 0:
+            continue
+        # The chain's rescaled instance: float traces, one stacked restriction.
+        scaled = inst.scaled(1.0 / inst.sigma)
+        traces = [_trace_reference(scaled.h, v) for v in scaled.vectors]
+        assert [float.hex(t) for t in scaled.traces] == [float.hex(t) for t in traces]
+        handed.clear()
+        assert scaled.variance_mix == real(scaled.h, _mix_reference(scaled, traces))
+        assert [list(map(float.hex, mix)) for mix in handed] == \
+            [list(map(float.hex, _mix_reference(scaled, traces)))]
+        assert mix_spectrum == real(inst.h, _mix_reference(inst, inst.traces))
+        checked += 1
+    assert checked > 20
+
+
+def test_eps2_equals_one_restriction_per_vector():
+    for graph in (complete_graph(4), diamond_graph(), named_graph("c5"),
+                  random_connected_graph(7, 9, 0)):
+        for exact in (False, True):
+            inst = SrInstance.from_graph(graph, exact=exact)
+            want = max(float(_trace_reference(inst.h, v)) for v in inst.vectors)
+            assert float.hex(inst.eps2) == float.hex(want)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperdisc.errors import OddK, TooLarge
@@ -235,6 +236,43 @@ def test_random_baseline_deterministic():
     assert a == b
     assert a.minimum == pytest.approx(0.0, abs=1e-12)
     assert a.maximum == pytest.approx(2.0)
+
+
+def _random_baseline_reference(inst, trials, seed):
+    """(min, median, max) of the baseline norms, with one np.searchsorted and
+    one float conversion per draw."""
+    vecs = np.array([[float(c) for c in v] for v in inst.vectors])
+    rows = np.zeros((trials, inst.n))
+    if isinstance(inst, KlsInstance):
+        means = [float(var.mean) for var in inst.variables]
+        cum = [np.cumsum([float(p) for p in var.probs]) for var in inst.variables]
+        for t in range(trials):
+            rng = random.Random(f"baseline:{seed}:{t}")
+            for i, var in enumerate(inst.variables):
+                j = min(int(np.searchsorted(cum[i], rng.random())), len(var.support) - 1)
+                rows[t, i] = float(var.support[j]) - means[i]
+    else:
+        probs = np.cumsum([float(p) for _, p in inst.mu.support])
+        for t in range(trials):
+            rng = random.Random(f"baseline:{seed}:{t}")
+            j = min(int(np.searchsorted(probs, rng.random())), len(inst.mu.support) - 1)
+            for e in inst.mu.support[j][0]:
+                rows[t, e] = 1.0
+    arr = np.sort(inst.h.norms(rows @ vecs))
+    return float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1])
+
+
+def test_random_baseline_equals_the_per_draw_reference():
+    instances = [gen(4, size, seed, kind) for gen, size in ((gen_kls_det, 3), (gen_kls_lorentz, 4))
+                 for kind in ("rademacher", "biased", "threepoint", "mixed") for seed in (0, 1)]
+    instances += [SrInstance.from_graph(g) for g in (complete_graph(4),
+                                                     random_connected_graph(6, 8, 1))]
+    for inst in instances:
+        for seed in (0, 5):
+            got = random_baseline(inst, 40, seed)
+            want = _random_baseline_reference(inst, 40, seed)
+            assert [x.hex() for x in (got.minimum, got.median, got.maximum)] == \
+                [x.hex() for x in want]
 
 
 def test_random_baseline_constant_variables():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hyperdisc import cli, srdist
 from hyperdisc.errors import DisconnectedGraph, IndexOutOfRange
 from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
-from hyperdisc.hyperbolic import hyperbolic_trace, spectrum
+from hyperdisc.hyperbolic import hyperbolic_traces, spectrum
 from hyperdisc.mixedchar import SrInstance
 from hyperdisc.srdist import (
     SRDistribution,
@@ -313,7 +313,7 @@ def test_effective_resistance_trace_identity():
     # Foster: total effective resistance over edges is |V| - 1.
     for graph in (K3, complete_graph(4), diamond_graph(), path_graph(5)):
         fam = effective_resistance_family(graph)
-        total = sum(float(hyperbolic_trace(fam.h, v)) for v in fam.vectors)
+        total = sum(map(float, hyperbolic_traces(fam.h, fam.vectors)))
         assert total == pytest.approx(graph.n_vertices - 1, abs=1e-8)
 
 
@@ -323,6 +323,6 @@ def test_effective_resistance_rank_one():
         sp = spectrum(fam.h, vec)
         assert sp.eigenvalues[1:] == pytest.approx((0.0,) * (fam.h.d - 1), abs=1e-9)
         # Rank-1 cone vectors: norm equals trace, the sum of the eigenvalues.
-        trace = float(hyperbolic_trace(fam.h, vec))
+        trace = float(hyperbolic_traces(fam.h, [vec])[0])
         assert trace == pytest.approx(sum(sp.eigenvalues), abs=1e-9)
         assert sp.norm == pytest.approx(trace, abs=1e-9)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hyperdisc import unipoly
 from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
 from hyperdisc.graphs import named_graph
-from hyperdisc.hyperbolic import char_restriction, determinant, hyperbolic_trace, lorentz
+from hyperdisc.hyperbolic import char_restriction, determinant, hyperbolic_traces, lorentz
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
 from hyperdisc.mixedchar import AgFamily, KlsFamily, SrInstance
 from hyperdisc.unipoly import (
@@ -367,7 +367,7 @@ def test_a_coefficient_type_is_its_arithmetic(exact, mixed, ys, vec):
     assert type(r(len(ys))) is Fraction
     d2, l3 = determinant(2), lorentz(3)
     for h, trace in ((d2, Fraction(vec[0]) + vec[2]), (l3, 2 * Fraction(vec[2]))):
-        got = hyperbolic_trace(h, tuple(vec))
+        got = hyperbolic_traces(h, [tuple(vec)])[0]
         assert type(got) is Fraction and got == trace
 
 
