@@ -33,8 +33,8 @@ largest root is exactly c times that of P_1.  The chain therefore takes the
 largest root of the unscaled instance's exact root polynomial
 (mixedchar.kls_table_node_poly, read off the coefficient table that loading
 builds) and multiplies it by 1/sigma once.  sigma itself comes from that
-table too: the exact traces are ratios of its entries, and the variance mix
-is summed over ints (KlsInstance.variance_mix).  Phi, the probes and the
+table too: the variance mix is summed over ints from its entries
+(KlsInstance.variance_mix).  Phi, the probes and the
 variance mix are evaluated on the scaled instance, whose float traces come
 from one stacked restriction and whose variance_mix spectrum gives both the
 norm step and lambda_1.

@@ -190,11 +190,11 @@ class KlsInstance:
     checked exactly or hold by construction (KlsTable.build); build itself
     checks only the shapes.
     The traces and sigma are computed on first use, and the search never
-    reads them.  For exact vectors both come from the coefficient table and
-    integer_data that loading has built, so sigma costs one exact
-    characteristic polynomial, the variance mix's; float vectors (an
-    instance scaled by a float) take one stacked restriction for every
-    trace.
+    reads them.  The traces take one stacked restriction.  On a loaded
+    file, whose coefficient table is built, sigma reads the variance mix
+    off the table and integer_data, so it costs one exact characteristic
+    polynomial, the mix's; any other instance (gen's, or one scaled by a
+    float) sums the mix over its traces.
     """
 
     h: HyperbolicInstance
@@ -218,36 +218,30 @@ class KlsInstance:
 
     @functools.cached_property
     def exact(self) -> bool:
-        """Whether no vector holds a float: the table and integer_data apply."""
+        """Whether no vector holds a float: integer_data applies."""
         return not any(isinstance(c, float) for v in self.vectors for c in v)
 
     @functools.cached_property
     def traces(self) -> tuple:
-        """The hyperbolic traces of the vectors.
-
-        Exact vectors read theirs off the coefficient table as Fractions:
-        tr[v_i] = D_{v_i} h(e) / h(e) = a_i / a_0, and the table holds
-        E D a_i and E a_0.  Float vectors take hyperbolic_traces, one
-        stacked restriction.
-        """
-        if not self.exact:
-            return hyperbolic_traces(self.h, self.vectors)
-        entries = self.coefficient_table.entries
-        denom = self.integer_data[0] * entries[0]
-        return tuple(Fraction(entries[1 << i], denom) for i in range(self.n))
+        """The hyperbolic traces of the vectors (hyperbolic_traces, one
+        stacked restriction): Fractions for exact vectors, floats else."""
+        return hyperbolic_traces(self.h, self.vectors)
 
     @functools.cached_property
     def variance_mix(self) -> Spectrum:
         """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i.
 
-        For exact vectors the mix is summed over ints first: with D, L, the
-        int vectors D v_i and L^2 tau_i^2 from integer_data and the table
+        For exact vectors whose coefficient table is built (every loaded
+        file's), the mix is summed over ints first: with D, L, the int
+        vectors D v_i and L^2 tau_i^2 from integer_data and the table
         entries E D a_i, sum_i (L^2 tau_i^2) (E D a_i) (D v_i) is the mix
         times L^2 D^2 E a_0, so one division per coordinate gives the
-        mix's Fractions.  Float vectors sum it in their own arithmetic.
+        mix's Fractions.  Otherwise the mix is summed over the traces, in
+        the vectors' own arithmetic: the table is not built for it, since
+        its sum_{k <= d} C(n, k) entries grow like n^d.
         """
         h = self.h
-        if self.exact:
+        if self.exact and "coefficient_table" in self.__dict__:
             vec_scale, var_scale, vectors, _, variances, _ = self.integer_data
             entries = self.coefficient_table.entries
             acc = [0] * h.m
@@ -257,7 +251,7 @@ class KlsInstance:
                     acc = [a + weight * x for a, x in zip(acc, v)]
             denom = (vec_scale * var_scale) ** 2 * entries[0]
             return spectrum(h, tuple(Fraction(a, denom) for a in acc))
-        mix = [0.0] * h.m
+        mix = [Fraction(0)] * h.m
         for v, var, tr in zip(self.vectors, self.variables, self.traces):
             weight = var.variance * tr
             for idx in range(h.m):

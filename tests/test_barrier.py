@@ -467,3 +467,11 @@ def test_zpoly_matches_direct_value():
     pt = BarrierPoint(3.0, (-0.5, -0.25), 1.0)
     direct = _polynomial_value(inst, pt)
     assert zp.eval((pt.x,) + pt.z) == pytest.approx(direct)
+    # Phi read off the explicit polynomial equals barrier.phi.
+    for inst in (inst, gen_kls_det(3, 2, 0, "mixed"), gen_kls_lorentz(3, 3, 0, "mixed")):
+        inst = inst.scaled(1.0 / inst.sigma)
+        pt = construction_point(inst)
+        zp = kls_square_zpoly(inst)
+        assert zp.eval((pt.x,) + pt.z) == pytest.approx(_polynomial_value(inst, pt))
+        for i, value in enumerate(phi(inst, pt)):
+            assert _zphi(zp, i, pt) == pytest.approx(value, rel=1e-9, abs=1e-12)

@@ -34,8 +34,8 @@ KEPT_IMPORTS = {("solver", "char_poly_exact"), ("mixedchar", "real_roots")}
 # reference a test compares the named shipping route against.
 REFERENCE_ROUTES = {
     "hyperbolic.rank1_product_derivative": "hyperbolic.mixed_derivative_table",
-    "barrier.kls_square_zpoly": "the probes' P (barrier.above_roots) and barrier.phi (the operator update)",
-    "mixedchar.linear_restriction_multipoly": "the probes' P (barrier.above_roots), via kls_square_zpoly",
+    "barrier.kls_square_zpoly": "barrier.phi and P one point at a time (the tests' _polynomial_value)",
+    "mixedchar.linear_restriction_multipoly": "barrier.phi and the tests' _polynomial_value, via kls_square_zpoly",
     "realstable.one_minus_c_d2": "the operator update that barrier's update_condition step bounds",
     "hyperbolic.cone_membership": "mixedchar.KlsTable.build's exact cone test",
     "hyperbolic.ConeVerdict": "mixedchar.KlsTable.build's exact cone test, via cone_membership",

@@ -1217,8 +1217,8 @@ def test_a_round_after_a_commit_reads_only_the_committed_rows():
 
 
 # ---------------------------------------------------------------------------
-# Traces and the variance mix from the table, against one restriction per
-# vector and the Fraction sum.
+# Stacked traces and the variance mix from the table, against one
+# restriction per vector and the Fraction sum.
 # ---------------------------------------------------------------------------
 
 def _elem_sym_instances():
@@ -1254,7 +1254,7 @@ def _mix_reference(inst, traces) -> tuple:
     return tuple(mix)
 
 
-def test_table_traces_and_variance_mix_equal_the_restriction_route(monkeypatch):
+def test_traces_and_table_variance_mix_equal_the_restriction_route(monkeypatch):
     handed = []
     real = mixedchar.spectrum
     monkeypatch.setattr(mixedchar, "spectrum", lambda h, x: handed.append(x) or real(h, x))
@@ -1263,9 +1263,15 @@ def test_table_traces_and_variance_mix_equal_the_restriction_route(monkeypatch):
         traces = tuple(_trace_reference(inst.h, v) for v in inst.vectors)
         assert all(type(t) is Fraction for t in inst.traces)
         assert inst.traces == traces
+        # Without a table the mix is summed over the traces; with one
+        # (a loaded file's), over ints.  Both hand spectrum the same Fractions.
+        fresh = KlsInstance.build(inst.h, inst.vectors, inst.variables, inst.generators)
         handed.clear()
+        fresh.variance_mix
+        assert "coefficient_table" not in fresh.__dict__
+        inst.coefficient_table
         mix_spectrum = inst.variance_mix
-        assert handed == [_mix_reference(inst, traces)]
+        assert handed == [_mix_reference(inst, traces)] * 2
         assert all(type(c) is Fraction for c in handed[0])
         if not inst.sigma > 0:
             continue
