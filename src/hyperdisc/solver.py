@@ -199,14 +199,18 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
     Walks ceil(n/M) rounds; each round brute-forces all value tuples for the
     next M coordinates, scores each by max_root_estimate on oracle
     coefficients, and keeps the minimizer (ties resolve to the first tuple
-    in lexicographic support order).  The returned assignment is certified
-    post hoc by an exact spectral norm, which must stay within (1 + delta)
-    of the root-node largest root; violations raise, never pass silently.
+    in lexicographic support order).  The root-node largest root is taken
+    before the first round: it reads only the root node, whatever is
+    committed, so a root node that is not real-rooted raises before any
+    oracle call.  The returned assignment is certified post hoc by an exact
+    spectral norm, which must stay within (1 + delta) of that root;
+    violations raise, never pass silently.
     """
     n = family.n
     degree = family.degree
     m_block, k = cfg.resolve(n, degree)
 
+    root_max = family.root_max_root()
     assignment: tuple = ()
     oracle_calls = 0
     last_estimate = math.inf
@@ -237,7 +241,6 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
         if hi < n:
             family.commit(assignment)
 
-    root_max = family.root_max_root()
     certified = family.leaf_norm(assignment)
     bound = (1.0 + cfg.delta) * root_max
     if certified > bound + CERTIFY_SLACK_TOL * max(1.0, abs(bound)):

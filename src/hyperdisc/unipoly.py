@@ -10,24 +10,35 @@ real-rootedness verdicts are always certified by an exact Sturm count (any
 binary64 coefficient vector is a rational vector, so the exact route is
 available for floats too).
 
+The exact route runs over Python ints.  The coefficients are scaled to
+ints once; Yun's square-free decomposition takes its gcds by primitive
+pseudo-remainders (Collins 1967, Brown and Traub 1971) and divides exactly
+by Gauss's lemma, and each Sturm chain is a primitive pseudo-remainder
+sequence.  Each Yun polynomial is a nonzero multiple of its counterpart
+over the rationals and each chain entry a positive one, so the monic
+factors, signs and Sturm counts are the rational ones.
+
 One Horner rule (``_horner``) evaluates every polynomial here, in the
-arithmetic of its coefficients: ``UniPoly.__call__``, the exact Sturm
-signs over Fractions, and the residual-monotone Newton polish
-(``_polish``) and residual test over Python floats.  The polish works on
-one root at a time; the Sturm route polishes its bisection midpoints with
-it.  numpy serves only the companion eigenvalues and their imaginary-part
-test.  The one Newton divided-difference loop (``divided_differences``)
-lives here too.
+arithmetic of its coefficients and argument: ``UniPoly.__call__``, the
+exact Sturm signs at rational points, and the residual-monotone Newton
+polish (``_polish``) and residual test over Python floats.  The polish
+works on one root at a time; the Sturm route polishes its bisection
+midpoints with it, from each monic factor's floats.  numpy serves only the
+companion eigenvalues and their imaginary-part test.  The one Newton
+divided-difference loop (``divided_differences``) lives here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._exact import _integer_rows
 from .errors import DuplicateNode, NotRealRooted, TooLarge, ZeroPolynomial
 from .scalars import BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, ROOT_IMAG_TOL, ROOT_RESIDUAL_TOL
 
@@ -139,7 +150,7 @@ class UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Exact machinery over Fractions (dense ascending coefficient lists).
+# Exact machinery over Python ints (dense ascending coefficient lists).
 # ---------------------------------------------------------------------------
 
 def _strip(c: list) -> list:
@@ -152,81 +163,103 @@ def _deriv(c: list) -> list:
     return [i * x for i, x in enumerate(c)][1:]
 
 
-def _normalize_sign_free(c: list) -> list:
-    """Divide by |leading| so remainder-sequence coefficients stay tame."""
-    if not c:
-        return c
-    lead = abs(c[-1])
-    return [x / lead for x in c]
+def _primitive(c: list) -> list:
+    """c divided by its content, the positive gcd of its coefficients."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
-def _poly_divmod(a: list, b: list) -> tuple:
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+def _pseudo_remainder(a: list, b: list) -> list:
+    """|lc(b)|^k times the remainder of a by b, for the k division steps.
+
+    Each step multiplies the running remainder by |lc(b)| before it cancels
+    the leading term, so every coefficient stays an int and the result has
+    the signs of the remainder over Fractions.
+    """
     r = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and _strip(r):
+    mult = abs(lb)
+    while _strip(r) and len(r) - 1 >= db:
         shift = len(r) - 1 - db
-        c = r[-1] / lb
-        q[shift] = c
-        for i in range(len(b)):
-            r[shift + i] -= c * b[i]
-        r.pop()
-        _strip(r)
-    return _strip(q), _strip(r)
+        q = r[-1] if lb > 0 else -r[-1]
+        # The leading terms cancel, so zip stops short of them.
+        r = [mult * x for x in r[:shift]] + [mult * x - q * y for x, y in zip(r[shift:], b[:-1])]
+    return r
 
 
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = _strip(list(a)), _strip(list(b))
+def _gcd(a: list, b: list) -> list:
+    """A primitive gcd of int polynomials a and b, by the primitive
+    pseudo-remainder sequence."""
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-        b = _normalize_sign_free(_strip(b))
-    if not a:
-        return []
-    return [x / a[-1] for x in a]  # monic
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _primitive(a)
 
 
-def _exact_div(a: list, b: list) -> list:
-    q, r = _poly_divmod(a, b)
-    if r:
-        raise ArithmeticError("exact polynomial division left a remainder")
+def _quotient(a: list, b: list) -> list:
+    """a / b for int polynomials with b primitive and b | a over the
+    rationals: by Gauss's lemma the quotient has int coefficients, so every
+    step divides exactly."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for shift in reversed(range(len(q))):
+        c = q[shift] = r[shift + db] // lb
+        for i, x in enumerate(b):
+            r[shift + i] -= c * x
     return q
 
 
+def _difference(a: list, b: list) -> list:
+    return _strip([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _monic(c: list) -> list:
+    return [Fraction(x, c[-1]) for x in c]
+
+
 def square_free_decomposition(c: list) -> list:
-    """Yun's algorithm: returns [(factor, multiplicity)] with factors monic."""
+    """Yun's algorithm: [(factor, multiplicity)] with factors monic Fractions.
+
+    The exact coefficients (a float is the rational it is) are scaled to
+    ints once; the gcds take primitive pseudo-remainders and the exact
+    divisions stay integral by Gauss's lemma.  Each int polynomial is a
+    nonzero multiple of the one Yun's recurrence has over the rationals
+    from the monic input, so the monic factors are the same.
+    """
     c = _strip([Fraction(x) for x in c])
     if len(c) <= 1:
         return []
-    c = [x / c[-1] for x in c]
+    (c,), _ = _integer_rows([c])
+    c = _primitive(c)
     dp = _deriv(c)
-    a = _poly_gcd(c, dp)
+    a = _gcd(c, dp)
     if len(a) == 1:
-        return [(c, 1)]
-    b = _exact_div(c, a)
-    d = [x - y for x, y in
-         zip(_exact_div(dp, a) + [Fraction(0)] * len(b), _deriv(b) + [Fraction(0)] * len(b))]
-    d = _strip(d)
+        return [(_monic(c), 1)]
+    b = _quotient(c, a)
+    d = _difference(_quotient(dp, a), _deriv(b))
     out = []
     i = 1
     while len(b) > 1:
-        a = _poly_gcd(b, d)
+        a = _gcd(b, d)
         if len(a) > 1:
-            out.append((a, i))
-        b = _exact_div(b, a)
-        cpart = _exact_div(d, a) if d else []
-        nb = _deriv(b)
-        n = max(len(cpart), len(nb))
-        d = _strip([ (cpart[j] if j < len(cpart) else Fraction(0)) -
-                     (nb[j] if j < len(nb) else Fraction(0)) for j in range(n)])
+            out.append((_monic(a), i))
+        b = _quotient(b, a)
+        d = _difference(_quotient(d, a), _deriv(b))
         i += 1
     return out
 
 
 def _sturm_chain(c: list) -> list:
-    chain = [list(c), _deriv(c)]
+    """The Sturm chain of exact c over ints, by primitive pseudo-remainders.
+
+    Each entry is a positive multiple of the chain over the rationals (c,
+    c', then each negated remainder divided by its |leading coefficient|),
+    so every sign and every count is that chain's.
+    """
+    (p,), _ = _integer_rows([c])
+    chain = [p, _deriv(p)]
     while len(chain[-1]) > 1:
-        r = _poly_divmod(chain[-2], chain[-1])[1]
-        r = _normalize_sign_free(_strip(r))
+        r = _primitive(_pseudo_remainder(chain[-2], chain[-1]))
         if not r:
             break
         chain.append([-x for x in r])
@@ -394,8 +427,10 @@ def real_roots(p: UniPoly) -> RootList:
     Primary path: companion-matrix eigenvalues with Newton polish, tried
     when every |Im r| <= ROOT_IMAG_TOL * max(1, |r|) and accepted when every
     root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * max|c| * max(1, |r|)^deg.
-    On disagreement the exact Sturm route takes over and raises
-    :class:`NotRealRooted` when the certified count falls short.  A
+    On disagreement the exact route takes over: Yun's square-free factors
+    and their Sturm chains over ints, isolation by exact Sturm counts, and a
+    float polish from each monic factor.  It raises :class:`NotRealRooted`
+    when the certified count falls short.  A
     coefficient past the binary64 range raises :class:`TooLarge`.
     """
     if p.is_zero:

@@ -612,6 +612,32 @@ def test_sr_roundtrip_lossless(capsys, spec):
     assert dumps(again) == out
 
 
+# The sparse graphs of the deck (hdbench's REPRODUCED_FAILURES), on which
+# the float lane fails, and the one error line blocked solve prints on
+# each: the root bound's Sturm count, or, on random:9:16:0, whose root
+# node passes, the certified leaf norm's after the rounds.
+REPRODUCED_FAILURE_ERRORS = {
+    "c5": "exact Sturm count 2 < factor degree 4; polynomial is not real-rooted",
+    "random:6:7:0": "exact Sturm count 3 < factor degree 5; polynomial is not real-rooted",
+    "random:6:7:1": "exact Sturm count 3 < factor degree 5; polynomial is not real-rooted",
+    "random:7:9:0": "exact Sturm count 4 < factor degree 6; polynomial is not real-rooted",
+    "random:8:10:0": "exact Sturm count 5 < factor degree 7; polynomial is not real-rooted",
+    "random:9:16:0": "h(te - x) is not real-rooted for <DeterminantInstance m=36 d=8>; the "
+                     "instance is not hyperbolic in direction e on this input (exact Sturm "
+                     "count 6 < factor degree 8; polynomial is not real-rooted)",
+}
+
+
+@pytest.mark.parametrize("spec", REPRODUCED_FAILURE_ERRORS)
+def test_failing_sr_searches_print_one_error_line(capsys, tmp_path, spec):
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "sr-ust", "--graph", spec, "--out", str(inst_file)]) == 0
+    code = main(["solve", str(inst_file), "--method", "blocked"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {REPRODUCED_FAILURE_ERRORS[spec]}\n"
+
+
 def test_main_calls_in_sequence_share_no_state(capsys, tmp_path):
     # The parser is built once per process; flags, defaults and usage errors
     # of one call must not reach the next.

@@ -1046,12 +1046,18 @@ class _RecordingFamily(AgFamily):
         self.prefixes.append(tuple(prefix))
         return super().node_poly(prefix)
 
+    def root_max_root(self):
+        """No root bound, so the search runs its rounds on every graph,
+        sparse ones whose root node is not real-rooted among them."""
+        return math.inf
+
 
 def _prefixes(inst, seed, count: int = 20) -> list:
     """The prefixes a blocked search visits, then random ones: prefixes of a
     support set's membership vector and arbitrary 0/1 tuples."""
     family = _RecordingFamily(inst)
-    # Sparse graphs raise NotRealRooted at the root bound, after the search.
+    # The rounds run on every graph; a leaf whose norm cannot be certified
+    # raises after them.
     with contextlib.suppress(HyperdiscError):
         kadison_singer_search(family, SolverConfig(delta=0.5))
     rng = random.Random(seed)

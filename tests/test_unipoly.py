@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hyperdisc import unipoly
 from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
+from hyperdisc.cli import _resolve_graph
 from hyperdisc.graphs import named_graph
 from hyperdisc.hyperbolic import char_restriction, determinant, hyperbolic_traces, lorentz
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
@@ -24,7 +25,8 @@ from hyperdisc.unipoly import (
     square_free_decomposition,
     sturm_count_all_real,
 )
-from unipoly_helpers import from_roots
+from test_cli import SR_SEARCH_GRAPHS
+from unipoly_helpers import fraction_square_free_decomposition, fraction_sturm_chain, from_roots
 
 X2_3X_2 = UniPoly.from_coeffs([2, -3, 1])  # (x-1)(x-2)
 
@@ -395,3 +397,74 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
                 continue
             assert unipoly._horner(factor, a) != 0
             assert (unipoly._variations_at(chain, a) - unipoly._variations_at(chain, b)) == 1
+
+
+def _assert_int_route_is_the_fraction_route(coeffs: list) -> None:
+    """Yun over ints gives the Fraction route's monic factors and
+    multiplicities, and each int Sturm chain entry is a positive multiple of
+    the Fraction chain's."""
+    factors = square_free_decomposition(coeffs)
+    assert factors == fraction_square_free_decomposition(coeffs)
+    assert all(type(x) is Fraction for factor, _ in factors for x in factor)
+    for factor, _ in factors:
+        chain, reference = unipoly._sturm_chain(factor), fraction_sturm_chain(factor)
+        assert len(chain) == len(reference)
+        for got, want in zip(chain, reference):
+            assert all(type(x) is int for x in got)
+            ratio = got[-1] / want[-1]
+            assert ratio > 0 and [Fraction(x) for x in got] == [ratio * y for y in want]
+
+
+_ROOT = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(roots=st.lists(st.tuples(_ROOT, st.integers(1, 3)), max_size=4),
+       pairs=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6), st.integers(1, 2)),
+                      max_size=2),
+       lead=st.fractions(-5, 5, max_denominator=4).filter(bool),
+       float_roots=st.lists(st.floats(-9, 9, allow_nan=False), max_size=5),
+       sparse=st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), max_size=7))
+def test_int_yun_and_sturm_are_the_fraction_route(roots, pairs, lead, float_roots, sparse):
+    # Repeated rational roots, complex pairs x^2 + 2bx + b^2 + c (roots
+    # -b +- i sqrt(c)), some squared, and a rational leading coefficient;
+    # then the same polynomial rounded to binary64, and a float product.
+    # Sparse int polynomials, and their even compositions p(x^2), give
+    # remainder sequences whose degrees drop by more than one, where a
+    # pseudo-remainder takes an odd number of steps.
+    p = UniPoly.constant(lead) * from_roots([r for r, m in roots for _ in range(m)])
+    for b, c, m in pairs:
+        for _ in range(m):
+            p = p * UniPoly.from_coeffs([b * b + c, 2 * b, 1])
+    for coeffs in (p.coeffs, [float(c) for c in p.coeffs],
+                   from_roots(float_roots + float_roots[:1] * 2).coeffs,
+                   sparse, UniPoly.from_coeffs(sparse).compose_xsquare().coeffs):
+        _assert_int_route_is_the_fraction_route(list(coeffs))
+
+
+def test_int_yun_and_sturm_on_the_named_cases():
+    fifth, one = Fraction(1, 5), Fraction(1)
+    for coeffs in (list(from_roots([fifth, one, one, one]).coeffs),
+                   list(from_roots([Fraction(5), Fraction(7, 2)]).coeffs),
+                   [2.0 ** -80, 0.0, 1.0], [-(2.0 ** -80), 0.0, 1.0]):
+        _assert_int_route_is_the_fraction_route(coeffs)
+    assert square_free_decomposition(from_roots([fifth, one, one, one]).coeffs) == \
+        [([-fifth, one], 1), ([-one, one], 3)]
+
+
+def _certificate(p: UniPoly):
+    """The certified factors and multiplicities, or the NotRealRooted text."""
+    try:
+        return [(factor, mult) for factor, mult, _ in unipoly._certified_factors(p)]
+    except NotRealRooted as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", SR_SEARCH_GRAPHS)
+def test_sr_root_certificates_are_the_fraction_route(monkeypatch, spec):
+    p = AgFamily(SrInstance.from_graph(_resolve_graph(spec))).node_poly(())
+    _assert_int_route_is_the_fraction_route(list(p.coeffs))
+    got = _certificate(p)
+    monkeypatch.setattr(unipoly, "square_free_decomposition", fraction_square_free_decomposition)
+    monkeypatch.setattr(unipoly, "_sturm_chain", fraction_sturm_chain)
+    assert got == _certificate(p)

@@ -1,6 +1,10 @@
-"""Polynomials the tests build from known roots."""
+"""Polynomials the tests build from known roots, and the exact reference
+route: Yun's square-free decomposition and the Sturm chain over Fractions,
+which the int routes in hyperdisc.unipoly must match."""
 
-from hyperdisc.unipoly import UniPoly
+from fractions import Fraction
+
+from hyperdisc.unipoly import UniPoly, _deriv, _strip
 
 
 def from_roots(roots) -> UniPoly:
@@ -9,3 +13,88 @@ def from_roots(roots) -> UniPoly:
     for r in roots:
         p = p * UniPoly.from_coeffs([-r, 1])
     return p
+
+
+def _normalize_sign_free(c: list) -> list:
+    """Divide by |leading| so remainder-sequence coefficients stay tame."""
+    if not c:
+        return c
+    lead = abs(c[-1])
+    return [x / lead for x in c]
+
+
+def _poly_divmod(a: list, b: list) -> tuple:
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and _strip(r):
+        shift = len(r) - 1 - db
+        c = r[-1] / lb
+        q[shift] = c
+        for i in range(len(b)):
+            r[shift + i] -= c * b[i]
+        r.pop()
+        _strip(r)
+    return _strip(q), _strip(r)
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    a, b = _strip(list(a)), _strip(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+        b = _normalize_sign_free(_strip(b))
+    if not a:
+        return []
+    return [x / a[-1] for x in a]  # monic
+
+
+def _exact_div(a: list, b: list) -> list:
+    q, r = _poly_divmod(a, b)
+    if r:
+        raise ArithmeticError("exact polynomial division left a remainder")
+    return q
+
+
+def fraction_square_free_decomposition(c: list) -> list:
+    """Yun's algorithm over Fractions: [(factor, multiplicity)], factors monic."""
+    c = _strip([Fraction(x) for x in c])
+    if len(c) <= 1:
+        return []
+    c = [x / c[-1] for x in c]
+    dp = _deriv(c)
+    a = _poly_gcd(c, dp)
+    if len(a) == 1:
+        return [(c, 1)]
+    b = _exact_div(c, a)
+    d = [x - y for x, y in
+         zip(_exact_div(dp, a) + [Fraction(0)] * len(b), _deriv(b) + [Fraction(0)] * len(b))]
+    d = _strip(d)
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = _exact_div(b, a)
+        cpart = _exact_div(d, a) if d else []
+        nb = _deriv(b)
+        n = max(len(cpart), len(nb))
+        d = _strip([(cpart[j] if j < len(cpart) else Fraction(0)) -
+                    (nb[j] if j < len(nb) else Fraction(0)) for j in range(n)])
+        i += 1
+    return out
+
+
+def fraction_sturm_chain(c: list) -> list:
+    """The Sturm chain over Fractions: c, c', then each negated remainder
+    divided by its |leading coefficient|."""
+    chain = [list(c), _deriv(c)]
+    while len(chain[-1]) > 1:
+        r = _poly_divmod(chain[-2], chain[-1])[1]
+        r = _normalize_sign_free(_strip(r))
+        if not r:
+            break
+        chain.append([-x for x in r])
+    if chain[-1] == []:
+        chain.pop()
+    return chain
