@@ -430,8 +430,8 @@ def real_roots(p: UniPoly) -> RootList:
     On disagreement the exact route takes over: Yun's square-free factors
     and their Sturm chains over ints, isolation by exact Sturm counts, and a
     float polish from each monic factor.  It raises :class:`NotRealRooted`
-    when the certified count falls short.  A
-    coefficient past the binary64 range raises :class:`TooLarge`.
+    when the certified count falls short.  A coefficient past the binary64
+    range raises :class:`TooLarge`.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
