@@ -27,8 +27,13 @@ import numpy as np
 
 
 def _integer_rows(rows: list) -> tuple:
-    """(D * rows as lists of ints, D) for the lcm D of the entries' denominators."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    """(D * rows as lists of ints, D) for the lcm D of the entries'
+    denominators; a float entry counts as the rational it is."""
+    try:
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+    except AttributeError:  # a float has no denominator
+        rows = [[Fraction(x) if isinstance(x, float) else x for x in row] for row in rows]
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 

@@ -32,27 +32,31 @@ sum_S (-1)^|S| tau_S^2 A_S^2 becomes P_c(x) = c^(2d) P_1(x/c), and its
 largest root is exactly c times that of P_1.  The chain therefore takes the
 largest root of the unscaled instance's exact root polynomial
 (mixedchar.kls_table_node_poly, read off the coefficient table that loading
-builds) and multiplies it by 1/sigma once.  sigma itself comes from that
-table too: the variance mix is summed over ints from its entries
-(KlsInstance.variance_mix).  Phi, the probes and the
-variance mix are evaluated on the scaled instance, whose float traces come
-from one stacked restriction and whose variance_mix spectrum gives both the
-norm step and lambda_1.
+builds, or that this first call builds) and multiplies it by 1/sigma once.
+sigma is read after it and comes from that table too: the variance mix is
+summed over ints from its entries (KlsInstance.variance_mix).  Phi, the
+probes and the variance mix are evaluated on the scaled instance, whose
+float traces come from one stacked restriction and whose variance_mix
+spectrum gives both the norm step and lambda_1.
 
 The chain builds each point once, in float stacks that keep the bits of
 one point at a time: the probes' w in one stack (_points), evaluated by one
 h.values call (one stacked determinant for det, columns summed for
 Lorentz), with g over every probe from the support's sets; phi's w alone,
 one h(w), one set of tau_i and (subset) one g with its gradient from the
-same sets, each Phi^i adding only its directional derivative of h, the
-degree-1 coefficient of one restriction (interpolated through h.values
-where h has no closed form).  Each stacked kernel adds in the per-point
-order: vectors in index order, set products in element order, and set
-terms in support order.  Phi is never taken by differentiating an expanded
-multivariate polynomial.  The explicit polynomial P in (x, z) is only
-materialized, as a realstable.MultiPoly (kls_square_zpoly), for the
-operator-update regression test, where (1 - 1/2 d^2/dz_i^2) must be
-applied literally (realstable.one_minus_c_d2).
+same sets.  Each Phi^i adds only its directional derivative of h, the
+degree-1 coefficient of the line t -> h(w + t tau_i v_i), and one
+h.restrict_lines call gives every line: Lorentz's closed form per line,
+and for the kinds that interpolate, all n (d + 1) nodes in one h.values
+call and one stacked interpolate, which gives each line the bits of its
+own.  tau_i comes from the variables' int data (KlsInstance.tau_squares).
+Each stacked kernel adds in the per-point order: vectors in index order,
+set products in element order, and set terms in support order.  Phi is
+never taken by differentiating an expanded multivariate polynomial.  The
+explicit polynomial P in (x, z) is only materialized, as a
+realstable.MultiPoly (kls_square_zpoly), for the operator-update
+regression test, where (1 - 1/2 d^2/dz_i^2) must be applied literally
+(realstable.one_minus_c_d2).
 """
 
 from __future__ import annotations
@@ -89,9 +93,10 @@ class BarrierPoint:
 
 
 def _taus(inst) -> list:
-    """tau_i = sqrt(Var x_i) for a signed instance, 1.0 for every subset element."""
+    """tau_i = sqrt(Var x_i) for a signed instance (KlsInstance.tau_squares),
+    1.0 for every subset element."""
     if isinstance(inst, KlsInstance):
-        return [math.sqrt(float(var.variance)) for var in inst.variables]
+        return [math.sqrt(float(tau2)) for tau2 in inst.tau_squares]
     return [1.0] * inst.n
 
 
@@ -162,17 +167,17 @@ def phi(inst, pt: BarrierPoint) -> tuple:
     signed: 2 D_{tau_i v_i} h(w) / h(w);
     subset: D_{v_i} h(w) / h(w) + (d_i g / g)(x 1 + z);
     at w = x e + sum z_j tau_j v_j, where D_u h(w) is the degree-1
-    coefficient of t -> h(w + t u).  Phi is meaningful only above the roots
-    of P (see above_roots); it is not checked here.  The gradient of g takes
-    each set's term without one element at a time, mu(S) times the others
-    in order, and adds it to that element in support order.
+    coefficient of t -> h(w + t u), every line from one h.restrict_lines
+    call.  Phi is meaningful only above the roots of P (see above_roots);
+    it is not checked here.  The gradient of g takes each set's term
+    without one element at a time, mu(S) times the others in order, and
+    adds it to that element in support order.
     """
     w = tuple(_points(inst, [pt])[0].tolist())
     hval = float(inst.h.value(w))
-    dvs = []
-    for tau, v in zip(_taus(inst), inst.vectors):
-        coeffs = inst.h.restrict_line(w, tuple(tau * float(c) for c in v)).coeffs
-        dvs.append(float(coeffs[1] if len(coeffs) > 1 else 0))
+    dirs = [tuple(tau * float(c) for c in v) for tau, v in zip(_taus(inst), inst.vectors)]
+    dvs = [float(line.coeffs[1] if len(line.coeffs) > 1 else 0)
+           for line in inst.h.restrict_lines(w, dirs)]
     if isinstance(inst, KlsInstance):
         return tuple(2.0 * dv / hval for dv in dvs)
     shifted = np.array([pt.x + z for z in pt.z])
@@ -245,9 +250,9 @@ def verify_bound_chain(inst) -> ChainReport:
     signed = isinstance(inst, KlsInstance)
     steps = []
     if signed:
+        root = kls_table_node_poly(inst)  # builds the table, so sigma sums the mix over ints
         if not inst.sigma > 0:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
-        root = kls_table_node_poly(inst)
         root_scale = 1.0 / inst.sigma
         inst = inst.scaled(root_scale)
         mix_norm = inst.sigma2

@@ -25,7 +25,8 @@ polish (``_polish``) and residual test over Python floats.  The polish
 works on one root at a time; the Sturm route polishes its bisection
 midpoints with it, from each monic factor's floats.  numpy serves only the
 companion eigenvalues and their imaginary-part test.  The one Newton
-divided-difference loop (``divided_differences``) lives here too.
+interpolator (``interpolate``) lives here too; it takes a stack of value
+rows at once.
 """
 
 from __future__ import annotations
@@ -478,31 +479,56 @@ def max_real_root(p: UniPoly) -> float:
     return real_roots(p)[0]
 
 
-def divided_differences(xs: Sequence, ys: Sequence) -> list:
-    """Newton-form coefficients f[x_0], f[x_0, x_1], ... of the points (xs, ys)."""
-    table = list(ys)
-    out = [table[0]]
-    for level in range(1, len(table)):
-        for i in range(len(table) - level):
-            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-        out.append(table[0])
-    return out
+def _newton(xs: list, ys: np.ndarray) -> list:
+    """interpolate for rows of one kind: ys holds one row of values per
+    polynomial, float64 with float xs or object Fractions with Fraction xs.
 
-
-def interpolate(nodes: Sequence) -> UniPoly:
-    """Unique polynomial of degree < len(nodes) through the given points.
-
-    Newton divided differences, over floats if any coordinate is a float
-    and exactly over Fractions otherwise.
+    One row alone adds c_i basis_i to its sum for i = 0, 1, ..., each
+    UniPoly trimmed of its trailing zeros and padded with 0 by the next
+    add.  Here every row's sum starts at 0 and spans every column.  That
+    adds the same: basis_i is monic, so a nonzero c_i makes the sum's top
+    entry c_i, which is not trimmed, and a zero c_i gives a term of zeros,
+    which the row pads away; a sum is -0.0 only if both addends are, so no
+    entry of the sum is -0.0, and adding a term of zeros leaves it as
+    adding 0 does.  Each row's length is one past its last nonzero c_i.
     """
-    pts = list(nodes)
-    values = as_one_type([x for x, _ in pts] + [y for _, y in pts])
-    xs, ys = values[:len(pts)], values[len(pts):]
+    count, size = ys.shape
+    table = ys.copy()
+    coeffs = [table[:, 0].copy()]  # f[x_0], f[x_0, x_1], ... per row
+    for level in range(1, size):
+        span = np.array([xs[i + level] - xs[i] for i in range(size - level)], dtype=ys.dtype)
+        table[:, :size - level] = (table[:, 1:size - level + 1] - table[:, :size - level]) / span
+        coeffs.append(table[:, 0].copy())
+    poly = np.zeros_like(ys)
+    basis = UniPoly.constant(1)
+    for i, c in enumerate(coeffs):
+        poly[:, :i + 1] += c[:, None] * np.array(basis.coeffs, dtype=ys.dtype)
+        basis = basis * UniPoly.from_coeffs([-xs[i], 1])
+    nonzero = np.array(coeffs).T != 0
+    lens = np.where(nonzero.any(axis=1), size - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    return [UniPoly(tuple(row[:n].tolist())) for row, n in zip(poly, lens)]
+
+
+def interpolate(xs: Sequence, rows) -> list:
+    """For each row of values, the unique polynomial of degree < len(xs)
+    through the points (xs[k], row[k]), in row order.
+
+    Newton divided differences, over floats for a row with a float among its
+    values or xs and exactly over Fractions otherwise.  The rows of each kind
+    are interpolated together, a row per polynomial and a column per node,
+    through the operations one row alone takes, in the same order, so each
+    gets the polynomial it would get alone, bit for bit, signed zeros
+    included (see _newton).
+    """
+    xs = list(xs)
     if len(set(xs)) != len(xs):
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
-    poly = UniPoly.zero()
-    basis = UniPoly.constant(1)
-    for i, c in enumerate(divided_differences(xs, ys)):
-        poly = poly + basis.scale(c)
-        basis = basis * UniPoly.from_coeffs([-xs[i], 1])
-    return poly
+    typed = [as_one_type(xs + list(row)) for row in rows]
+    out = [None] * len(typed)
+    for dtype in (float, object):
+        picked = [r for r, vals in enumerate(typed) if (type(vals[0]) is float) == (dtype is float)]
+        if picked:
+            ys = np.array([typed[r][len(xs):] for r in picked], dtype=dtype)
+            for r, poly in zip(picked, _newton(typed[picked[0]][:len(xs)], ys)):
+                out[r] = poly
+    return out

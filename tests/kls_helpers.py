@@ -38,14 +38,19 @@ def fraction_node_poly(inst, partial=()) -> UniPoly:
     return acc
 
 
+def fraction_variance(var) -> Fraction:
+    """Var xi = sum_s Pr[s] (s - mu)^2 over Fractions, with RandomVar.mean."""
+    return sum(p * (s - var.mean) * (s - var.mean) for s, p in zip(var.support, var.probs))
+
+
 def fraction_integer_data(inst) -> tuple:
     """(L, centered, variances, probs) of KlsInstance.integer_data from
-    RandomVar.mean and variance over Fractions: L0 is the lcm of the centered
+    RandomVar.mean and fraction_variance over Fractions: L0 is the lcm of the centered
     values' denominators, and L = L0 times the lcm of the denominators of
     every L0^2 tau_i^2."""
     centered = [{s: s - var.mean for s in var.support} for var in inst.variables]
     base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
-    scale = base * math.lcm(*((base * base * var.variance).denominator
+    scale = base * math.lcm(*((base * base * fraction_variance(var)).denominator
                               for var in inst.variables))
     probs = []
     for var in inst.variables:
@@ -53,7 +58,7 @@ def fraction_integer_data(inst) -> tuple:
         probs.append({s: _as_int(q * p) for s, p in zip(var.support, var.probs)})
     return (scale,
             tuple({s: _as_int(scale * c) for s, c in cent.items()} for cent in centered),
-            tuple(_as_int(scale * scale * var.variance) for var in inst.variables),
+            tuple(_as_int(scale * scale * fraction_variance(var)) for var in inst.variables),
             tuple(probs))
 
 

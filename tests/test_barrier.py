@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperdisc import barrier
+from hyperdisc import barrier, hyperbolic
 from hyperdisc.errors import ChainViolated
 from hyperdisc.barrier import (
     ABOVE_ROOTS_PROBES,
@@ -22,11 +22,14 @@ from hyperdisc.barrier import (
     verify_bound_chain,
 )
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
-from hyperdisc.hyperbolic import determinant, lorentz
+from hyperdisc.hyperbolic import (DeterminantInstance, ElemSymInstance, HyperbolicInstance,
+                                  LorentzInstance, RealStableInstance, determinant, lorentz)
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
-from hyperdisc.realstable import one_minus_c_d2
+from hyperdisc.realstable import MultiPoly, one_minus_c_d2
 from hyperdisc.srdist import SRDistribution
+from kls_helpers import fraction_variance
+from unipoly_helpers import newton_reference
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -34,7 +37,7 @@ RADEMACHER = RandomVar.rademacher()
 
 def _taus(inst) -> list:
     if isinstance(inst, KlsInstance):
-        return [math.sqrt(float(var.variance)) for var in inst.variables]
+        return [math.sqrt(float(fraction_variance(var))) for var in inst.variables]
     return [1.0] * inst.n
 
 
@@ -306,13 +309,24 @@ def test_chain_steps_are_pinned():
     assert seen.keys() == CHAIN_DIGESTS.keys()
 
 
+def _line_reference(h, base, dirv):
+    """t -> h(base + t dirv) alone: Lorentz's closed form and det's route
+    along e are restrict_line's; any other line goes through h.value at the
+    nodes 0..d, one point at a time, and newton_reference."""
+    if isinstance(h, LorentzInstance) or (isinstance(h, DeterminantInstance)
+                                          and tuple(dirv) == h.e):
+        return h.restrict_line(base, dirv)
+    return newton_reference([(t, h.value(tuple(b + t * c for b, c in zip(base, dirv))))
+                             for t in range(h.d + 1)])
+
+
 def _phi_reference(inst, i, pt):
     """Phi^i alone: 2 D_{tau_i v_i} h(w) / h(w) for a signed instance, plus
     d_i g / g summed over the support for a subset instance."""
     signed = isinstance(inst, KlsInstance)
     taus = _taus(inst)
     w = _point_reference(inst, pt)
-    coeffs = inst.h.restrict_line(w, tuple(taus[i] * float(c) for c in inst.vectors[i])).coeffs
+    coeffs = _line_reference(inst.h, w, tuple(taus[i] * float(c) for c in inst.vectors[i])).coeffs
     dv = float(coeffs[1]) if len(coeffs) > 1 else 0.0
     hval = float(inst.h.value(w))
     if signed:
@@ -333,9 +347,49 @@ def _phi_reference(inst, i, pt):
     return dv / hval + dg / gval
 
 
+_E2 = {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+_HALF = Fraction(1, 2)
+_POINT_MASS = RandomVar((Fraction(-3, 2),), (Fraction(1),))  # variance 0: tau = 0
+
+
+def _other_kind_cases():
+    """The e_2 file's kinds (elem_sym and custom), e_2 with fractional
+    coefficients, e_3 on five variables and a det instance, each with a zero
+    vector and point-mass variables: tau_i = 0 makes tau_i v_i zeros, of
+    both signs where v_i has negative entries (det)."""
+    e2 = [(_HALF, 0, 0), (0, _HALF, 0), (0, 0, _HALF), (_HALF, 0, 0), (0, 0, 0)]
+    e2_vars = [RADEMACHER] * 4 + [_POINT_MASS]
+    for label, h in (("elem_sym:e2", ElemSymInstance(3, 2)),
+                     ("custom:e2", RealStableInstance(MultiPoly(3, _E2), (1, 1, 1))),
+                     ("custom:half-e2", RealStableInstance(
+                         MultiPoly(3, {m: _HALF for m in _E2}), (1, 1, 1)))):
+        yield label, KlsInstance.build(h, e2, e2_vars)
+    e3 = [tuple(Fraction(k % 4 + 1, 3) if j == k % 5 else 0 for j in range(5)) for k in range(7)]
+    yield "elem_sym:e3", KlsInstance.build(ElemSymInstance(5, 3), e3 + [(0,) * 5],
+                                           [RADEMACHER] * 5 + [_POINT_MASS] * 3)
+    h = determinant(3)
+    us = [(1, 0, 0), (1, -1, 0), (0, 2, 1), (1, 1, -1), (0, 0, 0)]
+    yield "det:zero-and-point-mass", KlsInstance.build(
+        h, [h.vec_outer(tuple(map(Fraction, u))) for u in us],
+        [RADEMACHER, _POINT_MASS, RADEMACHER, _POINT_MASS, RADEMACHER])
+
+
+def _phi_cases():
+    yield from _chain_cases()
+    yield from _other_kind_cases()
+
+
+def _float_vector_cases():
+    """Instances built with float vectors: tau_i and sigma take each float
+    as the rational it is."""
+    for inst in (gen_kls_det(4, 3, 0, "mixed"), gen_kls_lorentz(5, 4, 1, "mixed")):
+        vectors = [tuple(float(c) for c in v) for v in inst.vectors]
+        yield f"{inst.h.kind}:float", KlsInstance.build(inst.h, vectors, inst.variables)
+
+
 def test_phi_equals_the_per_index_reference_bit_for_bit():
     rng = random.Random(29)
-    for label, inst in _chain_cases():
+    for label, inst in itertools.chain(_phi_cases(), _float_vector_cases()):
         if isinstance(inst, KlsInstance):
             inst = inst.scaled(1.0 / inst.sigma)  # as the chain evaluates it
         pt = construction_point(inst)
@@ -359,6 +413,41 @@ def test_chain_builds_its_point_once_for_every_phi(monkeypatch):
         built.clear()
         verify_bound_chain(inst)
         assert built == [ABOVE_ROOTS_PROBES + 1, 1], (label, inst.n, built)
+
+
+def test_each_chain_takes_phi_from_one_evaluation_and_one_interpolation(monkeypatch):
+    # Inside phi, a kind that interpolates evaluates every node of every
+    # line in one h.values call and interpolates them in one call; Lorentz
+    # takes its closed form and neither.
+    in_phi, calls = [], []
+
+    def recorded(name, real):
+        def call(*args):
+            if in_phi:
+                calls.append((name, len(args[-1])))
+            return real(*args)
+        return call
+
+    for cls in (HyperbolicInstance, DeterminantInstance, LorentzInstance):
+        monkeypatch.setattr(cls, "values", recorded("values", cls.values))
+    monkeypatch.setattr(hyperbolic, "interpolate", recorded("interpolate", hyperbolic.interpolate))
+    real_phi = barrier.phi
+
+    def phi_span(inst, pt):
+        in_phi.append(True)
+        try:
+            return real_phi(inst, pt)
+        finally:
+            in_phi.clear()
+
+    monkeypatch.setattr(barrier, "phi", phi_span)
+    for label, inst in _phi_cases():
+        calls.clear()
+        verify_bound_chain(inst)
+        n, d = inst.n, inst.h.d
+        want = [] if isinstance(inst.h, LorentzInstance) else \
+            [("values", n * (d + 1)), ("interpolate", n)]
+        assert calls == want, label
 
 
 def _probes(pt: BarrierPoint) -> list:
@@ -445,7 +534,7 @@ def test_operator_update_shifts_barrier():
         inst = inst.scaled(1.0 / inst.sigma)
         pt = construction_point(inst)
         zp = kls_square_zpoly(inst)  # variable 0 is x, variable i + 1 is z_i
-        taus = [math.sqrt(float(v.variance)) for v in inst.variables]
+        taus = _taus(inst)
         for i in range(inst.n):
             delta_i = pt.t * taus[i] * float(inst.traces[i])
             if delta_i <= 1e-12:

@@ -1,5 +1,6 @@
 """Spectral calculus over the four hyperbolic instance kinds."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdisc._exact import det_exact
+from hyperdisc.barrier import _taus
 from hyperdisc.errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from hyperdisc.hyperbolic import (
     ConeVerdict,
@@ -24,8 +26,10 @@ from hyperdisc.hyperbolic import (
     rank1_product_derivative,
     spectrum,
 )
+from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.unipoly import max_real_root
+from subset_helpers import as_rationals, fraction_derivative_restriction
 
 L3 = lorentz(3)
 D2 = determinant(2)
@@ -526,3 +530,31 @@ def test_derivative_restriction_polynomial():
     # One restriction per subset U of S, kept for the next call.
     assert sorted(cache) == [(), (0,)]
     assert derivative_restriction(D2, [v], (0,), cache) == poly
+
+
+def _linear_restriction_inputs():
+    """(h, vectors) as linear_restriction_multipoly receives them in the
+    tests: exact det vectors, and kls_square_zpoly's tau_i v_i of instances
+    scaled by 1/sigma, whose entries are floats."""
+    rng = random.Random(12)
+    h3 = determinant(3)
+    yield D2, [D2.vec_outer((Fraction(1), Fraction(0))), D2.vec_outer((Fraction(1), Fraction(1)))]
+    yield h3, [h3.vec_outer(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)))
+               for _ in range(3)]
+    for inst in (gen_kls_det(3, 2, 0, "mixed"), gen_kls_det(4, 3, 1, "rademacher"),
+                 gen_kls_lorentz(3, 3, 0, "mixed")):
+        inst = inst.scaled(1.0 / inst.sigma)
+        yield inst.h, [tuple(t * float(c) for c in v) for t, v in zip(_taus(inst), inst.vectors)]
+
+
+def test_derivative_restriction_equals_the_fraction_route():
+    # With an empty cache, as the reference routes call it; a float vector
+    # is the rational it is.
+    for h, vectors in _linear_restriction_inputs():
+        exact = as_rationals(vectors)
+        for r in range(len(vectors) + 1):
+            for subset in itertools.combinations(range(len(vectors)), r):
+                got = derivative_restriction(h, vectors, subset, {})
+                assert all(type(c) is Fraction for c in got.coeffs)
+                assert got == fraction_derivative_restriction(h, exact, subset, {}), subset
+

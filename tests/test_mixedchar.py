@@ -59,8 +59,9 @@ from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estim
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
-                         fraction_node_poly)
+                         fraction_node_poly, fraction_variance)
 from stability_oracle import stability_test
+from subset_helpers import fraction_operator_form
 from unipoly_helpers import from_roots
 
 D1 = determinant(1)
@@ -187,6 +188,32 @@ def test_ag_operator_form_point_mass_on_empty():
     mu = SRDistribution.from_support(1, [((), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),)])
     assert ag_operator_form(inst).coeffs == (Fraction(0), Fraction(1))  # h(xe) = x
+
+
+@pytest.mark.parametrize("graph", ["k3", "diamond", "c4", "c5", "k4", "k5"])
+def test_operator_form_equals_the_fraction_route(graph):
+    inst = SrInstance.from_graph(named_graph(graph), exact=True)
+    got = ag_operator_form(inst)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.coeffs == fraction_operator_form(inst).coeffs
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_operator_form_equals_the_fraction_route_on_generated_graphs(data):
+    # Trees (one spanning tree: a point mass), sparse to dense graphs, and
+    # the point mass on one of a graph's spanning trees.
+    v = data.draw(st.integers(3, 5))
+    e = data.draw(st.integers(v - 1, v * (v - 1) // 2))
+    inst = SrInstance.from_graph(random_connected_graph(v, e, data.draw(st.integers(0, 99))),
+                                 exact=True)
+    tree = data.draw(st.sampled_from([elems for elems, _ in inst.mu.support]))
+    point = SrInstance.build(inst.h, SRDistribution.from_support(inst.n, [(tree, Fraction(1))]),
+                             inst.vectors)
+    for case in (inst, point):
+        got = ag_operator_form(case)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.coeffs == fraction_operator_form(case).coeffs, (v, e)
 
 
 def test_ag_substitution_identity_toy():
@@ -1254,7 +1281,7 @@ def _mix_reference(inst, traces) -> tuple:
     """sum tau_i^2 tr[v_i] v_i, one coordinate at a time from Fraction(0)."""
     mix = [Fraction(0)] * inst.h.m
     for v, var, tr in zip(inst.vectors, inst.variables, traces):
-        weight = var.variance * tr
+        weight = fraction_variance(var) * tr
         for idx in range(inst.h.m):
             mix[idx] = mix[idx] + weight * v[idx]
     return tuple(mix)

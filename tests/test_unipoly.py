@@ -26,7 +26,8 @@ from hyperdisc.unipoly import (
     sturm_count_all_real,
 )
 from test_cli import SR_SEARCH_GRAPHS
-from unipoly_helpers import fraction_square_free_decomposition, fraction_sturm_chain, from_roots
+from unipoly_helpers import (fraction_square_free_decomposition, fraction_sturm_chain, from_roots,
+                             newton_reference)
 
 X2_3X_2 = UniPoly.from_coeffs([2, -3, 1])  # (x-1)(x-2)
 
@@ -101,24 +102,60 @@ def test_is_real_rooted_exact_on_rationals():
 
 
 def test_interpolate_quadratic():
-    p = interpolate([(0, 2), (1, 0), (2, 0)])
+    (p,) = interpolate([0, 1, 2], [[2, 0, 0]])
     assert p.coeffs == (Fraction(2), Fraction(-3), Fraction(1))
 
 
 def test_interpolate_constant():
-    p = interpolate([(0, Fraction(5, 3))])
+    (p,) = interpolate([0], [[Fraction(5, 3)]])
     assert p.coeffs == (Fraction(5, 3),)
 
 
 def test_interpolate_odd_symmetry():
-    p = interpolate([(0, 0), (1, 1), (-1, -1)])
+    (p,) = interpolate([0, 1, -1], [[0, 1, -1]])
     assert p.coeffs == (Fraction(1),) or p.coeffs == (Fraction(0), Fraction(1))
     assert p(Fraction(7)) == 7
 
 
 def test_interpolate_duplicate_abscissa():
     with pytest.raises(DuplicateNode):
-        interpolate([(1, 2), (1, 3)])
+        interpolate([1, 1], [[2, 3]])
+
+
+# Values whose divided differences hit every case of the trim: zeros of
+# both signs, small ints (low-degree rows whose top coefficients cancel to
+# 0), and floats of every size, whose sums round.
+_INTERP_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+                           st.floats(-1e6, 1e6, allow_nan=False),
+                           st.floats(-1e-6, 1e-6, allow_nan=False))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_stacked_interpolate_equals_one_row_at_a_time(data):
+    size = data.draw(st.integers(1, 6))
+    xs = data.draw(st.sampled_from([list(range(size)), [i - size // 2 for i in range(size)],
+                                    [2 * i + 1 for i in range(size)]]))
+    rows = data.draw(st.lists(st.lists(_INTERP_FLOATS, min_size=size, max_size=size),
+                              min_size=1, max_size=6))
+    # Rows of a polynomial of lower degree: the top differences vanish.
+    low = data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=size))
+    rows.append([float(sum(c * x ** k for k, c in enumerate(low))) for x in xs])
+    exact = [[Fraction(int(v * 8), 3) for v in row] for row in rows]
+    got = interpolate(xs, rows + exact)
+    for row, poly in zip(rows, got):
+        want = newton_reference(list(zip(xs, row)))
+        assert all(type(c) is float for c in poly.coeffs)
+        assert [c.hex() for c in poly.coeffs] == [c.hex() for c in want.coeffs], (xs, row)
+    for row, poly in zip(exact, got[len(rows):]):
+        want = newton_reference(list(zip(xs, row)))
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert poly.coeffs == want.coeffs, (xs, row)
+    # A float among the abscissae makes every row a float row.
+    fxs = [float(x) for x in xs]
+    for row, poly in zip(exact, interpolate(fxs, exact)):
+        want = newton_reference(list(zip(fxs, row)))
+        assert [c.hex() for c in poly.coeffs] == [c.hex() for c in want.coeffs]
 
 
 def test_square_free_decomposition():
@@ -141,8 +178,8 @@ def test_roundtrip_interpolation_rational():
         deg = rng.randint(1, 12)
         roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
         p = from_roots(roots)
-        nodes = [(Fraction(i), p(Fraction(i))) for i in range(deg + 1)]
-        q = interpolate(nodes)
+        xs = [Fraction(i) for i in range(deg + 1)]
+        (q,) = interpolate(xs, [[p(x) for x in xs]])
         assert q.coeffs == p.coeffs
 
 
@@ -153,8 +190,8 @@ def test_roundtrip_interpolation_float():
         roots = [rng.uniform(-3, 3) for _ in range(deg)]
         p = from_roots(roots)
         off = deg // 2  # symmetric integer nodes keep the system well conditioned
-        nodes = [(float(i - off), p(float(i - off))) for i in range(deg + 1)]
-        q = interpolate(nodes)
+        xs = [float(i - off) for i in range(deg + 1)]
+        (q,) = interpolate(xs, [[p(x) for x in xs]])
         scale = max(abs(c) for c in p.coeffs)
         for a, b in zip(q.coeffs, p.coeffs):
             assert abs(a - b) <= 1e-10 * scale
@@ -363,7 +400,7 @@ def test_a_coefficient_type_is_its_arithmetic(exact, mixed, ys, vec):
         assert all(type(c) is float for c in got.coeffs)
         assert got.coeffs == want.coeffs
     # Interpolation through int nodes, and the trace of an exact vector, stay exact.
-    r = interpolate(list(enumerate(ys)))
+    (r,) = interpolate(range(len(ys)), [ys])
     assert all(type(c) is Fraction for c in r.coeffs)
     assert [r(x) for x in range(len(ys))] == ys
     assert type(r(len(ys))) is Fraction

@@ -1,10 +1,12 @@
-"""Polynomials the tests build from known roots, and the exact reference
-route: Yun's square-free decomposition and the Sturm chain over Fractions,
-which the int routes in hyperdisc.unipoly must match."""
+"""Polynomials the tests build from known roots; the exact reference
+route, Yun's square-free decomposition and the Sturm chain over Fractions,
+which the int routes in hyperdisc.unipoly must match; and one-row Newton
+interpolation in UniPoly arithmetic, which the stacked interpolate must
+match bit for bit."""
 
 from fractions import Fraction
 
-from hyperdisc.unipoly import UniPoly, _deriv, _strip
+from hyperdisc.unipoly import UniPoly, _deriv, _strip, as_one_type
 
 
 def from_roots(roots) -> UniPoly:
@@ -13,6 +15,24 @@ def from_roots(roots) -> UniPoly:
     for r in roots:
         p = p * UniPoly.from_coeffs([-r, 1])
     return p
+
+
+def newton_reference(nodes) -> UniPoly:
+    """The polynomial through the points (x, y) of nodes: Newton divided
+    differences, then poly + c_i basis_i added in UniPoly arithmetic, one
+    step at a time, each step trimmed by from_coeffs."""
+    values = as_one_type([x for x, _ in nodes] + [y for _, y in nodes])
+    xs, table = values[:len(nodes)], values[len(nodes):]
+    coeffs = [table[0]]
+    for level in range(1, len(table)):
+        for i in range(len(table) - level):
+            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
+        coeffs.append(table[0])
+    poly, basis = UniPoly.zero(), UniPoly.constant(1)
+    for x, c in zip(xs, coeffs):
+        poly = poly + basis.scale(c)
+        basis = basis * UniPoly.from_coeffs([-x, 1])
+    return poly
 
 
 def _normalize_sign_free(c: list) -> list:
