@@ -53,10 +53,9 @@ own.  tau_i comes from the variables' int data (KlsInstance.tau_squares).
 Each stacked kernel adds in the per-point order: vectors in index order,
 set products in element order, and set terms in support order.  Phi is
 never taken by differentiating an expanded multivariate polynomial.  The
-explicit polynomial P in (x, z) is only materialized, as a
-realstable.MultiPoly (kls_square_zpoly), for the operator-update
-regression test, where (1 - 1/2 d^2/dz_i^2) must be applied literally
-(realstable.one_minus_c_d2).
+explicit polynomial P in (x, z), to which the operator update
+(1 - 1/2 d^2/dz_i^2) applies literally, is built only by the test suite
+(tests/multipoly_helpers.py), which ties its values and barriers to phi.
 """
 
 from __future__ import annotations
@@ -73,9 +72,7 @@ from .mixedchar import (
     SrInstance,
     ag_node_poly,
     kls_table_node_poly,
-    linear_restriction_multipoly,
 )
-from .realstable import MultiPoly
 from .scalars import CHAIN_STEP_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
 from .unipoly import max_real_root
 
@@ -290,20 +287,3 @@ def verify_bound_chain(inst) -> ChainReport:
     top = max_real_root(ag_node_poly(inst).to_float())
     steps.append(_step("mixed_char_max_root", top, 4 * eps + 2 * eps * eps, CHAIN_STEP_TOL))
     return ChainReport("ag", tuple(steps), all(s.passed for s in steps), eps=eps)
-
-
-# ---------------------------------------------------------------------------
-# Explicit polynomial route, used to regression-test the operator update.
-# ---------------------------------------------------------------------------
-
-def kls_square_zpoly(inst: KlsInstance) -> MultiPoly:
-    """(h(xe + sum z_i tau_i v_i))^2 as a MultiPoly in (x, z_1..z_n).
-
-    Variable 0 is x and variable i + 1 is z_i, so the operator update is
-    one_minus_c_d2(p, i + 1, 1/2) and Phi^i at pt is
-    p.partial(i + 1).eval(v) / p.eval(v) with v = (pt.x,) + pt.z.
-    """
-    taus = _taus(inst)
-    scaled = [tuple(t * float(c) for c in v) for t, v in zip(taus, inst.vectors)]
-    p = linear_restriction_multipoly(inst.h, scaled)
-    return p * p

@@ -32,7 +32,7 @@ class RankTooHigh(HyperdiscError):
 
 
 class IndexOutOfRange(HyperdiscError):
-    """Variable index outside the polynomial's variable count."""
+    """An index outside the range it must lie in."""
 
 
 class DisconnectedGraph(HyperdiscError):

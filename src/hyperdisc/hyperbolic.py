@@ -37,7 +37,6 @@ from ._exact import (_integer_rows, char_poly_exact, char_poly_ints, char_polys,
                      principal_minors)
 from .errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from .realstable import MultiPoly
-from .scalars import CONE_TOL
 from .unipoly import RootList, UniPoly, interpolate, real_roots
 
 
@@ -366,6 +365,12 @@ class RealStableInstance(HyperbolicInstance):
         self._spot_check_homogeneity()
 
     def _spot_check_homogeneity(self):
+        """p(c x) = c^d p(x) at two seeded integer points.  Every term
+        already has degree d, so with exact coefficients this holds; it is
+        the one load-time rejection of float coefficients whose values
+        overflow binary64: e_2 on three variables with every coefficient
+        5e307 gives nan against -inf here.  Without it such a file loads,
+        and its non-finite values surface only mid-search."""
         rng = random.Random(20240917)
         for c in (2, -1):
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(self.m))
@@ -405,12 +410,6 @@ class Spectrum:
     norm: float
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
-    status: str  # "interior" | "boundary" | "outside"
-    witness: float  # smallest hyperbolic eigenvalue
-
-
 def char_restriction(h: HyperbolicInstance, x) -> UniPoly:
     """t -> h(te - x), the characteristic restriction of x."""
     h.check_dim(x)
@@ -441,48 +440,6 @@ def hyperbolic_traces(h: HyperbolicInstance, vectors) -> tuple:
     exact = not any(map(_is_float_vec, vectors))
     rows = h.restrict_e_rows(-np.array(vectors, dtype=object if exact else float))
     return tuple((-rows[:, -2] / rows[:, -1]).tolist())
-
-
-def cone_membership(h: HyperbolicInstance, x) -> ConeVerdict:
-    """Float closed-cone verdict: the reference for KlsTable.build's exact cone test."""
-    sp = spectrum(h, x)
-    lam_min = sp.eigenvalues[-1] if sp.eigenvalues else 0.0
-    gate = CONE_TOL * max(1.0, abs(sp.eigenvalues[0]) if sp.eigenvalues else 1.0, abs(lam_min))
-    if lam_min > gate:
-        status = "interior"
-    elif lam_min >= -gate:
-        status = "boundary"
-    else:
-        status = "outside"
-    return ConeVerdict(status, float(lam_min))
-
-
-def rank1_product_derivative(h: HyperbolicInstance, indices, vectors, x):
-    """(prod_{i in S} D_{v_i}) h(x) for hyperbolic-rank-<=1 rational directions.
-
-    Because h is multilinear along rank-1 directions, the mixed derivative
-    collapses to inclusion-exclusion over vertex sums:
-    sum_{U subset S} (-1)^{|S|-|U|} h(x + sum_{i in U} v_i), which is exact.
-    The rank of each v_i, i in S, is checked exactly first, as
-    mixed_derivative_table checks it.
-    """
-    h.check_dim(x)
-    s = list(indices)
-    base = h.value(h.e)
-    for i in s:
-        slope = h.value(tuple(map(operator.add, h.e, vectors[i]))) - base
-        _require_rank_one(h, i, vectors[i], base, slope)
-    total = None
-    for r in range(len(s) + 1):
-        for combo in itertools.combinations(s, r):
-            pt = list(x)
-            for i in combo:
-                for idx in range(h.m):
-                    pt[idx] = pt[idx] + vectors[i][idx]
-            val = h.value(tuple(pt))
-            signed = val if (len(s) - r) % 2 == 0 else -val
-            total = signed if total is None else total + signed
-    return total
 
 
 def subsets_up_to(n: int, size: int) -> list:
@@ -539,10 +496,11 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
         h(xe + sum_i c_i v_i) = sum_{|T| <= d} c^T a_T x^(d - |T|)
 
     and every a_T with |T| > d vanishes.  The E a_T are subset_moebius of the
-    vertex values h(e + w_U): the inclusion-exclusion of
-    rank1_product_derivative, shared across T.  The rank condition is
-    checked exactly, so the vectors must be rational: t -> h(e + t v_i) has
-    degree <= 1 iff v_i has rank <= 1, which is tested at t = 0..d, and
+    vertex values h(e + w_U): a_T is the inclusion-exclusion
+    sum_{U subset T} (-1)^(|T|-|U|) h(e + w_U), here shared across T (the
+    test suite's reference takes it one T at a time).  The rank condition
+    is checked exactly, so the vectors must be rational: t -> h(e + t v_i)
+    has degree <= 1 iff v_i has rank <= 1, which is tested at t = 0..d, and
     RankTooHigh is raised when it fails.
     """
     for v in vectors:

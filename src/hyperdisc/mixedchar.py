@@ -137,7 +137,6 @@ from .hyperbolic import (
     subset_moebius,
     subset_restrictions,
 )
-from .realstable import MultiPoly
 from .srdist import (
     SRDistribution,
     effective_resistance_family,
@@ -457,8 +456,9 @@ class SrInstance:
     @functools.cached_property
     def leaf_table(self) -> LeafTable:
         """Vectors summed in element order from 0 in their own arithmetic,
-        rows scaled by mu(S) (a float for float vectors), as subset_sum,
-        restrict_line and UniPoly.scale do one set at a time."""
+        rows scaled by mu(S) (a float for float vectors), as subset_sum and
+        restrict_line, times mu(S) coefficient by coefficient, do one set at
+        a time."""
         sets = self.mu.sets
         members = np.zeros((len(sets), self.n), dtype=bool)
         members[np.arange(len(sets))[:, None], sets] = True
@@ -826,30 +826,6 @@ def ag_substitution_identity(inst: SrInstance) -> tuple:
     lhs = ag_node_poly(inst).compose_xsquare().shift_degree(inst.mu.d_mu)
     rhs = ag_operator_form(inst).shift_degree(inst.h.d)
     return lhs, rhs
-
-
-def linear_restriction_multipoly(h: HyperbolicInstance, vectors) -> MultiPoly:
-    """h(xe + sum_i z_i v_i) as a polynomial in (x, z_1..z_n).
-
-    Requires every v_i to have hyperbolic rank <= 1 so that the multilinear
-    expansion sum_U z^U A_U(x) is complete.  The coefficients are Fractions,
-    each float A_U coefficient taken as the rational it is.
-    """
-    n = len(vectors)
-    cache: dict = {}
-    out = MultiPoly.zero(n + 1)
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        a_u = derivative_restriction(h, vectors, subset, cache)
-        for power, coeff in enumerate(a_u.coeffs):
-            if coeff == 0:
-                continue
-            exps = [0] * (n + 1)
-            exps[0] = power
-            for i in subset:
-                exps[i + 1] = 1
-            out = out + MultiPoly.monomial(tuple(exps), Fraction(coeff))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,6 @@ class UniPoly:
                 out[i + j] += a * b
         return UniPoly.from_coeffs(out)
 
-    def scale(self, c) -> "UniPoly":
-        return UniPoly.from_coeffs([c * x for x in self.coeffs])
-
     def compose_xsquare(self) -> "UniPoly":
         """p(x^2): coefficients spread onto even degrees."""
         out = [0] * (2 * len(self.coeffs))
@@ -432,7 +429,7 @@ def real_roots(p: UniPoly) -> RootList:
     and their Sturm chains over ints, isolation by exact Sturm counts, and a
     float polish from each monic factor.  It raises :class:`NotRealRooted`
     when the certified count falls short.  A coefficient past the binary64
-    range raises :class:`TooLarge`.
+    range, or a float one that is inf or nan, raises :class:`TooLarge`.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -443,6 +440,8 @@ def real_roots(p: UniPoly) -> RootList:
         c = [float(x) for x in p.coeffs]
     except OverflowError as exc:
         raise TooLarge("a polynomial coefficient lies past the binary64 range") from exc
+    if not all(map(math.isfinite, c)):
+        raise TooLarge("a polynomial coefficient is not a finite binary64 value")
     # Exact zero roots come from trailing zero coefficients.
     nzero = 0
     while nzero <= deg and c[nzero] == 0.0:

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 from hyperdisc.unipoly import UniPoly
+from unipoly_helpers import scale
 
 
 def fraction_centered_sum(inst, assignment) -> tuple:
@@ -34,7 +35,7 @@ def fraction_node_poly(inst, partial=()) -> UniPoly:
         assignment = tuple(partial) + completion
         weight = math.prod(var.probs[var.support.index(s)]
                            for s, var in zip(assignment, inst.variables))
-        acc = acc + fraction_leaf_poly(inst, assignment).scale(weight)
+        acc = acc + scale(fraction_leaf_poly(inst, assignment), weight)
     return acc
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.srdist import _observed_set
+from multipoly_helpers import add, partial, scale
 
 
 def generating_polynomial(mu) -> MultiPoly:
@@ -29,8 +30,8 @@ def marginal_via_multipoly(mu, s, k, x0) -> Fraction:
     assert target <= observed
     p = generating_polynomial(mu)
     for i in sorted(observed):
-        dp = p.partial(i)
-        p = dp if i in target else p + dp.scale(-x0)
+        dp = partial(p, i)
+        p = dp if i in target else add(p, scale(dp, -x0))
     by_degree = {}
     for exps, c in p.terms.items():
         deg = sum(exps)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from hyperdisc.errors import ZeroPolynomial
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.unipoly import UniPoly, is_real_rooted
+from multipoly_helpers import restrict_line
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def stability_test(p: MultiPoly, trials: int = 1000, seed: int = 0) -> Stability
         rng = _trial_rng(seed, trial)
         a = tuple(Fraction(rng.randint(1, 32), 8) for _ in range(n))
         b = tuple(Fraction(rng.randint(-32, 32), 8) for _ in range(n))
-        line = p.restrict_line(a, b)
+        line = restrict_line(p, a, b)
         if line.is_zero or not is_real_rooted(line):
             return StabilityVerdict(False, trial + 1, a, b, line)
     return StabilityVerdict(True, trials)

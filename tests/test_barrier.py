@@ -17,7 +17,6 @@ from hyperdisc.barrier import (
     BarrierPoint,
     above_roots,
     construction_point,
-    kls_square_zpoly,
     phi,
     verify_bound_chain,
 )
@@ -26,9 +25,10 @@ from hyperdisc.hyperbolic import (DeterminantInstance, ElemSymInstance, Hyperbol
                                   LorentzInstance, RealStableInstance, determinant, lorentz)
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
-from hyperdisc.realstable import MultiPoly, one_minus_c_d2
+from hyperdisc.realstable import MultiPoly
 from hyperdisc.srdist import SRDistribution
 from kls_helpers import fraction_variance
+from multipoly_helpers import kls_square_zpoly, one_minus_c_d2, partial
 from unipoly_helpers import newton_reference
 
 D1 = determinant(1)
@@ -517,7 +517,7 @@ def test_subset_phi_equals_the_per_index_reference_on_more_graphs():
 def _zphi(p, i, pt):
     """Phi^i of an explicit polynomial in (x, z_1..z_n) at pt."""
     at = (pt.x,) + pt.z
-    return p.partial(i + 1).eval(at) / p.eval(at)
+    return partial(p, i + 1).eval(at) / p.eval(at)
 
 
 def test_operator_update_shifts_barrier():

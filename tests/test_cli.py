@@ -510,6 +510,47 @@ def test_support_value_past_binary64_squared_exits_1(capsys, tmp_path, kind):
     _exits_1_with_one_error_line(capsys, bad, "lies past the binary64 range")
 
 
+def _sr_float_file(tmp_path, h: dict, vectors: list):
+    """A float sr file over three elements: h, the vectors and the K3
+    spanning-tree support, {0, 1}, {0, 2} and {1, 2} at 1/3 each."""
+    support = [{"set": s, "prob": "1/3"} for s in ([0, 1], [0, 2], [1, 2])]
+    blob = {"schema": "hyperdisc-instance/1", "kind": "sr", "backend": "float",
+            "payload": {"h": h, "distribution": {"n": 3, "d_mu": 2, "support": support},
+                        "vectors": vectors}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def _blocked_and_verify_exit_1(capsys, path, message):
+    for argv in (("solve", str(path), "--method", "blocked"), ("verify", str(path))):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), argv
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_float_custom_h_whose_values_overflow_fails_the_spot_check(capsys, tmp_path):
+    # e_2 with every coefficient 5e307 is homogeneous term by term, but its
+    # values at the spot check's points overflow binary64 (nan against -inf):
+    # the one load-time rejection of such a float custom h.
+    terms = [[e, 5e307] for e in ([1, 1, 0], [1, 0, 1], [0, 1, 1])]
+    h = {"kind": "custom", "nvars": 3, "e": [1, 1, 1], "poly": {"nvars": 3, "terms": terms}}
+    path = _sr_float_file(tmp_path, h, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    _blocked_and_verify_exit_1(capsys, path, "failed the homogeneity spot check")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_leaf_coefficient_past_binary64_exits_1(capsys, tmp_path):
+    # The vectors sum to e = vec(I) exactly, but the leaf {0, 2} has the
+    # eigenvalue product 1e320, an inf coefficient that real_roots rejects
+    # before np.roots sees it.  numpy warns of the overflow first.
+    big = [[1e160, 0, 1e160], [-1e160, 0, -1e160], [1, 0, 1]]
+    path = _sr_float_file(tmp_path, {"kind": "determinant", "mprime": 2}, big)
+    _blocked_and_verify_exit_1(capsys, path, "not a finite binary64 value")
+
+
 @pytest.mark.parametrize("entry, value, message", [
     ((5, 4), -1, "the vectors do not sum to e"),
     ((0, 0), "1" + "0" * 400 + "/1", "OverflowError"),

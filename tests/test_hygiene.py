@@ -1,6 +1,8 @@
 """Static checks over src/hyperdisc: no unused import, no unreferenced def,
-no def or class member that only tests reach unless it is a reference
-route, and no float tolerance outside the table in scalars.py.
+no def or class member that only tests reach, and no float tolerance
+outside the table in scalars.py.  The slow references the tests compare
+the shipping routes against live in tests/, so src/ holds only what a
+command reaches.
 
 A top-level def counts as referenced when its own module names it, or when
 any file under src/, tests/ or hdbench/ imports it by name or reads it as an
@@ -14,11 +16,15 @@ matched without their module, so a shared name can only make a def look
 reached, never unreached.
 
 A class member (a method, a property or a dataclass field) is read when
-src/ reads it as an attribute or hdbench/ names it; the members of a
-reference-route class are exempt with it.  Names are matched without their
-class, so a member whose name anything else shares passes unflagged:
-hdbench's args.trace would hide a Spectrum.trace, and every other .n
-attribute an IsotropicFamily.n.
+src/ reads it as an attribute or hdbench/ names it.  A read is matched to
+its class when its receiver shows the class: self (or cls) in a method, a
+class name (module.Class too), or a parameter annotated with a src/ class.
+An instance receiver stands for the class, its src/ bases and its src/
+subclasses; a class receiver for the class and its bases.  hdbench's
+tracer names a method as a string beside its class, and that pair is
+matched the same way.  Any other read counts for every class defining the
+name, so a shared name can still hide a member: every .n attribute whose
+receiver is unknown would hide an IsotropicFamily.n.
 """
 
 import ast
@@ -29,17 +35,6 @@ PACKAGE = ROOT / "src" / "hyperdisc"
 
 # Imports kept only because hdbench reads these module bindings.
 KEPT_IMPORTS = {("solver", "char_poly_exact"), ("mixedchar", "real_roots")}
-
-# The only defs allowed in src/ that no command reaches: each is the slow
-# reference a test compares the named shipping route against.
-REFERENCE_ROUTES = {
-    "hyperbolic.rank1_product_derivative": "hyperbolic.mixed_derivative_table",
-    "barrier.kls_square_zpoly": "barrier.phi and P one point at a time (the tests' _polynomial_value)",
-    "mixedchar.linear_restriction_multipoly": "barrier.phi and the tests' _polynomial_value, via kls_square_zpoly",
-    "realstable.one_minus_c_d2": "the operator update that barrier's update_condition step bounds",
-    "hyperbolic.cone_membership": "mixedchar.KlsTable.build's exact cone test",
-    "hyperbolic.ConeVerdict": "mixedchar.KlsTable.build's exact cone test, via cone_membership",
-}
 
 # A float literal this small is a tolerance; it belongs in the scalars.py table.
 TOLERANCE_CEILING = 1e-4
@@ -135,15 +130,8 @@ def _unreached_defs() -> set:
     return {q for name, qs in owners.items() if name not in reached for q in qs}
 
 
-def test_only_reference_routes_are_unreached():
-    unreached = _unreached_defs()
-    assert sorted(unreached - set(REFERENCE_ROUTES)) == []
-    # Each allowed def is still unreached and still compared against by a test.
-    assert sorted(set(REFERENCE_ROUTES) - unreached) == []
-    tested = set()
-    for path in (ROOT / "tests").glob("test_*.py"):
-        tested |= _imported_or_attribute(_parse(path))
-    assert sorted(q for q in REFERENCE_ROUTES if q.split(".")[1] not in tested) == []
+def test_every_def_is_reached():
+    assert sorted(_unreached_defs()) == []
 
 
 def _members(node: ast.ClassDef) -> list:
@@ -159,19 +147,102 @@ def _members(node: ast.ClassDef) -> list:
     return out
 
 
+def _class_named(node, classes):
+    """The src/ class a node names: Class, module.Class or "Class"; else None."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Constant):
+        name = node.value
+    else:
+        return None
+    return name if isinstance(name, str) and name in classes else None
+
+
+def _member_reads(tree: ast.AST, classes: dict) -> tuple:
+    """(typed, untyped) attribute reads: (receiver kind, class, member) for
+    each receiver that shows its class, "instance" for self, cls and
+    annotated parameters, "class" for a class name; the bare member name of
+    every other read."""
+    typed, untyped = set(), set()
+
+    def visit(node, env, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, env, _class_named(ast.Name(child.name), classes))
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+                inner = {k: v for k, v in env.items() if k not in {a.arg for a in args}}
+                inner.update((a.arg, _class_named(a.annotation, classes)) for a in args
+                             if _class_named(a.annotation, classes))
+                if owner and args and not isinstance(child, ast.Lambda) and not any(
+                        getattr(d, "id", None) == "staticmethod" for d in child.decorator_list):
+                    inner[args[0].arg] = owner
+                visit(child, inner, None)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                receiver = child.value
+                if isinstance(receiver, ast.Name) and receiver.id in env:
+                    typed.add(("instance", env[receiver.id], child.attr))
+                elif _class_named(receiver, classes) and not isinstance(receiver, ast.Constant):
+                    typed.add(("class", _class_named(receiver, classes), child.attr))
+                else:
+                    untyped.add(child.attr)
+            visit(child, env, owner)
+
+    visit(tree, {}, None)
+    return typed, untyped
+
+
+def _traced_methods(tree: ast.AST, classes: dict) -> set:
+    """("class", class, name) for each identifier string in a tuple that also
+    names a src/ class: hdbench's tracer wraps a method given by name beside
+    its class."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple):
+            owners = {_class_named(e, classes) for e in node.elts if not isinstance(e, ast.Constant)}
+            out |= {("class", owner, e.value) for owner in owners - {None} for e in node.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    and e.value.isidentifier()}
+    return out
+
+
 def test_every_class_member_is_read_outside_the_tests():
-    read = set()
-    for path in _modules():
-        read |= {n.attr for n in ast.walk(_parse(path))
-                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    for path in (ROOT / "hdbench").rglob("*.py"):
-        read |= _identifiers(_parse(path))
-    unread = []
+    classes = {}  # class name -> (module, ClassDef)
     for path in _modules():
         for node in _parse(path).body:
-            if isinstance(node, ast.ClassDef) and f"{path.stem}.{node.name}" not in REFERENCE_ROUTES:
-                unread += [f"{path.stem}.{node.name}.{name}" for name in _members(node)
-                           if name not in read]
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in classes, node.name
+                classes[node.name] = (path.stem, node)
+    bases = {name: {_class_named(b, classes) for b in node.bases} - {None}
+             for name, (_, node) in classes.items()}
+    up = {}  # class -> itself and its src/ bases
+    for name in classes:
+        todo, up[name] = [name], set()
+        while todo:
+            c = todo.pop()
+            if c not in up[name]:
+                up[name].add(c)
+                todo += bases[c]
+    lineage = {"class": up,
+               "instance": {c: up[c] | {d for d in classes if c in up[d]} for c in classes}}
+    typed, untyped = set(), set()
+    for path in _modules():
+        t, u = _member_reads(_parse(path), classes)
+        typed, untyped = typed | t, untyped | u
+    for path in (ROOT / "hdbench").rglob("*.py"):
+        tree = _parse(path)
+        t, u = _member_reads(tree, classes)
+        traced = _traced_methods(tree, classes)
+        typed |= t | traced
+        untyped |= u | (_identifiers(tree, attributes=False) - {name for _, _, name in traced})
+    read = {(c, name) for kind, owner, name in typed for c in lineage[kind][owner]}
+    unread = [f"{module}.{name}.{member}" for name, (module, node) in classes.items()
+              for member in _members(node)
+              if member not in untyped and (name, member) not in read]
     assert unread == []
 
 
@@ -205,11 +276,13 @@ def test_every_tolerance_is_read_elsewhere():
     assert sorted(table - read) == []
 
 
-def _identifiers(tree: ast.AST) -> set:
-    """Every identifier a module names: bare names, parameters, attributes,
-    defs, imports, and string constants that are identifiers (``__slots__``
-    entries, dataclass field names)."""
-    out = _read_names(tree)
+def _identifiers(tree: ast.AST, attributes: bool = True) -> set:
+    """Every identifier a module names: bare names, parameters, attributes
+    (unless attributes is false), defs, imports, and string constants that
+    are identifiers (``__slots__`` entries, dataclass field names)."""
+    out = _read_names(tree) if attributes else (
+        {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        | {a.name.split(".")[-1] for a in ast.walk(tree) if isinstance(a, ast.alias)})
     for node in ast.walk(tree):
         if isinstance(node, ast.arg):
             out.add(node.arg)

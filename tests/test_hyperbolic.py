@@ -13,22 +13,20 @@ from hyperdisc._exact import det_exact
 from hyperdisc.barrier import _taus
 from hyperdisc.errors import DimensionMismatch, NotRealRooted, RankTooHigh
 from hyperdisc.hyperbolic import (
-    ConeVerdict,
     DeterminantInstance,
     ElemSymInstance,
     RealStableInstance,
     char_restriction,
-    cone_membership,
     derivative_restriction,
     determinant,
     hyperbolic_traces,
     lorentz,
-    rank1_product_derivative,
     spectrum,
 )
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.unipoly import max_real_root
+from hyperbolic_helpers import ConeVerdict, cone_membership, rank1_product_derivative
 from subset_helpers import as_rationals, fraction_derivative_restriction
 
 L3 = lorentz(3)

@@ -27,11 +27,9 @@ from hyperdisc.hyperbolic import (
     HyperbolicInstance,
     RealStableInstance,
     char_restriction,
-    cone_membership,
     determinant,
     lorentz,
     mixed_derivative_table,
-    rank1_product_derivative,
 )
 from hyperdisc._exact import det_exact, principal_minors
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
@@ -51,18 +49,19 @@ from hyperdisc.mixedchar import (
     kls_node_sums,
     kls_operator_form,
     kls_table_node_poly,
-    linear_restriction_multipoly,
 )
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate, monic_top_coeffs
 from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
+from hyperbolic_helpers import cone_membership, rank1_product_derivative
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
                          fraction_node_poly, fraction_variance)
+from multipoly_helpers import linear_restriction_multipoly
 from stability_oracle import stability_test
 from subset_helpers import fraction_operator_form
-from unipoly_helpers import from_roots
+from unipoly_helpers import from_roots, scale
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -254,7 +253,7 @@ def _has_common_interlacing(polys, samples: int = 16, seed: int = 0) -> bool:
     for _ in range(samples):
         raw = [rng.randint(1, 16) for _ in range(k)]
         weights.append([Fraction(r, sum(raw)) for r in raw])
-    return all(is_real_rooted(sum((p.scale(w) for w, p in zip(ws, polys)), UniPoly.zero()))
+    return all(is_real_rooted(sum((scale(p, w) for w, p in zip(ws, polys)), UniPoly.zero()))
                for ws in weights)
 
 
@@ -1044,7 +1043,7 @@ def _graph(spec: str):
 
 def _per_set_leaves(inst) -> list:
     """mu(S) * h(xe - sum_{i in S} v_i), one restriction per support set."""
-    return [inst.h.restrict_line(tuple(-c for c in inst.subset_sum(elems)), inst.h.e).scale(prob)
+    return [scale(inst.h.restrict_line(tuple(-c for c in inst.subset_sum(elems)), inst.h.e), prob)
             for elems, prob in inst.mu.support]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdisc import unipoly
-from hyperdisc.errors import DuplicateNode, NotRealRooted, ZeroPolynomial
+from hyperdisc.errors import DuplicateNode, NotRealRooted, TooLarge, ZeroPolynomial
 from hyperdisc.cli import _resolve_graph
 from hyperdisc.graphs import named_graph
 from hyperdisc.hyperbolic import char_restriction, determinant, hyperbolic_traces, lorentz
@@ -70,6 +70,12 @@ def test_real_roots_rejects_complex_pair():
 def test_real_roots_zero_poly_raises():
     with pytest.raises(ZeroPolynomial):
         real_roots(UniPoly.zero())
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_real_roots_rejects_a_non_finite_coefficient(bad):
+    with pytest.raises(TooLarge):
+        real_roots(UniPoly.from_coeffs([1.0, bad, 1.0]))
 
 
 def test_real_roots_monomial_multiplicity():

@@ -1,5 +1,5 @@
-"""Polynomials the tests build from known roots; the exact reference
-route, Yun's square-free decomposition and the Sturm chain over Fractions,
+"""Polynomials the tests build from known roots, and c p; the exact
+reference route, Yun's square-free decomposition and the Sturm chain over Fractions,
 which the int routes in hyperdisc.unipoly must match; and one-row Newton
 interpolation in UniPoly arithmetic, which the stacked interpolate must
 match bit for bit."""
@@ -17,6 +17,11 @@ def from_roots(roots) -> UniPoly:
     return p
 
 
+def scale(p: UniPoly, c) -> UniPoly:
+    """c p, coefficient by coefficient."""
+    return UniPoly.from_coeffs([c * x for x in p.coeffs])
+
+
 def newton_reference(nodes) -> UniPoly:
     """The polynomial through the points (x, y) of nodes: Newton divided
     differences, then poly + c_i basis_i added in UniPoly arithmetic, one
@@ -30,7 +35,7 @@ def newton_reference(nodes) -> UniPoly:
         coeffs.append(table[0])
     poly, basis = UniPoly.zero(), UniPoly.constant(1)
     for x, c in zip(xs, coeffs):
-        poly = poly + basis.scale(c)
+        poly = poly + scale(basis, c)
         basis = basis * UniPoly.from_coeffs([-x, 1])
     return poly
 
