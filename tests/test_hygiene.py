@@ -170,7 +170,7 @@ def _member_reads(tree: ast.AST, classes: dict) -> tuple:
     def visit(node, env, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, env, _class_named(ast.Name(child.name), classes))
+                visit(child, env, child.name if child.name in classes else None)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
@@ -186,7 +186,7 @@ def _member_reads(tree: ast.AST, classes: dict) -> tuple:
                 receiver = child.value
                 if isinstance(receiver, ast.Name) and receiver.id in env:
                     typed.add(("instance", env[receiver.id], child.attr))
-                elif _class_named(receiver, classes) and not isinstance(receiver, ast.Constant):
+                elif _class_named(receiver, classes):
                     typed.add(("class", _class_named(receiver, classes), child.attr))
                 else:
                     untyped.add(child.attr)
@@ -203,10 +203,11 @@ def _traced_methods(tree: ast.AST, classes: dict) -> set:
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Tuple):
-            owners = {_class_named(e, classes) for e in node.elts if not isinstance(e, ast.Constant)}
-            out |= {("class", owner, e.value) for owner in owners - {None} for e in node.elts
-                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    and e.value.isidentifier()}
+            names = {e.value for e in node.elts if isinstance(e, ast.Constant)
+                     and isinstance(e.value, str) and e.value.isidentifier()}
+            owners = {_class_named(e, classes) for e in node.elts
+                      if not isinstance(e, ast.Constant)} - {None}
+            out |= {("class", owner, name) for owner in owners for name in names}
     return out
 
 
@@ -219,14 +220,11 @@ def test_every_class_member_is_read_outside_the_tests():
                 classes[node.name] = (path.stem, node)
     bases = {name: {_class_named(b, classes) for b in node.bases} - {None}
              for name, (_, node) in classes.items()}
-    up = {}  # class -> itself and its src/ bases
-    for name in classes:
-        todo, up[name] = [name], set()
-        while todo:
-            c = todo.pop()
-            if c not in up[name]:
-                up[name].add(c)
-                todo += bases[c]
+
+    def above(c):
+        return {c}.union(*map(above, bases[c]))
+
+    up = {c: above(c) for c in classes}  # class -> itself and its src/ bases
     lineage = {"class": up,
                "instance": {c: up[c] | {d for d in classes if c in up[d]} for c in classes}}
     typed, untyped = set(), set()

@@ -1,8 +1,8 @@
 """Polynomials the tests build from known roots, and c p; the exact
-reference route, Yun's square-free decomposition and the Sturm chain over Fractions,
-which the int routes in hyperdisc.unipoly must match; and one-row Newton
-interpolation in UniPoly arithmetic, which the stacked interpolate must
-match bit for bit."""
+reference route, Yun's square-free decomposition and the Sturm chain over
+Fractions, which the int routes in hyperdisc.unipoly must match; and
+one-row Newton interpolation in UniPoly arithmetic, which the stacked
+interpolate must match bit for bit."""
 
 from fractions import Fraction
 
