@@ -1,8 +1,9 @@
 """Undirected simple graphs (no self-loops, no repeated edges) with at
 least two vertices and labeled edges.
 
-Edge labels are 1-based positions in the edge list; polynomial fixtures and
-spanning-tree distributions index their variables by these labels.
+An edge is named by its 0-based position in the edge list: spanning trees
+are rows of these indices, and a spanning-tree distribution's ground set is
+range(n_edges).
 """
 
 from __future__ import annotations
@@ -11,9 +12,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._exact import det_exact
 from .errors import DisconnectedGraph, TooLarge
 
+# The level loop of Graph.spanning_trees holds at most C(16, j) forests of j
+# edges at once, 12,870 at j = 8.
 MAX_ENUM_EDGES = 16
 
 
@@ -61,35 +66,42 @@ class Graph:
             lap[v][u] -= 1
         return lap
 
-    def spanning_trees(self) -> list:
-        """All spanning trees as sorted tuples of 0-based edge indices, in
-        lexicographic order.
+    def spanning_trees(self) -> np.ndarray:
+        """All spanning trees as an (N, n_vertices - 1) intp array, each row
+        the sorted 0-based edge indices of one tree, rows in lexicographic
+        order.
 
-        A backtracking over edge indices in increasing order: each branch
-        carries a component label per vertex, skips an edge whose endpoints
-        already share a label (it would close a cycle), and stops when too
-        few edges remain to reach n_vertices - 1.  Every branch is a forest,
-        so only acyclic edge sets are visited, not all (n_vertices - 1)-subsets.
+        Built one level at a time.  Level j holds every forest of j edges
+        with at least n_vertices - 1 - j edges after its last one, as rows
+        of per-vertex component labels, in lexicographic order of their
+        edges.  A forest is extended by each later edge that joins two of
+        its components and leaves enough edges after it to reach
+        n_vertices - 1.  One nonzero over the forests x edges mask picks the
+        extensions in row-major order, so the next level is lexicographic
+        too, and one where merges the two components of each new edge.  A
+        forest that its later edges cannot complete is not pruned early: it
+        drops out at the first level where it has no extension.
         """
         if not self.is_connected():
             raise DisconnectedGraph("graph is not connected")
         if self.n_edges > MAX_ENUM_EDGES:
             raise TooLarge(f"spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges")
-        edges, k, m = self.edges, self.n_vertices - 1, self.n_edges
-        trees = []
-
-        def extend(chosen, comp, start):
-            leaf = len(chosen) == k - 1
-            for i in range(start, m - k + len(chosen) + 1):
-                u, v = edges[i]
-                cu, cv = comp[u], comp[v]
-                if cu != cv:
-                    if leaf:
-                        trees.append((*chosen, i))
-                    else:
-                        extend((*chosen, i), [cu if c == cv else c for c in comp], i + 1)
-
-        extend((), list(range(self.n_vertices)), 0)
+        k, m = self.n_vertices - 1, self.n_edges
+        ends_u, ends_v = np.array(self.edges, dtype=np.intp).T
+        edge = np.arange(m)
+        labels = np.arange(self.n_vertices)[None, :]
+        trees = np.empty((1, 0), dtype=np.intp)
+        last = -1
+        for j in range(k):
+            stop = m - k + j + 1  # edges before stop leave the k - j - 1 a tree still needs
+            cu, cv = labels[:, ends_u[:stop]], labels[:, ends_v[:stop]]
+            rows, cols = ((cu != cv) & (edge[:stop] > last)).nonzero()
+            trees = np.concatenate((trees[rows], cols[:, None]), axis=1)
+            if j < k - 1:
+                labels = labels[rows]
+                absorbed = labels == cv[rows, cols][:, None]
+                labels = np.where(absorbed, cu[rows, cols][:, None], labels)
+                last = cols[:, None]
         return trees
 
     def spanning_tree_count_matrix_tree(self) -> int:
@@ -126,10 +138,10 @@ def cycle_graph(n: int) -> Graph:
 
 
 def diamond_graph() -> Graph:
-    """K4 minus one edge, with the edge labeling used by the built-in fixtures.
+    """K4 minus one edge.
 
-    Vertices a,b,c,d = 0,1,2,3; edges 1=ab, 2=ac, 3=bd, 4=cd, 5=bc.  The
-    only non-tree edge triples are {1,2,5} and {3,4,5}, so the graph has
+    Vertices a,b,c,d = 0,1,2,3; edges 0=ab, 1=ac, 2=bd, 3=cd, 4=bc.  The
+    only non-tree edge triples are {0,1,4} and {2,3,4}, so the graph has
     exactly 8 spanning trees.
     """
     return Graph(4, ((0, 1), (0, 2), (1, 3), (2, 3), (1, 2)))

@@ -153,9 +153,9 @@ def distribution_to_json(mu: SRDistribution) -> dict:
     """An entry whose probability is the previous entry's object reuses its
     text (srdist.per_object), so a spanning-tree distribution's one
     probability is formatted once.  Comparing by identity costs less than
-    hashing a Fraction."""
+    hashing a Fraction.  The "set" lists come from one mu.sets.tolist()."""
     texts = per_object(scalar_to_json, [p for _, p in mu.support])
-    support = [{"set": list(elems), "prob": text} for (elems, _), text in zip(mu.support, texts)]
+    support = [{"set": elems, "prob": text} for elems, text in zip(mu.sets.tolist(), texts)]
     return {"n": mu.n, "d_mu": mu.d_mu, "support": support}
 
 

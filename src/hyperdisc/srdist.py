@@ -22,8 +22,8 @@ polynomial.  Both the formula and a direct support-sum oracle are provided
 so they can be checked against each other exactly; both read S and a
 literal K with operator.index, so a non-integral element raises in both.
 
-The uniform spanning-tree distribution (enumerated by a backtracking over
-forests, Graph.spanning_trees, with a matrix-tree cross-check) and the
+The uniform spanning-tree distribution (enumerated level by level into one
+int array, Graph.spanning_trees, with a matrix-tree cross-check) and the
 effective-resistance vector family it pairs with are built here as well.
 """
 
@@ -57,13 +57,11 @@ class SRDistribution:
 
     @staticmethod
     def from_support(n: int, items) -> "SRDistribution":
-        """Build and validate a homogeneous distribution.
+        """Parse a distribution given as (elements, probability) pairs.
 
-        ``items`` is an iterable of (elements, probability); elements must
-        be ints.  Probabilities must be positive and sum to exactly one, a
-        binary64 probability counting as the rational it is.  Real stability
-        is assumed, not checked.  Sets are sorted, and the rows stably put in
-        lexicographic order, only when they are not already.
+        Every element must be an int and every set must have the same size;
+        the sets are stacked into one int array and SRDistribution.from_rows
+        runs every other check.
         """
         items = list(items)
         if not items:
@@ -72,19 +70,32 @@ class SRDistribution:
         flat = list(chain.from_iterable(sets))
         if not set(map(type, flat)) <= {int}:
             raise ValueError("support elements must be ints")
-        try:
-            elems = np.array(flat, dtype=np.intp)
-        except OverflowError:
-            raise ValueError("support element out of range") from None
-        if elems.size and (elems.min() < 0 or elems.max() >= n):
-            raise ValueError("support element out of range")
         sizes = set(map(len, sets))
         if len(sizes) != 1:
             raise ValueError("distribution is not homogeneous")
-        d_mu = sizes.pop()
-        rows = elems.reshape(len(sets), d_mu)
-        in_order = bool((rows[:, 1:] > rows[:, :-1]).all())
-        if not in_order:
+        try:
+            elems = np.fromiter(flat, np.intp, len(flat))
+        except OverflowError:
+            raise ValueError("support element out of range") from None
+        return SRDistribution.from_rows(n, elems.reshape(len(sets), sizes.pop()), probs)
+
+    @staticmethod
+    def from_rows(n: int, rows: np.ndarray, probs) -> "SRDistribution":
+        """Validate and build a homogeneous distribution from a non-empty
+        (N, d) intp array, row r a support set with probability probs[r].
+
+        Elements must lie in range(n) and no set may repeat one.
+        Probabilities must be positive and sum to exactly one, a binary64
+        probability counting as the rational it is.  Real stability is
+        assumed, not checked.  Rows are sorted, and stably put in
+        lexicographic order, only when they are not already; the array
+        kept as ``sets`` is made read-only.
+        """
+        if rows.dtype != np.intp or rows.ndim != 2 or not len(rows):
+            raise ValueError("support rows must be a non-empty (N, d) intp array")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise ValueError("support element out of range")
+        if not (rows[:, 1:] > rows[:, :-1]).all():
             rows = np.sort(rows, axis=1)
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("support sets cannot repeat elements")
@@ -94,14 +105,11 @@ class SRDistribution:
         if sum(weights) != denom:
             raise ValueError(f"probabilities sum to {Fraction(sum(weights), denom)}, not 1")
         if not _ascending(rows):
-            in_order = False
             order = np.lexsort(rows.T[::-1])
             rows = rows[order]
             probs = map(probs.__getitem__, order.tolist())
         rows.setflags(write=False)
-        # Sets that arrive sorted, in order, are the support's tuples as they are.
-        support = tuple(zip(map(tuple, sets if in_order else rows.tolist()), probs))
-        return SRDistribution(n, support, d_mu, rows)
+        return SRDistribution(n, tuple(zip(map(tuple, rows.tolist()), probs)), rows.shape[1], rows)
 
     @functools.cached_property
     def _scaled_generating(self) -> tuple:
@@ -146,8 +154,7 @@ def uniform_spanning_tree(graph: Graph) -> SRDistribution:
             f"enumerated {len(trees)} spanning trees but the matrix-tree "
             f"determinant says {count}"
         )
-    prob = Fraction(1, len(trees))
-    return SRDistribution.from_support(graph.n_edges, [(tree, prob) for tree in trees])
+    return SRDistribution.from_rows(graph.n_edges, trees, (Fraction(1, count),) * count)
 
 
 def _observed_set(k, n: int) -> frozenset:

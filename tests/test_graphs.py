@@ -1,15 +1,20 @@
-"""Spanning-tree enumeration against the all-subsets reference, and the
-graph checks at construction."""
+"""Spanning-tree enumeration against the all-subsets reference, the uniform
+spanning-tree distribution against the parsed route, and the graph checks
+at construction."""
 
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdisc.cli import _resolve_graph
 from hyperdisc.errors import TooLarge
-from hyperdisc.graphs import MAX_ENUM_EDGES, NAMED_GRAPHS, Graph, complete_graph, named_graph
+from hyperdisc.graphs import (MAX_ENUM_EDGES, NAMED_GRAPHS, Graph, complete_graph, named_graph,
+                              path_graph)
+from hyperdisc.srdist import SRDistribution, max_marginal, uniform_spanning_tree
 
 from test_cli import SR_SEARCH_GRAPHS
 
@@ -42,8 +47,32 @@ def reference_spanning_trees(graph: Graph) -> list:
 
 def assert_matches_reference(graph: Graph):
     trees = graph.spanning_trees()
-    assert trees == reference_spanning_trees(graph)
+    assert trees.dtype == np.intp
+    assert trees.shape == (len(trees), graph.n_vertices - 1)
+    assert list(map(tuple, trees.tolist())) == reference_spanning_trees(graph)
     assert len(trees) == graph.spanning_tree_count_matrix_tree()
+
+
+def assert_distribution_matches_parsed(graph: Graph):
+    """uniform_spanning_tree hands its array to SRDistribution.from_rows;
+    parsing the same trees as tuples gives the same distribution."""
+    trees = graph.spanning_trees()
+    mu = uniform_spanning_tree(graph)
+    parsed = SRDistribution.from_support(
+        graph.n_edges, [(tuple(r), Fraction(1, len(trees))) for r in trees.tolist()])
+    assert mu == parsed
+    assert np.array_equal(mu.sets, parsed.sets) and mu.sets.dtype == parsed.sets.dtype
+    assert max_marginal(mu) == max_marginal(parsed)
+    assert len({id(p) for _, p in mu.support}) == 1
+
+
+# A 16-edge tree on 17 vertices (one tree, one forest per level) and a dense
+# 16-edge graph on 7 vertices (C(16, 6) candidate edge sets).
+EXTRA_GRAPHS = {"tree17": path_graph(MAX_ENUM_EDGES + 1),
+                "dense7": Graph(7, complete_graph(7).edges[:MAX_ENUM_EDGES])}
+ALL_GRAPHS = [*(named_graph(name) for name in sorted(NAMED_GRAPHS)),
+              *map(_resolve_graph, SR_SEARCH_GRAPHS), *EXTRA_GRAPHS.values()]
+ALL_IDS = [*sorted(NAMED_GRAPHS), *SR_SEARCH_GRAPHS, *EXTRA_GRAPHS]
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
@@ -54,6 +83,24 @@ def test_named_graph_trees_match_reference(name):
 @pytest.mark.parametrize("spec", SR_SEARCH_GRAPHS)
 def test_sr_search_graph_trees_match_reference(spec):
     assert_matches_reference(_resolve_graph(spec))
+
+
+@pytest.mark.parametrize("name", EXTRA_GRAPHS)
+def test_sixteen_edge_graph_trees_match_reference(name):
+    assert_matches_reference(EXTRA_GRAPHS[name])
+
+
+@pytest.mark.parametrize("graph", [path_graph(2), path_graph(4), EXTRA_GRAPHS["tree17"]],
+                         ids=["p2", "p4", "tree17"])
+def test_a_tree_is_its_one_spanning_tree(graph):
+    trees = graph.spanning_trees()
+    assert trees.dtype == np.intp
+    assert trees.tolist() == [list(range(graph.n_edges))]
+
+
+@pytest.mark.parametrize("graph", ALL_GRAPHS, ids=ALL_IDS)
+def test_uniform_spanning_tree_equals_the_parsed_distribution(graph):
+    assert_distribution_matches_parsed(graph)
 
 
 @st.composite
@@ -76,6 +123,12 @@ def connected_graphs(draw):
 @given(connected_graphs())
 def test_random_graph_trees_match_reference(graph):
     assert_matches_reference(graph)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(connected_graphs())
+def test_random_graph_distribution_equals_the_parsed_distribution(graph):
+    assert_distribution_matches_parsed(graph)
 
 
 def test_seventeen_edges_is_too_large():

@@ -1,7 +1,9 @@
 """The array route of subset distributions against the per-set reference.
 
-SRDistribution.from_support validates and orders the support in one numpy
-pass; max_marginal sums integer weights per element; the leaf table fills its
+SRDistribution.from_support parses (elements, probability) pairs into one
+int array, and SRDistribution.from_rows validates and orders that array in
+one numpy pass; both are run on every case, from_rows wherever the sets
+form one int array.  max_marginal sums integer weights per element; the leaf table fills its
 membership matrix from SRDistribution.sets.  Each is tied here to the
 straightforward one-set-at-a-time computation it replaced.
 """
@@ -59,10 +61,21 @@ def reference_members(mu):
     return members
 
 
+def as_rows(items):
+    """The sets as one (N, d) intp array with the probabilities, or None when
+    they are not one int array (no sets, a non-int element or unequal sizes)."""
+    sets = [list(elems) for elems, _ in items]
+    if not sets or len(set(map(len, sets))) != 1 or {type(e) for s in sets for e in s} - {int}:
+        return None
+    return np.array(sets, dtype=np.intp).reshape(len(sets), len(sets[0])), [p for _, p in items]
+
+
 def assert_same_as_reference(n, items):
     support, d_mu = reference_from_support(n, items)
     mu = SRDistribution.from_support(n, items)
     assert mu.support == support and mu.d_mu == d_mu
+    from_rows = SRDistribution.from_rows(n, *as_rows(items))
+    assert from_rows == mu and np.array_equal(from_rows.sets, mu.sets)
     for (elems, prob), (ref_elems, ref_prob) in zip(mu.support, support):
         assert type(elems) is tuple and all(type(e) is int for e in elems)
         assert type(prob) is type(ref_prob)
@@ -79,6 +92,10 @@ def assert_same_error(n, items):
     with pytest.raises(ValueError) as got:
         SRDistribution.from_support(n, items)
     assert str(got.value) == str(ref.value)
+    if as_rows(items) is not None:
+        with pytest.raises(ValueError) as got:
+            SRDistribution.from_rows(n, *as_rows(items))
+        assert str(got.value) == str(ref.value)
 
 
 def random_support(rng, n, d, size, floats=False):
@@ -221,6 +238,15 @@ def test_from_support_rejects_elements_beyond_int64():
         SRDistribution.from_support(3, [((0, 2 ** 70), Fraction(1))])
 
 
+@pytest.mark.parametrize("rows", [np.array([[0, 1]], dtype=np.int32),
+                                  np.array([[0.0, 1.0]]), np.array([[False, True]]),
+                                  np.array([0, 1], dtype=np.intp), np.empty((0, 2), dtype=np.intp)],
+                         ids=["int32", "float", "bool", "one-dimensional", "no rows"])
+def test_from_rows_takes_only_a_non_empty_two_dimensional_intp_array(rows):
+    with pytest.raises(ValueError, match=r"non-empty \(N, d\) intp array"):
+        SRDistribution.from_rows(3, rows, [Fraction(1)] * len(rows))
+
+
 def test_sets_take_no_part_in_equality():
     a = SRDistribution.from_support(3, [((0, 1), Fraction(1))])
     b = SRDistribution.from_support(3, [([1, 0], Fraction(1))])
@@ -274,10 +300,11 @@ def test_from_support_gives_one_distribution_for_any_input_order(graph):
         "both, as lists": [(list(elems[::-1]), p) for elems, p in shuffled],
     }
     for name, variant in variants.items():
-        got = SRDistribution.from_support(mu.n, variant)
-        assert got.support == mu.support, name
-        assert all(type(elems) is tuple for elems, _ in got.support), name
-        assert got.sets.tolist() == mu.sets.tolist() and not got.sets.flags.writeable, name
+        for got in (SRDistribution.from_support(mu.n, variant),
+                    SRDistribution.from_rows(mu.n, *as_rows(variant))):
+            assert got.support == mu.support, name
+            assert all(type(elems) is tuple for elems, _ in got.support), name
+            assert got.sets.tolist() == mu.sets.tolist() and not got.sets.flags.writeable, name
 
 
 def test_from_support_keeps_duplicate_sets_in_input_order():
@@ -337,3 +364,8 @@ def test_from_support_raises_the_same_message_in_any_order(fault, message, order
     with pytest.raises(ValueError) as err:
         SRDistribution.from_support(mu.n, zip(sets, probs))
     assert str(err.value) == message
+    rows = as_rows(list(zip(sets, probs)))
+    if rows is not None:
+        with pytest.raises(ValueError) as err:
+            SRDistribution.from_rows(mu.n, *rows)
+        assert str(err.value) == message
