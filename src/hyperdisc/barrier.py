@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainViolated
+from .errors import ChainViolated, TooLarge
 from .mixedchar import (
     KlsInstance,
     SrInstance,
@@ -74,6 +74,7 @@ from .mixedchar import (
     kls_table_node_poly,
 )
 from .scalars import CHAIN_STEP_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
+from .srdist import per_object
 from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
@@ -98,13 +99,20 @@ def _taus(inst) -> list:
 
 
 def construction_point(inst) -> BarrierPoint:
-    """The canonical above-roots point each chain is evaluated at."""
+    """The canonical above-roots point each chain is evaluated at.  A shift
+    t tau_i tr[v_i], or an alpha from eps = eps1 + eps2, past the binary64
+    range raises TooLarge before any point is built from it."""
     if isinstance(inst, KlsInstance):
         t = 2.0
         delta = [t * tau * float(tr) for tau, tr in zip(_taus(inst), inst.traces)]
+        if not all(map(math.isfinite, delta)):
+            raise TooLarge("a trace t tau_i tr[v_i] is not a finite binary64 value")
         return BarrierPoint(4.0, tuple(-d for d in delta), t)
     eps = inst.eps1 + inst.eps2
     alpha = math.sqrt(4 * eps + 2 * eps * eps)
+    if not math.isfinite(alpha):
+        raise TooLarge(f"the barrier point sqrt(4 eps + 2 eps^2) at eps = eps1 + eps2 = {eps} "
+                       "is not a finite binary64 value")
     t = alpha / 2
     return BarrierPoint(alpha, (-t,) * inst.n, t)
 
@@ -122,14 +130,14 @@ def _points(inst, pts) -> np.ndarray:
 
 
 def _set_probs(inst: SrInstance) -> np.ndarray:
-    return np.array([float(prob) for _, prob in inst.mu.support])
+    return np.array(per_object(float, inst.mu.probs))
 
 
 def _gen_values(inst: SrInstance, shifted: np.ndarray) -> np.ndarray:
     """g = sum_S mu(S) prod_{e in S} shifted[e] for each row of shifted
     (points x 1 + z): each term multiplies mu(S) by the set's elements in
     order, and the terms are added in support order from 0."""
-    terms = np.broadcast_to(_set_probs(inst), (len(shifted), len(inst.mu.support)))
+    terms = np.broadcast_to(_set_probs(inst), (len(shifted), len(inst.mu.sets)))
     for col in inst.mu.sets.T:
         terms = terms * shifted[:, col]
     # cumsum adds term by term; + 0 gives the 0.0 a sum started at 0 leaves.

@@ -212,10 +212,13 @@ class DeterminantInstance(HyperbolicInstance):
 
         Float stacks take the one float route along e (restrict_line sends
         its float bases here): one stacked eigvalsh, then the factors
-        t + lambda_k multiplied in eigenvalue order.  Exact stacks of ints
-        and Fractions give restrict_line's Fractions from restrict_e_ints:
-        the stack is scaled once by the lcm D of its denominators, and the
-        coefficient of t^(d-k) of det(tI + DA) is divided by D^k at the end.
+        t + lambda_k multiplied in eigenvalue order.  A coefficient past
+        the binary64 range comes out inf, without a warning, for the callers
+        to reject (real_roots, barrier.construction_point).  Exact stacks of
+        ints and Fractions give restrict_line's Fractions from
+        restrict_e_ints: the stack is scaled once by the lcm D of its
+        denominators, and the coefficient of t^(d-k) of det(tI + DA) is
+        divided by D^k at the end.
         """
         if bases.dtype == object:
             ints, scale = _integer_rows(bases.tolist())
@@ -226,8 +229,9 @@ class DeterminantInstance(HyperbolicInstance):
         eigs = np.linalg.eigvalsh(self._stack(bases))
         desc = np.zeros((self.d + 1, len(bases)))  # descending coefficients, a column per base
         desc[0] = 1.0
-        for k, lam in enumerate(eigs.T):
-            desc[1:k + 2] += desc[:k + 1] * lam
+        with np.errstate(over="ignore"):
+            for k, lam in enumerate(eigs.T):
+                desc[1:k + 2] += desc[:k + 1] * lam
         return desc[::-1].T
 
     def restrict_e_ints(self, bases) -> tuple:

@@ -464,7 +464,7 @@ class SrInstance:
         members[np.arange(len(sets))[:, None], sets] = True
         vecs = np.array(self.vectors)
         vecs = vecs if vecs.dtype == np.float64 else vecs.astype(object)  # ints stay exact
-        probs = [p for _, p in self.mu.support]
+        probs = self.mu.probs
         if vecs.dtype == np.float64:
             probs = per_object(float, probs)
         probs = np.array(probs, dtype=vecs.dtype)
@@ -791,20 +791,18 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
     """Signed subset collapse sum_S (-1)^|S| A_S(x) g^(S)(x 1).
 
     Only subsets of support sets contribute (g^(S) vanishes otherwise).
-    Every support set has d_mu elements (SRDistribution.from_support rejects
-    any other support), so g^(S) is the one monomial
-    (sum_{T >= S} mu(T)) x^(d_mu - |S|).  Each A_S comes from
-    derivative_restriction, whose cache one stacked int restriction fills
-    first with x -> h(x e + w_U) for every subset U of a support set
-    (subset_restrictions).  derivative_restriction stays only because
-    hdbench's certify trace coverage requires its calls and cache hits; it
-    goes with the declared benchmark revision of ROADMAP item 6.
+    Every support set has d_mu elements (a row of SRDistribution.sets), so
+    g^(S) is the one monomial (sum_{T >= S} mu(T)) x^(d_mu - |S|).  Each
+    A_S comes from derivative_restriction, whose cache one stacked int
+    restriction fills first with x -> h(x e + w_U) for every subset U of a
+    support set (subset_restrictions).  derivative_restriction stays only
+    because hdbench's certify trace coverage requires its calls and cache
+    hits; it goes with the declared benchmark revision of ROADMAP item 6.
     """
     weights: dict = {}  # subset -> sum of mu(T) over T >= subset, in support order from 0
-    for elems, prob in inst.mu.support:
-        items = sorted(elems)
-        for r in range(len(items) + 1):
-            for subset in itertools.combinations(items, r):
+    for elems, prob in zip(inst.mu.sets.tolist(), inst.mu.probs):  # elements ascending
+        for r in range(len(elems) + 1):
+            for subset in itertools.combinations(elems, r):
                 weights[subset] = weights.get(subset, 0) + prob
     subsets = sorted(weights, key=lambda s: (len(s), s))
     cache: dict = {}

@@ -13,9 +13,12 @@ byte-identical files.
 separators=(",", ": ")) byte for byte, but not through json.dumps: with an
 indent, CPython 3.11 falls back to its pure-Python encoder.  A container of
 scalars goes through the C encoder, one per depth, whose item separator
-carries that depth's newline and indent; a long list of dicts that share
-their str keys, each value a str or a non-empty list of ints, is one
-%-template (a spanning-tree file's support); anything else recurses.
+carries that depth's newline and indent, and anything else recurses, except
+a distribution's support.  distribution_to_json leaves that as a
+SupportRows, the sets array and one probability text per row, and dumps
+writes it in one join: one object array holds each row's head (its "prob"
+text and the keys), its elements and its tail, each distinct element
+value is formatted once, and no dict or list is built per set.
 
 The signed (kls) lane is exact and is checked here, once.  A kls file is
 read as exact rationals whatever its "backend" says, which loses nothing,
@@ -33,17 +36,21 @@ Integer fields (the "set" lists of a subset distribution, its "n", the
 hyperbolic parameters and a custom polynomial's "nvars" and exponents) must
 be JSON ints, and a scalar may not be a JSON boolean or a non-finite
 float (NaN, Infinity); anything else, a bool in an integer field included,
-is rejected.  The "set" lists are read into one int array
-(SRDistribution.sets).
+is rejected.  The "set" lists are read into one int array (set_rows,
+then SRDistribution.sets), and each distinct "prob" value is parsed once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
 from .graphs import Graph
@@ -149,23 +156,56 @@ def variable_from_json(obj: dict) -> RandomVar:
                      vec_from_json(obj["probs"], RATIONAL))
 
 
+@dataclass(frozen=True)
+class SupportRows:
+    """A distribution's "support" list as dumps writes it: row r of ``sets``
+    is the "set" list of entry r, and texts[r] the JSON text of its "prob"."""
+
+    sets: np.ndarray
+    texts: list
+
+
 def distribution_to_json(mu: SRDistribution) -> dict:
-    """An entry whose probability is the previous entry's object reuses its
-    text (srdist.per_object), so a spanning-tree distribution's one
-    probability is formatted once.  Comparing by identity costs less than
-    hashing a Fraction.  The "set" lists come from one mu.sets.tolist()."""
-    texts = per_object(scalar_to_json, [p for _, p in mu.support])
-    support = [{"set": elems, "prob": text} for elems, text in zip(mu.sets.tolist(), texts)]
-    return {"n": mu.n, "d_mu": mu.d_mu, "support": support}
+    """The "support" list is a SupportRows, which dumps writes as one
+    {"prob": ..., "set": [...]} dict per row of mu.sets.  An entry whose
+    probability is the previous entry's object reuses its text
+    (srdist.per_object), so a spanning-tree distribution's one probability
+    is formatted once; comparing by identity costs less than hashing a
+    Fraction."""
+    texts = per_object(lambda p: _scalar_text(scalar_to_json(p)), mu.probs)
+    return {"n": mu.n, "d_mu": mu.d_mu, "support": SupportRows(mu.sets, texts)}
 
 
 def distribution_from_json(obj: dict) -> SRDistribution:
-    """Each distinct "prob" value is parsed once (a spanning-tree file has
-    one); the "set" lists go to SRDistribution.from_support as they are."""
+    """The "set" column is parsed into one int array (set_rows); each
+    distinct "prob" value is parsed once, and every entry that carries it
+    shares the one object (a spanning-tree file has one).
+    SRDistribution.from_rows runs every other check."""
     entries = obj["support"]
-    probs = {p: scalar_from_json(p, RATIONAL) for p in {entry["prob"] for entry in entries}}
-    items = [(entry["set"], probs[entry["prob"]]) for entry in entries]
-    return SRDistribution.from_support(int_from_json(obj["n"]), items)
+    texts = list(map(itemgetter("prob"), entries))
+    probs = {p: scalar_from_json(p, RATIONAL) for p in set(texts)}
+    sets = set_rows(list(map(itemgetter("set"), entries)))
+    return SRDistribution.from_rows(int_from_json(obj["n"]), sets, map(probs.__getitem__, texts))
+
+
+def set_rows(sets: list) -> np.ndarray:
+    """The "set" lists of a support as one (N, d) intp array.  There must
+    be at least one list, every element must be an int (a bool is not) and
+    every list must have the same length; an element past the intp range is
+    out of range.  SRDistribution.from_rows checks the rest."""
+    if not sets:
+        raise ValueError("empty support")
+    flat = list(chain.from_iterable(sets))
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("support elements must be ints")
+    sizes = set(map(len, sets))
+    if len(sizes) != 1:
+        raise ValueError("distribution is not homogeneous")
+    try:
+        elems = np.array(flat, dtype=np.intp)
+    except OverflowError:
+        raise ValueError("support element out of range") from None
+    return elems.reshape(len(sets), sizes.pop())
 
 
 def instance_to_json(inst, generator: dict | None = None, graph: Graph | None = None) -> dict:
@@ -251,8 +291,6 @@ def dumps(obj) -> str:
 
 # Types the C encoder writes as one token; subclasses take the recursive path.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# Shortest list of same-shaped dicts worth building a template for.
-_RUN_MIN = 8
 
 
 def _not_serializable(o):
@@ -267,7 +305,15 @@ def _flat(level: int):
                           ",\n" + "  " * level, True, False, True)
 
 
+def _scalar_text(x) -> str:
+    """The JSON text of one scalar; TypeError for anything else."""
+    return "".join(_flat(0)(x, 0))
+
+
 def _write(o, level: int, out: list) -> None:
+    if type(o) is SupportRows:
+        out.append(_support_text(o, level))
+        return
     is_list = isinstance(o, (list, tuple))
     if not (is_list or isinstance(o, dict)):
         out.extend(_flat(level)(o, level))  # a scalar, or TypeError
@@ -280,10 +326,6 @@ def _write(o, level: int, out: list) -> None:
     if _SCALARS.issuperset(map(type, o if is_list else o.values())):
         text = "".join(_flat(level + 1)(o, level + 1))
         out += (opening, inner, text[1:-1], outer, closing)
-        return
-    rows = _template_items(o, level + 1) if is_list else None
-    if rows is not None:
-        out += (opening, inner, ("," + inner).join(rows), outer, closing)
         return
     sep = opening + inner
     for key, item in (enumerate(o) if is_list else sorted(o.items())):
@@ -300,34 +342,30 @@ def _key(key) -> str:
         if not (key is None or isinstance(key, (int, float))):
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {key.__class__.__name__}")
-        key = "".join(_flat(0)(key, 0))
+        key = _scalar_text(key)
     return encode_basestring_ascii(key)
 
 
-def _template_items(rows, level: int):
-    """The items of a list of at least _RUN_MIN dicts with one non-empty set
-    of str keys, written at ``level`` by one %-template, when each key holds
-    a str in every dict or a non-empty list of exact ints in every dict;
-    None otherwise."""
-    first = rows[0]
-    if len(rows) < _RUN_MIN or not all(
-            type(row) is dict and row.keys() == first.keys() for row in rows) \
-            or not first or not set(map(type, first)) <= {str}:
-        return None
-    at = ["\n" + "  " * (level + j) for j in range(3)]
-    fields, columns = [], []
-    for key in sorted(first):
-        column = [row[key] for row in rows]
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            slot, texts = "%s", list(map(encode_basestring_ascii, column))
-        elif kinds == {list} and all(column) \
-                and set(map(type, chain.from_iterable(column))) == {int}:
-            sep = "," + at[2]
-            slot, texts = "[" + at[2] + "%s" + at[1] + "]", [sep.join(map(str, v)) for v in column]
-        else:
-            return None
-        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + slot)
-        columns.append(texts)
-    template = "{" + at[1] + ("," + at[1]).join(fields) + at[0] + "}"
-    return [template % texts for texts in zip(*columns)]
+def _support_text(rows: SupportRows, level: int) -> str:
+    """The support list at ``level``, laid out as _write lays out its dicts,
+    joined in one pass from one text per row's head (its "prob" and the
+    keys), one per element and one per row's tail.  Each distinct element
+    value is formatted once, so the work grows with the number of entries,
+    not with the declared n."""
+    at = ["\n" + "  " * (level + j) for j in range(4)]
+    count, size = rows.sets.shape
+    between = "," + at[1]
+    opening, closing = ("[" + at[3], at[2] + "]") if size else ("[]", "")
+    pieces = np.empty((count, size + 2), dtype=object)
+    pieces[:, 0] = per_object(
+        lambda text: "{" + at[2] + '"prob": ' + text + "," + at[2] + '"set": ' + opening,
+        rows.texts)
+    if size:
+        values, index = np.unique(rows.sets, return_inverse=True)
+        index = index.reshape(count, size)
+        texts = np.array(list(map(str, values.tolist())), dtype=object)
+        pieces[:, 1] = texts[index[:, 0]]
+        pieces[:, 2:-1] = ("," + at[3] + texts)[index[:, 1:]]
+    pieces[:, -1] = closing + at[1] + "}" + between
+    pieces[-1, -1] = closing + at[1] + "}"
+    return "[" + at[1] + "".join(pieces.ravel().tolist()) + at[0] + "]"

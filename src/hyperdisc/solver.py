@@ -44,6 +44,7 @@ from ._exact import _integer_rows, char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .mixedchar import KlsInstance
 from .scalars import CERTIFY_SLACK_TOL
+from .srdist import per_object
 from .unipoly import UniPoly
 
 MAX_BRUTE_BRANCHES = 1 << 16
@@ -280,17 +281,13 @@ def brute_force(inst, kind: str) -> tuple:
         return assignment, float(norms[best])
     if kind == "ag":
         vecs = np.array([[float(c) for c in v] for v in inst.vectors])
-        rows = []
-        membership = []
-        for elems, _ in inst.mu.support:
-            indicator = np.zeros(inst.n)
-            for e in elems:
-                indicator[e] = 1.0
-            membership.append(tuple(int(b) for b in indicator))
-            rows.append(indicator @ vecs)
-        norms = inst.h.norms(np.array(rows))
+        sets = inst.mu.sets
+        indicators = np.zeros((len(sets), inst.n))
+        indicators[np.arange(len(sets))[:, None], sets] = 1.0
+        # One indicator @ vecs per set: a stacked product may add in another order.
+        norms = inst.h.norms(np.array([indicator @ vecs for indicator in indicators]))
         best = int(np.argmin(norms))
-        return membership[best], float(norms[best])
+        return tuple(indicators[best].astype(int).tolist()), float(norms[best])
     raise ValueError("kind must be 'kls' or 'ag'")
 
 
@@ -322,10 +319,10 @@ def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
             rows[t] = [values[min(bisect_left(cum, rng.random()), len(values) - 1)]
                        for cum, values in draws]
     else:
-        cum = np.cumsum([float(p) for _, p in inst.mu.support]).tolist()
+        cum = np.cumsum(per_object(float, inst.mu.probs)).tolist()
         for t in range(trials):
             rng = random.Random(f"baseline:{seed}:{t}")
             j = min(bisect_left(cum, rng.random()), len(cum) - 1)
-            rows[t, list(inst.mu.support[j][0])] = 1.0
+            rows[t, inst.mu.sets[j]] = 1.0
     arr = np.sort(inst.h.norms(rows @ vecs))
     return BaselineSummary(float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1]))

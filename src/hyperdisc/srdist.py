@@ -22,6 +22,9 @@ polynomial.  Both the formula and a direct support-sum oracle are provided
 so they can be checked against each other exactly; both read S and a
 literal K with operator.index, so a non-integral element raises in both.
 
+A distribution is held as arrays: the support sets as the rows of one
+read-only (N, d) int array (SRDistribution.sets) and one probability per
+row (SRDistribution.probs); every reader takes its sets from that array.
 The uniform spanning-tree distribution (enumerated level by level into one
 int array, Graph.spanning_trees, with a matrix-tree cross-check) and the
 effective-resistance vector family it pairs with are built here as well.
@@ -34,7 +37,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -44,40 +46,31 @@ from .hyperbolic import DeterminantInstance
 from .scalars import ISOTROPY_TOL, LAPLACIAN_ZERO_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SRDistribution:
-    """``support`` holds (sorted element tuple, probability) pairs, ordered
-    by element tuple; ``sets`` holds the same tuples as one read-only (N, d)
-    int array, row r for support[r], and takes no part in equality."""
+    """Row r of the read-only (N, d_mu) int array ``sets`` is a support set,
+    its elements ascending and the rows in lexicographic order, and
+    probs[r] is its probability.  Entries of equal probability share one
+    object where their maker shares it (uniform_spanning_tree, the file
+    loader), so per_object converts each value once.  Two distributions
+    are equal when n, the sets and the probabilities are."""
 
     n: int
-    support: tuple
-    d_mu: int
-    sets: np.ndarray = field(compare=False, repr=False)
+    sets: np.ndarray = field(repr=False)
+    probs: tuple = field(repr=False)
 
-    @staticmethod
-    def from_support(n: int, items) -> "SRDistribution":
-        """Parse a distribution given as (elements, probability) pairs.
+    @property
+    def d_mu(self) -> int:
+        return self.sets.shape[1]
 
-        Every element must be an int and every set must have the same size;
-        the sets are stacked into one int array and SRDistribution.from_rows
-        runs every other check.
-        """
-        items = list(items)
-        if not items:
-            raise ValueError("empty support")
-        sets, probs = zip(*items)
-        flat = list(chain.from_iterable(sets))
-        if not set(map(type, flat)) <= {int}:
-            raise ValueError("support elements must be ints")
-        sizes = set(map(len, sets))
-        if len(sizes) != 1:
-            raise ValueError("distribution is not homogeneous")
-        try:
-            elems = np.fromiter(flat, np.intp, len(flat))
-        except OverflowError:
-            raise ValueError("support element out of range") from None
-        return SRDistribution.from_rows(n, elems.reshape(len(sets), sizes.pop()), probs)
+    def __eq__(self, other):
+        if not isinstance(other, SRDistribution):
+            return NotImplemented
+        return (self.n == other.n and self.probs == other.probs
+                and np.array_equal(self.sets, other.sets))
+
+    def __hash__(self):
+        return hash((self.n, self.sets.tobytes(), self.probs))
 
     @staticmethod
     def from_rows(n: int, rows: np.ndarray, probs) -> "SRDistribution":
@@ -99,6 +92,7 @@ class SRDistribution:
             rows = np.sort(rows, axis=1)
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("support sets cannot repeat elements")
+        probs = tuple(probs)
         weights, denom = _integer_weights(probs)
         if min(weights) <= 0:
             raise ValueError("probabilities must be positive")
@@ -107,18 +101,18 @@ class SRDistribution:
         if not _ascending(rows):
             order = np.lexsort(rows.T[::-1])
             rows = rows[order]
-            probs = map(probs.__getitem__, order.tolist())
+            probs = tuple(map(probs.__getitem__, order.tolist()))
         rows.setflags(write=False)
-        return SRDistribution(n, tuple(zip(map(tuple, rows.tolist()), probs)), rows.shape[1], rows)
+        return SRDistribution(n, rows, probs)
 
     @functools.cached_property
     def _scaled_generating(self) -> tuple:
         """(terms, q): q g(z) = sum_S q mu(S) z^S as {bitmask of S: int}, q
         the lcm of the probabilities' denominators, built once per
         distribution."""
-        weights, denom = _integer_weights([p for _, p in self.support])
+        weights, denom = _integer_weights(self.probs)
         terms = {}
-        for (elems, _), w in zip(self.support, weights):
+        for elems, w in zip(self.sets.tolist(), weights):
             mask = sum(1 << e for e in elems)
             terms[mask] = terms.get(mask, 0) + w
         return terms, denom
@@ -182,7 +176,7 @@ def marginal_via_enum(mu: SRDistribution, s, k):
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
     total = Fraction(0)
-    for elems, prob in mu.support:
+    for elems, prob in zip(mu.sets.tolist(), mu.probs):
         if frozenset(elems) & observed == target:
             total = total + prob
     return total
@@ -271,7 +265,7 @@ def max_marginal(mu: SRDistribution) -> Fraction:
     Rows are grouped by their integer weight and one bincount counts each
     group's elements, so Python ints are multiplied once per group.
     """
-    weights, denom = _integer_weights(p for _, p in mu.support)
+    weights, denom = _integer_weights(mu.probs)
     groups = {}
     index = np.array([groups.setdefault(w, len(groups)) for w in weights], dtype=np.intp)
     counts = np.bincount((index[:, None] * mu.n + mu.sets).ravel(),

@@ -1,18 +1,34 @@
-"""The generating polynomial of an SR distribution, and the marginal
-formula over it as a MultiPoly: the Fraction reference for
-srdist.marginal_via_formula, which runs over ints."""
+"""SR distributions as (elements, probability) pairs, the form tests
+write them in; the generating polynomial, and the marginal formula over it
+as a MultiPoly: the Fraction reference for srdist.marginal_via_formula,
+which runs over ints."""
 
 from fractions import Fraction
 
 from hyperdisc.realstable import MultiPoly
-from hyperdisc.srdist import _observed_set
+from hyperdisc.serialize import set_rows
+from hyperdisc.srdist import SRDistribution, _observed_set
 from multipoly_helpers import add, partial, scale
+
+
+def from_support(n, items) -> SRDistribution:
+    """The distribution of (elements, probability) pairs: the element
+    lists through the loader's parse of the "set" column
+    (serialize.set_rows), the probabilities kept as the objects given."""
+    items = list(items)
+    return SRDistribution.from_rows(n, set_rows([elems for elems, _ in items]),
+                                    [prob for _, prob in items])
+
+
+def pairs(mu) -> tuple:
+    """The support as (element tuple, probability) pairs, in row order."""
+    return tuple(zip(map(tuple, mu.sets.tolist()), mu.probs))
 
 
 def generating_polynomial(mu) -> MultiPoly:
     """g(z) = sum_S mu(S) z^S."""
     terms = {}
-    for elems, prob in mu.support:
+    for elems, prob in pairs(mu):
         exps = [0] * mu.n
         for e in elems:
             exps[e] = 1

@@ -7,6 +7,7 @@ import itertools
 from fractions import Fraction
 
 from hyperdisc.unipoly import UniPoly
+from srdist_helpers import pairs
 
 
 def fraction_derivative_restriction(h, vectors, indices, cache: dict) -> UniPoly:
@@ -37,7 +38,7 @@ def fraction_operator_form(inst) -> UniPoly:
     g^(S) = (sum_{T >= S} mu(T)) x^(d_mu - |S|), one UniPoly product and
     sum per subset."""
     weights: dict = {}
-    for elems, prob in inst.mu.support:
+    for elems, prob in pairs(inst.mu):
         items = sorted(elems)
         for r in range(len(items) + 1):
             for subset in itertools.combinations(items, r):

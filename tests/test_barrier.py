@@ -26,9 +26,9 @@ from hyperdisc.hyperbolic import (DeterminantInstance, ElemSymInstance, Hyperbol
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
 from hyperdisc.realstable import MultiPoly
-from hyperdisc.srdist import SRDistribution
 from kls_helpers import fraction_variance
 from multipoly_helpers import kls_square_zpoly, one_minus_c_d2, partial
+from srdist_helpers import from_support, pairs
 from unipoly_helpers import newton_reference
 
 D1 = determinant(1)
@@ -53,7 +53,7 @@ def _point_reference(inst, pt: BarrierPoint) -> tuple:
 def _gen_reference(inst, shifted) -> float:
     """g at shifted = x 1 + z, by a support sum."""
     value = 0.0
-    for elems, prob in inst.mu.support:
+    for elems, prob in pairs(inst.mu):
         value += math.prod((shifted[e] for e in elems), start=float(prob))
     return value
 
@@ -79,7 +79,7 @@ def _scalar_instance(n=1) -> KlsInstance:
 
 
 def _toy_sr_instance() -> SrInstance:
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+    mu = from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     return SrInstance.build(D1, mu, [(Fraction(1, 2),), (Fraction(1, 2),)])
 
 
@@ -333,7 +333,7 @@ def _phi_reference(inst, i, pt):
         return 2.0 * dv / hval
     shifted = [pt.x + z for z in pt.z]
     gval = dg = 0.0
-    for elems, prob in inst.mu.support:
+    for elems, prob in pairs(inst.mu):
         prod = float(prob)
         for e in elems:
             prod *= shifted[e]

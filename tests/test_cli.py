@@ -541,11 +541,13 @@ def test_float_custom_h_whose_values_overflow_fails_the_spot_check(capsys, tmp_p
     _blocked_and_verify_exit_1(capsys, path, "failed the homogeneity spot check")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_leaf_coefficient_past_binary64_exits_1(capsys, tmp_path):
     # The vectors sum to e = vec(I) exactly, but the leaf {0, 2} has the
     # eigenvalue product 1e320, an inf coefficient that real_roots rejects
-    # before np.roots sees it.  numpy warns of the overflow first.
+    # before np.roots sees it, and verify's eps2 = 2e160 puts the barrier
+    # point's alpha past binary64, which construction_point rejects before
+    # building it.  Either way the one error line is all of stderr: numpy
+    # warns of nothing (pyproject turns any warning into an error).
     big = [[1e160, 0, 1e160], [-1e160, 0, -1e160], [1, 0, 1]]
     path = _sr_float_file(tmp_path, {"kind": "determinant", "mprime": 2}, big)
     _blocked_and_verify_exit_1(capsys, path, "not a finite binary64 value")
@@ -580,6 +582,63 @@ def test_non_int_set_entry_exits_1_at_load(capsys, tmp_path, entry):
         assert code == 1, argv
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "must be ints" in captured.err
+
+
+def _set_entry(value):
+    def fault(support):
+        support[5]["set"][1] = value
+    return fault
+
+
+def _drop_entry(support):
+    del support[5]["set"][-1]
+
+
+def _repeat_entry(support):
+    support[5]["set"][1] = support[5]["set"][0]
+
+
+def _zero_prob(support):
+    support[5]["prob"], support[6]["prob"] = "0", "1/8"
+
+
+def _double_prob(support):
+    support[5]["prob"] = "1/8"
+
+
+def _no_entries(support):
+    support.clear()
+
+
+# One fault in the k4 file's support (16 trees of 3 of the 6 edges, each
+# "1/16"), and the message the parse of the distribution raises.
+SUPPORT_FAULTS = [
+    (_set_entry(True), "support elements must be ints"),
+    (_set_entry(1.0), "support elements must be ints"),
+    (_drop_entry, "distribution is not homogeneous"),
+    (_set_entry(6), "support element out of range"),
+    (_set_entry(2**70), "support element out of range"),
+    (_repeat_entry, "support sets cannot repeat elements"),
+    (_zero_prob, "probabilities must be positive"),
+    (_double_prob, "probabilities sum to 17/16, not 1"),
+    (_no_entries, "empty support"),
+]
+
+
+@pytest.mark.parametrize("fault, message", SUPPORT_FAULTS,
+                         ids=["bool", "float", "ragged", "out-of-range", "beyond-int64", "repeat",
+                              "non-positive", "sum", "empty"])
+def test_single_support_fault_exits_1_with_its_message(capsys, tmp_path, fault, message):
+    blob = json.loads(run(capsys, "gen", "--kind", "sr-ust", "--graph", "k4")[1])
+    support = blob["payload"]["distribution"]["support"]
+    assert len(support) == 16 and {entry["prob"] for entry in support} == {"1/16"}
+    fault(support)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    _exits_1_with_one_error_line(capsys, bad, "")
+    for argv in (("solve", str(bad)), ("verify", str(bad))):
+        assert main(list(argv)) == 1
+        assert capsys.readouterr().err == f"error: malformed instance file: ValueError: {message}\n"
 
 
 def _base_file(capsys, base: str) -> dict:

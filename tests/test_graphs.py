@@ -16,6 +16,7 @@ from hyperdisc.graphs import (MAX_ENUM_EDGES, NAMED_GRAPHS, Graph, complete_grap
                               path_graph)
 from hyperdisc.srdist import SRDistribution, max_marginal, uniform_spanning_tree
 
+from srdist_helpers import from_support, pairs
 from test_cli import SR_SEARCH_GRAPHS
 
 
@@ -58,12 +59,12 @@ def assert_distribution_matches_parsed(graph: Graph):
     parsing the same trees as tuples gives the same distribution."""
     trees = graph.spanning_trees()
     mu = uniform_spanning_tree(graph)
-    parsed = SRDistribution.from_support(
-        graph.n_edges, [(tuple(r), Fraction(1, len(trees))) for r in trees.tolist()])
+    parsed = from_support(graph.n_edges,
+                          [(tuple(r), Fraction(1, len(trees))) for r in trees.tolist()])
     assert mu == parsed
     assert np.array_equal(mu.sets, parsed.sets) and mu.sets.dtype == parsed.sets.dtype
     assert max_marginal(mu) == max_marginal(parsed)
-    assert len({id(p) for _, p in mu.support}) == 1
+    assert len({id(p) for _, p in pairs(mu)}) == 1
 
 
 # A 16-edge tree on 17 vertices (one tree, one forest per level) and a dense

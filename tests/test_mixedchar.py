@@ -53,12 +53,12 @@ from hyperdisc.mixedchar import (
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate, monic_top_coeffs
-from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from hyperbolic_helpers import cone_membership, rank1_product_derivative
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
                          fraction_node_poly, fraction_variance)
 from multipoly_helpers import linear_restriction_multipoly
+from srdist_helpers import from_support, pairs
 from stability_oracle import stability_test
 from subset_helpers import fraction_operator_form
 from unipoly_helpers import from_roots, scale
@@ -164,27 +164,27 @@ def test_kls_operator_identity_random_instances():
 
 
 def test_ag_node_poly_toy():
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+    mu = from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     inst = SrInstance.build(D1, mu, [(Fraction(1, 2),), (Fraction(1, 2),)])
     assert ag_node_poly(inst).coeffs == (Fraction(-1, 2), Fraction(1))
     assert ag_node_poly(inst, (1,)).coeffs == (Fraction(-1, 4), Fraction(1, 2))
 
 
 def test_ag_node_poly_empty_branch():
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
+    mu = from_support(2, [((0,), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     with pytest.raises(EmptyBranch):
         ag_node_poly(inst, (0,))
 
 
 def test_ag_operator_form_toy():
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+    mu = from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     inst = SrInstance.build(D1, mu, [(Fraction(1, 2),), (Fraction(1, 2),)])
     assert ag_operator_form(inst).coeffs == (Fraction(-1, 2), Fraction(0), Fraction(1))
 
 
 def test_ag_operator_form_point_mass_on_empty():
-    mu = SRDistribution.from_support(1, [((), Fraction(1))])
+    mu = from_support(1, [((), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),)])
     assert ag_operator_form(inst).coeffs == (Fraction(0), Fraction(1))  # h(xe) = x
 
@@ -206,8 +206,8 @@ def test_operator_form_equals_the_fraction_route_on_generated_graphs(data):
     e = data.draw(st.integers(v - 1, v * (v - 1) // 2))
     inst = SrInstance.from_graph(random_connected_graph(v, e, data.draw(st.integers(0, 99))),
                                  exact=True)
-    tree = data.draw(st.sampled_from([elems for elems, _ in inst.mu.support]))
-    point = SrInstance.build(inst.h, SRDistribution.from_support(inst.n, [(tree, Fraction(1))]),
+    tree = data.draw(st.sampled_from([elems for elems, _ in pairs(inst.mu)]))
+    point = SrInstance.build(inst.h, from_support(inst.n, [(tree, Fraction(1))]),
                              inst.vectors)
     for case in (inst, point):
         got = ag_operator_form(case)
@@ -216,7 +216,7 @@ def test_operator_form_equals_the_fraction_route_on_generated_graphs(data):
 
 
 def test_ag_substitution_identity_toy():
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+    mu = from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     inst = SrInstance.build(D1, mu, [(Fraction(1, 2),), (Fraction(1, 2),)])
     lhs, rhs = ag_substitution_identity(inst)
     assert lhs.coeffs == rhs.coeffs == (Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(1))
@@ -324,7 +324,7 @@ def test_descend_family_cancelling_pair():
 
 
 def test_descend_family_point_mass():
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
+    mu = from_support(2, [((0,), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     assignment, _ = _descend(AgFamily(inst))
     assert assignment == (1, 0)
@@ -370,7 +370,7 @@ def test_family_adapters():
     assert fam.root_max_root() == pytest.approx(2 ** 0.5)
     assert fam.leaf_norm((Fraction(1), Fraction(-1))) == pytest.approx(0.0, abs=1e-12)
 
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+    mu = from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     sr = SrInstance.build(D1, mu, [(Fraction(1, 2),), (Fraction(1, 2),)])
     afam = AgFamily(sr)
     assert afam.feasible((1,)) and afam.feasible((0,))
@@ -1044,14 +1044,14 @@ def _graph(spec: str):
 def _per_set_leaves(inst) -> list:
     """mu(S) * h(xe - sum_{i in S} v_i), one restriction per support set."""
     return [scale(inst.h.restrict_line(tuple(-c for c in inst.subset_sum(elems)), inst.h.e), prob)
-            for elems, prob in inst.mu.support]
+            for elems, prob in pairs(inst.mu)]
 
 
 def _per_set_node(inst, leaves, prefix):
     """The leaves of the sets that agree with the prefix, added in support
     order from 0; None when no set agrees (the set rule of feasibility)."""
     acc, found = UniPoly.zero(), False
-    for (elems, _), leaf in zip(inst.mu.support, leaves):
+    for (elems, _), leaf in zip(pairs(inst.mu), leaves):
         if all((i in elems) == bool(bit) for i, bit in enumerate(prefix)):
             acc, found = acc + leaf, True
     return acc if found else None
@@ -1089,7 +1089,7 @@ def _prefixes(inst, seed, count: int = 20) -> list:
     rng = random.Random(seed)
     out = [()] + family.prefixes
     for _ in range(count):
-        elems = rng.choice(inst.mu.support)[0]
+        elems = rng.choice(pairs(inst.mu))[0]
         ell = rng.randrange(inst.n + 1)
         out.append(tuple(int(i in elems) for i in range(ell)))
         out.append(tuple(rng.randrange(2) for _ in range(rng.randrange(inst.n + 1))))
@@ -1149,7 +1149,7 @@ def test_blocked_search_builds_the_leaf_table_once(monkeypatch):
     result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.5))
     assert result.oracle_calls > 1
     # The one-row calls are restrict_line's, for the spectrum of the leaf.
-    assert [n for n in builds if n > 1] == [len(inst.mu.support)]
+    assert [n for n in builds if n > 1] == [len(pairs(inst.mu))]
 
 
 def _full_scan(table, prefix) -> np.ndarray:
@@ -1201,7 +1201,7 @@ def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
     check(())
     # A commit that does not extend the last one: a feasible prefix of
     # another support set, which leaves the search's prefixes uncommitted.
-    others = [elems for elems, _ in inst.mu.support
+    others = [elems for elems, _ in pairs(inst.mu)
               if tuple(int(i in elems) for i in range(inst.n)) != leaf]
     if others:
         elems = rng.choice(others)

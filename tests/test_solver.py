@@ -23,8 +23,8 @@ from hyperdisc.solver import (
     power_sum,
     random_baseline,
 )
-from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly
+from srdist_helpers import from_support, pairs
 from unipoly_helpers import from_roots
 
 D1 = determinant(1)
@@ -189,7 +189,7 @@ def test_search_det_instance():
 
 
 def test_search_point_mass_subset_family():
-    mu = SRDistribution.from_support(2, [((0,), Fraction(1))])
+    mu = from_support(2, [((0,), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     result = kadison_singer_search(AgFamily(inst), SolverConfig(delta=0.25))
     assert result.assignment == (1, 0)
@@ -216,7 +216,7 @@ def test_brute_force_spanning_trees():
     assignment, value = brute_force(inst, "ag")
     assert sum(assignment) == 2  # a spanning tree of K3 has two edges
     norms = []
-    for elems, _ in inst.mu.support:
+    for elems, _ in pairs(inst.mu):
         w = inst.subset_sum(elems)
         from hyperdisc.hyperbolic import spectrum
         norms.append(spectrum(inst.h, w).norm)
@@ -252,11 +252,12 @@ def _random_baseline_reference(inst, trials, seed):
                 j = min(int(np.searchsorted(cum[i], rng.random())), len(var.support) - 1)
                 rows[t, i] = float(var.support[j]) - means[i]
     else:
-        probs = np.cumsum([float(p) for _, p in inst.mu.support])
+        support = pairs(inst.mu)
+        probs = np.cumsum([float(p) for _, p in support])
         for t in range(trials):
             rng = random.Random(f"baseline:{seed}:{t}")
-            j = min(int(np.searchsorted(probs, rng.random())), len(inst.mu.support) - 1)
-            for e in inst.mu.support[j][0]:
+            j = min(int(np.searchsorted(probs, rng.random())), len(support) - 1)
+            for e in support[j][0]:
                 rows[t, e] = 1.0
     arr = np.sort(inst.h.norms(rows @ vecs))
     return float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1])

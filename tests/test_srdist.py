@@ -14,14 +14,13 @@ from hyperdisc.graphs import Graph, complete_graph, diamond_graph, path_graph
 from hyperdisc.hyperbolic import hyperbolic_traces, spectrum
 from hyperdisc.mixedchar import SrInstance
 from hyperdisc.srdist import (
-    SRDistribution,
     effective_resistance_family,
     marginal_via_enum,
     marginal_via_formula,
     max_marginal,
     uniform_spanning_tree,
 )
-from srdist_helpers import generating_polynomial, marginal_via_multipoly
+from srdist_helpers import from_support, generating_polynomial, marginal_via_multipoly, pairs
 from stability_oracle import stability_test
 
 K3 = complete_graph(3)
@@ -29,25 +28,25 @@ K3 = complete_graph(3)
 
 def test_ust_k3():
     mu = uniform_spanning_tree(K3)
-    assert len(mu.support) == 3
-    assert all(p == Fraction(1, 3) for _, p in mu.support)
+    assert len(pairs(mu)) == 3
+    assert all(p == Fraction(1, 3) for _, p in pairs(mu))
     assert mu.d_mu == 2
     assert stability_test(generating_polynomial(mu), trials=32).passed
 
 
 def test_ust_diamond_matches_fixture_monomials():
     mu = uniform_spanning_tree(diamond_graph())
-    assert len(mu.support) == 8
+    assert len(pairs(mu)) == 8
     # Edge indices 0=ab 1=ac 2=bd 3=cd 4=bc.
     expect = {(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2),
               (1, 2, 4), (0, 3, 4), (1, 3, 4), (0, 2, 4)}
-    assert {elems for elems, _ in mu.support} == expect
+    assert {elems for elems, _ in pairs(mu)} == expect
 
 
 def test_ust_path_is_point_mass():
     mu = uniform_spanning_tree(path_graph(3))
-    assert len(mu.support) == 1
-    assert mu.support[0][1] == 1
+    assert len(pairs(mu)) == 1
+    assert pairs(mu)[0][1] == 1
 
 
 def test_ust_disconnected_raises():
@@ -63,7 +62,7 @@ def test_marginal_enum_k3():
 
 
 def test_marginal_enum_point_mass():
-    mu = SRDistribution.from_support(3, [((0, 1), Fraction(1))])
+    mu = from_support(3, [((0, 1), Fraction(1))])
     assert marginal_via_enum(mu, {0}, 2) == 0  # T cap [2] is {0,1}, not {0}
     assert marginal_via_enum(mu, {0, 1}, 2) == 1
 
@@ -110,8 +109,7 @@ def _homogeneous_case(draw):
     chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets), unique=True))
     weights = draw(st.lists(st.integers(1, 20), min_size=len(chosen), max_size=len(chosen)))
     total = sum(weights)
-    mu = SRDistribution.from_support(
-        n, [(elems, Fraction(w, total)) for elems, w in zip(chosen, weights)])
+    mu = from_support(n, [(elems, Fraction(w, total)) for elems, w in zip(chosen, weights)])
     observed = draw(st.sets(st.integers(0, n - 1)))
     s = draw(st.sets(st.sampled_from(sorted(observed)))) if observed else set()
     x0 = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
@@ -163,7 +161,7 @@ def _rational_case(draw):
     probs = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 12))) for _ in chosen[1:]]
     while sum(probs) >= 1:
         probs = [p / 2 for p in probs]
-    mu = SRDistribution.from_support(n, list(zip(chosen, [1 - sum(probs)] + probs)))
+    mu = from_support(n, list(zip(chosen, [1 - sum(probs)] + probs)))
     observed = draw(st.sets(st.integers(0, n - 1)))
     s = draw(st.sets(st.sampled_from(sorted(observed)))) if observed else set()
     x0 = draw(st.one_of(
@@ -207,7 +205,7 @@ def _query_sequence(draw):
 def test_stored_prefixes_give_the_fresh_answer(case):
     mu, queries = case
     for s, observed, x0 in queries:
-        fresh = SRDistribution.from_support(mu.n, mu.support)
+        fresh = from_support(mu.n, pairs(mu))
         got = marginal_via_formula(mu, s, observed, x0)
         assert got == marginal_via_formula(fresh, s, observed, x0)
         assert got == marginal_via_enum(mu, s, observed)
@@ -250,18 +248,18 @@ def test_marginal_formula_on_products_and_conditionings():
     rng = random.Random(31)
     base1 = uniform_spanning_tree(K3)
     base2 = uniform_spanning_tree(path_graph(3))
-    product = SRDistribution.from_support(base1.n + base2.n, [
+    product = from_support(base1.n + base2.n, [
         (e1 + tuple(x + base1.n for x in e2), p1 * p2)
-        for e1, p1 in base1.support for e2, p2 in base2.support])
+        for e1, p1 in pairs(base1) for e2, p2 in pairs(base2)])
     for trial in range(8):
         mu = product
         if rng.random() < 0.5:
             i = rng.randrange(mu.n)
             present = rng.random() < 0.5
-            kept = [(elems, p) for elems, p in mu.support if (i in elems) == present]
+            kept = [(elems, p) for elems, p in pairs(mu) if (i in elems) == present]
             if kept:
                 total = sum(p for _, p in kept)
-                mu = SRDistribution.from_support(mu.n, [(e, p / total) for e, p in kept])
+                mu = from_support(mu.n, [(e, p / total) for e, p in kept])
         k = rng.randint(0, min(mu.n, 4))
         for mask in range(1 << k):
             s = {i for i in range(k) if mask >> i & 1}
@@ -272,7 +270,7 @@ def test_marginal_formula_on_products_and_conditionings():
 
 def test_max_marginal():
     assert max_marginal(uniform_spanning_tree(K3)) == Fraction(2, 3)
-    point = SRDistribution.from_support(2, [((0,), Fraction(1))])
+    point = from_support(2, [((0,), Fraction(1))])
     assert max_marginal(point) == 1
     # Diamond graph: edges 1-4 sit in 5 of 8 trees, edge 5 in 4 of 8.
     assert max_marginal(uniform_spanning_tree(diamond_graph())) == Fraction(5, 8)
@@ -280,12 +278,12 @@ def test_max_marginal():
 
 def test_heterogeneous_support_rejected():
     with pytest.raises(ValueError):
-        SRDistribution.from_support(3, [((0,), Fraction(1, 2)), ((0, 1), Fraction(1, 2))])
+        from_support(3, [((0,), Fraction(1, 2)), ((0, 1), Fraction(1, 2))])
 
 
 def test_probabilities_must_sum_to_one():
     with pytest.raises(ValueError):
-        SRDistribution.from_support(2, [((0,), Fraction(1, 3))])
+        from_support(2, [((0,), Fraction(1, 3))])
 
 
 def test_effective_resistance_k3():

@@ -1,11 +1,14 @@
 """The array route of subset distributions against the per-set reference.
 
-SRDistribution.from_support parses (elements, probability) pairs into one
-int array, and SRDistribution.from_rows validates and orders that array in
-one numpy pass; both are run on every case, from_rows wherever the sets
-form one int array.  max_marginal sums integer weights per element; the leaf table fills its
-membership matrix from SRDistribution.sets.  Each is tied here to the
-straightforward one-set-at-a-time computation it replaced.
+serialize.set_rows parses the "set" lists into one int array, and
+SRDistribution.from_rows validates and orders that array in one numpy
+pass.  Every case runs through the file loader
+(serialize.distribution_from_json), through from_support
+(tests/srdist_helpers.py: set_rows, then from_rows with the probabilities
+as given) and, wherever the sets form one int array, through from_rows
+alone.  max_marginal sums integer weights per element; the leaf table
+fills its membership matrix from SRDistribution.sets.  Each is tied here
+to the straightforward one-set-at-a-time computation it replaced.
 """
 
 import itertools
@@ -21,7 +24,9 @@ from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import DeterminantInstance
 from hyperdisc.instances import random_connected_graph
 from hyperdisc.mixedchar import SrInstance
+from hyperdisc.serialize import distribution_from_json, scalar_to_json
 from hyperdisc.srdist import SRDistribution, max_marginal, uniform_spanning_tree
+from srdist_helpers import from_support, pairs
 
 
 def reference_from_support(n, items):
@@ -50,13 +55,13 @@ def reference_from_support(n, items):
 
 
 def reference_max_marginal(mu):
-    return max((sum((Fraction(p) for elems, p in mu.support if i in elems), Fraction(0))
+    return max((sum((Fraction(p) for elems, p in pairs(mu) if i in elems), Fraction(0))
                 for i in range(mu.n)), default=Fraction(0))
 
 
 def reference_members(mu):
-    members = np.zeros((len(mu.support), mu.n), dtype=bool)
-    for r, (elems, _) in enumerate(mu.support):
+    members = np.zeros((len(pairs(mu)), mu.n), dtype=bool)
+    for r, (elems, _) in enumerate(pairs(mu)):
         members[r, list(elems)] = True
     return members
 
@@ -70,14 +75,25 @@ def as_rows(items):
     return np.array(sets, dtype=np.intp).reshape(len(sets), len(sets[0])), [p for _, p in items]
 
 
+def loaded(n, items):
+    """The distribution the file loader reads from the pairs written as a
+    file's "distribution" object (a float probability is read as the
+    rational it is)."""
+    return distribution_from_json({"n": n, "support": [
+        {"set": list(elems), "prob": scalar_to_json(prob)} for elems, prob in items]})
+
+
 def assert_same_as_reference(n, items):
     support, d_mu = reference_from_support(n, items)
-    mu = SRDistribution.from_support(n, items)
-    assert mu.support == support and mu.d_mu == d_mu
+    mu = from_support(n, items)
+    assert pairs(mu) == support and mu.d_mu == d_mu
     from_rows = SRDistribution.from_rows(n, *as_rows(items))
     assert from_rows == mu and np.array_equal(from_rows.sets, mu.sets)
-    for (elems, prob), (ref_elems, ref_prob) in zip(mu.support, support):
-        assert type(elems) is tuple and all(type(e) is int for e in elems)
+    from_file = loaded(n, items)
+    assert from_file == mu and np.array_equal(from_file.sets, mu.sets)
+    assert all(type(prob) is Fraction for prob in from_file.probs)
+    assert mu.sets.dtype == np.intp and type(mu.probs) is tuple
+    for (elems, prob), (ref_elems, ref_prob) in zip(pairs(mu), support):
         assert type(prob) is type(ref_prob)
     assert mu.sets.shape == (len(support), d_mu)
     assert mu.sets.tolist() == [list(elems) for elems, _ in support]
@@ -90,7 +106,10 @@ def assert_same_error(n, items):
     with pytest.raises(ValueError) as ref:
         reference_from_support(n, items)
     with pytest.raises(ValueError) as got:
-        SRDistribution.from_support(n, items)
+        from_support(n, items)
+    assert str(got.value) == str(ref.value)
+    with pytest.raises(ValueError) as got:
+        loaded(n, items)
     assert str(got.value) == str(ref.value)
     if as_rows(items) is not None:
         with pytest.raises(ValueError) as got:
@@ -229,13 +248,15 @@ def test_from_support_raises_the_reference_message_on_single_faults():
 
 @pytest.mark.parametrize("elems", [(0, 1.0), (0, 1.7), (0, True), (False, 1), ("0", 1), (0, None)])
 def test_from_support_rejects_non_int_elements(elems):
-    with pytest.raises(ValueError, match="support elements must be ints"):
-        SRDistribution.from_support(3, [(elems, Fraction(1))])
+    for parse in (from_support, loaded):
+        with pytest.raises(ValueError, match="support elements must be ints"):
+            parse(3, [(elems, Fraction(1))])
 
 
 def test_from_support_rejects_elements_beyond_int64():
-    with pytest.raises(ValueError, match="out of range"):
-        SRDistribution.from_support(3, [((0, 2 ** 70), Fraction(1))])
+    for parse in (from_support, loaded):
+        with pytest.raises(ValueError, match="out of range"):
+            parse(3, [((0, 2 ** 70), Fraction(1))])
 
 
 @pytest.mark.parametrize("rows", [np.array([[0, 1]], dtype=np.int32),
@@ -247,12 +268,20 @@ def test_from_rows_takes_only_a_non_empty_two_dimensional_intp_array(rows):
         SRDistribution.from_rows(3, rows, [Fraction(1)] * len(rows))
 
 
-def test_sets_take_no_part_in_equality():
-    a = SRDistribution.from_support(3, [((0, 1), Fraction(1))])
-    b = SRDistribution.from_support(3, [([1, 0], Fraction(1))])
+def test_equal_supports_give_equal_distributions():
+    a = from_support(3, [((0, 1), Fraction(1))])
+    b = from_support(3, [([1, 0], Fraction(1))])
     assert a == b and hash(a) == hash(b)
     assert "sets" not in repr(a)
     assert not a.sets.flags.writeable
+    half = Fraction(1, 2)
+    others = [from_support(3, [((0, 2), Fraction(1))]), from_support(4, [((0, 1), Fraction(1))]),
+              from_support(3, [((0,), half), ((1,), half)]),
+              from_support(3, [((0, 1), half), ((0, 2), half)]),
+              from_support(3, [((0, 1), Fraction(1, 3)), ((0, 2), Fraction(2, 3))])]
+    for i, mu in enumerate(others):
+        assert mu != a and all(mu != other for other in others[i + 1:])
+    assert from_support(3, [((0, 1), 0.5), ((0, 2), half)]) == others[3]
 
 
 def test_max_marginal_matches_per_element_sum_on_spanning_trees():
@@ -278,7 +307,7 @@ def test_leaf_table_members_match_per_set_loop():
     h = DeterminantInstance(1)
     for trial in range(12):
         n = rng.randint(1, 6)
-        mu = SRDistribution.from_support(n, random_support(rng, n, rng.randint(0, n), 6))
+        mu = from_support(n, random_support(rng, n, rng.randint(0, n), 6))
         cases.append(SrInstance.build(h, mu, [(rng.random(),) for _ in range(n)]))
     for inst in cases:
         members = inst.leaf_table.members
@@ -291,7 +320,7 @@ def test_leaf_table_members_match_per_set_loop():
                          ids=["k4", "diamond", "k5", "random:7:10:1"])
 def test_from_support_gives_one_distribution_for_any_input_order(graph):
     mu = uniform_spanning_tree(graph)
-    items = list(mu.support)
+    items = list(pairs(mu))
     shuffled = random.Random(5).sample(items, len(items))
     variants = {
         "generated": items,
@@ -300,10 +329,10 @@ def test_from_support_gives_one_distribution_for_any_input_order(graph):
         "both, as lists": [(list(elems[::-1]), p) for elems, p in shuffled],
     }
     for name, variant in variants.items():
-        for got in (SRDistribution.from_support(mu.n, variant),
+        for got in (from_support(mu.n, variant),
                     SRDistribution.from_rows(mu.n, *as_rows(variant))):
-            assert got.support == mu.support, name
-            assert all(type(elems) is tuple for elems, _ in got.support), name
+            assert pairs(got) == pairs(mu), name
+            assert got.sets.dtype == np.intp and got.probs == mu.probs, name
             assert got.sets.tolist() == mu.sets.tolist() and not got.sets.flags.writeable, name
 
 
@@ -315,7 +344,7 @@ def test_from_support_keeps_duplicate_sets_in_input_order():
         ([((0, 1), b), ((0, 2), c), ((0, 1), a)], [((0, 1), b), ((0, 1), a), ((0, 2), c)]),
     ]
     for items, want in cases:
-        assert list(SRDistribution.from_support(3, items).support) == want
+        assert list(pairs(from_support(3, items))) == want
 
 
 def _set_entry(value):
@@ -355,15 +384,16 @@ def _double_weight(sets, probs):
 def test_from_support_raises_the_same_message_in_any_order(fault, message, order):
     # k4 has 16 spanning trees of 3 of its 6 edges, each with probability 1/16.
     mu = uniform_spanning_tree(complete_graph(4))
-    items = list(mu.support)
+    items = list(pairs(mu))
     if order == "shuffled":
         items = random.Random(2).sample(items, len(items))
     sets = [list(elems) for elems, _ in items]
     probs = [p for _, p in items]
     fault(sets, probs)
-    with pytest.raises(ValueError) as err:
-        SRDistribution.from_support(mu.n, zip(sets, probs))
-    assert str(err.value) == message
+    for parse in (from_support, loaded):
+        with pytest.raises(ValueError) as err:
+            parse(mu.n, zip(sets, probs))
+        assert str(err.value) == message
     rows = as_rows(list(zip(sets, probs)))
     if rows is not None:
         with pytest.raises(ValueError) as err:
