@@ -31,7 +31,7 @@ D_{v_i}) h(xe) = a_S x^(d-|S|) by c^|S|, so the collapse
 sum_S (-1)^|S| tau_S^2 A_S^2 becomes P_c(x) = c^(2d) P_1(x/c), and its
 largest root is exactly c times that of P_1.  The chain therefore takes the
 largest root of the unscaled instance's exact root polynomial
-(mixedchar.kls_table_node_poly, read off the coefficient table that loading
+(mixedchar.kls_node_poly, read off the coefficient table that loading
 builds, or that this first call builds) and multiplies it by 1/sigma once.
 sigma is read after it and comes from that table too: the variance mix is
 summed over ints from its entries (KlsInstance.variance_mix).  Phi, the
@@ -71,7 +71,7 @@ from .mixedchar import (
     KlsInstance,
     SrInstance,
     ag_node_poly,
-    kls_table_node_poly,
+    kls_node_poly,
 )
 from .scalars import CHAIN_STEP_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
 from .srdist import per_object
@@ -255,7 +255,7 @@ def verify_bound_chain(inst) -> ChainReport:
     signed = isinstance(inst, KlsInstance)
     steps = []
     if signed:
-        root = kls_table_node_poly(inst)  # builds the table, so sigma sums the mix over ints
+        root = kls_node_poly(inst)  # builds the table, so sigma sums the mix over ints
         if not inst.sigma > 0:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
         root_scale = 1.0 / inst.sigma

@@ -16,7 +16,13 @@ from fractions import Fraction
 from .errors import InvalidParams
 from .graphs import Graph
 from .hyperbolic import determinant, lorentz
-from .mixedchar import MAX_BRANCHES, KlsInstance, RandomVar
+from .mixedchar import KlsInstance, RandomVar
+
+# _variable_list swaps in a Rademacher variable once the product of the
+# support sizes would pass this count.  No computation is bounded by it, but
+# the swap decides which variables gen draws: changing the value changes
+# gen's output for the same seed.
+MAX_BRANCHES = 4096
 
 PYTHAGOREAN_TRIPLES = (
     (3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (1, 0, 1),

@@ -64,11 +64,11 @@ checked once, where a file is loaded, by building the table of a_T
   values h(e + w_U), which tests every rank exactly.
 
 All three give the same ints.  The cone is then tested exactly on every
-route, from the entries a_i.  KlsFamily reads its inner nodes off that
-table (kls_table_node_poly); kls_node_poly keeps the enumeration as the
-reference route.  The table is kept over ints (KlsTable).  With D the lcm
-of the vector entries' denominators, the vectors D v_i are integral and
-b_T = D^|T| a_T is the table of a_T for them.  With L chosen so that every
+route, from the entries a_i.  Every signed node is read off that table
+(kls_node_poly, the one route that builds Fractions); no completion is
+enumerated.  The table is kept over ints (KlsTable).  With D the lcm of
+the vector entries' denominators, the vectors D v_i are integral and b_T =
+D^|T| a_T is the table of a_T for them.  With L chosen so that every
 L c_i and L^2 tau_i^2 is an int, the coefficient of x^(d-j) in P_F is
 R_F[j] L^|F| / (L D)^j, where R_F[j] sums the ints (L c)^A b_{F u A}; each
 term tau_F^2 P_F P_F then carries (L^2 tau^2)^F over (L D)^k, so the
@@ -87,15 +87,13 @@ block into that G, which spans the uncommitted coordinates alone.  The
 oracle then stays in ints: Pr[prefix] and E^2 cancel from the monic
 coefficients N_j / (N_0 (L D)^j) (KlsFamily.scaled_top_coeffs).
 
-A leaf is the node of a full assignment, and the enumeration
-(kls_node_poly) computes it without the table, over ints as well: the
-int sum W = L D w, one int restriction y -> E h(ye + W)
-(h.restrict_e_ints: the Faddeev-LeVerrier recurrence for det, the closed
-form for Lorentz), and N_k by kls_node_sums of that one row
-(kls_leaf_poly).  The leaves' N_k are summed with int probabilities.  Two
-routes build Fractions, 2d+1 per node and at the end: kls_table_node_poly,
-the route of the root bound, and kls_node_poly, which the search reads
-only at full assignments.
+A leaf is the node of a full assignment.  The fold gives it too, but the
+oracle scores it from one int restriction instead (kls_leaf_poly): the int
+sum W = L D w, y -> E h(ye + W) (h.restrict_e_ints: the Faddeev-LeVerrier
+recurrence for det, the closed form for Lorentz), and N_k by kls_node_sums
+of that one row, read with the inner nodes' formula.  Fractions are built
+only by kls_node_poly, 2d+1 per node and at the end: for the root bound,
+verify and the barrier chain.
 
 Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
 one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
@@ -120,7 +118,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import _integer_rows
-from .errors import EmptyBranch, InvalidParams, TooLarge, ValueNotInSupport
+from .errors import EmptyBranch, InvalidParams, ValueNotInSupport
 from .graphs import Graph
 from .hyperbolic import (
     DeterminantInstance,
@@ -146,7 +144,6 @@ from .srdist import (
 )
 from .unipoly import UniPoly, max_real_root, real_roots
 
-MAX_BRANCHES = 4096  # enumeration guardrail; exceeding raises, never approximates
 LEAF_CHUNK = 256  # support sets per batched leaf pass; bounds its temporaries
 
 
@@ -542,41 +539,6 @@ def _prefix_weight(inst: KlsInstance, partial) -> tuple:
     return num, den
 
 
-def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
-    """Conditional polynomial for a prefix assignment (the root for ()), by
-    enumerating every completion: the reference route.
-
-    Each leaf comes as ints (kls_leaf_poly) and is weighted by the int
-    probabilities of its free values, so the sum runs over ints.  With P / Q
-    the prefix's probability, R the product of the free variables' q_i and
-    E^2 the common multiple of the leaves' denominators, the coefficient of
-    x^(2d-k) is P total[k] / (Q R E^2 (L D)^k), one Fraction each, built at
-    the end.
-    """
-    partial = tuple(partial)
-    num, den = _prefix_weight(inst, partial)
-    vec_scale, var_scale, *_, probs = inst.integer_data
-    free = probs[len(partial):]
-    branches = math.prod(map(len, free))
-    if branches > MAX_BRANCHES:
-        raise TooLarge(f"{branches} completions exceed the {MAX_BRANCHES} guardrail")
-    width = 2 * inst.h.d + 1
-    total, outer = [0] * width, 1
-    for completion in itertools.product(*free):
-        sums, leaf_outer = kls_leaf_poly(inst, partial + completion)
-        if outer % leaf_outer:  # a new E^2: bring the sum to the common multiple
-            common = math.lcm(outer, leaf_outer)
-            total = [c * (common // outer) for c in total]
-            outer = common
-        weight = math.prod(map(operator.getitem, free, completion)) * (outer // leaf_outer)
-        for k in range(0, width, 2):  # odd N[k] vanish
-            total[k] += weight * sums[k]
-    den *= outer * math.prod(sum(p.values()) for p in free)
-    scale = vec_scale * var_scale
-    return UniPoly.from_coeffs([Fraction(num * total[k], den * scale ** k)
-                                for k in range(width - 1, -1, -1)])
-
-
 @dataclass(frozen=True, eq=False)
 class KlsTable:
     """The signed family's coefficient table over ints (module docstring).
@@ -714,15 +676,16 @@ def kls_node_sums(weights: dict, rows: dict, top: int) -> list:
     return sums
 
 
-def kls_table_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
-    """kls_node_poly(inst, partial), read off inst.coefficient_table: the
-    coefficient of x^(2d-k) is Pr[prefix] N_k / (E^2 (L D)^k), with N_k from
-    the fold of the prefix.
+def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
+    """Conditional polynomial for a prefix assignment (the root for ()),
+    read off inst.coefficient_table: the coefficient of x^(2d-k) is
+    Pr[prefix] N_k / (E^2 (L D)^k), with N_k from the fold of the prefix.
 
     The cost is linear in the table; no completion is enumerated and no
-    line restriction is taken.  This is the Fraction route (the root bound
-    and the reference); the search's oracle reads N_k directly
-    (KlsFamily.scaled_top_coeffs).
+    line restriction is taken, and a full assignment folds to the empty
+    free set alone.  This is the signed lane's one Fraction route, read by
+    the root bound, the descent and verify; the search's oracle reads the
+    N_k as ints (KlsFamily.scaled_top_coeffs).
     """
     num, den = _prefix_weight(inst, partial)
     table = inst.coefficient_table
@@ -750,7 +713,7 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
 
     with one division per coefficient, at the end.  It reads neither the
     coefficient table nor its check, so it stays an independent route to
-    the root polynomial (kls_table_node_poly).
+    the root polynomial (kls_node_poly).
     """
     vec_scale, var_scale, vectors, _, variances, _ = inst.integer_data
     h, d = inst.h, inst.h.d
@@ -842,16 +805,9 @@ class KlsFamily:
         self._committed = None  # (prefix, its fold), set by commit
 
     def node_poly(self, prefix) -> UniPoly:
-        """The one exact route: inner nodes come from the instance's
-        coefficient table, built and checked when the file is loaded; a full
-        assignment is a single leaf, which kls_node_poly restricts once over
-        ints (kls_leaf_poly) and turns into 2d+1 Fractions.  The oracle
-        scores leaves this way too: the kls-search trace coverage in
-        hdbench/test_bench_trace.py counts on those calls."""
-        prefix = tuple(prefix)
-        if len(prefix) == self.n:
-            return kls_node_poly(self.inst, prefix)
-        return kls_table_node_poly(self.inst, prefix)
+        """The node's exact polynomial, read off the instance's coefficient
+        table (kls_node_poly), built and checked when the file is loaded."""
+        return kls_node_poly(self.inst, tuple(prefix))
 
     def commit(self, assignment) -> None:
         """Fold a committed prefix into the table once, so that the oracle
@@ -869,21 +825,23 @@ class KlsFamily:
         return (), self.inst.coefficient_table.rows
 
     def scaled_top_coeffs(self, prefix, k: int):
-        """Top-k monic coefficients of an inner node as ints (C, q) with
-        c_j = C_j / q^j; None for a full assignment, whose leaf node_poly
-        restricts.
+        """Top-k monic coefficients of a node as ints (C, q) with
+        c_j = C_j / q^j.
 
-        With N_j from kls_node_sums and s = L D, c_j = N_j / (N_0 s^j):
-        Pr[prefix] and E^2 cancel, and N_0 = b_0^2 > 0.  So q = N_0 s and
+        An inner node's N_j come from kls_node_sums of its fold, and a
+        leaf's from its one int restriction (kls_leaf_poly).  Either way,
+        with s = L D, c_j = N_j / (N_0 s^j): Pr[prefix] and E^2 cancel, and
+        N_0 = (E h(e))^2 > 0 for the node's own E.  So q = N_0 s and
         C_j = N_j N_0^(j-1).
         """
         prefix = tuple(prefix)
-        if len(prefix) == self.n:
-            return None
         table = self.inst.coefficient_table
-        done, rows = self._base(prefix)
-        folded = kls_fold(table, rows, len(done), prefix[len(done):])
-        sums = kls_node_sums(table.weights, folded, k)
+        if len(prefix) == self.n:
+            sums = kls_leaf_poly(self.inst, prefix)[0]
+        else:
+            done, rows = self._base(prefix)
+            folded = kls_fold(table, rows, len(done), prefix[len(done):])
+            sums = kls_node_sums(table.weights, folded, k)
         lead = sums[0]
         return tuple(sums[j] * lead ** (j - 1) for j in range(1, k + 1)), lead * table.scale
 

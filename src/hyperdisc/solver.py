@@ -20,12 +20,13 @@ Exact coefficients stay ints.  The oracle answers (C, q) with monic
 coefficients c_j = C_j / q^j, and because p_j has weight j in the c_i,
 Newton's recurrence run on the C_j gives P_k = p_k q^k.  One division
 P_k / q^k, which rounds correctly, turns it into the same float the
-Fraction route gives.  Signed inner nodes come as ints straight off the
-folded table, with the committed rounds folded in once per round
-(KlsFamily.commit).  Signed leaves are summed over ints too
-(mixedchar.kls_leaf_poly), but reach the oracle as the 2d+1 Fractions of
-node_poly, as do exact subset nodes; integer_top_coeffs scales those back
-to ints by the lcm of their denominators.  Float nodes keep q = 1.
+Fraction route gives.  Every signed node comes as ints
+(KlsFamily.scaled_top_coeffs): an inner node straight off the folded
+table, with the committed rounds folded in once per round
+(KlsFamily.commit), and a leaf off its one int restriction
+(mixedchar.kls_leaf_poly).  Exact subset nodes reach the oracle as the
+Fractions of node_poly, and integer_top_coeffs scales those to ints by the
+lcm of their denominators.  Float nodes keep q = 1.
 """
 
 from __future__ import annotations
@@ -116,11 +117,10 @@ def maxcoeff_enum(family, k: int, prefix) -> tuple:
     """Top-k monic coefficients of the family's node polynomial, as
     (coeffs, scale) with c_j = coeffs[j-1] / scale^j.
 
-    Signed inner nodes come as ints off the folded coefficient table
-    (KlsFamily.scaled_top_coeffs), so no Fraction is built.  Every other
-    node is read off node_poly: subset nodes off the leaf table, signed
-    leaves by their int restriction (kls_node_poly).  Exact ones are then
-    scaled to ints as well; float ones keep scale 1.
+    Signed nodes come as ints (KlsFamily.scaled_top_coeffs), so no Fraction
+    is built.  Subset nodes are read off node_poly, the sum of leaf-table
+    rows: exact ones are then scaled to ints as well, and float ones keep
+    scale 1.
     """
     scaled = family.scaled_top_coeffs(prefix, k)
     if scaled is not None:

@@ -52,12 +52,17 @@ class SRDistribution:
     its elements ascending and the rows in lexicographic order, and
     probs[r] is its probability.  Entries of equal probability share one
     object where their maker shares it (uniform_spanning_tree, the file
-    loader), so per_object converts each value once.  Two distributions
-    are equal when n, the sets and the probabilities are."""
+    loader), so per_object converts each value once.  weights[r] /
+    denominator = probs[r] over ints, denominator the lcm of the
+    probabilities' denominators, computed once at load for every reader.
+    Two distributions are equal when n, the sets and the probabilities
+    are."""
 
     n: int
     sets: np.ndarray = field(repr=False)
     probs: tuple = field(repr=False)
+    weights: tuple = field(repr=False)
+    denominator: int = field(repr=False)
 
     @property
     def d_mu(self) -> int:
@@ -101,21 +106,22 @@ class SRDistribution:
         if not _ascending(rows):
             order = np.lexsort(rows.T[::-1])
             rows = rows[order]
-            probs = tuple(map(probs.__getitem__, order.tolist()))
+            order = order.tolist()
+            probs = tuple(map(probs.__getitem__, order))
+            weights = list(map(weights.__getitem__, order))
         rows.setflags(write=False)
-        return SRDistribution(n, rows, probs)
+        return SRDistribution(n, rows, probs, tuple(weights), denom)
 
     @functools.cached_property
     def _scaled_generating(self) -> tuple:
         """(terms, q): q g(z) = sum_S q mu(S) z^S as {bitmask of S: int}, q
         the lcm of the probabilities' denominators, built once per
         distribution."""
-        weights, denom = _integer_weights(self.probs)
         terms = {}
-        for elems, w in zip(self.sets.tolist(), weights):
+        for elems, w in zip(self.sets.tolist(), self.weights):
             mask = sum(1 << e for e in elems)
             terms[mask] = terms.get(mask, 0) + w
-        return terms, denom
+        return terms, self.denominator
 
     @functools.cached_property
     def _operator_nodes(self) -> dict:
@@ -265,13 +271,12 @@ def max_marginal(mu: SRDistribution) -> Fraction:
     Rows are grouped by their integer weight and one bincount counts each
     group's elements, so Python ints are multiplied once per group.
     """
-    weights, denom = _integer_weights(mu.probs)
     groups = {}
-    index = np.array([groups.setdefault(w, len(groups)) for w in weights], dtype=np.intp)
+    index = np.array([groups.setdefault(w, len(groups)) for w in mu.weights], dtype=np.intp)
     counts = np.bincount((index[:, None] * mu.n + mu.sets).ravel(),
                          minlength=len(groups) * mu.n).reshape(len(groups), mu.n)
     totals = np.array(list(groups), dtype=object) @ counts
-    return Fraction(int(max(totals, default=0)), denom)
+    return Fraction(int(max(totals, default=0)), mu.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ hyperdisc.mixedchar."""
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 from hyperdisc.unipoly import UniPoly
@@ -26,16 +27,26 @@ def fraction_leaf_poly(inst, assignment) -> UniPoly:
     return plus * minus
 
 
+# instance -> {assignment: its fraction_leaf_poly}, kept while the instance
+# lives: the tests sum the same leaves under many prefixes.
+_LEAVES = weakref.WeakKeyDictionary()
+
+
 def fraction_node_poly(inst, partial=()) -> UniPoly:
     """Every completion's fraction_leaf_poly, scaled by the probability of its
-    assignment and summed over Fractions."""
+    assignment and summed over Fractions.  Each leaf is computed once per
+    instance (equal instances share their leaves)."""
+    leaves = _LEAVES.setdefault(inst, {})
     acc = UniPoly.zero()
     rest = inst.variables[len(partial):]
     for completion in itertools.product(*[var.support for var in rest]):
         assignment = tuple(partial) + completion
+        leaf = leaves.get(assignment)
+        if leaf is None:
+            leaf = leaves[assignment] = fraction_leaf_poly(inst, assignment)
         weight = math.prod(var.probs[var.support.index(s)]
                            for s, var in zip(assignment, inst.variables))
-        acc = acc + scale(fraction_leaf_poly(inst, assignment), weight)
+        acc = acc + scale(leaf, weight)
     return acc
 
 

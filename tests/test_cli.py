@@ -12,6 +12,7 @@ from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.mixedchar import AgFamily, kls_node_poly, kls_operator_form
 from hyperdisc.solver import brute_force
 from hyperdisc.srdist import uniform_spanning_tree
+from kls_helpers import fraction_node_poly
 
 
 def run(capsys, *argv) -> tuple:
@@ -202,8 +203,8 @@ def test_solve_blocked_deterministic(capsys, tmp_path):
 
 
 def test_solve_beyond_the_enumeration_guardrail(capsys, tmp_path):
-    # 2^5 * 3^5 = 7,776 completions, above MAX_BRANCHES: the root node and
-    # the oracle nodes must come from the coefficient table.
+    # 2^5 * 3^5 = 7,776 completions: the root node and the oracle nodes
+    # come from the coefficient table, which no completion count bounds.
     inst_file = tmp_path / "inst.json"
     main(["gen", "--kind", "kls-det", "--n", "10", "--mprime", "3",
           "--variables", "mixed", "--seed", "1", "--out", str(inst_file)])
@@ -232,7 +233,7 @@ def test_gen_and_solve_past_brute_force_scale(capsys, tmp_path):
 
 def test_verify_beyond_the_enumeration_guardrail(capsys, tmp_path):
     # 7,776 completions: the operator identity is checked against the
-    # table root, not against an enumeration that stops at MAX_BRANCHES.
+    # table root, whose cost does not grow with the completions.
     inst_file = tmp_path / "inst.json"
     main(["gen", "--kind", "kls-det", "--n", "10", "--mprime", "3",
           "--variables", "mixed", "--seed", "1", "--out", str(inst_file)])
@@ -811,6 +812,11 @@ def test_elem_sym_and_custom_kinds(capsys, tmp_path):
             assert code == 0, (name, argv)
             outputs[name].append(out)
     assert outputs["elem_sym"] == outputs["custom"]
+    # verify compares the table's root with the operator form; tie that
+    # root to the Fraction sum over every completion.
+    for name in ("elem_sym", "custom"):
+        inst, _ = instance_from_json(_e2_file(name))
+        assert kls_node_poly(inst).coeffs == fraction_node_poly(inst).coeffs
     blocked = json.loads(outputs["elem_sym"][0])
     assert blocked["certified"] <= blocked["bound"]
     # The best leaf, w = (0, 1/2, -1/2), has norm 1/(2 sqrt 3) under e_2.

@@ -28,6 +28,9 @@ receiver is unknown would hide an IsotropicFamily.n.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +41,10 @@ KEPT_IMPORTS = {("solver", "char_poly_exact"), ("mixedchar", "real_roots")}
 
 # A float literal this small is a tolerance; it belongs in the scalars.py table.
 TOLERANCE_CEILING = 1e-4
+
+# Code names a src/ docstring or comment may give without any file defining
+# them: json.dumps's keyword.
+FOREIGN_NAMES = {"sort_keys"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -340,3 +347,46 @@ def test_det_t_i_plus_a_is_expanded_in_one_place():
                   and any(alias.name == "poly" for alias in node.names)):
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
+
+
+# A snake_case name: lowercase parts joined by underscores, each part at
+# least two characters (so x_i and tau_i read as notation, not code).
+SNAKE_NAME = re.compile(r"(?<!\w)_?[a-z][a-z0-9]+(?:_[a-z0-9]{2,})+(?!\w)")
+DOTTED_NAME = re.compile(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)\b")
+
+
+def _prose(path: Path):
+    """The docstrings and comments of a module."""
+    source = path.read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+
+
+def test_every_name_in_src_prose_exists():
+    # A docstring or comment that names a deleted def keeps pointing the
+    # reader at code that is gone.  Every snake_case name, and every
+    # module.name or Class.name, must be defined or read somewhere in the
+    # code; a file name such as module.py is a path, not a member.
+    files = [p for d in ("src", "tests", "hdbench", "tools") for p in (ROOT / d).rglob("*.py")]
+    stems = {p.stem for p in files} | {PACKAGE.name}
+    known = set(stems) | FOREIGN_NAMES
+    classes = set()
+    for path in files:
+        tree = _parse(path)
+        known |= _identifiers(tree)
+        classes |= {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    stale = set()
+    for path in _modules():
+        for text in _prose(path):
+            stale |= {f"{path.stem}: {m.group(0)}" for m in SNAKE_NAME.finditer(text)
+                      if m.group(0) not in known}
+            stale |= {f"{path.stem}: {m.group(0)}" for m in DOTTED_NAME.finditer(text)
+                      if (m.group(1) in stems or m.group(1) in classes)
+                      and m.group(2) not in known and m.group(2) != "py"}
+    assert sorted(stale) == []

@@ -17,7 +17,6 @@ from hyperdisc.errors import (
     HyperdiscError,
     InvalidParams,
     RankTooHigh,
-    TooLarge,
     ValueNotInSupport,
 )
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
@@ -48,7 +47,6 @@ from hyperdisc.mixedchar import (
     kls_node_poly,
     kls_node_sums,
     kls_operator_form,
-    kls_table_node_poly,
 )
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
@@ -126,12 +124,6 @@ def test_kls_node_poly_value_not_in_support():
     inst = _scalar_instance(1)
     with pytest.raises(ValueNotInSupport):
         kls_node_poly(inst, (Fraction(3),))
-
-
-def test_kls_node_poly_guardrail():
-    inst = _scalar_instance(13)
-    with pytest.raises(TooLarge):
-        kls_node_poly(inst)
 
 
 def test_kls_operator_form_toy():
@@ -379,7 +371,8 @@ def test_family_adapters():
 
 
 # ---------------------------------------------------------------------------
-# Node polynomials from the mixed-derivative table against the enumeration.
+# Node polynomials from the mixed-derivative table against the Fraction sum
+# over every completion (kls_helpers.fraction_node_poly).
 # ---------------------------------------------------------------------------
 
 VARIABLE_KINDS = ("rademacher", "biased", "threepoint", "mixed")
@@ -399,16 +392,6 @@ def _every_prefix(inst):
         yield from itertools.product(*[var.support for var in inst.variables[:ell]])
 
 
-def test_table_node_poly_equals_enumeration_at_every_prefix():
-    checked = 0
-    for inst in _generated_instances():
-        for prefix in _every_prefix(inst):
-            assert (kls_table_node_poly(inst, prefix).coeffs
-                    == kls_node_poly(inst, prefix).coeffs), prefix
-            checked += 1
-    assert checked > 700
-
-
 def test_table_entries_are_mixed_derivatives():
     for inst in (gen_kls_det(5, 3, 2, "mixed"), gen_kls_lorentz(5, 4, 2, "mixed")):
         table, scale = mixed_derivative_table(inst.h, inst.vectors)
@@ -422,8 +405,7 @@ def test_table_entries_are_mixed_derivatives():
 
 def test_table_root_equals_operator_form():
     for inst in _generated_instances():
-        assert (kls_table_node_poly(inst).coeffs
-                == kls_operator_form(inst).coeffs)
+        assert kls_node_poly(inst).coeffs == kls_operator_form(inst).coeffs
 
 
 def test_table_rejects_rank_two_vector():
@@ -603,7 +585,8 @@ def test_node_poly_equals_the_fraction_route_at_every_prefix():
 
 
 def test_leaf_denominators_of_the_fractional_custom_files():
-    # kls_node_poly sums leaves over a common multiple of their E^2.
+    # The leaves' E^2 differ within one file; the oracle reads each leaf
+    # with its own (KlsFamily.scaled_top_coeffs).
     for inst, expect in zip(_fractional_custom_instances(), [{4}, {1, 4}]):
         assert {kls_leaf_poly(inst, assignment)[1] for assignment in itertools.product(
             *[var.support for var in inst.variables])} == expect
@@ -704,8 +687,11 @@ def test_exact_cone_verdict_agrees_with_cone_membership(case):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_rational_kls_instances())
 def test_node_poly_equals_the_fraction_route_on_generated_instances(inst):
+    assert all(type(b) is int for b in inst.coefficient_table.entries.values())
     for prefix in _every_prefix(inst):
-        assert kls_node_poly(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs, prefix
+        got = kls_node_poly(inst, prefix).coeffs
+        assert all(type(c) is Fraction for c in got)
+        assert got == fraction_node_poly(inst, prefix).coeffs, prefix
 
 
 def _assert_integer_data_is_the_fraction_formula(inst):
@@ -736,17 +722,6 @@ def test_integer_data_equals_the_fraction_formula_on_the_spread_variable():
         _assert_integer_data_is_the_fraction_formula(inst)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(_rational_kls_instances())
-def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
-    table = inst.coefficient_table
-    assert all(type(b) is int for b in table.entries.values())
-    for prefix in _every_prefix(inst):
-        got = kls_table_node_poly(inst, prefix).coeffs
-        assert all(type(c) is Fraction for c in got)
-        assert got == kls_node_poly(inst, prefix).coeffs, prefix
-
-
 @st.composite
 def _signed_route_instances(draw):
     """A _rational_kls_instances draw on det m' = 2-3 or lorentz, with some
@@ -763,12 +738,13 @@ def _signed_route_instances(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_signed_route_instances())
 def test_three_signed_routes_agree_on_generated_instances(inst):
-    # The integer restriction route, the enumeration and the table give the
-    # same root polynomial, coefficient by coefficient, as Fractions.
+    # The integer restriction route, the table and the Fraction sum over
+    # every completion give the same root polynomial, coefficient by
+    # coefficient, as Fractions.
     got = kls_operator_form(inst).coeffs
     assert all(type(c) is Fraction for c in got)
     assert got == kls_node_poly(inst).coeffs
-    assert got == kls_table_node_poly(inst).coeffs
+    assert got == fraction_node_poly(inst).coeffs
 
 
 def _per_vertex_operator_form(inst) -> UniPoly:
@@ -791,7 +767,7 @@ def test_stacked_operator_form_equals_the_per_vertex_route_on_generated_files(ki
         assert ("coefficient_table" in vars(inst)) == loaded
         assert all(type(c) is Fraction for c in got)
         assert got == _per_vertex_operator_form(inst).coeffs
-        assert got == kls_table_node_poly(inst).coeffs
+        assert got == kls_node_poly(inst).coeffs
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -810,14 +786,15 @@ def test_integer_table_clears_the_coefficients_of_h():
     table = inst.coefficient_table
     assert table.denominator == 4
     for prefix in _every_prefix(inst):
-        assert kls_table_node_poly(inst, prefix).coeffs == kls_node_poly(inst, prefix).coeffs
+        assert kls_node_poly(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs
 
 
 class _EnumeratedFamily(KlsFamily):
-    """Every node, and so every oracle answer, by enumerating completions."""
+    """Every node, and so every oracle answer, by the Fraction sum over its
+    completions (fraction_node_poly)."""
 
     def node_poly(self, prefix):
-        return kls_node_poly(self.inst, tuple(prefix))
+        return fraction_node_poly(self.inst, tuple(prefix))
 
     def scaled_top_coeffs(self, prefix, k):
         return None
@@ -904,9 +881,10 @@ def _unfolded_numerators(inst, table, partial) -> list:
 
 
 def _enumerated_numerators(inst, table, partial) -> list:
-    """N_k read back from the enumeration: the coefficient of x^(2d-k) in
-    kls_node_poly is Pr[prefix] N_k / (E^2 (L D)^k)."""
-    coeffs = kls_node_poly(inst, partial).coeffs
+    """N_k read back from the Fraction sum over every completion: the
+    coefficient of x^(2d-k) in fraction_node_poly is
+    Pr[prefix] N_k / (E^2 (L D)^k)."""
+    coeffs = fraction_node_poly(inst, partial).coeffs
     prob = math.prod(var.probs[var.support.index(s)] for s, var in zip(partial, inst.variables))
     out = []
     for k in range(2 * inst.h.d + 1):
@@ -940,7 +918,8 @@ def test_folded_sums_equal_the_unfolded_and_enumerated_numerators_at_every_split
 
 
 def test_folded_sums_equal_the_unfolded_numerators_past_the_guardrail():
-    # 2^5 3^5 completions: no enumeration, but the unfolded loop still runs.
+    # 2^5 3^5 completions, too many for the Fraction reference; the unfolded
+    # loop still runs.
     inst = gen_kls_det(10, 3, 1, "mixed")
     table = inst.coefficient_table
     rng = random.Random(5)
@@ -959,15 +938,14 @@ class _RecordingKlsFamily(KlsFamily):
 
     def scaled_top_coeffs(self, prefix, k):
         scaled = super().scaled_top_coeffs(prefix, k)
-        if scaled is not None:
-            self.answers.append((tuple(prefix), k, scaled))
+        self.answers.append((tuple(prefix), k, scaled))
         return scaled
 
 
 def _assert_integer_oracle_matches_fractions(inst, blocks=(1, 2, 3)) -> int:
     """Searches inst at several block sizes; every integer answer must give
-    the monic coefficients of kls_node_poly exactly, and the estimate under
-    float ==.  Returns the number of answers checked."""
+    the monic coefficients of fraction_node_poly exactly, and the estimate
+    under float ==.  Returns the number of answers checked."""
     checked = 0
     for block in blocks:
         family = _RecordingKlsFamily(inst)
@@ -977,7 +955,7 @@ def _assert_integer_oracle_matches_fractions(inst, blocks=(1, 2, 3)) -> int:
         assert result == slow
         for prefix, k, (coeffs, scale) in family.answers:
             assert all(type(c) is int for c in coeffs) and type(scale) is int and scale > 0
-            exact = monic_top_coeffs(kls_node_poly(inst, prefix), k)
+            exact = monic_top_coeffs(fraction_node_poly(inst, prefix), k)
             assert tuple(Fraction(c, scale ** j) for j, c in enumerate(coeffs, 1)) == exact
             assert (max_root_estimate(family.degree, k, coeffs, scale)
                     == max_root_estimate(family.degree, k, exact)), prefix
@@ -994,6 +972,24 @@ def test_integer_estimate_equals_the_fraction_route_at_every_visited_prefix():
 @given(_rational_kls_instances())
 def test_integer_estimate_equals_the_fraction_route_on_generated_instances(inst):
     _assert_integer_oracle_matches_fractions(inst, blocks=(1, 2))
+
+
+def test_leaf_scores_equal_the_fraction_route_at_every_leaf_and_k():
+    # A full assignment is scored off its one int restriction
+    # (kls_leaf_poly) with the inner nodes' formula, for every even k.
+    checked = 0
+    for inst in _generated_instances():
+        family = KlsFamily(inst)
+        for leaf in itertools.product(*[var.support for var in inst.variables]):
+            poly = fraction_node_poly(inst, leaf)
+            for k in range(2, family.degree + 1, 2):
+                coeffs, scale = family.scaled_top_coeffs(leaf, k)
+                exact = monic_top_coeffs(poly, k)
+                assert tuple(Fraction(c, scale ** j) for j, c in enumerate(coeffs, 1)) == exact
+                assert (max_root_estimate(family.degree, k, coeffs, scale)
+                        == max_root_estimate(family.degree, k, exact)), (leaf, k)
+                checked += 1
+    assert checked > 900
 
 
 def test_centered_sum_over_ints_equals_the_fraction_sum():

@@ -12,6 +12,7 @@ to the straightforward one-set-at-a-time computation it replaced.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,12 @@ def assert_same_as_reference(n, items):
     assert mu.sets.tolist() == [list(elems) for elems, _ in support]
     assert max_marginal(mu) == reference_max_marginal(mu)
     assert type(max_marginal(mu)) is Fraction
+    # The int weights kept at load give each row's probability over the
+    # lcm of the probabilities' denominators.
+    fractions = [Fraction(p) for _, p in support]
+    assert mu.denominator == math.lcm(*(p.denominator for p in fractions))
+    assert all(type(w) is int for w in mu.weights)
+    assert [Fraction(w, mu.denominator) for w in mu.weights] == fractions
     return mu
 
 
