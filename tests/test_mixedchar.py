@@ -392,6 +392,16 @@ def _every_prefix(inst):
         yield from itertools.product(*[var.support for var in inst.variables[:ell]])
 
 
+def test_table_node_poly_equals_enumeration_at_every_prefix():
+    checked = 0
+    for inst in _generated_instances():
+        for prefix in _every_prefix(inst):
+            assert (kls_node_poly(inst, prefix).coeffs
+                    == fraction_node_poly(inst, prefix).coeffs), prefix
+            checked += 1
+    assert checked > 700
+
+
 def test_table_entries_are_mixed_derivatives():
     for inst in (gen_kls_det(5, 3, 2, "mixed"), gen_kls_lorentz(5, 4, 2, "mixed")):
         table, scale = mixed_derivative_table(inst.h, inst.vectors)
@@ -687,11 +697,8 @@ def test_exact_cone_verdict_agrees_with_cone_membership(case):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_rational_kls_instances())
 def test_node_poly_equals_the_fraction_route_on_generated_instances(inst):
-    assert all(type(b) is int for b in inst.coefficient_table.entries.values())
     for prefix in _every_prefix(inst):
-        got = kls_node_poly(inst, prefix).coeffs
-        assert all(type(c) is Fraction for c in got)
-        assert got == fraction_node_poly(inst, prefix).coeffs, prefix
+        assert kls_node_poly(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs, prefix
 
 
 def _assert_integer_data_is_the_fraction_formula(inst):
@@ -720,6 +727,17 @@ def test_integer_data_equals_the_fraction_formula_on_the_spread_variable():
     assert KlsInstance.build(D1, [(Fraction(1),)], [spread]).integer_data[1] == 8
     for inst in _int_route_instances():
         _assert_integer_data_is_the_fraction_formula(inst)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_rational_kls_instances())
+def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
+    table = inst.coefficient_table
+    assert all(type(b) is int for b in table.entries.values())
+    for prefix in _every_prefix(inst):
+        got = kls_node_poly(inst, prefix).coeffs
+        assert all(type(c) is Fraction for c in got)
+        assert got == fraction_node_poly(inst, prefix).coeffs, prefix
 
 
 @st.composite
