@@ -1,5 +1,6 @@
 """CLI surface: generation, solving, verification, bench, determinism."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -153,6 +154,69 @@ def test_gen_deterministic(capsys):
     assert first == second
     _, third = run(capsys, "gen", "--kind", "kls-det", "--n", "4", "--seed", "4")
     assert first != third
+
+
+# sha256 of the stdout of gen over the four variable kinds and seeds 0-3, in
+# that order, per (kind, mprime or m, n): sigma is printed to the last bit.
+GEN_KLS_DIGESTS = {
+    ("kls-det", 1, 1): "9c4598b1dddf4b4cdc59e1825159f2c65e4f08dea1aedc24601149a3715ac181",
+    ("kls-det", 1, 2): "3f7d28df0a702068e6aca3fda876d368a568d38aeb04764e8a9470a9b19d3ec3",
+    ("kls-det", 1, 5): "cae418612e72d14feaae37ad0fcf4a4874abe9c7cd56b5c85e7a124c73854cf6",
+    ("kls-det", 2, 1): "26bcac4e26ad6899557a75d934eb9fa8433660589ffd7659b4746575b46b15d1",
+    ("kls-det", 2, 2): "ba710cd8864fba37b090ce7238a5498c93e5faadb296e05954e655ebbe60dc26",
+    ("kls-det", 2, 5): "66bfff43fdc939670509311917442b65115136807f06626889ef48de1aca651c",
+    ("kls-det", 3, 1): "0f4ef74deb8e9108f02a3687ac6e2bf4482dfb0051e44c70804f9f1802e46921",
+    ("kls-det", 3, 2): "cbf0a9ca2066bf6ea00aa1bf6e4aa3ecb7262bb531e20358b48a954a0282bb4f",
+    ("kls-det", 3, 5): "c5a371fc20a3ae341706ce57968a2760d4e557db6a265c594aaa5edd8541b919",
+    ("kls-lorentz", 3, 1): "95531eb522063c43c71163c150ce303acaea2e10dc799761466abb11c4536024",
+    ("kls-lorentz", 3, 2): "bd6173edb7807ef5dc497aadfcbd530d010e3df44f9630bb05ac68918b7a4b0c",
+    ("kls-lorentz", 3, 5): "1bbe6a94d11e7c84cbdb0eec3ecbb352fd450843f1e3e7a21d4fb26d30c8ce53",
+    ("kls-lorentz", 4, 1): "dbb331e65bc9f22cbc4ca5efa13c692a1a1a8a9286884b35cb7732d1ad144eeb",
+    ("kls-lorentz", 4, 2): "75b9bad89ed11c98e7c4ee9a1101036efeb4f5f0ab6bc625355d33d2f169689b",
+    ("kls-lorentz", 4, 5): "6983c57c85fa3d1603d9cc76dcfba6538286e859db27171b112a5c9812c7ac6a",
+}
+# sha256 of bench's JSON stdout at --count 2 --trials 20 --seed 3, with its
+# timing columns dropped and the keys sorted, per (kind, size flag, size, n,
+# variables): scale_param is sigma.
+BENCH_KLS_DIGESTS = {
+    ("kls-det", "--mprime", 1, 3, "mixed"):
+        "dc5076fd670c98fb2f8fb1575eff0bdf04874fb156ef4313077ea1b20a6e615a",
+    ("kls-det", "--mprime", 2, 4, "biased"):
+        "8dcbb5a65e657010828154bf9ab8625dd140882682f6e841294c060060226751",
+    ("kls-det", "--mprime", 3, 5, "threepoint"):
+        "7bfc023c21a3c14c0d1bcbdd0eab78c3702c05b67f8320c13420d2af90b7343e",
+    ("kls-lorentz", "--m", 3, 4, "rademacher"):
+        "3fc9e16354d4f9b283c9d53443917f514e29d8dc4e378bb24e0c10beb0fe4cce",
+    ("kls-lorentz", "--m", 4, 5, "mixed"):
+        "2d1516f2d42efdf361e389740b1d2f033516b90544d6a5938b0d2fc52ab4a2e5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GEN_KLS_DIGESTS))
+def test_gen_kls_outputs_are_pinned(capsys, key):
+    kind, size, n = key
+    flag = "--mprime" if kind == "kls-det" else "--m"
+    digest = hashlib.sha256()
+    for variables in ("mixed", "rademacher", "biased", "threepoint"):
+        for seed in range(4):
+            code, out = run(capsys, "gen", "--kind", kind, flag, str(size), "--n", str(n),
+                            "--variables", variables, "--seed", str(seed))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == GEN_KLS_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_KLS_DIGESTS))
+def test_bench_kls_outputs_are_pinned(capsys, key):
+    kind, flag, size, n, variables = key
+    code, out = run(capsys, "bench", "--kind", kind, flag, str(size), "--n", str(n),
+                    "--variables", variables, "--count", "2", "--trials", "20", "--seed", "3")
+    assert code == 0
+    blob = json.loads(out)
+    for row in blob["rows"]:
+        del row["t_brute"], row["t_blocked"]
+    text = json.dumps(blob, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_KLS_DIGESTS[key]
 
 
 def test_roundtrip_lossless(capsys):
