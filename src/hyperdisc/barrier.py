@@ -33,11 +33,11 @@ largest root is exactly c times that of P_1.  The chain therefore takes the
 largest root of the unscaled instance's exact root polynomial
 (mixedchar.kls_node_poly, read off the coefficient table that loading
 builds, or that this first call builds) and multiplies it by 1/sigma once.
-sigma is read after it and comes from that table too: the variance mix is
-summed over ints from its entries (KlsInstance.variance_mix).  Phi, the
-probes and the variance mix are evaluated on the scaled instance, whose
-float traces come from one stacked restriction and whose variance_mix
-spectrum gives both the norm step and lambda_1.
+sigma does not read the table: its variance mix is summed over ints from
+one stacked int restriction of the vectors (KlsInstance.variance_mix).
+Phi, the probes and the variance mix are evaluated on the scaled instance,
+whose float traces come from one stacked restriction and whose
+variance_mix spectrum gives both the norm step and lambda_1.
 
 The chain builds each point once, in float stacks that keep the bits of
 one point at a time: the probes' w in one stack (_points), evaluated by one
@@ -255,7 +255,7 @@ def verify_bound_chain(inst) -> ChainReport:
     signed = isinstance(inst, KlsInstance)
     steps = []
     if signed:
-        root = kls_node_poly(inst)  # builds the table, so sigma sums the mix over ints
+        root = kls_node_poly(inst)  # read off the table, which loading or this call builds
         if not inst.sigma > 0:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
         root_scale = 1.0 / inst.sigma

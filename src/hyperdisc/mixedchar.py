@@ -186,11 +186,13 @@ class KlsInstance:
     checked exactly or hold by construction (KlsTable.build); build itself
     checks only the shapes.
     The traces and sigma are computed on first use, and the search never
-    reads them.  The traces take one stacked restriction.  On a loaded
-    file, whose coefficient table is built, sigma reads the variance mix
-    off the table and integer_data, so it costs one exact characteristic
-    polynomial, the mix's; any other instance (gen's before its table is
-    built, or one scaled by a float) sums the mix over its traces.
+    reads them.  The traces take one stacked restriction.  sigma has one
+    route per arithmetic.  An exact instance, loaded or generated, takes its
+    variance mix over ints from integer_data and one stacked int
+    restriction of the vectors, and never reads the traces or the
+    coefficient table; the mix's spectrum costs one exact characteristic
+    polynomial.  An instance scaled by a float sums the mix over its float
+    traces.
     """
 
     h: HyperbolicInstance
@@ -214,7 +216,7 @@ class KlsInstance:
 
     @functools.cached_property
     def exact(self) -> bool:
-        """Whether no vector holds a float: variance_mix may read the table."""
+        """Whether no vector holds a float: variance_mix then sums over ints."""
         return not any(isinstance(c, float) for v in self.vectors for c in v)
 
     @functools.cached_property
@@ -227,29 +229,30 @@ class KlsInstance:
     def variance_mix(self) -> Spectrum:
         """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i.
 
-        For exact vectors whose coefficient table is built (every loaded
-        file's), the mix is summed over ints first: with D, L, the int
-        vectors D v_i and L^2 tau_i^2 from integer_data and the table
-        entries E D a_i, sum_i (L^2 tau_i^2) (E D a_i) (D v_i) is the mix
-        times L^2 D^2 E a_0, so one division per coordinate gives the
-        mix's Fractions.  Otherwise the mix is summed over the traces, in
-        the vectors' own arithmetic: the table is not built for it, since
-        its sum_{k <= d} C(n, k) entries grow like n^d.
+        Exact vectors sum the mix over ints: with D, L, the int vectors
+        D v_i and L^2 tau_i^2 from integer_data, one stacked
+        h.restrict_e_ints call on the D v_i gives rows whose top two
+        coefficients are E a_0 = E h(e) and E D a_i, for a_i = D_{v_i} h(e)
+        and tr[v_i] = a_i / a_0.  So sum_i (L^2 tau_i^2) (E D a_i) (D v_i)
+        is the mix times L^2 D^2 E a_0, and one division per coordinate
+        gives the mix's Fractions.  Float vectors (the barrier chain's
+        instance scaled by 1/sigma) sum the mix over their traces, in
+        binary64.
         """
         h = self.h
-        if self.exact and "coefficient_table" in self.__dict__:
+        if self.exact:
             vec_scale, var_scale, vectors, _, variances, _ = self.integer_data
-            entries = self.coefficient_table.entries
+            rows, _ = h.restrict_e_ints(vectors)
             acc = [0] * h.m
-            for i, (v, weight) in enumerate(zip(vectors, variances)):
-                weight *= entries[1 << i]
+            for v, weight, row in zip(vectors, variances, rows):
+                weight *= row[h.d - 1]
                 if weight:
                     acc = [a + weight * x for a, x in zip(acc, v)]
-            denom = (vec_scale * var_scale) ** 2 * entries[0]
+            denom = (vec_scale * var_scale) ** 2 * rows[0][h.d]
             return spectrum(h, tuple(Fraction(a, denom) for a in acc))
-        mix = [Fraction(0)] * h.m
+        mix = [0.0] * h.m
         for v, tau2, tr in zip(self.vectors, self.tau_squares, self.traces):
-            weight = tau2 * tr
+            weight = float(tau2) * tr
             for idx in range(h.m):
                 mix[idx] = mix[idx] + weight * v[idx]
         return spectrum(h, tuple(mix))

@@ -36,9 +36,10 @@ def test_gen_kls_det(capsys, tmp_path):
 
 
 def test_loading_a_kls_file_computes_no_char_poly(capsys, monkeypatch):
-    # Traces and sigma are computed on first use, not on every load; the
-    # traces are read off the table that loading built, so sigma costs one
-    # characteristic polynomial, the variance mix's.
+    # Traces and sigma are computed on first use, not on every load.  sigma
+    # weighs the mix by one stacked int restriction of the vectors (one
+    # batched kernel call), so it costs one characteristic polynomial, the
+    # spectrum of the variance mix.
     from hyperdisc import hyperbolic
 
     _, out = run(capsys, "gen", "--kind", "kls-det", "--n", "4", "--mprime", "3",

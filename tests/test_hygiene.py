@@ -28,6 +28,7 @@ receiver is unknown would hide an IsotropicFamily.n.
 """
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -47,7 +48,10 @@ TOLERANCE_CEILING = 1e-4
 FOREIGN_NAMES = {"sort_keys"}
 
 
+@functools.cache
 def _parse(path: Path) -> ast.Module:
+    """The tree of one file, parsed once per session: the tests only read
+    the trees, and most of them scan the same files."""
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -77,15 +81,17 @@ def _scoped_imports(scope: ast.AST, node: ast.AST):
 
 def test_no_unused_imports():
     unused = []
+    loaded = {}  # scope -> the names it loads
     for path in _modules():
         tree = _parse(path)
         for scope, node in _scoped_imports(tree, tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            loaded = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            if scope not in loaded:
+                loaded[scope] = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
             for alias in node.names:
                 bound = (alias.asname or alias.name).split(".")[0]
-                if bound not in loaded and (path.stem, bound) not in KEPT_IMPORTS:
+                if bound not in loaded[scope] and (path.stem, bound) not in KEPT_IMPORTS:
                     unused.append(f"{path.stem}.{bound}")
     assert unused == []
 
@@ -357,13 +363,12 @@ DOTTED_NAME = re.compile(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)\b")
 
 def _prose(path: Path):
     """The docstrings and comments of a module."""
-    source = path.read_text()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             doc = ast.get_docstring(node, clean=False)
             if doc:
                 yield doc
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+    for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
         if tok.type == tokenize.COMMENT:
             yield tok.string
 

@@ -1263,8 +1263,8 @@ def test_a_round_after_a_commit_reads_only_the_committed_rows():
 
 
 # ---------------------------------------------------------------------------
-# Stacked traces and the variance mix from the table, against one
-# restriction per vector and the Fraction sum.
+# Stacked traces and the variance mix over ints, against one restriction
+# per vector and the Fraction sum.
 # ---------------------------------------------------------------------------
 
 def _elem_sym_instances():
@@ -1300,25 +1300,55 @@ def _mix_reference(inst, traces) -> tuple:
     return tuple(mix)
 
 
-def test_traces_and_table_variance_mix_equal_the_restriction_route(monkeypatch):
-    handed = []
+def _variance_mix_instances():
+    """Exact instances of every kind sigma meets: the generated det (with
+    generators) and Lorentz files with every variable kind, at n = 1 too,
+    where a det restriction takes the one-base recurrence; det without
+    generators; the elem_sym and custom files (E != 1 among them); and
+    seeded e_k instances."""
+    yield from _int_route_instances()
+    yield from _elem_sym_instances()
+    for kind in VARIABLE_KINDS:
+        for mprime in (1, 2, 3):
+            yield gen_kls_det(1, mprime, 5, kind)
+        yield gen_kls_lorentz(1, 3, 5, kind)
+    rng = random.Random(7)
+    for mprime, n in ((1, 1), (2, 1), (1, 3), (2, 3), (3, 4)):
+        yield _det_instance(rng, mprime, n, ("rademacher", "biased", "threepoint"))
+
+
+def test_variance_mix_over_ints_equals_the_trace_route(monkeypatch):
+    handed, traced = [], []
     real = mixedchar.spectrum
+    traces_of = mixedchar.hyperbolic_traces
     monkeypatch.setattr(mixedchar, "spectrum", lambda h, x: handed.append(x) or real(h, x))
+    monkeypatch.setattr(mixedchar, "hyperbolic_traces",
+                        lambda h, vectors: traced.append(len(vectors)) or traces_of(h, vectors))
     checked = 0
-    for inst in itertools.chain(_int_route_instances(), _elem_sym_instances()):
+    for inst in _variance_mix_instances():
         traces = tuple(_trace_reference(inst.h, v) for v in inst.vectors)
+        want = _mix_reference(inst, traces)
+        # One integer route for every exact instance, whether its table is
+        # built (a loaded file's) or not (gen's), with generators or
+        # without: each hands spectrum the Fractions of the trace sum, and
+        # none reads the traces or builds a table.
+        fresh = [KlsInstance.build(inst.h, inst.vectors, inst.variables, gens)
+                 for gens in dict.fromkeys((inst.generators, None))]
+        tabled = KlsInstance.build(inst.h, inst.vectors, inst.variables, inst.generators)
+        tabled.coefficient_table
+        handed.clear()
+        traced.clear()
+        for other in (*fresh, tabled):
+            other.variance_mix
+            assert "traces" not in other.__dict__
+        assert traced == []
+        assert all("coefficient_table" not in other.__dict__ for other in fresh)
+        assert handed == [want] * (len(fresh) + 1)
+        assert all(type(c) is Fraction for c in handed[0])
         assert all(type(t) is Fraction for t in inst.traces)
         assert inst.traces == traces
-        # Without a table the mix is summed over the traces; with one
-        # (a loaded file's), over ints.  Both hand spectrum the same Fractions.
-        fresh = KlsInstance.build(inst.h, inst.vectors, inst.variables, inst.generators)
-        handed.clear()
-        fresh.variance_mix
-        assert "coefficient_table" not in fresh.__dict__
-        inst.coefficient_table
         mix_spectrum = inst.variance_mix
-        assert handed == [_mix_reference(inst, traces)] * 2
-        assert all(type(c) is Fraction for c in handed[0])
+        assert mix_spectrum == real(inst.h, want)
         if not inst.sigma > 0:
             continue
         # The chain's rescaled instance: float traces, one stacked restriction.
@@ -1329,9 +1359,8 @@ def test_traces_and_table_variance_mix_equal_the_restriction_route(monkeypatch):
         assert scaled.variance_mix == real(scaled.h, _mix_reference(scaled, traces))
         assert [list(map(float.hex, mix)) for mix in handed] == \
             [list(map(float.hex, _mix_reference(scaled, traces)))]
-        assert mix_spectrum == real(inst.h, _mix_reference(inst, inst.traces))
         checked += 1
-    assert checked > 20
+    assert checked > 40
 
 
 def test_eps2_equals_one_restriction_per_vector():
