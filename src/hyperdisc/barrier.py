@@ -255,7 +255,7 @@ def verify_bound_chain(inst) -> ChainReport:
     signed = isinstance(inst, KlsInstance)
     steps = []
     if signed:
-        root = kls_node_poly(inst)  # read off the table, which loading or this call builds
+        root = kls_node_poly(inst)
         if not inst.sigma > 0:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
         root_scale = 1.0 / inst.sigma

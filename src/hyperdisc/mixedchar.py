@@ -186,13 +186,11 @@ class KlsInstance:
     checked exactly or hold by construction (KlsTable.build); build itself
     checks only the shapes.
     The traces and sigma are computed on first use, and the search never
-    reads them.  The traces take one stacked restriction.  sigma has one
-    route per arithmetic.  An exact instance, loaded or generated, takes its
-    variance mix over ints from integer_data and one stacked int
-    restriction of the vectors, and never reads the traces or the
-    coefficient table; the mix's spectrum costs one exact characteristic
-    polynomial.  An instance scaled by a float sums the mix over its float
-    traces.
+    reads them.  The traces take one stacked restriction.  An exact
+    instance, loaded or generated, sums sigma's variance mix over ints
+    without reading the traces or the coefficient table, so sigma costs one
+    stacked int restriction and one exact characteristic polynomial, the
+    mix's; an instance scaled by a float sums the mix over its float traces.
     """
 
     h: HyperbolicInstance
