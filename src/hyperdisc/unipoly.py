@@ -10,23 +10,22 @@ real-rootedness verdicts are always certified by an exact Sturm count (any
 binary64 coefficient vector is a rational vector, so the exact route is
 available for floats too).
 
-The exact route runs over Python ints.  The coefficients are scaled to
-ints once; Yun's square-free decomposition takes its gcds by primitive
-pseudo-remainders (Collins 1967, Brown and Traub 1971) and divides exactly
-by Gauss's lemma, and each Sturm chain is a primitive pseudo-remainder
-sequence.  Each Yun polynomial is a nonzero multiple of its counterpart
-over the rationals and each chain entry a positive one, so the monic
-factors, signs and Sturm counts are the rational ones.
+The exact route runs over Python ints.  One loop of primitive
+pseudo-remainders (Collins 1967, Brown and Traub 1971) gives the Sturm
+chains and the gcds of Yun's square-free decomposition, whose divisions
+stay exact by Gauss's lemma; the input's chain ends in Yun's first gcd.
+Each factor is a nonzero multiple of its rational counterpart, so the
+monic factors, signs and Sturm counts are the rational ones.  Only the
+bisection points n/d are Fractions; a sign there is that of c(n/d) d^deg.
 
 One Horner rule (``_horner``) evaluates every polynomial here, in the
-arithmetic of its coefficients and argument: ``UniPoly.__call__``, the
-exact Sturm signs at rational points, and the residual-monotone Newton
-polish (``_polish``) and residual test over Python floats.  The polish
-works on one root at a time; the Sturm route polishes its bisection
-midpoints with it, from each monic factor's floats.  numpy serves only the
-companion eigenvalues and their imaginary-part test.  The one Newton
-interpolator (``interpolate``) lives here too; it takes a stack of value
-rows at once.
+arithmetic of its coefficients and argument: ``UniPoly.__call__``, and
+the residual-monotone Newton polish (``_polish``) and residual test over
+Python floats.  The polish works on one root at a time; the Sturm route
+polishes its bisection midpoints with it, from each monic factor's
+floats.  numpy serves only the companion eigenvalues and their
+imaginary-part test.  The one Newton interpolator (``interpolate``)
+lives here too; it takes a stack of value rows at once.
 """
 
 from __future__ import annotations
@@ -185,12 +184,16 @@ def _pseudo_remainder(a: list, b: list) -> list:
     return r
 
 
-def _gcd(a: list, b: list) -> list:
-    """A primitive gcd of int polynomials a and b, by the primitive
-    pseudo-remainder sequence."""
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return _primitive(a)
+def _remainder_sequence(a: list, b: list) -> list:
+    """Int a, b, then each negated primitive pseudo-remainder up to the first
+    constant or the last nonzero one: a gcd of a and b up to content and sign."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _primitive(_pseudo_remainder(seq[-2], seq[-1]))
+        if not r:
+            break
+        seq.append([-x for x in r])
+    return seq if b else [a]
 
 
 def _quotient(a: list, b: list) -> list:
@@ -211,59 +214,46 @@ def _difference(a: list, b: list) -> list:
     return _strip([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _monic(c: list) -> list:
-    return [Fraction(x, c[-1]) for x in c]
+def _sturm_chain(c: list) -> list:
+    """The Sturm chain of int c of degree >= 1, by primitive pseudo-remainders.
+
+    Each entry is a positive multiple of c's rational chain (c, c', then
+    each negated remainder over its |leading coefficient|), so every sign
+    and count is that chain's; -c's chain is the negated one."""
+    return _remainder_sequence(c, _deriv(c))
 
 
 def square_free_decomposition(c: list) -> list:
-    """Yun's algorithm: [(factor, multiplicity)] with factors monic Fractions.
+    """Yun's algorithm: [(factor, multiplicity, Sturm chain)], factors ints.
 
     The exact coefficients (a float is the rational it is) are scaled to
-    ints once; the gcds take primitive pseudo-remainders and the exact
-    divisions stay integral by Gauss's lemma.  Each int polynomial is a
-    nonzero multiple of the one Yun's recurrence has over the rationals
-    from the monic input, so the monic factors are the same.
+    ints once.  The input's Sturm chain ends in gcd(c, c'), so a square-free
+    input is its own factor with that chain; any other input gets a chain
+    per factor.  Each factor is a nonzero multiple, of either sign, of the
+    one Yun's recurrence has over the rationals from the monic input, so
+    the monic factors are the same.
     """
     c = _strip([Fraction(x) for x in c])
     if len(c) <= 1:
         return []
     (c,), _ = _integer_rows([c])
     c = _primitive(c)
-    dp = _deriv(c)
-    a = _gcd(c, dp)
+    chain = _sturm_chain(c)
+    a = _primitive(chain[-1])
     if len(a) == 1:
-        return [(_monic(c), 1)]
+        return [(c, 1, chain)]
     b = _quotient(c, a)
-    d = _difference(_quotient(dp, a), _deriv(b))
+    d = _difference(_quotient(chain[1], a), _deriv(b))
     out = []
     i = 1
     while len(b) > 1:
-        a = _gcd(b, d)
+        a = _primitive(_remainder_sequence(b, d)[-1])
         if len(a) > 1:
-            out.append((_monic(a), i))
+            out.append((a, i, _sturm_chain(a)))
         b = _quotient(b, a)
         d = _difference(_quotient(d, a), _deriv(b))
         i += 1
     return out
-
-
-def _sturm_chain(c: list) -> list:
-    """The Sturm chain of exact c over ints, by primitive pseudo-remainders.
-
-    Each entry is a positive multiple of the chain over the rationals (c,
-    c', then each negated remainder divided by its |leading coefficient|),
-    so every sign and every count is that chain's.
-    """
-    (p,), _ = _integer_rows([c])
-    chain = [p, _deriv(p)]
-    while len(chain[-1]) > 1:
-        r = _primitive(_pseudo_remainder(chain[-2], chain[-1]))
-        if not r:
-            break
-        chain.append([-x for x in r])
-    if chain[-1] == []:
-        chain.pop()
-    return chain
 
 
 def _sign(x) -> int:
@@ -275,8 +265,17 @@ def _variations(signs: list) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
+def _sign_at(c: list, t: Fraction) -> int:
+    """The sign of int c at t = n/d, d > 0: of c(n/d) d^deg by homogeneous Horner."""
+    n, d = t.numerator, t.denominator
+    acc, power = 0, 1
+    for x in reversed(c):
+        acc, power = acc * n + x * power, power * d
+    return _sign(acc)
+
+
 def _variations_at(chain: list, t: Fraction) -> int:
-    return _variations([_sign(_horner(poly, t)) for poly in chain])
+    return _variations([_sign_at(poly, t) for poly in chain])
 
 
 def sturm_count_all_real(chain: list) -> int:
@@ -288,15 +287,15 @@ def sturm_count_all_real(chain: list) -> int:
 
 
 def _cauchy_bound(c: list) -> Fraction:
-    lead = abs(c[-1])
-    return 1 + max(abs(x) for x in c[:-1]) / lead if len(c) > 1 else Fraction(1)
+    return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
 
 
 def _isolate_roots(c: list, chain: list) -> list:
-    """Disjoint intervals (a, b] each holding one root of square-free c.
+    """Disjoint intervals (a, b] each holding one root of square-free int c.
 
-    Exact rational midpoints hit by chance are returned as degenerate
-    intervals (r, r].
+    The Fraction ends start at the Cauchy bound, and every test reads int
+    signs of c and its chain.  Exact rational midpoints hit by chance are
+    returned as degenerate intervals (r, r].
     """
     bound = _cauchy_bound(c)
     total = _variations_at(chain, -bound) - _variations_at(chain, bound)
@@ -310,7 +309,7 @@ def _isolate_roots(c: list, chain: list) -> list:
             done.append((a, b))
             continue
         mid = (a + b) / 2
-        if _horner(c, mid) == 0:
+        if _sign_at(c, mid) == 0:
             done.append((mid, mid))
             # Shrink the flanks until they capture the cnt-1 remaining roots.
             eps = (b - a) / (4 * cnt)
@@ -360,6 +359,8 @@ def _polish(c: Sequence, dc: Sequence, r: float) -> float:
 def _refine_root(c: list, a: Fraction, b: Fraction) -> float:
     """Sign bisection to BISECT_WIDTH_TOL width, then float Newton from the midpoint.
 
+    c is an int factor of either sign, and the polish takes the monic
+    factor's floats as x / c[-1], which int division rounds correctly.
     The interval (a, b] holds exactly one (simple) root and c(a) != 0:
     _isolate_roots starts at -bound, which the strict Cauchy bound keeps off
     every root, and sets a left end only to a midpoint that is not a root
@@ -368,21 +369,21 @@ def _refine_root(c: list, a: Fraction, b: Fraction) -> float:
     """
     if a == b:
         return float(a)
-    if _horner(c, b) == 0:
+    if _sign_at(c, b) == 0:
         return float(b)
-    fa = _horner(c, a)
+    sa = _sign_at(c, a)
     for _ in range(30):
         if float(b - a) <= BISECT_WIDTH_TOL * max(1.0, abs(float(a)), abs(float(b))):
             break
         mid = (a + b) / 2
-        fm = _horner(c, mid)
-        if fm == 0:
+        sm = _sign_at(c, mid)
+        if sm == 0:
             return float(mid)
-        if (_sign(fm) == _sign(fa)):
-            a, fa = mid, fm
+        if sm == sa:
+            a = mid
         else:
             b = mid
-    r = _polish([float(x) for x in c], [float(x) for x in _deriv(c)], float((a + b) / 2))
+    r = _polish([x / c[-1] for x in c], [x / c[-1] for x in _deriv(c)], float((a + b) / 2))
     if float(a) - BRACKET_SLACK_TOL <= r <= float(b) + BRACKET_SLACK_TOL:
         return r
     return float((a + b) / 2)
@@ -392,17 +393,15 @@ def _certified_factors(p: UniPoly) -> list:
     """[(factor, multiplicity, Sturm chain)] of p's exact coefficients by Yun's
     algorithm; raises NotRealRooted unless the Sturm count of every factor
     reaches its degree."""
-    out = []
-    for factor, mult in square_free_decomposition(p.coeffs):
+    factors = square_free_decomposition(p.coeffs)
+    for factor, _, chain in factors:
         deg = len(factor) - 1
-        chain = _sturm_chain(factor)
         cnt = sturm_count_all_real(chain)
         if cnt < deg:
             raise NotRealRooted(
                 f"exact Sturm count {cnt} < factor degree {deg}; polynomial is not real-rooted"
             )
-        out.append((factor, mult, chain))
-    return out
+    return factors
 
 
 def _exact_real_roots(p: UniPoly) -> tuple:

@@ -32,6 +32,10 @@ from unipoly_helpers import (fraction_square_free_decomposition, fraction_sturm_
 X2_3X_2 = UniPoly.from_coeffs([2, -3, 1])  # (x-1)(x-2)
 
 
+def _monic(c: list) -> list:
+    return [Fraction(x, c[-1]) for x in c]
+
+
 def test_eval_constant_term():
     assert X2_3X_2(0) == 2
 
@@ -165,17 +169,20 @@ def test_stacked_interpolate_equals_one_row_at_a_time(data):
 
 
 def test_square_free_decomposition():
-    # (x-1)^2 (x+2)
+    # (x-1)^2 (x+2): int factors x+2 and x-1, each with its own Sturm chain.
     p = from_roots([1, 1, -2])
     parts = square_free_decomposition(list(p.coeffs))
-    mults = sorted(m for _, m in parts)
-    assert mults == [1, 2]
+    assert [(_monic(factor), m) for factor, m, _ in parts] == [([2, 1], 1), ([-1, 1], 2)]
+    assert all(type(x) is int for factor, _, chain in parts for poly in [factor] + chain
+               for x in poly)
+    assert all(chain == unipoly._sturm_chain(factor) for factor, _, chain in parts)
 
 
 def test_sturm_count():
     chain = unipoly._sturm_chain
-    assert sturm_count_all_real(chain([Fraction(-2), Fraction(0), Fraction(1)])) == 2  # x^2-2
-    assert sturm_count_all_real(chain([Fraction(1), Fraction(0), Fraction(1)])) == 0  # x^2+1
+    assert sturm_count_all_real(chain([-2, 0, 1])) == 2  # x^2-2
+    assert sturm_count_all_real(chain([1, 0, 1])) == 0  # x^2+1
+    assert sturm_count_all_real(chain([2, 0, -1])) == 2  # 2-x^2: every sign flips
 
 
 def test_roundtrip_interpolation_rational():
@@ -362,15 +369,28 @@ def test_clustered_roots_pass_the_companion_route(monkeypatch):
     assert abs(roots[0] - roots[1]) == pytest.approx(float(eps), rel=0.2)
 
 
-def test_exact_route_builds_one_sturm_chain_per_factor(monkeypatch):
-    # (x-1)^2 (x+2)(x-3): square-free factors (x+2)(x-3) and x-1.
-    chains = []
-    build = unipoly._sturm_chain
+def test_exact_route_builds_the_input_chain_then_one_per_factor(monkeypatch):
+    chains, steps = [], []
+    build, step = unipoly._sturm_chain, unipoly._pseudo_remainder
     monkeypatch.setattr(unipoly, "_sturm_chain", lambda c: chains.append(c) or build(c))
+    monkeypatch.setattr(unipoly, "_pseudo_remainder", lambda a, b: steps.append((a, b)) or step(a, b))
+    # Square-free (x+2)(x-3)(x-1/2): Yun's gcd(c, c') is the last entry of
+    # c's chain, so one chain is built and every pseudo-remainder is a step of it.
+    p = from_roots([Fraction(-2), Fraction(3), Fraction(1, 2)])
+    assert unipoly._exact_real_roots(p) == pytest.approx((3.0, 0.5, -2.0))
+    (c,), taken = chains, steps[:]
+    chain = build(c)
+    assert _monic(c) == list(p.coeffs) and len(chain[-1]) == 1
+    assert taken == list(zip(chain, chain[1:-1]))
+    # (x-1)^2 (x+2)(x-3): the input's chain, whose last entry is Yun's first
+    # gcd x-1, then one chain per square-free factor, (x+2)(x-3) and x-1.
+    chains.clear()
     p = from_roots([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)])
-    roots = unipoly._exact_real_roots(p)
-    assert len(chains) == 2
-    assert roots == pytest.approx((3.0, 1.0, 1.0, -2.0))
+    assert unipoly._exact_real_roots(p) == pytest.approx((3.0, 1.0, 1.0, -2.0))
+    assert len(chains) == 3
+    assert _monic(chains[0]) == list(p.coeffs)
+    assert _monic(unipoly._primitive(build(chains[0])[-1])) == [-1, 1]
+    assert [_monic(c) for c in chains[1:]] == [[-6, -1, 1], [-1, 1]]
 
 
 _EXACT = st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12))
@@ -430,8 +450,7 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
     got = unipoly._exact_real_roots(p)
     expect = tuple(float(r) for r in sorted(roots, reverse=True))
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
-    for factor, _ in square_free_decomposition(list(p.coeffs)):
-        chain = unipoly._sturm_chain(factor)
+    for factor, _, chain in square_free_decomposition(list(p.coeffs)):
         intervals = unipoly._isolate_roots(factor, chain)
         assert len(intervals) == len(factor) - 1
         for a, b in intervals:
@@ -440,22 +459,31 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
                 continue
             assert unipoly._horner(factor, a) != 0
             assert (unipoly._variations_at(chain, a) - unipoly._variations_at(chain, b)) == 1
+        # A factor's sign is not normalised: -factor gives the same brackets and roots.
+        neg = [-x for x in factor]
+        assert unipoly._isolate_roots(neg, unipoly._sturm_chain(neg)) == intervals
+        assert [unipoly._refine_root(neg, a, b) for a, b in intervals] == \
+            [unipoly._refine_root(factor, a, b) for a, b in intervals]
 
 
 def _assert_int_route_is_the_fraction_route(coeffs: list) -> None:
-    """Yun over ints gives the Fraction route's monic factors and
-    multiplicities, and each int Sturm chain entry is a positive multiple of
-    the Fraction chain's."""
+    """Yun over ints gives int factors whose monic forms and multiplicities
+    are the Fraction route's, and each entry of a factor's int Sturm chain
+    is a multiple of the Fraction chain's of its monic form, all of the sign
+    of the factor's leading coefficient."""
     factors = square_free_decomposition(coeffs)
-    assert factors == fraction_square_free_decomposition(coeffs)
-    assert all(type(x) is Fraction for factor, _ in factors for x in factor)
-    for factor, _ in factors:
-        chain, reference = unipoly._sturm_chain(factor), fraction_sturm_chain(factor)
-        assert len(chain) == len(reference)
-        for got, want in zip(chain, reference):
+    reference = fraction_square_free_decomposition(coeffs)
+    assert [(_monic(factor), m) for factor, m, _ in factors] == reference
+    for (factor, _, chain), (monic, _) in zip(factors, reference):
+        assert all(type(x) is int for x in factor)
+        assert chain == unipoly._sturm_chain(factor)
+        want_chain = fraction_sturm_chain(monic)
+        assert len(chain) == len(want_chain)
+        for got, want in zip(chain, want_chain):
             assert all(type(x) is int for x in got)
             ratio = got[-1] / want[-1]
-            assert ratio > 0 and [Fraction(x) for x in got] == [ratio * y for y in want]
+            assert (ratio > 0) == (factor[-1] > 0)
+            assert [Fraction(x) for x in got] == [ratio * y for y in want]
 
 
 _ROOT = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
@@ -491,16 +519,21 @@ def test_int_yun_and_sturm_on_the_named_cases():
                    list(from_roots([Fraction(5), Fraction(7, 2)]).coeffs),
                    [2.0 ** -80, 0.0, 1.0], [-(2.0 ** -80), 0.0, 1.0]):
         _assert_int_route_is_the_fraction_route(coeffs)
-    assert square_free_decomposition(from_roots([fifth, one, one, one]).coeffs) == \
-        [([-fifth, one], 1), ([-one, one], 3)]
+    parts = square_free_decomposition(from_roots([fifth, one, one, one]).coeffs)
+    assert [(_monic(factor), m) for factor, m, _ in parts] == [([-fifth, one], 1), ([-one, one], 3)]
 
 
 def _certificate(p: UniPoly):
-    """The certified factors and multiplicities, or the NotRealRooted text."""
+    """The certified monic factors and multiplicities, or the NotRealRooted text."""
     try:
-        return [(factor, mult) for factor, mult, _ in unipoly._certified_factors(p)]
+        return [(_monic(factor), mult) for factor, mult, _ in unipoly._certified_factors(p)]
     except NotRealRooted as exc:
         return str(exc)
+
+
+def _fraction_triples(c: list) -> list:
+    return [(factor, mult, fraction_sturm_chain(factor))
+            for factor, mult in fraction_square_free_decomposition(c)]
 
 
 @pytest.mark.parametrize("spec", SR_SEARCH_GRAPHS)
@@ -508,6 +541,42 @@ def test_sr_root_certificates_are_the_fraction_route(monkeypatch, spec):
     p = AgFamily(SrInstance.from_graph(_resolve_graph(spec))).node_poly(())
     _assert_int_route_is_the_fraction_route(list(p.coeffs))
     got = _certificate(p)
-    monkeypatch.setattr(unipoly, "square_free_decomposition", fraction_square_free_decomposition)
-    monkeypatch.setattr(unipoly, "_sturm_chain", fraction_sturm_chain)
+    monkeypatch.setattr(unipoly, "square_free_decomposition", _fraction_triples)
     assert got == _certificate(p)
+
+
+def _int_from_roots(roots) -> list:
+    """prod (d x - n) over the roots n/d, as ints."""
+    p = UniPoly.constant(1)
+    for r in map(Fraction, roots):
+        p = p * UniPoly.from_coeffs([-r.numerator, r.denominator])
+    return [int(x) for x in p.coeffs]
+
+
+# Odd numerators over 2^65 .. 2^80: points whose denominators pass 2^64.
+_FINE_POINT = st.builds(lambda k, e: Fraction(2 * k + 1, 2 ** e),
+                        st.integers(-2 ** 84, 2 ** 84), st.integers(65, 80))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dense=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=7),
+       sparse=st.lists(st.sampled_from((0, 0, 0, 1, -1, 3)), min_size=2, max_size=9),
+       roots=st.lists(st.tuples(_ROOT, st.integers(1, 3)), min_size=1, max_size=4),
+       points=st.lists(st.one_of(st.fractions(-30, 30, max_denominator=50), _FINE_POINT),
+                       max_size=4))
+def test_int_sign_is_the_sign_of_the_fraction_horner(dense, sparse, roots, points):
+    # Dense and sparse int polynomials, and int products with repeated
+    # rational roots (either sign); the points are 0, +-Cauchy bound, the
+    # exact roots, each root moved by 2^-70, and drawn points.
+    repeated = _int_from_roots([r for r, m in roots for _ in range(m)])
+    near = [Fraction(r) + s * Fraction(1, 2 ** 70) for r, _ in roots for s in (-1, 1)]
+    for c in (dense, sparse, repeated, [-x for x in repeated]):
+        c = unipoly._strip(list(c))
+        if len(c) < 2:
+            continue
+        bound = unipoly._cauchy_bound(c)
+        for t in [Fraction(0), bound, -bound] + [Fraction(r) for r, _ in roots] + near + points:
+            want = unipoly._sign(unipoly._horner([Fraction(x) for x in c], t))
+            assert unipoly._sign_at(c, t) == want
+        assert unipoly._sign_at(c, bound) != 0 and unipoly._sign_at(c, -bound) != 0
+    assert all(unipoly._sign_at(repeated, Fraction(r)) == 0 for r, _ in roots)
