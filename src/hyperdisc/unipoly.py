@@ -185,8 +185,8 @@ def _pseudo_remainder(a: list, b: list) -> list:
 
 
 def _remainder_sequence(a: list, b: list) -> list:
-    """Int a, b, then each negated primitive pseudo-remainder up to the first
-    constant or the last nonzero one: a gcd of a and b up to content and sign."""
+    """Int a, b, then each negated primitive pseudo-remainder up to a constant
+    or a zero remainder; the last entry is gcd(a, b) up to content and sign."""
     seq = [a, b]
     while len(seq[-1]) > 1:
         r = _primitive(_pseudo_remainder(seq[-2], seq[-1]))
