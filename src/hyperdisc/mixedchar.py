@@ -102,8 +102,15 @@ stacked restriction h.restrict_e_rows, on chunks of LEAF_CHUNK sets, gives
 the floats or Fractions of one restriction per set.  A prefix's node is the
 sum of the rows whose set agrees with it, added in support order from 0,
 which is the order the per-set sum takes, so both give the same values.
-Each committed prefix conditions the table (AgFamily.commit): the next
-round compares only its block's columns, on the rows that agree with it.
+The table is read-only data; no search writes to it.
+
+Both families answer the search through one protocol.  The oracle
+scaled_top_coeffs(prefix, k) gives a node's top-k monic coefficients as
+(C, q), each family's top coefficients put through the one normaliser
+scaled_monic; commit conditions the family on a committed prefix, and that
+state lives on the family, one per search: KlsFamily keeps the table with
+the prefix folded in, AgFamily the leaf-table rows that agree with it, so
+the next round reads only its block's columns, on those rows.
 """
 
 from __future__ import annotations
@@ -361,62 +368,20 @@ class KlsInstance:
         return tuple(Fraction(x, denom) for x in self.centered_ints(assignment))
 
 
+@dataclass(frozen=True)
 class LeafTable:
     """The leaves of the subset family, one row per support set, in support
-    order.
+    order, as read-only arrays.
 
     members[r, i] says whether element i is in set r.  rows[r] holds the
     d + 1 ascending coefficients of mu(S) * h(xe - sum_{i in S} v_i): rows
     is a float64 array for float vectors and an object array of Fractions
-    for exact ones.
-
-    The table is conditioned on the search's committed prefix (commit), as
-    KlsFamily.commit folds the signed table: a prefix that extends it is
-    compared on the committed rows alone, and only on its columns past the
-    commit.  The answers do not depend on what was committed.
+    for exact ones.  A search keeps which rows agree with its committed
+    prefix on its own family (AgFamily), never here.
     """
 
-    def __init__(self, members: np.ndarray, rows: np.ndarray):
-        self.members = members
-        self.rows = rows
-        self._last = (None, None)  # the last prefix asked and its rows
-        self._committed = ((), None)  # the committed prefix and its rows
-        self._codes = {}  # (base length, prefix length) -> packed codes
-
-    def commit(self, prefix) -> None:
-        """Keep the rows that agree with a committed prefix."""
-        prefix = tuple(prefix)
-        self._committed = (prefix, self.agreeing(prefix))
-        self._codes = {}
-
-    def agreeing(self, partial) -> np.ndarray:
-        """Indices, in support order, of the support sets that agree with a
-        0/1 membership prefix.
-
-        A prefix that extends the committed one is compared on the committed
-        rows, any other on the whole table.  Either way its columns past
-        that base are packed into one code per row, bit i for column
-        len(base) + i, computed once per base and length and kept until the
-        next commit: a round asks for one length only.
-
-        The last prefix's answer is kept: the search asks whether a prefix
-        is feasible and then for its node, and both need the same rows.
-        The returned array is shared, so callers must not modify it.
-        """
-        key = tuple(partial)
-        if self._last[0] != key:
-            done, rows = self._committed
-            if rows is None or key[:len(done)] != done:
-                done, rows = (), np.arange(len(self.members))
-            lo, bits = len(done), key[len(done):]
-            codes = self._codes.get((lo, len(bits)))
-            if codes is None:
-                weights = np.array([1 << i for i in range(len(bits))],
-                                   dtype=np.int64 if len(bits) < 64 else object)
-                codes = self._codes[lo, len(bits)] = self.members[rows, lo:lo + len(bits)] @ weights
-            target = sum(1 << i for i, bit in enumerate(bits) if bit)
-            self._last = (key, rows[codes == target])
-        return self._last[1]
+    members: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -473,7 +438,10 @@ class SrInstance:
             for col in chunk.T:
                 w = w + vecs[col]
             chunks.append(probs[lo:lo + len(chunk), None] * self.h.restrict_e_rows(-w))
-        return LeafTable(members, np.concatenate(chunks))
+        rows = np.concatenate(chunks)
+        members.setflags(write=False)
+        rows.setflags(write=False)
+        return LeafTable(members, rows)
 
     @staticmethod
     def from_graph(graph: Graph, exact: bool = False) -> "SrInstance":
@@ -737,18 +705,24 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     return UniPoly.from_coeffs([Fraction(c, denom) for c in total])
 
 
-def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
-    """Conditional polynomial for a 0/1 membership prefix (root for ()): the
-    leaf-table rows of the agreeing support sets, added in support order
-    from 0."""
-    table = inst.leaf_table
-    hits = table.agreeing(partial)
-    if not len(hits):
+def _leaf_sum(rows: np.ndarray, partial) -> np.ndarray:
+    """The leaf-table rows of a prefix's agreeing sets, added in support
+    order from 0."""
+    if not len(rows):
         raise EmptyBranch(f"no support set extends prefix {partial!r}")
     # cumsum adds row by row; + 0 gives the 0.0 that a sum started at 0
     # leaves where cumsum keeps a -0.0, and leaves Fractions exact.
-    total = np.cumsum(table.rows[hits], axis=0)[-1] + 0
-    return UniPoly.from_coeffs(total.tolist())
+    return np.cumsum(rows, axis=0)[-1] + 0
+
+
+def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
+    """Conditional polynomial for a 0/1 membership prefix (root for ()): the
+    leaf-table rows of the support sets that agree with it on every prefix
+    column, added in support order from 0."""
+    table = inst.leaf_table
+    bits = np.asarray(partial, dtype=bool)
+    hits = np.flatnonzero((table.members[:, :len(bits)] == bits).all(axis=1))
+    return UniPoly.from_coeffs(_leaf_sum(table.rows[hits], partial).tolist())
 
 
 def ag_operator_form(inst: SrInstance) -> UniPoly:
@@ -794,46 +768,70 @@ def ag_substitution_identity(inst: SrInstance) -> tuple:
 # Family adapters consumed by the search algorithms.
 # ---------------------------------------------------------------------------
 
-class KlsFamily:
-    """Search-facing view of the signed family: branch sets, node
-    polynomials, exact leaf norms."""
+def scaled_monic(top, scale: int = 1) -> tuple:
+    """The oracle's answer (C, q), c_j = C_j / q^j, for descending top
+    coefficients a_0..a_k.  Ints stand for a_j / scale^j: C_j = a_j a_0^(j-1)
+    and q = a_0 scale.  Fractions are first scaled to ints by the lcm of
+    their denominators, with scale 1.  Floats give c_j = a_j / a_0, q = 1.
+    """
+    lead = top[0]
+    if isinstance(lead, float):
+        return tuple(a / lead for a in top[1:]), 1
+    if isinstance(lead, Fraction):
+        (top,), _ = _integer_rows([top])
+        lead = top[0]
+    return tuple(a * lead ** (j - 1) for j, a in enumerate(top[1:], 1)), lead * scale
 
-    def __init__(self, inst: KlsInstance):
-        self.inst = inst
-        self.n = inst.n
-        self.branch_sets = [tuple(var.support) for var in inst.variables]
-        self.degree = 2 * inst.h.d
-        self._committed = None  # (prefix, its fold), set by commit
 
-    def node_poly(self, prefix) -> UniPoly:
-        """The node's exact polynomial, read off the instance's coefficient
-        table (kls_node_poly), built and checked when the file is loaded."""
-        return kls_node_poly(self.inst, tuple(prefix))
+class _SearchFamily:
+    """What the blocked search reads of a family (n, branch_sets, degree),
+    and the family's state conditioned on a committed prefix (_condition),
+    from which the oracle reads every prefix that extends it."""
+
+    _committed = None  # (prefix, its state), set by commit
+
+    def __init__(self, inst, branch_sets: list, degree: int):
+        self.inst, self.n, self.branch_sets, self.degree = inst, inst.n, branch_sets, degree
 
     def commit(self, assignment) -> None:
-        """Fold a committed prefix into the table once, so that the oracle
-        walks only the uncommitted coordinates on its extensions."""
+        """Condition the state on a committed prefix once, so that the
+        oracle reads only the uncommitted coordinates of its extensions."""
         assignment = tuple(assignment)
-        done, rows = self._base(assignment)
-        self._committed = (assignment, kls_fold(self.inst.coefficient_table, rows, len(done),
-                                                assignment[len(done):]))
+        done, state = self._base(assignment)
+        self._committed = (assignment, self._condition(state, len(done), assignment[len(done):]))
 
     def _base(self, prefix: tuple) -> tuple:
-        """The committed prefix and its fold if prefix extends it, else the
-        empty prefix and the table."""
+        """The committed prefix and its state if prefix extends it, else the
+        empty prefix and the unconditioned state."""
         if self._committed and prefix[:len(self._committed[0])] == self._committed[0]:
             return self._committed
-        return (), self.inst.coefficient_table.rows
+        return (), self._unconditioned
 
-    def scaled_top_coeffs(self, prefix, k: int):
+
+class KlsFamily(_SearchFamily):
+    """Search-facing view of the signed family.  Its state is the
+    coefficient table with a committed prefix folded in (kls_fold), so each
+    oracle call of the next round folds just its block."""
+
+    def __init__(self, inst: KlsInstance):
+        super().__init__(inst, [tuple(var.support) for var in inst.variables], 2 * inst.h.d)
+
+    @property
+    def _unconditioned(self) -> dict:
+        return self.inst.coefficient_table.rows
+
+    def _condition(self, rows: dict, lo: int, values) -> dict:
+        return kls_fold(self.inst.coefficient_table, rows, lo, values)
+
+    def scaled_top_coeffs(self, prefix, k: int) -> tuple:
         """Top-k monic coefficients of a node as ints (C, q) with
         c_j = C_j / q^j.
 
         An inner node's N_j come from kls_node_sums of its fold, and a
         leaf's from its one int restriction (kls_leaf_poly).  Either way,
         with s = L D, c_j = N_j / (N_0 s^j): Pr[prefix] and E^2 cancel, and
-        N_0 = (E h(e))^2 > 0 for the node's own E.  So q = N_0 s and
-        C_j = N_j N_0^(j-1).
+        N_0 = (E h(e))^2 > 0 for the node's own E, so scaled_monic of
+        N_0..N_k with scale s gives the answer.
         """
         prefix = tuple(prefix)
         table = self.inst.coefficient_table
@@ -841,49 +839,72 @@ class KlsFamily:
             sums = kls_leaf_poly(self.inst, prefix)[0]
         else:
             done, rows = self._base(prefix)
-            folded = kls_fold(table, rows, len(done), prefix[len(done):])
-            sums = kls_node_sums(table.weights, folded, k)
-        lead = sums[0]
-        return tuple(sums[j] * lead ** (j - 1) for j in range(1, k + 1)), lead * table.scale
+            sums = kls_node_sums(table.weights, self._condition(rows, len(done), prefix[len(done):]), k)
+        return scaled_monic(sums[:k + 1], table.scale)
 
     def feasible(self, prefix) -> bool:
         return True
 
     def root_max_root(self) -> float:
-        return max_real_root(self.node_poly(()))
+        """The root node's largest root, read off the coefficient table
+        (kls_node_poly), built and checked when the file is loaded."""
+        return max_real_root(kls_node_poly(self.inst))
 
     def leaf_norm(self, assignment) -> float:
         w = self.inst.centered_sum(assignment)
         return spectrum(self.inst.h, w).norm
 
 
-class AgFamily:
-    """Search-facing view of the subset family (0/1 branch values)."""
+class AgFamily(_SearchFamily):
+    """Search-facing view of the subset family (0/1 branch values).  Its
+    state is the leaf-table rows that agree with a committed prefix and
+    their packed codes per length; it also keeps the last prefix asked and
+    its rows, which feasible and then the oracle read."""
 
     def __init__(self, inst: SrInstance):
-        self.inst = inst
-        self.n = inst.n
-        self.branch_sets = [(0, 1)] * inst.n
-        self.degree = inst.h.d
+        super().__init__(inst, [(0, 1)] * inst.n, inst.h.d)
+        self._last = (None, None)  # the last prefix asked and its rows
 
-    def node_poly(self, prefix) -> UniPoly:
-        return ag_node_poly(self.inst, tuple(prefix))
+    @functools.cached_property
+    def _unconditioned(self) -> tuple:
+        """Every row of the leaf table, and no codes yet."""
+        return np.arange(len(self.inst.leaf_table.members)), {}
 
-    def commit(self, assignment) -> None:
-        """Condition the leaf table on a committed prefix, so that the next
-        round compares only its block's columns, on the rows that agree
-        with the commit."""
-        self.inst.leaf_table.commit(assignment)
+    def _condition(self, state: tuple, lo: int, bits) -> tuple:
+        """The rows of state whose columns lo, lo + 1, ... agree with bits,
+        as a new state.  The columns are packed into one code per row, bit i
+        for column lo + i, once per length: a round asks for one only."""
+        rows, codes = state
+        packed = codes.get(len(bits))
+        if packed is None:
+            weights = np.array([1 << i for i in range(len(bits))],
+                               dtype=np.int64 if len(bits) < 64 else object)
+            packed = codes[len(bits)] = self.inst.leaf_table.members[rows, lo:lo + len(bits)] @ weights
+        target = sum(1 << i for i, bit in enumerate(bits) if bit)
+        return rows[packed == target], {}
 
-    def scaled_top_coeffs(self, prefix, k: int):
-        """None: the oracle reads node_poly, the sum of leaf-table rows."""
-        return None
+    def agreeing(self, prefix) -> np.ndarray:
+        """Indices, in support order, of the support sets that agree with a
+        0/1 membership prefix.  The returned array is shared, so callers
+        must not modify it."""
+        key = tuple(prefix)
+        if self._last[0] != key:
+            done, state = self._base(key)
+            self._last = (key, self._condition(state, len(done), key[len(done):])[0])
+        return self._last[1]
+
+    def scaled_top_coeffs(self, prefix, k: int) -> tuple:
+        """Top-k monic coefficients of a node: the agreeing leaf-table rows
+        added as ag_node_poly adds them, and scaled_monic of the top k + 1
+        of the sum (ints for exact rows, floats with q = 1 for float ones)."""
+        total = _leaf_sum(self.inst.leaf_table.rows[self.agreeing(prefix)], prefix)
+        return scaled_monic(total[::-1][:k + 1].tolist())
 
     def feasible(self, prefix) -> bool:
-        return len(self.inst.leaf_table.agreeing(prefix)) > 0
+        return len(self.agreeing(prefix)) > 0
 
     def root_max_root(self) -> float:
-        return max_real_root(self.node_poly(()))
+        return max_real_root(ag_node_poly(self.inst))
 
     def leaf_norm(self, assignment) -> float:
         elems = [i for i, bit in enumerate(assignment) if bit]

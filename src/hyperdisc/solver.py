@@ -10,23 +10,22 @@ node to within deg^(1/k) whenever the spectrum is symmetric or nonnegative
 then lands on a leaf whose exact recomputed norm is certified post hoc
 against (1 + delta) times the root-node bound.
 
-Coefficients come from the family's node polynomial, and both families
-read it off a per-instance table (see mixedchar): a signed inner node is
-summed from the mixed-derivative coefficient table, so no completion is
-enumerated, and a subset node from the leaf table, so no leaf is restricted
-twice; the table is conditioned on each round's commit (AgFamily.commit).
+Every node reaches the oracle the same way, through the family's
+scaled_top_coeffs, which reads it off a per-instance table (see
+mixedchar); the family, never the instance, holds what each round's
+commit conditions.  A signed inner node is summed from the mixed-derivative
+coefficient table with the committed rounds folded in once per round, so
+no completion is enumerated, and a signed leaf comes from its one int
+restriction (mixedchar.kls_leaf_poly); a subset node is the sum of the
+leaf-table rows that agree with it, so no leaf is restricted twice.
 
 Exact coefficients stay ints.  The oracle answers (C, q) with monic
-coefficients c_j = C_j / q^j, and because p_j has weight j in the c_i,
-Newton's recurrence run on the C_j gives P_k = p_k q^k.  One division
-P_k / q^k, which rounds correctly, turns it into the same float the
-Fraction route gives.  Every signed node comes as ints
-(KlsFamily.scaled_top_coeffs): an inner node straight off the folded
-table, with the committed rounds folded in once per round
-(KlsFamily.commit), and a leaf off its one int restriction
-(mixedchar.kls_leaf_poly).  Exact subset nodes reach the oracle as the
-Fractions of node_poly, and integer_top_coeffs scales those to ints by the
-lcm of their denominators.  Float nodes keep q = 1.
+coefficients c_j = C_j / q^j (mixedchar.scaled_monic), and because p_j has
+weight j in the c_i, Newton's recurrence run on the C_j gives
+P_k = p_k q^k.  One division P_k / q^k, which rounds correctly, turns it
+into the same float the Fraction route gives.  Signed nodes are ints from
+the start, exact subset nodes are Fractions scaled to ints by the lcm of
+their denominators, and float nodes keep q = 1.
 """
 
 from __future__ import annotations
@@ -41,12 +40,11 @@ from fractions import Fraction
 import numpy as np
 
 # hdbench/test_bench_trace.py::test_tracer_restores_every_binding reads this binding.
-from ._exact import _integer_rows, char_poly_exact
+from ._exact import char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .mixedchar import KlsInstance
 from .scalars import CERTIFY_SLACK_TOL
 from .srdist import per_object
-from .unipoly import UniPoly
 
 MAX_BRUTE_BRANCHES = 1 << 16
 
@@ -91,44 +89,11 @@ def max_root_estimate(deg: int, k: int, coeffs, scale=1) -> float:
     return max(pk, 0.0) ** (1.0 / k)
 
 
-def monic_top_coeffs(poly: UniPoly, k: int) -> tuple:
-    lead = poly.leading
-    deg = poly.degree
-    out = []
-    for j in range(1, k + 1):
-        idx = deg - j
-        c = poly.coeffs[idx] if idx >= 0 else 0
-        out.append(c / lead)
-    return tuple(out)
-
-
-def integer_top_coeffs(poly: UniPoly, k: int) -> tuple:
-    """monic_top_coeffs of an exact polynomial as ints (C, q) with
-    c_j = C_j / q^j: with a_i the top coefficients times the lcm of their
-    denominators, q = a_0 and C_j = a_j a_0^(j-1)."""
-    deg = poly.degree
-    (ints,), _ = _integer_rows([[poly.coeffs[deg - j] if deg - j >= 0 else 0
-                                 for j in range(k + 1)]])
-    lead = ints[0]
-    return tuple(ints[j] * lead ** (j - 1) for j in range(1, k + 1)), lead
-
-
 def maxcoeff_enum(family, k: int, prefix) -> tuple:
     """Top-k monic coefficients of the family's node polynomial, as
-    (coeffs, scale) with c_j = coeffs[j-1] / scale^j.
-
-    Signed nodes come as ints (KlsFamily.scaled_top_coeffs), so no Fraction
-    is built.  Subset nodes are read off node_poly, the sum of leaf-table
-    rows: exact ones are then scaled to ints as well, and float ones keep
-    scale 1.
-    """
-    scaled = family.scaled_top_coeffs(prefix, k)
-    if scaled is not None:
-        return scaled
-    poly = family.node_poly(prefix)
-    if isinstance(poly.leading, Fraction):
-        return integer_top_coeffs(poly, k)
-    return monic_top_coeffs(poly, k), 1
+    (coeffs, scale) with c_j = coeffs[j-1] / scale^j
+    (family.scaled_top_coeffs)."""
+    return family.scaled_top_coeffs(prefix, k)
 
 
 # ---------------------------------------------------------------------------

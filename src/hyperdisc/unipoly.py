@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._exact import _integer_rows
-from .errors import DuplicateNode, NotRealRooted, TooLarge, ZeroPolynomial
+from .errors import DuplicateNode, HyperdiscError, NotRealRooted, TooLarge, ZeroPolynomial
 from .scalars import BISECT_WIDTH_TOL, BRACKET_SLACK_TOL, ROOT_IMAG_TOL, ROOT_RESIDUAL_TOL
 
 # Multiplicity-expanded real roots, non-increasing order.
@@ -93,12 +93,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __call__(self, t):
         return _horner(self.coeffs, t)
@@ -290,42 +284,58 @@ def _cauchy_bound(c: list) -> Fraction:
     return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
 
 
+def _level_cap(c: list) -> int:
+    """Bisection levels, and halvings of a flank, that no square-free int c
+    of degree n > 1 needs: with tau the bit length of the largest |c_i|,
+    the Cauchy bound spans 2B <= 2^(tau + 2), and Mignotte's bound keeps its
+    roots more than n^(-(n+2)/2) (sqrt(n+1) 2^tau)^(1-n) apart; this is
+    log2 of their ratio, rounded up generously."""
+    n, tau = len(c) - 1, max(abs(x) for x in c).bit_length()
+    return tau + 2 + (n + 2) * n.bit_length() + (n - 1) * (tau + (n + 1).bit_length())
+
+
 def _isolate_roots(c: list, chain: list) -> list:
     """Disjoint intervals (a, b] each holding one root of square-free int c.
 
     The Fraction ends start at the Cauchy bound, and every test reads int
     signs of c and its chain.  Exact rational midpoints hit by chance are
-    returned as degenerate intervals (r, r].
+    returned as degenerate intervals (r, r].  Bisection past _level_cap
+    means the sign counts contradict each other, which raises.
     """
-    bound = _cauchy_bound(c)
+    bound, cap = _cauchy_bound(c), _level_cap(c)
+    stuck = HyperdiscError(f"root isolation of degree {len(c) - 1} passed its cap of {cap} levels")
     total = _variations_at(chain, -bound) - _variations_at(chain, bound)
-    work = [(-bound, bound, total)]
+    work = [(-bound, bound, total, 0)]
     done = []
     while work:
-        a, b, cnt = work.pop()
+        a, b, cnt, level = work.pop()
         if cnt == 0:
             continue
         if cnt == 1:
             done.append((a, b))
             continue
+        if level == cap:
+            raise stuck
         mid = (a + b) / 2
         if _sign_at(c, mid) == 0:
             done.append((mid, mid))
             # Shrink the flanks until they capture the cnt-1 remaining roots.
             eps = (b - a) / (4 * cnt)
-            while True:
+            for _ in range(cap):
                 left = _variations_at(chain, a) - _variations_at(chain, mid - eps)
                 right = _variations_at(chain, mid + eps) - _variations_at(chain, b)
                 if left + right == cnt - 1:
                     break
                 eps /= 2
-            work.append((a, mid - eps, left))
-            work.append((mid + eps, b, right))
+            else:
+                raise stuck
+            work.append((a, mid - eps, left, level + 1))
+            work.append((mid + eps, b, right, level + 1))
             continue
         vm = _variations_at(chain, mid)
         left = _variations_at(chain, a) - vm
-        work.append((a, mid, left))
-        work.append((mid, b, cnt - left))
+        work.append((a, mid, left, level + 1))
+        work.append((mid, b, cnt - left, level + 1))
     return done
 
 

@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from hyperdisc import unipoly
 from hyperdisc.cli import _resolve_graph, build_parser, main
 from hyperdisc.graphs import Graph
+from hyperdisc.hyperbolic import determinant
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
-from hyperdisc.mixedchar import AgFamily, kls_node_poly, kls_operator_form
+from hyperdisc.mixedchar import AgFamily, KlsInstance, RandomVar, kls_node_poly, kls_operator_form
 from hyperdisc.solver import brute_force
 from hyperdisc.srdist import uniform_spanning_tree
 from kls_helpers import fraction_node_poly
+from unipoly_helpers import sign_at_without_powers
 
 
 def run(capsys, *argv) -> tuple:
@@ -110,6 +113,27 @@ def test_sr_solve_outputs_are_pinned(capsys, tmp_path, graph):
     inst, _ = instance_from_json(json.loads(path.read_text()))
     assignment, value = brute_force(inst, "ag")
     assert (assignment, value, AgFamily(inst).root_max_root()) == SR_BRUTE_VALUES[graph]
+
+
+def test_root_isolation_past_its_level_cap_exits_1_with_one_error_line(capsys, monkeypatch,
+                                                                        tmp_path):
+    # Eigenvalues 2 and 3, three times each, send the leaf spectra and the
+    # root node through the exact Sturm route.  With a broken _sign_at (the
+    # powers of d dropped) that route bisected without end; past its level
+    # cap it raises, and solve exits 1 with one error line.
+    h = determinant(6)
+    gens = [tuple(Fraction(a) if j == i else Fraction(0) for j in range(6))
+            for i, a in enumerate((2, 2, 2, 3, 3, 3))]
+    inst = KlsInstance.build(h, [h.vec_outer(u) for u in gens], [RandomVar.rademacher()] * 6)
+    path = tmp_path / "triple.json"
+    path.write_text(dumps(instance_to_json(inst)))
+    assert run(capsys, "solve", str(path))[0] == 0
+    monkeypatch.setattr(unipoly, "_sign_at", sign_at_without_powers)
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: root isolation of degree ")
+    assert captured.err.count("\n") == 1
 
 
 def test_gen_invalid_params(capsys):

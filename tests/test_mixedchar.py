@@ -19,6 +19,7 @@ from hyperdisc.errors import (
     RankTooHigh,
     ValueNotInSupport,
 )
+from hyperdisc.barrier import verify_bound_chain
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc import mixedchar
 from hyperdisc.hyperbolic import (
@@ -37,6 +38,7 @@ from hyperdisc.mixedchar import (
     KlsFamily,
     KlsInstance,
     KlsTable,
+    LeafTable,
     RandomVar,
     SrInstance,
     ag_node_poly,
@@ -47,10 +49,11 @@ from hyperdisc.mixedchar import (
     kls_node_poly,
     kls_node_sums,
     kls_operator_form,
+    scaled_monic,
 )
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
-from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate, monic_top_coeffs
+from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from hyperbolic_helpers import cone_membership, rank1_product_derivative
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
@@ -59,7 +62,7 @@ from multipoly_helpers import linear_restriction_multipoly
 from srdist_helpers import from_support, pairs
 from stability_oracle import stability_test
 from subset_helpers import fraction_operator_form
-from unipoly_helpers import from_roots, scale
+from unipoly_helpers import from_roots, monic_top_coeffs, scale
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -236,7 +239,7 @@ def _has_common_interlacing(polys, samples: int = 16, seed: int = 0) -> bool:
     common interlacing iff every convex combination is real-rooted.  Checks
     the vertices, the pairwise midpoints and ``samples`` seeded weight
     vectors, each combination exactly."""
-    assert len({p.degree for p in polys}) == 1 and all(p.leading > 0 for p in polys)
+    assert len({p.degree for p in polys}) == 1 and all(p.coeffs[-1] > 0 for p in polys)
     k = len(polys)
     rng = random.Random(seed)
     weights = [[Fraction(int(t == i)) for t in range(k)] for i in range(k)]
@@ -289,10 +292,11 @@ def _descend(fam):
     smallest largest root, and checks that this root never exceeds the
     parent's: the interlacing-family existence argument.  Returns the leaf's
     assignment and largest root."""
+    node_poly = kls_node_poly if isinstance(fam, KlsFamily) else ag_node_poly
     prefix = ()
     top = fam.root_max_root()
     for values in fam.branch_sets:
-        child_top, value = min((max_real_root(fam.node_poly(prefix + (v,))), v)
+        child_top, value = min((max_real_root(node_poly(fam.inst, prefix + (v,))), v)
                                for v in values if fam.feasible(prefix + (v,)))
         assert child_top <= top + 1e-8 * max(1.0, abs(top))
         prefix, top = prefix + (value,), child_top
@@ -426,7 +430,7 @@ def test_table_rejects_rank_two_vector():
     inst = KlsInstance.build(h, vectors, [RADEMACHER] * 2)
     # The family has no enumerating fallback: its nodes need the table.
     with pytest.raises(RankTooHigh):
-        KlsFamily(inst).node_poly(())
+        KlsFamily(inst).root_max_root()
     with pytest.raises(RankTooHigh):
         KlsFamily(inst).scaled_top_coeffs((), 2)
 
@@ -808,14 +812,14 @@ def test_integer_table_clears_the_coefficients_of_h():
 
 
 class _EnumeratedFamily(KlsFamily):
-    """Every node, and so every oracle answer, by the Fraction sum over its
-    completions (fraction_node_poly)."""
-
-    def node_poly(self, prefix):
-        return fraction_node_poly(self.inst, tuple(prefix))
+    """Every node, and so every oracle answer and the root bound, by the
+    Fraction sum over its completions (fraction_node_poly)."""
 
     def scaled_top_coeffs(self, prefix, k):
-        return None
+        return scaled_monic(fraction_node_poly(self.inst, tuple(prefix)).coeffs[::-1][:k + 1])
+
+    def root_max_root(self):
+        return max_real_root(fraction_node_poly(self.inst))
 
 
 def test_search_same_with_table_and_enumeration():
@@ -1082,9 +1086,9 @@ class _RecordingFamily(AgFamily):
         self.prefixes.append(tuple(prefix))
         return super().feasible(prefix)
 
-    def node_poly(self, prefix):
+    def scaled_top_coeffs(self, prefix, k):
         self.prefixes.append(tuple(prefix))
-        return super().node_poly(prefix)
+        return super().scaled_top_coeffs(prefix, k)
 
     def root_max_root(self):
         """No root bound, so the search runs its rounds on every graph,
@@ -1180,25 +1184,44 @@ def _exact_bits(coeffs) -> list:
     return [c.hex() if isinstance(c, float) else (type(c), c) for c in coeffs]
 
 
+def _monic_answer(answer) -> tuple:
+    """The monic coefficients of an oracle answer (C, q): Fractions
+    C_j / q^j for int C, the floats themselves for float C (q = 1)."""
+    coeffs, scale = answer
+    if all(type(c) is int for c in coeffs):
+        return tuple(Fraction(c, scale ** j) for j, c in enumerate(coeffs, 1))
+    assert scale == 1
+    return coeffs
+
+
 def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
     """Walk the rounds of a blocked search, committing a random feasible
     tuple each round, and check every tuple of every round, the leaf and
-    the root against the full scan; then commit a prefix that does not
-    extend the last commit and check again."""
+    the root against the full scan: the agreeing rows, and the oracle's
+    answer against the monic top coefficients of ag_node_poly at k = 2 and
+    the search's k, bit for bit.  Then commit a prefix that does not extend
+    the last commit and check again."""
     table = inst.leaf_table
     family = AgFamily(inst)
+    ks = {2, SolverConfig(delta=0.5).resolve(inst.n, family.degree)[1]}
     rng = random.Random(seed)
 
     def check(prefix):
         expect = _full_scan(table, prefix)
         assert family.feasible(prefix) == (len(expect) > 0), prefix
-        assert np.array_equal(table.agreeing(prefix), expect), prefix
+        assert np.array_equal(family.agreeing(prefix), expect), prefix
         if not len(expect):
             with pytest.raises(EmptyBranch):
                 ag_node_poly(inst, prefix)
+            with pytest.raises(EmptyBranch):
+                family.scaled_top_coeffs(prefix, 2)
             return False
+        node = ag_node_poly(inst, prefix)
         want = UniPoly.from_coeffs((np.cumsum(table.rows[expect], axis=0)[-1] + 0).tolist())
-        assert _exact_bits(ag_node_poly(inst, prefix).coeffs) == _exact_bits(want.coeffs), prefix
+        assert _exact_bits(node.coeffs) == _exact_bits(want.coeffs), prefix
+        for k in ks:
+            got = _monic_answer(family.scaled_top_coeffs(prefix, k))
+            assert _exact_bits(got) == _exact_bits(monic_top_coeffs(node, k)), (prefix, k)
         return True
 
     def rounds(assignment):
@@ -1249,17 +1272,52 @@ def test_a_round_after_a_commit_reads_only_the_committed_rows():
     inst = SrInstance.from_graph(_graph("random:9:16:1"))
     table = inst.leaf_table
     commit = (1, 0, 1)
-    AgFamily(inst).commit(commit)
     committed = _full_scan(table, commit)
     assert 0 < len(committed) < len(table.members) // 4
     combos = list(itertools.product((0, 1), repeat=3))
     want = {combo: _full_scan(table, commit + combo) for combo in combos}
-    # Flip every row outside the commit: the rounds that extend it must
-    # not read them.
+    # The same instance over a writable copy of the table, whose rows
+    # outside the commit are flipped after it: the rounds that extend the
+    # commit must not read them.
+    copy = SrInstance(inst.h, inst.mu, inst.vectors)
+    copy.__dict__["leaf_table"] = LeafTable(table.members.copy(), table.rows)  # the cached slot
+    family = AgFamily(copy)
+    family.commit(commit)
     outside = np.setdiff1d(np.arange(len(table.members)), committed)
-    table.members[outside] = ~table.members[outside]
+    copy.leaf_table.members[outside] = ~copy.leaf_table.members[outside]
     for combo in combos:
-        assert np.array_equal(table.agreeing(commit + combo), want[combo]), combo
+        assert np.array_equal(family.agreeing(commit + combo), want[combo]), combo
+
+
+@pytest.mark.parametrize("spec, exact", [("k4", False), ("k5", False), ("diamond", True)])
+def test_a_search_leaves_the_instance_as_it_was(spec, exact):
+    # The search's state lives on its family: after a blocked search the
+    # instance's leaf table holds the same read-only arrays, and a fresh
+    # family answers every prefix, and the barrier chain reports, as before.
+    inst = SrInstance.from_graph(_graph(spec), exact=exact)
+    table = inst.leaf_table
+    members, rows = table.members.copy(), table.rows.copy()
+    prefixes = [p for ell in range(min(inst.n, 6) + 1) for p in itertools.product((0, 1), repeat=ell)]
+    degree = AgFamily(inst).degree
+
+    def answers():
+        # repr, so a float answer is compared bit for bit, -0.0 included.
+        family = AgFamily(inst)
+        return [repr(family.feasible(p) and family.scaled_top_coeffs(p, degree)) for p in prefixes]
+
+    before, report = answers(), verify_bound_chain(inst).to_json()
+    family = _RecordingFamily(inst)
+    with contextlib.suppress(HyperdiscError):
+        kadison_singer_search(family, SolverConfig(delta=0.5, block=2))
+    assert len(family.prefixes) > inst.n
+    assert inst.leaf_table is table
+    assert np.array_equal(table.members, members)
+    assert _exact_bits(table.rows.ravel()) == _exact_bits(rows.ravel())
+    assert not table.members.flags.writeable and not table.rows.flags.writeable
+    with pytest.raises(ValueError):
+        table.members[0, 0] = not table.members[0, 0]
+    assert answers() == before
+    assert verify_bound_chain(inst).to_json() == report
 
 
 # ---------------------------------------------------------------------------

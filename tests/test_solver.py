@@ -11,21 +11,19 @@ from hyperdisc.errors import OddK, TooLarge
 from hyperdisc.graphs import complete_graph
 from hyperdisc.hyperbolic import determinant
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
-from hyperdisc.mixedchar import AgFamily, KlsFamily, KlsInstance, RandomVar, SrInstance
+from hyperdisc.mixedchar import AgFamily, KlsFamily, KlsInstance, RandomVar, SrInstance, scaled_monic
 from hyperdisc.solver import (
     SolverConfig,
     brute_force,
-    integer_top_coeffs,
     kadison_singer_search,
     max_root_estimate,
     maxcoeff_enum,
-    monic_top_coeffs,
     power_sum,
     random_baseline,
 )
 from hyperdisc.unipoly import UniPoly
 from srdist_helpers import from_support, pairs
-from unipoly_helpers import from_roots
+from unipoly_helpers import from_roots, monic_top_coeffs
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -142,12 +140,20 @@ def test_integer_top_coeffs_equal_the_monic_coefficients():
         coeffs.append(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 7)))
         poly = UniPoly.from_coeffs(coeffs)
         k = rng.randint(1, deg + 2)
-        ints, scale = integer_top_coeffs(poly, k)
+        ints, scale = scaled_monic([poly.coeffs[deg - j] if deg - j >= 0 else 0
+                                    for j in range(k + 1)])
         assert all(type(c) is int for c in ints) and type(scale) is int
         monic = monic_top_coeffs(poly, k)
         assert _monic((ints, scale)) == monic
         if k % 2 == 0 and k <= deg:
             assert max_root_estimate(deg, k, ints, scale) == max_root_estimate(deg, k, monic)
+
+
+def test_scaled_monic_reads_ints_over_their_scale_and_floats_as_they_are():
+    # 2 x^2 + (3 / 7) x + 5 / 7^2: c_1 = 3 / 14 and c_2 = 5 / 98.
+    ints, scale = scaled_monic([2, 3, 5], 7)
+    assert (ints, scale) == ((3, 10), 14) and _monic((ints, scale)) == (Fraction(3, 14), Fraction(5, 98))
+    assert scaled_monic([2.0, 3.0, 5.0]) == ((1.5, 2.5), 1)
 
 
 def test_maxcoeff_enum_toy():

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdisc import unipoly
-from hyperdisc.errors import DuplicateNode, NotRealRooted, TooLarge, ZeroPolynomial
+from hyperdisc.errors import DuplicateNode, HyperdiscError, NotRealRooted, TooLarge, ZeroPolynomial
 from hyperdisc.cli import _resolve_graph
 from hyperdisc.graphs import named_graph
 from hyperdisc.hyperbolic import char_restriction, determinant, hyperbolic_traces, lorentz
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz
-from hyperdisc.mixedchar import AgFamily, KlsFamily, SrInstance
+from hyperdisc.mixedchar import SrInstance, ag_node_poly, kls_node_poly
 from hyperdisc.unipoly import (
     UniPoly,
     interpolate,
@@ -27,7 +27,7 @@ from hyperdisc.unipoly import (
 )
 from test_cli import SR_SEARCH_GRAPHS
 from unipoly_helpers import (fraction_square_free_decomposition, fraction_sturm_chain, from_roots,
-                             newton_reference)
+                             newton_reference, sign_at_without_powers)
 
 X2_3X_2 = UniPoly.from_coeffs([2, -3, 1])  # (x-1)(x-2)
 
@@ -317,11 +317,11 @@ def _root_bits_batch() -> list:
             for inst in (gen_kls_det(6, 3, seed, variables), gen_kls_det(8, 4, seed, variables),
                          gen_kls_lorentz(6, 4, seed, variables),
                          gen_kls_lorentz(8, 5, seed, variables)):
-                polys.append(KlsFamily(inst).node_poly(()))
+                polys.append(kls_node_poly(inst))
                 leaf = tuple(var.support[0] for var in inst.variables)
                 polys.append(char_restriction(inst.h, inst.centered_sum(leaf)))
     for graph in ("k4", "k5", "diamond"):
-        polys.append(AgFamily(SrInstance.from_graph(named_graph(graph))).node_poly(()))
+        polys.append(ag_node_poly(SrInstance.from_graph(named_graph(graph))))
     rng = random.Random(0)
     for _ in range(40):  # float products with a cluster of two or three roots
         centre = rng.uniform(-3, 3)
@@ -466,6 +466,26 @@ def test_exact_roots_of_dyadic_products_with_repeats(roots, data):
             [unipoly._refine_root(factor, a, b) for a, b in intervals]
 
 
+def test_contradicting_sign_counts_raise_at_the_level_cap(monkeypatch):
+    # Without the powers of d, bisecting (x + 4)(x + 5) never ends: the
+    # cap, 22 levels for these coefficients, turns that into an error.
+    c = [20, 9, 1]
+    assert len(unipoly._isolate_roots(c, unipoly._sturm_chain(c))) == 2
+    monkeypatch.setattr(unipoly, "_sign_at", sign_at_without_powers)
+    with pytest.raises(HyperdiscError, match="of degree 2 passed its cap of 22 levels"):
+        unipoly._isolate_roots(c, unipoly._sturm_chain(c))
+
+
+def test_roots_2_to_the_minus_40_apart_stay_below_the_level_cap():
+    # (x - 1)(x - 1 - 2^-40) needs about 42 levels; its cap is 176.
+    big = 1 << 40
+    c = [big * (big + 1), -big * (2 * big + 1), big * big]
+    assert unipoly._level_cap(c) == 176
+    intervals = unipoly._isolate_roots(c, unipoly._sturm_chain(c))
+    assert len(intervals) == 2
+    assert all(a < r <= b for (a, b), r in zip(sorted(intervals), (1, Fraction(big + 1, big))))
+
+
 def _assert_int_route_is_the_fraction_route(coeffs: list) -> None:
     """Yun over ints gives int factors whose monic forms and multiplicities
     are the Fraction route's, and each entry of a factor's int Sturm chain
@@ -538,7 +558,7 @@ def _fraction_triples(c: list) -> list:
 
 @pytest.mark.parametrize("spec", SR_SEARCH_GRAPHS)
 def test_sr_root_certificates_are_the_fraction_route(monkeypatch, spec):
-    p = AgFamily(SrInstance.from_graph(_resolve_graph(spec))).node_poly(())
+    p = ag_node_poly(SrInstance.from_graph(_resolve_graph(spec)))
     _assert_int_route_is_the_fraction_route(list(p.coeffs))
     got = _certificate(p)
     monkeypatch.setattr(unipoly, "square_free_decomposition", _fraction_triples)

@@ -17,6 +17,23 @@ def from_roots(roots) -> UniPoly:
     return p
 
 
+def monic_top_coeffs(poly: UniPoly, k: int) -> tuple:
+    """c_1..c_k of poly divided by its leading coefficient, in descending
+    degree, 0 past the constant term: the reference for the oracle's (C, q)."""
+    deg, lead = poly.degree, poly.coeffs[-1]
+    return tuple((poly.coeffs[deg - j] if deg - j >= 0 else 0) / lead for j in range(1, k + 1))
+
+
+def sign_at_without_powers(c: list, t) -> int:
+    """A broken _sign_at that drops the powers of t's denominator, so it
+    reads the sign of c at t's numerator: Sturm counts that contradict each
+    other, for the root isolation's level cap."""
+    acc = 0
+    for x in reversed(c):
+        acc = acc * t.numerator + x
+    return (acc > 0) - (acc < 0)
+
+
 def scale(p: UniPoly, c) -> UniPoly:
     """c p, coefficient by coefficient."""
     return UniPoly.from_coeffs([c * x for x in p.coeffs])
