@@ -74,7 +74,6 @@ from .mixedchar import (
     kls_node_poly,
 )
 from .scalars import CHAIN_STEP_TOL, SQRT2_STEP_TOL, VARIANCE_MIX_TOL
-from .srdist import per_object
 from .unipoly import max_real_root
 
 SQRT2 = math.sqrt(2.0)
@@ -129,15 +128,11 @@ def _points(inst, pts) -> np.ndarray:
     return w
 
 
-def _set_probs(inst: SrInstance) -> np.ndarray:
-    return np.array(per_object(float, inst.mu.probs))
-
-
 def _gen_values(inst: SrInstance, shifted: np.ndarray) -> np.ndarray:
     """g = sum_S mu(S) prod_{e in S} shifted[e] for each row of shifted
     (points x 1 + z): each term multiplies mu(S) by the set's elements in
     order, and the terms are added in support order from 0."""
-    terms = np.broadcast_to(_set_probs(inst), (len(shifted), len(inst.mu.sets)))
+    terms = np.broadcast_to(inst.mu.float_probs, (len(shifted), len(inst.mu.sets)))
     for col in inst.mu.sets.T:
         terms = terms * shifted[:, col]
     # cumsum adds term by term; + 0 gives the 0.0 a sum started at 0 leaves.
@@ -189,7 +184,7 @@ def phi(inst, pt: BarrierPoint) -> tuple:
     gval = float(_gen_values(inst, shifted[None])[0])
     sets = inst.mu.sets
     cols = shifted[sets]
-    probs = _set_probs(inst)
+    probs = inst.mu.float_probs
     terms = np.empty(sets.shape)
     for j in range(sets.shape[1]):
         term = probs

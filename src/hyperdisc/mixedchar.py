@@ -95,14 +95,16 @@ of that one row, read with the inner nodes' formula.  Fractions are built
 only by kls_node_poly, 2d+1 per node and at the end: for the root bound,
 verify and the barrier chain.
 
-Subset nodes come from a per-instance leaf table (SrInstance.leaf_table):
-one membership row and one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
-per support set, each computed once by one route for every instance: the
+Subset nodes come from a per-instance leaf table (SrInstance.leaf_table),
+one read-only array with one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
+per support set, computed once by one route for every instance: the
 stacked restriction h.restrict_e_rows, on chunks of LEAF_CHUNK sets, gives
-the floats or Fractions of one restriction per set.  A prefix's node is the
-sum of the rows whose set agrees with it, added in support order from 0,
-which is the order the per-set sum takes, so both give the same values.
-The table is read-only data; no search writes to it.
+the floats or Fractions of one restriction per set.  Which sets agree with
+a prefix is read off the distribution's membership matrix
+(SRDistribution.members), which needs no leaf.  A prefix's node is the sum
+of the rows whose set agrees with it, added in support order from 0, which
+is the order the per-set sum takes, so both give the same values.  No
+search writes to the table.
 
 Both families answer the search through one protocol.  The oracle
 scaled_top_coeffs(prefix, k) gives a node's top-k monic coefficients as
@@ -146,7 +148,6 @@ from .srdist import (
     SRDistribution,
     effective_resistance_family,
     max_marginal,
-    per_object,
     uniform_spanning_tree,
 )
 from .unipoly import UniPoly, max_real_root, real_roots
@@ -369,22 +370,6 @@ class KlsInstance:
 
 
 @dataclass(frozen=True)
-class LeafTable:
-    """The leaves of the subset family, one row per support set, in support
-    order, as read-only arrays.
-
-    members[r, i] says whether element i is in set r.  rows[r] holds the
-    d + 1 ascending coefficients of mu(S) * h(xe - sum_{i in S} v_i): rows
-    is a float64 array for float vectors and an object array of Fractions
-    for exact ones.  A search keeps which rows agree with its committed
-    prefix on its own family (AgFamily), never here.
-    """
-
-    members: np.ndarray
-    rows: np.ndarray
-
-
-@dataclass(frozen=True)
 class SrInstance:
     """Subset-selection instance: SR distribution plus isotropic rank-1 vectors.
 
@@ -417,20 +402,22 @@ class SrInstance:
         return max(map(float, hyperbolic_traces(self.h, self.vectors)))
 
     @functools.cached_property
-    def leaf_table(self) -> LeafTable:
-        """Vectors summed in element order from 0 in their own arithmetic,
-        rows scaled by mu(S) (a float for float vectors), as subset_sum and
-        restrict_line, times mu(S) coefficient by coefficient, do one set at
-        a time."""
+    def leaf_table(self) -> np.ndarray:
+        """The leaves of the subset family as one read-only array, one row
+        per support set in support order: rows[r] holds the d + 1 ascending
+        coefficients of mu(S) * h(xe - sum_{i in S} v_i), float64 for float
+        vectors (mu.float_probs) and Fractions for exact ones
+        (mu.fractions).  Vectors are summed in element order from 0 in
+        their own arithmetic and each row is scaled by mu(S) coefficient by
+        coefficient, as subset_sum and restrict_line do one set at a time.
+        Which rows agree with a committed prefix is kept on the search's
+        family (AgFamily), never here."""
         sets = self.mu.sets
-        members = np.zeros((len(sets), self.n), dtype=bool)
-        members[np.arange(len(sets))[:, None], sets] = True
         vecs = np.array(self.vectors)
-        vecs = vecs if vecs.dtype == np.float64 else vecs.astype(object)  # ints stay exact
-        probs = self.mu.probs
         if vecs.dtype == np.float64:
-            probs = per_object(float, probs)
-        probs = np.array(probs, dtype=vecs.dtype)
+            probs = self.mu.float_probs
+        else:  # ints stay exact
+            vecs, probs = vecs.astype(object), np.array(self.mu.fractions(), dtype=object)
         chunks = []
         for lo in range(0, len(sets), LEAF_CHUNK):
             chunk = sets[lo:lo + LEAF_CHUNK]
@@ -439,9 +426,8 @@ class SrInstance:
                 w = w + vecs[col]
             chunks.append(probs[lo:lo + len(chunk), None] * self.h.restrict_e_rows(-w))
         rows = np.concatenate(chunks)
-        members.setflags(write=False)
         rows.setflags(write=False)
-        return LeafTable(members, rows)
+        return rows
 
     @staticmethod
     def from_graph(graph: Graph, exact: bool = False) -> "SrInstance":
@@ -719,10 +705,9 @@ def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
     """Conditional polynomial for a 0/1 membership prefix (root for ()): the
     leaf-table rows of the support sets that agree with it on every prefix
     column, added in support order from 0."""
-    table = inst.leaf_table
     bits = np.asarray(partial, dtype=bool)
-    hits = np.flatnonzero((table.members[:, :len(bits)] == bits).all(axis=1))
-    return UniPoly.from_coeffs(_leaf_sum(table.rows[hits], partial).tolist())
+    hits = np.flatnonzero((inst.mu.members[:, :len(bits)] == bits).all(axis=1))
+    return UniPoly.from_coeffs(_leaf_sum(inst.leaf_table[hits], partial).tolist())
 
 
 def ag_operator_form(inst: SrInstance) -> UniPoly:
@@ -730,18 +715,20 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
 
     Only subsets of support sets contribute (g^(S) vanishes otherwise).
     Every support set has d_mu elements (a row of SRDistribution.sets), so
-    g^(S) is the one monomial (sum_{T >= S} mu(T)) x^(d_mu - |S|).  Each
+    g^(S) is the one monomial (sum_{T >= S} mu(T)) x^(d_mu - |S|); the sums
+    are taken over the int weights, and the collapse is divided by the
+    denominator once.  Each
     A_S comes from derivative_restriction, whose cache one stacked int
     restriction fills first with x -> h(x e + w_U) for every subset U of a
     support set (subset_restrictions).  derivative_restriction stays only
     because hdbench's certify trace coverage requires its calls and cache
     hits; it goes with the declared benchmark revision of ROADMAP item 6.
     """
-    weights: dict = {}  # subset -> sum of mu(T) over T >= subset, in support order from 0
-    for elems, prob in zip(inst.mu.sets.tolist(), inst.mu.probs):  # elements ascending
+    weights: dict = {}  # subset -> q times the sum of mu(T) over T >= subset, an int
+    for elems, w in zip(inst.mu.sets.tolist(), inst.mu.weights):  # elements ascending
         for r in range(len(elems) + 1):
             for subset in itertools.combinations(elems, r):
-                weights[subset] = weights.get(subset, 0) + prob
+                weights[subset] = weights.get(subset, 0) + w
     subsets = sorted(weights, key=lambda s: (len(s), s))
     cache: dict = {}
     subset_restrictions(inst.h, inst.vectors, subsets, cache)
@@ -751,7 +738,7 @@ def ag_operator_form(inst: SrInstance) -> UniPoly:
         a_s = derivative_restriction(inst.h, inst.vectors, subset, cache)
         for k, c in enumerate(a_s.coeffs, inst.mu.d_mu - len(subset)):
             acc[k] += weight * c
-    return UniPoly.from_coeffs(acc)
+    return UniPoly.from_coeffs([Fraction(c, inst.mu.denominator) for c in acc])
 
 
 def ag_substitution_identity(inst: SrInstance) -> tuple:
@@ -867,8 +854,8 @@ class AgFamily(_SearchFamily):
 
     @functools.cached_property
     def _unconditioned(self) -> tuple:
-        """Every row of the leaf table, and no codes yet."""
-        return np.arange(len(self.inst.leaf_table.members)), {}
+        """Every support set's row index, and no codes yet."""
+        return np.arange(len(self.inst.mu.sets)), {}
 
     def _condition(self, state: tuple, lo: int, bits) -> tuple:
         """The rows of state whose columns lo, lo + 1, ... agree with bits,
@@ -879,7 +866,7 @@ class AgFamily(_SearchFamily):
         if packed is None:
             weights = np.array([1 << i for i in range(len(bits))],
                                dtype=np.int64 if len(bits) < 64 else object)
-            packed = codes[len(bits)] = self.inst.leaf_table.members[rows, lo:lo + len(bits)] @ weights
+            packed = codes[len(bits)] = self.inst.mu.members[rows, lo:lo + len(bits)] @ weights
         target = sum(1 << i for i, bit in enumerate(bits) if bit)
         return rows[packed == target], {}
 
@@ -897,7 +884,7 @@ class AgFamily(_SearchFamily):
         """Top-k monic coefficients of a node: the agreeing leaf-table rows
         added as ag_node_poly adds them, and scaled_monic of the top k + 1
         of the sum (ints for exact rows, floats with q = 1 for float ones)."""
-        total = _leaf_sum(self.inst.leaf_table.rows[self.agreeing(prefix)], prefix)
+        total = _leaf_sum(self.inst.leaf_table[self.agreeing(prefix)], prefix)
         return scaled_monic(total[::-1][:k + 1].tolist())
 
     def feasible(self, prefix) -> bool:

@@ -13,7 +13,6 @@ ROOT_IMAG_TOL = 1e-7  # real_roots: companion roots tried only if every |Im r| <
 BISECT_WIDTH_TOL = 1e-6  # _refine_root: bisection stops at bracket width <= tol, rel
 BRACKET_SLACK_TOL = 1e-9  # _refine_root: the Newton root may leave its bracket by tol
 CERTIFY_SLACK_TOL = 1e-9  # kadison_singer_search: certified <= bound + tol, rel, passes
-LAPLACIAN_ZERO_TOL = 1e-10  # effective_resistance_family: a Laplacian eigenvalue <= tol is 0
 ISOTROPY_TOL = 1e-9  # effective_resistance_family: the vectors sum to vec(I) within tol
 CHAIN_STEP_TOL = 1e-8  # barrier chain: a step passes if quantity <= bound + tol
 VARIANCE_MIX_TOL = 1e-6  # barrier chain: the variance mix norm may exceed 1 by tol

@@ -15,7 +15,8 @@ indent, CPython 3.11 falls back to its pure-Python encoder.  A container of
 scalars goes through the C encoder, one per depth, whose item separator
 carries that depth's newline and indent, and anything else recurses, except
 a distribution's support.  distribution_to_json leaves that as a
-SupportRows, the sets array and one probability text per row, and dumps
+SupportRows, the sets array and one probability text per row, formatted
+once per distinct weight, and dumps
 writes it in one join: one object array holds each row's head (its "prob"
 text and the keys), its elements and its tail, each distinct element
 value is formatted once, and no dict or list is built per set.
@@ -37,7 +38,9 @@ hyperbolic parameters and a custom polynomial's "nvars" and exponents) must
 be JSON ints, and a scalar may not be a JSON boolean or a non-finite
 float (NaN, Infinity); anything else, a bool in an integer field included,
 is rejected.  The "set" lists are read into one int array (set_rows,
-then SRDistribution.sets), and each distinct "prob" value is parsed once.
+then SRDistribution.sets), and each distinct "prob" value is parsed once,
+into the int weight its entries carry over one denominator
+(SRDistribution.weights).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .hyperbolic import (
 from .mixedchar import KlsInstance, RandomVar, SrInstance
 from .realstable import MultiPoly
 from .scalars import ISOTROPY_TOL
-from .srdist import SRDistribution, isotropic, per_object
+from .srdist import SRDistribution, isotropic
 
 SCHEMA_VERSION = "hyperdisc-instance/1"
 RATIONAL = "rational"
@@ -167,25 +170,26 @@ class SupportRows:
 
 def distribution_to_json(mu: SRDistribution) -> dict:
     """The "support" list is a SupportRows, which dumps writes as one
-    {"prob": ..., "set": [...]} dict per row of mu.sets.  An entry whose
-    probability is the previous entry's object reuses its text
-    (srdist.per_object), so a spanning-tree distribution's one probability
-    is formatted once; comparing by identity costs less than hashing a
-    Fraction."""
-    texts = per_object(lambda p: _scalar_text(scalar_to_json(p)), mu.probs)
+    {"prob": ..., "set": [...]} dict per row of mu.sets.  Each distinct
+    weight's probability, Fraction(w, q), is formatted once."""
+    text = {w: _scalar_text(scalar_to_json(Fraction(w, mu.denominator))) for w in set(mu.weights)}
+    texts = list(map(text.__getitem__, mu.weights))
     return {"n": mu.n, "d_mu": mu.d_mu, "support": SupportRows(mu.sets, texts)}
 
 
 def distribution_from_json(obj: dict) -> SRDistribution:
     """The "set" column is parsed into one int array (set_rows); each
-    distinct "prob" value is parsed once, and every entry that carries it
-    shares the one object (a spanning-tree file has one).
+    distinct "prob" value is parsed once into a ratio a/b, and every entry
+    that carries it gets the int weight a q / b over q, the lcm of the b.
     SRDistribution.from_rows runs every other check."""
     entries = obj["support"]
     texts = list(map(itemgetter("prob"), entries))
-    probs = {p: scalar_from_json(p, RATIONAL) for p in set(texts)}
+    ratios = {p: scalar_from_json(p, RATIONAL).as_integer_ratio() for p in set(texts)}
+    denominator = math.lcm(*(b for _, b in ratios.values()))
+    weights = {p: a * (denominator // b) for p, (a, b) in ratios.items()}
     sets = set_rows(list(map(itemgetter("set"), entries)))
-    return SRDistribution.from_rows(int_from_json(obj["n"]), sets, map(probs.__getitem__, texts))
+    return SRDistribution.from_rows(int_from_json(obj["n"]), sets,
+                                    list(map(weights.__getitem__, texts)), denominator)
 
 
 def set_rows(sets: list) -> np.ndarray:
@@ -357,9 +361,9 @@ def _support_text(rows: SupportRows, level: int) -> str:
     between = "," + at[1]
     opening, closing = ("[" + at[3], at[2] + "]") if size else ("[]", "")
     pieces = np.empty((count, size + 2), dtype=object)
-    pieces[:, 0] = per_object(
-        lambda text: "{" + at[2] + '"prob": ' + text + "," + at[2] + '"set": ' + opening,
-        rows.texts)
+    heads = {text: "{" + at[2] + '"prob": ' + text + "," + at[2] + '"set": ' + opening
+             for text in set(rows.texts)}
+    pieces[:, 0] = list(map(heads.__getitem__, rows.texts))
     if size:
         values, index = np.unique(rows.sets, return_inverse=True)
         index = index.reshape(count, size)

@@ -17,7 +17,10 @@ commit conditions.  A signed inner node is summed from the mixed-derivative
 coefficient table with the committed rounds folded in once per round, so
 no completion is enumerated, and a signed leaf comes from its one int
 restriction (mixedchar.kls_leaf_poly); a subset node is the sum of the
-leaf-table rows that agree with it, so no leaf is restricted twice.
+leaf-table rows that agree with it, so no leaf is restricted twice.  Brute
+force and the random baseline read the subset distribution's membership
+matrix and binary64 probabilities (SRDistribution.members, float_probs)
+and build no leaf.
 
 Exact coefficients stay ints.  The oracle answers (C, q) with monic
 coefficients c_j = C_j / q^j (mixedchar.scaled_monic), and because p_j has
@@ -44,7 +47,6 @@ from ._exact import char_poly_exact
 from .errors import CertificationFailed, InvalidParams, OddK, OracleFailure, TooLarge
 from .mixedchar import KlsInstance
 from .scalars import CERTIFY_SLACK_TOL
-from .srdist import per_object
 
 MAX_BRUTE_BRANCHES = 1 << 16
 
@@ -246,13 +248,11 @@ def brute_force(inst, kind: str) -> tuple:
         return assignment, float(norms[best])
     if kind == "ag":
         vecs = np.array([[float(c) for c in v] for v in inst.vectors])
-        sets = inst.mu.sets
-        indicators = np.zeros((len(sets), inst.n))
-        indicators[np.arange(len(sets))[:, None], sets] = 1.0
+        indicators = inst.mu.members.astype(float)
         # One indicator @ vecs per set: a stacked product may add in another order.
         norms = inst.h.norms(np.array([indicator @ vecs for indicator in indicators]))
         best = int(np.argmin(norms))
-        return tuple(indicators[best].astype(int).tolist()), float(norms[best])
+        return tuple(inst.mu.members[best].astype(int).tolist()), float(norms[best])
     raise ValueError("kind must be 'kls' or 'ag'")
 
 
@@ -284,10 +284,9 @@ def random_baseline(inst, trials: int, seed: int = 0) -> BaselineSummary:
             rows[t] = [values[min(bisect_left(cum, rng.random()), len(values) - 1)]
                        for cum, values in draws]
     else:
-        cum = np.cumsum(per_object(float, inst.mu.probs)).tolist()
+        cum = np.cumsum(inst.mu.float_probs).tolist()
         for t in range(trials):
             rng = random.Random(f"baseline:{seed}:{t}")
-            j = min(bisect_left(cum, rng.random()), len(cum) - 1)
-            rows[t, inst.mu.sets[j]] = 1.0
+            rows[t] = inst.mu.members[min(bisect_left(cum, rng.random()), len(cum) - 1)]
     arr = np.sort(inst.h.norms(rows @ vecs))
     return BaselineSummary(float(arr[0]), float(np.quantile(arr, 0.5)), float(arr[-1]))

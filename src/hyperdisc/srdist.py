@@ -10,8 +10,8 @@ derivative formula on the generating polynomial,
 
 whose value is independent of the dummy scalar x != 0.  Derivatives commute
 with the shift, so the operators are applied to g and the result is read at
-x 1.  The formula runs over Python ints: g is scaled by the lcm q of the
-probabilities' denominators and kept as {bitmask of a support set: int},
+x 1.  The formula runs over Python ints: g is scaled by the distribution's
+denominator q and kept as {bitmask of a support set: int},
 d/dz_i stays over ints, and with x = a/b the operator (1 - x d/dz_i) is
 applied as b p - a d/dz_i p, one more factor b in the denominator.  One
 Fraction is built at the end.  The operators have constant coefficients
@@ -22,9 +22,12 @@ polynomial.  Both the formula and a direct support-sum oracle are provided
 so they can be checked against each other exactly; both read S and a
 literal K with operator.index, so a non-integral element raises in both.
 
-A distribution is held as arrays: the support sets as the rows of one
-read-only (N, d) int array (SRDistribution.sets) and one probability per
-row (SRDistribution.probs); every reader takes its sets from that array.
+A distribution is held as one read-only (N, d) int array of support sets
+(SRDistribution.sets) and one int weight per row over one denominator
+(SRDistribution.weights, SRDistribution.denominator).  The membership
+matrix (SRDistribution.members) and the binary64 probabilities
+(SRDistribution.float_probs) are built from them here, once; readers take
+those views, or sum the int weights and divide once, and convert nothing.
 The uniform spanning-tree distribution (enumerated level by level into one
 int array, Graph.spanning_trees, with a matrix-tree cross-check) and the
 effective-resistance vector family it pairs with are built here as well.
@@ -43,24 +46,21 @@ import numpy as np
 from .errors import DisconnectedGraph, IndexOutOfRange
 from .graphs import Graph
 from .hyperbolic import DeterminantInstance
-from .scalars import ISOTROPY_TOL, LAPLACIAN_ZERO_TOL
+from .scalars import ISOTROPY_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class SRDistribution:
     """Row r of the read-only (N, d_mu) int array ``sets`` is a support set,
-    its elements ascending and the rows in lexicographic order, and
-    probs[r] is its probability.  Entries of equal probability share one
-    object where their maker shares it (uniform_spanning_tree, the file
-    loader), so per_object converts each value once.  weights[r] /
-    denominator = probs[r] over ints, denominator the lcm of the
-    probabilities' denominators, computed once at load for every reader.
-    Two distributions are equal when n, the sets and the probabilities
-    are."""
+    its elements ascending and the rows in lexicographic order, and its
+    probability is the int weights[r] over the one ``denominator``, in
+    lowest terms (the lcm of the probabilities' denominators).  Readers take
+    the membership matrix (members) and the binary64 probabilities
+    (float_probs) from here, each built once.  Two distributions are equal
+    when n, the sets and the weights are."""
 
     n: int
     sets: np.ndarray = field(repr=False)
-    probs: tuple = field(repr=False)
     weights: tuple = field(repr=False)
     denominator: int = field(repr=False)
 
@@ -71,23 +71,23 @@ class SRDistribution:
     def __eq__(self, other):
         if not isinstance(other, SRDistribution):
             return NotImplemented
-        return (self.n == other.n and self.probs == other.probs
-                and np.array_equal(self.sets, other.sets))
+        return (self.n == other.n and self.denominator == other.denominator
+                and self.weights == other.weights and np.array_equal(self.sets, other.sets))
 
     def __hash__(self):
-        return hash((self.n, self.sets.tobytes(), self.probs))
+        return hash((self.n, self.sets.tobytes(), self.weights, self.denominator))
 
     @staticmethod
-    def from_rows(n: int, rows: np.ndarray, probs) -> "SRDistribution":
+    def from_rows(n: int, rows: np.ndarray, weights, denominator: int) -> "SRDistribution":
         """Validate and build a homogeneous distribution from a non-empty
-        (N, d) intp array, row r a support set with probability probs[r].
+        (N, d) intp array, row r a support set with probability
+        weights[r] / denominator, over ints.
 
-        Elements must lie in range(n) and no set may repeat one.
-        Probabilities must be positive and sum to exactly one, a binary64
-        probability counting as the rational it is.  Real stability is
-        assumed, not checked.  Rows are sorted, and stably put in
-        lexicographic order, only when they are not already; the array
-        kept as ``sets`` is made read-only.
+        Elements must lie in range(n) and no set may repeat one.  Weights
+        must be positive and sum to the denominator; they are kept in
+        lowest terms.  Real stability is assumed, not checked.  Rows are
+        sorted, and stably put in lexicographic order, only when they are
+        not already; the array kept as ``sets`` is made read-only.
         """
         if rows.dtype != np.intp or rows.ndim != 2 or not len(rows):
             raise ValueError("support rows must be a non-empty (N, d) intp array")
@@ -97,26 +97,51 @@ class SRDistribution:
             rows = np.sort(rows, axis=1)
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("support sets cannot repeat elements")
-        probs = tuple(probs)
-        weights, denom = _integer_weights(probs)
+        weights = tuple(weights)
+        if len(weights) != len(rows):
+            raise ValueError(f"{len(weights)} weights for {len(rows)} support sets")
         if min(weights) <= 0:
             raise ValueError("probabilities must be positive")
-        if sum(weights) != denom:
-            raise ValueError(f"probabilities sum to {Fraction(sum(weights), denom)}, not 1")
+        if sum(weights) != denominator:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), denominator)}, not 1")
+        common = math.gcd(denominator, *weights)
+        if common > 1:
+            weights, denominator = tuple(w // common for w in weights), denominator // common
         if not _ascending(rows):
             order = np.lexsort(rows.T[::-1])
             rows = rows[order]
-            order = order.tolist()
-            probs = tuple(map(probs.__getitem__, order))
-            weights = list(map(weights.__getitem__, order))
+            weights = tuple(map(weights.__getitem__, order.tolist()))
         rows.setflags(write=False)
-        return SRDistribution(n, rows, probs, tuple(weights), denom)
+        return SRDistribution(n, rows, weights, denominator)
+
+    @functools.cached_property
+    def members(self) -> np.ndarray:
+        """The read-only (N, n) bool matrix: members[r, i] says whether
+        element i is in set r."""
+        members = np.zeros((len(self.sets), self.n), dtype=bool)
+        members[np.arange(len(self.sets))[:, None], self.sets] = True
+        members.setflags(write=False)
+        return members
+
+    @functools.cached_property
+    def float_probs(self) -> np.ndarray:
+        """The read-only float64 probabilities, each w / q rounded once:
+        int true division rounds correctly, so each is float(Fraction(w, q)).
+        Each distinct weight is divided once."""
+        values = {w: w / self.denominator for w in set(self.weights)}
+        probs = np.array(list(map(values.__getitem__, self.weights)))
+        probs.setflags(write=False)
+        return probs
+
+    def fractions(self) -> list:
+        """Each row's probability as a Fraction, one per distinct weight."""
+        values = {w: Fraction(w, self.denominator) for w in set(self.weights)}
+        return list(map(values.__getitem__, self.weights))
 
     @functools.cached_property
     def _scaled_generating(self) -> tuple:
         """(terms, q): q g(z) = sum_S q mu(S) z^S as {bitmask of S: int}, q
-        the lcm of the probabilities' denominators, built once per
-        distribution."""
+        the denominator, built once per distribution."""
         terms = {}
         for elems, w in zip(self.sets.tolist(), self.weights):
             mask = sum(1 << e for e in elems)
@@ -154,7 +179,7 @@ def uniform_spanning_tree(graph: Graph) -> SRDistribution:
             f"enumerated {len(trees)} spanning trees but the matrix-tree "
             f"determinant says {count}"
         )
-    return SRDistribution.from_rows(graph.n_edges, trees, (Fraction(1, count),) * count)
+    return SRDistribution.from_rows(graph.n_edges, trees, (1,) * count, count)
 
 
 def _observed_set(k, n: int) -> frozenset:
@@ -181,11 +206,11 @@ def marginal_via_enum(mu: SRDistribution, s, k):
     target = frozenset(map(operator.index, s))
     if not target <= observed:
         raise ValueError("S must be a subset of the observed set")
-    total = Fraction(0)
-    for elems, prob in zip(mu.sets.tolist(), mu.probs):
+    total = 0
+    for elems, w in zip(mu.sets.tolist(), mu.weights):
         if frozenset(elems) & observed == target:
-            total = total + prob
-    return total
+            total += w
+    return Fraction(total, mu.denominator)
 
 
 def marginal_via_formula(mu: SRDistribution, s, k, x0):
@@ -245,26 +270,6 @@ def _apply_operator(p: dict, i: int, in_s: bool, a: int, b: int) -> dict:
     return out
 
 
-def per_object(f, items) -> list:
-    """[f(x) for x in items], calling f once per run of one object: every
-    entry of a spanning-tree distribution holds one probability object
-    (uniform_spanning_tree, serialize.distribution_from_json)."""
-    out, last, value = [], object(), None
-    for x in items:
-        if x is not last:
-            last, value = x, f(x)
-        out.append(value)
-    return out
-
-
-def _integer_weights(probs) -> tuple:
-    """Ints w_r and one denominator q with p_r = w_r / q, q the lcm of the
-    probabilities' denominators (exact for ints, Fractions and floats)."""
-    ratios = per_object(lambda p: p.as_integer_ratio(), probs)
-    denom = math.lcm(*{q for _, q in ratios})
-    return [w * (denom // q) for w, q in ratios], denom
-
-
 def max_marginal(mu: SRDistribution) -> Fraction:
     """Largest single-element inclusion probability, exactly.
 
@@ -313,8 +318,6 @@ def effective_resistance_family(graph: Graph) -> IsotropicFamily:
     nv = graph.n_vertices
     lap = np.array(graph.laplacian(), dtype=float)
     evals, evecs = np.linalg.eigh(lap)
-    if nv > 1 and evals[1] <= LAPLACIAN_ZERO_TOL:
-        raise DisconnectedGraph("Laplacian has a repeated zero eigenvalue")
     # B = diag(lambda^{-1/2}) Q^T on the complement of the all-ones vector.
     q = evecs[:, 1:]
     b = (q / np.sqrt(evals[1:])).T  # (nv-1, nv)

@@ -3,6 +3,7 @@ write them in; the generating polynomial, and the marginal formula over it
 as a MultiPoly: the Fraction reference for srdist.marginal_via_formula,
 which runs over ints."""
 
+import math
 from fractions import Fraction
 
 from hyperdisc.realstable import MultiPoly
@@ -11,18 +12,32 @@ from hyperdisc.srdist import SRDistribution, _observed_set
 from multipoly_helpers import add, partial, scale
 
 
+def from_probs(n, rows, probs) -> SRDistribution:
+    """SRDistribution.from_rows with one probability per row, an int, a
+    Fraction or a float, each the rational it is: the int weights over the
+    lcm of their denominators."""
+    ratios = [prob.as_integer_ratio() for prob in probs]
+    denominator = math.lcm(*(b for _, b in ratios))
+    return SRDistribution.from_rows(n, rows, [a * (denominator // b) for a, b in ratios],
+                                    denominator)
+
+
 def from_support(n, items) -> SRDistribution:
     """The distribution of (elements, probability) pairs: the element
     lists through the loader's parse of the "set" column
-    (serialize.set_rows), the probabilities kept as the objects given."""
+    (serialize.set_rows), the probabilities through from_probs."""
     items = list(items)
-    return SRDistribution.from_rows(n, set_rows([elems for elems, _ in items]),
-                                    [prob for _, prob in items])
+    return from_probs(n, set_rows([elems for elems, _ in items]), [prob for _, prob in items])
+
+
+def probabilities(mu) -> tuple:
+    """Each row's probability as a Fraction, in row order."""
+    return tuple(Fraction(w, mu.denominator) for w in mu.weights)
 
 
 def pairs(mu) -> tuple:
     """The support as (element tuple, probability) pairs, in row order."""
-    return tuple(zip(map(tuple, mu.sets.tolist()), mu.probs))
+    return tuple(zip(map(tuple, mu.sets.tolist()), probabilities(mu)))
 
 
 def generating_polynomial(mu) -> MultiPoly:

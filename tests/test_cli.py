@@ -864,6 +864,38 @@ def test_verify_marginals_suite(capsys):
     assert code == 0
 
 
+def _diagonal_kls_det_file(tmp_path, scales) -> str:
+    """A kls-det file on 4 x 4 matrices whose generators are a_i e_i, one
+    per scale a_i, with Rademacher variables."""
+    h = determinant(4)
+    gens = [tuple(Fraction(a if j == i else 0) for j in range(4)) for i, a in enumerate(scales)]
+    inst = KlsInstance.build(h, [h.vec_outer(u) for u in gens], [RandomVar.rademacher()] * 4,
+                             generators=gens)
+    path = tmp_path / "diagonal.json"
+    path.write_text(dumps(instance_to_json(inst)))
+    return str(path)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the variance mix's triple eigenvalue "
+                   "is read exactly off its float coefficients, and splits off the real line")
+def test_verify_accepts_a_variance_mix_with_a_repeated_eigenvalue(capsys, tmp_path):
+    path = _diagonal_kls_det_file(tmp_path, [4, 4, 4, 5])
+    code = main(["verify", path])
+    assert "not real-rooted" not in capsys.readouterr().err
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: spectrum keeps the companion route's "
+                   "split double roots on exact input")
+def test_solve_gives_double_eigenvalues_to_the_ulp(capsys, tmp_path):
+    # The all-ones leaf has exact eigenvalues 25, 25, 16, 16, and the root
+    # node's largest root is 25, so the bound is 1.5 * 25.
+    code, out = run(capsys, "solve", _diagonal_kls_det_file(tmp_path, [4, 4, 5, 5]))
+    result = json.loads(out)
+    assert code == 0
+    assert (result["certified"], result["bound"]) == (25.0, 37.5)
+
+
 def test_verify_instance_file(capsys, tmp_path):
     inst_file = tmp_path / "inst.json"
     main(["gen", "--kind", "sr-ust", "--graph", "k4", "--out", str(inst_file)])

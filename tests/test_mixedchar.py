@@ -38,7 +38,6 @@ from hyperdisc.mixedchar import (
     KlsFamily,
     KlsInstance,
     KlsTable,
-    LeafTable,
     RandomVar,
     SrInstance,
     ag_node_poly,
@@ -54,6 +53,7 @@ from hyperdisc.mixedchar import (
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.solver import SolverConfig, kadison_singer_search, max_root_estimate
+from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from hyperbolic_helpers import cone_membership, rank1_product_derivative
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
@@ -62,10 +62,11 @@ from multipoly_helpers import linear_restriction_multipoly
 from srdist_helpers import from_support, pairs
 from stability_oracle import stability_test
 from subset_helpers import fraction_operator_form
-from unipoly_helpers import from_roots, monic_top_coeffs, scale
+from unipoly_helpers import from_roots, has_common_interlacing, monic_top_coeffs, scale
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
+VARIABLE_KINDS = ("rademacher", "biased", "threepoint", "mixed")
 
 
 def _scalar_instance(n: int, value=Fraction(1)) -> KlsInstance:
@@ -234,48 +235,44 @@ def test_linear_restriction_is_real_stable():
     del rng
 
 
-def _has_common_interlacing(polys, samples: int = 16, seed: int = 0) -> bool:
-    """Polynomials of one degree with positive leading coefficients have a
-    common interlacing iff every convex combination is real-rooted.  Checks
-    the vertices, the pairwise midpoints and ``samples`` seeded weight
-    vectors, each combination exactly."""
-    assert len({p.degree for p in polys}) == 1 and all(p.coeffs[-1] > 0 for p in polys)
-    k = len(polys)
-    rng = random.Random(seed)
-    weights = [[Fraction(int(t == i)) for t in range(k)] for i in range(k)]
-    weights += [[Fraction(int(t in pair), 2) for t in range(k)]
-                for pair in itertools.combinations(range(k), 2)]
-    for _ in range(samples):
-        raw = [rng.randint(1, 16) for _ in range(k)]
-        weights.append([Fraction(r, sum(raw)) for r in raw])
-    return all(is_real_rooted(sum((scale(p, w) for w, p in zip(ws, polys)), UniPoly.zero()))
-               for ws in weights)
-
-
 def test_common_interlacing_pass():
     f1 = from_roots([1, 3])
     f2 = from_roots([2, 4])
-    assert _has_common_interlacing([f1, f2], samples=32)
+    assert has_common_interlacing([f1, f2])
 
 
 def test_common_interlacing_identical():
     f = from_roots([1, 2])
-    assert _has_common_interlacing([f, f], samples=8)
+    assert has_common_interlacing([f, f])
 
 
 def test_common_interlacing_refuted():
     f1 = UniPoly.from_coeffs([Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
     f2 = from_roots([0, 5])
-    assert not _has_common_interlacing([f1, f2], samples=16)
+    assert not has_common_interlacing([f1, f2])
 
 
 def test_common_interlacing_float_lane():
     # Binary64 coefficients are rationals too, so the check stays exact.
     f1 = from_roots([1.0, 3.0])
     f2 = from_roots([2.0, 4.0])
-    assert _has_common_interlacing([f1, f2], samples=32, seed=1)
+    assert has_common_interlacing([f1, f2])
     bad = UniPoly.from_coeffs([1.0, 0.0, 1.0])
-    assert not _has_common_interlacing([bad, f2], samples=16, seed=1)
+    assert not has_common_interlacing([bad, f2])
+
+
+@pytest.mark.parametrize("p_roots, q_roots, want", [
+    ([1, 2], [3, 4], False),
+    ([0, 1 + Fraction(1, 10**6)], [1, 2], True),   # a gap of 1e-6 the right way round
+    ([0, 1], [1 + Fraction(1, 10**6), 2], False),  # and the wrong way round
+    ([1, 1, 3], [1, 2, 3], True),                  # a double root shared
+    ([1, 1, 1], [0, 2, 2], False),                 # counts 3 and 2, then 0 and 2
+    ([2, 2], [2, 2], True),
+    ([0, 3], [1, 2], True),                        # nested: the interlacer's root in [1, 2]
+])
+def test_common_interlacing_decides_hand_cases(p_roots, q_roots, want):
+    assert has_common_interlacing([from_roots(p_roots), from_roots(q_roots)]) is want
+    assert has_common_interlacing([from_roots(q_roots), from_roots(p_roots)]) is want
 
 
 def test_children_sum_to_parent():
@@ -355,8 +352,43 @@ def test_interlacing_at_internal_nodes():
             continue
         kids = [kls_node_poly(inst, prefix + (s,))
                 for s in inst.variables[len(prefix)].support]
-        assert _has_common_interlacing(kids, samples=16, seed=5)
+        assert has_common_interlacing(kids)
         stack.extend(prefix + (s,) for s in inst.variables[len(prefix)].support)
+
+
+def _kls_children(inst):
+    """The children of every internal node of a signed family."""
+    for ell in range(inst.n):
+        for prefix in itertools.product(*[var.support for var in inst.variables[:ell]]):
+            yield prefix, [kls_node_poly(inst, prefix + (s,))
+                           for s in inst.variables[ell].support]
+
+
+def _ag_children(inst):
+    """The non-empty children of every internal node of a subset family."""
+    family = AgFamily(inst)
+    for ell in range(inst.n):
+        for prefix in itertools.product((0, 1), repeat=ell):
+            kids = [ag_node_poly(inst, prefix + (bit,))
+                    for bit in (0, 1) if family.feasible(prefix + (bit,))]
+            if kids:
+                yield prefix, kids
+
+
+@pytest.mark.parametrize("kind", VARIABLE_KINDS)
+@pytest.mark.parametrize("h", ["det", "lorentz"])
+def test_signed_children_interlace_at_every_internal_node(h, kind):
+    n = 3 if kind == "threepoint" else 4
+    inst = gen_kls_det(n, 2, 0, kind) if h == "det" else gen_kls_lorentz(n, 3, 0, kind)
+    for prefix, kids in _kls_children(inst):
+        assert has_common_interlacing(kids), prefix
+
+
+@pytest.mark.parametrize("name", ["k3", "k4", "c4", "c5", "diamond"])
+def test_exact_subset_children_interlace_at_every_internal_node(name):
+    inst = SrInstance.from_graph(named_graph(name), exact=True)
+    for prefix, kids in _ag_children(inst):
+        assert has_common_interlacing(kids), prefix
 
 
 def test_family_adapters():
@@ -378,9 +410,6 @@ def test_family_adapters():
 # Node polynomials from the mixed-derivative table against the Fraction sum
 # over every completion (kls_helpers.fraction_node_poly).
 # ---------------------------------------------------------------------------
-
-VARIABLE_KINDS = ("rademacher", "biased", "threepoint", "mixed")
-
 
 def _generated_instances():
     for kind in VARIABLE_KINDS:
@@ -1134,7 +1163,7 @@ def _assert_table_matches_per_set_sum(inst, prefixes):
                                   "random:9:16:1"])
 def test_ag_node_poly_equals_the_per_set_sum(spec):
     inst = SrInstance.from_graph(_graph(spec))
-    assert inst.leaf_table.rows.dtype == np.float64  # float vectors, float rows
+    assert inst.leaf_table.dtype == np.float64  # float vectors, float rows
     _assert_table_matches_per_set_sum(inst, _prefixes(inst, spec))
 
 
@@ -1150,7 +1179,7 @@ def test_ag_node_poly_equals_the_per_set_sum_on_generated_graphs(nv, extra, seed
 @pytest.mark.parametrize("name", ["k3", "c4", "diamond"])
 def test_exact_ag_node_poly_equals_the_per_set_sum(name):
     inst = SrInstance.from_graph(named_graph(name), exact=True)
-    assert inst.leaf_table.rows.dtype == object  # Fractions, from the one leaf route
+    assert inst.leaf_table.dtype == object  # Fractions, from the one leaf route
     prefixes = [p for ell in range(inst.n + 1) for p in itertools.product((0, 1), repeat=ell)]
     _assert_table_matches_per_set_sum(inst, prefixes)
     assert all(isinstance(c, Fraction) for c in ag_node_poly(inst).coeffs)
@@ -1170,12 +1199,12 @@ def test_blocked_search_builds_the_leaf_table_once(monkeypatch):
     assert [n for n in builds if n > 1] == [len(pairs(inst.mu))]
 
 
-def _full_scan(table, prefix) -> np.ndarray:
+def _full_scan(members, prefix) -> np.ndarray:
     """The rows whose set agrees with a prefix, by comparing every row of the
-    table on every prefix column (the route before the table was
-    conditioned on the commit)."""
+    membership matrix on every prefix column (the route before the table
+    was conditioned on the commit)."""
     bits = np.asarray(prefix, dtype=bool)
-    return np.flatnonzero((table.members[:, :len(bits)] == bits).all(axis=1))
+    return np.flatnonzero((members[:, :len(bits)] == bits).all(axis=1))
 
 
 def _exact_bits(coeffs) -> list:
@@ -1207,7 +1236,7 @@ def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
     rng = random.Random(seed)
 
     def check(prefix):
-        expect = _full_scan(table, prefix)
+        expect = _full_scan(inst.mu.members, prefix)
         assert family.feasible(prefix) == (len(expect) > 0), prefix
         assert np.array_equal(family.agreeing(prefix), expect), prefix
         if not len(expect):
@@ -1217,7 +1246,7 @@ def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
                 family.scaled_top_coeffs(prefix, 2)
             return False
         node = ag_node_poly(inst, prefix)
-        want = UniPoly.from_coeffs((np.cumsum(table.rows[expect], axis=0)[-1] + 0).tolist())
+        want = UniPoly.from_coeffs((np.cumsum(table[expect], axis=0)[-1] + 0).tolist())
         assert _exact_bits(node.coeffs) == _exact_bits(want.coeffs), prefix
         for k in ks:
             got = _monic_answer(family.scaled_top_coeffs(prefix, k))
@@ -1255,7 +1284,7 @@ def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
                                   "random:6:10:2"])
 def test_conditioned_leaf_table_equals_the_full_scan(spec, exact):
     inst = SrInstance.from_graph(_graph(spec), exact=exact)
-    assert inst.leaf_table.rows.dtype == (object if exact else np.float64)
+    assert inst.leaf_table.dtype == (object if exact else np.float64)
     for block, seed in [(1, 0), (2, 1), (3, 2)]:
         _assert_conditioned_route_matches_full_scan(inst, block, seed)
 
@@ -1270,21 +1299,22 @@ def test_conditioned_leaf_table_equals_the_full_scan_on_generated_graphs(nv, ext
 
 def test_a_round_after_a_commit_reads_only_the_committed_rows():
     inst = SrInstance.from_graph(_graph("random:9:16:1"))
-    table = inst.leaf_table
+    members = inst.mu.members
     commit = (1, 0, 1)
-    committed = _full_scan(table, commit)
-    assert 0 < len(committed) < len(table.members) // 4
+    committed = _full_scan(members, commit)
+    assert 0 < len(committed) < len(members) // 4
     combos = list(itertools.product((0, 1), repeat=3))
-    want = {combo: _full_scan(table, commit + combo) for combo in combos}
-    # The same instance over a writable copy of the table, whose rows
-    # outside the commit are flipped after it: the rounds that extend the
-    # commit must not read them.
-    copy = SrInstance(inst.h, inst.mu, inst.vectors)
-    copy.__dict__["leaf_table"] = LeafTable(table.members.copy(), table.rows)  # the cached slot
+    want = {combo: _full_scan(members, commit + combo) for combo in combos}
+    # The same instance over a writable copy of the membership matrix,
+    # whose rows outside the commit are flipped after it: the rounds that
+    # extend the commit must not read them.
+    mu = SRDistribution(inst.mu.n, inst.mu.sets, inst.mu.weights, inst.mu.denominator)
+    mu.__dict__["members"] = members.copy()  # the cached slot
+    copy = SrInstance(inst.h, mu, inst.vectors)
     family = AgFamily(copy)
     family.commit(commit)
-    outside = np.setdiff1d(np.arange(len(table.members)), committed)
-    copy.leaf_table.members[outside] = ~copy.leaf_table.members[outside]
+    outside = np.setdiff1d(np.arange(len(members)), committed)
+    mu.members[outside] = ~mu.members[outside]
     for combo in combos:
         assert np.array_equal(family.agreeing(commit + combo), want[combo]), combo
 
@@ -1296,7 +1326,7 @@ def test_a_search_leaves_the_instance_as_it_was(spec, exact):
     # family answers every prefix, and the barrier chain reports, as before.
     inst = SrInstance.from_graph(_graph(spec), exact=exact)
     table = inst.leaf_table
-    members, rows = table.members.copy(), table.rows.copy()
+    members, rows = inst.mu.members.copy(), table.copy()
     prefixes = [p for ell in range(min(inst.n, 6) + 1) for p in itertools.product((0, 1), repeat=ell)]
     degree = AgFamily(inst).degree
 
@@ -1311,11 +1341,11 @@ def test_a_search_leaves_the_instance_as_it_was(spec, exact):
         kadison_singer_search(family, SolverConfig(delta=0.5, block=2))
     assert len(family.prefixes) > inst.n
     assert inst.leaf_table is table
-    assert np.array_equal(table.members, members)
-    assert _exact_bits(table.rows.ravel()) == _exact_bits(rows.ravel())
-    assert not table.members.flags.writeable and not table.rows.flags.writeable
+    assert np.array_equal(inst.mu.members, members)
+    assert _exact_bits(table.ravel()) == _exact_bits(rows.ravel())
+    assert not inst.mu.members.flags.writeable and not table.flags.writeable
     with pytest.raises(ValueError):
-        table.members[0, 0] = not table.members[0, 0]
+        inst.mu.members[0, 0] = not inst.mu.members[0, 0]
     assert answers() == before
     assert verify_bound_chain(inst).to_json() == report
 

@@ -169,5 +169,5 @@ def test_support_rows_on_a_huge_declared_n(d):
     # The renderer formats the element values it meets, nothing per element
     # of range(n): a support of one set under n = 2**62 is written at once.
     mu = SRDistribution.from_rows(2**62, np.array([list(range(2**62 - d, 2**62))], dtype=np.intp),
-                                  [Fraction(1)])
+                                  [1], 1)
     assert dumps(distribution_to_json(mu)) == reference_dumps(pairs_form(mu))

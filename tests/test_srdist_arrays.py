@@ -4,14 +4,16 @@ serialize.set_rows parses the "set" lists into one int array, and
 SRDistribution.from_rows validates and orders that array in one numpy
 pass.  Every case runs through the file loader
 (serialize.distribution_from_json), through from_support
-(tests/srdist_helpers.py: set_rows, then from_rows with the probabilities
-as given) and, wherever the sets form one int array, through from_rows
-alone.  max_marginal sums integer weights per element; the leaf table
-fills its membership matrix from SRDistribution.sets.  Each is tied here
-to the straightforward one-set-at-a-time computation it replaced.
+(tests/srdist_helpers.py: set_rows, then from_rows with each probability
+as int weights over one denominator, from_probs) and, wherever the sets
+form one int array, through from_probs alone.  max_marginal sums integer
+weights per element; SRDistribution.members fills its membership matrix
+from SRDistribution.sets.  Each is tied here to the straightforward
+one-set-at-a-time computation it replaced.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,10 +26,11 @@ from hypothesis import strategies as st
 from hyperdisc.graphs import complete_graph, diamond_graph, named_graph
 from hyperdisc.hyperbolic import DeterminantInstance
 from hyperdisc.instances import random_connected_graph
-from hyperdisc.mixedchar import SrInstance
-from hyperdisc.serialize import distribution_from_json, scalar_to_json
+from hyperdisc.mixedchar import AgFamily, SrInstance
+from hyperdisc.serialize import distribution_from_json, distribution_to_json, dumps, scalar_to_json
+from hyperdisc.solver import brute_force
 from hyperdisc.srdist import SRDistribution, max_marginal, uniform_spanning_tree
-from srdist_helpers import from_support, pairs
+from srdist_helpers import from_probs, from_support, pairs, probabilities
 
 
 def reference_from_support(n, items):
@@ -88,14 +91,12 @@ def assert_same_as_reference(n, items):
     support, d_mu = reference_from_support(n, items)
     mu = from_support(n, items)
     assert pairs(mu) == support and mu.d_mu == d_mu
-    from_rows = SRDistribution.from_rows(n, *as_rows(items))
+    from_rows = from_probs(n, *as_rows(items))
     assert from_rows == mu and np.array_equal(from_rows.sets, mu.sets)
     from_file = loaded(n, items)
     assert from_file == mu and np.array_equal(from_file.sets, mu.sets)
-    assert all(type(prob) is Fraction for prob in from_file.probs)
-    assert mu.sets.dtype == np.intp and type(mu.probs) is tuple
-    for (elems, prob), (ref_elems, ref_prob) in zip(pairs(mu), support):
-        assert type(prob) is type(ref_prob)
+    assert from_file.weights == mu.weights and from_file.denominator == mu.denominator
+    assert mu.sets.dtype == np.intp and type(mu.weights) is tuple
     assert mu.sets.shape == (len(support), d_mu)
     assert mu.sets.tolist() == [list(elems) for elems, _ in support]
     assert max_marginal(mu) == reference_max_marginal(mu)
@@ -120,7 +121,7 @@ def assert_same_error(n, items):
     assert str(got.value) == str(ref.value)
     if as_rows(items) is not None:
         with pytest.raises(ValueError) as got:
-            SRDistribution.from_rows(n, *as_rows(items))
+            from_probs(n, *as_rows(items))
         assert str(got.value) == str(ref.value)
 
 
@@ -272,7 +273,7 @@ def test_from_support_rejects_elements_beyond_int64():
                          ids=["int32", "float", "bool", "one-dimensional", "no rows"])
 def test_from_rows_takes_only_a_non_empty_two_dimensional_intp_array(rows):
     with pytest.raises(ValueError, match=r"non-empty \(N, d\) intp array"):
-        SRDistribution.from_rows(3, rows, [Fraction(1)] * len(rows))
+        SRDistribution.from_rows(3, rows, [1] * len(rows), 1)
 
 
 def test_equal_supports_give_equal_distributions():
@@ -307,7 +308,7 @@ def test_max_marginal_sums_big_weights_exactly():
     assert max_marginal(mu) == 1 - p[1]
 
 
-def test_leaf_table_members_match_per_set_loop():
+def test_members_match_per_set_loop():
     cases = [SrInstance.from_graph(complete_graph(4)), SrInstance.from_graph(diamond_graph()),
              SrInstance.from_graph(random_connected_graph(7, 10, 1))]
     rng = random.Random(3)
@@ -317,8 +318,8 @@ def test_leaf_table_members_match_per_set_loop():
         mu = from_support(n, random_support(rng, n, rng.randint(0, n), 6))
         cases.append(SrInstance.build(h, mu, [(rng.random(),) for _ in range(n)]))
     for inst in cases:
-        members = inst.leaf_table.members
-        assert members.dtype == bool
+        members = inst.mu.members
+        assert members.dtype == bool and not members.flags.writeable
         assert np.array_equal(members, reference_members(inst.mu))
 
 
@@ -337,9 +338,9 @@ def test_from_support_gives_one_distribution_for_any_input_order(graph):
     }
     for name, variant in variants.items():
         for got in (from_support(mu.n, variant),
-                    SRDistribution.from_rows(mu.n, *as_rows(variant))):
+                    from_probs(mu.n, *as_rows(variant))):
             assert pairs(got) == pairs(mu), name
-            assert got.sets.dtype == np.intp and got.probs == mu.probs, name
+            assert got.sets.dtype == np.intp and probabilities(got) == probabilities(mu), name
             assert got.sets.tolist() == mu.sets.tolist() and not got.sets.flags.writeable, name
 
 
@@ -404,5 +405,56 @@ def test_from_support_raises_the_same_message_in_any_order(fault, message, order
     rows = as_rows(list(zip(sets, probs)))
     if rows is not None:
         with pytest.raises(ValueError) as err:
-            SRDistribution.from_rows(mu.n, *rows)
+            from_probs(mu.n, *rows)
         assert str(err.value) == message
+
+
+@st.composite
+def _weighted_rows(draw):
+    """(n, rows, weights, denominator): rows of one size in any order,
+    weights positive ints summing to the denominator, which may lie far
+    past 2^53."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, n))
+    combos = list(itertools.combinations(range(n), d))
+    sets = draw(st.lists(st.sampled_from(combos), min_size=1, max_size=8))
+    scale = draw(st.sampled_from([1, 3, 2 ** 53 + 1, 3 ** 40, 2 ** 70 - 1]))
+    weights = [w * scale + draw(st.integers(0, scale - 1))
+               for w in draw(st.lists(st.integers(1, 9), min_size=len(sets), max_size=len(sets)))]
+    return n, np.array(sets, dtype=np.intp).reshape(len(sets), d), weights, sum(weights)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_weighted_rows())
+def test_int_weights_give_correctly_rounded_floats_and_round_trip(case):
+    n, rows, weights, denominator = case
+    mu = SRDistribution.from_rows(n, rows, weights, denominator)
+    assert [p.hex() for p in mu.float_probs.tolist()] == \
+        [float(Fraction(w, mu.denominator)).hex() for w in mu.weights]
+    assert sorted(probabilities(mu)) == sorted(Fraction(w, denominator) for w in weights)
+    assert math.gcd(mu.denominator, *mu.weights) == 1  # lowest terms
+    assert not mu.float_probs.flags.writeable and not mu.members.flags.writeable
+    text = dumps(distribution_to_json(mu))
+    assert distribution_from_json(json.loads(text)) == mu
+    assert dumps(distribution_to_json(distribution_from_json(json.loads(text)))) == text
+    bad = list(weights)
+    bad[0] = -bad[0] if len(bad) == 1 else 0
+    with pytest.raises(ValueError, match="^probabilities must be positive$"):
+        SRDistribution.from_rows(n, rows, bad, denominator)
+    with pytest.raises(ValueError, match=r"^probabilities sum to \d+/\d+, not 1$"):
+        SRDistribution.from_rows(n, rows, weights, denominator + 1)
+    with pytest.raises(ValueError, match=f"^{len(weights) + 1} weights for {len(weights)} support sets$"):
+        SRDistribution.from_rows(n, rows, weights + [1], denominator + 1)
+
+
+def test_feasible_leaves_the_leaf_table_unbuilt():
+    # feasible reads the membership matrix only.
+    inst = SrInstance.from_graph(complete_graph(4))
+    assert AgFamily(inst).feasible((1, 0, 1))
+    assert "leaf_table" not in inst.__dict__
+
+
+def test_brute_force_leaves_the_leaf_table_unbuilt():
+    inst = SrInstance.from_graph(complete_graph(4))
+    brute_force(inst, "ag")
+    assert "leaf_table" not in inst.__dict__

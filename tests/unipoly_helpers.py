@@ -4,9 +4,12 @@ Fractions, which the int routes in hyperdisc.unipoly must match; and
 one-row Newton interpolation in UniPoly arithmetic, which the stacked
 interpolate must match bit for bit."""
 
+import itertools
 from fractions import Fraction
 
-from hyperdisc.unipoly import UniPoly, _deriv, _strip, as_one_type
+from hyperdisc.unipoly import (UniPoly, _cauchy_bound, _deriv, _isolate_roots, _sign, _strip,
+                               _variations, _variations_at, as_one_type,
+                               square_free_decomposition)
 
 
 def from_roots(roots) -> UniPoly:
@@ -140,3 +143,43 @@ def fraction_sturm_chain(c: list) -> list:
     if chain[-1] == []:
         chain.pop()
     return chain
+
+
+def _roots_above(factors, x: Fraction) -> int:
+    """N(x), the real roots above x counted with multiplicity, from Yun's
+    factors: each factor's Sturm count over (x, +inf), times its
+    multiplicity."""
+    return sum(m * (_variations_at(chain, x) - _variations([_sign(c[-1]) for c in chain]))
+               for _, m, chain in factors)
+
+
+def _pair_interlaces(p: UniPoly, q: UniPoly) -> bool:
+    """Whether p and q, of one degree with positive leading coefficients,
+    are real-rooted with a common interlacing: |N_p(x) - N_q(x)| <= 1 for
+    every real x.  N_p - N_q changes only at the roots r_1 < ... < r_m of
+    pq, and N is constant on [r_i, r_(i+1)), so the counts are read below
+    the Cauchy bound of pq's square-free part and at the upper end b of
+    each of its isolating intervals (a, b], which lies in [r_i, r_(i+1)),
+    or past r_m."""
+    fp = square_free_decomposition(p.coeffs)
+    fq = square_free_decomposition(q.coeffs)
+    exact = [UniPoly.from_coeffs([Fraction(c) for c in f.coeffs]) for f in (p, q)]
+    part = UniPoly.constant(1)
+    for c, _, _ in square_free_decomposition((exact[0] * exact[1]).coeffs):
+        part = part * UniPoly.from_coeffs(c)
+    (sq, _, chain), = square_free_decomposition(part.coeffs)
+    points = [-_cauchy_bound(sq)] + sorted(b for _, b in _isolate_roots(sq, chain))
+    if _roots_above(fp, points[0]) != p.degree or _roots_above(fq, points[0]) != q.degree:
+        return False  # a root off the real line
+    return all(abs(_roots_above(fp, x) - _roots_above(fq, x)) <= 1 for x in points)
+
+
+def has_common_interlacing(polys) -> bool:
+    """Real-rooted polynomials of one degree with positive leading
+    coefficients have a common interlacing iff every pair has one
+    (Chudnovsky-Seymour), decided exactly (_pair_interlaces); one
+    polynomial has one iff it is real-rooted.  A binary64 coefficient is
+    the rational it is."""
+    assert len({p.degree for p in polys}) == 1 and all(p.coeffs[-1] > 0 for p in polys)
+    pairs = list(itertools.combinations(polys, 2)) or [(polys[0], polys[0])]
+    return all(_pair_interlaces(p, q) for p, q in pairs)
