@@ -36,8 +36,9 @@ builds, or that this first call builds) and multiplies it by 1/sigma once.
 sigma does not read the table: its variance mix is summed over ints from
 one stacked int restriction of the vectors (KlsInstance.variance_mix).
 Phi, the probes and the variance mix are evaluated on the scaled instance,
-whose float traces come from one stacked restriction and whose
-variance_mix spectrum gives both the norm step and lambda_1.
+whose float traces come from one stacked restriction; the chain sums its
+variance mix itself, in binary64, and the mix's spectrum gives the norm
+step, lambda_1 and the report's sigma.
 
 The chain builds each point once, in float stacks that keep the bits of
 one point at a time: the probes' w in one stack (_points), evaluated by one
@@ -49,7 +50,7 @@ degree-1 coefficient of the line t -> h(w + t tau_i v_i), and one
 h.restrict_lines call gives every line: Lorentz's closed form per line,
 and for the kinds that interpolate, all n (d + 1) nodes in one h.values
 call and one stacked interpolate, which gives each line the bits of its
-own.  tau_i comes from the variables' int data (KlsInstance.tau_squares).
+own.  tau_i comes from the variables' int forms (KlsInstance.tau_squares).
 Each stacked kernel adds in the per-point order: vectors in index order,
 set products in element order, and set terms in support order.  Phi is
 never taken by differentiating an expanded multivariate polynomial.  The
@@ -67,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainViolated, TooLarge
+from .hyperbolic import spectrum
 from .mixedchar import (
     KlsInstance,
     SrInstance,
@@ -255,13 +257,19 @@ def verify_bound_chain(inst) -> ChainReport:
             raise ChainViolated("sigma_positive", "all variance-trace weights vanish")
         root_scale = 1.0 / inst.sigma
         inst = inst.scaled(root_scale)
-        mix_norm = inst.sigma2
+        mix = [0.0] * inst.h.m  # in binary64, from 0.0 in index order
+        for v, tau2, tr in zip(inst.vectors, inst.tau_squares, inst.traces):
+            weight = float(tau2) * tr
+            for idx in range(inst.h.m):
+                mix[idx] = mix[idx] + weight * v[idx]
+        mix = spectrum(inst.h, tuple(mix))
+        mix_norm = float(mix.norm)
         if mix_norm > 1.0 + VARIANCE_MIX_TOL:
             raise ChainViolated("variance_mix_below_direction",
                                 f"||sum tau^2 tr v||_h = {mix_norm}")
         steps.append(_step("variance_mix_norm", mix_norm, 1.0, VARIANCE_MIX_TOL))
         pt = construction_point(inst)
-        margin = pt.x - pt.t * inst.variance_mix.eigenvalues[0]
+        margin = pt.x - pt.t * mix.eigenvalues[0]
         bounds = [2 * tau * float(tr) / (pt.x - pt.t) for tau, tr in zip(_taus(inst), inst.traces)]
     else:
         eps = inst.eps1 + inst.eps2
@@ -286,7 +294,8 @@ def verify_bound_chain(inst) -> ChainReport:
     if signed:
         top = max_real_root(root.to_float()) * root_scale
         steps.append(_step("collapsed_max_root", top, 4.0, CHAIN_STEP_TOL))
-        return ChainReport("kls", tuple(steps), all(s.passed for s in steps), sigma=inst.sigma)
+        return ChainReport("kls", tuple(steps), all(s.passed for s in steps),
+                           sigma=math.sqrt(max(mix_norm, 0.0)))
     top = max_real_root(ag_node_poly(inst).to_float())
     steps.append(_step("mixed_char_max_root", top, 4 * eps + 2 * eps * eps, CHAIN_STEP_TOL))
     return ChainReport("ag", tuple(steps), all(s.passed for s in steps), eps=eps)

@@ -67,7 +67,7 @@ class OddK(HyperdiscError):
 
 
 class OracleFailure(HyperdiscError):
-    """Coefficient oracle failed during blocked search."""
+    """A block of the blocked search has no feasible tuple."""
 
 
 class CertificationFailed(HyperdiscError):

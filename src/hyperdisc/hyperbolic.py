@@ -76,12 +76,6 @@ class HyperbolicInstance:
         """Exact univariate polynomial t -> h(base + t dirv)."""
         raise NotImplementedError
 
-    def restrict_lines(self, base, dirs) -> list:
-        """restrict_line(base, dirv) for each direction, in order.  Here one
-        restrict_line per direction (Lorentz's closed form); the kinds that
-        interpolate take every line from one evaluation (_interp_lines)."""
-        return [self.restrict_line(base, dirv) for dirv in dirs]
-
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """Hyperbolic norms of a stack of float vectors, one per row: each
         row's spectrum, or a closed form where the subclass has one."""
@@ -102,11 +96,12 @@ class HyperbolicInstance:
         coefficients."""
         return _integer_rows([self.restrict_line(tuple(base), self.e).coeffs for base in bases])
 
-    def _interp_lines(self, base, dirs) -> list:
-        """t -> h(base + t dirv) for each direction, through its values at the
-        integer nodes 0..d: every node of every line is evaluated by one
-        h.values call, and one stacked interpolate gives each line the
-        polynomial it would get alone."""
+    def restrict_lines(self, base, dirs) -> list:
+        """restrict_line(base, dirv) for each direction, in order, through
+        its values at the integer nodes 0..d: every node of every line is
+        evaluated by one h.values call, and one stacked interpolate gives
+        each line the polynomial it would get alone.  Lorentz states its
+        closed form per line instead."""
         self.check_dim(base, "base")
         for dirv in dirs:
             self.check_dim(dirv, "direction")
@@ -187,14 +182,14 @@ class DeterminantInstance(HyperbolicInstance):
                 return UniPoly.from_coeffs(row.tolist())
             neg = [[-x for x in row] for row in self.mat(base)]
             return UniPoly.from_coeffs(char_poly_exact(neg))
-        return self._interp_lines(base, [dirv])[0]
+        return super().restrict_lines(base, [dirv])[0]
 
     def restrict_lines(self, base, dirs) -> list:
         """Every line interpolated from one evaluation, unless a direction
-        is e, whose line restrict_line takes by its own route."""
+        is e: then every line takes restrict_line."""
         if self.e in map(tuple, dirs):
-            return super().restrict_lines(base, dirs)
-        return self._interp_lines(base, dirs)
+            return [self.restrict_line(base, dirv) for dirv in dirs]
+        return super().restrict_lines(base, dirs)
 
     def _stack(self, rows: np.ndarray) -> np.ndarray:
         """The symmetric matrices of a stack of float vectors, one per row."""
@@ -286,6 +281,10 @@ class LorentzInstance(HyperbolicInstance):
         c1 = 2 * (base[-1] * dirv[-1] - sum(b * w for b, w in zip(base[:-1], dirv[:-1])))
         return UniPoly.from_coeffs([self.value(base), c1, c2])
 
+    def restrict_lines(self, base, dirs) -> list:
+        """restrict_line's closed form per line."""
+        return [self.restrict_line(base, dirv) for dirv in dirs]
+
     def restrict_e_ints(self, bases) -> tuple:
         """(rows, 1): restrict_line's closed form along e, h(b) + 2 b_m t + t^2,
         per int base b."""
@@ -336,10 +335,7 @@ class ElemSymInstance(HyperbolicInstance):
         return row[self.k]
 
     def restrict_line(self, base, dirv) -> UniPoly:
-        return self._interp_lines(base, [dirv])[0]
-
-    def restrict_lines(self, base, dirs) -> list:
-        return self._interp_lines(base, dirs)
+        return self.restrict_lines(base, [dirv])[0]
 
     def params(self) -> dict:
         return {"kind": self.kind, "n": self.n, "k": self.k}
@@ -387,10 +383,7 @@ class RealStableInstance(HyperbolicInstance):
         return self.poly.eval(tuple(x))
 
     def restrict_line(self, base, dirv) -> UniPoly:
-        return self._interp_lines(base, [dirv])[0]
-
-    def restrict_lines(self, base, dirs) -> list:
-        return self._interp_lines(base, dirs)
+        return self.restrict_lines(base, [dirv])[0]
 
     def params(self) -> dict:
         return {"kind": self.kind, "nvars": self.m, "e": list(self.e)}

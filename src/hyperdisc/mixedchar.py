@@ -48,9 +48,10 @@ and the free c_i are independent with mean zero, so for a prefix s_1..s_l
                   tau_F^2 P_F(x) P_F(-x),
     P_F(x) = sum_{A subset prefix, |F|+|A| <= d} c^A a_{F u A} x^(d-|F|-|A|).
 
-The signed family has one lane, over exact rationals, and its data is
-checked once, where a file is loaded, by building the table of a_T
-(KlsInstance.coefficient_table, KlsTable.build) from each kind's own form:
+The signed family has one lane, over exact rationals (a float is the
+rational it is; each variable is scaled to ints once, by RandomVar), and
+its data is checked once, where a file is loaded, by building the table of
+a_T (KlsInstance.coefficient_table, KlsTable.build) from each kind's form:
 
 * det with generators u_i that match the vectors (v_i = vec(u_i u_i^T),
   checked exactly): a_T = det(G_T) for the Gram matrix G = U^T U
@@ -157,8 +158,9 @@ LEAF_CHUNK = 256  # support sets per batched leaf pass; bounds its temporaries
 
 @dataclass(frozen=True)
 class RandomVar:
-    """Finite-support random variable with an exact mean (the variances are
-    KlsInstance.tau_squares)."""
+    """Finite-support random variable, a float taken as the rational it is.
+    Its int form is worked out once, on construction, and the sum check,
+    mean, variance and KlsInstance.integer_data all read it."""
 
     support: tuple
     probs: tuple
@@ -172,33 +174,55 @@ class RandomVar:
             raise ValueError("support values must be distinct")
         if any(not p > 0 for p in self.probs):
             raise ValueError("probabilities must be positive")
-        total = sum(map(Fraction, self.probs))  # a binary64 value is the rational it is
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}")
+        weights, q, *_ = self.int_form
+        if sum(weights) != q:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), q)}")
 
     @staticmethod
+    @functools.cache
     def rademacher() -> "RandomVar":
+        """The one shared +-1 coin, so its int form is worked out once."""
         return RandomVar((Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(1, 2)))
 
     @functools.cached_property
-    def mean(self):
-        return sum(s * p for s, p in zip(self.support, self.probs))
+    def int_form(self) -> tuple:
+        """(P, q, M, C, V, b) for the int support S = b s and probabilities
+        P = q p over the lcms b and q of their denominators: the int mean
+        M = sum P S (the mean is M / (b q)), the centered ints C = q S - M
+        (s - mu = C / (b q)) and the spread V = sum P C^2 (the variance is
+        V / (b^2 q^3)).  The probabilities sum to sum P / q."""
+        (support,), b = _integer_rows([self.support])
+        (weights,), q = _integer_rows([self.probs])
+        mean = sum(map(operator.mul, support, weights))
+        centered = tuple(q * x - mean for x in support)
+        spread = sum(map(operator.mul, weights, (c * c for c in centered)))
+        return tuple(weights), q, mean, centered, spread, b
+
+    @property
+    def mean(self) -> Fraction:
+        _, q, mean, _, _, b = self.int_form
+        return Fraction(mean, b * q)
+
+    @property
+    def variance(self) -> Fraction:
+        _, q, _, _, spread, b = self.int_form
+        return Fraction(spread, b * b * q ** 3)
 
 
 @dataclass(frozen=True)
 class KlsInstance:
     """Signed-discrepancy instance: hyperbolic h, rank-1 cone vectors, variables.
 
-    The signed lane is exact: files load their data as rationals, and
-    loading builds the coefficient table, where the rank and the cone are
-    checked exactly or hold by construction (KlsTable.build); build itself
-    checks only the shapes.
-    The traces and sigma are computed on first use, and the search never
-    reads them.  The traces take one stacked restriction.  An exact
-    instance, loaded or generated, sums sigma's variance mix over ints
-    without reading the traces or the coefficient table, so sigma costs one
-    stacked int restriction and one exact characteristic polynomial, the
-    mix's; an instance scaled by a float sums the mix over its float traces.
+    The signed lane is exact from end to end, a float entry taken as the
+    rational it is: files load their data as rationals, and loading builds
+    the coefficient table, where the rank and the cone are checked exactly
+    or hold by construction (KlsTable.build); build itself checks only the
+    shapes.  The traces, tau^2 and sigma are computed on first use, and the
+    search never reads them.  The traces take one stacked restriction, and
+    tau^2 comes from the variables alone (RandomVar.variance).  sigma's
+    variance mix is summed over ints without reading the traces or the
+    coefficient table, so it costs one stacked int restriction and one
+    exact characteristic polynomial, the mix's.
     """
 
     h: HyperbolicInstance
@@ -221,11 +245,6 @@ class KlsInstance:
         return KlsInstance(h, vectors, variables, generators)
 
     @functools.cached_property
-    def exact(self) -> bool:
-        """Whether no vector holds a float: variance_mix then sums over ints."""
-        return not any(isinstance(c, float) for v in self.vectors for c in v)
-
-    @functools.cached_property
     def traces(self) -> tuple:
         """The hyperbolic traces of the vectors (hyperbolic_traces, one
         stacked restriction): Fractions for exact vectors, floats else."""
@@ -233,64 +252,46 @@ class KlsInstance:
 
     @functools.cached_property
     def variance_mix(self) -> Spectrum:
-        """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i.
+        """The spectrum of the variance mix sum tau_i^2 tr[v_i] v_i, summed
+        over ints.
 
-        Exact vectors sum the mix over ints: with D, L, the int vectors
-        D v_i and L^2 tau_i^2 from integer_data, one stacked
-        h.restrict_e_ints call on the D v_i gives rows whose top two
-        coefficients are E a_0 = E h(e) and E D a_i, for a_i = D_{v_i} h(e)
-        and tr[v_i] = a_i / a_0.  So sum_i (L^2 tau_i^2) (E D a_i) (D v_i)
-        is the mix times L^2 D^2 E a_0, and one division per coordinate
-        gives the mix's Fractions.  Float vectors (the barrier chain's
-        instance scaled by 1/sigma) sum the mix over their traces, in
-        binary64.
+        With D, L, the int vectors D v_i and L^2 tau_i^2 from integer_data,
+        one stacked h.restrict_e_ints call on the D v_i gives rows whose top
+        two coefficients are E a_0 = E h(e) and E D a_i, for a_i =
+        D_{v_i} h(e) and tr[v_i] = a_i / a_0.  So sum_i (L^2 tau_i^2)
+        (E D a_i) (D v_i) is the mix times L^2 D^2 E a_0, and one division
+        per coordinate gives the mix's Fractions.
         """
         h = self.h
-        if self.exact:
-            vec_scale, var_scale, vectors, _, variances, _ = self.integer_data
-            rows, _ = h.restrict_e_ints(vectors)
-            acc = [0] * h.m
-            for v, weight, row in zip(vectors, variances, rows):
-                weight *= row[h.d - 1]
-                if weight:
-                    acc = [a + weight * x for a, x in zip(acc, v)]
-            denom = (vec_scale * var_scale) ** 2 * rows[0][h.d]
-            return spectrum(h, tuple(Fraction(a, denom) for a in acc))
-        mix = [0.0] * h.m
-        for v, tau2, tr in zip(self.vectors, self.tau_squares, self.traces):
-            weight = float(tau2) * tr
-            for idx in range(h.m):
-                mix[idx] = mix[idx] + weight * v[idx]
-        return spectrum(h, tuple(mix))
-
-    @functools.cached_property
-    def sigma2(self) -> float:
-        """||sum tau_i^2 tr[v_i] v_i||_h."""
-        return float(self.variance_mix.norm)
+        vec_scale, var_scale, vectors, _, variances, _ = self.integer_data
+        rows, _ = h.restrict_e_ints(vectors)
+        acc = [0] * h.m
+        for v, weight, row in zip(vectors, variances, rows):
+            weight *= row[h.d - 1]
+            if weight:
+                acc = [a + weight * x for a, x in zip(acc, v)]
+        denom = (vec_scale * var_scale) ** 2 * rows[0][h.d]
+        return spectrum(h, tuple(Fraction(a, denom) for a in acc))
 
     @functools.cached_property
     def sigma(self) -> float:
-        return math.sqrt(max(self.sigma2, 0.0))
+        """sqrt(||sum tau_i^2 tr[v_i] v_i||_h), the variance mix's norm."""
+        return math.sqrt(max(float(self.variance_mix.norm), 0.0))
 
     @property
     def n(self) -> int:
         return len(self.vectors)
 
     def scaled(self, factor) -> "KlsInstance":
-        """Instance with every vector multiplied by factor > 0.  The result
-        carries no generators, and this instance's tau_squares, since its
-        variables are the same."""
+        """Instance with every vector multiplied by factor > 0, and the same
+        variables; the result carries no generators."""
         vecs = tuple(tuple(factor * c for c in v) for v in self.vectors)
-        out = KlsInstance.build(self.h, vecs, self.variables)
-        out.__dict__["tau_squares"] = self.tau_squares  # the cached_property's slot
-        return out
+        return KlsInstance.build(self.h, vecs, self.variables)
 
     @functools.cached_property
     def tau_squares(self) -> tuple:
-        """tau_i^2 = Var xi_i per variable, as Fractions: L^2 tau_i^2 / L^2
-        from integer_data."""
-        _, var_scale, _, _, variances, _ = self.integer_data
-        return tuple(Fraction(v, var_scale * var_scale) for v in variances)
+        """tau_i^2 = Var xi_i per variable, as Fractions (RandomVar.variance)."""
+        return tuple(var.variance for var in self.variables)
 
     @functools.cached_property
     def generators_match(self) -> bool:
@@ -323,31 +324,24 @@ class KlsInstance:
         an int, for the lcm q_i of variable i's probability denominators;
         its values sum to q_i.
 
-        Each variable is scaled to ints once: with b the lcm of its support
-        denominators, S = b s and P = q p, the centered value is
-        (q S - M) / (b q) for M = sum P S, and tau^2 = V / (b^2 q^3) for
-        V = sum P (q S - M)^2.  L0 clears every centered value; L = L0 m,
-        with m clearing every L0^2 tau_i^2, makes L^2 tau_i^2 an int too.
+        Every variable's numbers come from its int form
+        (RandomVar.int_form): the centered value is C / (b q) and tau^2 =
+        V / (b^2 q^3).  L0 clears every centered value; L = L0 m, with m
+        clearing every L0^2 tau_i^2, makes L^2 tau_i^2 an int too.
         """
         ints, vec_scale = _integer_rows(self.vectors)
-        vectors = tuple(map(tuple, ints))
-        offsets, spreads, probs = [], [], []  # q S - M, (V, b^2 q^3), P; per variable
+        offsets, spreads = [], []  # (C, b q) and (V, b^2 q^3) per variable
         for var in self.variables:
-            (support,), b = _integer_rows([var.support])
-            (weights,), q = _integer_rows([var.probs])
-            mean = sum(map(operator.mul, support, weights))
-            centered = [q * x - mean for x in support]
+            _, q, _, centered, spread, b = var.int_form
             offsets.append((centered, b * q))
-            spreads.append((sum(map(operator.mul, weights, (c * c for c in centered))),
-                            b * b * q ** 3))
-            probs.append(dict(zip(var.support, weights)))
+            spreads.append((spread, b * b * q ** 3))
         base = math.lcm(*(den // math.gcd(c, den) for centered, den in offsets for c in centered))
         var_scale = base * math.lcm(*(den // math.gcd(base * base * v, den) for v, den in spreads))
-        return (vec_scale, var_scale, vectors,
+        return (vec_scale, var_scale, tuple(map(tuple, ints)),
                 tuple({s: var_scale * c // den for s, c in zip(var.support, centered)}
                       for var, (centered, den) in zip(self.variables, offsets)),
                 tuple(var_scale * var_scale * v // den for v, den in spreads),
-                tuple(probs))
+                tuple(dict(zip(var.support, var.int_form[0])) for var in self.variables))
 
     def centered_ints(self, assignment) -> tuple:
         """W = L D sum_i (s_i - mu_i) v_i, an int vector (integer_data)."""
@@ -407,24 +401,22 @@ class SrInstance:
         per support set in support order: rows[r] holds the d + 1 ascending
         coefficients of mu(S) * h(xe - sum_{i in S} v_i), float64 for float
         vectors (mu.float_probs) and Fractions for exact ones
-        (mu.fractions).  Vectors are summed in element order from 0 in
-        their own arithmetic and each row is scaled by mu(S) coefficient by
-        coefficient, as subset_sum and restrict_line do one set at a time.
+        (mu.fractions).  Each set's vectors are summed by _set_sums, the
+        sum AgFamily.leaf_norm takes, and each row is scaled by mu(S)
+        coefficient by coefficient, as restrict_line and a per-set sum
+        would do one set at a time.
         Which rows agree with a committed prefix is kept on the search's
         family (AgFamily), never here."""
-        sets = self.mu.sets
-        vecs = np.array(self.vectors)
+        sets, vecs = self.mu.sets, np.array(self.vectors)
         if vecs.dtype == np.float64:
             probs = self.mu.float_probs
-        else:  # ints stay exact
-            vecs, probs = vecs.astype(object), np.array(self.mu.fractions(), dtype=object)
+        else:  # exact vectors, summed as objects by _set_sums
+            probs = np.array(self.mu.fractions(), dtype=object)
         chunks = []
         for lo in range(0, len(sets), LEAF_CHUNK):
             chunk = sets[lo:lo + LEAF_CHUNK]
-            w = np.zeros((len(chunk), self.h.m), dtype=vecs.dtype)
-            for col in chunk.T:
-                w = w + vecs[col]
-            chunks.append(probs[lo:lo + len(chunk), None] * self.h.restrict_e_rows(-w))
+            leaves = self.h.restrict_e_rows(-_set_sums(vecs, chunk))
+            chunks.append(probs[lo:lo + len(chunk), None] * leaves)
         rows = np.concatenate(chunks)
         rows.setflags(write=False)
         return rows
@@ -452,12 +444,18 @@ class SrInstance:
     def n(self) -> int:
         return self.mu.n
 
-    def subset_sum(self, elements) -> tuple:
-        w = [Fraction(0)] * self.h.m
-        for i in elements:
-            for idx in range(self.h.m):
-                w[idx] = w[idx] + self.vectors[i][idx]
-        return tuple(w)
+
+def _set_sums(vectors, sets: np.ndarray) -> np.ndarray:
+    """sum_{i in S} v_i for each row S of sets, a row each: the vectors
+    added in element order from 0, as float64 for float vectors and as
+    exact objects else."""
+    vecs = np.asarray(vectors)
+    if vecs.dtype != np.float64:
+        vecs = vecs.astype(object, copy=False)
+    w = np.zeros((len(sets), vecs.shape[1]), dtype=vecs.dtype)
+    for col in sets.T:
+        w = w + vecs[col]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +892,6 @@ class AgFamily(_SearchFamily):
         return max_real_root(ag_node_poly(self.inst))
 
     def leaf_norm(self, assignment) -> float:
-        elems = [i for i, bit in enumerate(assignment) if bit]
-        w = self.inst.subset_sum(elems)
-        return spectrum(self.inst.h, w).norm
+        elems = np.flatnonzero(np.asarray(assignment, dtype=bool))
+        w = _set_sums(self.inst.vectors, elems[None])[0]
+        return spectrum(self.inst.h, tuple(w.tolist())).norm

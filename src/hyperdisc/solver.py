@@ -189,17 +189,12 @@ def kadison_singer_search(family, cfg: SolverConfig) -> SearchResult:
             prefix = assignment + combo
             if not family.feasible(prefix):
                 continue
-            try:
-                coeffs, scale = maxcoeff_enum(family, k, prefix)
-                oracle_calls += 1
-                if degree >= 2:
-                    est = max_root_estimate(degree, k, coeffs, scale)
-                else:
-                    est = -float(coeffs[0] / scale)  # monic linear node: root is -c1
-            except (OddK, TooLarge):
-                raise
-            except Exception as exc:  # pragma: no cover - defensive
-                raise OracleFailure(f"oracle failed on prefix {prefix!r}: {exc}") from exc
+            coeffs, scale = maxcoeff_enum(family, k, prefix)
+            oracle_calls += 1
+            if degree >= 2:
+                est = max_root_estimate(degree, k, coeffs, scale)
+            else:
+                est = -float(coeffs[0] / scale)  # monic linear node: root is -c1
             if best is None or est < best[0]:
                 best = (est, combo)
         if best is None:

@@ -6,16 +6,24 @@ import math
 import weakref
 from fractions import Fraction
 
+from hyperdisc.hyperbolic import char_restriction
 from hyperdisc.unipoly import UniPoly
 from unipoly_helpers import scale
 
 
+def fraction_mean(var) -> Fraction:
+    """E xi = sum_s Pr[s] s over Fractions, a float taken as the rational it
+    is."""
+    return sum(Fraction(p) * Fraction(s) for s, p in zip(var.support, var.probs))
+
+
 def fraction_centered_sum(inst, assignment) -> tuple:
-    """w = sum_i (s_i - mu_i) v_i over Fractions, with RandomVar.mean."""
+    """w = sum_i (s_i - mu_i) v_i over Fractions, with fraction_mean."""
     w = [Fraction(0)] * inst.h.m
     for v, var, s in zip(inst.vectors, inst.variables, assignment):
+        mean = fraction_mean(var)
         for idx in range(inst.h.m):
-            w[idx] += (s - var.mean) * v[idx]
+            w[idx] += (s - mean) * v[idx]
     return tuple(w)
 
 
@@ -51,16 +59,33 @@ def fraction_node_poly(inst, partial=()) -> UniPoly:
 
 
 def fraction_variance(var) -> Fraction:
-    """Var xi = sum_s Pr[s] (s - mu)^2 over Fractions, with RandomVar.mean."""
-    return sum(p * (s - var.mean) * (s - var.mean) for s, p in zip(var.support, var.probs))
+    """Var xi = sum_s Pr[s] (s - mu)^2 over Fractions, with fraction_mean."""
+    mean = fraction_mean(var)
+    return sum(Fraction(p) * (Fraction(s) - mean) ** 2 for s, p in zip(var.support, var.probs))
+
+
+def trace_reference(h, v):
+    """The coefficient ratio of one characteristic restriction of v."""
+    coeffs = char_restriction(h, v).coeffs
+    return -coeffs[-2] / coeffs[-1]
+
+
+def mix_reference(inst, traces) -> tuple:
+    """sum tau_i^2 tr[v_i] v_i, one coordinate at a time from Fraction(0)."""
+    mix = [Fraction(0)] * inst.h.m
+    for v, var, tr in zip(inst.vectors, inst.variables, traces):
+        weight = fraction_variance(var) * tr
+        for idx in range(inst.h.m):
+            mix[idx] = mix[idx] + weight * v[idx]
+    return tuple(mix)
 
 
 def fraction_integer_data(inst) -> tuple:
     """(L, centered, variances, probs) of KlsInstance.integer_data from
-    RandomVar.mean and fraction_variance over Fractions: L0 is the lcm of the centered
-    values' denominators, and L = L0 times the lcm of the denominators of
-    every L0^2 tau_i^2."""
-    centered = [{s: s - var.mean for s in var.support} for var in inst.variables]
+    fraction_mean and fraction_variance over Fractions: L0 is the lcm of the
+    centered values' denominators, and L = L0 times the lcm of the
+    denominators of every L0^2 tau_i^2."""
+    centered = [{s: s - fraction_mean(var) for s in var.support} for var in inst.variables]
     base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
     scale = base * math.lcm(*((base * base * fraction_variance(var)).denominator
                               for var in inst.variables))

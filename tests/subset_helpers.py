@@ -52,6 +52,16 @@ def fraction_operator_form(inst) -> UniPoly:
     return acc
 
 
+def subset_sum(inst, elements) -> tuple:
+    """sum_{i in S} v_i one coordinate at a time from Fraction(0): the
+    per-set reference for the leaf table's and leaf_norm's set sums."""
+    w = [Fraction(0)] * inst.h.m
+    for i in elements:
+        for idx in range(inst.h.m):
+            w[idx] = w[idx] + inst.vectors[i][idx]
+    return tuple(w)
+
+
 def as_rationals(vectors) -> list:
     """The vectors with every float taken as the rational it is."""
     return [tuple(map(Fraction, v)) for v in vectors]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperdisc import barrier, hyperbolic
+from hyperdisc import barrier, hyperbolic, mixedchar
 from hyperdisc.errors import ChainViolated
 from hyperdisc.barrier import (
     ABOVE_ROOTS_PROBES,
@@ -26,9 +26,10 @@ from hyperdisc.hyperbolic import (DeterminantInstance, ElemSymInstance, Hyperbol
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from hyperdisc.mixedchar import KlsInstance, RandomVar, SrInstance
 from hyperdisc.realstable import MultiPoly
-from kls_helpers import fraction_variance
+from kls_helpers import fraction_variance, mix_reference, trace_reference
 from multipoly_helpers import kls_square_zpoly, one_minus_c_d2, partial
 from srdist_helpers import from_support, pairs
+from subset_helpers import as_rationals
 from unipoly_helpers import newton_reference
 
 D1 = determinant(1)
@@ -385,6 +386,50 @@ def _float_vector_cases():
     for inst in (gen_kls_det(4, 3, 0, "mixed"), gen_kls_lorentz(5, 4, 1, "mixed")):
         vectors = [tuple(float(c) for c in v) for v in inst.vectors]
         yield f"{inst.h.kind}:float", KlsInstance.build(inst.h, vectors, inst.variables)
+
+
+def test_float_vectors_give_the_variance_mix_of_their_rationals(monkeypatch):
+    # The float-vector instance hands spectrum the Fractions of the same
+    # instance built from Fraction(x) of every entry.
+    handed = []
+    real = mixedchar.spectrum
+    monkeypatch.setattr(mixedchar, "spectrum", lambda h, x: handed.append(x) or real(h, x))
+    for label, inst in _float_vector_cases():
+        exact = KlsInstance.build(inst.h, as_rationals(inst.vectors), inst.variables)
+        handed.clear()
+        inst.variance_mix
+        exact.variance_mix
+        assert len(handed) == 2 and handed[0] == handed[1], label
+        assert all(type(c) is Fraction for c in handed[0]), label
+        assert inst.tau_squares == exact.tau_squares, label
+        assert float.hex(inst.sigma) == float.hex(exact.sigma), label
+
+
+def test_chain_sums_the_rescaled_variance_mix_in_binary64(monkeypatch):
+    # The chain's 1/sigma copy holds float vectors.  The chain sums that
+    # copy's mix itself, over its float traces from one stacked
+    # restriction, coordinate by coordinate from 0.0, and hands spectrum the
+    # bits of that sum; the norm step and the report's sigma read its norm.
+    handed = []
+    real = barrier.spectrum
+    monkeypatch.setattr(barrier, "spectrum", lambda h, x: handed.append(x) or real(h, x))
+    checked = 0
+    for label, inst in itertools.chain(_phi_cases(), _float_vector_cases()):
+        if not isinstance(inst, KlsInstance):
+            continue
+        scaled = inst.scaled(1.0 / inst.sigma)
+        traces = [trace_reference(scaled.h, v) for v in scaled.vectors]
+        assert [float.hex(t) for t in scaled.traces] == [float.hex(t) for t in traces], label
+        want = mix_reference(scaled, traces)
+        handed.clear()
+        report = verify_bound_chain(inst)
+        assert [list(map(float.hex, x)) for x in handed] == [list(map(float.hex, want))], label
+        norm = float(real(scaled.h, want).norm)
+        assert report.steps[0].step == "variance_mix_norm", label
+        assert float.hex(report.steps[0].quantity) == float.hex(norm), label
+        assert float.hex(report.sigma) == float.hex(math.sqrt(max(norm, 0.0))), label
+        checked += 1
+    assert checked > 25
 
 
 def test_phi_equals_the_per_index_reference_bit_for_bit():

@@ -395,3 +395,28 @@ def test_every_name_in_src_prose_exists():
                       if (m.group(1) in stems or m.group(1) in classes)
                       and m.group(2) not in known and m.group(2) != "py"}
     assert sorted(stale) == []
+
+
+def _is_instance_dict(node: ast.AST) -> bool:
+    """Whether a node names an object's attribute dict: x.__dict__ or vars(x)."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "__dict__")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars" and node.args))
+
+
+def test_no_write_into_an_object_dict():
+    # An object's attributes change only through its own code: no src/ code
+    # stores into, deletes from or updates another object's __dict__ (a
+    # frozen dataclass's cached slots among them).
+    found = []
+    for path in _modules():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                found += [f"{path.stem}:{node.lineno}" for t in targets
+                          if isinstance(t, ast.Subscript) and _is_instance_dict(t.value)]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")
+                  and _is_instance_dict(node.func.value)):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []

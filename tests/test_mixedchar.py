@@ -26,10 +26,10 @@ from hyperdisc.hyperbolic import (
     ElemSymInstance,
     HyperbolicInstance,
     RealStableInstance,
-    char_restriction,
     determinant,
     lorentz,
     mixed_derivative_table,
+    spectrum,
 )
 from hyperdisc._exact import det_exact, principal_minors
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
@@ -57,11 +57,12 @@ from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from hyperbolic_helpers import cone_membership, rank1_product_derivative
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
-                         fraction_node_poly, fraction_variance)
+                         fraction_mean, fraction_node_poly, fraction_variance, mix_reference,
+                         trace_reference)
 from multipoly_helpers import linear_restriction_multipoly
 from srdist_helpers import from_support, pairs
 from stability_oracle import stability_test
-from subset_helpers import fraction_operator_form
+from subset_helpers import fraction_operator_form, subset_sum
 from unipoly_helpers import from_roots, has_common_interlacing, monic_top_coeffs, scale
 
 D1 = determinant(1)
@@ -762,6 +763,56 @@ def test_integer_data_equals_the_fraction_formula_on_the_spread_variable():
         _assert_integer_data_is_the_fraction_formula(inst)
 
 
+_SUPPORT_VALUES = st.one_of(_SMALL_FRACTIONS, st.integers(-5, 5),
+                            st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _variable_data(draw):
+    """(support, probs) with distinct support values (as rationals) and
+    positive probabilities, each a Fraction or its nearest float; the
+    probabilities sum to 1 as rationals, or, some of the time, not."""
+    support = draw(st.lists(_SUPPORT_VALUES, min_size=1, max_size=4, unique_by=Fraction))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    total = sum(weights) + draw(st.sampled_from([0, 0, 0, 1]))
+    probs = [Fraction(w, total) for w in weights]
+    probs = [float(p) if draw(st.booleans()) else p for p in probs]
+    return tuple(support), tuple(probs)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_variable_data())
+def test_random_var_int_form_gives_the_fraction_formulas(data):
+    # A float probability or support value counts as the rational it is.
+    support, probs = data
+    total = sum(map(Fraction, probs))
+    if total != 1:
+        with pytest.raises(ValueError, match=f"^probabilities sum to {total}$"):
+            RandomVar(support, probs)
+        return
+    var = RandomVar(support, probs)
+    weights, q, *_ = var.int_form
+    assert all(type(w) is int for w in weights) and sum(weights) == q
+    assert [Fraction(w, q) for w in weights] == list(map(Fraction, probs))
+    assert type(var.mean) is Fraction and var.mean == fraction_mean(var)
+    assert type(var.variance) is Fraction and var.variance == fraction_variance(var)
+
+
+def test_rademacher_is_one_shared_variable():
+    assert RandomVar.rademacher() is RandomVar.rademacher()
+    inst = gen_kls_det(6, 3, 0, "rademacher")
+    assert all(var is RandomVar.rademacher() for var in inst.variables)
+
+
+def test_scaled_copy_reads_tau_squares_off_its_variables():
+    for inst in (gen_kls_det(4, 3, 0, "mixed"), gen_kls_lorentz(5, 4, 1, "mixed")):
+        inst.tau_squares
+        copy = inst.scaled(1.0 / inst.sigma)
+        assert "tau_squares" not in vars(copy)
+        assert copy.tau_squares == inst.tau_squares
+        assert copy.tau_squares == tuple(map(fraction_variance, inst.variables))
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(_rational_kls_instances())
 def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
@@ -1090,7 +1141,7 @@ def _graph(spec: str):
 
 def _per_set_leaves(inst) -> list:
     """mu(S) * h(xe - sum_{i in S} v_i), one restriction per support set."""
-    return [scale(inst.h.restrict_line(tuple(-c for c in inst.subset_sum(elems)), inst.h.e), prob)
+    return [scale(inst.h.restrict_line(tuple(-c for c in subset_sum(inst, elems)), inst.h.e), prob)
             for elems, prob in pairs(inst.mu)]
 
 
@@ -1157,6 +1208,36 @@ def _assert_table_matches_per_set_sum(inst, prefixes):
         # Float ==, so each coefficient is the same binary64 value.
         assert ([type(c) for c in got.coeffs], got.coeffs) == \
             ([type(c) for c in expect.coeffs], expect.coeffs), prefix
+
+
+@pytest.mark.parametrize("spec", ["c4", "c5", "k4", "k5", "diamond", "random:6:9:0",
+                                  "random:8:12:2"])
+def test_set_sums_equal_the_per_set_sum(spec):
+    # The leaf table and leaf_norm sum a set's vectors by one column loop:
+    # each row has the bits of the per-set sum for float vectors, and its
+    # Fractions for exact ones.
+    for exact in (False, True):
+        inst = SrInstance.from_graph(_graph(spec), exact=exact)
+        sums = mixedchar._set_sums(inst.vectors, inst.mu.sets)
+        for row, elems in zip(sums.tolist(), inst.mu.sets.tolist()):
+            want = subset_sum(inst, elems)
+            if exact:
+                assert row == list(want) and all(type(c) is Fraction for c in row), elems
+            else:
+                assert list(map(float.hex, row)) == list(map(float.hex, want)), elems
+        family = AgFamily(inst)
+        for elems in inst.mu.sets.tolist()[:3]:
+            leaf = tuple(int(i in elems) for i in range(inst.n))
+            assert _norm_or_error(family.leaf_norm, leaf) == \
+                _norm_or_error(lambda _: spectrum(inst.h, subset_sum(inst, elems)).norm, leaf)
+
+
+def _norm_or_error(norm, leaf):
+    """norm(leaf), or the type of the HyperdiscError it raises."""
+    try:
+        return norm(leaf)
+    except HyperdiscError as exc:
+        return type(exc)
 
 
 @pytest.mark.parametrize("spec", ["c4", "k4", "k5", "diamond", "random:7:14:1",
@@ -1372,22 +1453,6 @@ def _elem_sym_instances():
         yield KlsInstance.build(h, vectors, variables)
 
 
-def _trace_reference(h, v):
-    """The coefficient ratio of one characteristic restriction of v."""
-    coeffs = char_restriction(h, v).coeffs
-    return -coeffs[-2] / coeffs[-1]
-
-
-def _mix_reference(inst, traces) -> tuple:
-    """sum tau_i^2 tr[v_i] v_i, one coordinate at a time from Fraction(0)."""
-    mix = [Fraction(0)] * inst.h.m
-    for v, var, tr in zip(inst.vectors, inst.variables, traces):
-        weight = fraction_variance(var) * tr
-        for idx in range(inst.h.m):
-            mix[idx] = mix[idx] + weight * v[idx]
-    return tuple(mix)
-
-
 def _variance_mix_instances():
     """Exact instances of every kind sigma meets: the generated det (with
     generators) and Lorentz files with every variable kind, at n = 1 too,
@@ -1414,8 +1479,8 @@ def test_variance_mix_over_ints_equals_the_trace_route(monkeypatch):
                         lambda h, vectors: traced.append(len(vectors)) or traces_of(h, vectors))
     checked = 0
     for inst in _variance_mix_instances():
-        traces = tuple(_trace_reference(inst.h, v) for v in inst.vectors)
-        want = _mix_reference(inst, traces)
+        traces = tuple(trace_reference(inst.h, v) for v in inst.vectors)
+        want = mix_reference(inst, traces)
         # One integer route for every exact instance, whether its table is
         # built (a loaded file's) or not (gen's), with generators or
         # without: each hands spectrum the Fractions of the trace sum, and
@@ -1435,18 +1500,7 @@ def test_variance_mix_over_ints_equals_the_trace_route(monkeypatch):
         assert all(type(c) is Fraction for c in handed[0])
         assert all(type(t) is Fraction for t in inst.traces)
         assert inst.traces == traces
-        mix_spectrum = inst.variance_mix
-        assert mix_spectrum == real(inst.h, want)
-        if not inst.sigma > 0:
-            continue
-        # The chain's rescaled instance: float traces, one stacked restriction.
-        scaled = inst.scaled(1.0 / inst.sigma)
-        traces = [_trace_reference(scaled.h, v) for v in scaled.vectors]
-        assert [float.hex(t) for t in scaled.traces] == [float.hex(t) for t in traces]
-        handed.clear()
-        assert scaled.variance_mix == real(scaled.h, _mix_reference(scaled, traces))
-        assert [list(map(float.hex, mix)) for mix in handed] == \
-            [list(map(float.hex, _mix_reference(scaled, traces)))]
+        assert inst.variance_mix == real(inst.h, want)
         checked += 1
     assert checked > 40
 
@@ -1456,5 +1510,5 @@ def test_eps2_equals_one_restriction_per_vector():
                   random_connected_graph(7, 9, 0)):
         for exact in (False, True):
             inst = SrInstance.from_graph(graph, exact=exact)
-            want = max(float(_trace_reference(inst.h, v)) for v in inst.vectors)
+            want = max(float(trace_reference(inst.h, v)) for v in inst.vectors)
             assert float.hex(inst.eps2) == float.hex(want)

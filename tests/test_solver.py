@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperdisc.errors import OddK, TooLarge
+from hyperdisc.errors import OddK, TooLarge, ValueNotInSupport
 from hyperdisc.graphs import complete_graph
 from hyperdisc.hyperbolic import determinant
 from hyperdisc.instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
@@ -23,6 +23,7 @@ from hyperdisc.solver import (
 )
 from hyperdisc.unipoly import UniPoly
 from srdist_helpers import from_support, pairs
+from subset_helpers import subset_sum
 from unipoly_helpers import from_roots, monic_top_coeffs
 
 D1 = determinant(1)
@@ -194,6 +195,19 @@ def test_search_det_instance():
     assert result.oracle_calls > 0
 
 
+def test_search_raises_the_oracle_error_itself(monkeypatch):
+    # No wrapper turns an oracle's error into OracleFailure: the search
+    # raises the family's own exception.
+    fam = KlsFamily(gen_kls_det(4, 2, seed=11, variables="rademacher"))
+
+    def refuse(prefix, k):
+        raise ValueNotInSupport(f"value {prefix[-1]!r} not in support")
+
+    monkeypatch.setattr(fam, "scaled_top_coeffs", refuse)
+    with pytest.raises(ValueNotInSupport):
+        kadison_singer_search(fam, SolverConfig(delta=0.5))
+
+
 def test_search_point_mass_subset_family():
     mu = from_support(2, [((0,), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
@@ -223,7 +237,7 @@ def test_brute_force_spanning_trees():
     assert sum(assignment) == 2  # a spanning tree of K3 has two edges
     norms = []
     for elems, _ in pairs(inst.mu):
-        w = inst.subset_sum(elems)
+        w = subset_sum(inst, elems)
         from hyperdisc.hyperbolic import spectrum
         norms.append(spectrum(inst.h, w).norm)
     assert value == pytest.approx(min(norms))
