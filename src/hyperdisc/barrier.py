@@ -42,8 +42,8 @@ step, lambda_1 and the report's sigma.
 
 The chain builds each point once, in float stacks that keep the bits of
 one point at a time: the probes' w in one stack (_points), evaluated by one
-h.values call (one stacked determinant for det, columns summed for
-Lorentz), with g over every probe from the support's sets; phi's w alone,
+h.values call (one stacked determinant for det, h.value per row for every
+other kind), with g over every probe from the support's sets; phi's w alone,
 one h(w), one set of tau_i and (subset) one g with its gradient from the
 same sets.  Each Phi^i adds only its directional derivative of h, the
 degree-1 coefficient of the line t -> h(w + t tau_i v_i), and one

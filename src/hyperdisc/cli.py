@@ -342,7 +342,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (HyperdiscError, OSError, json.JSONDecodeError) as exc:
+    except (HyperdiscError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

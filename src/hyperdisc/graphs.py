@@ -22,6 +22,12 @@ from .errors import DisconnectedGraph, TooLarge
 MAX_ENUM_EDGES = 16
 
 
+def require_enumerable(n_edges: int) -> None:
+    """TooLarge for an edge count past MAX_ENUM_EDGES."""
+    if n_edges > MAX_ENUM_EDGES:
+        raise TooLarge(f"spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges")
+
+
 @dataclass(frozen=True)
 class Graph:
     n_vertices: int
@@ -43,6 +49,11 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reached from vertex 0.  Fewer than
+        n_vertices - 1 edges cannot connect the graph, which is decided
+        before any adjacency list is built."""
+        if self.n_edges < self.n_vertices - 1:
+            return False
         seen = {0}
         frontier = [0]
         adj = [[] for _ in range(self.n_vertices)]
@@ -84,8 +95,7 @@ class Graph:
         """
         if not self.is_connected():
             raise DisconnectedGraph("graph is not connected")
-        if self.n_edges > MAX_ENUM_EDGES:
-            raise TooLarge(f"spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges")
+        require_enumerable(self.n_edges)
         k, m = self.n_vertices - 1, self.n_edges
         ends_u, ends_v = np.array(self.edges, dtype=np.intp).T
         edge = np.arange(m)

@@ -44,16 +44,6 @@ def _is_float_vec(x) -> bool:
     return any(isinstance(v, float) for v in x)
 
 
-def _float_stack(points):
-    """The points as one float64 array when every coordinate is a float (a
-    float64 array passes as it is), else None."""
-    if isinstance(points, np.ndarray):
-        return points if points.dtype == np.float64 else None
-    if all(isinstance(c, float) for p in points for c in p):
-        return np.array(points, dtype=float)
-    return None
-
-
 class HyperbolicInstance:
     """Base class: subclasses provide value() and an exact line restriction."""
 
@@ -68,7 +58,7 @@ class HyperbolicInstance:
     def values(self, points) -> list:
         """h at each of a sequence of points (tuples, or the rows of a 2-D
         array), in order, each as value() gives it.  Here value() is called
-        per point; a subclass evaluates a float stack in one call."""
+        per point; determinant evaluates a float stack in one call."""
         rows = points.tolist() if isinstance(points, np.ndarray) else points
         return [self.value(tuple(p)) for p in rows]
 
@@ -166,12 +156,14 @@ class DeterminantInstance(HyperbolicInstance):
 
     def values(self, points) -> list:
         """value() at each point: one stacked np.linalg.det over float
-        points, which gives each matrix the bits of its own call; any other
-        points take value() one at a time."""
-        stack = _float_stack(points)
-        if stack is None:
+        points (a float64 array, or tuples of floats alone), which gives each
+        matrix the bits of its own call; any other points take value() one
+        at a time."""
+        floats = (points.dtype == np.float64 if isinstance(points, np.ndarray)
+                  else all(isinstance(c, float) for p in points for c in p))
+        if not floats:
             return super().values(points)
-        return np.linalg.det(self._stack(stack)).tolist()
+        return np.linalg.det(self._stack(np.asarray(points, dtype=float))).tolist()
 
     def restrict_line(self, base, dirv) -> UniPoly:
         self.check_dim(base, "base")
@@ -262,17 +254,6 @@ class LorentzInstance(HyperbolicInstance):
 
     def value(self, x):
         return x[-1] * x[-1] - sum(v * v for v in x[:-1])
-
-    def values(self, points) -> list:
-        """value() at each point; float points are summed a column at a
-        time, in value()'s order, so each keeps its bits."""
-        stack = _float_stack(points)
-        if stack is None:
-            return super().values(points)
-        space = 0
-        for col in stack[:, :-1].T:
-            space = space + col * col
-        return (stack[:, -1] * stack[:, -1] - space).tolist()
 
     def restrict_line(self, base, dirv) -> UniPoly:
         self.check_dim(base, "base")
@@ -498,7 +479,11 @@ def mixed_derivative_table(h: HyperbolicInstance, vectors) -> tuple:
     test suite's reference takes it one T at a time).  The rank condition
     is checked exactly, so the vectors must be rational: t -> h(e + t v_i)
     has degree <= 1 iff v_i has rank <= 1, which is tested at t = 0..d, and
-    RankTooHigh is raised when it fails.
+    RankTooHigh is raised for the first vector that fails it.
+
+    It is the signed table's route for every h but a determinant whose
+    generators match (gram_minor_table); for Lorentz and the other kinds
+    with int coefficients, int vectors give E = 1.
     """
     for v in vectors:
         h.check_dim(v)
@@ -517,11 +502,8 @@ def _require_rank_one(h: HyperbolicInstance, i: int, v, base, slope, scale=1):
     polynomial has degree <= 1, which holds iff v has rank <= 1."""
     for t in range(2, h.d + 1):
         if scale * h.value(tuple(b + t * c for b, c in zip(h.e, v))) != base + t * slope:
-            raise _not_multilinear(i)
-
-
-def _not_multilinear(i: int) -> RankTooHigh:
-    return RankTooHigh(f"vector {i} has hyperbolic rank > 1; h is not multilinear along it")
+            raise RankTooHigh(
+                f"vector {i} has hyperbolic rank > 1; h is not multilinear along it")
 
 
 def gram_minor_table(h: DeterminantInstance, generators, scale: int) -> tuple:
@@ -541,29 +523,6 @@ def gram_minor_table(h: DeterminantInstance, generators, scale: int) -> tuple:
     u = np.array(ints, dtype=object).reshape(len(ints), h.mprime)
     gram = (u @ u.T * scale) // (q * q)
     return principal_minors(gram, h.d), 1
-
-
-def lorentz_form_table(h: LorentzInstance, vectors) -> tuple:
-    """mixed_derivative_table(h, vectors) for int vectors, from the form
-    itself: (table, 1).
-
-    h(x) = B(x, x) with B(x, y) = x_m y_m - sum_{a<m} x_a y_a, so h(e) = 1,
-    a_i = 2 B(e, v_i) = 2 v_i[m-1] and a_ij = 2 B(v_i, v_j).  t -> h(e + t v)
-    = 1 + t a_i + t^2 h(v) has degree <= 1 iff h(v) = 0, which is the exact
-    rank test; RankTooHigh is raised for the first vector that fails it,
-    as mixed_derivative_table does.
-    """
-    for v in vectors:
-        h.check_dim(v)
-    for i, v in enumerate(vectors):
-        if h.value(v):
-            raise _not_multilinear(i)
-    table = {0: 1}
-    for j, w in enumerate(vectors):  # masks with highest bit j, in increasing order
-        table[1 << j] = 2 * w[-1]
-        for i, v in enumerate(vectors[:j]):
-            table[1 << j | 1 << i] = 2 * (v[-1] * w[-1] - sum(map(operator.mul, v[:-1], w[:-1])))
-    return table, 1
 
 
 def subset_restrictions(h: HyperbolicInstance, vectors, subsets, cache: dict) -> None:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import InvalidParams
-from .graphs import Graph
+from .graphs import Graph, require_enumerable
 from .hyperbolic import determinant, lorentz
 from .mixedchar import KlsInstance, RandomVar
 
@@ -102,13 +102,18 @@ def gen_kls_lorentz(n: int, m: int, seed: int, variables: str = "mixed") -> KlsI
 
 
 def random_connected_graph(n_vertices: int, n_edges: int, seed: int) -> Graph:
-    """Random spanning tree plus random extra edges; simple and connected."""
+    """Random spanning tree plus random extra edges; simple and connected.
+
+    An edge count past graphs.MAX_ENUM_EDGES is refused before the O(V^2)
+    candidate list is built, with the TooLarge that Graph.spanning_trees
+    would raise later: a subset family needs every spanning tree."""
     if n_vertices < 2:
         raise InvalidParams("need at least 2 vertices")
     max_edges = n_vertices * (n_vertices - 1) // 2
     if not (n_vertices - 1 <= n_edges <= max_edges):
         raise InvalidParams(
             f"edge count must lie in [{n_vertices - 1}, {max_edges}]")
+    require_enumerable(n_edges)
     rng = random.Random(f"graph:{seed}")
     edges = set()
     order = list(range(1, n_vertices))

@@ -51,20 +51,18 @@ and the free c_i are independent with mean zero, so for a prefix s_1..s_l
 The signed family has one lane, over exact rationals (a float is the
 rational it is; each variable is scaled to ints once, by RandomVar), and
 its data is checked once, where a file is loaded, by building the table of
-a_T (KlsInstance.coefficient_table, KlsTable.build) from each kind's form:
+a_T (KlsInstance.coefficient_table, KlsTable.build) by one of two routes:
 
 * det with generators u_i that match the vectors (v_i = vec(u_i u_i^T),
   checked exactly): a_T = det(G_T) for the Gram matrix G = U^T U
   (Cauchy-Binet), every principal minor with |T| <= d from one batched
   integer elimination per size.  Rank <= 1 and the cone hold by
   construction.
-* Lorentz: a_i = 2 B(e, v_i) and a_ij = 2 B(v_i, v_j) for the form's
-  polarization B, after an exact test that h(v_i) = 0 (rank <= 1).
-* every other h (elem_sym, custom, det without matching generators):
-  hyperbolic.mixed_derivative_table, the inclusion-exclusion of the vertex
-  values h(e + w_U), which tests every rank exactly.
+* every other h (Lorentz, elem_sym, custom, det without matching
+  generators): hyperbolic.mixed_derivative_table, the inclusion-exclusion
+  of the vertex values h(e + w_U), which tests every rank exactly.
 
-All three give the same ints.  The cone is then tested exactly on every
+Both give the same ints.  The cone is then tested exactly on either
 route, from the entries a_i.  Every signed node is read off that table
 (kls_node_poly, the one route that builds Fractions); no completion is
 enumerated.  The table is kept over ints (KlsTable).  With D the lcm of
@@ -133,12 +131,10 @@ from .graphs import Graph
 from .hyperbolic import (
     DeterminantInstance,
     HyperbolicInstance,
-    LorentzInstance,
     Spectrum,
     derivative_restriction,
     gram_minor_table,
     hyperbolic_traces,
-    lorentz_form_table,
     mixed_derivative_table,
     spectrum,
     subset_accumulate,
@@ -513,14 +509,13 @@ class KlsTable:
     @staticmethod
     def build(inst: KlsInstance) -> "KlsTable":
         """The table of the integer vectors D v_i of inst.integer_data, by
-        the route of inst's kind (module docstring): gram_minor_table for a
+        one of two routes (module docstring): gram_minor_table for a
         determinant whose generators match (inst.generators_match), where
-        rank <= 1 and the cone hold by construction; lorentz_form_table for
-        a Lorentz form; mixed_derivative_table otherwise.  All three give
-        the same ints, and the last two test every rank exactly and raise
-        RankTooHigh.
+        rank <= 1 and the cone hold by construction; mixed_derivative_table
+        for every other h, which tests every rank exactly and raises
+        RankTooHigh.  Both give the same ints.
 
-        Then the cone is tested exactly, on every route.  A vector v of
+        Then the cone is tested exactly, on either route.  A vector v of
         rank <= 1 has one eigenvalue that may be nonzero, D_v h(e) / h(e),
         and h(e) > 0, so v lies in the closed cone iff its entry a_{i} =
         D_v h(e) is >= 0; InvalidParams is raised for the first vector that
@@ -529,8 +524,6 @@ class KlsTable:
         vec_scale, var_scale, vectors, centered, variances, _ = inst.integer_data
         if inst.generators_match:
             entries, outer = gram_minor_table(inst.h, inst.generators, vec_scale)
-        elif isinstance(inst.h, LorentzInstance):
-            entries, outer = lorentz_form_table(inst.h, vectors)
         else:
             entries, outer = mixed_derivative_table(inst.h, vectors)
         for i in range(inst.n):

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from hyperdisc import unipoly
 from hyperdisc.cli import _resolve_graph, build_parser, main
-from hyperdisc.graphs import Graph
+from hyperdisc.graphs import MAX_ENUM_EDGES, Graph
 from hyperdisc.hyperbolic import determinant
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
 from hyperdisc.mixedchar import AgFamily, KlsInstance, RandomVar, kls_node_poly, kls_operator_form
@@ -163,6 +164,40 @@ def test_bad_graph_spec_exits_1(capsys, tmp_path, spec):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _peak_bytes(call) -> tuple:
+    """call()'s result and the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "sr-ust", "--graph", "random:2000:1999:0"),
+    ("bench", "--kind", "sr-ust", "--n", "2000"),
+], ids=["gen", "bench"])
+def test_random_graph_past_the_cap_is_refused_before_it_is_built(capsys, argv):
+    # Its candidate edge list alone would take about 190 MB at V = 2,000.
+    code, peak = _peak_bytes(lambda: main(list(argv)))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges\n"
+    assert peak < 2 ** 21
+
+
+def test_sparse_graph_file_is_disconnected_by_its_counts(capsys, tmp_path):
+    # Two edges cannot connect 10^6 vertices; adjacency lists for them would
+    # take about 60 MB.
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": 10 ** 6, "edges": [[0, 1], [1, 2]]}))
+    code, peak = _peak_bytes(lambda: main(["gen", "--kind", "sr-ust", "--graph", f"@{path}"]))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: graph is not connected\n"
+    assert peak < 2 ** 21
 
 
 def test_gen_sr_ust_embeds_eps(capsys):
@@ -958,6 +993,16 @@ def test_bench_rows(capsys):
     for row in blob["rows"]:
         assert row["blocked"] <= row["bound"] + 1e-9
         assert row["brute"] <= row["blocked"] + 1e-9
+
+
+def test_unallocatable_trials_exit_1_with_one_error_line(capsys):
+    # 10^15 trials of three float64 columns ask numpy for 21.3 PiB, more than
+    # any address space holds, so the allocation fails at once.
+    code = main(["bench", "--kind", "kls-det", "--n", "3", "--count", "1",
+                 "--trials", "1000000000000000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
 
 
 def test_bench_count_0_writes_no_rows(capsys):

@@ -355,7 +355,7 @@ def test_det_t_i_plus_a_is_expanded_in_one_place():
     assert found == []
 
 
-# A snake_case name: lowercase parts joined by underscores, each part at
+# A code name in prose: lowercase parts joined by underscores, each part at
 # least two characters (so x_i and tau_i read as notation, not code).
 SNAKE_NAME = re.compile(r"(?<!\w)_?[a-z][a-z0-9]+(?:_[a-z0-9]{2,})+(?!\w)")
 DOTTED_NAME = re.compile(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)\b")
@@ -373,11 +373,11 @@ def _prose(path: Path):
             yield tok.string
 
 
-def test_every_name_in_src_prose_exists():
-    # A docstring or comment that names a deleted def keeps pointing the
-    # reader at code that is gone.  Every snake_case name, and every
-    # module.name or Class.name, must be defined or read somewhere in the
-    # code; a file name such as module.py is a path, not a member.
+def _stale_names(paths) -> list:
+    """The names in the prose of paths that no code defines or reads: every
+    SNAKE_NAME match, and every module.name or Class.name, must be defined or
+    read somewhere under src/, tests/, hdbench/ or tools/; a file name such
+    as module.py is a path, not a member."""
     files = [p for d in ("src", "tests", "hdbench", "tools") for p in (ROOT / d).rglob("*.py")]
     stems = {p.stem for p in files} | {PACKAGE.name}
     known = set(stems) | FOREIGN_NAMES
@@ -387,14 +387,26 @@ def test_every_name_in_src_prose_exists():
         known |= _identifiers(tree)
         classes |= {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
     stale = set()
-    for path in _modules():
+    for path in paths:
         for text in _prose(path):
             stale |= {f"{path.stem}: {m.group(0)}" for m in SNAKE_NAME.finditer(text)
                       if m.group(0) not in known}
             stale |= {f"{path.stem}: {m.group(0)}" for m in DOTTED_NAME.finditer(text)
                       if (m.group(1) in stems or m.group(1) in classes)
                       and m.group(2) not in known and m.group(2) != "py"}
-    assert sorted(stale) == []
+    return sorted(stale)
+
+
+def test_every_name_in_src_prose_exists():
+    # A docstring or comment that names a deleted def keeps pointing the
+    # reader at code that is gone.
+    assert _stale_names(_modules()) == []
+
+
+def test_every_name_in_test_prose_exists():
+    # The tests' docstrings and comments say what each test checks; one that
+    # names deleted src/ code describes a check that no longer runs.
+    assert _stale_names(sorted((ROOT / "tests").glob("*.py"))) == []
 
 
 def _is_instance_dict(node: ast.AST) -> bool:

@@ -392,6 +392,31 @@ def test_exact_subset_children_interlace_at_every_internal_node(name):
         assert has_common_interlacing(kids), prefix
 
 
+# The internal nodes of the float subset families whose children the exact
+# check does not certify, each named by its prefix as a bit string.  The
+# exact families above certify every node, so these are arithmetic faults
+# of the float lane: ROADMAP item 1's targets.
+FLOAT_SUBSET_UNCERTIFIED = {
+    "k3": set(),
+    "k4": {"11", "111", "0101", "1110", "01010", "11100"},
+    "c4": {"", "1", "10", "11", "101", "111"},
+    "c5": {"", "0", "1", "01", "10", "11", "011", "101", "110", "111",
+           "0111", "1011", "1101", "1110", "1111"},
+    "diamond": set(),
+    "k5": {"111", "1111", "11110", "100011", "111100", "0001001", "1000111", "1111000",
+           "00010010", "00100101", "01001001", "10001110", "11110000", "000100101",
+           "001001010", "010010011", "100011100", "111100000"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_SUBSET_UNCERTIFIED))
+def test_float_subset_children_interlace_except_at_the_pinned_nodes(name):
+    inst = SrInstance.from_graph(named_graph(name))
+    failed = {"".join(map(str, prefix)) for prefix, kids in _ag_children(inst)
+              if not has_common_interlacing(kids)}
+    assert failed == FLOAT_SUBSET_UNCERTIFIED[name]
+
+
 def test_family_adapters():
     inst = _scalar_instance(2)
     fam = KlsFamily(inst)
@@ -466,8 +491,9 @@ def test_table_rejects_rank_two_vector():
 
 
 # ---------------------------------------------------------------------------
-# The kind's own routes to the table (Gram minors for det, the bilinear form
-# for Lorentz) against the inclusion-exclusion of mixed_derivative_table.
+# The table KlsTable.build gives (Gram minors for det with matching
+# generators, mixed_derivative_table for every other h) against the
+# inclusion-exclusion of mixed_derivative_table over the integer vectors.
 # ---------------------------------------------------------------------------
 
 def _assert_table_is_the_reference(inst):
@@ -557,13 +583,13 @@ def test_unmatched_generators_take_the_inclusion_exclusion_route():
 @pytest.mark.parametrize("kind", VARIABLE_KINDS)
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(n=st.integers(1, 9), m=st.integers(3, 6), seed=st.integers(0, 10 ** 6))
-def test_lorentz_form_table_equals_mixed_derivative_table(kind, n, m, seed):
+def test_loaded_lorentz_table_is_the_int_mixed_derivative_table(kind, n, m, seed):
     blob = json.loads(dumps(instance_to_json(gen_kls_lorentz(n, m, seed, kind))))
     inst, _ = instance_from_json(blob)
     _assert_table_is_the_reference(inst)
 
 
-def test_lorentz_form_table_checks_rank_before_the_cone():
+def test_lorentz_table_checks_rank_before_the_cone():
     h = lorentz(3)
     null = (Fraction(3), Fraction(4), Fraction(5))
     negated = tuple(-c for c in null)

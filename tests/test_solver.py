@@ -34,7 +34,7 @@ def _scalar_instance(n):
     return KlsInstance.build(D1, [(Fraction(1),)] * n, [RADEMACHER] * n)
 
 
-# The elem_to_power tests name the conversion, from the elementary
+# The tests below check power_sum's conversion, from the elementary
 # symmetric functions (the monic coefficients, up to sign) to power sums.
 
 def test_elem_to_power_cubes():
