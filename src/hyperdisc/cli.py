@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from .errors import CertificationFailed, HyperdiscError, InvalidParams
-from .graphs import Graph, named_graph
+from .graphs import Graph, named_graph, require_enumerable
 from .instances import gen_kls_det, gen_kls_lorentz, random_connected_graph
 from .mixedchar import (AgFamily, KlsFamily, SrInstance, ag_substitution_identity, kls_node_poly,
                         kls_operator_form)
@@ -46,7 +46,11 @@ def _resolve_graph(spec: str) -> Graph:
     try:
         if spec.startswith("@"):
             with open(spec[1:]) as fh:
-                return Graph.from_json(json.load(fh))
+                obj = json.load(fh)
+            edges = obj.get("edges") if isinstance(obj, dict) else None
+            if isinstance(edges, list):  # refused before any Graph is built
+                require_enumerable(len(edges))
+            return Graph.from_json(obj)
         if spec.startswith("random:"):
             _, nv, ne, seed = spec.split(":")
             return random_connected_graph(int(nv), int(ne), int(seed))

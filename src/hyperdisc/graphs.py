@@ -93,9 +93,9 @@ class Graph:
         forest that its later edges cannot complete is not pruned early: it
         drops out at the first level where it has no extension.
         """
+        require_enumerable(self.n_edges)
         if not self.is_connected():
             raise DisconnectedGraph("graph is not connected")
-        require_enumerable(self.n_edges)
         k, m = self.n_vertices - 1, self.n_edges
         ends_u, ends_v = np.array(self.edges, dtype=np.intp).T
         edge = np.arange(m)

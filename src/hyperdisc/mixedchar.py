@@ -63,11 +63,10 @@ a_T (KlsInstance.coefficient_table, KlsTable.build) by one of two routes:
   of the vertex values h(e + w_U), which tests every rank exactly.
 
 Both give the same ints.  The cone is then tested exactly on either
-route, from the entries a_i.  Every signed node is read off that table
-(kls_node_poly, the one route that builds Fractions); no completion is
-enumerated.  The table is kept over ints (KlsTable).  With D the lcm of
-the vector entries' denominators, the vectors D v_i are integral and b_T =
-D^|T| a_T is the table of a_T for them.  With L chosen so that every
+route, from the entries a_i.  Every signed node is read off that table;
+no completion is enumerated.  The table is kept over ints (KlsTable).
+With D the lcm of the vector entries' denominators, the vectors D v_i are
+integral and b_T = D^|T| a_T is the table of a_T for them.  With L chosen so that every
 L c_i and L^2 tau_i^2 is an int, the coefficient of x^(d-j) in P_F is
 R_F[j] L^|F| / (L D)^j, where R_F[j] sums the ints (L c)^A b_{F u A}; each
 term tau_F^2 P_F P_F then carries (L^2 tau^2)^F over (L D)^k, so the
@@ -91,8 +90,8 @@ oracle scores it from one int restriction instead (kls_leaf_poly): the int
 sum W = L D w, y -> E h(ye + W) (h.restrict_e_ints: the Faddeev-LeVerrier
 recurrence for det, the closed form for Lorentz), and N_k by kls_node_sums
 of that one row, read with the inner nodes' formula.  Fractions are built
-only by kls_node_poly, 2d+1 per node and at the end: for the root bound,
-verify and the barrier chain.
+only for the root, by kls_node_poly from the table's own rows, 2d+1 of
+them: for the root bound, verify and the barrier chain.
 
 Subset nodes come from a per-instance leaf table (SrInstance.leaf_table),
 one read-only array with one scaled leaf row mu(S) h(xe - sum_{i in S} v_i)
@@ -102,8 +101,10 @@ the floats or Fractions of one restriction per set.  Which sets agree with
 a prefix is read off the distribution's membership matrix
 (SRDistribution.members), which needs no leaf.  A prefix's node is the sum
 of the rows whose set agrees with it, added in support order from 0, which
-is the order the per-set sum takes, so both give the same values.  No
-search writes to the table.
+is the order the per-set sum takes, so both give the same values; the
+oracle reads a node's top coefficients off that sum, and ag_node_poly
+builds the polynomial of the root alone, from every row.  No search writes
+to the table.
 
 Both families answer the search through one protocol.  The oracle
 scaled_top_coeffs(prefix, k) gives a node's top-k monic coefficients as
@@ -259,7 +260,7 @@ class KlsInstance:
         per coordinate gives the mix's Fractions.
         """
         h = self.h
-        vec_scale, var_scale, vectors, _, variances, _ = self.integer_data
+        vec_scale, var_scale, vectors, _, variances = self.integer_data
         rows, _ = h.restrict_e_ints(vectors)
         acc = [0] * h.m
         for v, weight, row in zip(vectors, variances, rows):
@@ -310,15 +311,13 @@ class KlsInstance:
 
     @functools.cached_property
     def integer_data(self) -> tuple:
-        """(D, L, vectors, centered, variances, probs) for the vectors and
+        """(D, L, vectors, centered, variances) for the vectors and
         variables, a float entry taken as the rational it is.
 
         D is the lcm of the vector entries' denominators and vectors holds
         the int vectors D v_i; L makes every L (s - mu_i) and L^2 tau_i^2 an
         int, centered[i] maps each support value s to L (s - mu_i), and
-        variances[i] is L^2 tau_i^2.  probs[i] maps s to q_i Pr[xi_i = s],
-        an int, for the lcm q_i of variable i's probability denominators;
-        its values sum to q_i.
+        variances[i] is L^2 tau_i^2.
 
         Every variable's numbers come from its int form
         (RandomVar.int_form): the centered value is C / (b q) and tau^2 =
@@ -336,18 +335,14 @@ class KlsInstance:
         return (vec_scale, var_scale, tuple(map(tuple, ints)),
                 tuple({s: var_scale * c // den for s, c in zip(var.support, centered)}
                       for var, (centered, den) in zip(self.variables, offsets)),
-                tuple(var_scale * var_scale * v // den for v, den in spreads),
-                tuple(dict(zip(var.support, var.int_form[0])) for var in self.variables))
+                tuple(var_scale * var_scale * v // den for v, den in spreads))
 
     def centered_ints(self, assignment) -> tuple:
         """W = L D sum_i (s_i - mu_i) v_i, an int vector (integer_data)."""
-        _, _, vectors, centered, *_ = self.integer_data
+        _, _, vectors, centered, _ = self.integer_data
         acc = [0] * self.h.m
         for v, cent, s in zip(vectors, centered, assignment):
-            try:
-                c = cent[s]
-            except KeyError:
-                raise ValueNotInSupport(f"value {s!r} not in support {tuple(cent)!r}") from None
+            c = _centered_value(cent, s)
             if c:
                 acc = [a + c * x for a, x in zip(acc, v)]
         return tuple(acc)
@@ -357,6 +352,15 @@ class KlsInstance:
         vec_scale, var_scale, *_ = self.integer_data
         denom = vec_scale * var_scale
         return tuple(Fraction(x, denom) for x in self.centered_ints(assignment))
+
+
+def _centered_value(cent: dict, s) -> int:
+    """L (s - mu_i) for a value s of variable i, from its map centered[i]
+    (KlsInstance.integer_data); a value outside the support raises."""
+    try:
+        return cent[s]
+    except KeyError:
+        raise ValueNotInSupport(f"value {s!r} not in support {tuple(cent)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -473,21 +477,6 @@ def kls_leaf_poly(inst: KlsInstance, assignment) -> tuple:
     return kls_node_sums({0: 1}, {0: row[::-1]}, 2 * inst.h.d), outer * outer
 
 
-def _prefix_weight(inst: KlsInstance, partial) -> tuple:
-    """(P, Q) with Pr[prefix] = P / Q, from the int probabilities of
-    inst.integer_data; checks the prefix's length and values."""
-    if len(partial) > inst.n:
-        raise ValueError("prefix longer than the variable list")
-    num = den = 1
-    for s, probs, var in zip(partial, inst.integer_data[5], inst.variables):
-        try:
-            num *= probs[s]
-        except KeyError:
-            raise ValueNotInSupport(f"value {s!r} not in support {var.support!r}") from None
-        den *= sum(probs.values())
-    return num, den
-
-
 @dataclass(frozen=True, eq=False)
 class KlsTable:
     """The signed family's coefficient table over ints (module docstring).
@@ -521,7 +510,7 @@ class KlsTable:
         D_v h(e) is >= 0; InvalidParams is raised for the first vector that
         fails.
         """
-        vec_scale, var_scale, vectors, centered, variances, _ = inst.integer_data
+        vec_scale, var_scale, vectors, centered, variances = inst.integer_data
         if inst.generators_match:
             entries, outer = gram_minor_table(inst.h, inst.generators, vec_scale)
         else:
@@ -562,10 +551,7 @@ def kls_fold(table: KlsTable, rows: dict, lo: int, values) -> dict:
         raise ValueError("prefix longer than the variable list")
     if not values:
         return rows
-    try:
-        factors = [cent[s] for s, cent in zip(values, table.centered[lo:])]
-    except KeyError as exc:
-        raise ValueNotInSupport(f"value {exc.args[0]!r} not in a variable's support") from None
+    factors = [_centered_value(cent, s) for s, cent in zip(values, table.centered[lo:])]
     prods = [1]  # prods[a] = (L c)^a over the block's bits a
     for f in factors:
         prods += [p * f for p in prods]
@@ -622,23 +608,22 @@ def kls_node_sums(weights: dict, rows: dict, top: int) -> list:
     return sums
 
 
-def kls_node_poly(inst: KlsInstance, partial=()) -> UniPoly:
-    """Conditional polynomial for a prefix assignment (the root for ()),
-    read off inst.coefficient_table: the coefficient of x^(2d-k) is
-    Pr[prefix] N_k / (E^2 (L D)^k), with N_k from the fold of the prefix.
+def kls_node_poly(inst: KlsInstance) -> UniPoly:
+    """The root polynomial, read off inst.coefficient_table: the coefficient
+    of x^(2d-k) is N_k / (E^2 (L D)^k), with N_k the kls_node_sums of the
+    table's own rows (the empty prefix, which folds nothing and has
+    probability 1).
 
     The cost is linear in the table; no completion is enumerated and no
-    line restriction is taken, and a full assignment folds to the empty
-    free set alone.  This is the signed lane's one Fraction route, read by
-    the root bound, the descent and verify; the search's oracle reads the
-    N_k as ints (KlsFamily.scaled_top_coeffs).
+    line restriction is taken.  This is the signed lane's one Fraction
+    route, read by the root bound, verify and the barrier chain; the
+    search's oracle reads every node's N_k as ints
+    (KlsFamily.scaled_top_coeffs).
     """
-    num, den = _prefix_weight(inst, partial)
     table = inst.coefficient_table
     d = table.d
-    sums = kls_node_sums(table.weights, kls_fold(table, table.rows, 0, tuple(partial)), 2 * d)
-    den *= table.denominator
-    return UniPoly.from_coeffs([Fraction(num * sums[k], den * table.scale ** k)
+    sums = kls_node_sums(table.weights, table.rows, 2 * d)
+    return UniPoly.from_coeffs([Fraction(sums[k], table.denominator * table.scale ** k)
                                 for k in range(2 * d, -1, -1)])
 
 
@@ -661,7 +646,7 @@ def kls_operator_form(inst: KlsInstance) -> UniPoly:
     coefficient table nor its check, so it stays an independent route to
     the root polynomial (kls_node_poly).
     """
-    vec_scale, var_scale, vectors, _, variances, _ = inst.integer_data
+    vec_scale, var_scale, vectors, _, variances = inst.integer_data
     h, d = inst.h, inst.h.d
     rows, outer = subset_moebius(h, vectors, h.restrict_e_ints)
     step = (var_scale * vec_scale) ** 2
@@ -692,13 +677,10 @@ def _leaf_sum(rows: np.ndarray, partial) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1] + 0
 
 
-def ag_node_poly(inst: SrInstance, partial=()) -> UniPoly:
-    """Conditional polynomial for a 0/1 membership prefix (root for ()): the
-    leaf-table rows of the support sets that agree with it on every prefix
-    column, added in support order from 0."""
-    bits = np.asarray(partial, dtype=bool)
-    hits = np.flatnonzero((inst.mu.members[:, :len(bits)] == bits).all(axis=1))
-    return UniPoly.from_coeffs(_leaf_sum(inst.leaf_table[hits], partial).tolist())
+def ag_node_poly(inst: SrInstance) -> UniPoly:
+    """The root polynomial: every leaf-table row, added in support order
+    from 0, as the oracle adds the rows of a node's agreeing sets."""
+    return UniPoly.from_coeffs(_leaf_sum(inst.leaf_table, ()).tolist())
 
 
 def ag_operator_form(inst: SrInstance) -> UniPoly:

@@ -56,8 +56,7 @@ class SRDistribution:
     probability is the int weights[r] over the one ``denominator``, in
     lowest terms (the lcm of the probabilities' denominators).  Readers take
     the membership matrix (members) and the binary64 probabilities
-    (float_probs) from here, each built once.  Two distributions are equal
-    when n, the sets and the weights are."""
+    (float_probs) from here, each built once."""
 
     n: int
     sets: np.ndarray = field(repr=False)
@@ -67,15 +66,6 @@ class SRDistribution:
     @property
     def d_mu(self) -> int:
         return self.sets.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, SRDistribution):
-            return NotImplemented
-        return (self.n == other.n and self.denominator == other.denominator
-                and self.weights == other.weights and np.array_equal(self.sets, other.sets))
-
-    def __hash__(self):
-        return hash((self.n, self.sets.tobytes(), self.weights, self.denominator))
 
     @staticmethod
     def from_rows(n: int, rows: np.ndarray, weights, denominator: int) -> "SRDistribution":

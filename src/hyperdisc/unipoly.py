@@ -2,10 +2,9 @@
 
 Coefficients are stored in ascending degree order, all Fractions (exact)
 or all floats (binary64): a polynomial built from any float holds floats,
-and one built from ints and Fractions holds Fractions, so ordinary
-arithmetic keeps exact values exact and turns a mix into floats.  Root
-extraction takes the companion eigenvalues, polishes each root on its own,
-and falls back to exact Sturm bisection when the residual test disagrees;
+and one built from ints and Fractions holds Fractions.  Root extraction
+takes the companion eigenvalues, polishes each root on its own, and falls
+back to exact Sturm bisection when the residual test disagrees;
 real-rootedness verdicts are always certified by an exact Sturm count (any
 binary64 coefficient vector is a rational vector, so the exact route is
 available for floats too).
@@ -18,10 +17,9 @@ Each factor is a nonzero multiple of its rational counterpart, so the
 monic factors, signs and Sturm counts are the rational ones.  Only the
 bisection points n/d are Fractions; a sign there is that of c(n/d) d^deg.
 
-One Horner rule (``_horner``) evaluates every polynomial here, in the
-arithmetic of its coefficients and argument: ``UniPoly.__call__``, and
-the residual-monotone Newton polish (``_polish``) and residual test over
-Python floats.  The polish works on one root at a time; the Sturm route
+One Horner rule (``_horner``) evaluates every polynomial here, over
+Python floats: the residual-monotone Newton polish (``_polish``) and the
+residual test.  The polish works on one root at a time; the Sturm route
 polishes its bisection midpoints with it, from each monic factor's
 floats.  numpy serves only the companion eigenvalues and their
 imaginary-part test.  The one Newton interpolator (``interpolate``)
@@ -78,14 +76,6 @@ class UniPoly:
             seq.pop()
         return UniPoly(tuple(seq))
 
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly.from_coeffs([c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -93,32 +83,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, t):
-        return _horner(self.coeffs, t)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return UniPoly.from_coeffs([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly.from_coeffs(out)
 
     def compose_xsquare(self) -> "UniPoly":
         """p(x^2): coefficients spread onto even degrees."""
@@ -135,9 +99,6 @@ class UniPoly:
 
     def to_float(self) -> "UniPoly":
         return UniPoly.from_coeffs([float(c) for c in self.coeffs])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UniPoly({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +452,18 @@ def _newton(xs: list, ys: np.ndarray) -> list:
     """interpolate for rows of one kind: ys holds one row of values per
     polynomial, float64 with float xs or object Fractions with Fraction xs.
 
-    One row alone adds c_i basis_i to its sum for i = 0, 1, ..., each
-    UniPoly trimmed of its trailing zeros and padded with 0 by the next
-    add.  Here every row's sum starts at 0 and spans every column.  That
-    adds the same: basis_i is monic, so a nonzero c_i makes the sum's top
-    entry c_i, which is not trimmed, and a zero c_i gives a term of zeros,
-    which the row pads away; a sum is -0.0 only if both addends are, so no
-    entry of the sum is -0.0, and adding a term of zeros leaves it as
-    adding 0 does.  Each row's length is one past its last nonzero c_i.
+    basis_i = prod_{j < i} (x - x_j) is kept as one ascending list and
+    multiplied by x - x_i in the dense product's steps: each nonzero entry
+    a, in ascending order, adds a (-x_i) and then a onto entries that start
+    at int 0.
+    One row alone adds c_i basis_i to its sum for i = 0, 1, ..., the sum
+    trimmed of its trailing zeros and padded with 0 by the next add.  Here
+    every row's sum starts at 0 and spans every column.  That adds the same:
+    basis_i is monic, so a nonzero c_i makes the sum's top entry c_i, which
+    is not trimmed, and a zero c_i gives a term of zeros, which the row pads
+    away; a sum is -0.0 only if both addends are, so no entry of the sum is
+    -0.0, and adding a term of zeros leaves it as adding 0 does.  Each row's
+    length is one past its last nonzero c_i.
     """
     count, size = ys.shape
     table = ys.copy()
@@ -508,10 +473,15 @@ def _newton(xs: list, ys: np.ndarray) -> list:
         table[:, :size - level] = (table[:, 1:size - level + 1] - table[:, :size - level]) / span
         coeffs.append(table[:, 0].copy())
     poly = np.zeros_like(ys)
-    basis = UniPoly.constant(1)
+    basis = [1]
     for i, c in enumerate(coeffs):
-        poly[:, :i + 1] += c[:, None] * np.array(basis.coeffs, dtype=ys.dtype)
-        basis = basis * UniPoly.from_coeffs([-xs[i], 1])
+        poly[:, :i + 1] += c[:, None] * np.array(basis, dtype=ys.dtype)
+        step = [0] * (i + 2)
+        for k, a in enumerate(basis):
+            if a != 0:
+                step[k] += a * -xs[i]
+                step[k + 1] += a
+        basis = as_one_type(step)
     nonzero = np.array(coeffs).T != 0
     lens = np.where(nonzero.any(axis=1), size - np.argmax(nonzero[:, ::-1], axis=1), 0)
     return [UniPoly(tuple(row[:n].tolist())) for row, n in zip(poly, lens)]

@@ -1,5 +1,6 @@
 """The signed family's Fraction routes, the references for the int routes of
-hyperdisc.mixedchar."""
+hyperdisc.mixedchar, and its inner nodes off the coefficient table, which
+the search reads only through its oracle."""
 
 import itertools
 import math
@@ -7,8 +8,9 @@ import weakref
 from fractions import Fraction
 
 from hyperdisc.hyperbolic import char_restriction
+from hyperdisc.mixedchar import kls_fold, kls_node_sums
 from hyperdisc.unipoly import UniPoly
-from unipoly_helpers import scale
+from unipoly_helpers import ZERO, poly_add, poly_mul, scale
 
 
 def fraction_mean(var) -> Fraction:
@@ -32,7 +34,7 @@ def fraction_leaf_poly(inst, assignment) -> UniPoly:
     w = fraction_centered_sum(inst, assignment)
     plus = inst.h.restrict_line(w, inst.h.e)
     minus = inst.h.restrict_line(tuple(-c for c in w), inst.h.e)
-    return plus * minus
+    return poly_mul(plus, minus)
 
 
 # instance -> {assignment: its fraction_leaf_poly}, kept while the instance
@@ -45,7 +47,7 @@ def fraction_node_poly(inst, partial=()) -> UniPoly:
     assignment and summed over Fractions.  Each leaf is computed once per
     instance (equal instances share their leaves)."""
     leaves = _LEAVES.setdefault(inst, {})
-    acc = UniPoly.zero()
+    acc = ZERO
     rest = inst.variables[len(partial):]
     for completion in itertools.product(*[var.support for var in rest]):
         assignment = tuple(partial) + completion
@@ -54,8 +56,20 @@ def fraction_node_poly(inst, partial=()) -> UniPoly:
             leaf = leaves[assignment] = fraction_leaf_poly(inst, assignment)
         weight = math.prod(var.probs[var.support.index(s)]
                            for s, var in zip(assignment, inst.variables))
-        acc = acc + scale(leaf, weight)
+        acc = poly_add(acc, scale(leaf, weight))
     return acc
+
+
+def kls_prefix_node(inst, partial) -> UniPoly:
+    """A prefix's node off the coefficient table: Pr[prefix] N_k / (E^2 (L D)^k)
+    at x^(2d-k), N_k the kls_node_sums of the prefix folded in (kls_fold)."""
+    table = inst.coefficient_table
+    rows = kls_fold(table, table.rows, 0, tuple(partial))
+    sums = kls_node_sums(table.weights, rows, 2 * table.d)
+    weight = math.prod((Fraction(var.probs[var.support.index(s)])
+                        for s, var in zip(partial, inst.variables)), start=Fraction(1))
+    return UniPoly.from_coeffs([weight * Fraction(sums[k], table.denominator * table.scale ** k)
+                                for k in range(2 * table.d, -1, -1)])
 
 
 def fraction_variance(var) -> Fraction:
@@ -81,7 +95,7 @@ def mix_reference(inst, traces) -> tuple:
 
 
 def fraction_integer_data(inst) -> tuple:
-    """(L, centered, variances, probs) of KlsInstance.integer_data from
+    """(L, centered, variances) of KlsInstance.integer_data from
     fraction_mean and fraction_variance over Fractions: L0 is the lcm of the
     centered values' denominators, and L = L0 times the lcm of the
     denominators of every L0^2 tau_i^2."""
@@ -89,14 +103,9 @@ def fraction_integer_data(inst) -> tuple:
     base = math.lcm(*(c.denominator for cent in centered for c in cent.values()))
     scale = base * math.lcm(*((base * base * fraction_variance(var)).denominator
                               for var in inst.variables))
-    probs = []
-    for var in inst.variables:
-        q = math.lcm(*(Fraction(p).denominator for p in var.probs))
-        probs.append({s: _as_int(q * p) for s, p in zip(var.support, var.probs)})
     return (scale,
             tuple({s: _as_int(scale * c) for s, c in cent.items()} for cent in centered),
-            tuple(_as_int(scale * scale * fraction_variance(var)) for var in inst.variables),
-            tuple(probs))
+            tuple(_as_int(scale * scale * fraction_variance(var)) for var in inst.variables))
 
 
 def _as_int(x: Fraction) -> int:

@@ -15,6 +15,7 @@ from hyperdisc.barrier import _taus
 from hyperdisc.hyperbolic import derivative_restriction
 from hyperdisc.realstable import MultiPoly
 from hyperdisc.unipoly import UniPoly
+from unipoly_helpers import ZERO, poly_add, poly_mul
 
 
 def monomial(exps, c=1) -> MultiPoly:
@@ -55,14 +56,14 @@ def partial(p: MultiPoly, i: int) -> MultiPoly:
 
 def restrict_line(p: MultiPoly, a, b) -> UniPoly:
     """The univariate restriction t -> p(a t + b)."""
-    acc = UniPoly.zero()
+    acc = ZERO
     for e, c in p.terms.items():
-        term = UniPoly.constant(c)
+        term = UniPoly.from_coeffs([c])
         for i, k in enumerate(e):
             lin = UniPoly.from_coeffs([b[i], a[i]])
             for _ in range(k):
-                term = term * lin
-        acc = acc + term
+                term = poly_mul(term, lin)
+        acc = poly_add(acc, term)
     return acc
 
 

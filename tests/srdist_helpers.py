@@ -1,7 +1,7 @@
 """SR distributions as (elements, probability) pairs, the form tests
-write them in; the generating polynomial, and the marginal formula over it
-as a MultiPoly: the Fraction reference for srdist.marginal_via_formula,
-which runs over ints."""
+write them in, and their equality; the generating polynomial, and the
+marginal formula over it as a MultiPoly: the Fraction reference for
+srdist.marginal_via_formula, which runs over ints."""
 
 import math
 from fractions import Fraction
@@ -28,6 +28,12 @@ def from_support(n, items) -> SRDistribution:
     (serialize.set_rows), the probabilities through from_probs."""
     items = list(items)
     return from_probs(n, set_rows([elems for elems, _ in items]), [prob for _, prob in items])
+
+
+def same_distribution(a, b) -> bool:
+    """Whether a and b have the same n, sets, weights and denominator."""
+    return (a.n == b.n and a.denominator == b.denominator and a.weights == b.weights
+            and a.sets.tolist() == b.sets.tolist())
 
 
 def probabilities(mu) -> tuple:

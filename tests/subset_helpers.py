@@ -1,13 +1,16 @@
 """The subset operator form's Fraction route, the reference for the int
 routes of hyperdisc.hyperbolic.derivative_restriction and
 hyperdisc.mixedchar.ag_operator_form: one restriction along e per subset,
-inclusion-exclusion over UniPolys."""
+inclusion-exclusion over UniPolys; and the subset family's inner nodes,
+which the search reads only through its oracle."""
 
 import itertools
 from fractions import Fraction
 
+from hyperdisc.mixedchar import _leaf_sum
 from hyperdisc.unipoly import UniPoly
 from srdist_helpers import pairs
+from unipoly_helpers import ZERO, poly_add, poly_mul, scale
 
 
 def fraction_derivative_restriction(h, vectors, indices, cache: dict) -> UniPoly:
@@ -25,11 +28,11 @@ def fraction_derivative_restriction(h, vectors, indices, cache: dict) -> UniPoly
             cache[combo] = h.restrict_line(tuple(base), h.e)
         return cache[combo]
 
-    total = UniPoly.zero()
+    total = ZERO
     for r in range(len(s) + 1):
         for combo in itertools.combinations(s, r):
             rest = restriction_for(combo)
-            total = total + (rest if (len(s) - r) % 2 == 0 else -rest)
+            total = poly_add(total, rest if (len(s) - r) % 2 == 0 else scale(rest, -1))
     return total
 
 
@@ -44,11 +47,11 @@ def fraction_operator_form(inst) -> UniPoly:
             for subset in itertools.combinations(items, r):
                 weights[subset] = weights.get(subset, 0) + prob
     cache: dict = {}
-    acc = UniPoly.zero()
+    acc = ZERO
     for subset in sorted(weights, key=lambda s: (len(s), s)):
         g_s = UniPoly.from_coeffs([0] * (inst.mu.d_mu - len(subset)) + [weights[subset]])
-        term = fraction_derivative_restriction(inst.h, inst.vectors, subset, cache) * g_s
-        acc = acc + (term if len(subset) % 2 == 0 else -term)
+        term = poly_mul(fraction_derivative_restriction(inst.h, inst.vectors, subset, cache), g_s)
+        acc = poly_add(acc, term if len(subset) % 2 == 0 else scale(term, -1))
     return acc
 
 
@@ -65,3 +68,12 @@ def subset_sum(inst, elements) -> tuple:
 def as_rationals(vectors) -> list:
     """The vectors with every float taken as the rational it is."""
     return [tuple(map(Fraction, v)) for v in vectors]
+
+
+def ag_prefix_node(inst, partial) -> UniPoly:
+    """The node of a 0/1 membership prefix: the leaf-table rows of the
+    support sets that agree with it on every prefix column, added in support
+    order from 0 (_leaf_sum).  The empty prefix gives ag_node_poly's root."""
+    bits = [bool(b) for b in partial]
+    hits = [r for r, row in enumerate(inst.mu.members.tolist()) if row[:len(bits)] == bits]
+    return UniPoly.from_coeffs(_leaf_sum(inst.leaf_table[hits], partial).tolist())

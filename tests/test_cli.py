@@ -10,6 +10,7 @@ import pytest
 
 from hyperdisc import unipoly
 from hyperdisc.cli import _resolve_graph, build_parser, main
+from hyperdisc.errors import TooLarge
 from hyperdisc.graphs import MAX_ENUM_EDGES, Graph
 from hyperdisc.hyperbolic import determinant
 from hyperdisc.serialize import dumps, instance_from_json, instance_to_json
@@ -17,6 +18,7 @@ from hyperdisc.mixedchar import AgFamily, KlsInstance, RandomVar, kls_node_poly,
 from hyperdisc.solver import brute_force
 from hyperdisc.srdist import uniform_spanning_tree
 from kls_helpers import fraction_node_poly
+from srdist_helpers import same_distribution
 from unipoly_helpers import sign_at_without_powers
 
 
@@ -186,6 +188,34 @@ def test_random_graph_past_the_cap_is_refused_before_it_is_built(capsys, argv):
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges\n"
     assert peak < 2 ** 21
+
+
+def test_graph_file_past_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
+    # A 10^5-edge path: json.load takes about 16 MiB; a Graph of it and its
+    # connectivity test would take about 30 MiB more.
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": 10 ** 5 + 1,
+                                "edges": [[i, i + 1] for i in range(10 ** 5)]}))
+    code, peak = _peak_bytes(lambda: main(["gen", "--kind", "sr-ust", "--graph", f"@{path}"]))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges\n"
+    assert peak < 2 ** 25
+
+
+def test_disconnected_graph_past_the_cap_gets_the_cap_error(capsys, tmp_path):
+    # The cap is checked before connectivity, in the file route and in
+    # Graph.spanning_trees alike.
+    edges = tuple((2 * i, 2 * i + 1) for i in range(MAX_ENUM_EDGES + 1))
+    graph = Graph(2 * len(edges), edges)
+    with pytest.raises(TooLarge):
+        graph.spanning_trees()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph.to_json()))
+    code = main(["gen", "--kind", "sr-ust", "--graph", f"@{path}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: spanning-tree enumeration capped at {MAX_ENUM_EDGES} edges\n"
 
 
 def test_sparse_graph_file_is_disconnected_by_its_counts(capsys, tmp_path):
@@ -831,7 +861,7 @@ def test_sr_roundtrip_lossless(capsys, spec):
     blob = json.loads(out)
     inst, kind = instance_from_json(blob)
     assert kind == "sr"
-    assert inst.mu == uniform_spanning_tree(_resolve_graph(spec))
+    assert same_distribution(inst.mu, uniform_spanning_tree(_resolve_graph(spec)))
     meta = {"seed": 0, "kind": "sr-ust", "graph": spec, "eps1": inst.eps1, "eps2": inst.eps2}
     again = instance_to_json(inst, generator=meta, graph=Graph.from_json(blob["payload"]["graph"]))
     assert dumps(again) == out

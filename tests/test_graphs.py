@@ -16,7 +16,7 @@ from hyperdisc.graphs import (MAX_ENUM_EDGES, NAMED_GRAPHS, Graph, complete_grap
                               path_graph)
 from hyperdisc.srdist import SRDistribution, max_marginal, uniform_spanning_tree
 
-from srdist_helpers import from_support
+from srdist_helpers import from_support, same_distribution
 from test_cli import SR_SEARCH_GRAPHS
 
 
@@ -61,7 +61,7 @@ def assert_distribution_matches_parsed(graph: Graph):
     mu = uniform_spanning_tree(graph)
     parsed = from_support(graph.n_edges,
                           [(tuple(r), Fraction(1, len(trees))) for r in trees.tolist()])
-    assert mu == parsed
+    assert same_distribution(mu, parsed)
     assert np.array_equal(mu.sets, parsed.sets) and mu.sets.dtype == parsed.sets.dtype
     assert max_marginal(mu) == max_marginal(parsed)
     assert set(mu.weights) == {1} and mu.denominator == len(trees)

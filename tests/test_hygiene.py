@@ -147,6 +147,53 @@ def test_every_def_is_reached():
     assert sorted(_unreached_defs()) == []
 
 
+def _defaulted_defs(path: Path):
+    """(called name, positional parameters, default-valued parameters,
+    module.def) for each def of a module, top level or in a class, that has
+    a default.  A method that is not a staticmethod drops its first
+    parameter, which a call on an instance or a class passes for it, and a
+    class's __init__ is called by the class's name."""
+    tree = _parse(path)
+    for owner in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+        method = owner is not tree
+        for node in owner.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            decorators = {getattr(d, "id", None) for d in node.decorator_list}
+            if method and "staticmethod" not in decorators:
+                positional = positional[1:]
+            if defaulted:
+                called = owner.name if method and node.name == "__init__" else node.name
+                yield called, positional, defaulted, f"{path.stem}.{node.name}"
+
+
+def test_every_default_parameter_is_passed():
+    # A default that every call leaves in place is a parameter no command
+    # uses.  A call in src/ or hdbench/ passes a parameter by position or by
+    # keyword, and one with *args or **kwargs passes every parameter.  Names
+    # are matched without their module, as the def scans match them.
+    defs = [d for path in _modules() for d in _defaulted_defs(path)]
+    names = {called for called, *_ in defs}
+    calls = {}  # called name -> [(positional count, None past a *args or **kwargs; keywords)]
+    for path in [*_modules(), *(ROOT / "hdbench").rglob("*.py")]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in names:
+                    spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                              or any(k.arg is None for k in node.keywords))
+                    calls.setdefault(name, []).append(
+                        (None if spread else len(node.args), {k.arg for k in node.keywords}))
+    unpassed = [f"{where}({p})" for called, positional, defaulted, where in defs for p in defaulted
+                if not any(count is None or p in positional[:count] or p in keywords
+                           for count, keywords in calls.get(called, ()))]
+    assert unpassed == []
+
+
 def _members(node: ast.ClassDef) -> list:
     """The methods and properties a class defines, dunders aside, and its
     fields if it is a dataclass."""

@@ -28,6 +28,7 @@ from hyperdisc.realstable import MultiPoly
 from hyperdisc.unipoly import max_real_root
 from hyperbolic_helpers import ConeVerdict, cone_membership, rank1_product_derivative
 from subset_helpers import as_rationals, fraction_derivative_restriction
+from unipoly_helpers import poly_mul
 
 L3 = lorentz(3)
 D2 = determinant(2)
@@ -225,7 +226,7 @@ def test_norm_equals_max_root_of_symmetric_product():
     for _ in range(6):
         signs = [rng.choice((-1, 1)) for _ in vs]
         w = tuple(sum(s * v[i] for s, v in zip(signs, vs)) for i in range(h.m))
-        prod = h.restrict_line(tuple(-c for c in w), h.e) * h.restrict_line(w, h.e)
+        prod = poly_mul(h.restrict_line(tuple(-c for c in w), h.e), h.restrict_line(w, h.e))
         top = max_real_root(prod.to_float())
         assert top == pytest.approx(spectrum(h, w).norm, abs=1e-7)
 

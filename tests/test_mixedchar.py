@@ -57,13 +57,14 @@ from hyperdisc.srdist import SRDistribution
 from hyperdisc.unipoly import UniPoly, is_real_rooted, max_real_root
 from hyperbolic_helpers import cone_membership, rank1_product_derivative
 from kls_helpers import (fraction_centered_sum, fraction_integer_data, fraction_leaf_poly,
-                         fraction_mean, fraction_node_poly, fraction_variance, mix_reference,
-                         trace_reference)
+                         fraction_mean, fraction_node_poly, fraction_variance, kls_prefix_node,
+                         mix_reference, trace_reference)
 from multipoly_helpers import linear_restriction_multipoly
 from srdist_helpers import from_support, pairs
 from stability_oracle import stability_test
-from subset_helpers import fraction_operator_form, subset_sum
-from unipoly_helpers import from_roots, has_common_interlacing, monic_top_coeffs, scale
+from subset_helpers import ag_prefix_node, fraction_operator_form, subset_sum
+from unipoly_helpers import (ZERO, from_roots, has_common_interlacing, monic_top_coeffs, poly_add,
+                             scale)
 
 D1 = determinant(1)
 RADEMACHER = RandomVar.rademacher()
@@ -121,14 +122,22 @@ def test_kls_node_poly_toy_root():
 
 def test_kls_node_poly_toy_leaf():
     inst = _scalar_instance(1)
-    leaf = kls_node_poly(inst, (Fraction(1),))
+    leaf = kls_prefix_node(inst, (Fraction(1),))
     assert leaf.coeffs == (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
 
 
-def test_kls_node_poly_value_not_in_support():
-    inst = _scalar_instance(1)
-    with pytest.raises(ValueNotInSupport):
-        kls_node_poly(inst, (Fraction(3),))
+def test_a_value_outside_its_support_gets_one_message():
+    # A leaf's centered sum and the oracle's fold name the variable's support.
+    inst = _scalar_instance(2)
+    table = inst.coefficient_table
+    bad = (Fraction(1), Fraction(3))
+    messages = []
+    for route in (lambda: inst.centered_ints(bad), lambda: kls_fold(table, table.rows, 0, bad)):
+        with pytest.raises(ValueNotInSupport) as exc:
+            route()
+        messages.append(str(exc.value))
+    want = "value Fraction(3, 1) not in support (Fraction(1, 1), Fraction(-1, 1))"
+    assert messages == [want, want]
 
 
 def test_kls_operator_form_toy():
@@ -164,14 +173,14 @@ def test_ag_node_poly_toy():
     mu = from_support(2, [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     inst = SrInstance.build(D1, mu, [(Fraction(1, 2),), (Fraction(1, 2),)])
     assert ag_node_poly(inst).coeffs == (Fraction(-1, 2), Fraction(1))
-    assert ag_node_poly(inst, (1,)).coeffs == (Fraction(-1, 4), Fraction(1, 2))
+    assert ag_prefix_node(inst, (1,)).coeffs == (Fraction(-1, 4), Fraction(1, 2))
 
 
 def test_ag_node_poly_empty_branch():
     mu = from_support(2, [((0,), Fraction(1))])
     inst = SrInstance.build(D1, mu, [(Fraction(1),), (Fraction(0),)])
     with pytest.raises(EmptyBranch):
-        ag_node_poly(inst, (0,))
+        ag_prefix_node(inst, (0,))
 
 
 def test_ag_operator_form_toy():
@@ -279,9 +288,9 @@ def test_common_interlacing_decides_hand_cases(p_roots, q_roots, want):
 def test_children_sum_to_parent():
     rng = random.Random(53)
     inst = _det_instance(rng, 2, 3)
-    parent = kls_node_poly(inst, (Fraction(1),))
-    kids = [kls_node_poly(inst, (Fraction(1), s)) for s in (Fraction(1), Fraction(-1))]
-    total = kids[0] + kids[1]
+    parent = kls_prefix_node(inst, (Fraction(1),))
+    kids = [kls_prefix_node(inst, (Fraction(1), s)) for s in (Fraction(1), Fraction(-1))]
+    total = poly_add(*kids)
     assert total.coeffs == parent.coeffs
 
 
@@ -290,7 +299,7 @@ def _descend(fam):
     smallest largest root, and checks that this root never exceeds the
     parent's: the interlacing-family existence argument.  Returns the leaf's
     assignment and largest root."""
-    node_poly = kls_node_poly if isinstance(fam, KlsFamily) else ag_node_poly
+    node_poly = kls_prefix_node if isinstance(fam, KlsFamily) else ag_prefix_node
     prefix = ()
     top = fam.root_max_root()
     for values in fam.branch_sets:
@@ -340,7 +349,7 @@ def test_real_rootedness_at_every_node():
     for var in inst.variables:
         prefixes = [p + (s,) for p in prefixes for s in var.support] + prefixes
     for prefix in prefixes:
-        assert is_real_rooted(kls_node_poly(inst, prefix))
+        assert is_real_rooted(kls_prefix_node(inst, prefix))
 
 
 def test_interlacing_at_internal_nodes():
@@ -351,7 +360,7 @@ def test_interlacing_at_internal_nodes():
         prefix = stack.pop()
         if len(prefix) == inst.n:
             continue
-        kids = [kls_node_poly(inst, prefix + (s,))
+        kids = [kls_prefix_node(inst, prefix + (s,))
                 for s in inst.variables[len(prefix)].support]
         assert has_common_interlacing(kids)
         stack.extend(prefix + (s,) for s in inst.variables[len(prefix)].support)
@@ -361,7 +370,7 @@ def _kls_children(inst):
     """The children of every internal node of a signed family."""
     for ell in range(inst.n):
         for prefix in itertools.product(*[var.support for var in inst.variables[:ell]]):
-            yield prefix, [kls_node_poly(inst, prefix + (s,))
+            yield prefix, [kls_prefix_node(inst, prefix + (s,))
                            for s in inst.variables[ell].support]
 
 
@@ -370,7 +379,7 @@ def _ag_children(inst):
     family = AgFamily(inst)
     for ell in range(inst.n):
         for prefix in itertools.product((0, 1), repeat=ell):
-            kids = [ag_node_poly(inst, prefix + (bit,))
+            kids = [ag_prefix_node(inst, prefix + (bit,))
                     for bit in (0, 1) if family.feasible(prefix + (bit,))]
             if kids:
                 yield prefix, kids
@@ -455,7 +464,7 @@ def test_table_node_poly_equals_enumeration_at_every_prefix():
     checked = 0
     for inst in _generated_instances():
         for prefix in _every_prefix(inst):
-            assert (kls_node_poly(inst, prefix).coeffs
+            assert (kls_prefix_node(inst, prefix).coeffs
                     == fraction_node_poly(inst, prefix).coeffs), prefix
             checked += 1
     assert checked > 700
@@ -647,7 +656,7 @@ def test_node_poly_equals_the_fraction_route_at_every_prefix():
     checked = 0
     for inst in _int_route_instances():
         for prefix in _every_prefix(inst):
-            got = kls_node_poly(inst, prefix).coeffs
+            got = kls_prefix_node(inst, prefix).coeffs
             assert all(type(c) is Fraction for c in got)
             assert got == fraction_node_poly(inst, prefix).coeffs, prefix
             checked += 1
@@ -758,15 +767,15 @@ def test_exact_cone_verdict_agrees_with_cone_membership(case):
 @given(_rational_kls_instances())
 def test_node_poly_equals_the_fraction_route_on_generated_instances(inst):
     for prefix in _every_prefix(inst):
-        assert kls_node_poly(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs, prefix
+        got = kls_prefix_node(inst, prefix).coeffs
+        assert got == fraction_node_poly(inst, prefix).coeffs, prefix
 
 
 def _assert_integer_data_is_the_fraction_formula(inst):
-    vec_scale, var_scale, vectors, centered, variances, probs = inst.integer_data
-    assert (var_scale, centered, variances, probs) == fraction_integer_data(inst)
+    vec_scale, var_scale, vectors, centered, variances = inst.integer_data
+    assert (var_scale, centered, variances) == fraction_integer_data(inst)
     assert all(type(x) is int for cent in centered for x in cent.values())
     assert all(type(x) is int for x in variances)
-    assert all(type(x) is int for p in probs for x in p.values())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -845,7 +854,7 @@ def test_integer_table_node_equals_enumeration_on_generated_instances(inst):
     table = inst.coefficient_table
     assert all(type(b) is int for b in table.entries.values())
     for prefix in _every_prefix(inst):
-        got = kls_node_poly(inst, prefix).coeffs
+        got = kls_prefix_node(inst, prefix).coeffs
         assert all(type(c) is Fraction for c in got)
         assert got == fraction_node_poly(inst, prefix).coeffs, prefix
 
@@ -914,7 +923,7 @@ def test_integer_table_clears_the_coefficients_of_h():
     table = inst.coefficient_table
     assert table.denominator == 4
     for prefix in _every_prefix(inst):
-        assert kls_node_poly(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs
+        assert kls_prefix_node(inst, prefix).coeffs == fraction_node_poly(inst, prefix).coeffs
 
 
 class _EnumeratedFamily(KlsFamily):
@@ -1174,10 +1183,10 @@ def _per_set_leaves(inst) -> list:
 def _per_set_node(inst, leaves, prefix):
     """The leaves of the sets that agree with the prefix, added in support
     order from 0; None when no set agrees (the set rule of feasibility)."""
-    acc, found = UniPoly.zero(), False
+    acc, found = ZERO, False
     for (elems, _), leaf in zip(pairs(inst.mu), leaves):
         if all((i in elems) == bool(bit) for i, bit in enumerate(prefix)):
-            acc, found = acc + leaf, True
+            acc, found = poly_add(acc, leaf), True
     return acc if found else None
 
 
@@ -1228,9 +1237,9 @@ def _assert_table_matches_per_set_sum(inst, prefixes):
         assert family.feasible(prefix) == (expect is not None), prefix
         if expect is None:
             with pytest.raises(EmptyBranch):
-                ag_node_poly(inst, prefix)
+                ag_prefix_node(inst, prefix)
             continue
-        got = ag_node_poly(inst, prefix)
+        got = ag_prefix_node(inst, prefix)
         # Float ==, so each coefficient is the same binary64 value.
         assert ([type(c) for c in got.coeffs], got.coeffs) == \
             ([type(c) for c in expect.coeffs], expect.coeffs), prefix
@@ -1334,7 +1343,7 @@ def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
     """Walk the rounds of a blocked search, committing a random feasible
     tuple each round, and check every tuple of every round, the leaf and
     the root against the full scan: the agreeing rows, and the oracle's
-    answer against the monic top coefficients of ag_node_poly at k = 2 and
+    answer against the monic top coefficients of ag_prefix_node at k = 2 and
     the search's k, bit for bit.  Then commit a prefix that does not extend
     the last commit and check again."""
     table = inst.leaf_table
@@ -1348,11 +1357,11 @@ def _assert_conditioned_route_matches_full_scan(inst, block: int, seed: int):
         assert np.array_equal(family.agreeing(prefix), expect), prefix
         if not len(expect):
             with pytest.raises(EmptyBranch):
-                ag_node_poly(inst, prefix)
+                ag_prefix_node(inst, prefix)
             with pytest.raises(EmptyBranch):
                 family.scaled_top_coeffs(prefix, 2)
             return False
-        node = ag_node_poly(inst, prefix)
+        node = ag_prefix_node(inst, prefix)
         want = UniPoly.from_coeffs((np.cumsum(table[expect], axis=0)[-1] + 0).tolist())
         assert _exact_bits(node.coeffs) == _exact_bits(want.coeffs), prefix
         for k in ks:

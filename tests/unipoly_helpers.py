@@ -1,8 +1,8 @@
-"""Polynomials the tests build from known roots, and c p; the exact
-reference route, Yun's square-free decomposition and the Sturm chain over
-Fractions, which the int routes in hyperdisc.unipoly must match; and
-one-row Newton interpolation in UniPoly arithmetic, which the stacked
-interpolate must match bit for bit."""
+"""UniPoly sums and products, polynomials the tests build from known roots,
+and c p; the exact reference route, Yun's square-free decomposition and the
+Sturm chain over Fractions, which the int routes in hyperdisc.unipoly must
+match; and one-row Newton interpolation in that arithmetic, which the
+stacked interpolate must match bit for bit."""
 
 import itertools
 from fractions import Fraction
@@ -11,12 +11,35 @@ from hyperdisc.unipoly import (UniPoly, _cauchy_bound, _deriv, _isolate_roots, _
                                _variations, _variations_at, as_one_type,
                                square_free_decomposition)
 
+ZERO = UniPoly(())
+
+
+def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p + q, the shorter padded with int zeros."""
+    return UniPoly.from_coeffs([x + y for x, y in
+                                itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0)])
+
+
+def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
+    """The dense product: each nonzero coefficient of p, in ascending order,
+    adds its products with q's coefficients, in ascending order, onto int
+    zeros."""
+    if p.is_zero or q.is_zero:
+        return ZERO
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UniPoly.from_coeffs(out)
+
 
 def from_roots(roots) -> UniPoly:
     """The monic polynomial prod_r (x - r), over the roots' own arithmetic."""
-    p = UniPoly.constant(1)
+    p = UniPoly.from_coeffs([1])
     for r in roots:
-        p = p * UniPoly.from_coeffs([-r, 1])
+        p = poly_mul(p, UniPoly.from_coeffs([-r, 1]))
     return p
 
 
@@ -44,8 +67,9 @@ def scale(p: UniPoly, c) -> UniPoly:
 
 def newton_reference(nodes) -> UniPoly:
     """The polynomial through the points (x, y) of nodes: Newton divided
-    differences, then poly + c_i basis_i added in UniPoly arithmetic, one
-    step at a time, each step trimmed by from_coeffs."""
+    differences, then poly + c_i basis_i added by poly_add, one step at a
+    time, each step trimmed by from_coeffs, with basis_i multiplied out by
+    poly_mul."""
     values = as_one_type([x for x, _ in nodes] + [y for _, y in nodes])
     xs, table = values[:len(nodes)], values[len(nodes):]
     coeffs = [table[0]]
@@ -53,10 +77,10 @@ def newton_reference(nodes) -> UniPoly:
         for i in range(len(table) - level):
             table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
         coeffs.append(table[0])
-    poly, basis = UniPoly.zero(), UniPoly.constant(1)
+    poly, basis = ZERO, UniPoly.from_coeffs([1])
     for x, c in zip(xs, coeffs):
-        poly = poly + scale(basis, c)
-        basis = basis * UniPoly.from_coeffs([-x, 1])
+        poly = poly_add(poly, scale(basis, c))
+        basis = poly_mul(basis, UniPoly.from_coeffs([-x, 1]))
     return poly
 
 
@@ -164,9 +188,9 @@ def _pair_interlaces(p: UniPoly, q: UniPoly) -> bool:
     fp = square_free_decomposition(p.coeffs)
     fq = square_free_decomposition(q.coeffs)
     exact = [UniPoly.from_coeffs([Fraction(c) for c in f.coeffs]) for f in (p, q)]
-    part = UniPoly.constant(1)
-    for c, _, _ in square_free_decomposition((exact[0] * exact[1]).coeffs):
-        part = part * UniPoly.from_coeffs(c)
+    part = UniPoly.from_coeffs([1])
+    for c, _, _ in square_free_decomposition(poly_mul(*exact).coeffs):
+        part = poly_mul(part, UniPoly.from_coeffs(c))
     (sq, _, chain), = square_free_decomposition(part.coeffs)
     points = [-_cauchy_bound(sq)] + sorted(b for _, b in _isolate_roots(sq, chain))
     if _roots_above(fp, points[0]) != p.degree or _roots_above(fq, points[0]) != q.degree:
